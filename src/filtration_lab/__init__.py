@@ -13,7 +13,6 @@ from .calculus import (
     JumpMeasure,
     Process,
     bracket,
-    bracket_matrix,
     compensate_measure,
     decompose,
     dot_integral,
@@ -66,7 +65,6 @@ from .representation import (
     MrpReport,
     PartitionWitness,
     ReconstructedBasis,
-    RepresentationBasis,
     check_mrp,
     conditional_multiplicity,
     jump_constraint,

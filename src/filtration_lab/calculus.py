@@ -65,16 +65,11 @@ class Process:
             for leaf in range(tree.n_leaves):
                 node = tree.node_at(t, leaf)
                 vec = node_values[node.id]
-                if isinstance(vec, (int, str, Fraction)):
+                if not isinstance(vec, (list, tuple)):
                     vec = (vec,)
                 row.append(tuple(to_fraction(c) for c in vec))
             data.append(row)
         return cls(tree, data, dim=dim)
-
-    @classmethod
-    def from_leaf_slices(cls, tree, slices, dim=None):
-        """Build from per-time leaf-indexed vectors (already pathwise)."""
-        return cls(tree, slices, dim=dim)
 
     @classmethod
     def doob(cls, tree, terminal, filtration=None):
@@ -82,7 +77,7 @@ class Process:
         filtration = as_filtration(filtration or tree)
         vecs = []
         for v in terminal:
-            if isinstance(v, (int, str, Fraction)):
+            if not isinstance(v, (list, tuple)):
                 v = (v,)
             vecs.append(tuple(to_fraction(c) for c in v))
         if len(vecs) != tree.n_leaves:
@@ -157,15 +152,6 @@ class Process:
                  for leaf in range(self.tree.n_leaves)]
                 for t in range(self.tree.horizon + 1)]
         return Process(self.tree, data, dim=self.dim)
-
-    def max_abs(self) -> Fraction:
-        best = ZERO
-        for row in self.values:
-            for vec in row:
-                for c in vec:
-                    if abs(c) > best:
-                        best = abs(c)
-        return best
 
     # arithmetic
 
@@ -340,12 +326,6 @@ def bracket(x: Process, y: Process) -> Process:
     return Process(tree, data, dim=1)
 
 
-def bracket_matrix(x: Process, y: Process):
-    """All pairwise scalar brackets as a dim_x by dim_y nested list."""
-    return [[bracket(x.component(i), y.component(j)) for j in range(y.dim)]
-            for i in range(x.dim)]
-
-
 def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
     """[X, Y]^p computed directly from conditional products.
 
@@ -414,7 +394,7 @@ class JumpMeasure:
         for node_id in sorted(self.support):
             node = tree.nodes[node_id]
             self._by_time.setdefault(node.time, []).append(node)
-        self._compensators: dict[int, CompensatorTable] = {}
+        self._compensators: dict[Filtration, CompensatorTable] = {}
 
     def nodes_at(self, t):
         return self._by_time.get(t, [])
@@ -429,10 +409,9 @@ class JumpMeasure:
 
     def compensator(self, filtration_like) -> "CompensatorTable":
         filtration = as_filtration(filtration_like)
-        key = id(filtration)
-        if key not in self._compensators:
-            self._compensators[key] = CompensatorTable(self, filtration)
-        return self._compensators[key]
+        if filtration not in self._compensators:
+            self._compensators[filtration] = CompensatorTable(self, filtration)
+        return self._compensators[filtration]
 
 
 def jump_measure(x: Process) -> JumpMeasure:

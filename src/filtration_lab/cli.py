@@ -236,10 +236,18 @@ def _run_multiplier(ctx: CheckContext):
     return ok, {"enlargements": per_enlargement}
 
 
+def _viability_family(scenario: Scenario):
+    """The scenario's own price family, else the default grid on its basis."""
+    family = scenario.family_processes()
+    if family:
+        return family
+    if scenario.basis is None:
+        raise ParseError("scenario needs a viability family or a basis process")
+    return default_viability_family(scenario.basis_process())
+
+
 def _run_viability(ctx: CheckContext):
-    family = ctx.scenario.family_processes()
-    if not family:
-        family = default_viability_family(ctx.basis())
+    family = _viability_family(ctx.scenario)
     economic = True
     identities = True
     per_enlargement = {}
@@ -380,10 +388,10 @@ CHECKS = {
             "Searches each enlargement for deflators: per conditioning "
             "atom, strictly positive reweightings of the successor atoms "
             "keeping each family price fair, found by maximizing the "
-            "minimum weight with an exact simplex. Passes when every "
-            "price admits a deflator and the deflator drift identity "
-            "verifies; otherwise it lists the violating atoms, each with "
-            "a one-sided price-move witness.")),
+            "minimum weight in closed form. Passes when every price "
+            "admits a deflator and the deflator drift identity verifies; "
+            "otherwise it lists the violating atoms, each with a one-sided "
+            "price-move witness.")),
     "kernel": CheckDef(
         runner=_run_kernel, needs_enlargement=True,
         explain=(
@@ -424,6 +432,13 @@ def run_check(ctx: CheckContext, name: str) -> dict:
             "details": _json_safe(details)}
 
 
+def _report(kind: str, ok: bool, **fields) -> tuple[dict, int]:
+    """Wrap a report body in the common envelope; returns (report, exit code)."""
+    report = {"tool": "filtration-lab", "version": __version__, "kind": kind,
+              **fields, "verdict": "pass" if ok else "fail"}
+    return report, 0 if ok else 1
+
+
 def run_scenario(path, checks=None, seed=None) -> tuple[dict, int]:
     """Execute a scenario's checks; returns (report, exit code)."""
     scenario = load(path)
@@ -433,17 +448,9 @@ def run_scenario(path, checks=None, seed=None) -> tuple[dict, int]:
         seed = scenario.seed
     ctx = CheckContext(scenario, seed, mode="run")
     rows = [run_check(ctx, name) for name in names]
-    verdict = "pass" if all(r["status"] == "pass" for r in rows) else "fail"
-    report = {
-        "tool": "filtration-lab",
-        "version": __version__,
-        "kind": "run",
-        "scenario_hash": scenario_hash(scenario),
-        "seed": seed,
-        "checks": rows,
-        "verdict": verdict,
-    }
-    return report, 0 if verdict == "pass" else 1
+    return _report("run", all(r["status"] == "pass" for r in rows),
+                   scenario_hash=scenario_hash(scenario), seed=seed,
+                   checks=rows)
 
 
 def _adversarial_probe(scenario: Scenario, seed: int):
@@ -589,18 +596,9 @@ def fuzz_campaign(seed_start, count, checks=None, horizon=None,
                 save(reduced, path)
                 entry["reproducer"] = path
         results.append(entry)
-    verdict = "pass" if failures == 0 else "fail"
-    report = {
-        "tool": "filtration-lab",
-        "version": __version__,
-        "kind": "fuzz",
-        "params": params,
-        "params_hash": scenario_hash_of_params(params),
-        "results": results,
-        "failures": failures,
-        "verdict": verdict,
-    }
-    return report, 0 if failures == 0 else 1
+    return _report("fuzz", failures == 0, params=params,
+                   params_hash=scenario_hash_of_params(params),
+                   results=results, failures=failures)
 
 
 def scenario_hash_of_params(params) -> str:
@@ -615,10 +613,7 @@ def check_mrp_report(path) -> tuple[dict, int]:
         raise ParseError("scenario has no basis process")
     w = scenario.basis_process()
     report = check_mrp(w)
-    doc = {
-        "tool": "filtration-lab",
-        "version": __version__,
-        "kind": "check-mrp",
+    fields = {
         "scenario_hash": scenario_hash(scenario),
         "mrp": report.holds,
         "dim": report.dim,
@@ -627,11 +622,10 @@ def check_mrp_report(path) -> tuple[dict, int]:
         "failing_atom": report.failing_atom,
         "counterexample": _json_safe(report.counterexample),
         "multiplicity": _multiplicity_table(scenario.tree),
-        "verdict": "pass" if report.holds else "fail",
     }
     if report.holds:
-        doc["constraint"] = jump_constraint(w).as_table()
-    return doc, 0 if report.holds else 1
+        fields["constraint"] = jump_constraint(w).as_table()
+    return _report("check-mrp", report.holds, **fields)
 
 
 def viability_report(path) -> tuple[dict, int]:
@@ -639,12 +633,7 @@ def viability_report(path) -> tuple[dict, int]:
     scenario = load(path)
     if not scenario.enlargements:
         raise ParseError("scenario has no enlargement")
-    family = scenario.family_processes()
-    if not family:
-        if scenario.basis is None:
-            raise ParseError(
-                "scenario needs a viability family or a basis process")
-        family = default_viability_family(scenario.basis_process())
+    family = _viability_family(scenario)
     per_enlargement = {}
     viable = True
     for name, enlargement in sorted(scenario.enlargements.items()):
@@ -670,16 +659,10 @@ def viability_report(path) -> tuple[dict, int]:
                 "audit": audits,
             })
         per_enlargement[name] = {"viable": report.viable, "results": rows}
-    doc = {
-        "tool": "filtration-lab",
-        "version": __version__,
-        "kind": "viability",
-        "scenario_hash": scenario_hash(scenario),
-        "family_size": len(family),
-        "enlargements": _json_safe(per_enlargement),
-        "verdict": "pass" if viable else "fail",
-    }
-    return doc, 0 if viable else 1
+    return _report("viability", viable,
+                   scenario_hash=scenario_hash(scenario),
+                   family_size=len(family),
+                   enlargements=_json_safe(per_enlargement))
 
 
 def explain(name: str) -> str:

@@ -29,11 +29,13 @@ from .errors import (
 from .linalg import dot, gram_schmidt, invert, mat_mul, null_space, transpose
 from .rationals import format_rational, to_fraction
 from .representation import representation_coefficient
-from .simplex import OPTIMAL, maximize
 from .tree import as_filtration
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+OPTIMAL = "optimal"
+INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ class Deflator:
 
 @dataclass(frozen=True)
 class AtomAudit:
-    """One conditioning atom's pricing system and its LP outcome."""
+    """One conditioning atom's pricing system and its optimal reweighting."""
     time: int
     atom: str
     subatoms: tuple
@@ -106,15 +108,39 @@ def _require_positive(s: Process, what: str):
                 raise NotStrictlyPositive(f"{what} must stay strictly positive")
 
 
+def _one_period_deflator(q, moves):
+    """Maximize the floor min y over y >= 0 with q.y = 1 and q.(y moves) = 0.
+
+    This is the finite one-period FTAP (Harrison and Pliska 1981; Dalang,
+    Morton and Willinger 1990) in closed form. With mean move m = q.moves
+    and e the extreme move on the far side of zero from m, the optimum is
+    the floor f = e / (e - m) on every successor, plus the remaining mass
+    (1 - f) / q_k on the first successor k whose move is e. No such y
+    exists when every move lies strictly on m's side. Returns
+    (status, floor, y), with floor and y None when infeasible.
+    """
+    m = sum((qi * v for qi, v in zip(q, moves)), start=ZERO)
+    if m == 0:
+        return OPTIMAL, ONE, (ONE,) * len(q)
+    e = min(moves) if m > 0 else max(moves)
+    if e * m > 0:
+        return INFEASIBLE, None, None
+    floor = e / (e - m)
+    k = moves.index(e)
+    y = [floor] * len(q)
+    y[k] += (1 - floor) / q[k]
+    return OPTIMAL, floor, tuple(y)
+
+
 def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     """Search for per-atom positive reweightings that keep the price fair.
 
     Per conditioning atom: find y_i > 0 over the successor atoms with
-    sum q_i y_i = 1 and sum q_i y_i S_i = S_previous, by maximizing the
-    floor min y_i in exact arithmetic. An atom fails when the optimum is not
-    strictly positive (or the equalities admit no nonnegative solution);
-    every failing atom is reported, with a sign vector separating the price
-    moves from zero as the witness.
+    sum q_i y_i = 1 and sum q_i y_i S_i = S_previous, maximizing the floor
+    min y_i in closed form. An atom fails when the optimum is not strictly
+    positive (or the equalities admit no nonnegative solution); every
+    failing atom is reported, with a sign vector separating the price moves
+    from zero as the witness.
     """
     if s.dim != 1:
         raise DimensionMismatch("deflator targets are scalar prices")
@@ -128,36 +154,13 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     factors = {}
     for t in range(1, tree.horizon + 1):
         for atom in filtration.atoms(t - 1):
-            atom_leaves = set(atom.leaves)
-            subs = sorted((sub for sub in filtration.atoms(t)
-                           if set(sub.leaves) <= atom_leaves),
-                          key=lambda sub: sub.leaves[0])
+            subs = filtration.atoms_within(t, atom.leaves)
             q = [sub.prob / atom.prob for sub in subs]
             s_prev = s.values[t - 1][atom.leaves[0]][0]
-            s_next = [s.values[t][sub.leaves[0]][0] for sub in subs]
-            moves = [v - s_prev for v in s_next]
-            m = len(subs)
-            # variables: y_1..y_m, floor, slack_1..slack_m
-            n_vars = 2 * m + 1
-            objective = [ZERO] * n_vars
-            objective[m] = ONE
-            eq_lhs = []
-            eq_rhs = []
-            for i in range(m):
-                lhs = [ZERO] * n_vars
-                lhs[i] = ONE
-                lhs[m] = -ONE
-                lhs[m + 1 + i] = -ONE
-                eq_lhs.append(lhs)
-                eq_rhs.append(ZERO)
-            eq_lhs.append([*q, *([ZERO] * (m + 1))])
-            eq_rhs.append(ONE)
-            eq_lhs.append([*(qi * si for qi, si in zip(q, s_next)),
-                           *([ZERO] * (m + 1))])
-            eq_rhs.append(s_prev)
-            result = maximize(objective, eq_lhs, eq_rhs)
+            moves = [s.values[t][sub.leaves[0]][0] - s_prev for sub in subs]
+            status, floor, ys = _one_period_deflator(q, moves)
 
-            ok = result.status == OPTIMAL and result.value > 0
+            ok = status == OPTIMAL and floor > 0
             separating = None
             if not ok:
                 # one-dimensional separation: the moves all lie weakly on
@@ -166,13 +169,11 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
                     separating = 1
                 elif all(v <= 0 for v in moves):
                     separating = -1
-            ys = tuple(result.x[:m]) if result.status == OPTIMAL else None
             record = AtomAudit(
                 time=t, atom=atom.label,
                 subatoms=tuple(sub.label for sub in subs),
                 weights=tuple(q), price_moves=tuple(moves),
-                status=result.status,
-                floor=result.value if result.status == OPTIMAL else None,
+                status=status, floor=floor,
                 solution=ys, separating=separating)
             audit.append(record)
             if ok:
@@ -311,10 +312,7 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
         for atom in base.atoms(t - 1):
             if coarse.increment(t, atom.leaves[0])[0] != 0:
                 continue
-            atom_leaves = set(atom.leaves)
-            for sub in filtration.atoms(t - 1):
-                if not set(sub.leaves) <= atom_leaves:
-                    continue
+            for sub in filtration.atoms_within(t - 1, atom.leaves):
                 if fine.increment(t, sub.leaves[0])[0] != 0:
                     return False, (t, atom.label, sub.label)
     return True, None
@@ -386,11 +384,8 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                     f"frame at atom {node.id} has {len(epsilons)} directions")
             frames[(t, node.id)] = epsilons
             sub_records = []
-            leaves = set(node.leaves())
-            for sub in filtration.atoms(t - 1):
+            for sub in filtration.atoms_within(t - 1, node.leaves()):
                 sub_leaves = set(sub.leaves)
-                if not sub_leaves <= leaves:
-                    continue
                 p_bar = []
                 for h in range(width):
                     mass = sum((tree.leaf_probs[i] for i in wit.leaves[h]
@@ -524,12 +519,9 @@ def covariance_kernel(enlargement_like, basis, time: int,
     jc = mat_mul(j, c)
     x2 = basis.process
     node = tree.nodes[atom_label]
-    node_leaves = set(node.leaves())
     sub_checks = []
     holds = kernel_matches
-    for sub in filtration.atoms(time - 1):
-        if not set(sub.leaves) <= node_leaves:
-            continue
+    for sub in filtration.atoms_within(time - 1, node.leaves()):
         mean = [ZERO] * width
         for i in sub.leaves:
             w = tree.leaf_probs[i] / sub.prob

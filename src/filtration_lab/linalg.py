@@ -94,17 +94,6 @@ def solve(matrix, rhs):
     return x
 
 
-def solve_many(matrix, rhs_columns):
-    """Solve A X = B column by column; None if any column is inconsistent."""
-    cols = []
-    for rhs in rhs_columns:
-        sol = solve(matrix, rhs)
-        if sol is None:
-            return None
-        cols.append(sol)
-    return [list(row) for row in zip(*cols)]
-
-
 def null_space(matrix):
     """Canonical basis of the kernel, integer-normalized."""
     if not matrix:
@@ -187,6 +176,3 @@ def gram_schmidt(vectors):
             basis.append(residual)
     return basis
 
-
-def is_zero_vector(vec) -> bool:
-    return all(v == 0 for v in vec)

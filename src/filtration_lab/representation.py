@@ -40,16 +40,6 @@ class MrpReport:
 
 
 @dataclass(frozen=True)
-class RepresentationBasis:
-    w: Process
-    report: MrpReport
-
-    @classmethod
-    def build(cls, w: Process) -> "RepresentationBasis":
-        return cls(w=w, report=check_mrp(w))
-
-
-@dataclass(frozen=True)
 class PartitionWitness:
     """Ordered successor classes of one conditioning atom.
 

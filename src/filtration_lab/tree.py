@@ -120,15 +120,17 @@ class FilteredTree:
                     raise ProbabilitySumNotOne(
                         f"children of {node.id!r} have probabilities summing to {total}")
 
-        if len(order) != self._count_reachable():
+        preorder = self._preorder()
+        if len(order) != len(preorder):
             raise DanglingNode("tree contains nodes unreachable from the root")
 
         self.leaves: list[Node] = []
-        self._assign_leaf_ranges(self.root, ONE)
+        self._assign_leaf_ranges(preorder)
         self.leaf_ids = [leaf.id for leaf in self.leaves]
         self.leaf_probs = [leaf.prob for leaf in self.leaves]
         self.nodes_at: list[list[Node]] = [[] for _ in range(horizon + 1)]
-        self._collect_by_time(self.root)
+        for node in preorder:
+            self.nodes_at[node.time].append(node)
         # time-t ancestor of each leaf
         self._ancestor: list[list[Node]] = [[None] * len(self.leaves)
                                             for _ in range(horizon + 1)]
@@ -138,31 +140,31 @@ class FilteredTree:
                     self._ancestor[t][leaf] = node
         self._base_filtration = None
 
-    def _count_reachable(self):
-        seen = 0
+    def _preorder(self):
+        """Nodes reachable from the root, depth first, children in order."""
+        ordered = []
         stack = [self.root]
         while stack:
             node = stack.pop()
-            seen += 1
-            stack.extend(node.children)
-        return seen
+            ordered.append(node)
+            stack.extend(reversed(node.children))
+        return ordered
 
-    def _assign_leaf_ranges(self, node, prob):
-        node.prob = prob
-        if not node.children:
-            node.leaf_lo = len(self.leaves)
-            self.leaves.append(node)
-            node.leaf_hi = len(self.leaves)
-            return
-        node.leaf_lo = len(self.leaves)
-        for child in node.children:
-            self._assign_leaf_ranges(child, prob * child.branch_prob)
-        node.leaf_hi = len(self.leaves)
-
-    def _collect_by_time(self, node):
-        self.nodes_at[node.time].append(node)
-        for child in node.children:
-            self._collect_by_time(child)
+    def _assign_leaf_ranges(self, preorder):
+        """Number the leaves depth first, so every node's leaves are the
+        range between its first and last child's."""
+        self.root.prob = ONE
+        for node in preorder:
+            for child in node.children:
+                child.prob = node.prob * child.branch_prob
+            if not node.children:
+                node.leaf_lo = len(self.leaves)
+                self.leaves.append(node)
+                node.leaf_hi = len(self.leaves)
+        for node in reversed(preorder):
+            if node.children:
+                node.leaf_lo = node.children[0].leaf_lo
+                node.leaf_hi = node.children[-1].leaf_hi
 
     @property
     def n_leaves(self) -> int:
@@ -183,20 +185,12 @@ class FilteredTree:
 
     def to_spec(self):
         """Serializable node list, parents before children."""
-        specs = []
-        stack = [self.root]
-        ordered = []
-        while stack:
-            node = stack.pop()
-            ordered.append(node)
-            stack.extend(reversed(node.children))
-        for node in ordered:
-            specs.append({
-                "id": node.id,
-                "time": node.time,
-                "parent": node.parent.id if node.parent else None,
-                "prob": None if node.branch_prob is None else str(node.branch_prob),
-            })
+        specs = [{
+            "id": node.id,
+            "time": node.time,
+            "parent": node.parent.id if node.parent else None,
+            "prob": None if node.branch_prob is None else str(node.branch_prob),
+        } for node in self._preorder()]
         return {"horizon": self.horizon, "nodes": specs}
 
 
@@ -233,6 +227,21 @@ class Filtration:
         if not 0 <= t <= self.tree.horizon:
             raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
         return self._atom_of[t][leaf]
+
+    def atoms_within(self, t: int, leaves) -> tuple[Atom, ...]:
+        """Distinct time-t atoms holding the given leaves, in first-leaf order.
+
+        When the time-t partition refines the cell the leaves make up, these
+        are exactly the time-t atoms inside that cell, in atoms(t) order.
+        """
+        if not 0 <= t <= self.tree.horizon:
+            raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
+        lookup = self._atom_of[t]
+        found = {}
+        for leaf in leaves:
+            atom = lookup[leaf]
+            found.setdefault(id(atom), atom)
+        return tuple(found.values())
 
     def conditioning_atoms(self, t: int) -> tuple[Atom, ...]:
         """Atoms of F_{t-}: F_{t-1} for t >= 1, F_0 for t = 0."""
@@ -451,18 +460,19 @@ def random_tree(seed: int, horizon: int = 2, max_branching: int = 3,
     max_branching = max(1, min(int(max_branching), 8))
     denominator_bound = max(2, int(denominator_bound))
     rng = random.Random(seed)
-    specs = [("r", 0, None, None)]
-
-    def grow(node_id, time):
+    specs = []
+    # depth first, drawing each node's branching as it is first visited
+    stack = [("r", 0, None, None)]
+    while stack:
+        spec = stack.pop()
+        specs.append(spec)
+        node_id, time = spec[0], spec[1]
         if time == horizon:
-            return
+            continue
         n_children = rng.randint(1, max_branching)
         weights = [rng.randint(1, denominator_bound) for _ in range(n_children)]
         total = sum(weights)
-        for k in range(n_children):
-            child_id = node_id + "abcdefgh"[k]
-            specs.append((child_id, time + 1, node_id, Fraction(weights[k], total)))
-            grow(child_id, time + 1)
-
-    grow("r", 0)
+        stack.extend(reversed([
+            (node_id + "abcdefgh"[k], time + 1, node_id, Fraction(weights[k], total))
+            for k in range(n_children)]))
     return FilteredTree(horizon, specs)

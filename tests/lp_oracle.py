@@ -3,6 +3,10 @@
 Sized for the tiny per-atom programs this library produces (a handful of
 variables and constraints). Bland's rule everywhere, so the method terminates
 without any perturbation tricks.
+
+Test-only reference: the library solves its per-atom deflator programs in
+closed form, and the differential tests hold that closed form to this
+solver's status, optimum and solution vector.
 """
 
 from __future__ import annotations

@@ -162,6 +162,12 @@ class TestJumpMeasure:
         mu = jump_measure(x)
         assert set(mu.support) == {"a", "b"}
 
+    def test_compensator_cached_per_filtration(self, w_ter, ga):
+        mu = jump_measure(w_ter)
+        fine = mu.compensator(ga)
+        assert mu.compensator(ga.filtration()) is fine
+        assert mu.compensator(w_ter.tree) is not fine
+
 
 class TestCompensateMeasure:
     def test_bin1_half_each(self, w_bin, bin1):

@@ -75,6 +75,37 @@ class TestRun:
         assert code == 2
         assert err
 
+    def test_bare_float_value_is_usage_error(self, capsys, tmp_path):
+        doc = json.loads(Path(BIN1).read_text(encoding="utf-8"))
+        (name,) = doc["processes"]
+        doc["processes"][name]["values"]["r"] = 0.5
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert "not a rational: 0.5" in err
+        assert "Traceback" not in err
+
+    def test_long_chain_runs(self, capsys, tmp_path):
+        # deeper than the interpreter's default recursion limit
+        horizon = 1500
+        nodes = [{"id": "n0", "time": 0, "parent": None, "prob": None}]
+        nodes += [{"id": f"n{t}", "time": t, "parent": f"n{t - 1}",
+                   "prob": "1"} for t in range(1, horizon + 1)]
+        doc = {"horizon": horizon, "nodes": nodes,
+               "processes": {
+                   "W": {"values": {n["id"]: ["0"] for n in nodes}},
+                   "S": {"values": {n["id"]: ["1"] for n in nodes}}},
+               "enlargements": {"G": {}}, "basis": "W",
+               "viability_family": ["S"],
+               "checks": ["mrp", "drift", "viability"]}
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, err = run_json(capsys, "run", str(path))
+        assert code == 0, err
+        assert [c["status"] for c in report["checks"]] == ["pass"] * 3
+
     def test_table_output_mentions_checks(self, capsys):
         code, out, _ = run_cli(
             capsys, "run", TER1_GA, "--checks", "drift")

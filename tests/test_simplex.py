@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from filtration_lab.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
+from lp_oracle import INFEASIBLE, OPTIMAL, UNBOUNDED, maximize
 
 F = Fraction
 

@@ -22,6 +22,7 @@ from filtration_lab.errors import (
     ProbabilitySumNotOne,
     TimeOutOfRange,
 )
+from filtration_lab.fuzz import random_scenario
 
 F = Fraction
 
@@ -142,6 +143,27 @@ class TestEnlarge:
             assert seen == list(range(3))
 
 
+class TestAtomsWithin:
+    def test_matches_subset_scan(self):
+        for seed in range(30):
+            scenario = random_scenario(seed)
+            tree = scenario.tree
+            flows = [tree.base_filtration()] + [
+                e.filtration() for e in scenario.enlargements.values()]
+            for fine in flows:
+                for t in range(1, tree.horizon + 1):
+                    for coarse in (tree.base_filtration(), fine):
+                        for atom in coarse.atoms(t - 1):
+                            inside = set(atom.leaves)
+                            scan = tuple(sub for sub in fine.atoms(t)
+                                         if set(sub.leaves) <= inside)
+                            assert fine.atoms_within(t, atom.leaves) == scan
+
+    def test_time_out_of_range(self, bin1):
+        with pytest.raises(TimeOutOfRange):
+            bin1.base_filtration().atoms_within(2, [0])
+
+
 class TestRandomTree:
     def test_deterministic_per_seed(self):
         assert (random_tree(0, horizon=2, max_branching=3).to_spec()
@@ -156,6 +178,14 @@ class TestRandomTree:
         tree = random_tree(3, horizon=3, max_branching=1)
         assert tree.n_leaves == 1
         assert all(len(node.children) <= 1 for node in tree.nodes.values())
+
+    def test_long_chain(self):
+        # deeper than the interpreter's default recursion limit
+        tree = random_tree(5, horizon=1500, max_branching=1)
+        assert tree.n_leaves == 1
+        assert [len(row) for row in tree.nodes_at] == [1] * 1501
+        assert tree.root.leaves() == (0,)
+        assert build_tree(tree.to_spec()).leaf_ids == tree.leaf_ids
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10_000))
