@@ -4,6 +4,14 @@ Processes are stored pathwise: one d-vector per (time, leaf). A process is
 adapted to a filtration when each time slice is constant on that filtration's
 atoms; base-adapted processes are equivalently tables on tree nodes, which is
 how they serialize. All increments at time 0 are null by convention.
+
+Leaves share vector objects: a process built from a node table holds one
+tuple per node, and the cellwise operations (construction, stack, component,
+sums, the integrals and the bracket) evaluate once per distinct tuple of
+input objects within a call, so equal cells of the result share one object
+too. The keys are identities of objects the call holds alive, which makes the
+sharing exact for any input. Each jump function memoizes its star integral
+per (measure, filtration), and each measure its compensators per filtration.
 """
 
 from __future__ import annotations
@@ -18,9 +26,36 @@ from .errors import (
     NotPredictable,
 )
 from .rationals import to_fraction
-from .tree import FilteredTree, Filtration, as_filtration
+from .tree import FilteredTree, Filtration, Node, as_filtration
 
 ZERO = Fraction(0)
+
+
+class _Shared:
+    """fn over aligned rows of cells, once per distinct tuple of cell objects.
+
+    Cells that hold the same objects get the same result object. Each memo
+    entry keeps its cells alive, so an id in a key cannot be reused while
+    the memo lives; one instance may serve several rows when fn does not
+    depend on which row it is called for.
+    """
+
+    __slots__ = ("fn", "memo")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.memo = {}
+
+    def __call__(self, *rows):
+        memo = self.memo
+        out = []
+        for cells in zip(*rows):
+            key = tuple(map(id, cells))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (cells, self.fn(*cells))
+            out.append(hit[1])
+        return out
 
 
 class Process:
@@ -30,14 +65,20 @@ class Process:
 
     def __init__(self, tree: FilteredTree, values, dim: int | None = None):
         self.tree = tree
+        coerced = {}  # id of an input vector -> (that vector, its coercion)
         rows = []
         for t in range(tree.horizon + 1):
             slice_t = values[t]
-            row = tuple(tuple(to_fraction(c) for c in slice_t[leaf])
-                        for leaf in range(tree.n_leaves))
-            rows.append(row)
+            row = []
+            for leaf in range(tree.n_leaves):
+                vec = slice_t[leaf]
+                hit = coerced.get(id(vec))
+                if hit is None:
+                    hit = coerced[id(vec)] = (vec, tuple(map(to_fraction, vec)))
+                row.append(hit[1])
+            rows.append(tuple(row))
         self.values = tuple(rows)
-        dims = {len(vec) for row in self.values for vec in row}
+        dims = {len(vec) for _, vec in coerced.values()}
         if len(dims) > 1:
             raise DimensionMismatch(f"ragged value vectors: lengths {sorted(dims)}")
         self.dim = dims.pop() if dims else (dim or 0)
@@ -61,13 +102,12 @@ class Process:
                 f"no value for nodes {sorted(missing)[:4]}")
         data = []
         for t in range(tree.horizon + 1):
-            row = []
-            for leaf in range(tree.n_leaves):
-                node = tree.node_at(t, leaf)
+            row = [None] * tree.n_leaves
+            for node in tree.nodes_at[t]:
                 vec = node_values[node.id]
                 if not isinstance(vec, (list, tuple)):
                     vec = (vec,)
-                row.append(tuple(to_fraction(c) for c in vec))
+                row[node.leaf_lo:node.leaf_hi] = [vec] * (node.leaf_hi - node.leaf_lo)
             data.append(row)
         return cls(tree, data, dim=dim)
 
@@ -111,15 +151,9 @@ class Process:
         for p in processes:
             if p.tree is not tree:
                 raise DimensionMismatch("stack across different trees")
-        data = []
-        for t in range(tree.horizon + 1):
-            row = []
-            for leaf in range(tree.n_leaves):
-                vec = ()
-                for p in processes:
-                    vec = vec + p.values[t][leaf]
-                row.append(vec)
-            data.append(row)
+        concat = _Shared(lambda *vecs: sum(vecs, ()))
+        data = [concat(*(p.values[t] for p in processes))
+                for t in range(tree.horizon + 1)]
         return cls(tree, data)
 
     # access
@@ -136,9 +170,8 @@ class Process:
         return tuple(a - b for a, b in zip(curr, prev))
 
     def component(self, i):
-        data = [[(self.values[t][leaf][i],) for leaf in range(self.tree.n_leaves)]
-                for t in range(self.tree.horizon + 1)]
-        return Process(self.tree, data, dim=1)
+        pick = _Shared(lambda vec: (vec[i],))
+        return Process(self.tree, [pick(row) for row in self.values], dim=1)
 
     def components(self):
         return [self.component(i) for i in range(self.dim)]
@@ -147,10 +180,8 @@ class Process:
         return self.values[0][0]
 
     def minus_initial(self):
-        x0 = {leaf: self.values[0][leaf] for leaf in range(self.tree.n_leaves)}
-        data = [[tuple(a - b for a, b in zip(self.values[t][leaf], x0[leaf]))
-                 for leaf in range(self.tree.n_leaves)]
-                for t in range(self.tree.horizon + 1)]
+        sub = _Shared(lambda vec, x0: tuple(a - b for a, b in zip(vec, x0)))
+        data = [sub(row, self.values[0]) for row in self.values]
         return Process(self.tree, data, dim=self.dim)
 
     # arithmetic
@@ -160,10 +191,9 @@ class Process:
             raise TypeError("expected a Process")
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
-        data = [[tuple(op(a, b) for a, b in zip(self.values[t][leaf],
-                                                other.values[t][leaf]))
-                 for leaf in range(self.tree.n_leaves)]
-                for t in range(self.tree.horizon + 1)]
+        cell = _Shared(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)))
+        data = [cell(mine, theirs)
+                for mine, theirs in zip(self.values, other.values)]
         return Process(self.tree, data, dim=self.dim)
 
     def __add__(self, other):
@@ -174,9 +204,9 @@ class Process:
 
     def scale(self, factor):
         factor = to_fraction(factor)
-        data = [[tuple(factor * c for c in vec) for vec in row]
-                for row in self.values]
-        return Process(self.tree, data, dim=self.dim)
+        times = _Shared(lambda vec: tuple(factor * c for c in vec))
+        return Process(self.tree, [times(row) for row in self.values],
+                       dim=self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, Process) and other.tree is self.tree
@@ -282,14 +312,15 @@ def dual_predictable_projection(a: Process, filtration_like) -> Process:
     """
     filtration = as_filtration(filtration_like)
     tree = a.tree
-    data = [[tuple([ZERO] * a.dim) for _ in range(tree.n_leaves)]]
+    data = [[tuple([ZERO] * a.dim)] * tree.n_leaves]
     for t in range(1, tree.horizon + 1):
         means = _conditional_increment_means(a, filtration, t)
         row = [None] * tree.n_leaves
         for atom, mean in means.items():
-            for i in atom.leaves:
-                prev = data[t - 1][i]
-                row[i] = tuple(p + m for p, m in zip(prev, mean))
+            move = _Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
+            moved = move([data[t - 1][i] for i in atom.leaves])
+            for i, vec in zip(atom.leaves, moved):
+                row[i] = vec
         data.append(row)
     return Process(tree, data, dim=a.dim)
 
@@ -314,15 +345,13 @@ def bracket(x: Process, y: Process) -> Process:
     if x.dim != y.dim:
         raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
     tree = x.tree
+    step = _Shared(lambda acc, xc, xp, yc, yp: (acc[0] + sum(
+        ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
+        start=ZERO),))
     data = [[(ZERO,)] * tree.n_leaves]
     for t in range(1, tree.horizon + 1):
-        row = []
-        for leaf in range(tree.n_leaves):
-            xi = x.increment(t, leaf)
-            yi = y.increment(t, leaf)
-            step = sum((a * b for a, b in zip(xi, yi)), start=ZERO)
-            row.append((data[t - 1][leaf][0] + step,))
-        data.append(row)
+        data.append(step(data[t - 1], x.values[t], x.values[t - 1],
+                         y.values[t], y.values[t - 1]))
     return Process(tree, data, dim=1)
 
 
@@ -348,8 +377,10 @@ def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
                 yi = y.increment(t, i)
                 mean += w * sum((a * b for a, b in zip(xi, yi)), start=ZERO)
             mean /= atom.prob
-            for i in atom.leaves:
-                row[i] = (data[t - 1][i][0] + mean,)
+            move = _Shared(lambda prev: (prev[0] + mean,))
+            moved = move([data[t - 1][i] for i in atom.leaves])
+            for i, vec in zip(atom.leaves, moved):
+                row[i] = vec
         data.append(row)
     return Process(tree, data, dim=1)
 
@@ -367,15 +398,12 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
     tree = x.tree
+    step = _Shared(lambda acc, hv, xc, xp: (acc[0] + sum(
+        (a * (b - c) for a, b, c in zip(hv, xc, xp)), start=ZERO),))
     data = [[(ZERO,)] * tree.n_leaves]
     for t in range(1, tree.horizon + 1):
-        row = []
-        for leaf in range(tree.n_leaves):
-            hv = h.values[t][leaf]
-            inc = x.increment(t, leaf)
-            step = sum((a * b for a, b in zip(hv, inc)), start=ZERO)
-            row.append((data[t - 1][leaf][0] + step,))
-        data.append(row)
+        data.append(step(data[t - 1], h.values[t], x.values[t],
+                         x.values[t - 1]))
     return Process(tree, data, dim=1)
 
 
@@ -395,6 +423,7 @@ class JumpMeasure:
             node = tree.nodes[node_id]
             self._by_time.setdefault(node.time, []).append(node)
         self._compensators: dict[Filtration, CompensatorTable] = {}
+        self._derived: dict = {}
 
     def nodes_at(self, t):
         return self._by_time.get(t, [])
@@ -412,6 +441,16 @@ class JumpMeasure:
         if filtration not in self._compensators:
             self._compensators[filtration] = CompensatorTable(self, filtration)
         return self._compensators[filtration]
+
+    def derived(self, key, build):
+        """build(), computed once per key for this measure.
+
+        For objects that depend on the measure and on the key alone; the key
+        holds objects or content, never ids, so an entry cannot go stale.
+        """
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 def jump_measure(x: Process) -> JumpMeasure:
@@ -439,20 +478,19 @@ class CompensatorTable:
         tree = measure.tree
         self.entries: dict[tuple[int, str], dict[tuple, Fraction]] = {}
         for t in range(1, tree.horizon + 1):
-            nodes = measure.nodes_at(t)
-            if not nodes:
+            if not measure.nodes_at(t):
                 continue
             for atom in filtration.atoms(t - 1):
+                # the atom's mass under each support node, from its own leaves
+                overlap: dict[Node, Fraction] = {}
+                for i in atom.leaves:
+                    node = tree.node_at(t, i)
+                    if node.id in measure.support:
+                        overlap[node] = overlap.get(node, ZERO) + tree.leaf_probs[i]
                 dist: dict[tuple, Fraction] = {}
-                atom_leaves = set(atom.leaves)
-                for node in nodes:
-                    overlap = sum(
-                        (tree.leaf_probs[i] for i in range(node.leaf_lo, node.leaf_hi)
-                         if i in atom_leaves), start=ZERO)
-                    if overlap == 0:
-                        continue
+                for node in sorted(overlap, key=lambda n: n.id):
                     value = measure.location(node.id)
-                    dist[value] = dist.get(value, ZERO) + overlap / atom.prob
+                    dist[value] = dist.get(value, ZERO) + overlap[node] / atom.prob
                 if dist:
                     self.entries[(t, atom.label)] = dist
 
@@ -487,6 +525,7 @@ class JumpFunction:
         self.entries = {}
         for (t, label, value), g in entries.items():
             self.entries[(t, label, tuple(value))] = to_fraction(g)
+        self._star_integrals: dict[tuple[JumpMeasure, Filtration], Process] = {}
 
     @classmethod
     def from_callable(cls, mu: JumpMeasure, filtration_like, fn):
@@ -506,7 +545,11 @@ class JumpFunction:
         return cls.from_callable(mu, filtration_like, lambda t, value: value[i])
 
     def value(self, t, leaf, location) -> Fraction:
-        atom = self.filtration.conditioning_atom_of(t, leaf)
+        return self.value_on(t, self.filtration.conditioning_atom_of(t, leaf),
+                             location)
+
+    def value_on(self, t, atom, location) -> Fraction:
+        """g at time t on a time-(t-1) atom of the anchoring filtration."""
         key = (t, atom.label, tuple(location))
         if key not in self.entries:
             raise IncompleteFunctionTable(
@@ -519,24 +562,36 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
 
     Increment at t: g(t, jump) when the path jumps, minus the conditional
     mean of that quantity given the atom at t-1. Always a martingale for the
-    integration filtration.
+    integration filtration. Computed once per (g, measure, filtration).
     """
     filtration = as_filtration(filtration_like)
+    key = (mu, filtration)
+    if key not in g._star_integrals:
+        g._star_integrals[key] = _star_integral(g, mu, filtration)
+    return g._star_integrals[key]
+
+
+def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
     tree = mu.tree
     table = mu.compensator(filtration)
     data = [[(ZERO,)] * tree.n_leaves]
     for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
+        comp = {}
         for atom in filtration.atoms(t - 1):
             leaf0 = atom.leaves[0]
-            comp = ZERO
+            total = ZERO
             for value in table.charged(t, atom.label):
-                comp += table.prob(t, atom.label, value) * g.value(t, leaf0, value)
-            for i in atom.leaves:
-                jump = mu.jump_at(t, i)
-                step = (g.value(t, i, jump) if jump is not None else ZERO) - comp
-                row[i] = (data[t - 1][i][0] + step,)
-        data.append(row)
+                total += table.prob(t, atom.label, value) * g.value(t, leaf0, value)
+            comp[atom.label] = total
+
+        def step(acc, atom, g_atom, node, t=t, comp=comp):
+            jump = mu.support.get(node.id)
+            gain = ZERO if jump is None else g.value_on(t, g_atom, jump)
+            return (acc[0] + (gain - comp[atom.label]),)
+
+        data.append(_Shared(step)(data[t - 1], filtration.atoms_by_leaf(t - 1),
+                                  g.filtration.atoms_by_leaf(t - 1),
+                                  tree.nodes_by_leaf(t)))
     return Process(tree, data, dim=1)
 
 
@@ -558,7 +613,7 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     table = mu.compensator(filtration)
     entries = {}
     for (t, label), dist in table.entries.items():
-        atom = next(a for a in filtration.atoms(t - 1) if a.label == label)
+        atom = filtration.atom_labelled(t - 1, label)
         atom_leaves = set(atom.leaves)
         # numerator and denominator of the conditional mean per location
         num: dict[tuple, Fraction] = {v: ZERO for v in dist}

@@ -6,6 +6,13 @@ uniform slot count turns compensated jump-measure integrals into dot
 integrals against finitely many compensated indicator martingales. The three
 constructions here index the slots differently: per-atom value menus,
 partition classes at accessible times, and abstract spanning directions.
+
+What a conversion needs apart from the jump function g is built once: a
+constraint system keeps its slot martingales per measure, and a measure keeps
+each accessible set-up (validated slots, class locations, the class
+martingales Y and the scale G) per filtration and normalized slot content.
+The star side comes from star_integral's own memo on g, so star_to_dot and
+accessible_star_to_dot share it; the processes share vectors across leaves.
 """
 
 from __future__ import annotations
@@ -70,6 +77,7 @@ class ConstraintSystem:
                 if value is not None and self.gauges[k](value) == 0:
                     raise ConstraintMismatch(
                         f"gauge vanishes on the slot value {value} at {key}")
+        self._martingales: dict[JumpMeasure, Process] = {}
 
     def slot_values(self, t, label):
         return self.slots.get((t, label), tuple([None] * self.n))
@@ -137,17 +145,25 @@ def _slot_indicator_table(mu, nu, cs, k):
 
 
 def constraint_martingales(mu: JumpMeasure, nu, cs: ConstraintSystem) -> Process:
-    """The n compensated slot-indicator martingales, stacked."""
+    """The n compensated slot-indicator martingales, stacked.
+
+    Built once per measure; the constraint system keeps the result.
+    """
     if nu.measure is not mu:
         raise ConstraintMismatch("compensator belongs to a different measure")
     if nu.filtration is not cs.filtration:
         raise ConstraintMismatch(
             "constraint system and compensator use different filtrations")
-    if cs.n == 0:
-        return Process.zero(mu.tree, dim=0)
-    parts = [star_integral(_slot_indicator_table(mu, nu, cs, k), mu, cs.filtration)
-             for k in range(cs.n)]
-    return Process.stack(parts)
+    if mu not in cs._martingales:
+        if cs.n == 0:
+            x = Process.zero(mu.tree, dim=0)
+        else:
+            x = Process.stack([
+                star_integral(_slot_indicator_table(mu, nu, cs, k), mu,
+                              cs.filtration)
+                for k in range(cs.n)])
+        cs._martingales[mu] = x
+    return cs._martingales[mu]
 
 
 @dataclass(frozen=True)
@@ -213,7 +229,7 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
     nu = mu.compensator(filtration)
     entries = {}
     for (t, label), dist in nu.entries.items():
-        atom = next(a for a in filtration.atoms(t - 1) if a.label == label)
+        atom = filtration.atom_labelled(t - 1, label)
         menu = cs.slot_values(t, label)
         hv = h.values[t][atom.leaves[0]]
         for value in dist:
@@ -290,10 +306,10 @@ def _leaf_index(tree, item):
         if not 0 <= item < tree.n_leaves:
             raise PartitionNotMeasurable(f"leaf index {item} out of range")
         return item
-    try:
-        return tree.leaf_ids.index(str(item))
-    except ValueError:
-        raise PartitionNotMeasurable(f"unknown leaf id {item!r}") from None
+    index = tree.leaf_index(str(item))
+    if index is None:
+        raise PartitionNotMeasurable(f"unknown leaf id {item!r}")
+    return index
 
 
 def _normalize_slots(tree, slots):
@@ -325,12 +341,59 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
     location; the class martingales Y_k compensate the weighted class
     indicators, the scale G undoes the weights on each time's graph, and the
     integrand picks g at the class location wherever that location is
-    nonzero. The identity is verified node by node.
+    nonzero. The identity is verified node by node. Everything but the
+    integrand is built once per (measure, filtration, normalized slots).
     """
     tree = mu.tree
     filtration = as_filtration(filtration_like or tree)
     rows, count = _normalize_slots(tree, slots)
+    content = tuple((tau.values, classes, weight) for tau, classes, weight in rows)
+    plan = mu.derived(("accessible", filtration, content),
+                      lambda: _plan_accessible(mu, filtration, rows, count))
 
+    zero_k = tuple([ZERO] * count)
+    h_data = [[zero_k] * tree.n_leaves]
+    gh_data = [[zero_k] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        h_row = [zero_k] * tree.n_leaves
+        gh_row = [zero_k] * tree.n_leaves
+        for atom, locations, weight in plan.cells[t]:
+            h_vec = tuple(ZERO if loc is None
+                          else g.value(t, atom.leaves[0], loc)
+                          for loc in locations)
+            gh_vec = tuple(v / weight for v in h_vec)
+            for i in atom.leaves:
+                h_row[i] = h_vec
+                gh_row[i] = gh_vec
+        h_data.append(h_row)
+        gh_data.append(gh_row)
+    h = Process(tree, h_data, dim=count)
+    gh = Process(tree, gh_data, dim=count)
+
+    star = star_integral(g, mu, filtration)
+    dot = dot_integral(gh, plan.martingales, filtration)
+    return AccessibleConversion(
+        scale=plan.scale, integrand=h, martingales=plan.martingales,
+        star_side=star, dot_side=dot, holds=(star == dot),
+        divergence=star.first_divergence(dot))
+
+
+@dataclass(frozen=True)
+class _AccessiblePlan:
+    """The g-independent side of an accessible conversion.
+
+    cells[t] lists, per conditioning atom on a slot graph at t, the atom,
+    its class locations (None where the class does not jump) and the slot
+    weight.
+    """
+    cells: tuple
+    martingales: Process
+    scale: Process
+
+
+def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
+    """Validate normalized slots against the measure; build Y and G."""
+    tree = mu.tree
     occupied = {}
     for idx, (tau, classes, _) in enumerate(rows):
         for leaf in range(tree.n_leaves):
@@ -371,83 +434,55 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
             raise ConstraintMismatch(
                 f"support node {node_id} is outside every partition class")
 
-    # class locations per (slot, class, conditioning atom)
-    alpha = {}
-    for idx, (tau, classes, _) in enumerate(rows):
-        for t in range(1, tree.horizon + 1):
-            for atom in filtration.atoms(t - 1):
-                if tau.values[atom.leaves[0]] != t:
-                    continue
-                for k, cls in enumerate(classes):
-                    members = [leaf for leaf in atom.leaves if leaf in cls]
-                    if not members:
-                        continue
-                    values = {mu.jump_at(t, leaf) for leaf in members}
-                    if len(values) != 1:
-                        raise ConstraintMismatch(
-                            f"class {k} mixes jump locations on atom "
-                            f"{atom.label} at time {t}")
-                    value = values.pop()
-                    if value is not None:
-                        alpha[(idx, k, t, atom.label)] = value
-
     zero_k = tuple([ZERO] * count)
+    cells = [()]
     y_data = [[zero_k] * tree.n_leaves]
-    gh_data = [[zero_k] * tree.n_leaves]
-    h_data = [[zero_k] * tree.n_leaves]
     for t in range(1, tree.horizon + 1):
-        y_row = [None] * tree.n_leaves
-        gh_row = [None] * tree.n_leaves
-        h_row = [None] * tree.n_leaves
+        cells_t = []
+        y_row = list(y_data[t - 1])
         for atom in filtration.atoms(t - 1):
             idx = occupied.get((t, atom.leaves[0]))
             if idx is None:
-                for i in atom.leaves:
-                    y_row[i] = tuple(y_data[t - 1][i])
-                    gh_row[i] = zero_k
-                    h_row[i] = zero_k
                 continue
-            tau, classes, weight = rows[idx]
+            _, classes, weight = rows[idx]
+            locations = []
             probs = []
-            for cls in classes:
-                mass = sum((tree.leaf_probs[i] for i in atom.leaves if i in cls),
-                           start=ZERO)
+            for k, cls in enumerate(classes):
+                members = [leaf for leaf in atom.leaves if leaf in cls]
+                values = {mu.jump_at(t, leaf) for leaf in members}
+                if len(values) > 1:
+                    raise ConstraintMismatch(
+                        f"class {k} mixes jump locations on atom "
+                        f"{atom.label} at time {t}")
+                locations.append(values.pop() if values else None)
+                mass = sum((tree.leaf_probs[i] for i in members), start=ZERO)
                 probs.append(mass / atom.prob)
-            h_vec = []
-            for k in range(count):
-                loc = alpha.get((idx, k, t, atom.label))
-                h_vec.append(ZERO if loc is None
-                             else g.value(t, atom.leaves[0], loc))
-            h_vec = tuple(h_vec)
-            gh_vec = tuple(v / weight for v in h_vec)
+            cells_t.append((atom, tuple(locations), weight))
+            # leaves with one class membership and one Y_{t-1} share Y_t
+            moved = {}
             for i in atom.leaves:
-                steps = tuple(
-                    weight * ((1 if i in classes[k] else 0) - probs[k])
-                    for k in range(count))
-                y_row[i] = tuple(a + b for a, b in zip(y_data[t - 1][i], steps))
-                gh_row[i] = gh_vec
-                h_row[i] = h_vec
+                prev = y_data[t - 1][i]
+                member = tuple(i in cls for cls in classes)
+                key = (id(prev), member)
+                if key not in moved:
+                    moved[key] = tuple(
+                        a + weight * ((1 if m else 0) - p)
+                        for a, m, p in zip(prev, member, probs))
+                y_row[i] = moved[key]
+        cells.append(tuple(cells_t))
         y_data.append(y_row)
-        gh_data.append(gh_row)
-        h_data.append(h_row)
 
-    y = Process(tree, y_data, dim=count)
-    h = Process(tree, h_data, dim=count)
-    gh = Process(tree, gh_data, dim=count)
-    scale_data = [[(ZERO,)] * tree.n_leaves]
+    none = (ZERO,)
+    inverse = [(1 / weight,) for _, _, weight in rows]
+    scale_data = [[none] * tree.n_leaves]
     for t in range(1, tree.horizon + 1):
-        row = []
-        for leaf in range(tree.n_leaves):
-            idx = occupied.get((t, leaf))
-            row.append((ZERO,) if idx is None else (1 / rows[idx][2],))
-        scale_data.append(row)
-    scale = Process(tree, scale_data, dim=1)
-
-    star = star_integral(g, mu, filtration)
-    dot = dot_integral(gh, y, filtration)
-    return AccessibleConversion(
-        scale=scale, integrand=h, martingales=y, star_side=star,
-        dot_side=dot, holds=(star == dot), divergence=star.first_divergence(dot))
+        scale_data.append([none if occupied.get((t, leaf)) is None
+                           else inverse[occupied[(t, leaf)]]
+                           for leaf in range(tree.n_leaves)])
+    return _AccessiblePlan(
+        cells=tuple(cells),
+        martingales=Process(tree, y_data, dim=count),
+        scale=Process(tree, scale_data, dim=1))
 
 
 def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,

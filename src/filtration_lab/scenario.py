@@ -90,6 +90,8 @@ def parse_scenario(doc) -> Scenario:
         _require(dim is None or (isinstance(dim, int) and not isinstance(dim, bool)),
                  f"process {name!r} dim must be an integer")
         processes[name] = Process.from_node_values(tree, values, dim=dim)
+        _require(processes[name].dim > 0,
+                 f"process {name!r} is zero-dimensional")
 
     checks = _string_list(doc.get("checks", []), "checks")
 

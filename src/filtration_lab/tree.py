@@ -127,17 +127,19 @@ class FilteredTree:
         self.leaves: list[Node] = []
         self._assign_leaf_ranges(preorder)
         self.leaf_ids = [leaf.id for leaf in self.leaves]
+        self._leaf_index = {leaf_id: i for i, leaf_id in enumerate(self.leaf_ids)}
         self.leaf_probs = [leaf.prob for leaf in self.leaves]
         self.nodes_at: list[list[Node]] = [[] for _ in range(horizon + 1)]
         for node in preorder:
             self.nodes_at[node.time].append(node)
         # time-t ancestor of each leaf
-        self._ancestor: list[list[Node]] = [[None] * len(self.leaves)
-                                            for _ in range(horizon + 1)]
+        self._ancestor: list[tuple[Node, ...]] = []
         for t in range(horizon + 1):
+            row = [None] * len(self.leaves)
             for node in self.nodes_at[t]:
                 for leaf in range(node.leaf_lo, node.leaf_hi):
-                    self._ancestor[t][leaf] = node
+                    row[leaf] = node
+            self._ancestor.append(tuple(row))
         self._base_filtration = None
 
     def _preorder(self):
@@ -173,6 +175,14 @@ class FilteredTree:
     def node_at(self, t: int, leaf: int) -> Node:
         """Time-t ancestor of the given leaf."""
         return self._ancestor[t][leaf]
+
+    def nodes_by_leaf(self, t: int) -> tuple[Node, ...]:
+        """Time-t ancestor of every leaf, in leaf order."""
+        return self._ancestor[t]
+
+    def leaf_index(self, leaf_id: str) -> int | None:
+        """Position of the leaf with the given id, or None."""
+        return self._leaf_index.get(leaf_id)
 
     def base_filtration(self) -> "Filtration":
         if self._base_filtration is None:
@@ -211,12 +221,14 @@ class Filtration:
         self.kind = kind
         self._atoms = partitions
         self._atom_of = []
+        self._labelled = {}
         for t, atoms in enumerate(partitions):
             lookup = [None] * tree.n_leaves
             for atom in atoms:
+                self._labelled[(t, atom.label)] = atom
                 for leaf in atom.leaves:
                     lookup[leaf] = atom
-            self._atom_of.append(lookup)
+            self._atom_of.append(tuple(lookup))
 
     def atoms(self, t: int) -> tuple[Atom, ...]:
         if not 0 <= t <= self.tree.horizon:
@@ -227,6 +239,16 @@ class Filtration:
         if not 0 <= t <= self.tree.horizon:
             raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
         return self._atom_of[t][leaf]
+
+    def atoms_by_leaf(self, t: int) -> tuple[Atom, ...]:
+        """Time-t atom of every leaf, in leaf order."""
+        if not 0 <= t <= self.tree.horizon:
+            raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
+        return self._atom_of[t]
+
+    def atom_labelled(self, t: int, label: str) -> Atom:
+        """The time-t atom with the given label."""
+        return self._labelled[(t, label)]
 
     def atoms_within(self, t: int, leaves) -> tuple[Atom, ...]:
         """Distinct time-t atoms holding the given leaves, in first-leaf order.

@@ -87,6 +87,18 @@ class TestRun:
         assert "not a rational: 0.5" in err
         assert "Traceback" not in err
 
+    def test_zero_dimensional_process_is_usage_error(self, capsys, tmp_path):
+        doc = json.loads(Path(TER1_GA).read_text(encoding="utf-8"))
+        for entry in doc["processes"].values():
+            entry["dim"] = 0
+            entry["values"] = {node: [] for node in entry["values"]}
+        path = tmp_path / "flat.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert "process 'W' is zero-dimensional" in err
+
     def test_long_chain_runs(self, capsys, tmp_path):
         # deeper than the interpreter's default recursion limit
         horizon = 1500
