@@ -12,6 +12,12 @@ input objects within a call, so equal cells of the result share one object
 too. The keys are identities of objects the call holds alive, which makes the
 sharing exact for any input. Each jump function memoizes its star integral
 per (measure, filtration), and each measure its compensators per filtration.
+
+Every conditional mean here (martingale tests, Doob martingales, the
+compensators, predictable brackets, the projection onto a jump measure) goes
+through the one kernel in tree.py: conditional_law groups an atom's leaves
+by a key into {key: P(key | atom)}, and conditional_mean weighs each
+distinct cell of a leaf-indexed row once.
 """
 
 from __future__ import annotations
@@ -26,7 +32,13 @@ from .errors import (
     NotPredictable,
 )
 from .rationals import to_fraction
-from .tree import FilteredTree, Filtration, Node, as_filtration
+from .tree import (
+    FilteredTree,
+    Filtration,
+    as_filtration,
+    conditional_law,
+    conditional_mean,
+)
 
 ZERO = Fraction(0)
 
@@ -85,6 +97,27 @@ class Process:
         if dim is not None and dim != self.dim:
             raise DimensionMismatch(f"declared dim {dim}, values have dim {self.dim}")
 
+    @classmethod
+    def _from_rows(cls, tree, rows, dim):
+        """Trusted build from rows the library made itself: one row per time,
+        every cell a tuple of dim Fractions. Skips the coercion and the
+        dimension pass that outside input gets."""
+        self = cls.__new__(cls)
+        self.tree = tree
+        self.values = tuple(map(tuple, rows))
+        self.dim = dim
+        return self
+
+    @classmethod
+    def _predictable(cls, filtration: Filtration, dim: int, value_of):
+        """Trusted build of the process null at 0 holding value_of(t, atom),
+        a tuple of dim Fractions, on each time-(t-1) atom for t >= 1."""
+        tree = filtration.tree
+        data = [[tuple([ZERO] * dim)] * tree.n_leaves]
+        for t in range(1, tree.horizon + 1):
+            data.append(filtration.spread(t - 1, lambda atom: value_of(t, atom)))
+        return cls._from_rows(tree, data, dim)
+
     # construction helpers
 
     @classmethod
@@ -126,21 +159,9 @@ class Process:
         dims = {len(v) for v in vecs}
         if len(dims) != 1:
             raise DimensionMismatch("ragged terminal vectors")
-        d = dims.pop()
-        data = []
-        for t in range(tree.horizon + 1):
-            row = [None] * tree.n_leaves
-            for atom in filtration.atoms(t):
-                mean = [ZERO] * d
-                for i in atom.leaves:
-                    w = tree.leaf_probs[i]
-                    for k in range(d):
-                        mean[k] += w * vecs[i][k]
-                mean = tuple(m / atom.prob for m in mean)
-                for i in atom.leaves:
-                    row[i] = mean
-            data.append(row)
-        return cls(tree, data, dim=d)
+        data = [filtration.spread(t, lambda atom: conditional_mean(tree, atom, vecs))
+                for t in range(tree.horizon + 1)]
+        return cls._from_rows(tree, data, dims.pop())
 
     @classmethod
     def stack(cls, processes):
@@ -154,7 +175,7 @@ class Process:
         concat = _Shared(lambda *vecs: sum(vecs, ()))
         data = [concat(*(p.values[t] for p in processes))
                 for t in range(tree.horizon + 1)]
-        return cls(tree, data)
+        return cls._from_rows(tree, data, sum(p.dim for p in processes))
 
     # access
 
@@ -171,7 +192,7 @@ class Process:
 
     def component(self, i):
         pick = _Shared(lambda vec: (vec[i],))
-        return Process(self.tree, [pick(row) for row in self.values], dim=1)
+        return Process._from_rows(self.tree, [pick(row) for row in self.values], 1)
 
     def components(self):
         return [self.component(i) for i in range(self.dim)]
@@ -182,7 +203,7 @@ class Process:
     def minus_initial(self):
         sub = _Shared(lambda vec, x0: tuple(a - b for a, b in zip(vec, x0)))
         data = [sub(row, self.values[0]) for row in self.values]
-        return Process(self.tree, data, dim=self.dim)
+        return Process._from_rows(self.tree, data, self.dim)
 
     # arithmetic
 
@@ -194,7 +215,7 @@ class Process:
         cell = _Shared(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)))
         data = [cell(mine, theirs)
                 for mine, theirs in zip(self.values, other.values)]
-        return Process(self.tree, data, dim=self.dim)
+        return Process._from_rows(self.tree, data, self.dim)
 
     def __add__(self, other):
         return self._zip(other, lambda a, b: a + b)
@@ -205,63 +226,58 @@ class Process:
     def scale(self, factor):
         factor = to_fraction(factor)
         times = _Shared(lambda vec: tuple(factor * c for c in vec))
-        return Process(self.tree, [times(row) for row in self.values],
-                       dim=self.dim)
+        return Process._from_rows(self.tree, [times(row) for row in self.values],
+                                  self.dim)
 
     def __eq__(self, other):
         return (isinstance(other, Process) and other.tree is self.tree
-                and other.values == self.values)
-
-    def __ne__(self, other):
-        return not self.__eq__(other)
+                and other.dim == self.dim and self.first_divergence(other) is None)
 
     __hash__ = None
 
     def first_divergence(self, other):
-        """Earliest (t, leaf) where the two processes differ, or None."""
+        """Earliest (t, leaf) where the two processes differ, or None.
+
+        Each distinct pair of cell objects is compared once; both processes
+        hold their cells alive, so the ids in the memo stay theirs.
+        """
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
-        for t in range(self.tree.horizon + 1):
-            for leaf in range(self.tree.n_leaves):
-                if self.values[t][leaf] != other.values[t][leaf]:
+        equal = set()
+        for t, (mine, theirs) in enumerate(zip(self.values, other.values)):
+            for leaf, (u, v) in enumerate(zip(mine, theirs)):
+                pair = (id(u), id(v))
+                if pair in equal:
+                    continue
+                if u != v:
                     return (t, leaf)
+                equal.add(pair)
         return None
 
     # measurability
 
+    def _constant_on(self, atoms_at) -> bool:
+        """Each time-t slice constant on every atom of atoms_at(t)."""
+        return all(row[i] == row[atom.leaves[0]]
+                   for t, row in enumerate(self.values)
+                   for atom in atoms_at(t) for i in atom.leaves)
+
     def is_adapted(self, filtration_like) -> bool:
-        filtration = as_filtration(filtration_like)
-        for t in range(self.tree.horizon + 1):
-            for atom in filtration.atoms(t):
-                first = self.values[t][atom.leaves[0]]
-                if any(self.values[t][i] != first for i in atom.leaves[1:]):
-                    return False
-        return True
+        return self._constant_on(as_filtration(filtration_like).atoms)
 
     def is_predictable(self, filtration_like) -> bool:
         """Value at t known at t-1 (at 0: F_0-measurable)."""
-        filtration = as_filtration(filtration_like)
-        for t in range(self.tree.horizon + 1):
-            for atom in filtration.conditioning_atoms(t):
-                first = self.values[t][atom.leaves[0]]
-                if any(self.values[t][i] != first for i in atom.leaves[1:]):
-                    return False
-        return True
+        return self._constant_on(as_filtration(filtration_like).conditioning_atoms)
 
     def is_martingale(self, filtration_like) -> bool:
         filtration = as_filtration(filtration_like)
         if not self.is_adapted(filtration):
             return False
-        tree = self.tree
-        for t in range(1, tree.horizon + 1):
+        # adapted, so X_{t-1} is constant on each time-(t-1) atom
+        for t in range(1, self.tree.horizon + 1):
+            now, before = self.values[t], self.values[t - 1]
             for atom in filtration.atoms(t - 1):
-                mean = [ZERO] * self.dim
-                for i in atom.leaves:
-                    w = tree.leaf_probs[i]
-                    inc = self.increment(t, i)
-                    for k in range(self.dim):
-                        mean[k] += w * inc[k]
-                if any(m != 0 for m in mean):
+                if conditional_mean(self.tree, atom, now) != before[atom.leaves[0]]:
                     return False
         return True
 
@@ -290,19 +306,20 @@ class Decomposition:
     drift_part: Process
 
 
-def _conditional_increment_means(x: Process, filtration: Filtration, t: int):
-    """E[Delta X_t | F_{t-1}] per conditioning atom, as {atom: vector}."""
-    tree = x.tree
-    out = {}
-    for atom in filtration.atoms(t - 1):
-        mean = [ZERO] * x.dim
-        for i in atom.leaves:
-            w = tree.leaf_probs[i]
-            inc = x.increment(t, i)
-            for k in range(x.dim):
-                mean[k] += w * inc[k]
-        out[atom] = tuple(m / atom.prob for m in mean)
-    return out
+def _compensate(filtration: Filtration, dim: int, step) -> Process:
+    """Null at 0, moved on each time-(t-1) atom by the vector step(t, atom)."""
+    tree = filtration.tree
+    data = [[tuple([ZERO] * dim)] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = [None] * tree.n_leaves
+        for atom in filtration.atoms(t - 1):
+            mean = step(t, atom)
+            move = _Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
+            moved = move([data[t - 1][i] for i in atom.leaves])
+            for i, vec in zip(atom.leaves, moved):
+                row[i] = vec
+        data.append(row)
+    return Process._from_rows(tree, data, dim)
 
 
 def dual_predictable_projection(a: Process, filtration_like) -> Process:
@@ -310,19 +327,15 @@ def dual_predictable_projection(a: Process, filtration_like) -> Process:
 
     The result is predictable for the given filtration by construction.
     """
-    filtration = as_filtration(filtration_like)
     tree = a.tree
-    data = [[tuple([ZERO] * a.dim)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        means = _conditional_increment_means(a, filtration, t)
-        row = [None] * tree.n_leaves
-        for atom, mean in means.items():
-            move = _Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
-            moved = move([data[t - 1][i] for i in atom.leaves])
-            for i, vec in zip(atom.leaves, moved):
-                row[i] = vec
-        data.append(row)
-    return Process(tree, data, dim=a.dim)
+
+    def mean_increment(t, atom):
+        # E[A_t | atom] - E[A_{t-1} | atom], which needs no adaptedness
+        now = conditional_mean(tree, atom, a.values[t])
+        before = conditional_mean(tree, atom, a.values[t - 1])
+        return tuple(p - q for p, q in zip(now, before))
+
+    return _compensate(as_filtration(filtration_like), a.dim, mean_increment)
 
 
 def decompose(x: Process, filtration_like) -> Decomposition:
@@ -352,7 +365,7 @@ def bracket(x: Process, y: Process) -> Process:
     for t in range(1, tree.horizon + 1):
         data.append(step(data[t - 1], x.values[t], x.values[t - 1],
                          y.values[t], y.values[t - 1]))
-    return Process(tree, data, dim=1)
+    return Process._from_rows(tree, data, 1)
 
 
 def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
@@ -365,24 +378,14 @@ def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
         raise DimensionMismatch("bracket across different trees")
     if x.dim != y.dim:
         raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
-    tree = x.tree
-    data = [[(ZERO,)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
-        for atom in filtration.atoms(t - 1):
-            mean = ZERO
-            for i in atom.leaves:
-                w = tree.leaf_probs[i]
-                xi = x.increment(t, i)
-                yi = y.increment(t, i)
-                mean += w * sum((a * b for a, b in zip(xi, yi)), start=ZERO)
-            mean /= atom.prob
-            move = _Shared(lambda prev: (prev[0] + mean,))
-            moved = move([data[t - 1][i] for i in atom.leaves])
-            for i, vec in zip(atom.leaves, moved):
-                row[i] = vec
-        data.append(row)
-    return Process(tree, data, dim=1)
+    product = _Shared(lambda xc, xp, yc, yp: (sum(
+        ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
+        start=ZERO),))
+    products = [None] + [product(x.values[t], x.values[t - 1],
+                                 y.values[t], y.values[t - 1])
+                         for t in range(1, x.tree.horizon + 1)]
+    return _compensate(filtration, 1, lambda t, atom: conditional_mean(
+        x.tree, atom, products[t]))
 
 
 def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
@@ -404,7 +407,7 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
     for t in range(1, tree.horizon + 1):
         data.append(step(data[t - 1], h.values[t], x.values[t],
                          x.values[t - 1]))
-    return Process(tree, data, dim=1)
+    return Process._from_rows(tree, data, 1)
 
 
 class JumpMeasure:
@@ -480,17 +483,14 @@ class CompensatorTable:
         for t in range(1, tree.horizon + 1):
             if not measure.nodes_at(t):
                 continue
+            node_of = tree.nodes_by_leaf(t).__getitem__
             for atom in filtration.atoms(t - 1):
-                # the atom's mass under each support node, from its own leaves
-                overlap: dict[Node, Fraction] = {}
-                for i in atom.leaves:
-                    node = tree.node_at(t, i)
-                    if node.id in measure.support:
-                        overlap[node] = overlap.get(node, ZERO) + tree.leaf_probs[i]
+                law = conditional_law(tree, atom, node_of)
                 dist: dict[tuple, Fraction] = {}
-                for node in sorted(overlap, key=lambda n: n.id):
-                    value = measure.location(node.id)
-                    dist[value] = dist.get(value, ZERO) + overlap[node] / atom.prob
+                for node in sorted(law, key=lambda n: n.id):
+                    value = measure.support.get(node.id)
+                    if value is not None:
+                        dist[value] = dist.get(value, ZERO) + law[node]
                 if dist:
                     self.entries[(t, atom.label)] = dist
 
@@ -500,10 +500,6 @@ class CompensatorTable:
 
     def prob(self, t, atom_label, value) -> Fraction:
         return self.entries.get((t, atom_label), {}).get(tuple(value), ZERO)
-
-    def mass(self, t, atom_label) -> Fraction:
-        dist = self.entries.get((t, atom_label), {})
-        return sum(dist.values(), start=ZERO)
 
 
 def compensate_measure(mu: JumpMeasure, filtration_like) -> CompensatorTable:
@@ -578,11 +574,11 @@ def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
     for t in range(1, tree.horizon + 1):
         comp = {}
         for atom in filtration.atoms(t - 1):
-            leaf0 = atom.leaves[0]
-            total = ZERO
-            for value in table.charged(t, atom.label):
-                total += table.prob(t, atom.label, value) * g.value(t, leaf0, value)
-            comp[atom.label] = total
+            g_atom = g.filtration.conditioning_atom_of(t, atom.leaves[0])
+            dist = table.entries.get((t, atom.label), {})
+            comp[atom.label] = sum(
+                (p * g.value_on(t, g_atom, value) for value, p in dist.items()),
+                start=ZERO)
 
         def step(acc, atom, g_atom, node, t=t, comp=comp):
             jump = mu.support.get(node.id)
@@ -592,7 +588,7 @@ def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
         data.append(_Shared(step)(data[t - 1], filtration.atoms_by_leaf(t - 1),
                                   g.filtration.atoms_by_leaf(t - 1),
                                   tree.nodes_by_leaf(t)))
-    return Process(tree, data, dim=1)
+    return Process._from_rows(tree, data, 1)
 
 
 def project_onto_jump_measure(y: Process, mu: JumpMeasure,
@@ -611,26 +607,23 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     y.require_martingale(filtration, what="projected process")
     tree = y.tree
     table = mu.compensator(filtration)
+    step = _Shared(lambda now, before: (now[0] - before[0],))
+    increments = [None] + [step(y.values[t], y.values[t - 1])
+                           for t in range(1, tree.horizon + 1)]
     entries = {}
     for (t, label), dist in table.entries.items():
         atom = filtration.atom_labelled(t - 1, label)
-        atom_leaves = set(atom.leaves)
-        # numerator and denominator of the conditional mean per location
-        num: dict[tuple, Fraction] = {v: ZERO for v in dist}
-        den: dict[tuple, Fraction] = {v: ZERO for v in dist}
-        for node in mu.nodes_at(t):
-            value = mu.location(node.id)
-            for i in range(node.leaf_lo, node.leaf_hi):
-                if i in atom_leaves:
-                    w = tree.leaf_probs[i] / atom.prob
-                    num[value] += w * y.increment(t, i)[0]
-                    den[value] += w
+        # E[Delta Y; jump = v | atom] per location v; dist[v] = P(jump = v | atom)
+        num: dict[tuple, Fraction] = dict.fromkeys(dist, ZERO)
+        partial = conditional_mean(tree, atom, increments[t],
+                                   key=tree.nodes_by_leaf(t).__getitem__)
+        for node, (value,) in partial.items():
+            location = mu.support.get(node.id)
+            if location is not None:
+                num[location] += value
         mass = sum(dist.values(), start=ZERO)
-        hat = sum((num[v] for v in dist), start=ZERO)
-        if mass == 1:
-            correction = ZERO
-        else:
-            correction = hat / (1 - mass)
+        hat = sum(num.values(), start=ZERO)
+        correction = ZERO if mass == 1 else hat / (1 - mass)
         for v in dist:
-            entries[(t, label, v)] = num[v] / den[v] + correction
+            entries[(t, label, v)] = num[v] / dist[v] + correction
     return JumpFunction(filtration, entries)

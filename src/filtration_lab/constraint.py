@@ -40,7 +40,7 @@ from .errors import (
 )
 from .linalg import right_inverse, solve
 from .rationals import format_rational, to_fraction
-from .tree import StoppingTime, as_filtration
+from .tree import StoppingTime, as_filtration, conditional_law
 
 ZERO = Fraction(0)
 
@@ -82,23 +82,18 @@ class ConstraintSystem:
     def slot_values(self, t, label):
         return self.slots.get((t, label), tuple([None] * self.n))
 
-    def alpha(self, k) -> Process:
-        """The k-th slot as a predictable process; zero on empty slots."""
-        tree = self.filtration.tree
-        zero = tuple([ZERO] * self.dim)
-        data = [[zero] * tree.n_leaves]
-        for t in range(1, tree.horizon + 1):
-            row = [None] * tree.n_leaves
-            for atom in self.filtration.atoms(t - 1):
-                value = self.slot_values(t, atom.label)[k]
-                vec = zero if value is None else value
-                for i in atom.leaves:
-                    row[i] = vec
-            data.append(row)
-        return Process(tree, data, dim=self.dim)
+    def integrand(self, coefficient) -> Process:
+        """Predictable H with H_k = coefficient(t, atom, alpha_k) /
+        gauge_k(alpha_k) on nonempty slots and 0 elsewhere."""
+        def at(t, atom):
+            vec = []
+            for k, value in enumerate(self.slot_values(t, atom.label)):
+                scale = ZERO if value is None else self.gauges[k](value)
+                vec.append(ZERO if scale == 0
+                           else to_fraction(coefficient(t, atom, value) / scale))
+            return tuple(vec)
 
-    def alphas(self):
-        return [self.alpha(k) for k in range(self.n)]
+        return Process._predictable(self.filtration, self.n, at)
 
     def as_table(self):
         """JSON-ready per-atom slot listing."""
@@ -182,36 +177,16 @@ def star_to_dot(g: JumpFunction, mu: JumpMeasure, cs: ConstraintSystem):
     and 0 elsewhere; the certificate compares both sides at every node.
     """
     filtration = cs.filtration
-    tree = filtration.tree
     nu = mu.compensator(filtration)
     x = constraint_martingales(mu, nu, cs)
-
-    zero_row = tuple([ZERO] * cs.n)
-    data = [[zero_row] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
-        for atom in filtration.atoms(t - 1):
-            menu = cs.slot_values(t, atom.label)
-            vec = []
-            for k in range(cs.n):
-                value = menu[k]
-                if value is None:
-                    vec.append(ZERO)
-                    continue
-                scale = cs.gauges[k](value)
-                vec.append(ZERO if scale == 0
-                           else g.value(t, atom.leaves[0], value) / scale)
-            vec = tuple(vec)
-            for i in atom.leaves:
-                row[i] = vec
-        data.append(row)
-    h = Process(tree, data, dim=cs.n)
+    h = cs.integrand(lambda t, atom, value: g.value(t, atom.leaves[0], value))
 
     star = star_integral(g, mu, filtration)
     dot = dot_integral(h, x, filtration)
+    divergence = star.first_divergence(dot)
     certificate = ConversionCertificate(
-        holds=(star == dot), star_side=star, dot_side=dot,
-        divergence=star.first_divergence(dot))
+        holds=divergence is None, star_side=star, dot_side=dot,
+        divergence=divergence)
     return h, certificate
 
 
@@ -367,15 +342,16 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
                 gh_row[i] = gh_vec
         h_data.append(h_row)
         gh_data.append(gh_row)
-    h = Process(tree, h_data, dim=count)
-    gh = Process(tree, gh_data, dim=count)
+    h = Process._from_rows(tree, h_data, count)
+    gh = Process._from_rows(tree, gh_data, count)
 
     star = star_integral(g, mu, filtration)
     dot = dot_integral(gh, plan.martingales, filtration)
+    divergence = star.first_divergence(dot)
     return AccessibleConversion(
         scale=plan.scale, integrand=h, martingales=plan.martingales,
-        star_side=star, dot_side=dot, holds=(star == dot),
-        divergence=star.first_divergence(dot))
+        star_side=star, dot_side=dot, holds=divergence is None,
+        divergence=divergence)
 
 
 @dataclass(frozen=True)
@@ -446,7 +422,6 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                 continue
             _, classes, weight = rows[idx]
             locations = []
-            probs = []
             for k, cls in enumerate(classes):
                 members = [leaf for leaf in atom.leaves if leaf in cls]
                 values = {mu.jump_at(t, leaf) for leaf in members}
@@ -455,8 +430,10 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                         f"class {k} mixes jump locations on atom "
                         f"{atom.label} at time {t}")
                 locations.append(values.pop() if values else None)
-                mass = sum((tree.leaf_probs[i] for i in members), start=ZERO)
-                probs.append(mass / atom.prob)
+            # classes are disjoint, so the first holding a leaf is its class
+            law = conditional_law(tree, atom, lambda i: next(
+                (k for k, cls in enumerate(classes) if i in cls), None))
+            probs = [law.get(k, ZERO) for k in range(len(classes))]
             cells_t.append((atom, tuple(locations), weight))
             # leaves with one class membership and one Y_{t-1} share Y_t
             moved = {}
@@ -481,8 +458,8 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                            for leaf in range(tree.n_leaves)])
     return _AccessiblePlan(
         cells=tuple(cells),
-        martingales=Process(tree, y_data, dim=count),
-        scale=Process(tree, scale_data, dim=1))
+        martingales=Process._from_rows(tree, y_data, count),
+        scale=Process._from_rows(tree, scale_data, 1))
 
 
 def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from .calculus import (
     Process,
+    _Shared,
     dot_integral,
     dual_predictable_projection,
     predictable_bracket,
@@ -29,7 +30,7 @@ from .errors import (
 from .linalg import dot, gram_schmidt, invert, mat_mul, null_space, transpose
 from .rationals import format_rational, to_fraction
 from .representation import representation_coefficient
-from .tree import as_filtration
+from .tree import as_filtration, conditional_law, conditional_mean
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,15 +61,12 @@ def doleans_exponential(a, x: Process) -> Process:
     if x.dim != 1:
         raise DimensionMismatch("exponentials take scalar processes")
     a = to_fraction(a)
-    tree = x.tree
-    data = [[(ONE,)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = []
-        for leaf in range(tree.n_leaves):
-            step = 1 + a * x.increment(t, leaf)[0]
-            row.append((data[t - 1][leaf][0] * step,))
-        data.append(row)
-    return Process(tree, data, dim=1)
+    step = _Shared(lambda acc, now, before: (
+        acc[0] * (1 + a * (now[0] - before[0])),))
+    data = [[(ONE,)] * x.tree.n_leaves]
+    for t in range(1, x.tree.horizon + 1):
+        data.append(step(data[t - 1], x.values[t], x.values[t - 1]))
+    return Process._from_rows(x.tree, data, 1)
 
 
 @dataclass(frozen=True)
@@ -153,9 +151,12 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     violations = []
     factors = {}
     for t in range(1, tree.horizon + 1):
+        atom_of = filtration.atoms_by_leaf(t)
         for atom in filtration.atoms(t - 1):
             subs = filtration.atoms_within(t, atom.leaves)
-            q = [sub.prob / atom.prob for sub in subs]
+            # first-leaf order on both sides, so q lines up with subs
+            q = list(conditional_law(tree, atom,
+                                     lambda i: atom_of[i].label).values())
             s_prev = s.values[t - 1][atom.leaves[0]][0]
             moves = [s.values[t][sub.leaves[0]][0] - s_prev for sub in subs]
             status, floor, ys = _one_period_deflator(q, moves)
@@ -194,7 +195,7 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
             for i in atom.leaves:
                 row[i] = (data[t - 1][i][0] * y,)
         data.append(row)
-    deflator = Deflator(process=Process(tree, data, dim=1), target=s)
+    deflator = Deflator(process=Process._from_rows(tree, data, 1), target=s)
     return DeflatorSearch(feasible=True, deflator=deflator,
                           violations=(), audit=tuple(audit))
 
@@ -223,13 +224,9 @@ def check_full_viability(enlargement_like, family) -> ViabilityReport:
 
 
 def max_abs_increment(x: Process) -> Fraction:
-    best = ZERO
-    for t in range(1, x.tree.horizon + 1):
-        for leaf in range(x.tree.n_leaves):
-            for c in x.increment(t, leaf):
-                if abs(c) > best:
-                    best = abs(c)
-    return best
+    return max((abs(c) for t in range(1, x.tree.horizon + 1)
+                for leaf in range(x.tree.n_leaves) for c in x.increment(t, leaf)),
+               default=ZERO)
 
 
 def default_viability_family(w: Process):
@@ -265,29 +262,19 @@ def verify_fbd(x: Process, deflator: Deflator, enlargement_like) -> bool:
         raise NotADeflator("deflator must start at 1")
     if not y.is_martingale(filtration):
         raise NotADeflator("deflator is not a martingale for the larger flow")
-    priced = _pathwise_product(y, deflator.target)
+    if y.dim != 1 or deflator.target.dim != 1:
+        raise DimensionMismatch("pathwise products take scalar processes")
+    priced = y._zip(deflator.target, lambda a, b: a * b)
     if not priced.is_martingale(filtration):
         raise NotADeflator("deflated price is not a martingale")
 
     drift = drift_operator(x, filtration).drift
-    inv_prev = [[(Fraction(-1),)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        inv_prev.append([(-1 / y.values[t - 1][leaf][0],)
-                         for leaf in range(tree.n_leaves)])
-    integrand = Process(tree, inv_prev, dim=1)
+    inverse = _Shared(lambda prev: (-1 / prev[0],))
+    integrand = Process._from_rows(tree, [[(Fraction(-1),)] * tree.n_leaves] + [
+        inverse(y.values[t - 1]) for t in range(1, tree.horizon + 1)], 1)
     bracket_p = predictable_bracket(y, x, filtration)
     rhs = dot_integral(integrand, bracket_p, filtration)
     return drift == rhs
-
-
-def _pathwise_product(a: Process, b: Process) -> Process:
-    if a.dim != 1 or b.dim != 1:
-        raise DimensionMismatch("pathwise products take scalar processes")
-    tree = a.tree
-    data = [[(a.values[t][leaf][0] * b.values[t][leaf][0],)
-             for leaf in range(tree.n_leaves)]
-            for t in range(tree.horizon + 1)]
-    return Process(tree, data, dim=1)
 
 
 def check_compensator_abs_continuity(a: Process, enlargement_like):
@@ -366,10 +353,9 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     frames = {}
     slot_records = []
     n_data = [[tuple([ZERO] * basis.d)] * tree.n_leaves]
-    phi_data = [[tuple([ZERO] * basis.d)] * tree.n_leaves]
+    phis = {}
     for t in range(1, tree.horizon + 1):
         n_row = [None] * tree.n_leaves
-        phi_row = [None] * tree.n_leaves
         for node in tree.nodes_at[t - 1]:
             wit = by_slot[(t, node.id)]
             p = list(wit.probs)
@@ -384,13 +370,12 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                     f"frame at atom {node.id} has {len(epsilons)} directions")
             frames[(t, node.id)] = epsilons
             sub_records = []
+            node_of = tree.nodes_by_leaf(t).__getitem__
             for sub in filtration.atoms_within(t - 1, node.leaves()):
-                sub_leaves = set(sub.leaves)
-                p_bar = []
-                for h in range(width):
-                    mass = sum((tree.leaf_probs[i] for i in wit.leaves[h]
-                                if i in sub_leaves), start=ZERO)
-                    p_bar.append(mass / sub.prob)
+                # class h is the time-t node wit.subatoms[h]; padding is empty
+                law = {child.id: p for child, p in
+                       conditional_law(tree, sub, node_of).items()}
+                p_bar = [law.get(label, ZERO) for label in wit.subatoms]
                 rho = [ZERO if p[h] == 0
                        else Fraction(1, 2 ** t) * (p_bar[h] / p[h] - 1)
                        for h in range(width)]
@@ -399,8 +384,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 sub_records.append(SubAtomRecord(
                     label=sub.label, p_bar=tuple(p_bar),
                     sigma=tuple(sigma), phi=phi_vec))
-                for i in sub.leaves:
-                    phi_row[i] = phi_vec
+                phis[(t, sub.label)] = phi_vec
             slot_records.append(SlotWitness(
                 time=t, atom=node.id, p=tuple(p),
                 epsilons=tuple(tuple(e) for e in epsilons),
@@ -411,10 +395,10 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 n_row[i] = tuple(a + b for a, b in
                                  zip(n_data[t - 1][i], steps))
         n_data.append(n_row)
-        phi_data.append(phi_row)
 
-    n = Process(tree, n_data, dim=basis.d)
-    phi = Process(tree, phi_data, dim=basis.d)
+    n = Process._from_rows(tree, n_data, basis.d)
+    phi = Process._predictable(filtration, basis.d,
+                               lambda t, sub: phis[(t, sub.label)])
 
     holds = all(
         _multiplier_identity(phi, n, x2.component(h), filtration)
@@ -444,11 +428,9 @@ def verify_drift_multiplier(solution: MultiplierSolution, x: Process,
     non-representable input fails loudly at the representation step rather
     than muddying the identity check.
     """
-    filtration = as_filtration(enlargement_like)
     representation_coefficient(x, solution.basis.process)
-    drift = dual_predictable_projection(x, filtration)
-    rhs = _phi_bracket(solution.phi, solution.n, x, filtration)
-    return drift == rhs
+    return _multiplier_identity(solution.phi, solution.n, x,
+                                as_filtration(enlargement_like))
 
 
 @dataclass(frozen=True)
@@ -462,6 +444,26 @@ class KernelCertificate:
     j: tuple
     sub_checks: tuple
     holds: bool
+
+
+def _increment_moments(x: Process, t: int, atom):
+    """Mean vector and covariance matrix of Delta X_t given the atom."""
+    tree = x.tree
+    now, before = x.values[t], x.values[t - 1]
+    mean = tuple(a - b for a, b in zip(conditional_mean(tree, atom, now),
+                                       conditional_mean(tree, atom, before)))
+
+    def centred_outer(c, p):
+        d = [a - b - m for a, b, m in zip(c, p, mean)]
+        return tuple(u * v for u in d for v in d)
+
+    # the outer product once per distinct pair of cells
+    leaves = atom.leaves
+    outer = _Shared(centred_outer)([now[i] for i in leaves],
+                                   [before[i] for i in leaves])
+    flat = conditional_mean(tree, atom, dict(zip(leaves, outer)))
+    width = len(mean)
+    return mean, [list(flat[g * width:(g + 1) * width]) for g in range(width)]
 
 
 def covariance_kernel(enlargement_like, basis, time: int,
@@ -522,19 +524,7 @@ def covariance_kernel(enlargement_like, basis, time: int,
     sub_checks = []
     holds = kernel_matches
     for sub in filtration.atoms_within(time - 1, node.leaves()):
-        mean = [ZERO] * width
-        for i in sub.leaves:
-            w = tree.leaf_probs[i] / sub.prob
-            inc = x2.increment(time, i)
-            for h in range(width):
-                mean[h] += w * inc[h]
-        m = [[ZERO] * width for _ in range(width)]
-        for i in sub.leaves:
-            w = tree.leaf_probs[i] / sub.prob
-            inc = x2.increment(time, i)
-            for g in range(width):
-                for h in range(width):
-                    m[g][h] += w * (inc[g] - mean[g]) * (inc[h] - mean[h])
+        _, m = _increment_moments(x2, time, sub)
         back = mat_mul(m, jc)
         ok = back == m
         sub_checks.append((sub.label, ok))

@@ -24,7 +24,7 @@ from .errors import (
 )
 from .linalg import null_space, rank, solve
 from .rationals import to_fraction
-from .tree import FilteredTree, StoppingTime
+from .tree import FilteredTree, StoppingTime, conditional_mean
 
 ZERO = Fraction(0)
 
@@ -96,24 +96,24 @@ def representation_coefficient(x: Process, w: Process) -> Process:
         raise DimensionMismatch("target and basis on different trees")
     w.require_martingale(tree, what="basis")
     x.require_martingale(tree, what="target")
-    data = [[tuple([ZERO] * w.dim)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
-        for node in tree.nodes_at[t - 1]:
-            children = node.children
-            matrix = [[w.increment(t, child.leaf_lo)[j] for j in range(w.dim)]
-                      for child in children]
-            rhs = [x.increment(t, child.leaf_lo)[0] for child in children]
-            h = solve(matrix, rhs)
-            if h is None:
-                raise NoRepresentation(
-                    "target increment outside the basis span",
-                    time=t, atom=node.id, witness=tuple(rhs))
-            vec = tuple(h)
-            for i in node.leaves():
-                row[i] = vec
-        data.append(row)
-    return Process(tree, data, dim=w.dim)
+
+    def coefficient(t, atom):
+        children = tree.nodes[atom.label].children
+        rhs = [x.increment(t, child.leaf_lo)[0] for child in children]
+        return _solve_at(w, t, atom, rhs, "target increment")
+
+    return Process._predictable(tree.base_filtration(), w.dim, coefficient)
+
+
+def _solve_at(w: Process, t: int, atom, rhs, what: str):
+    """Least-index h with <h, Delta W_t> = rhs on the children of a base
+    atom, in child order."""
+    children = w.tree.nodes[atom.label].children
+    h = solve([list(w.increment(t, child.leaf_lo)) for child in children], rhs)
+    if h is None:
+        raise NoRepresentation(f"{what} outside the basis span",
+                               time=t, atom=atom.label, witness=tuple(rhs))
+    return tuple(h)
 
 
 def _ordered_children(node):
@@ -185,29 +185,18 @@ def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
                 raise NotMeasurable(
                     f"payoff not settled at time {t} on atom {node.id}")
 
-    data = [[tuple([ZERO] * w.dim)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = [tuple([ZERO] * w.dim)] * tree.n_leaves
-        for node in tree.nodes_at[t - 1]:
-            leaves = list(node.leaves())
-            if r.values[leaves[0]] != t:
-                continue
-            mean = sum((tree.leaf_probs[i] * values[i] for i in leaves),
-                       start=ZERO) / node.prob
-            children = node.children
-            matrix = [[w.increment(t, child.leaf_lo)[j] for j in range(w.dim)]
-                      for child in children]
-            rhs = [values[child.leaf_lo] - mean for child in children]
-            h = solve(matrix, rhs)
-            if h is None:
-                raise NoRepresentation(
-                    "centered payoff outside the basis span",
-                    time=t, atom=node.id, witness=tuple(rhs))
-            vec = tuple(h)
-            for i in leaves:
-                row[i] = vec
-        data.append(row)
-    return Process(tree, data, dim=w.dim)
+    payoff = [(v,) for v in values]
+    zero = tuple([ZERO] * w.dim)
+
+    def coefficient(t, atom):
+        if r.values[atom.leaves[0]] != t:
+            return zero
+        (mean,) = conditional_mean(tree, atom, payoff)
+        children = tree.nodes[atom.label].children
+        rhs = [values[child.leaf_lo] - mean for child in children]
+        return _solve_at(w, t, atom, rhs, "centered payoff")
+
+    return Process._predictable(tree.base_filtration(), w.dim, coefficient)
 
 
 @dataclass(frozen=True)
@@ -250,7 +239,7 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
                         for h in range(width))
                     row[i] = tuple(a + b for a, b in zip(prev, step))
         data.append(row)
-    process = Process(tree, data, dim=width)
+    process = Process._from_rows(tree, data, width)
     return ReconstructedBasis(process=process, witnesses=tuple(witnesses), d=d)
 
 
@@ -279,28 +268,8 @@ def translate_integrand(h: Process, m: Process) -> Process:
         raise DimensionMismatch(f"integrand dim {h.dim}, process dim {m.dim}")
     if not h.is_predictable(cs.filtration):
         raise NotPredictable("integrand is not predictable")
-    tree = m.tree
-    zero = tuple([ZERO] * cs.n)
-    data = [[zero] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
-        for atom in cs.filtration.atoms(t - 1):
-            menu = cs.slot_values(t, atom.label)
-            hv = h.values[t][atom.leaves[0]]
-            vec = []
-            for k in range(cs.n):
-                value = menu[k]
-                if value is None:
-                    vec.append(ZERO)
-                    continue
-                scale = cs.gauges[k](value)
-                paired = sum((a * b for a, b in zip(hv, value)), start=ZERO)
-                vec.append(ZERO if scale == 0 else paired / scale)
-            vec = tuple(vec)
-            for i in atom.leaves:
-                row[i] = vec
-        data.append(row)
-    return Process(tree, data, dim=cs.n)
+    return cs.integrand(lambda t, atom, value: sum(
+        (a * b for a, b in zip(h.values[t][atom.leaves[0]], value)), start=ZERO))
 
 
 def jump_constraint(w: Process) -> ConstraintSystem:

@@ -16,6 +16,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     DanglingNode,
@@ -168,6 +170,11 @@ class FilteredTree:
                 node.leaf_lo = node.children[0].leaf_lo
                 node.leaf_hi = node.children[-1].leaf_hi
 
+    @cached_property
+    def leaf_prefix(self) -> list[Fraction]:
+        """leaf_prefix[i] is the mass of the leaves before leaf i."""
+        return list(accumulate(self.leaf_probs, initial=ZERO))
+
     @property
     def n_leaves(self) -> int:
         return len(self.leaves)
@@ -235,16 +242,20 @@ class Filtration:
             raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
         return self._atoms[t]
 
-    def atom_of(self, t: int, leaf: int) -> Atom:
-        if not 0 <= t <= self.tree.horizon:
-            raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
-        return self._atom_of[t][leaf]
-
     def atoms_by_leaf(self, t: int) -> tuple[Atom, ...]:
         """Time-t atom of every leaf, in leaf order."""
         if not 0 <= t <= self.tree.horizon:
             raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
         return self._atom_of[t]
+
+    def spread(self, t: int, value_of) -> list:
+        """Leaf-indexed row holding value_of(atom) on each time-t atom."""
+        row = [None] * self.tree.n_leaves
+        for atom in self.atoms(t):
+            value = value_of(atom)
+            for i in atom.leaves:
+                row[i] = value
+        return row
 
     def atom_labelled(self, t: int, label: str) -> Atom:
         """The time-t atom with the given label."""
@@ -270,14 +281,29 @@ class Filtration:
         return self.atoms(t - 1 if t >= 1 else 0)
 
     def conditioning_atom_of(self, t: int, leaf: int) -> Atom:
-        return self.atom_of(t - 1 if t >= 1 else 0, leaf)
-
-    def is_base(self) -> bool:
-        return self.kind == "base"
+        return self.atoms_by_leaf(t - 1 if t >= 1 else 0)[leaf]
 
 
 def _atom_label(tree: FilteredTree, leaves) -> str:
     return "|".join(tree.leaf_ids[i] for i in sorted(leaves))
+
+
+def _time_key(t) -> int:
+    """An enlargement's time key: an int, or a string holding one."""
+    if isinstance(t, (int, str)) and not isinstance(t, bool):
+        try:
+            return int(t)
+        except ValueError:
+            pass
+    raise TimeOutOfRange(f"enlargement time {t!r} is not an integer")
+
+
+def _group(leaves, key):
+    """The leaves grouped by key(leaf), in first-leaf order."""
+    groups = {}
+    for leaf in leaves:
+        groups.setdefault(key(leaf), []).append(leaf)
+    return groups
 
 
 class Enlargement:
@@ -293,42 +319,54 @@ class Enlargement:
         self.name = name
         given = {}
         for t, parts in partitions_by_time.items():
-            t = int(t)
+            t = _time_key(t)
             if not 0 <= t <= tree.horizon:
                 raise TimeOutOfRange(f"enlargement at time {t} outside 0..{tree.horizon}")
+            if not isinstance(parts, (list, tuple)):
+                raise NotARefinement(f"partition at time {t} is not a list of cells")
             cells = []
             for cell in parts:
+                if not isinstance(cell, (list, tuple, set, frozenset)):
+                    raise NotARefinement(
+                        f"cell {cell!r} at time {t} is not a list of leaves")
                 idx = tuple(sorted(self._leaf_index(leaf) for leaf in cell))
                 if not idx:
                     raise NotARefinement(f"empty cell in enlargement at time {t}")
                 cells.append(idx)
             given[t] = cells
         self.partitions: list[tuple[tuple[int, ...], ...]] = []
-        previous = None
+        previous = [range(tree.n_leaves)]
         base = tree.base_filtration()
         for t in range(tree.horizon + 1):
-            base_cells = [set(a.leaves) for a in base.atoms(t)]
+            prev_of = [None] * tree.n_leaves
+            for k, cell in enumerate(previous):
+                for leaf in cell:
+                    prev_of[leaf] = k
             if t in given:
-                cells = [tuple(c) for c in given[t]]
+                cells = given[t]
                 self._check_partition(cells, tree.n_leaves, t)
+                base_of = base.atoms_by_leaf(t)
                 for cell in cells:
-                    if not any(set(cell) <= b for b in base_cells):
+                    if len({id(base_of[i]) for i in cell}) > 1:
                         raise NotARefinement(
                             f"cell {cell} at time {t} is not inside a base atom")
-                if previous is not None:
-                    prev_cells = [set(c) for c in previous]
-                    for cell in cells:
-                        if not any(set(cell) <= p for p in prev_cells):
-                            raise NotMonotone(
-                                f"cell {cell} at time {t} splits across time-{t-1} cells")
+                for cell in cells:
+                    if len({prev_of[i] for i in cell}) > 1:
+                        raise NotMonotone(
+                            f"cell {cell} at time {t} splits across time-{t-1} cells")
             else:
-                cells = self._common_refinement(base_cells, previous)
+                # the coarsest completion: base atoms cut by the time-(t-1) cells
+                cells = [tuple(piece) for atom in base.atoms(t) for piece in
+                         _group(atom.leaves, prev_of.__getitem__).values()]
             cells = tuple(sorted(cells, key=lambda c: c[0]))
             self.partitions.append(cells)
             previous = cells
         self._filtration = None
 
     def _leaf_index(self, leaf) -> int:
+        if isinstance(leaf, bool) or not isinstance(leaf, (int, str)):
+            raise NotARefinement(
+                f"leaf {leaf!r} is neither a leaf index nor a leaf id")
         if isinstance(leaf, int):
             if not 0 <= leaf < self.tree.n_leaves:
                 raise NotARefinement(f"leaf index {leaf} out of range")
@@ -351,18 +389,6 @@ class Enlargement:
                 seen.add(leaf)
         if len(seen) != n_leaves:
             raise NotARefinement(f"partition at time {t} does not cover all leaves")
-
-    @staticmethod
-    def _common_refinement(base_cells, previous):
-        if previous is None:
-            return [tuple(sorted(b)) for b in base_cells]
-        out = []
-        for b in base_cells:
-            for p in previous:
-                cell = sorted(b & set(p))
-                if cell:
-                    out.append(tuple(cell))
-        return out
 
     def filtration(self) -> Filtration:
         if self._filtration is None:
@@ -399,21 +425,71 @@ def as_filtration(obj) -> Filtration:
     raise TypeError(f"cannot view {obj!r} as a filtration")
 
 
+def _masses(tree: FilteredTree, atom: Atom, key):
+    """{key value: (first leaf, mass)} over the atom's leaves, grouped by
+    key(leaf) in first-leaf order; the masses are unconditional, and a lone
+    group takes the atom's probability, which is the mass of its leaves."""
+    groups = _group(atom.leaves, key)
+    if len(groups) == 1:
+        ((k, leaves),) = groups.items()
+        return {k: (leaves[0], atom.prob)}
+    probs = tree.leaf_probs
+    prefix = tree.leaf_prefix
+    out = {}
+    for k, leaves in groups.items():
+        lo = leaves[0]
+        hi = leaves[-1] + 1
+        if hi - lo == 1:
+            mass = probs[lo]
+        elif hi - lo == len(leaves):
+            mass = prefix[hi] - prefix[lo]
+        else:
+            mass = sum((probs[i] for i in leaves), start=ZERO)
+        out[k] = (lo, mass)
+    return out
+
+
+def conditional_law(tree: FilteredTree, atom: Atom, key) -> dict:
+    """P(key | atom): {value: probability} over the values key(leaf) takes
+    on the atom's leaves, in first-leaf order."""
+    return {k: mass / atom.prob
+            for k, (_, mass) in _masses(tree, atom, key).items()}
+
+
+def _weigh(row, entries, total):
+    cells = [(row[first], mass) for first, mass in entries]
+    return tuple(sum((mass * cell[k] for cell, mass in cells), start=ZERO) / total
+                 for k in range(len(cells[0][0])))
+
+
+def conditional_mean(tree: FilteredTree, atom: Atom, row, key=None):
+    """E[row | atom] for a leaf-indexed row of equal-length rational tuples.
+
+    Leaves holding one tuple object are weighed together, so each distinct
+    cell is multiplied once; distinct but equal tuples are weighed apart,
+    which changes nothing exact. With key, returns instead the partial means
+    {value: E[row; key = value | atom]} in first-leaf order.
+    """
+    if key is None:
+        masses = _masses(tree, atom, lambda i: id(row[i]))
+        if len(masses) == 1:
+            return row[atom.leaves[0]]
+        return _weigh(row, masses.values(), atom.prob)
+    by_key = {}
+    for (k, _), entry in _masses(tree, atom, lambda i: (key(i), id(row[i]))).items():
+        by_key.setdefault(k, []).append(entry)
+    return {k: _weigh(row, entries, atom.prob) for k, entries in by_key.items()}
+
+
 def conditional_expectation_leafwise(x, t, filtration_like):
     """E[x | F_t] as a leaf-indexed list, for a leaf-indexed rational vector x."""
     filtration = as_filtration(filtration_like)
     tree = filtration.tree
-    values = [to_fraction(v) for v in x]
-    if len(values) != tree.n_leaves:
+    row = [(to_fraction(v),) for v in x]
+    if len(row) != tree.n_leaves:
         raise TimeOutOfRange(
-            f"expected {tree.n_leaves} leaf values, got {len(values)}")
-    out = [ZERO] * tree.n_leaves
-    for atom in filtration.atoms(t):
-        mean = sum((tree.leaf_probs[i] * values[i] for i in atom.leaves),
-                   start=ZERO) / atom.prob
-        for i in atom.leaves:
-            out[i] = mean
-    return out
+            f"expected {tree.n_leaves} leaf values, got {len(row)}")
+    return filtration.spread(t, lambda atom: conditional_mean(tree, atom, row)[0])
 
 
 def conditional_expectation(x, t, filtration_like):

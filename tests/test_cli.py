@@ -1,9 +1,14 @@
 """Command line entry points: exit codes, report shapes, determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from filtration_lab.cli import CHECKS, main
 
@@ -117,6 +122,26 @@ class TestRun:
         code, report, err = run_json(capsys, "run", str(path))
         assert code == 0, err
         assert [c["status"] for c in report["checks"]] == ["pass"] * 3
+
+    @pytest.mark.parametrize("partition, message", [
+        ({"0": [1, 2]}, "cell 1 at time 0 is not a list of leaves"),
+        ({"0": [[["a"]]]}, "leaf ['a'] is neither a leaf index nor a leaf id"),
+        ({"0": [[{"x": 1}], ["b", "c"]]},
+         "leaf {'x': 1} is neither a leaf index nor a leaf id"),
+        ({"x": [["a", "b", "c"]]}, "enlargement time 'x' is not an integer"),
+        ({"0": [[True], [False, 2]]},
+         "leaf True is neither a leaf index nor a leaf id"),
+    ], ids=["int-cells", "nested-cell", "object-leaf", "time-key", "bool-leaf"])
+    def test_malformed_enlargement_is_usage_error(self, capsys, tmp_path,
+                                                  partition, message):
+        doc = json.loads(Path(TER1_GA).read_text(encoding="utf-8"))
+        doc["enlargements"]["GA"] = partition
+        path = tmp_path / "bad_enlargement.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
 
     def test_table_output_mentions_checks(self, capsys):
         code, out, _ = run_cli(
@@ -235,3 +260,68 @@ class TestTiming:
             capsys, "run", TER1_GA, "--checks", "drift", "--timing")
         assert code == 0
         assert "timing" in report and "seconds" in report["timing"]
+
+
+# JSON values a mutated scenario may hold where the fixture has something else
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 12)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(["r", "a", "b", "c", "0", "1", "x", "1/3", "-1/2",
+                       "1/0", "mrp", "drift", "viability", "kernel"])
+    | st.text(max_size=3),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.sampled_from(["0", "1", "x", "a"]),
+                                     inner, max_size=3)),
+    max_leaves=8)
+_time_keys = st.sampled_from(["0", "1", "2", "-1", "x", " 1", "01"])
+_mutations = st.one_of(
+    st.tuples(st.just("node"), st.integers(0, 3),
+              st.sampled_from(["id", "time", "parent", "prob"]), _json_values),
+    st.tuples(st.just("cells"), _time_keys, _json_values),
+    st.tuples(st.just("rekey"), st.sampled_from(["0", "1"]), _time_keys),
+    st.tuples(st.just("value"), st.sampled_from(["W", "S"]),
+              st.sampled_from(["r", "a", "b", "c", "z"]), _json_values),
+    st.tuples(st.just("checks"), _json_values),
+)
+
+
+def _mutate(doc, mutation):
+    kind = mutation[0]
+    if kind == "node":
+        _, index, field, value = mutation
+        doc["nodes"][index][field] = value
+    elif kind == "cells":
+        _, key, value = mutation
+        doc["enlargements"]["GA"][key] = value
+    elif kind == "rekey":
+        _, old, new = mutation
+        cells = doc["enlargements"]["GA"].pop(old, None)
+        doc["enlargements"]["GA"][new] = cells
+    elif kind == "value":
+        _, name, node, value = mutation
+        doc["processes"][name]["values"][node] = value
+    else:
+        doc["checks"] = mutation[1]
+
+
+class TestMutatedScenarios:
+    """Whatever a scenario file holds, run exits 0, 1 or 2 and never raises."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(st.lists(_mutations, min_size=1, max_size=3))
+    @example([("cells", "0", [1, 2])])
+    @example([("cells", "0", [[["a"]]])])
+    @example([("cells", "0", [[{"x": 1}], ["b", "c"]])])
+    @example([("cells", "x", [["a", "b", "c"]])])
+    @example([("cells", "0", [[True], [False, 2]])])
+    def test_run_exit_code_contract(self, mutations):
+        doc = json.loads(Path(TER1_GA).read_text(encoding="utf-8"))
+        for mutation in mutations:
+            _mutate(doc, mutation)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.json"
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = main(["run", str(path)])
+        assert code in (0, 1, 2)
