@@ -43,7 +43,7 @@ from .tree import (
 ZERO = Fraction(0)
 
 
-class _Shared:
+class Shared:
     """fn over aligned rows of cells, once per distinct tuple of cell objects.
 
     Cells that hold the same objects get the same result object. Each memo
@@ -172,7 +172,7 @@ class Process:
         for p in processes:
             if p.tree is not tree:
                 raise DimensionMismatch("stack across different trees")
-        concat = _Shared(lambda *vecs: sum(vecs, ()))
+        concat = Shared(lambda *vecs: sum(vecs, ()))
         data = [concat(*(p.values[t] for p in processes))
                 for t in range(tree.horizon + 1)]
         return cls._from_rows(tree, data, sum(p.dim for p in processes))
@@ -191,7 +191,7 @@ class Process:
         return tuple(a - b for a, b in zip(curr, prev))
 
     def component(self, i):
-        pick = _Shared(lambda vec: (vec[i],))
+        pick = Shared(lambda vec: (vec[i],))
         return Process._from_rows(self.tree, [pick(row) for row in self.values], 1)
 
     def components(self):
@@ -201,7 +201,7 @@ class Process:
         return self.values[0][0]
 
     def minus_initial(self):
-        sub = _Shared(lambda vec, x0: tuple(a - b for a, b in zip(vec, x0)))
+        sub = Shared(lambda vec, x0: tuple(a - b for a, b in zip(vec, x0)))
         data = [sub(row, self.values[0]) for row in self.values]
         return Process._from_rows(self.tree, data, self.dim)
 
@@ -212,7 +212,7 @@ class Process:
             raise TypeError("expected a Process")
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
-        cell = _Shared(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)))
+        cell = Shared(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)))
         data = [cell(mine, theirs)
                 for mine, theirs in zip(self.values, other.values)]
         return Process._from_rows(self.tree, data, self.dim)
@@ -225,7 +225,7 @@ class Process:
 
     def scale(self, factor):
         factor = to_fraction(factor)
-        times = _Shared(lambda vec: tuple(factor * c for c in vec))
+        times = Shared(lambda vec: tuple(factor * c for c in vec))
         return Process._from_rows(self.tree, [times(row) for row in self.values],
                                   self.dim)
 
@@ -314,7 +314,7 @@ def _compensate(filtration: Filtration, dim: int, step) -> Process:
         row = [None] * tree.n_leaves
         for atom in filtration.atoms(t - 1):
             mean = step(t, atom)
-            move = _Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
+            move = Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
             moved = move([data[t - 1][i] for i in atom.leaves])
             for i, vec in zip(atom.leaves, moved):
                 row[i] = vec
@@ -358,7 +358,7 @@ def bracket(x: Process, y: Process) -> Process:
     if x.dim != y.dim:
         raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
     tree = x.tree
-    step = _Shared(lambda acc, xc, xp, yc, yp: (acc[0] + sum(
+    step = Shared(lambda acc, xc, xp, yc, yp: (acc[0] + sum(
         ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
         start=ZERO),))
     data = [[(ZERO,)] * tree.n_leaves]
@@ -378,7 +378,7 @@ def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
         raise DimensionMismatch("bracket across different trees")
     if x.dim != y.dim:
         raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
-    product = _Shared(lambda xc, xp, yc, yp: (sum(
+    product = Shared(lambda xc, xp, yc, yp: (sum(
         ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
         start=ZERO),))
     products = [None] + [product(x.values[t], x.values[t - 1],
@@ -401,7 +401,7 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
     tree = x.tree
-    step = _Shared(lambda acc, hv, xc, xp: (acc[0] + sum(
+    step = Shared(lambda acc, hv, xc, xp: (acc[0] + sum(
         (a * (b - c) for a, b, c in zip(hv, xc, xp)), start=ZERO),))
     data = [[(ZERO,)] * tree.n_leaves]
     for t in range(1, tree.horizon + 1):
@@ -585,7 +585,7 @@ def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
             gain = ZERO if jump is None else g.value_on(t, g_atom, jump)
             return (acc[0] + (gain - comp[atom.label]),)
 
-        data.append(_Shared(step)(data[t - 1], filtration.atoms_by_leaf(t - 1),
+        data.append(Shared(step)(data[t - 1], filtration.atoms_by_leaf(t - 1),
                                   g.filtration.atoms_by_leaf(t - 1),
                                   tree.nodes_by_leaf(t)))
     return Process._from_rows(tree, data, 1)
@@ -607,7 +607,7 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     y.require_martingale(filtration, what="projected process")
     tree = y.tree
     table = mu.compensator(filtration)
-    step = _Shared(lambda now, before: (now[0] - before[0],))
+    step = Shared(lambda now, before: (now[0] - before[0],))
     increments = [None] + [step(y.values[t], y.values[t - 1])
                            for t in range(1, tree.horizon + 1)]
     entries = {}

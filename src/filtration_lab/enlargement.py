@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .calculus import (
     Process,
-    _Shared,
+    Shared,
     dot_integral,
     dual_predictable_projection,
     predictable_bracket,
@@ -61,12 +61,15 @@ def doleans_exponential(a, x: Process) -> Process:
     if x.dim != 1:
         raise DimensionMismatch("exponentials take scalar processes")
     a = to_fraction(a)
-    step = _Shared(lambda acc, now, before: (
-        acc[0] * (1 + a * (now[0] - before[0])),))
-    data = [[(ONE,)] * x.tree.n_leaves]
-    for t in range(1, x.tree.horizon + 1):
-        data.append(step(data[t - 1], x.values[t], x.values[t - 1]))
-    return Process._from_rows(x.tree, data, 1)
+    tree = x.tree
+    data = [[(ONE,)] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = []
+        for leaf in range(tree.n_leaves):
+            step = 1 + a * x.increment(t, leaf)[0]
+            row.append((data[t - 1][leaf][0] * step,))
+        data.append(row)
+    return Process(tree, data, dim=1)
 
 
 @dataclass(frozen=True)
@@ -151,12 +154,9 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     violations = []
     factors = {}
     for t in range(1, tree.horizon + 1):
-        atom_of = filtration.atoms_by_leaf(t)
         for atom in filtration.atoms(t - 1):
             subs = filtration.atoms_within(t, atom.leaves)
-            # first-leaf order on both sides, so q lines up with subs
-            q = list(conditional_law(tree, atom,
-                                     lambda i: atom_of[i].label).values())
+            q = [sub.prob / atom.prob for sub in subs]
             s_prev = s.values[t - 1][atom.leaves[0]][0]
             moves = [s.values[t][sub.leaves[0]][0] - s_prev for sub in subs]
             status, floor, ys = _one_period_deflator(q, moves)
@@ -224,9 +224,13 @@ def check_full_viability(enlargement_like, family) -> ViabilityReport:
 
 
 def max_abs_increment(x: Process) -> Fraction:
-    return max((abs(c) for t in range(1, x.tree.horizon + 1)
-                for leaf in range(x.tree.n_leaves) for c in x.increment(t, leaf)),
-               default=ZERO)
+    best = ZERO
+    for t in range(1, x.tree.horizon + 1):
+        for leaf in range(x.tree.n_leaves):
+            for c in x.increment(t, leaf):
+                if abs(c) > best:
+                    best = abs(c)
+    return best
 
 
 def default_viability_family(w: Process):
@@ -269,9 +273,11 @@ def verify_fbd(x: Process, deflator: Deflator, enlargement_like) -> bool:
         raise NotADeflator("deflated price is not a martingale")
 
     drift = drift_operator(x, filtration).drift
-    inverse = _Shared(lambda prev: (-1 / prev[0],))
-    integrand = Process._from_rows(tree, [[(Fraction(-1),)] * tree.n_leaves] + [
-        inverse(y.values[t - 1]) for t in range(1, tree.horizon + 1)], 1)
+    inv_prev = [[(Fraction(-1),)] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        inv_prev.append([(-1 / y.values[t - 1][leaf][0],)
+                         for leaf in range(tree.n_leaves)])
+    integrand = Process(tree, inv_prev, dim=1)
     bracket_p = predictable_bracket(y, x, filtration)
     rhs = dot_integral(integrand, bracket_p, filtration)
     return drift == rhs
@@ -459,7 +465,7 @@ def _increment_moments(x: Process, t: int, atom):
 
     # the outer product once per distinct pair of cells
     leaves = atom.leaves
-    outer = _Shared(centred_outer)([now[i] for i in leaves],
+    outer = Shared(centred_outer)([now[i] for i in leaves],
                                    [before[i] for i in leaves])
     flat = conditional_mean(tree, atom, dict(zip(leaves, outer)))
     width = len(mean)

@@ -153,10 +153,18 @@ def random_jump_function(mu: JumpMeasure, filtration_like, rng,
 
 def random_representable(w: Process, rng, bound=3) -> Process:
     """Scalar martingale given as a random predictable integral against w."""
-    integrand = Process._predictable(
-        w.tree.base_filtration(), w.dim,
-        lambda t, atom: tuple(Fraction(rng.randint(-bound, bound))
-                              for _ in range(w.dim)))
+    tree = w.tree
+    zero = tuple([ZERO] * w.dim)
+    data = [[zero] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = [None] * tree.n_leaves
+        for node in tree.nodes_at[t - 1]:
+            vec = tuple(Fraction(rng.randint(-bound, bound))
+                        for _ in range(w.dim))
+            for i in node.leaves():
+                row[i] = vec
+        data.append(row)
+    integrand = Process(tree, data, dim=w.dim)
     return dot_integral(integrand, w)
 
 

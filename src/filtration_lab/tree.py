@@ -16,8 +16,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from itertools import accumulate
 
 from .errors import (
     DanglingNode,
@@ -169,11 +167,6 @@ class FilteredTree:
             if node.children:
                 node.leaf_lo = node.children[0].leaf_lo
                 node.leaf_hi = node.children[-1].leaf_hi
-
-    @cached_property
-    def leaf_prefix(self) -> list[Fraction]:
-        """leaf_prefix[i] is the mass of the leaves before leaf i."""
-        return list(accumulate(self.leaf_probs, initial=ZERO))
 
     @property
     def n_leaves(self) -> int:
@@ -434,19 +427,8 @@ def _masses(tree: FilteredTree, atom: Atom, key):
         ((k, leaves),) = groups.items()
         return {k: (leaves[0], atom.prob)}
     probs = tree.leaf_probs
-    prefix = tree.leaf_prefix
-    out = {}
-    for k, leaves in groups.items():
-        lo = leaves[0]
-        hi = leaves[-1] + 1
-        if hi - lo == 1:
-            mass = probs[lo]
-        elif hi - lo == len(leaves):
-            mass = prefix[hi] - prefix[lo]
-        else:
-            mass = sum((probs[i] for i in leaves), start=ZERO)
-        out[k] = (lo, mass)
-    return out
+    return {k: (leaves[0], sum((probs[i] for i in leaves), start=ZERO))
+            for k, leaves in groups.items()}
 
 
 def conditional_law(tree: FilteredTree, atom: Atom, key) -> dict:

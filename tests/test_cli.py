@@ -131,7 +131,11 @@ class TestRun:
         ({"x": [["a", "b", "c"]]}, "enlargement time 'x' is not an integer"),
         ({"0": [[True], [False, 2]]},
          "leaf True is neither a leaf index nor a leaf id"),
-    ], ids=["int-cells", "nested-cell", "object-leaf", "time-key", "bool-leaf"])
+        # a string is a leaf id, not a cell of one-character leaf ids
+        ({"0": [["a"], ["b", "c"]], "1": ["a", "b", "c"]},
+         "cell 'a' at time 1 is not a list of leaves"),
+    ], ids=["int-cells", "nested-cell", "object-leaf", "time-key", "bool-leaf",
+            "string-cells"])
     def test_malformed_enlargement_is_usage_error(self, capsys, tmp_path,
                                                   partition, message):
         doc = json.loads(Path(TER1_GA).read_text(encoding="utf-8"))

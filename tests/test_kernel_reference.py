@@ -33,7 +33,7 @@ from filtration_lab import (
     single_jump_coefficient,
     solve_drift_multiplier,
 )
-from filtration_lab.calculus import _Shared
+from filtration_lab.calculus import Shared
 from filtration_lab.constraint import (
     _normalize_slots,
     _plan_accessible,
@@ -136,7 +136,7 @@ def old_dual_predictable_projection(a, filtration_like):
         means = old_conditional_increment_means(a, filtration, t)
         row = [None] * tree.n_leaves
         for atom, mean in means.items():
-            move = _Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
+            move = Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
             moved = move([data[t - 1][i] for i in atom.leaves])
             for i, vec in zip(atom.leaves, moved):
                 row[i] = vec
@@ -163,7 +163,7 @@ def old_predictable_bracket(x, y, filtration_like):
                 yi = y.increment(t, i)
                 mean += w * sum((a * b for a, b in zip(xi, yi)), start=ZERO)
             mean /= atom.prob
-            move = _Shared(lambda prev: (prev[0] + mean,))
+            move = Shared(lambda prev: (prev[0] + mean,))
             moved = move([data[t - 1][i] for i in atom.leaves])
             for i, vec in zip(atom.leaves, moved):
                 row[i] = vec
