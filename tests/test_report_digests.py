@@ -32,6 +32,10 @@ COMMANDS = {
     "viability ter1_gb": ["viability", str(FIXTURES / "ter1_gb.json"),
                           "--format", "json"],
     "fuzz 50": ["fuzz", "--count", "50", "--seed", "0", "--format", "json"],
+    "fuzz deep": ["fuzz", "--count", "10", "--seed", "0", "--horizon", "5",
+                  "--branching", "2", "--format", "json"],
+    "fuzz wide": ["fuzz", "--count", "10", "--seed", "0", "--horizon", "2",
+                  "--branching", "5", "--format", "json"],
 }
 
 
