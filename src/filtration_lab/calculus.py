@@ -13,6 +13,15 @@ too. The keys are identities of objects the call holds alive, which makes the
 sharing exact for any input. Each jump function memoizes its star integral
 per (measure, filtration), and each measure its compensators per filtration.
 
+Library code builds its processes through three trusted constructors that
+skip the validation outside input gets: _from_rows takes rows it made
+itself, _predictable one value per conditioning atom, and _accumulate a
+running value X_t = step(X_{t-1}, ...) along each path. Every path-cumulative
+process (the integrals, brackets and compensators here, and the class
+martingales, reconstructed family, multiplier N, deflators and exponentials
+elsewhere) goes through _accumulate, so only this module decides how such a
+process is laid out and shared.
+
 Every conditional mean here (martingale tests, Doob martingales, the
 compensators, predictable brackets, the projection onto a jump measure) goes
 through the one kernel in tree.py: conditional_law groups an atom's leaves
@@ -24,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import (
     DimensionMismatch,
@@ -117,6 +127,23 @@ class Process:
         for t in range(1, tree.horizon + 1):
             data.append(filtration.spread(t - 1, lambda atom: value_of(t, atom)))
         return cls._from_rows(tree, data, dim)
+
+    @classmethod
+    def _accumulate(cls, tree, start, step, rows_at):
+        """Trusted build of the running process with X_0 = start on every
+        leaf and X_t = step(X_{t-1}, *cells) for t >= 1, where cells are the
+        leaf's cells of the leaf-indexed rows rows_at(t).
+
+        rows_at is called once per time, in time order. step runs once per
+        distinct tuple of cell objects, X_{t-1} included, through one memo
+        for the whole call, so it must not depend on t other than through
+        its cells; equal inputs then share one result cell.
+        """
+        acc = Shared(step)
+        data = [[start] * tree.n_leaves]
+        for t in range(1, tree.horizon + 1):
+            data.append(acc(data[-1], *rows_at(t)))
+        return cls._from_rows(tree, data, len(start))
 
     # construction helpers
 
@@ -308,18 +335,10 @@ class Decomposition:
 
 def _compensate(filtration: Filtration, dim: int, step) -> Process:
     """Null at 0, moved on each time-(t-1) atom by the vector step(t, atom)."""
-    tree = filtration.tree
-    data = [[tuple([ZERO] * dim)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
-        for atom in filtration.atoms(t - 1):
-            mean = step(t, atom)
-            move = Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
-            moved = move([data[t - 1][i] for i in atom.leaves])
-            for i, vec in zip(atom.leaves, moved):
-                row[i] = vec
-        data.append(row)
-    return Process._from_rows(tree, data, dim)
+    return Process._accumulate(
+        filtration.tree, tuple([ZERO] * dim),
+        lambda prev, move: tuple(map(add, prev, move)),
+        lambda t: (filtration.spread(t - 1, lambda atom: step(t, atom)),))
 
 
 def dual_predictable_projection(a: Process, filtration_like) -> Process:
@@ -357,15 +376,12 @@ def bracket(x: Process, y: Process) -> Process:
         raise DimensionMismatch("bracket across different trees")
     if x.dim != y.dim:
         raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
-    tree = x.tree
-    step = Shared(lambda acc, xc, xp, yc, yp: (acc[0] + sum(
-        ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
-        start=ZERO),))
-    data = [[(ZERO,)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        data.append(step(data[t - 1], x.values[t], x.values[t - 1],
-                         y.values[t], y.values[t - 1]))
-    return Process._from_rows(tree, data, 1)
+    return Process._accumulate(
+        x.tree, (ZERO,),
+        lambda acc, xc, xp, yc, yp: (acc[0] + sum(
+            ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
+            start=ZERO),),
+        lambda t: (x.values[t], x.values[t - 1], y.values[t], y.values[t - 1]))
 
 
 def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
@@ -400,14 +416,11 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
         raise DimensionMismatch(f"integrand dim {h.dim}, integrator dim {x.dim}")
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
-    tree = x.tree
-    step = Shared(lambda acc, hv, xc, xp: (acc[0] + sum(
-        (a * (b - c) for a, b, c in zip(hv, xc, xp)), start=ZERO),))
-    data = [[(ZERO,)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        data.append(step(data[t - 1], h.values[t], x.values[t],
-                         x.values[t - 1]))
-    return Process._from_rows(tree, data, 1)
+    return Process._accumulate(
+        x.tree, (ZERO,),
+        lambda acc, hv, xc, xp: (acc[0] + sum(
+            (a * (b - c) for a, b, c in zip(hv, xc, xp)), start=ZERO),),
+        lambda t: (h.values[t], x.values[t], x.values[t - 1]))
 
 
 class JumpMeasure:
@@ -570,25 +583,25 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
 def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
     tree = mu.tree
     table = mu.compensator(filtration)
-    data = [[(ZERO,)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        comp = {}
+    comp = {}  # (t, atom label) -> compensated mean of g, filled time by time
+
+    def rows_at(t):
         for atom in filtration.atoms(t - 1):
             g_atom = g.filtration.conditioning_atom_of(t, atom.leaves[0])
             dist = table.entries.get((t, atom.label), {})
-            comp[atom.label] = sum(
+            comp[(t, atom.label)] = sum(
                 (p * g.value_on(t, g_atom, value) for value, p in dist.items()),
                 start=ZERO)
+        return (filtration.atoms_by_leaf(t - 1), g.filtration.atoms_by_leaf(t - 1),
+                tree.nodes_by_leaf(t))
 
-        def step(acc, atom, g_atom, node, t=t, comp=comp):
-            jump = mu.support.get(node.id)
-            gain = ZERO if jump is None else g.value_on(t, g_atom, jump)
-            return (acc[0] + (gain - comp[atom.label]),)
+    def step(acc, atom, g_atom, node):
+        # the time-t node fixes t
+        jump = mu.support.get(node.id)
+        gain = ZERO if jump is None else g.value_on(node.time, g_atom, jump)
+        return (acc[0] + (gain - comp[(node.time, atom.label)]),)
 
-        data.append(Shared(step)(data[t - 1], filtration.atoms_by_leaf(t - 1),
-                                  g.filtration.atoms_by_leaf(t - 1),
-                                  tree.nodes_by_leaf(t)))
-    return Process._from_rows(tree, data, 1)
+    return Process._accumulate(tree, (ZERO,), step, rows_at)
 
 
 def project_onto_jump_measure(y: Process, mu: JumpMeasure,

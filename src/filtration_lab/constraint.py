@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .calculus import (
     JumpFunction,
@@ -326,24 +327,17 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
     plan = mu.derived(("accessible", filtration, content),
                       lambda: _plan_accessible(mu, filtration, rows, count))
 
-    zero_k = tuple([ZERO] * count)
-    h_data = [[zero_k] * tree.n_leaves]
-    gh_data = [[zero_k] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        h_row = [zero_k] * tree.n_leaves
-        gh_row = [zero_k] * tree.n_leaves
-        for atom, locations, weight in plan.cells[t]:
-            h_vec = tuple(ZERO if loc is None
-                          else g.value(t, atom.leaves[0], loc)
-                          for loc in locations)
-            gh_vec = tuple(v / weight for v in h_vec)
-            for i in atom.leaves:
-                h_row[i] = h_vec
-                gh_row[i] = gh_vec
-        h_data.append(h_row)
-        gh_data.append(gh_row)
-    h = Process._from_rows(tree, h_data, count)
-    gh = Process._from_rows(tree, gh_data, count)
+    off_graph = ((None,) * count, 1)  # no class jumps, unit weight
+
+    def h_at(t, atom):
+        locations, _ = plan.cells[t].get(atom.label, off_graph)
+        return tuple(ZERO if loc is None else g.value(t, atom.leaves[0], loc)
+                     for loc in locations)
+
+    h = Process._predictable(filtration, count, h_at)
+    gh = Process._predictable(filtration, count, lambda t, atom: tuple(
+        v / plan.cells[t].get(atom.label, off_graph)[1]
+        for v in h.values[t][atom.leaves[0]]))
 
     star = star_integral(g, mu, filtration)
     dot = dot_integral(gh, plan.martingales, filtration)
@@ -358,9 +352,9 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
 class _AccessiblePlan:
     """The g-independent side of an accessible conversion.
 
-    cells[t] lists, per conditioning atom on a slot graph at t, the atom,
-    its class locations (None where the class does not jump) and the slot
-    weight.
+    cells[t] maps the label of each conditioning atom on a slot graph at t
+    to its class locations (None where the class does not jump) and the
+    slot weight.
     """
     cells: tuple
     martingales: Process
@@ -371,32 +365,31 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
     """Validate normalized slots against the measure; build Y and G."""
     tree = mu.tree
     occupied = {}
+    class_of = []  # per slot: each leaf's class index, None outside them all
     for idx, (tau, classes, _) in enumerate(rows):
         for leaf in range(tree.n_leaves):
             t = tau.values[leaf]
             if t <= tree.horizon and (t, leaf) in occupied:
                 raise ConstraintMismatch("accessible times overlap")
             occupied[(t, leaf)] = idx
-        claimed = set()
-        for cls in classes:
-            if cls & claimed:
+        index = [None] * tree.n_leaves
+        for k, cls in enumerate(classes):
+            if any(index[leaf] is not None for leaf in cls):
                 raise PartitionNotMeasurable("partition classes overlap")
-            claimed |= cls
             for leaf in cls:
                 if tau.values[leaf] > tree.horizon:
                     raise PartitionNotMeasurable(
                         "class contains a path its time never reaches")
+                index[leaf] = k
+        class_of.append(index)
         # each class, restricted to {tau = t}, must be a union of time-t atoms
         for t in range(1, tree.horizon + 1):
             for atom in filtration.atoms(t):
-                inside = [leaf for leaf in atom.leaves if tau.values[leaf] == t]
-                if not inside:
-                    continue
-                for cls in classes:
-                    hit = [leaf for leaf in inside if leaf in cls]
-                    if hit and len(hit) != len(inside):
-                        raise PartitionNotMeasurable(
-                            f"class splits an atom at time {t}")
+                inside = {index[leaf] for leaf in atom.leaves
+                          if tau.values[leaf] == t}
+                if len(inside) > 1:
+                    raise PartitionNotMeasurable(
+                        f"class splits an atom at time {t}")
 
     # every support node must sit on a slot graph, inside one class
     for node_id in mu.support:
@@ -406,48 +399,42 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
         if idx is None:
             raise ConstraintMismatch(
                 f"support node {node_id} lies on no accessible time")
-        if not any(leaf in cls for cls in rows[idx][1]):
+        if class_of[idx][leaf] is None:
             raise ConstraintMismatch(
                 f"support node {node_id} is outside every partition class")
 
-    zero_k = tuple([ZERO] * count)
-    cells = [()]
-    y_data = [[zero_k] * tree.n_leaves]
+    cells = [{}]
+    moves = [None]  # moves[t]: each leaf's step of Y at t, None off the graphs
     for t in range(1, tree.horizon + 1):
-        cells_t = []
-        y_row = list(y_data[t - 1])
+        cells_t = {}
+        row = [None] * tree.n_leaves
         for atom in filtration.atoms(t - 1):
             idx = occupied.get((t, atom.leaves[0]))
             if idx is None:
                 continue
             _, classes, weight = rows[idx]
-            locations = []
-            for k, cls in enumerate(classes):
-                members = [leaf for leaf in atom.leaves if leaf in cls]
-                values = {mu.jump_at(t, leaf) for leaf in members}
-                if len(values) > 1:
+            index = class_of[idx]
+            values = [set() for _ in classes]
+            for leaf in atom.leaves:
+                if index[leaf] is not None:
+                    values[index[leaf]].add(mu.jump_at(t, leaf))
+            for k, found in enumerate(values):
+                if len(found) > 1:
                     raise ConstraintMismatch(
                         f"class {k} mixes jump locations on atom "
                         f"{atom.label} at time {t}")
-                locations.append(values.pop() if values else None)
-            # classes are disjoint, so the first holding a leaf is its class
-            law = conditional_law(tree, atom, lambda i: next(
-                (k for k, cls in enumerate(classes) if i in cls), None))
+            law = conditional_law(tree, atom, index.__getitem__)
             probs = [law.get(k, ZERO) for k in range(len(classes))]
-            cells_t.append((atom, tuple(locations), weight))
-            # leaves with one class membership and one Y_{t-1} share Y_t
-            moved = {}
+            cells_t[atom.label] = (
+                tuple(found.pop() if found else None for found in values),
+                weight)
+            # weighted class indicator minus its conditional mean
+            step = {k: tuple(weight * ((1 if j == k else 0) - p)
+                             for j, p in enumerate(probs)) for k in law}
             for i in atom.leaves:
-                prev = y_data[t - 1][i]
-                member = tuple(i in cls for cls in classes)
-                key = (id(prev), member)
-                if key not in moved:
-                    moved[key] = tuple(
-                        a + weight * ((1 if m else 0) - p)
-                        for a, m, p in zip(prev, member, probs))
-                y_row[i] = moved[key]
-        cells.append(tuple(cells_t))
-        y_data.append(y_row)
+                row[i] = step[index[i]]
+        cells.append(cells_t)
+        moves.append(row)
 
     none = (ZERO,)
     inverse = [(1 / weight,) for _, _, weight in rows]
@@ -458,7 +445,10 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                            for leaf in range(tree.n_leaves)])
     return _AccessiblePlan(
         cells=tuple(cells),
-        martingales=Process._from_rows(tree, y_data, count),
+        martingales=Process._accumulate(
+            tree, tuple([ZERO] * count),
+            lambda prev, move: prev if move is None else tuple(map(add, prev, move)),
+            lambda t: (moves[t],)),
         scale=Process._from_rows(tree, scale_data, 1))
 
 
@@ -477,20 +467,15 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
     for pos, t in enumerate(times):
         per_atom = []
         for atom in filtration.atoms(t - 1):
+            # the atom's own leaves, by the location of their time-t node
             groups: dict[tuple, list] = {}
             still = []
-            seen = set()
             for leaf in atom.leaves:
-                node = tree.node_at(t, leaf)
-                if node.id in seen:
-                    continue
-                seen.add(node.id)
-                value = mu.support.get(node.id)
-                leaves = list(range(node.leaf_lo, node.leaf_hi))
+                value = mu.jump_at(t, leaf)
                 if value is None:
-                    still.extend(leaves)
+                    still.append(leaf)
                 else:
-                    groups.setdefault(value, []).extend(leaves)
+                    groups.setdefault(value, []).append(leaf)
             ordered = [groups[v] for v in sorted(groups)]
             per_atom.append((ordered, still))
         depth = max((len(ordered) for ordered, _ in per_atom), default=0)

@@ -61,15 +61,10 @@ def doleans_exponential(a, x: Process) -> Process:
     if x.dim != 1:
         raise DimensionMismatch("exponentials take scalar processes")
     a = to_fraction(a)
-    tree = x.tree
-    data = [[(ONE,)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = []
-        for leaf in range(tree.n_leaves):
-            step = 1 + a * x.increment(t, leaf)[0]
-            row.append((data[t - 1][leaf][0] * step,))
-        data.append(row)
-    return Process(tree, data, dim=1)
+    return Process._accumulate(
+        x.tree, (ONE,),
+        lambda acc, now, before: (acc[0] * (1 + a * (now[0] - before[0])),),
+        lambda t: (x.values[t], x.values[t - 1]))
 
 
 @dataclass(frozen=True)
@@ -187,15 +182,10 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
         return DeflatorSearch(feasible=False, deflator=None,
                               violations=tuple(violations), audit=tuple(audit))
 
-    data = [[(ONE,)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
-        for atom in filtration.atoms(t):
-            y = factors[(t, atom.label)]
-            for i in atom.leaves:
-                row[i] = (data[t - 1][i][0] * y,)
-        data.append(row)
-    deflator = Deflator(process=Process._from_rows(tree, data, 1), target=s)
+    product = Process._accumulate(
+        tree, (ONE,), lambda acc, y: (acc[0] * y,),
+        lambda t: (filtration.spread(t, lambda atom: factors[(t, atom.label)]),))
+    deflator = Deflator(process=product, target=s)
     return DeflatorSearch(feasible=True, deflator=deflator,
                           violations=(), audit=tuple(audit))
 
@@ -273,11 +263,9 @@ def verify_fbd(x: Process, deflator: Deflator, enlargement_like) -> bool:
         raise NotADeflator("deflated price is not a martingale")
 
     drift = drift_operator(x, filtration).drift
-    inv_prev = [[(Fraction(-1),)] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        inv_prev.append([(-1 / y.values[t - 1][leaf][0],)
-                         for leaf in range(tree.n_leaves)])
-    integrand = Process(tree, inv_prev, dim=1)
+    # Y is adapted to the larger flow, so Y_{t-1} is constant on its atoms
+    integrand = Process._predictable(
+        filtration, 1, lambda t, atom: (-1 / y.values[t - 1][atom.leaves[0]][0],))
     bracket_p = predictable_bracket(y, x, filtration)
     rhs = dot_integral(integrand, bracket_p, filtration)
     return drift == rhs
@@ -356,12 +344,11 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     by_slot = {(wit.time, wit.atom): wit for wit in basis.witnesses}
 
     x2 = basis.process
-    frames = {}
     slot_records = []
-    n_data = [[tuple([ZERO] * basis.d)] * tree.n_leaves]
+    frames = [None]  # frames[t]: each leaf's frame of its time-(t-1) node
     phis = {}
     for t in range(1, tree.horizon + 1):
-        n_row = [None] * tree.n_leaves
+        frame_row = [None] * tree.n_leaves
         for node in tree.nodes_at[t - 1]:
             wit = by_slot[(t, node.id)]
             p = list(wit.probs)
@@ -374,7 +361,8 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
             if len(epsilons) != basis.d:
                 raise DegeneratePartition(
                     f"frame at atom {node.id} has {len(epsilons)} directions")
-            frames[(t, node.id)] = epsilons
+            frame_row[node.leaf_lo:node.leaf_hi] = (
+                [epsilons] * (node.leaf_hi - node.leaf_lo))
             sub_records = []
             node_of = tree.nodes_by_leaf(t).__getitem__
             for sub in filtration.atoms_within(t - 1, node.leaves()):
@@ -395,14 +383,15 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 time=t, atom=node.id, p=tuple(p),
                 epsilons=tuple(tuple(e) for e in epsilons),
                 sub_records=tuple(sub_records)))
-            for i in node.leaves():
-                inc = x2.increment(t, i)
-                steps = tuple(dot(eps, inc) for eps in epsilons)
-                n_row[i] = tuple(a + b for a, b in
-                                 zip(n_data[t - 1][i], steps))
-        n_data.append(n_row)
+        frames.append(frame_row)
 
-    n = Process._from_rows(tree, n_data, basis.d)
+    def n_step(acc, epsilons, now, before):
+        inc = [a - b for a, b in zip(now, before)]
+        return tuple(a + dot(eps, inc) for a, eps in zip(acc, epsilons))
+
+    # N moves by the node's frame dotted with Delta X2
+    n = Process._accumulate(tree, tuple([ZERO] * basis.d), n_step,
+                            lambda t: (frames[t], x2.values[t], x2.values[t - 1]))
     phi = Process._predictable(filtration, basis.d,
                                lambda t, sub: phis[(t, sub.label)])
 

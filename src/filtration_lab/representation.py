@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .calculus import Process, jump_measure
 from .constraint import ConstraintSystem, constraint_martingales, detect_fpcc
@@ -223,8 +224,7 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
     d = w.dim
     witnesses = []
     width = d + 1
-    zero = tuple([ZERO] * width)
-    data = [[zero] * tree.n_leaves]
+    moves = [None]  # moves[t]: each leaf's jump of the family at t
     for t in range(1, tree.horizon + 1):
         row = [None] * tree.n_leaves
         for node in tree.nodes_at[t - 1]:
@@ -232,14 +232,14 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
             witnesses.append(witness)
             weight = Fraction(1, 2 ** t)
             for k, leaves in enumerate(witness.leaves):
+                step = tuple(weight * ((1 if h == k else 0) - witness.probs[h])
+                             for h in range(width))
                 for i in leaves:
-                    prev = data[t - 1][i]
-                    step = tuple(
-                        weight * ((1 if h == k else 0) - witness.probs[h])
-                        for h in range(width))
-                    row[i] = tuple(a + b for a, b in zip(prev, step))
-        data.append(row)
-    process = Process._from_rows(tree, data, width)
+                    row[i] = step
+        moves.append(row)
+    process = Process._accumulate(
+        tree, tuple([ZERO] * width),
+        lambda prev, step: tuple(map(add, prev, step)), lambda t: (moves[t],))
     return ReconstructedBasis(process=process, witnesses=tuple(witnesses), d=d)
 
 

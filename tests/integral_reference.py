@@ -6,29 +6,59 @@ each step once per distinct tuple of input objects and memoizes the
 g-independent side of a conversion; the differential tests in
 test_integral_reference hold it to these functions, which must give equal
 processes and certificates on any input.
+
+The last section keeps, verbatim, the hand-written running sums and
+products that Process._accumulate replaced: the compensator walk, the
+accessible class martingales Y (with the slot builder and leaf scans of
+that time), the reconstructed indicator family, the multiplier's N, the
+deflator product, the Doleans exponential and the fuzz integrand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from filtration_lab.calculus import JumpFunction, JumpMeasure, Process
+from filtration_lab.calculus import JumpFunction, JumpMeasure, Process, Shared
 from filtration_lab.constraint import (
     AccessibleConversion,
+    AccessibleSlot,
     ConstraintSystem,
     ConversionCertificate,
+    _AccessiblePlan,
     _normalize_slots,
     _slot_indicator_table,
 )
+from filtration_lab.enlargement import (
+    OPTIMAL,
+    AtomAudit,
+    Deflator,
+    DeflatorSearch,
+    MultiplierSolution,
+    SlotWitness,
+    SubAtomRecord,
+    _multiplier_identity,
+    _one_period_deflator,
+    _require_positive,
+)
 from filtration_lab.errors import (
     ConstraintMismatch,
+    DegeneratePartition,
     DimensionMismatch,
+    NoRepresentation,
     NotPredictable,
     PartitionNotMeasurable,
 )
-from filtration_lab.tree import as_filtration
+from filtration_lab.linalg import dot, gram_schmidt
+from filtration_lab.rationals import to_fraction
+from filtration_lab.representation import (
+    ReconstructedBasis,
+    check_mrp,
+    conditional_multiplicity,
+)
+from filtration_lab.tree import as_filtration, conditional_law
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def bracket(x: Process, y: Process) -> Process:
@@ -314,3 +344,374 @@ def compensator_entries(measure: JumpMeasure, filtration) -> dict:
             if dist:
                 entries[(t, atom.label)] = dist
     return entries
+
+
+# --- running sums and products before Process._accumulate -------------------
+
+def _compensate(filtration: Filtration, dim: int, step) -> Process:
+    """Null at 0, moved on each time-(t-1) atom by the vector step(t, atom)."""
+    tree = filtration.tree
+    data = [[tuple([ZERO] * dim)] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = [None] * tree.n_leaves
+        for atom in filtration.atoms(t - 1):
+            mean = step(t, atom)
+            move = Shared(lambda prev: tuple(p + m for p, m in zip(prev, mean)))
+            moved = move([data[t - 1][i] for i in atom.leaves])
+            for i, vec in zip(atom.leaves, moved):
+                row[i] = vec
+        data.append(row)
+    return Process._from_rows(tree, data, dim)
+
+
+def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
+    """Validate normalized slots against the measure; build Y and G."""
+    tree = mu.tree
+    occupied = {}
+    for idx, (tau, classes, _) in enumerate(rows):
+        for leaf in range(tree.n_leaves):
+            t = tau.values[leaf]
+            if t <= tree.horizon and (t, leaf) in occupied:
+                raise ConstraintMismatch("accessible times overlap")
+            occupied[(t, leaf)] = idx
+        claimed = set()
+        for cls in classes:
+            if cls & claimed:
+                raise PartitionNotMeasurable("partition classes overlap")
+            claimed |= cls
+            for leaf in cls:
+                if tau.values[leaf] > tree.horizon:
+                    raise PartitionNotMeasurable(
+                        "class contains a path its time never reaches")
+        # each class, restricted to {tau = t}, must be a union of time-t atoms
+        for t in range(1, tree.horizon + 1):
+            for atom in filtration.atoms(t):
+                inside = [leaf for leaf in atom.leaves if tau.values[leaf] == t]
+                if not inside:
+                    continue
+                for cls in classes:
+                    hit = [leaf for leaf in inside if leaf in cls]
+                    if hit and len(hit) != len(inside):
+                        raise PartitionNotMeasurable(
+                            f"class splits an atom at time {t}")
+
+    # every support node must sit on a slot graph, inside one class
+    for node_id in mu.support:
+        node = tree.nodes[node_id]
+        leaf = node.leaf_lo
+        idx = occupied.get((node.time, leaf))
+        if idx is None:
+            raise ConstraintMismatch(
+                f"support node {node_id} lies on no accessible time")
+        if not any(leaf in cls for cls in rows[idx][1]):
+            raise ConstraintMismatch(
+                f"support node {node_id} is outside every partition class")
+
+    zero_k = tuple([ZERO] * count)
+    cells = [()]
+    y_data = [[zero_k] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        cells_t = []
+        y_row = list(y_data[t - 1])
+        for atom in filtration.atoms(t - 1):
+            idx = occupied.get((t, atom.leaves[0]))
+            if idx is None:
+                continue
+            _, classes, weight = rows[idx]
+            locations = []
+            for k, cls in enumerate(classes):
+                members = [leaf for leaf in atom.leaves if leaf in cls]
+                values = {mu.jump_at(t, leaf) for leaf in members}
+                if len(values) > 1:
+                    raise ConstraintMismatch(
+                        f"class {k} mixes jump locations on atom "
+                        f"{atom.label} at time {t}")
+                locations.append(values.pop() if values else None)
+            # classes are disjoint, so the first holding a leaf is its class
+            law = conditional_law(tree, atom, lambda i: next(
+                (k for k, cls in enumerate(classes) if i in cls), None))
+            probs = [law.get(k, ZERO) for k in range(len(classes))]
+            cells_t.append((atom, tuple(locations), weight))
+            # leaves with one class membership and one Y_{t-1} share Y_t
+            moved = {}
+            for i in atom.leaves:
+                prev = y_data[t - 1][i]
+                member = tuple(i in cls for cls in classes)
+                key = (id(prev), member)
+                if key not in moved:
+                    moved[key] = tuple(
+                        a + weight * ((1 if m else 0) - p)
+                        for a, m, p in zip(prev, member, probs))
+                y_row[i] = moved[key]
+        cells.append(tuple(cells_t))
+        y_data.append(y_row)
+
+    none = (ZERO,)
+    inverse = [(1 / weight,) for _, _, weight in rows]
+    scale_data = [[none] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        scale_data.append([none if occupied.get((t, leaf)) is None
+                           else inverse[occupied[(t, leaf)]]
+                           for leaf in range(tree.n_leaves)])
+    return _AccessiblePlan(
+        cells=tuple(cells),
+        martingales=Process._from_rows(tree, y_data, count),
+        scale=Process._from_rows(tree, scale_data, 1))
+
+
+def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
+                             weights=None):
+    """Build accessible slots from a measure: one slot per support time.
+
+    Classes group each conditioning atom's successors by jump location (lex
+    order), with a final class collecting the non-jumping successors, so the
+    classes partition the whole space at each support time.
+    """
+    tree = mu.tree
+    filtration = as_filtration(filtration_like or tree)
+    times = sorted({tree.nodes[nid].time for nid in mu.support})
+    slots = []
+    for pos, t in enumerate(times):
+        per_atom = []
+        for atom in filtration.atoms(t - 1):
+            groups: dict[tuple, list] = {}
+            still = []
+            seen = set()
+            for leaf in atom.leaves:
+                node = tree.node_at(t, leaf)
+                if node.id in seen:
+                    continue
+                seen.add(node.id)
+                value = mu.support.get(node.id)
+                leaves = list(range(node.leaf_lo, node.leaf_hi))
+                if value is None:
+                    still.extend(leaves)
+                else:
+                    groups.setdefault(value, []).extend(leaves)
+            ordered = [groups[v] for v in sorted(groups)]
+            per_atom.append((ordered, still))
+        depth = max((len(ordered) for ordered, _ in per_atom), default=0)
+        classes = []
+        for k in range(depth):
+            cls = set()
+            for ordered, _ in per_atom:
+                if k < len(ordered):
+                    cls.update(ordered[k])
+            classes.append(frozenset(cls))
+        quiet = set()
+        for _, still in per_atom:
+            quiet.update(still)
+        classes.append(frozenset(quiet))
+        weight = 1 if weights is None else weights[pos]
+        slots.append(AccessibleSlot(tau=t, classes=tuple(classes), weight=weight))
+    return slots
+
+
+def reconstruct_accessible(w: Process) -> ReconstructedBasis:
+    """Build the compensated successor-indicator family, weight 1/2^t.
+
+    Component h jumps by (1/2^t)(1 - p_h) on the h-th successor class and by
+    -(1/2^t) p_h elsewhere under the same atom; empty padding classes give
+    identically zero components on their slots.
+    """
+    tree = w.tree
+    report = check_mrp(w)
+    if not report.holds:
+        raise NoRepresentation(
+            "basis lacks the representation property",
+            atom=report.failing_atom, witness=report.counterexample)
+    d = w.dim
+    witnesses = []
+    width = d + 1
+    zero = tuple([ZERO] * width)
+    data = [[zero] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = [None] * tree.n_leaves
+        for node in tree.nodes_at[t - 1]:
+            count, witness = conditional_multiplicity(tree, t, node.id, d=d)
+            witnesses.append(witness)
+            weight = Fraction(1, 2 ** t)
+            for k, leaves in enumerate(witness.leaves):
+                for i in leaves:
+                    prev = data[t - 1][i]
+                    step = tuple(
+                        weight * ((1 if h == k else 0) - witness.probs[h])
+                        for h in range(width))
+                    row[i] = tuple(a + b for a, b in zip(prev, step))
+        data.append(row)
+    process = Process._from_rows(tree, data, width)
+    return ReconstructedBasis(process=process, witnesses=tuple(witnesses), d=d)
+
+
+def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
+    """Common pair (N, phi) expressing every drift through base brackets.
+
+    Per conditioning atom, the successor-class probabilities p give an
+    orthogonal frame of the hyperplane against p; the larger flow reweights
+    p to p_bar, and the coordinates of (1/2^t)(p_bar/p - 1) in the frame
+    (scaled by 4^t for the non-unit covariance normalization) define phi,
+    while the frame itself integrates the reconstructed family into N. The
+    defining identity is verified exactly for every component before
+    returning.
+    """
+    filtration = as_filtration(enlargement_like)
+    tree = basis.process.tree
+    width = basis.d + 1
+    by_slot = {(wit.time, wit.atom): wit for wit in basis.witnesses}
+
+    x2 = basis.process
+    frames = {}
+    slot_records = []
+    n_data = [[tuple([ZERO] * basis.d)] * tree.n_leaves]
+    phis = {}
+    for t in range(1, tree.horizon + 1):
+        n_row = [None] * tree.n_leaves
+        for node in tree.nodes_at[t - 1]:
+            wit = by_slot[(t, node.id)]
+            p = list(wit.probs)
+            if all(c == 0 for c in p):
+                raise DegeneratePartition(f"no mass below atom {node.id}")
+            units = [[ONE if j == h else ZERO for j in range(width)]
+                     for h in range(width)]
+            frame = gram_schmidt([p, *units])
+            epsilons = frame[1:]
+            if len(epsilons) != basis.d:
+                raise DegeneratePartition(
+                    f"frame at atom {node.id} has {len(epsilons)} directions")
+            frames[(t, node.id)] = epsilons
+            sub_records = []
+            node_of = tree.nodes_by_leaf(t).__getitem__
+            for sub in filtration.atoms_within(t - 1, node.leaves()):
+                # class h is the time-t node wit.subatoms[h]; padding is empty
+                law = {child.id: p for child, p in
+                       conditional_law(tree, sub, node_of).items()}
+                p_bar = [law.get(label, ZERO) for label in wit.subatoms]
+                rho = [ZERO if p[h] == 0
+                       else Fraction(1, 2 ** t) * (p_bar[h] / p[h] - 1)
+                       for h in range(width)]
+                sigma = [dot(rho, eps) / dot(eps, eps) for eps in epsilons]
+                phi_vec = tuple(Fraction(4 ** t) * c for c in sigma)
+                sub_records.append(SubAtomRecord(
+                    label=sub.label, p_bar=tuple(p_bar),
+                    sigma=tuple(sigma), phi=phi_vec))
+                phis[(t, sub.label)] = phi_vec
+            slot_records.append(SlotWitness(
+                time=t, atom=node.id, p=tuple(p),
+                epsilons=tuple(tuple(e) for e in epsilons),
+                sub_records=tuple(sub_records)))
+            for i in node.leaves():
+                inc = x2.increment(t, i)
+                steps = tuple(dot(eps, inc) for eps in epsilons)
+                n_row[i] = tuple(a + b for a, b in
+                                 zip(n_data[t - 1][i], steps))
+        n_data.append(n_row)
+
+    n = Process._from_rows(tree, n_data, basis.d)
+    phi = Process._predictable(filtration, basis.d,
+                               lambda t, sub: phis[(t, sub.label)])
+
+    holds = all(
+        _multiplier_identity(phi, n, x2.component(h), filtration)
+        for h in range(width))
+    return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
+                              holds=holds, basis=basis)
+
+
+def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
+    """Search for per-atom positive reweightings that keep the price fair.
+
+    Per conditioning atom: find y_i > 0 over the successor atoms with
+    sum q_i y_i = 1 and sum q_i y_i S_i = S_previous, maximizing the floor
+    min y_i in closed form. An atom fails when the optimum is not strictly
+    positive (or the equalities admit no nonnegative solution); every
+    failing atom is reported, with a sign vector separating the price moves
+    from zero as the witness.
+    """
+    if s.dim != 1:
+        raise DimensionMismatch("deflator targets are scalar prices")
+    filtration = as_filtration(enlargement_like)
+    tree = s.tree
+    _require_positive(s, "price")
+    s.require_martingale(tree, what="price")
+
+    audit = []
+    violations = []
+    factors = {}
+    for t in range(1, tree.horizon + 1):
+        for atom in filtration.atoms(t - 1):
+            subs = filtration.atoms_within(t, atom.leaves)
+            q = [sub.prob / atom.prob for sub in subs]
+            s_prev = s.values[t - 1][atom.leaves[0]][0]
+            moves = [s.values[t][sub.leaves[0]][0] - s_prev for sub in subs]
+            status, floor, ys = _one_period_deflator(q, moves)
+
+            ok = status == OPTIMAL and floor > 0
+            separating = None
+            if not ok:
+                # one-dimensional separation: the moves all lie weakly on
+                # one side of zero, strictly somewhere
+                if all(v >= 0 for v in moves):
+                    separating = 1
+                elif all(v <= 0 for v in moves):
+                    separating = -1
+            record = AtomAudit(
+                time=t, atom=atom.label,
+                subatoms=tuple(sub.label for sub in subs),
+                weights=tuple(q), price_moves=tuple(moves),
+                status=status, floor=floor,
+                solution=ys, separating=separating)
+            audit.append(record)
+            if ok:
+                for sub, y in zip(subs, ys):
+                    factors[(t, sub.label)] = y
+            else:
+                violations.append(record)
+
+    if violations:
+        return DeflatorSearch(feasible=False, deflator=None,
+                              violations=tuple(violations), audit=tuple(audit))
+
+    data = [[(ONE,)] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = [None] * tree.n_leaves
+        for atom in filtration.atoms(t):
+            y = factors[(t, atom.label)]
+            for i in atom.leaves:
+                row[i] = (data[t - 1][i][0] * y,)
+        data.append(row)
+    deflator = Deflator(process=Process._from_rows(tree, data, 1), target=s)
+    return DeflatorSearch(feasible=True, deflator=deflator,
+                          violations=(), audit=tuple(audit))
+
+
+def doleans_exponential(a, x: Process) -> Process:
+    """Pathwise product of (1 + a * delta X), started at 1."""
+    if x.dim != 1:
+        raise DimensionMismatch("exponentials take scalar processes")
+    a = to_fraction(a)
+    tree = x.tree
+    data = [[(ONE,)] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = []
+        for leaf in range(tree.n_leaves):
+            step = 1 + a * x.increment(t, leaf)[0]
+            row.append((data[t - 1][leaf][0] * step,))
+        data.append(row)
+    return Process(tree, data, dim=1)
+
+
+def random_representable(w: Process, rng, bound=3) -> Process:
+    """Scalar martingale given as a random predictable integral against w."""
+    tree = w.tree
+    zero = tuple([ZERO] * w.dim)
+    data = [[zero] * tree.n_leaves]
+    for t in range(1, tree.horizon + 1):
+        row = [None] * tree.n_leaves
+        for node in tree.nodes_at[t - 1]:
+            vec = tuple(Fraction(rng.randint(-bound, bound))
+                        for _ in range(w.dim))
+            for i in node.leaves():
+                row[i] = vec
+        data.append(row)
+    integrand = Process(tree, data, dim=w.dim)
+    return dot_integral(integrand, w)

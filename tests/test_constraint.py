@@ -35,7 +35,12 @@ from filtration_lab.errors import (
     SpanDeficient,
     VanishingWeight,
 )
-from filtration_lab.fuzz import random_basis, rng_for
+from filtration_lab.fuzz import (
+    random_basis,
+    random_jump_function,
+    random_scenario,
+    rng_for,
+)
 
 F = Fraction
 
@@ -212,6 +217,23 @@ class TestAccessibleStarToDot:
         # locations in ascending order, quiet class last
         assert slots[0].classes == (frozenset({1}), frozenset({0}),
                                     frozenset({2}))
+
+    def test_slots_from_measure_under_every_enlargement(self):
+        """Each conditioning atom puts only its own leaves into the classes,
+        so they stay disjoint and the conversion holds under all 72
+        enlargements of fuzz seeds 0-49 (seed 1's G0 used to overlap)."""
+        converted = 0
+        for seed in range(50):
+            scenario = random_scenario(seed)
+            mu = jump_measure(scenario.basis_process())
+            for name, enlargement in sorted(scenario.enlargements.items()):
+                filtration = enlargement.filtration()
+                g = random_jump_function(mu, filtration,
+                                         rng_for(seed, "slots", name))
+                slots = value_slots_from_measure(mu, filtration)
+                assert accessible_star_to_dot(g, mu, slots, filtration).holds
+                converted += 1
+        assert converted == 72
 
 
 class TestSolveAccessibleK:

@@ -6,7 +6,9 @@ replaced. On the fuzz corpus, under the base flow and every enlargement, the
 library must return equal processes and certificates; it must do so on
 inputs whose leaves hold equal but distinct tuples, on repeated calls that
 hit a memo, and when one measure serves several slot lists or constraint
-systems.
+systems. The same holds for every running sum or product that now goes
+through Process._accumulate, checked against its hand-written loop, and the
+reconstructed family and the multiplier's N keep one cell per node.
 """
 
 from fractions import Fraction
@@ -17,14 +19,24 @@ import pytest
 from filtration_lab import (
     JumpFunction,
     Process,
+    StoppingTime,
+    build_tree,
     bracket,
+    doleans_exponential,
     dot_integral,
+    enlarge,
+    find_deflator,
     jump_measure,
+    reconstruct_accessible,
+    solve_drift_multiplier,
     star_integral,
 )
+from filtration_lab.calculus import _compensate
 from filtration_lab.constraint import (
     AccessibleSlot,
     ConstraintSystem,
+    _normalize_slots,
+    _plan_accessible,
     accessible_star_to_dot,
     constraint_martingales,
     detect_fpcc,
@@ -32,7 +44,13 @@ from filtration_lab.constraint import (
     value_slots_from_measure,
 )
 from filtration_lab.errors import DimensionMismatch, FiltrationLabError
-from filtration_lab.fuzz import random_jump_function, random_scenario, rng_for
+from filtration_lab.fuzz import (
+    random_jump_function,
+    random_representable,
+    random_scenario,
+    rng_for,
+)
+from filtration_lab.representation import ReconstructedBasis
 
 F = Fraction
 SEEDS = range(50)
@@ -246,3 +264,237 @@ def test_two_constraint_systems_on_one_measure(ter1, w_ter):
         h_new, cert_new = star_to_dot(g, mu, cs)
         h_ref, cert_ref = ref.star_to_dot(g, mu, cs)
         assert h_new == h_ref and cert_new == cert_ref and cert_new.holds
+
+
+# --- running sums and products through Process._accumulate ------------------
+
+def wild(tree, dim, rng, pool=None):
+    """Process adapted to no flow: each (time, leaf) cell drawn at random,
+    from a small pool of shared tuples when pool is given."""
+    def draw():
+        return tuple(F(rng.randint(-5, 5), rng.randint(1, 4))
+                     for _ in range(dim))
+    shared = [draw() for _ in range(pool)] if pool else None
+    return Process(tree, [[rng.choice(shared) if pool else draw()
+                           for _ in range(tree.n_leaves)]
+                          for _ in range(tree.horizon + 1)], dim=dim)
+
+
+def error_or(fn, *args):
+    """fn(*args), or the type and message of the library error it raised."""
+    try:
+        return fn(*args)
+    except FiltrationLabError as exc:
+        return (type(exc), str(exc))
+
+
+def random_time(tree, rng):
+    """Predictable time: each time-(t-1) node not yet stopped stops its
+    leaves at t with probability 1/2; the rest never stop."""
+    values = [tree.horizon + 1] * tree.n_leaves
+    for t in range(1, tree.horizon + 1):
+        for node in tree.nodes_at[t - 1]:
+            if values[node.leaf_lo] > tree.horizon and rng.random() < 0.5:
+                values[node.leaf_lo:node.leaf_hi] = [t] * len(node.leaves())
+    return StoppingTime(tree, values)
+
+
+def random_slots(tree, rng):
+    """One or two slots at random predictable times, each with random
+    classes over a random subset of the leaves; classes may overlap, split
+    atoms or hold paths their time never reaches."""
+    slots = []
+    for _ in range(rng.randint(1, 2)):
+        count = rng.randint(1, 3)
+        classes = [[] for _ in range(count)]
+        for leaf in range(tree.n_leaves):
+            k = rng.randint(-1, count - 1)
+            if k >= 0:
+                classes[k].append(leaf)
+        if rng.random() < 0.2 and tree.n_leaves:
+            classes[-1].append(rng.randrange(tree.n_leaves))
+        slots.append(AccessibleSlot(tau=random_time(tree, rng),
+                                    classes=tuple(classes),
+                                    weight=F(rng.choice([-2, 1, 3]), 2)))
+    return slots
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_running_products_match_reference(seed):
+    """The Doleans exponential, the deflator product and the fuzz integrand
+    on the scenario's processes, unshared copies and wild inputs."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    w = scenario.basis_process()
+    s = scenario.processes["S"]
+    rng = rng_for(seed, "accumulate", "products")
+    scalars = w.components() + [s, unshared(s), wild(tree, 1, rng),
+                                wild(tree, 1, rng, pool=3)]
+    for x in scalars:
+        for a in (F(1, 2), F(-3, 4), F(2)):
+            assert same_process(doleans_exponential(a, x),
+                                ref.doleans_exponential(a, x))
+    for filtration in flows(scenario):
+        for price in (s, unshared(s), doleans_exponential(F(1, 3), w.component(0)),
+                      wild(tree, 1, rng)):
+            new = error_or(find_deflator, price, filtration)
+            old = error_or(ref.find_deflator, price, filtration)
+            if isinstance(old, tuple):
+                assert new == old
+                continue
+            assert (new.feasible, new.violations, new.audit) == \
+                (old.feasible, old.violations, old.audit)
+            if old.feasible:
+                assert same_process(new.deflator.process, old.deflator.process)
+    new_rng = rng_for(seed, "accumulate", "integrand")
+    old_rng = rng_for(seed, "accumulate", "integrand")
+    assert same_process(random_representable(w, new_rng),
+                        ref.random_representable(w, old_rng))
+    assert new_rng.random() == old_rng.random()
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_deflator_product_over_biased_steps(seed):
+    """A 4-ary tree of horizon 2 whose price moves (a, -b, c, -d) straddle
+    zero with a nonzero mean in each half {first, last} and {second,
+    third}; the larger flow reveals the half one step ahead, so the
+    deflator's first factors are away from 1 and the product over both
+    steps matters."""
+    rng = rng_for(seed, "accumulate", "deflator")
+    nodes = [{"id": "r", "time": 0, "parent": None, "prob": None}]
+    values = {"r": [F(12)]}
+    halves = {}
+    for parent in ("r", "r0", "r1", "r2", "r3"):
+        a, b = (F(rng.randint(1, 4), rng.randint(1, 2)) for _ in range(2))
+        c = b + rng.randint(1, 3)
+        moves = (a, -b, c, b - a - c)  # each half has a nonzero mean
+        for k, move in enumerate(moves):
+            child = f"{parent}{k}"
+            nodes.append({"id": child, "time": len(parent), "parent": parent,
+                          "prob": "1/4"})
+            values[child] = [values[parent][0] + move]
+        halves[parent] = [[f"{parent}0", f"{parent}3"], [f"{parent}1", f"{parent}2"]]
+    tree = build_tree({"horizon": 2, "nodes": nodes})
+    price = Process.from_node_values(tree, values, dim=1)
+
+    def cells(parents):
+        return [[leaf for child in half for leaf in tree.leaf_ids
+                 if leaf.startswith(child)] for p in parents for half in halves[p]]
+    ahead = enlarge(tree, {0: cells(["r"]), 1: cells(["r0", "r1", "r2", "r3"])})
+    for x in (price, unshared(price)):
+        new = find_deflator(x, ahead)
+        old = ref.find_deflator(x, ahead)
+        assert new.feasible and old.feasible
+        assert new.audit == old.audit
+        assert same_process(new.deflator.process, old.deflator.process)
+        assert all(v != (1,) for v in new.deflator.process.values[1])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_compensator_walk_matches_reference(seed):
+    """_compensate with moves drawn per atom, and drawn from a small pool of
+    shared tuples, under every flow."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    rng = rng_for(seed, "accumulate", "compensate")
+    for filtration in flows(scenario):
+        for dim in (1, 3):
+            pool = [tuple(F(rng.randint(-4, 4), rng.randint(1, 3))
+                          for _ in range(dim)) for _ in range(2)]
+            moves = {}
+            for t in range(1, tree.horizon + 1):
+                for atom in filtration.atoms(t - 1):
+                    moves[(t, atom.label, False)] = tuple(
+                        F(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(dim))
+                    moves[(t, atom.label, True)] = rng.choice(pool)
+            for pooled in (False, True):
+                def step(t, atom, pooled=pooled):
+                    return moves[(t, atom.label, pooled)]
+                assert same_process(_compensate(filtration, dim, step),
+                                    ref._compensate(filtration, dim, step))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_class_martingales_match_reference(seed):
+    """_plan_accessible's Y, scale and class locations, or its error with the
+    same message, on the current and the old slot builder and on random
+    slots, for shared and unshared measures under every flow."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    w = scenario.basis_process()
+    rng = rng_for(seed, "accumulate", "slots")
+    for mu in (jump_measure(w), jump_measure(unshared(w))):
+        for filtration in flows(scenario):
+            slot_lists = [value_slots_from_measure(mu, filtration),
+                          ref.value_slots_from_measure(mu, filtration)]
+            slot_lists += [random_slots(tree, rng) for _ in range(4)]
+            for slots in slot_lists:
+                rows, count = _normalize_slots(tree, slots)
+                new = error_or(_plan_accessible, mu, filtration, rows, count)
+                old = error_or(ref._plan_accessible, mu, filtration, rows, count)
+                if isinstance(old, tuple):
+                    assert new == old
+                    continue
+                assert same_process(new.martingales, old.martingales)
+                assert same_process(new.scale, old.scale)
+                assert new.cells == tuple(
+                    {atom.label: (locations, weight)
+                     for atom, locations, weight in cells}
+                    for cells in old.cells)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_family_and_multiplier_match_reference(seed):
+    """The reconstructed family and the multiplier's N, phi and slots, on
+    the basis W, its unshared copy and wild inputs, under every flow."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    w = scenario.basis_process()
+    rng = rng_for(seed, "accumulate", "family")
+    for x in (w, unshared(w), wild(tree, w.dim, rng)):
+        new = error_or(reconstruct_accessible, x)
+        old = error_or(ref.reconstruct_accessible, x)
+        if isinstance(old, tuple):
+            assert new == old
+            continue
+        assert same_process(new.process, old.process)
+        assert (new.witnesses, new.d) == (old.witnesses, old.d)
+    rebuilt = error_or(reconstruct_accessible, w)
+    if isinstance(rebuilt, tuple):
+        pytest.skip("basis without the representation property")
+    width = rebuilt.d + 1
+    bases = [rebuilt] + [
+        ReconstructedBasis(process=x, witnesses=rebuilt.witnesses, d=rebuilt.d)
+        for x in (unshared(rebuilt.process), wild(tree, width, rng, pool=3))]
+    for filtration in flows(scenario):
+        for basis in bases:
+            new = error_or(solve_drift_multiplier, filtration, basis)
+            old = error_or(ref.solve_drift_multiplier, filtration, basis)
+            if isinstance(old, tuple):
+                assert new == old
+                continue
+            assert same_process(new.n, old.n)
+            assert same_process(new.phi, old.phi)
+            assert (new.slots, new.holds) == (old.slots, old.holds)
+
+
+def one_cell_per_node(x: Process) -> bool:
+    tree = x.tree
+    return all(
+        len({id(x.values[t][i]) for i in node.leaves()}) == 1
+        and len({id(vec) for vec in x.values[t]}) == len(tree.nodes_at[t])
+        for t in range(tree.horizon + 1) for node in tree.nodes_at[t])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_family_and_multiplier_share_one_cell_per_node(seed):
+    """On a base-adapted basis W, the reconstructed family and N hold one
+    cell object per time-t node: the leaves under a node share it."""
+    scenario = random_scenario(seed)
+    rebuilt = error_or(reconstruct_accessible, scenario.basis_process())
+    if isinstance(rebuilt, tuple):
+        pytest.skip("basis without the representation property")
+    assert one_cell_per_node(rebuilt.process)
+    for filtration in flows(scenario):
+        assert one_cell_per_node(solve_drift_multiplier(filtration, rebuilt).n)
