@@ -1,14 +1,20 @@
-"""Exact linear algebra over Fraction.
+"""Exact linear algebra on rational matrices.
 
-Row reduction with least-index pivoting, so solutions and null-space bases are
-canonical: free variables always sit at the rightmost columns available and
-particular solutions set them to zero.
+Inside, every row and column is held as integer numerators over one common
+denominator: products sum integer products and divide once per entry, and
+row reduction is fraction-free (Bareiss, Math. Comp. 22, 1968), dividing by
+the final pivot only when it returns. Every result entry is a Fraction.
+
+Row reduction uses least-index pivoting, so solutions and null-space bases
+are canonical: free variables always sit at the rightmost columns available
+and particular solutions set them to zero.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 Vector = tuple[Fraction, ...]
 
@@ -16,22 +22,45 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def dot(u, v) -> Fraction:
+def _over_common(vec) -> tuple[list[int], int]:
+    """Integer numerators of a rational vector over its least common denominator."""
+    ratios = [x.as_integer_ratio() for x in vec]
+    den = lcm(*[d for _, d in ratios])
+    return [n * (den // d) for n, d in ratios], den
+
+
+def _int_dot(u, v) -> int:
     if len(u) != len(v):
         raise ValueError("length mismatch in dot product")
-    total = ZERO
-    for a, b in zip(u, v):
-        total += a * b
-    return total
+    return sum(map(mul, u, v))
+
+
+def _primitive(ints) -> list[int]:
+    """Divide out the gcd; the first nonzero entry comes out positive."""
+    common = gcd(*ints)
+    if common == 0:
+        return list(ints)
+    if next(n for n in ints if n) < 0:
+        common = -common
+    return [n // common for n in ints]
+
+
+def dot(u, v) -> Fraction:
+    un, ud = _over_common(u)
+    vn, vd = _over_common(v)
+    return Fraction(_int_dot(un, vn), ud * vd)
 
 
 def mat_vec(matrix, vec) -> list[Fraction]:
-    return [dot(row, vec) for row in matrix]
+    vn, vd = _over_common(vec)
+    return [Fraction(_int_dot(rn, vn), rd * vd)
+            for rn, rd in map(_over_common, matrix)]
 
 
 def mat_mul(a, b) -> list[list[Fraction]]:
-    cols = list(zip(*b))
-    return [[dot(row, col) for col in cols] for row in a]
+    cols = [_over_common(col) for col in zip(*b)]
+    return [[Fraction(_int_dot(rn, cn), rd * cd) for cn, cd in cols]
+            for rn, rd in map(_over_common, a)]
 
 
 def transpose(matrix) -> list[list[Fraction]]:
@@ -42,38 +71,44 @@ def identity(n) -> list[list[Fraction]]:
     return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
-def rref(matrix):
-    """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    rows = [list(r) for r in matrix]
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _eliminate(matrix):
+    """Fraction-free Gauss-Jordan on the rows scaled to integers.
+
+    Returns (rows, pivot_columns, det): the reduced row echelon form is
+    rows / det, where det is the last pivot, so each pivot row carries det
+    in its pivot column. Every division by the previous pivot is exact:
+    by Sylvester's identity each entry is a minor of the scaled matrix.
+    """
+    rows = [_over_common(r)[0] for r in matrix]
+    det = 1
     pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        pivot_row = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = ONE / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                factor = rows[i][c]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[r])]
+        top = rows[r]
+        p = top[c]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // det for x, y in zip(row, top)]
+        det = p
         pivots.append(c)
-        r += 1
-        if r == len(rows):
+        if len(pivots) == len(rows):
             break
-    return rows, pivots
+    return rows, pivots, det
+
+
+def rref(matrix):
+    """Reduced row echelon form. Returns (rows, pivot_columns)."""
+    rows, pivots, det = _eliminate(matrix)
+    return [[Fraction(x, det) for x in row] for row in rows], pivots
 
 
 def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    return len(_eliminate(matrix)[1])
 
 
 def solve(matrix, rhs):
@@ -84,13 +119,13 @@ def solve(matrix, rhs):
     rows = [list(r) + [b] for r, b in zip(matrix, rhs)]
     if not rows:
         return []
-    reduced, pivots = rref(rows)
+    reduced, pivots, det = _eliminate(rows)
     ncols = len(matrix[0]) if matrix else 0
     if ncols in pivots:
         return None  # pivot in the augmented column: inconsistent
     x = [ZERO] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = reduced[i][-1]
+    for row, c in zip(reduced, pivots):
+        x[c] = Fraction(row[-1], det)
     return x
 
 
@@ -98,39 +133,22 @@ def null_space(matrix):
     """Canonical basis of the kernel, integer-normalized."""
     if not matrix:
         return []
-    reduced, pivots = rref(matrix)
+    reduced, pivots, det = _eliminate(matrix)
     ncols = len(matrix[0])
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
-        vec = [ZERO] * ncols
-        vec[f] = ONE
-        for i, c in enumerate(pivots):
-            vec[c] = -reduced[i][f]
-        basis.append(canonical_int_vector(vec))
+        vec = [0] * ncols
+        vec[f] = det
+        for row, c in zip(reduced, pivots):
+            vec[c] = -row[f]
+        basis.append([Fraction(n) for n in _primitive(vec)])
     return basis
 
 
 def canonical_int_vector(vec) -> list[Fraction]:
     """Scale a rational vector to coprime integers with positive leading entry."""
-    denoms = [v.denominator for v in vec if v != 0]
-    if not denoms:
-        return [ZERO] * len(vec)
-    scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = [int(v * scale) for v in vec]
-    common = 0
-    for n in ints:
-        common = gcd(common, abs(n))
-    if common > 1:
-        ints = [n // common for n in ints]
-    for n in ints:
-        if n != 0:
-            if n < 0:
-                ints = [-m for m in ints]
-            break
-    return [Fraction(n) for n in ints]
+    return [Fraction(n) for n in _primitive(_over_common(vec)[0])]
 
 
 def invert(matrix):
@@ -138,27 +156,27 @@ def invert(matrix):
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("inverse needs a square matrix")
-    augmented = [list(row) + ident for row, ident in zip(matrix, identity(n))]
-    reduced, pivots = rref(augmented)
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in reduced]
+    return right_inverse(matrix)
 
 
 def right_inverse(matrix):
     """K with A K = I for an n x d matrix A of full row rank, else None.
 
-    Each column of K is the least-index solution for the matching unit vector.
+    Each column of K is the least-index solution for the matching unit
+    vector, read off one reduction of [A | I]; a pivot in the identity block
+    means A has rank below n.
     """
     n = len(matrix)
-    cols = []
-    for h in range(n):
-        unit = [ONE if i == h else ZERO for i in range(n)]
-        sol = solve(matrix, unit)
-        if sol is None:
-            return None
-        cols.append(sol)
-    return [list(row) for row in zip(*cols)]
+    d = len(matrix[0]) if matrix else 0
+    reduced, pivots, det = _eliminate(
+        [list(row) + [int(i == h) for h in range(n)]
+         for i, row in enumerate(matrix)])
+    if pivots and pivots[-1] >= d:
+        return None
+    k = [[ZERO] * n for _ in range(d)]
+    for row, c in zip(reduced, pivots):
+        k[c] = [Fraction(x, det) for x in row[d:]]
+    return k
 
 
 def gram_schmidt(vectors):
@@ -167,12 +185,15 @@ def gram_schmidt(vectors):
     Stays inside the rationals: output vectors are orthogonal, not unit.
     """
     basis = []
+    directions = []  # each kept residual as coprime integers, with its norm
     for vec in vectors:
-        residual = list(vec)
-        for b in basis:
-            coeff = dot(residual, b) / dot(b, b)
-            residual = [r - coeff * x for r, x in zip(residual, b)]
-        if any(r != 0 for r in residual):
-            basis.append(residual)
+        residual, den = _over_common(vec)
+        for b, norm in directions:
+            coeff = _int_dot(residual, b)
+            residual = [norm * r - coeff * x for r, x in zip(residual, b)]
+            den *= norm
+        if any(residual):
+            basis.append([Fraction(r, den) for r in residual])
+            b = _primitive(residual)
+            directions.append((b, _int_dot(b, b)))
     return basis
-

@@ -130,3 +130,34 @@ def test_canonical_int_vector():
 def test_transpose_involution():
     a = [[F(1), F(2), F(3)], [F(4), F(5), F(6)]]
     assert transpose(transpose(a)) == a
+
+
+# --- shape contract: a length mismatch raises, it never truncates ----------
+
+def test_dot_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        dot([F(1), F(2)], [F(1)])
+    with pytest.raises(ValueError):
+        dot([F(1)], [F(1), F(0)])
+
+
+def test_mat_vec_rejects_inner_dimension_mismatch():
+    with pytest.raises(ValueError):
+        mat_vec([[F(1), F(2)], [F(3), F(4)]], [F(1)])
+    with pytest.raises(ValueError):
+        mat_vec([[F(1), F(2)]], [F(1), F(0), F(0)])
+
+
+def test_mat_mul_rejects_inner_dimension_mismatch():
+    a = [[F(1), F(2), F(3)], [F(4), F(5), F(6)]]
+    with pytest.raises(ValueError):
+        mat_mul(a, a)  # 2x3 times 2x3
+    with pytest.raises(ValueError):
+        mat_mul(a, [[F(1)], [F(1)], [F(1)], [F(1)]])  # 2x3 times 4x1
+
+
+def test_invert_rejects_non_square():
+    with pytest.raises(ValueError):
+        invert([[F(1), F(2), F(3)], [F(4), F(5), F(6)]])
+    with pytest.raises(ValueError):
+        invert([[F(1)], [F(2)]])
