@@ -1,39 +1,36 @@
 """Discrete stochastic calculus on event trees, in exact rationals.
 
-Processes are stored pathwise: one d-vector per (time, leaf). A process is
-adapted to a filtration when each time slice is constant on that filtration's
-atoms; base-adapted processes are equivalently tables on tree nodes, which is
-how they serialize. All increments at time 0 are null by convention.
+A process stores each time slice against a leaf partition, one d-vector per
+block: one per time-t node when base-adapted, one per atom when built for an
+enlarged flow, one per leaf for outside input. Adaptedness to a filtration is
+a partition test, with a per-block compare only where the slice's partition
+is finer. Base-adapted processes serialize as tables on tree nodes. All
+increments at time 0 are null by convention.
 
-Leaves share vector objects: a process built from a node table holds one
-tuple per node, and the cellwise operations (construction, stack, component,
-sums, the integrals and the bracket) evaluate once per distinct tuple of
-input objects within a call, so equal cells of the result share one object
-too. The keys are identities of objects the call holds alive, which makes the
-sharing exact for any input. Each jump function memoizes its star integral
-per (measure, filtration), and each measure its compensators per filtration.
+An operation on several slices works on their meet, which is one of them
+when it refines the others, and computes each result cell once per block.
+Each jump function memoizes its star integral per (measure, filtration), and
+each measure its compensators per filtration.
 
 Library code builds its processes through three trusted constructors that
-skip the validation outside input gets: _from_rows takes rows it made
-itself, _predictable one value per conditioning atom, and _accumulate a
+skip the validation outside input gets: _make takes partitions and cells it
+made itself, _predictable one value per conditioning atom, and _accumulate a
 running value X_t = step(X_{t-1}, ...) along each path. Every path-cumulative
 process (the integrals, brackets and compensators here, and the class
 martingales, reconstructed family, multiplier N, deflators and exponentials
 elsewhere) goes through _accumulate, so only this module decides how such a
-process is laid out and shared.
+process is laid out.
 
 Every conditional mean here (martingale tests, Doob martingales, the
 compensators, predictable brackets, the projection onto a jump measure) goes
-through the one kernel in tree.py: conditional_law groups an atom's leaves
-by a key into {key: P(key | atom)}, and conditional_mean weighs each
-distinct cell of a leaf-indexed row once.
+through the one kernel in tree.py.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, eq, sub
 
 from .errors import (
     DimensionMismatch,
@@ -53,105 +50,104 @@ from .tree import (
 ZERO = Fraction(0)
 
 
-class Shared:
-    """fn over aligned rows of cells, once per distinct tuple of cell objects.
+def _cellwise_row(tree, fn, rows):
+    """fn(*cells) on each block of the meet of rows, (partition, cells) pairs,
+    as such a pair."""
+    part = rows[0][0]
+    for other, _ in rows[1:]:
+        part = tree.meet(part, other)
+    return part, tuple(map(fn, *(part.lift(other, cells) for other, cells in rows)))
 
-    Cells that hold the same objects get the same result object. Each memo
-    entry keeps its cells alive, so an id in a key cannot be reused while
-    the memo lives; one instance may serve several rows when fn does not
-    depend on which row it is called for.
-    """
 
-    __slots__ = ("fn", "memo")
-
-    def __init__(self, fn):
-        self.fn = fn
-        self.memo = {}
-
-    def __call__(self, *rows):
-        memo = self.memo
-        out = []
-        for cells in zip(*rows):
-            key = tuple(map(id, cells))
-            hit = memo.get(key)
-            if hit is None:
-                hit = memo[key] = (cells, self.fn(*cells))
-            out.append(hit[1])
-        return out
+def _coerce(rows, dim):
+    """Rows of outside vectors as rows of Fraction tuples, and their length."""
+    cells = [tuple(tuple(map(to_fraction, vec)) for vec in row) for row in rows]
+    dims = {len(vec) for row in cells for vec in row}
+    if len(dims) > 1:
+        raise DimensionMismatch(f"ragged value vectors: lengths {sorted(dims)}")
+    found = dims.pop() if dims else (dim or 0)
+    if dim is not None and dim != found:
+        raise DimensionMismatch(f"declared dim {dim}, values have dim {found}")
+    return cells, found
 
 
 class Process:
-    """Adapted process with exact rational values, immutable after build."""
+    """Adapted process with exact rational values, immutable after build:
+    cells[t] holds one tuple of dim Fractions per block of parts[t]."""
 
-    __slots__ = ("tree", "dim", "values")
+    __slots__ = ("tree", "dim", "parts", "cells", "_values")
 
     def __init__(self, tree: FilteredTree, values, dim: int | None = None):
-        self.tree = tree
-        coerced = {}  # id of an input vector -> (that vector, its coercion)
-        rows = []
-        for t in range(tree.horizon + 1):
-            slice_t = values[t]
-            row = []
-            for leaf in range(tree.n_leaves):
-                vec = slice_t[leaf]
-                hit = coerced.get(id(vec))
-                if hit is None:
-                    hit = coerced[id(vec)] = (vec, tuple(map(to_fraction, vec)))
-                row.append(hit[1])
-            rows.append(tuple(row))
-        self.values = tuple(rows)
-        dims = {len(vec) for _, vec in coerced.values()}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"ragged value vectors: lengths {sorted(dims)}")
-        self.dim = dims.pop() if dims else (dim or 0)
-        if dim is not None and dim != self.dim:
-            raise DimensionMismatch(f"declared dim {dim}, values have dim {self.dim}")
+        """Outside input: one row per time 0..horizon, one vector per leaf."""
+        if (len(values) != tree.horizon + 1
+                or any(len(row) != tree.n_leaves for row in values)):
+            raise DimensionMismatch(f"expected {tree.horizon + 1} time rows of "
+                                    f"{tree.n_leaves} leaf cells")
+        cells, self.dim = _coerce(values, dim)
+        self.tree, self.cells, self._values = tree, tuple(cells), None
+        self.parts = (tree.base_filtration().parts[-1],) * len(cells)
+
+    @classmethod
+    def _make(cls, tree, parts, cells, dim):
+        """Trusted build from one partition per time and, per time, one cell
+        per block: a tuple of dim Fractions."""
+        self = cls.__new__(cls)
+        self.tree, self.parts, self.cells, self.dim = tree, tuple(parts), tuple(cells), dim
+        self._values = None
+        return self
 
     @classmethod
     def _from_rows(cls, tree, rows, dim):
-        """Trusted build from rows the library made itself: one row per time,
-        every cell a tuple of dim Fractions. Skips the coercion and the
-        dimension pass that outside input gets."""
-        self = cls.__new__(cls)
-        self.tree = tree
-        self.values = tuple(map(tuple, rows))
-        self.dim = dim
-        return self
+        """Trusted build from leaf-indexed rows, one cell per (time, leaf)."""
+        leaves = tree.base_filtration().parts[-1]
+        return cls._make(tree, [leaves] * len(rows), map(tuple, rows), dim)
 
     @classmethod
     def _predictable(cls, filtration: Filtration, dim: int, value_of):
         """Trusted build of the process null at 0 holding value_of(t, atom),
         a tuple of dim Fractions, on each time-(t-1) atom for t >= 1."""
         tree = filtration.tree
-        data = [[tuple([ZERO] * dim)] * tree.n_leaves]
-        for t in range(1, tree.horizon + 1):
-            data.append(filtration.spread(t - 1, lambda atom: value_of(t, atom)))
-        return cls._from_rows(tree, data, dim)
+        parts = filtration.parts
+        return cls._make(
+            tree, (tree.base_filtration().parts[0],) + parts[:-1],
+            [(tuple([ZERO] * dim),)] + [
+                [value_of(t, atom) for atom in parts[t - 1].atoms]
+                for t in range(1, tree.horizon + 1)],
+            dim)
 
     @classmethod
     def _accumulate(cls, tree, start, step, rows_at):
-        """Trusted build of the running process with X_0 = start on every
-        leaf and X_t = step(X_{t-1}, *cells) for t >= 1, where cells are the
-        leaf's cells of the leaf-indexed rows rows_at(t).
+        """Trusted build of the running process with X_0 = start and
+        X_t = step(X_{t-1}, *cells) for t >= 1, where rows_at(t) gives the
+        input rows as (partition, cells) pairs.
 
-        rows_at is called once per time, in time order. step runs once per
-        distinct tuple of cell objects, X_{t-1} included, through one memo
-        for the whole call, so it must not depend on t other than through
-        its cells; equal inputs then share one result cell.
+        rows_at is called once per time, in time order. The time-t slice
+        lives on the meet of the time-(t-1) slice's partition and the
+        inputs', and step runs once per block of it.
         """
-        acc = Shared(step)
-        data = [[start] * tree.n_leaves]
+        parts = [tree.base_filtration().parts[0]]
+        cells = [(start,)]
         for t in range(1, tree.horizon + 1):
-            data.append(acc(data[-1], *rows_at(t)))
-        return cls._from_rows(tree, data, len(start))
+            part, row = _cellwise_row(tree, step,
+                                      ((parts[-1], cells[-1]), *rows_at(t)))
+            parts.append(part)
+            cells.append(row)
+        return cls._make(tree, parts, cells, len(start))
+
+    def _map(self, dim, fn, *others):
+        """Trusted build holding fn(*cells) on each block of the meet of this
+        process's and the others' slices, at every time."""
+        rows = [_cellwise_row(self.tree, fn, [p.row(t) for p in (self, *others)])
+                for t in range(self.tree.horizon + 1)]
+        return Process._make(self.tree, *zip(*rows), dim)
 
     # construction helpers
 
     @classmethod
     def zero(cls, tree, dim=1):
         vec = tuple([Fraction(0)] * dim)
-        data = [[vec] * tree.n_leaves for _ in range(tree.horizon + 1)]
-        return cls(tree, data, dim=dim)
+        parts = tree.base_filtration().parts
+        return cls._make(tree, parts, [(vec,) * len(p.atoms) for p in parts], dim)
 
     @classmethod
     def from_node_values(cls, tree, node_values, dim=None):
@@ -160,35 +156,27 @@ class Process:
         if missing:
             raise IncompleteFunctionTable(
                 f"no value for nodes {sorted(missing)[:4]}")
-        data = []
-        for t in range(tree.horizon + 1):
-            row = [None] * tree.n_leaves
-            for node in tree.nodes_at[t]:
-                vec = node_values[node.id]
-                if not isinstance(vec, (list, tuple)):
-                    vec = (vec,)
-                row[node.leaf_lo:node.leaf_hi] = [vec] * (node.leaf_hi - node.leaf_lo)
-            data.append(row)
-        return cls(tree, data, dim=dim)
+        cells, found = _coerce([[v if isinstance(v, (list, tuple)) else (v,)
+                                 for v in (node_values[node.id] for node in nodes)]
+                                for nodes in tree.nodes_at], dim)
+        return cls._make(tree, tree.base_filtration().parts, cells, found)
 
     @classmethod
     def doob(cls, tree, terminal, filtration=None):
         """Martingale closed by a terminal payoff: X_t = E[xi | F_t]."""
         filtration = as_filtration(filtration or tree)
-        vecs = []
-        for v in terminal:
-            if not isinstance(v, (list, tuple)):
-                v = (v,)
-            vecs.append(tuple(to_fraction(c) for c in v))
+        vecs = [tuple(map(to_fraction, v if isinstance(v, (list, tuple)) else (v,)))
+                for v in terminal]
         if len(vecs) != tree.n_leaves:
             raise DimensionMismatch(
                 f"expected {tree.n_leaves} terminal values, got {len(vecs)}")
         dims = {len(v) for v in vecs}
         if len(dims) != 1:
             raise DimensionMismatch("ragged terminal vectors")
-        data = [filtration.spread(t, lambda atom: conditional_mean(tree, atom, vecs))
-                for t in range(tree.horizon + 1)]
-        return cls._from_rows(tree, data, dims.pop())
+        leaves = tree.base_filtration().parts[-1]
+        return cls._make(tree, filtration.parts, [
+            [conditional_mean(atom, leaves, vecs) for atom in part.atoms]
+            for part in filtration.parts], dims.pop())
 
     @classmethod
     def stack(cls, processes):
@@ -199,38 +187,57 @@ class Process:
         for p in processes:
             if p.tree is not tree:
                 raise DimensionMismatch("stack across different trees")
-        concat = Shared(lambda *vecs: sum(vecs, ()))
-        data = [concat(*(p.values[t] for p in processes))
-                for t in range(tree.horizon + 1)]
-        return cls._from_rows(tree, data, sum(p.dim for p in processes))
+        return processes[0]._map(sum(p.dim for p in processes),
+                                 lambda *vecs: sum(vecs, ()), *processes[1:])
 
     # access
 
+    def row(self, t):
+        """The time-t slice as (partition, cells)."""
+        return self.parts[t], self.cells[t]
+
+    @property
+    def values(self):
+        """Leaf-indexed rows, one vector per (time, leaf), built on first use."""
+        if self._values is None:
+            self._values = tuple(tuple(map(cells.__getitem__, part.block_of))
+                                 for part, cells in zip(self.parts, self.cells))
+        return self._values
+
     def at(self, t, leaf):
-        return self.values[t][leaf]
+        return self.cells[t][self.parts[t].block_of[leaf]]
 
     def increment(self, t, leaf):
         """Delta X_t on the path through the given leaf; null at t = 0."""
         if t == 0:
             return tuple([ZERO] * self.dim)
-        prev = self.values[t - 1][leaf]
-        curr = self.values[t][leaf]
-        return tuple(a - b for a, b in zip(curr, prev))
+        return tuple(map(sub, self.at(t, leaf), self.at(t - 1, leaf)))
+
+    def delta(self, t, atom=None):
+        """Delta X_t for t >= 1 as (partition, {block: increment}) on the
+        meet of the time-t and time-(t-1) partitions; with an atom, only
+        for the blocks meeting it."""
+        now, before = self.row(t), self.row(t - 1)
+        part = self.tree.meet(now[0], before[0])
+        i, j = part.index_in(now[0]), part.index_in(before[0])
+        blocks = (range(len(part.atoms)) if atom is None
+                  else [k for k, _ in part.pieces(atom)])
+        return part, {k: tuple(map(sub, now[1][i[k]], before[1][j[k]]))
+                      for k in blocks}
 
     def component(self, i):
-        pick = Shared(lambda vec: (vec[i],))
-        return Process._from_rows(self.tree, [pick(row) for row in self.values], 1)
+        return self._map(1, lambda vec: (vec[i],))
 
     def components(self):
         return [self.component(i) for i in range(self.dim)]
 
     def initial(self):
-        return self.values[0][0]
+        return self.at(0, 0)
 
     def minus_initial(self):
-        sub = Shared(lambda vec, x0: tuple(a - b for a, b in zip(vec, x0)))
-        data = [sub(row, self.values[0]) for row in self.values]
-        return Process._from_rows(self.tree, data, self.dim)
+        start = Process._make(self.tree, self.parts[:1] * len(self.parts),
+                              self.cells[:1] * len(self.cells), self.dim)
+        return self - start
 
     # arithmetic
 
@@ -239,22 +246,17 @@ class Process:
             raise TypeError("expected a Process")
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
-        cell = Shared(lambda u, v: tuple(op(a, b) for a, b in zip(u, v)))
-        data = [cell(mine, theirs)
-                for mine, theirs in zip(self.values, other.values)]
-        return Process._from_rows(self.tree, data, self.dim)
+        return self._map(self.dim, lambda u, v: tuple(map(op, u, v)), other)
 
     def __add__(self, other):
-        return self._zip(other, lambda a, b: a + b)
+        return self._zip(other, add)
 
     def __sub__(self, other):
-        return self._zip(other, lambda a, b: a - b)
+        return self._zip(other, sub)
 
     def scale(self, factor):
         factor = to_fraction(factor)
-        times = Shared(lambda vec: tuple(factor * c for c in vec))
-        return Process._from_rows(self.tree, [times(row) for row in self.values],
-                                  self.dim)
+        return self._map(self.dim, lambda vec: tuple(factor * c for c in vec))
 
     def __eq__(self, other):
         return (isinstance(other, Process) and other.tree is self.tree
@@ -265,36 +267,39 @@ class Process:
     def first_divergence(self, other):
         """Earliest (t, leaf) where the two processes differ, or None.
 
-        Each distinct pair of cell objects is compared once; both processes
-        hold their cells alive, so the ids in the memo stay theirs.
+        Each block of the meet of the two slices is compared once; blocks
+        are in first-leaf order, so the first differing one holds the
+        earliest leaf.
         """
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
-        equal = set()
-        for t, (mine, theirs) in enumerate(zip(self.values, other.values)):
-            for leaf, (u, v) in enumerate(zip(mine, theirs)):
-                pair = (id(u), id(v))
-                if pair in equal:
-                    continue
-                if u != v:
-                    return (t, leaf)
-                equal.add(pair)
+        for t in range(self.tree.horizon + 1):
+            part, same = _cellwise_row(self.tree, eq, (self.row(t), other.row(t)))
+            if not all(same):
+                return (t, part.atoms[same.index(False)].leaves[0])
         return None
 
     # measurability
 
-    def _constant_on(self, atoms_at) -> bool:
-        """Each time-t slice constant on every atom of atoms_at(t)."""
-        return all(row[i] == row[atom.leaves[0]]
-                   for t, row in enumerate(self.values)
-                   for atom in atoms_at(t) for i in atom.leaves)
+    def _measurable(self, t, part) -> bool:
+        """The time-t slice constant on every block of part."""
+        mine = self.parts[t]
+        meet = self.tree.meet(mine, part)
+        if meet is part:
+            return True
+        seen = {}
+        return all(seen.setdefault(k, cell) == cell for k, cell in
+                   zip(meet.index_in(part), meet.lift(mine, self.cells[t])))
 
     def is_adapted(self, filtration_like) -> bool:
-        return self._constant_on(as_filtration(filtration_like).atoms)
+        parts = as_filtration(filtration_like).parts
+        return all(self._measurable(t, part) for t, part in enumerate(parts))
 
     def is_predictable(self, filtration_like) -> bool:
         """Value at t known at t-1 (at 0: F_0-measurable)."""
-        return self._constant_on(as_filtration(filtration_like).conditioning_atoms)
+        parts = as_filtration(filtration_like).parts
+        return all(self._measurable(t, parts[max(t - 1, 0)])
+                   for t in range(self.tree.horizon + 1))
 
     def is_martingale(self, filtration_like) -> bool:
         filtration = as_filtration(filtration_like)
@@ -302,9 +307,9 @@ class Process:
             return False
         # adapted, so X_{t-1} is constant on each time-(t-1) atom
         for t in range(1, self.tree.horizon + 1):
-            now, before = self.values[t], self.values[t - 1]
-            for atom in filtration.atoms(t - 1):
-                if conditional_mean(self.tree, atom, now) != before[atom.leaves[0]]:
+            for atom in filtration.parts[t - 1].atoms:
+                if (conditional_mean(atom, *self.row(t))
+                        != self.at(t - 1, atom.leaves[0])):
                     return False
         return True
 
@@ -316,11 +321,9 @@ class Process:
         """Export as a node table; requires base adaptedness."""
         if not self.is_adapted(self.tree):
             raise NotPredictable("process is not adapted to the base filtration")
-        out = {}
-        for t in range(self.tree.horizon + 1):
-            for node in self.tree.nodes_at[t]:
-                out[node.id] = self.values[t][node.leaf_lo]
-        return out
+        return {node.id: self.at(t, node.leaf_lo)
+                for t in range(self.tree.horizon + 1)
+                for node in self.tree.nodes_at[t]}
 
     def __repr__(self):
         return f"Process(dim={self.dim}, horizon={self.tree.horizon})"
@@ -335,10 +338,11 @@ class Decomposition:
 
 def _compensate(filtration: Filtration, dim: int, step) -> Process:
     """Null at 0, moved on each time-(t-1) atom by the vector step(t, atom)."""
+    parts = filtration.parts
     return Process._accumulate(
         filtration.tree, tuple([ZERO] * dim),
         lambda prev, move: tuple(map(add, prev, move)),
-        lambda t: (filtration.spread(t - 1, lambda atom: step(t, atom)),))
+        lambda t: ((parts[t - 1], [step(t, atom) for atom in parts[t - 1].atoms]),))
 
 
 def dual_predictable_projection(a: Process, filtration_like) -> Process:
@@ -346,13 +350,10 @@ def dual_predictable_projection(a: Process, filtration_like) -> Process:
 
     The result is predictable for the given filtration by construction.
     """
-    tree = a.tree
-
     def mean_increment(t, atom):
         # E[A_t | atom] - E[A_{t-1} | atom], which needs no adaptedness
-        now = conditional_mean(tree, atom, a.values[t])
-        before = conditional_mean(tree, atom, a.values[t - 1])
-        return tuple(p - q for p, q in zip(now, before))
+        return tuple(map(sub, conditional_mean(atom, *a.row(t)),
+                         conditional_mean(atom, *a.row(t - 1))))
 
     return _compensate(as_filtration(filtration_like), a.dim, mean_increment)
 
@@ -381,7 +382,7 @@ def bracket(x: Process, y: Process) -> Process:
         lambda acc, xc, xp, yc, yp: (acc[0] + sum(
             ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
             start=ZERO),),
-        lambda t: (x.values[t], x.values[t - 1], y.values[t], y.values[t - 1]))
+        lambda t: (x.row(t), x.row(t - 1), y.row(t), y.row(t - 1)))
 
 
 def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
@@ -394,14 +395,16 @@ def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
         raise DimensionMismatch("bracket across different trees")
     if x.dim != y.dim:
         raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
-    product = Shared(lambda xc, xp, yc, yp: (sum(
-        ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
-        start=ZERO),))
-    products = [None] + [product(x.values[t], x.values[t - 1],
-                                 y.values[t], y.values[t - 1])
-                         for t in range(1, x.tree.horizon + 1)]
-    return _compensate(filtration, 1, lambda t, atom: conditional_mean(
-        x.tree, atom, products[t]))
+    def product(xc, xp, yc, yp):
+        return (sum(((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
+                    start=ZERO),)
+
+    products = [None] + [
+        _cellwise_row(x.tree, product,
+                      (x.row(t), x.row(t - 1), y.row(t), y.row(t - 1)))
+        for t in range(1, x.tree.horizon + 1)]
+    return _compensate(filtration, 1,
+                       lambda t, atom: conditional_mean(atom, *products[t]))
 
 
 def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
@@ -420,7 +423,7 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
         x.tree, (ZERO,),
         lambda acc, hv, xc, xp: (acc[0] + sum(
             (a * (b - c) for a, b, c in zip(hv, xc, xp)), start=ZERO),),
-        lambda t: (h.values[t], x.values[t], x.values[t - 1]))
+        lambda t: (h.row(t), x.row(t), x.row(t - 1)))
 
 
 class JumpMeasure:
@@ -496,14 +499,14 @@ class CompensatorTable:
         for t in range(1, tree.horizon + 1):
             if not measure.nodes_at(t):
                 continue
-            node_of = tree.nodes_by_leaf(t).__getitem__
+            nodes = tree.base_filtration().parts[t]
             for atom in filtration.atoms(t - 1):
-                law = conditional_law(tree, atom, node_of)
+                law = conditional_law(atom, nodes)
                 dist: dict[tuple, Fraction] = {}
-                for node in sorted(law, key=lambda n: n.id):
-                    value = measure.support.get(node.id)
+                for k in sorted(law, key=lambda k: nodes.atoms[k].label):
+                    value = measure.support.get(nodes.atoms[k].label)
                     if value is not None:
-                        dist[value] = dist.get(value, ZERO) + law[node]
+                        dist[value] = dist.get(value, ZERO) + law[k]
                 if dist:
                     self.entries[(t, atom.label)] = dist
 
@@ -583,23 +586,24 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
 def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
     tree = mu.tree
     table = mu.compensator(filtration)
-    comp = {}  # (t, atom label) -> compensated mean of g, filled time by time
 
     def rows_at(t):
+        comps = []  # compensated mean of g on each time-(t-1) atom
         for atom in filtration.atoms(t - 1):
             g_atom = g.filtration.conditioning_atom_of(t, atom.leaves[0])
             dist = table.entries.get((t, atom.label), {})
-            comp[(t, atom.label)] = sum(
+            comps.append(sum(
                 (p * g.value_on(t, g_atom, value) for value, p in dist.items()),
-                start=ZERO)
-        return (filtration.atoms_by_leaf(t - 1), g.filtration.atoms_by_leaf(t - 1),
-                tree.nodes_by_leaf(t))
+                start=ZERO))
+        g_part = g.filtration.parts[t - 1]
+        return ((filtration.parts[t - 1], comps), (g_part, g_part.atoms),
+                (tree.base_filtration().parts[t], tree.nodes_at[t]))
 
-    def step(acc, atom, g_atom, node):
+    def step(acc, comp, g_atom, node):
         # the time-t node fixes t
         jump = mu.support.get(node.id)
         gain = ZERO if jump is None else g.value_on(node.time, g_atom, jump)
-        return (acc[0] + (gain - comp[(node.time, atom.label)]),)
+        return (acc[0] + (gain - comp),)
 
     return Process._accumulate(tree, (ZERO,), step, rows_at)
 
@@ -618,22 +622,23 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     if y.dim != 1:
         raise DimensionMismatch("projection expects a scalar martingale")
     y.require_martingale(filtration, what="projected process")
-    tree = y.tree
     table = mu.compensator(filtration)
-    step = Shared(lambda now, before: (now[0] - before[0],))
-    increments = [None] + [step(y.values[t], y.values[t - 1])
-                           for t in range(1, tree.horizon + 1)]
+    base = y.tree.base_filtration()
+    increments = [None] + [y.delta(t) for t in range(1, y.tree.horizon + 1)]
     entries = {}
     for (t, label), dist in table.entries.items():
         atom = filtration.atom_labelled(t - 1, label)
         # E[Delta Y; jump = v | atom] per location v; dist[v] = P(jump = v | atom)
         num: dict[tuple, Fraction] = dict.fromkeys(dist, ZERO)
-        partial = conditional_mean(tree, atom, increments[t],
-                                   key=tree.nodes_by_leaf(t).__getitem__)
-        for node, (value,) in partial.items():
-            location = mu.support.get(node.id)
+        nodes = base.parts[t]
+        cut = y.tree.meet(nodes, atom.partition)  # atoms cut by time-t nodes
+        node_of = cut.index_in(nodes)
+        for k in cut.inside(atom):
+            location = mu.support.get(nodes.atoms[node_of[k]].label)
             if location is not None:
-                num[location] += value
+                piece = cut.atoms[k]
+                (mean,) = conditional_mean(piece, *increments[t])
+                num[location] += piece.prob / atom.prob * mean
         mass = sum(dist.values(), start=ZERO)
         hat = sum(num.values(), start=ZERO)
         correction = ZERO if mass == 1 else hat / (1 - mass)

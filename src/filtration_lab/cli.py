@@ -480,23 +480,19 @@ def _truncate_scenario(scenario: Scenario, horizon: int):
     except FiltrationLabError:
         return None
 
-    new_leaves = old.nodes_at[horizon]
+    new_leaves = old.base_filtration().parts[horizon]
     enlargements = {}
     for name, enlargement in scenario.enlargements.items():
         parts = {}
         for t in range(horizon + 1):
             cells = []
             for cell in enlargement.partitions[t]:
-                members = []
-                for node in new_leaves:
-                    inside = [i for i in range(node.leaf_lo, node.leaf_hi)
-                              if i in cell]
-                    if inside and len(inside) != node.leaf_hi - node.leaf_lo:
-                        return None
-                    if inside:
-                        members.append(node.id)
-                if members:
-                    cells.append(members)
+                # the new leaves the cell meets, each of which it must hold
+                members = [new_leaves.atoms[k] for k in
+                           dict.fromkeys(new_leaves.block_of[i] for i in cell)]
+                if sum(len(node.leaves) for node in members) != len(cell):
+                    return None
+                cells.append([node.label for node in members])
             parts[t] = cells
         try:
             enlargements[name] = Enlargement(tree, parts, name=name)

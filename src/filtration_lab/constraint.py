@@ -207,7 +207,7 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
     for (t, label), dist in nu.entries.items():
         atom = filtration.atom_labelled(t - 1, label)
         menu = cs.slot_values(t, label)
-        hv = h.values[t][atom.leaves[0]]
+        hv = h.at(t, atom.leaves[0])
         for value in dist:
             if value not in menu:
                 raise ConstraintMismatch(
@@ -294,7 +294,7 @@ def _normalize_slots(tree, slots):
     for slot in slots:
         tau = slot.tau
         if not isinstance(tau, StoppingTime):
-            tau = StoppingTime.constant(tree, int(tau))
+            tau = StoppingTime.constant(tree, tau)
         if not tau.is_predictable():
             raise NotPredictable("accessible slots need predictable times")
         weight = to_fraction(slot.weight)
@@ -337,7 +337,7 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
     h = Process._predictable(filtration, count, h_at)
     gh = Process._predictable(filtration, count, lambda t, atom: tuple(
         v / plan.cells[t].get(atom.label, off_graph)[1]
-        for v in h.values[t][atom.leaves[0]]))
+        for v in h.at(t, atom.leaves[0])))
 
     star = star_integral(g, mu, filtration)
     dot = dot_integral(gh, plan.martingales, filtration)
@@ -403,53 +403,55 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
             raise ConstraintMismatch(
                 f"support node {node_id} is outside every partition class")
 
+    # within an occupied atom each class is a union of time-t atoms, so the
+    # class masses come from the parent-to-child index
     cells = [{}]
-    moves = [None]  # moves[t]: each leaf's step of Y at t, None off the graphs
+    moves = [None]  # moves[t]: each time-t atom's step of Y, None off the graphs
     for t in range(1, tree.horizon + 1):
         cells_t = {}
-        row = [None] * tree.n_leaves
+        children = filtration.parts[t]
+        row = [None] * len(children.atoms)
         for atom in filtration.atoms(t - 1):
             idx = occupied.get((t, atom.leaves[0]))
             if idx is None:
                 continue
             _, classes, weight = rows[idx]
-            index = class_of[idx]
+            law = conditional_law(atom, children)
+            kind = {k: class_of[idx][children.atoms[k].leaves[0]] for k in law}
             values = [set() for _ in classes]
-            for leaf in atom.leaves:
-                if index[leaf] is not None:
-                    values[index[leaf]].add(mu.jump_at(t, leaf))
+            probs = [ZERO] * len(classes)
+            for k, p in law.items():
+                if kind[k] is not None:
+                    values[kind[k]].add(mu.jump_at(t, children.atoms[k].leaves[0]))
+                    probs[kind[k]] += p
             for k, found in enumerate(values):
                 if len(found) > 1:
                     raise ConstraintMismatch(
                         f"class {k} mixes jump locations on atom "
                         f"{atom.label} at time {t}")
-            law = conditional_law(tree, atom, index.__getitem__)
-            probs = [law.get(k, ZERO) for k in range(len(classes))]
             cells_t[atom.label] = (
                 tuple(found.pop() if found else None for found in values),
                 weight)
             # weighted class indicator minus its conditional mean
-            step = {k: tuple(weight * ((1 if j == k else 0) - p)
-                             for j, p in enumerate(probs)) for k in law}
-            for i in atom.leaves:
-                row[i] = step[index[i]]
+            step = {c: tuple(weight * ((1 if j == c else 0) - p)
+                             for j, p in enumerate(probs)) for c in kind.values()}
+            for k in law:
+                row[k] = step[kind[k]]
         cells.append(cells_t)
-        moves.append(row)
+        moves.append((children, row))
 
     none = (ZERO,)
     inverse = [(1 / weight,) for _, _, weight in rows]
-    scale_data = [[none] * tree.n_leaves]
-    for t in range(1, tree.horizon + 1):
-        scale_data.append([none if occupied.get((t, leaf)) is None
-                           else inverse[occupied[(t, leaf)]]
-                           for leaf in range(tree.n_leaves)])
     return _AccessiblePlan(
         cells=tuple(cells),
         martingales=Process._accumulate(
             tree, tuple([ZERO] * count),
             lambda prev, move: prev if move is None else tuple(map(add, prev, move)),
             lambda t: (moves[t],)),
-        scale=Process._from_rows(tree, scale_data, 1))
+        scale=Process._predictable(
+            tree.base_filtration(), 1,
+            lambda t, atom: inverse[occupied[(t, atom.leaves[0])]]
+            if (t, atom.leaves[0]) in occupied else none))
 
 
 def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
@@ -465,30 +467,17 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
     times = sorted({tree.nodes[nid].time for nid in mu.support})
     slots = []
     for pos, t in enumerate(times):
-        per_atom = []
+        ranked, quiet = {}, set()  # rank of a location on its atom -> leaves
+        children = filtration.parts[t]
         for atom in filtration.atoms(t - 1):
-            # the atom's own leaves, by the location of their time-t node
-            groups: dict[tuple, list] = {}
-            still = []
-            for leaf in atom.leaves:
-                value = mu.jump_at(t, leaf)
-                if value is None:
-                    still.append(leaf)
-                else:
-                    groups.setdefault(value, []).append(leaf)
-            ordered = [groups[v] for v in sorted(groups)]
-            per_atom.append((ordered, still))
-        depth = max((len(ordered) for ordered, _ in per_atom), default=0)
-        classes = []
-        for k in range(depth):
-            cls = set()
-            for ordered, _ in per_atom:
-                if k < len(ordered):
-                    cls.update(ordered[k])
-            classes.append(frozenset(cls))
-        quiet = set()
-        for _, still in per_atom:
-            quiet.update(still)
+            # the atom's children, by the location of their time-t node
+            groups: dict[tuple, set] = {}
+            for child in map(children.atoms.__getitem__, children.inside(atom)):
+                groups.setdefault(mu.jump_at(t, child.leaves[0]), set()).update(child.leaves)
+            quiet |= groups.pop(None, set())
+            for rank, value in enumerate(sorted(groups)):
+                ranked.setdefault(rank, set()).update(groups[value])
+        classes = [frozenset(ranked[k]) for k in range(len(ranked))]
         classes.append(frozenset(quiet))
         weight = 1 if weights is None else weights[pos]
         slots.append(AccessibleSlot(tau=t, classes=tuple(classes), weight=weight))

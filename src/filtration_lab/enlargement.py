@@ -14,7 +14,6 @@ from fractions import Fraction
 
 from .calculus import (
     Process,
-    Shared,
     dot_integral,
     dual_predictable_projection,
     predictable_bracket,
@@ -64,7 +63,7 @@ def doleans_exponential(a, x: Process) -> Process:
     return Process._accumulate(
         x.tree, (ONE,),
         lambda acc, now, before: (acc[0] * (1 + a * (now[0] - before[0])),),
-        lambda t: (x.values[t], x.values[t - 1]))
+        lambda t: (x.row(t), x.row(t - 1)))
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,8 @@ class DeflatorSearch:
 
 
 def _require_positive(s: Process, what: str):
-    for row in s.values:
-        for vec in row:
-            if any(c <= 0 for c in vec):
-                raise NotStrictlyPositive(f"{what} must stay strictly positive")
+    if any(c <= 0 for cells in s.cells for vec in cells for c in vec):
+        raise NotStrictlyPositive(f"{what} must stay strictly positive")
 
 
 def _one_period_deflator(q, moves):
@@ -149,11 +146,13 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     violations = []
     factors = {}
     for t in range(1, tree.horizon + 1):
+        children = filtration.parts[t]
         for atom in filtration.atoms(t - 1):
-            subs = filtration.atoms_within(t, atom.leaves)
-            q = [sub.prob / atom.prob for sub in subs]
-            s_prev = s.values[t - 1][atom.leaves[0]][0]
-            moves = [s.values[t][sub.leaves[0]][0] - s_prev for sub in subs]
+            law = conditional_law(atom, children)  # the atoms inside it at t
+            subs = [children.atoms[k] for k in law]
+            q = list(law.values())
+            s_prev = s.at(t - 1, atom.leaves[0])[0]
+            moves = [s.at(t, sub.leaves[0])[0] - s_prev for sub in subs]
             status, floor, ys = _one_period_deflator(q, moves)
 
             ok = status == OPTIMAL and floor > 0
@@ -184,7 +183,8 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
 
     product = Process._accumulate(
         tree, (ONE,), lambda acc, y: (acc[0] * y,),
-        lambda t: (filtration.spread(t, lambda atom: factors[(t, atom.label)]),))
+        lambda t: ((filtration.parts[t],
+                    [factors[(t, atom.label)] for atom in filtration.atoms(t)]),))
     deflator = Deflator(process=product, target=s)
     return DeflatorSearch(feasible=True, deflator=deflator,
                           violations=(), audit=tuple(audit))
@@ -214,13 +214,8 @@ def check_full_viability(enlargement_like, family) -> ViabilityReport:
 
 
 def max_abs_increment(x: Process) -> Fraction:
-    best = ZERO
-    for t in range(1, x.tree.horizon + 1):
-        for leaf in range(x.tree.n_leaves):
-            for c in x.increment(t, leaf):
-                if abs(c) > best:
-                    best = abs(c)
-    return best
+    return max((abs(c) for t in range(1, x.tree.horizon + 1)
+                for inc in x.delta(t)[1].values() for c in inc), default=ZERO)
 
 
 def default_viability_family(w: Process):
@@ -249,10 +244,9 @@ def verify_fbd(x: Process, deflator: Deflator, enlargement_like) -> bool:
     flow, for any deflator Y of a price driven by X.
     """
     filtration = as_filtration(enlargement_like)
-    tree = x.tree
     y = deflator.process
     _require_positive(y, "deflator")
-    if any(y.values[0][i][0] != 1 for i in range(tree.n_leaves)):
+    if any(v[0] != 1 for v in y.cells[0]):
         raise NotADeflator("deflator must start at 1")
     if not y.is_martingale(filtration):
         raise NotADeflator("deflator is not a martingale for the larger flow")
@@ -265,7 +259,7 @@ def verify_fbd(x: Process, deflator: Deflator, enlargement_like) -> bool:
     drift = drift_operator(x, filtration).drift
     # Y is adapted to the larger flow, so Y_{t-1} is constant on its atoms
     integrand = Process._predictable(
-        filtration, 1, lambda t, atom: (-1 / y.values[t - 1][atom.leaves[0]][0],))
+        filtration, 1, lambda t, atom: (-1 / y.at(t - 1, atom.leaves[0])[0],))
     bracket_p = predictable_bracket(y, x, filtration)
     rhs = dot_integral(integrand, bracket_p, filtration)
     return drift == rhs
@@ -283,9 +277,8 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
     filtration = as_filtration(enlargement_like)
     tree = a.tree
     for t in range(1, tree.horizon + 1):
-        for leaf in range(tree.n_leaves):
-            if a.increment(t, leaf)[0] < 0:
-                raise NotIncreasing(f"decrement at time {t}")
+        if any(inc[0] < 0 for inc in a.delta(t)[1].values()):
+            raise NotIncreasing(f"decrement at time {t}")
     base = tree.base_filtration()
     fine = dual_predictable_projection(a, filtration)
     coarse = dual_predictable_projection(a, base)
@@ -344,11 +337,13 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     by_slot = {(wit.time, wit.atom): wit for wit in basis.witnesses}
 
     x2 = basis.process
+    base = tree.base_filtration()
     slot_records = []
-    frames = [None]  # frames[t]: each leaf's frame of its time-(t-1) node
+    frames = [None]  # frames[t]: the frame of each time-(t-1) node
     phis = {}
     for t in range(1, tree.horizon + 1):
-        frame_row = [None] * tree.n_leaves
+        frame_row = []
+        nodes = base.parts[t]
         for node in tree.nodes_at[t - 1]:
             wit = by_slot[(t, node.id)]
             p = list(wit.probs)
@@ -361,14 +356,12 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
             if len(epsilons) != basis.d:
                 raise DegeneratePartition(
                     f"frame at atom {node.id} has {len(epsilons)} directions")
-            frame_row[node.leaf_lo:node.leaf_hi] = (
-                [epsilons] * (node.leaf_hi - node.leaf_lo))
+            frame_row.append(epsilons)
             sub_records = []
-            node_of = tree.nodes_by_leaf(t).__getitem__
             for sub in filtration.atoms_within(t - 1, node.leaves()):
                 # class h is the time-t node wit.subatoms[h]; padding is empty
-                law = {child.id: p for child, p in
-                       conditional_law(tree, sub, node_of).items()}
+                law = {nodes.atoms[k].label: p for k, p in
+                       conditional_law(sub, nodes).items()}
                 p_bar = [law.get(label, ZERO) for label in wit.subatoms]
                 rho = [ZERO if p[h] == 0
                        else Fraction(1, 2 ** t) * (p_bar[h] / p[h] - 1)
@@ -383,7 +376,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 time=t, atom=node.id, p=tuple(p),
                 epsilons=tuple(tuple(e) for e in epsilons),
                 sub_records=tuple(sub_records)))
-        frames.append(frame_row)
+        frames.append((base.parts[t - 1], frame_row))
 
     def n_step(acc, epsilons, now, before):
         inc = [a - b for a, b in zip(now, before)]
@@ -391,7 +384,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
 
     # N moves by the node's frame dotted with Delta X2
     n = Process._accumulate(tree, tuple([ZERO] * basis.d), n_step,
-                            lambda t: (frames[t], x2.values[t], x2.values[t - 1]))
+                            lambda t: (frames[t], x2.row(t), x2.row(t - 1)))
     phi = Process._predictable(filtration, basis.d,
                                lambda t, sub: phis[(t, sub.label)])
 
@@ -443,20 +436,15 @@ class KernelCertificate:
 
 def _increment_moments(x: Process, t: int, atom):
     """Mean vector and covariance matrix of Delta X_t given the atom."""
-    tree = x.tree
-    now, before = x.values[t], x.values[t - 1]
-    mean = tuple(a - b for a, b in zip(conditional_mean(tree, atom, now),
-                                       conditional_mean(tree, atom, before)))
+    part, incs = x.delta(t, atom)
+    mean = conditional_mean(atom, part, incs)
 
-    def centred_outer(c, p):
-        d = [a - b - m for a, b, m in zip(c, p, mean)]
+    def centred_outer(inc):
+        d = [a - m for a, m in zip(inc, mean)]
         return tuple(u * v for u in d for v in d)
 
-    # the outer product once per distinct pair of cells
-    leaves = atom.leaves
-    outer = Shared(centred_outer)([now[i] for i in leaves],
-                                   [before[i] for i in leaves])
-    flat = conditional_mean(tree, atom, dict(zip(leaves, outer)))
+    flat = conditional_mean(atom, part,
+                            {k: centred_outer(inc) for k, inc in incs.items()})
     width = len(mean)
     return mean, [list(flat[g * width:(g + 1) * width]) for g in range(width)]
 

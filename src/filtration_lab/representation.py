@@ -178,21 +178,19 @@ def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
     # measurability at the reached time: constant on each atom of that time
     for t in range(tree.horizon + 1):
         for node in tree.nodes_at[t]:
-            leaves = list(node.leaves())
-            if r.values[leaves[0]] != t:
-                continue
-            first = values[leaves[0]]
-            if any(values[i] != first for i in leaves[1:]):
+            if (r.values[node.leaf_lo] == t
+                    and len({values[i] for i in node.leaves()}) > 1):
                 raise NotMeasurable(
                     f"payoff not settled at time {t} on atom {node.id}")
 
     payoff = [(v,) for v in values]
+    leaves = tree.base_filtration().parts[-1]
     zero = tuple([ZERO] * w.dim)
 
     def coefficient(t, atom):
         if r.values[atom.leaves[0]] != t:
             return zero
-        (mean,) = conditional_mean(tree, atom, payoff)
+        (mean,) = conditional_mean(atom, leaves, payoff)
         children = tree.nodes[atom.label].children
         rhs = [values[child.leaf_lo] - mean for child in children]
         return _solve_at(w, t, atom, rhs, "centered payoff")
@@ -222,21 +220,20 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
             "basis lacks the representation property",
             atom=report.failing_atom, witness=report.counterexample)
     d = w.dim
+    base = tree.base_filtration()
     witnesses = []
     width = d + 1
-    moves = [None]  # moves[t]: each leaf's jump of the family at t
+    moves = [None]  # moves[t]: the jump of the family on each time-t node
     for t in range(1, tree.horizon + 1):
-        row = [None] * tree.n_leaves
+        steps = {}
         for node in tree.nodes_at[t - 1]:
             count, witness = conditional_multiplicity(tree, t, node.id, d=d)
             witnesses.append(witness)
             weight = Fraction(1, 2 ** t)
-            for k, leaves in enumerate(witness.leaves):
-                step = tuple(weight * ((1 if h == k else 0) - witness.probs[h])
-                             for h in range(width))
-                for i in leaves:
-                    row[i] = step
-        moves.append(row)
+            for k, child in enumerate(witness.subatoms[:count]):
+                steps[child] = tuple(weight * ((1 if h == k else 0) - witness.probs[h])
+                                     for h in range(width))
+        moves.append((base.parts[t], [steps[node.id] for node in tree.nodes_at[t]]))
     process = Process._accumulate(
         tree, tuple([ZERO] * width),
         lambda prev, step: tuple(map(add, prev, step)), lambda t: (moves[t],))
@@ -269,7 +266,7 @@ def translate_integrand(h: Process, m: Process) -> Process:
     if not h.is_predictable(cs.filtration):
         raise NotPredictable("integrand is not predictable")
     return cs.integrand(lambda t, atom, value: sum(
-        (a * b for a, b in zip(h.values[t][atom.leaves[0]], value)), start=ZERO))
+        (a * b for a, b in zip(h.at(t, atom.leaves[0]), value)), start=ZERO))
 
 
 def jump_constraint(w: Process) -> ConstraintSystem:

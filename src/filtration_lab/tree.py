@@ -5,6 +5,12 @@ exactly the atoms of F_t, every edge holds a strictly positive rational branch
 probability, and the time-T nodes are the elementary outcomes. Enlargements
 refine the leaf partitions per time without touching the tree itself.
 
+Each time of a filtration is a Partition of the leaves; processes store one
+cell per block. The tree memoizes the meet of two partitions, and each
+partition its blocks inside each block of a coarser one, which between a
+filtration's consecutive times is the parent-to-child atom index. The one
+conditional-mean kernel weighs those blocks by their masses.
+
 Conventions used throughout the library: F_{t-} means F_{t-1} for t >= 1 and
 F_0 for t = 0; a process is predictable at t when it is F_{t-1}-measurable;
 increments at time 0 are null; stopping times use horizon+1 as the infinity
@@ -14,7 +20,7 @@ sentinel.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import (
@@ -53,12 +59,72 @@ class Node:
         return f"Node({self.id!r}, t={self.time})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Atom:
-    """One cell of a leaf partition, with its unconditional probability."""
+    """One cell of a leaf partition, with its unconditional probability,
+    placed by index in the partition that made it."""
     label: str
     leaves: tuple[int, ...]
     prob: Fraction
+    partition: Partition | None = field(default=None, compare=False, repr=False)
+    index: int = field(default=0, compare=False, repr=False)
+
+
+class Partition:
+    """A leaf partition: its blocks as atoms in first-leaf order, and the
+    block index of every leaf."""
+
+    __slots__ = ("tree", "atoms", "block_of", "_index", "_inside")
+
+    def __init__(self, tree, blocks):
+        """blocks: (label, leaves, prob) per block, in first-leaf order."""
+        self.tree = tree
+        self.atoms = tuple(Atom(label, leaves, prob, self, k)
+                           for k, (label, leaves, prob) in enumerate(blocks))
+        self.block_of = block_of = [0] * tree.n_leaves
+        for atom in self.atoms:
+            for leaf in atom.leaves:
+                block_of[leaf] = atom.index
+        self._index = {}
+        self._inside = {}
+
+    def index_in(self, coarse):
+        """Block of coarse holding each block of this partition, which must
+        refine coarse."""
+        if len(coarse.atoms) == len(self.atoms):  # equal, both in first-leaf order
+            return range(len(self.atoms))
+        hit = self._index.get(coarse)
+        if hit is None:
+            of = coarse.block_of
+            hit = self._index[coarse] = tuple(of[a.leaves[0]] for a in self.atoms)
+        return hit
+
+    def lift(self, coarse, cells):
+        """cells, one per block of coarse, read on the blocks of this
+        partition, which must refine coarse."""
+        index = self.index_in(coarse)
+        return cells if isinstance(index, range) else [cells[k] for k in index]
+
+    def inside(self, atom):
+        """Blocks inside atom, an atom of a partition this one refines; for
+        consecutive times of a filtration, the parent-to-child index."""
+        coarse = atom.partition
+        if len(coarse.atoms) == len(self.atoms):
+            return (atom.index,)
+        hit = self._inside.get(coarse)
+        if hit is None:
+            hit = [[] for _ in coarse.atoms]
+            for k, j in enumerate(self.index_in(coarse)):
+                hit[j].append(k)
+            hit = self._inside[coarse] = tuple(map(tuple, hit))
+        return hit[atom.index]
+
+    def pieces(self, atom):
+        """(block, mass of its intersection with atom) for every block
+        meeting atom, in first-leaf order."""
+        meet = self.tree.meet(self, atom.partition)
+        index = meet.index_in(self)
+        return [(index[k], meet.atoms[k].prob) for k in meet.inside(atom)]
 
 
 class FilteredTree:
@@ -132,15 +198,8 @@ class FilteredTree:
         self.nodes_at: list[list[Node]] = [[] for _ in range(horizon + 1)]
         for node in preorder:
             self.nodes_at[node.time].append(node)
-        # time-t ancestor of each leaf
-        self._ancestor: list[tuple[Node, ...]] = []
-        for t in range(horizon + 1):
-            row = [None] * len(self.leaves)
-            for node in self.nodes_at[t]:
-                for leaf in range(node.leaf_lo, node.leaf_hi):
-                    row[leaf] = node
-            self._ancestor.append(tuple(row))
         self._base_filtration = None
+        self._meets = {}
 
     def _preorder(self):
         """Nodes reachable from the root, depth first, children in order."""
@@ -174,11 +233,11 @@ class FilteredTree:
 
     def node_at(self, t: int, leaf: int) -> Node:
         """Time-t ancestor of the given leaf."""
-        return self._ancestor[t][leaf]
+        return self.nodes_at[t][self.base_filtration().parts[t].block_of[leaf]]
 
     def nodes_by_leaf(self, t: int) -> tuple[Node, ...]:
         """Time-t ancestor of every leaf, in leaf order."""
-        return self._ancestor[t]
+        return tuple(self.node_at(t, leaf) for leaf in range(self.n_leaves))
 
     def leaf_index(self, leaf_id: str) -> int | None:
         """Position of the leaf with the given id, or None."""
@@ -186,12 +245,23 @@ class FilteredTree:
 
     def base_filtration(self) -> "Filtration":
         if self._base_filtration is None:
-            partitions = []
-            for t in range(self.horizon + 1):
-                atoms = tuple(Atom(n.id, n.leaves(), n.prob) for n in self.nodes_at[t])
-                partitions.append(atoms)
-            self._base_filtration = Filtration(self, partitions, kind="base")
+            self._base_filtration = Filtration(self, [
+                [(n.id, n.leaves(), n.prob) for n in self.nodes_at[t]]
+                for t in range(self.horizon + 1)])
         return self._base_filtration
+
+    def meet(self, a: Partition, b: Partition) -> Partition:
+        """Coarsest common refinement of two of this tree's partitions,
+        memoized per pair: a or b itself when that one refines the other."""
+        if a is b:
+            return a
+        hit = self._meets.get((a, b)) or self._meets.get((b, a))
+        if hit is None:
+            cells = _meet_cells(a.block_of, b.block_of)
+            hit = (a if len(cells) == len(a.atoms) else b if len(cells) == len(b.atoms)
+                   else Partition(self, _blocks(self, cells)))
+            self._meets[(a, b)] = hit
+        return hit
 
     def to_spec(self):
         """Serializable node list, parents before children."""
@@ -216,39 +286,20 @@ def build_tree(spec) -> FilteredTree:
 class Filtration:
     """A time-indexed sequence of leaf partitions, finest at the horizon."""
 
-    def __init__(self, tree: FilteredTree, partitions, kind="base"):
+    def __init__(self, tree: FilteredTree, partitions):
         self.tree = tree
-        self.kind = kind
-        self._atoms = partitions
-        self._atom_of = []
-        self._labelled = {}
-        for t, atoms in enumerate(partitions):
-            lookup = [None] * tree.n_leaves
-            for atom in atoms:
-                self._labelled[(t, atom.label)] = atom
-                for leaf in atom.leaves:
-                    lookup[leaf] = atom
-            self._atom_of.append(tuple(lookup))
+        self.parts = tuple(Partition(tree, blocks) for blocks in partitions)
+        self._labelled = {(t, atom.label): atom
+                          for t, part in enumerate(self.parts)
+                          for atom in part.atoms}
+
+    def partition(self, t: int) -> Partition:
+        if not 0 <= t <= self.tree.horizon:
+            raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
+        return self.parts[t]
 
     def atoms(self, t: int) -> tuple[Atom, ...]:
-        if not 0 <= t <= self.tree.horizon:
-            raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
-        return self._atoms[t]
-
-    def atoms_by_leaf(self, t: int) -> tuple[Atom, ...]:
-        """Time-t atom of every leaf, in leaf order."""
-        if not 0 <= t <= self.tree.horizon:
-            raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
-        return self._atom_of[t]
-
-    def spread(self, t: int, value_of) -> list:
-        """Leaf-indexed row holding value_of(atom) on each time-t atom."""
-        row = [None] * self.tree.n_leaves
-        for atom in self.atoms(t):
-            value = value_of(atom)
-            for i in atom.leaves:
-                row[i] = value
-        return row
+        return self.partition(t).atoms
 
     def atom_labelled(self, t: int, label: str) -> Atom:
         """The time-t atom with the given label."""
@@ -260,21 +311,13 @@ class Filtration:
         When the time-t partition refines the cell the leaves make up, these
         are exactly the time-t atoms inside that cell, in atoms(t) order.
         """
-        if not 0 <= t <= self.tree.horizon:
-            raise TimeOutOfRange(f"time {t} outside 0..{self.tree.horizon}")
-        lookup = self._atom_of[t]
-        found = {}
-        for leaf in leaves:
-            atom = lookup[leaf]
-            found.setdefault(id(atom), atom)
-        return tuple(found.values())
-
-    def conditioning_atoms(self, t: int) -> tuple[Atom, ...]:
-        """Atoms of F_{t-}: F_{t-1} for t >= 1, F_0 for t = 0."""
-        return self.atoms(t - 1 if t >= 1 else 0)
+        part = self.partition(t)
+        return tuple(part.atoms[k]
+                     for k in dict.fromkeys(part.block_of[leaf] for leaf in leaves))
 
     def conditioning_atom_of(self, t: int, leaf: int) -> Atom:
-        return self.atoms_by_leaf(t - 1 if t >= 1 else 0)[leaf]
+        part = self.partition(t - 1 if t >= 1 else 0)
+        return part.atoms[part.block_of[leaf]]
 
 
 def _atom_label(tree: FilteredTree, leaves) -> str:
@@ -291,12 +334,20 @@ def _time_key(t) -> int:
     raise TimeOutOfRange(f"enlargement time {t!r} is not an integer")
 
 
-def _group(leaves, key):
-    """The leaves grouped by key(leaf), in first-leaf order."""
-    groups = {}
-    for leaf in leaves:
-        groups.setdefault(key(leaf), []).append(leaf)
-    return groups
+def _meet_cells(first, second):
+    """Cells of the common refinement of two block-of-leaf tables, each a
+    sorted leaf tuple, in first-leaf order."""
+    cells = {}
+    for leaf, key in enumerate(zip(first, second)):
+        cells.setdefault(key, []).append(leaf)
+    return [tuple(cell) for cell in cells.values()]
+
+
+def _blocks(tree: FilteredTree, cells):
+    """(label, leaves, mass) for each cell, its mass from leaf probabilities."""
+    probs = tree.leaf_probs
+    return [(_atom_label(tree, cell), cell,
+             sum((probs[i] for i in cell), start=ZERO)) for cell in cells]
 
 
 class Enlargement:
@@ -328,19 +379,15 @@ class Enlargement:
                 cells.append(idx)
             given[t] = cells
         self.partitions: list[tuple[tuple[int, ...], ...]] = []
-        previous = [range(tree.n_leaves)]
+        prev_of = [0] * tree.n_leaves  # each leaf's time-(t-1) cell
         base = tree.base_filtration()
         for t in range(tree.horizon + 1):
-            prev_of = [None] * tree.n_leaves
-            for k, cell in enumerate(previous):
-                for leaf in cell:
-                    prev_of[leaf] = k
+            base_of = base.parts[t].block_of
             if t in given:
                 cells = given[t]
                 self._check_partition(cells, tree.n_leaves, t)
-                base_of = base.atoms_by_leaf(t)
                 for cell in cells:
-                    if len({id(base_of[i]) for i in cell}) > 1:
+                    if len({base_of[i] for i in cell}) > 1:
                         raise NotARefinement(
                             f"cell {cell} at time {t} is not inside a base atom")
                 for cell in cells:
@@ -348,12 +395,13 @@ class Enlargement:
                         raise NotMonotone(
                             f"cell {cell} at time {t} splits across time-{t-1} cells")
             else:
-                # the coarsest completion: base atoms cut by the time-(t-1) cells
-                cells = [tuple(piece) for atom in base.atoms(t) for piece in
-                         _group(atom.leaves, prev_of.__getitem__).values()]
+                # the coarsest completion: the meet of base_t and G_{t-1}
+                cells = _meet_cells(base_of, prev_of)
             cells = tuple(sorted(cells, key=lambda c: c[0]))
             self.partitions.append(cells)
-            previous = cells
+            for k, cell in enumerate(cells):
+                for leaf in cell:
+                    prev_of[leaf] = k
         self._filtration = None
 
     def _leaf_index(self, leaf) -> int:
@@ -385,14 +433,8 @@ class Enlargement:
 
     def filtration(self) -> Filtration:
         if self._filtration is None:
-            partitions = []
-            for t, cells in enumerate(self.partitions):
-                atoms = tuple(
-                    Atom(_atom_label(self.tree, cell), cell,
-                         sum((self.tree.leaf_probs[i] for i in cell), start=ZERO))
-                    for cell in cells)
-                partitions.append(atoms)
-            self._filtration = Filtration(self.tree, partitions, kind="enlarged")
+            self._filtration = Filtration(
+                self.tree, [_blocks(self.tree, cells) for cells in self.partitions])
         return self._filtration
 
     def to_spec(self):
@@ -418,49 +460,22 @@ def as_filtration(obj) -> Filtration:
     raise TypeError(f"cannot view {obj!r} as a filtration")
 
 
-def _masses(tree: FilteredTree, atom: Atom, key):
-    """{key value: (first leaf, mass)} over the atom's leaves, grouped by
-    key(leaf) in first-leaf order; the masses are unconditional, and a lone
-    group takes the atom's probability, which is the mass of its leaves."""
-    groups = _group(atom.leaves, key)
-    if len(groups) == 1:
-        ((k, leaves),) = groups.items()
-        return {k: (leaves[0], atom.prob)}
-    probs = tree.leaf_probs
-    return {k: (leaves[0], sum((probs[i] for i in leaves), start=ZERO))
-            for k, leaves in groups.items()}
+def conditional_law(atom: Atom, part: Partition) -> dict:
+    """P(block of part | atom): {block index: probability} over the blocks
+    of part meeting the atom, in first-leaf order."""
+    return {k: mass / atom.prob for k, mass in part.pieces(atom)}
 
 
-def conditional_law(tree: FilteredTree, atom: Atom, key) -> dict:
-    """P(key | atom): {value: probability} over the values key(leaf) takes
-    on the atom's leaves, in first-leaf order."""
-    return {k: mass / atom.prob
-            for k, (_, mass) in _masses(tree, atom, key).items()}
-
-
-def _weigh(row, entries, total):
-    cells = [(row[first], mass) for first, mass in entries]
-    return tuple(sum((mass * cell[k] for cell, mass in cells), start=ZERO) / total
-                 for k in range(len(cells[0][0])))
-
-
-def conditional_mean(tree: FilteredTree, atom: Atom, row, key=None):
-    """E[row | atom] for a leaf-indexed row of equal-length rational tuples.
-
-    Leaves holding one tuple object are weighed together, so each distinct
-    cell is multiplied once; distinct but equal tuples are weighed apart,
-    which changes nothing exact. With key, returns instead the partial means
-    {value: E[row; key = value | atom]} in first-leaf order.
-    """
-    if key is None:
-        masses = _masses(tree, atom, lambda i: id(row[i]))
-        if len(masses) == 1:
-            return row[atom.leaves[0]]
-        return _weigh(row, masses.values(), atom.prob)
-    by_key = {}
-    for (k, _), entry in _masses(tree, atom, lambda i: (key(i), id(row[i]))).items():
-        by_key.setdefault(k, []).append(entry)
-    return {k: _weigh(row, entries, atom.prob) for k, entries in by_key.items()}
+def conditional_mean(atom: Atom, part: Partition, cells):
+    """E[X | atom] for X holding cells[k], a tuple of rationals, on block k
+    of part; cells need only hold the blocks meeting the atom. Each block
+    meeting the atom is weighed once, by the mass of the intersection."""
+    pieces = part.pieces(atom)
+    if len(pieces) == 1:
+        return cells[pieces[0][0]]
+    width = len(cells[pieces[0][0]])
+    return tuple(sum((mass * cells[k][i] for k, mass in pieces), start=ZERO) / atom.prob
+                 for i in range(width))
 
 
 def conditional_expectation_leafwise(x, t, filtration_like):
@@ -471,7 +486,10 @@ def conditional_expectation_leafwise(x, t, filtration_like):
     if len(row) != tree.n_leaves:
         raise TimeOutOfRange(
             f"expected {tree.n_leaves} leaf values, got {len(row)}")
-    return filtration.spread(t, lambda atom: conditional_mean(tree, atom, row)[0])
+    leaves = tree.base_filtration().parts[-1]
+    part = filtration.partition(t)
+    means = [conditional_mean(atom, leaves, row)[0] for atom in part.atoms]
+    return [means[k] for k in part.block_of]
 
 
 def conditional_expectation(x, t, filtration_like):
@@ -479,6 +497,13 @@ def conditional_expectation(x, t, filtration_like):
     filtration = as_filtration(filtration_like)
     leafwise = conditional_expectation_leafwise(x, t, filtration)
     return {atom.label: leafwise[atom.leaves[0]] for atom in filtration.atoms(t)}
+
+
+def _time_value(v) -> int:
+    """A stopping-time value: an int, or a Fraction with denominator 1."""
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool) and v == int(v):
+        return int(v)
+    raise NotAStoppingTime(f"value {v!r} is not an integer time")
 
 
 class StoppingTime:
@@ -492,7 +517,7 @@ class StoppingTime:
     def __init__(self, tree: FilteredTree, values):
         self.tree = tree
         self.infinity = tree.horizon + 1
-        vals = tuple(int(v) for v in values)
+        vals = tuple(map(_time_value, values))
         if len(vals) != tree.n_leaves:
             raise NotAStoppingTime(
                 f"expected {tree.n_leaves} leaf values, got {len(vals)}")
@@ -503,8 +528,7 @@ class StoppingTime:
         base = tree.base_filtration()
         for t in range(tree.horizon + 1):
             for atom in base.atoms(t):
-                hits = {vals[i] <= t for i in atom.leaves}
-                if len(hits) > 1:
+                if len({vals[i] <= t for i in atom.leaves}) > 1:
                     raise NotAStoppingTime(
                         f"{{tau <= {t}}} cuts through atom {atom.label}")
 
@@ -521,8 +545,7 @@ class StoppingTime:
             return False
         for t in range(1, self.tree.horizon + 1):
             for atom in base.atoms(t - 1):
-                hits = {self.values[i] == t for i in atom.leaves}
-                if len(hits) > 1:
+                if len({self.values[i] == t for i in atom.leaves}) > 1:
                     return False
         return True
 

@@ -12,13 +12,19 @@ products that Process._accumulate replaced: the compensator walk, the
 accessible class martingales Y (with the slot builder and leaf scans of
 that time), the reconstructed indicator family, the multiplier's N, the
 deflator product, the Doleans exponential and the fuzz integrand.
+
+The final section keeps, verbatim, the per-leaf conditional-mean kernel
+(leaf grouping by cell identity, conditional_law, conditional_mean) and the
+identity-keyed Shared memo that atom-indexed process rows replaced; the
+functions above call them, and test_atom_kernel holds the partition kernel
+to them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from filtration_lab.calculus import JumpFunction, JumpMeasure, Process, Shared
+from filtration_lab.calculus import JumpFunction, JumpMeasure, Process
 from filtration_lab.constraint import (
     AccessibleConversion,
     AccessibleSlot,
@@ -55,7 +61,7 @@ from filtration_lab.representation import (
     check_mrp,
     conditional_multiplicity,
 )
-from filtration_lab.tree import as_filtration, conditional_law
+from filtration_lab.tree import Atom, FilteredTree, as_filtration
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -715,3 +721,85 @@ def random_representable(w: Process, rng, bound=3) -> Process:
         data.append(row)
     integrand = Process(tree, data, dim=w.dim)
     return dot_integral(integrand, w)
+
+
+# --- the per-leaf kernel and cell sharing before atom-indexed rows ----------
+
+class Shared:
+    """fn over aligned rows of cells, once per distinct tuple of cell objects.
+
+    Cells that hold the same objects get the same result object. Each memo
+    entry keeps its cells alive, so an id in a key cannot be reused while
+    the memo lives; one instance may serve several rows when fn does not
+    depend on which row it is called for.
+    """
+
+    __slots__ = ("fn", "memo")
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.memo = {}
+
+    def __call__(self, *rows):
+        memo = self.memo
+        out = []
+        for cells in zip(*rows):
+            key = tuple(map(id, cells))
+            hit = memo.get(key)
+            if hit is None:
+                hit = memo[key] = (cells, self.fn(*cells))
+            out.append(hit[1])
+        return out
+
+
+def _group(leaves, key):
+    """The leaves grouped by key(leaf), in first-leaf order."""
+    groups = {}
+    for leaf in leaves:
+        groups.setdefault(key(leaf), []).append(leaf)
+    return groups
+
+
+def _masses(tree: FilteredTree, atom: Atom, key):
+    """{key value: (first leaf, mass)} over the atom's leaves, grouped by
+    key(leaf) in first-leaf order; the masses are unconditional, and a lone
+    group takes the atom's probability, which is the mass of its leaves."""
+    groups = _group(atom.leaves, key)
+    if len(groups) == 1:
+        ((k, leaves),) = groups.items()
+        return {k: (leaves[0], atom.prob)}
+    probs = tree.leaf_probs
+    return {k: (leaves[0], sum((probs[i] for i in leaves), start=ZERO))
+            for k, leaves in groups.items()}
+
+
+def conditional_law(tree: FilteredTree, atom: Atom, key) -> dict:
+    """P(key | atom): {value: probability} over the values key(leaf) takes
+    on the atom's leaves, in first-leaf order."""
+    return {k: mass / atom.prob
+            for k, (_, mass) in _masses(tree, atom, key).items()}
+
+
+def _weigh(row, entries, total):
+    cells = [(row[first], mass) for first, mass in entries]
+    return tuple(sum((mass * cell[k] for cell, mass in cells), start=ZERO) / total
+                 for k in range(len(cells[0][0])))
+
+
+def conditional_mean(tree: FilteredTree, atom: Atom, row, key=None):
+    """E[row | atom] for a leaf-indexed row of equal-length rational tuples.
+
+    Leaves holding one tuple object are weighed together, so each distinct
+    cell is multiplied once; distinct but equal tuples are weighed apart,
+    which changes nothing exact. With key, returns instead the partial means
+    {value: E[row; key = value | atom]} in first-leaf order.
+    """
+    if key is None:
+        masses = _masses(tree, atom, lambda i: id(row[i]))
+        if len(masses) == 1:
+            return row[atom.leaves[0]]
+        return _weigh(row, masses.values(), atom.prob)
+    by_key = {}
+    for (k, _), entry in _masses(tree, atom, lambda i: (key(i), id(row[i]))).items():
+        by_key.setdefault(k, []).append(entry)
+    return {k: _weigh(row, entries, atom.prob) for k, entries in by_key.items()}

@@ -37,6 +37,39 @@ def indicator(tree, node_id):
     return Process.from_node_values(tree, values, dim=1)
 
 
+class TestProcessShape:
+    """Outside rows must match the tree: one per time, one cell per leaf."""
+
+    @staticmethod
+    def rows(tree, times, cells):
+        return [[(F(0),)] * cells for _ in range(times)]
+
+    def test_too_few_time_rows(self):
+        tree = random_tree(3, horizon=2, max_branching=3)
+        with pytest.raises(DimensionMismatch):
+            Process(tree, self.rows(tree, 2, tree.n_leaves))
+
+    def test_too_many_time_rows(self):
+        tree = random_tree(3, horizon=2, max_branching=3)
+        with pytest.raises(DimensionMismatch):
+            Process(tree, self.rows(tree, 5, tree.n_leaves))
+
+    def test_short_rows(self):
+        tree = random_tree(3, horizon=2, max_branching=3)
+        with pytest.raises(DimensionMismatch):
+            Process(tree, self.rows(tree, 3, tree.n_leaves - 1))
+
+    def test_long_rows(self):
+        tree = random_tree(3, horizon=2, max_branching=3)
+        with pytest.raises(DimensionMismatch):
+            Process(tree, self.rows(tree, 3, tree.n_leaves + 2))
+
+    def test_matching_rows_accepted(self):
+        tree = random_tree(3, horizon=2, max_branching=3)
+        x = Process(tree, self.rows(tree, 3, tree.n_leaves))
+        assert x == Process.zero(tree, 1)
+
+
 class TestDualPredictableProjection:
     def test_bin1_half(self, bin1):
         a = indicator(bin1, "u")

@@ -28,6 +28,7 @@ from filtration_lab.constraint import (
 )
 from filtration_lab.errors import (
     ConstraintMismatch,
+    NotAStoppingTime,
     NotOrthogonal,
     PartitionNotMeasurable,
     ProbabilitySumNotOne,
@@ -196,6 +197,15 @@ class TestAccessibleStarToDot:
         mu = jump_measure(w_ter)
         slots = [AccessibleSlot(tau=1, classes=(["a"], ["b"], ["zz"]))]
         with pytest.raises(PartitionNotMeasurable):
+            accessible_star_to_dot(
+                JumpFunction.from_callable(mu, w_ter.tree, lambda t, v: 1),
+                mu, slots)
+
+    @pytest.mark.parametrize("tau", [1.5, F(3, 2), True])
+    def test_non_integral_time_rejected(self, w_ter, tau):
+        mu = jump_measure(w_ter)
+        slots = [AccessibleSlot(tau=tau, classes=(["a"], ["b"], ["c"]))]
+        with pytest.raises(NotAStoppingTime):
             accessible_star_to_dot(
                 JumpFunction.from_callable(mu, w_ter.tree, lambda t, v: 1),
                 mu, slots)

@@ -33,7 +33,6 @@ from filtration_lab import (
     single_jump_coefficient,
     solve_drift_multiplier,
 )
-from filtration_lab.calculus import Shared
 from filtration_lab.constraint import (
     _normalize_slots,
     _plan_accessible,
@@ -54,6 +53,7 @@ from filtration_lab.fuzz import random_increasing, random_scenario, rng_for
 from filtration_lab.linalg import solve
 from filtration_lab.rationals import to_fraction
 from filtration_lab.tree import as_filtration, conditional_expectation_leafwise
+from integral_reference import Shared
 
 F = Fraction
 ZERO = Fraction(0)

@@ -212,3 +212,14 @@ class TestStoppingTime:
     def test_infinity_sentinel(self, bin1):
         tau = StoppingTime(bin1, [2, 2])  # horizon + 1 means never
         assert list(tau.graph_at(1)) == []
+
+    @pytest.mark.parametrize("value", [1.9, 1.0, F(3, 2), True, "1"])
+    def test_non_integral_values_rejected(self, bin1, value):
+        # int() used to truncate 1.9 and 3/2 to 1 and read True as 1
+        with pytest.raises(NotAStoppingTime):
+            StoppingTime(bin1, [value, 1])
+        with pytest.raises(NotAStoppingTime):
+            StoppingTime.constant(bin1, value)
+
+    def test_integral_fraction_accepted(self, bin1):
+        assert StoppingTime(bin1, [F(2, 2), 1]).values == (1, 1)
