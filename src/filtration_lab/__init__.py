@@ -6,6 +6,8 @@ diagnostics all work in Fraction arithmetic end to end, so every identity
 in the library is checked exactly or not at all.
 """
 
+from types import ModuleType as _Module
+
 from .calculus import (
     CompensatorTable,
     Decomposition,
@@ -90,4 +92,6 @@ from .tree import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# public names only: the submodules bound by the imports above stay out
+__all__ = sorted(name for name, value in globals().items()
+                 if not (name.startswith("_") or isinstance(value, _Module)))

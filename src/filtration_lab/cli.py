@@ -4,6 +4,17 @@ Subcommands: run, fuzz, check-mrp, viability, explain. Reports are
 deterministic given inputs and seed: canonical JSON with sorted keys, no
 wall-clock content unless --timing is passed. Exit codes: 0 all checks pass,
 1 a check failed, 2 bad input.
+
+Every subcommand goes through one pipeline. A `CheckContext` derives what
+the checks share from one scenario, each object once: the basis's jump
+measure, its constraint system with the slot martingales, and the
+reconstructed family. A check runner maps the context to (ok, details);
+`run_check` turns a basis without the representation property into a
+failed row with its reason. The five checks under an enlargement are each a
+body (name, enlargement) -> (good, row), which `_each_enlargement` runs over
+the enlargements in name order. The focused reports reuse the runners:
+check-mrp is the mrp check's details, and the viability audit rows come
+through `_each_enlargement` too.
 """
 
 from __future__ import annotations
@@ -17,11 +28,13 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import __version__
 from .calculus import Process, jump_measure, star_integral
 from .constraint import (
     accessible_star_to_dot,
+    constraint_martingales,
     detect_fpcc,
     expand_integrand,
     slot_events_disjoint,
@@ -54,7 +67,6 @@ from .representation import (
     check_mrp,
     conditional_multiplicity,
     jump_constraint,
-    orthogonalize,
     reconstruct_accessible,
 )
 from .scenario import Scenario, canonical_json, load, save, scenario_hash
@@ -62,35 +74,46 @@ from .tree import Enlargement, FilteredTree
 
 
 class CheckContext:
-    """One scenario's shared state across checks, lazily built."""
+    """One scenario's shared objects across checks, each built on first use."""
 
     def __init__(self, scenario: Scenario, seed: int, mode: str):
         self.scenario = scenario
         self.seed = seed
         self.mode = mode
         self.tree = scenario.tree
-        self._cache = {}
 
     def basis(self) -> Process:
         return self.scenario.basis_process()
 
+    @cached_property
     def measure(self):
-        if "mu" not in self._cache:
-            self._cache["mu"] = jump_measure(self.basis())
-        return self._cache["mu"]
+        return jump_measure(self.basis())
 
+    @cached_property
     def constraint(self):
-        if "cs" not in self._cache:
-            self._cache["cs"] = detect_fpcc(self.measure())
-        return self._cache["cs"]
+        return detect_fpcc(self.measure)
 
+    @cached_property
+    def slot_martingales(self) -> Process:
+        """The basis's jumps split per slot: the constraint system keeps
+        them, so star-to-dot finds them built."""
+        mu, cs = self.measure, self.constraint
+        return constraint_martingales(mu, mu.compensator(cs.filtration), cs)
+
+    @cached_property
     def reconstructed(self):
-        if "rb" not in self._cache:
-            self._cache["rb"] = reconstruct_accessible(self.basis())
-        return self._cache["rb"]
+        return reconstruct_accessible(self.basis())
 
-    def enlargements(self):
-        return sorted(self.scenario.enlargements.items())
+
+def _each_enlargement(ctx: CheckContext, body):
+    """Run body(name, enlargement) -> (good, row) over the scenario's
+    enlargements in name order; ok when every body is good."""
+    ok = True
+    rows = {}
+    for name, enlargement in sorted(ctx.scenario.enlargements.items()):
+        good, rows[name] = body(name, enlargement)
+        ok = ok and good
+    return ok, {"enlargements": rows}
 
 
 def _json_safe(value):
@@ -105,10 +128,10 @@ def _json_safe(value):
     return value
 
 
-def _jump_counter(w: Process) -> Process:
+def _jump_counter(ctx: CheckContext) -> Process:
     """Cumulative count of the driver's jump nodes along each path."""
-    tree = w.tree
-    support = jump_measure(w).support
+    tree = ctx.tree
+    support = ctx.measure.support
     values = {tree.root.id: Fraction(0)}
     for t in range(1, tree.horizon + 1):
         for node in tree.nodes_at[t]:
@@ -117,19 +140,11 @@ def _jump_counter(w: Process) -> Process:
     return Process.from_node_values(tree, values, dim=1)
 
 
-def _multiplicity_table(tree):
-    table = {}
-    for t in range(1, tree.horizon + 1):
-        for node in tree.nodes_at[t - 1]:
-            count, _ = conditional_multiplicity(tree, t, node.id)
-            table[f"{t}:{node.id}"] = count
-    return table
-
-
 # check runners: each returns (ok, details)
 
 def _run_mrp(ctx: CheckContext):
     w = ctx.basis()
+    tree = ctx.tree
     report = check_mrp(w)
     details = {
         "holds": report.holds,
@@ -137,7 +152,9 @@ def _run_mrp(ctx: CheckContext):
         "ranks": {nid: list(pair) for nid, pair in sorted(report.ranks.items())},
         "failing_atom": report.failing_atom,
         "counterexample": report.counterexample,
-        "multiplicity": _multiplicity_table(ctx.tree),
+        "multiplicity": {
+            f"{t}:{node.id}": conditional_multiplicity(tree, t, node.id)[0]
+            for t in range(1, tree.horizon + 1) for node in tree.nodes_at[t - 1]},
     }
     if report.holds:
         details["constraint"] = jump_constraint(w).as_table()
@@ -145,14 +162,10 @@ def _run_mrp(ctx: CheckContext):
 
 
 def _run_reconstruct(ctx: CheckContext):
-    try:
-        rebuilt = ctx.reconstructed()
-    except NoRepresentation as exc:
-        return False, {"reason": str(exc)}
-    orthogonal = orthogonalize(ctx.basis())
-    combined = Process.stack([rebuilt.process, orthogonal])
+    rebuilt = ctx.reconstructed
+    combined = Process.stack([rebuilt.process, ctx.slot_martingales])
     joint = check_mrp(combined)
-    disjoint = slot_events_disjoint(ctx.measure(), ctx.constraint())
+    disjoint = slot_events_disjoint(ctx.measure, ctx.constraint)
     bound = max_abs_increment(rebuilt.process)
     ok = joint.holds and disjoint and bound <= 1
     return ok, {
@@ -165,8 +178,7 @@ def _run_reconstruct(ctx: CheckContext):
 
 
 def _run_star_to_dot(ctx: CheckContext):
-    mu = ctx.measure()
-    cs = ctx.constraint()
+    mu, cs = ctx.measure, ctx.constraint
     base = ctx.tree.base_filtration()
     slots = value_slots_from_measure(mu)
     samples = []
@@ -191,10 +203,10 @@ def _run_star_to_dot(ctx: CheckContext):
 
 def _run_drift(ctx: CheckContext):
     w = ctx.basis()
-    ok = True
-    per_enlargement = {}
-    for name, enlargement in ctx.enlargements():
+
+    def body(name, enlargement):
         filtration = enlargement.filtration()
+        ok = True
         rows = []
         for i in range(w.dim):
             result = drift_operator(w.component(i), enlargement)
@@ -208,32 +220,28 @@ def _run_drift(ctx: CheckContext):
                     if inc != 0:
                         table[f"{t}:{atom.label}"] = inc
             rows.append({"component": i, "decomposed": good, "drift": table})
-        per_enlargement[name] = rows
-    return ok, {"enlargements": per_enlargement}
+        return ok, rows
+
+    return _each_enlargement(ctx, body)
 
 
 def _run_multiplier(ctx: CheckContext):
-    try:
-        rebuilt = ctx.reconstructed()
-    except NoRepresentation as exc:
-        return False, {"reason": str(exc)}
-    ok = True
-    per_enlargement = {}
-    for name, enlargement in ctx.enlargements():
+    rebuilt = ctx.reconstructed
+
+    def body(name, enlargement):
         solution = solve_drift_multiplier(enlargement, rebuilt)
         good = solution.holds
         for j in range(3):
             rng = rng_for(ctx.seed, "multiplier", name, str(j))
             x = random_representable(ctx.basis(), rng)
             good = good and verify_drift_multiplier(solution, x, enlargement)
-        ok = ok and good
-        phi = {}
-        for slot in solution.slots:
-            phi[f"{slot.time}:{slot.atom}"] = {
-                record.label: list(record.phi) for record in slot.sub_records}
-        per_enlargement[name] = {
-            "holds": solution.holds, "verified_samples": 3, "phi": phi}
-    return ok, {"enlargements": per_enlargement}
+        phi = {f"{slot.time}:{slot.atom}": {
+            record.label: list(record.phi) for record in slot.sub_records}
+            for slot in solution.slots}
+        return good, {"holds": solution.holds, "verified_samples": 3,
+                      "phi": phi}
+
+    return _each_enlargement(ctx, body)
 
 
 def _viability_family(scenario: Scenario):
@@ -248,11 +256,10 @@ def _viability_family(scenario: Scenario):
 
 def _run_viability(ctx: CheckContext):
     family = _viability_family(ctx.scenario)
-    economic = True
-    identities = True
-    per_enlargement = {}
-    for name, enlargement in ctx.enlargements():
+
+    def body(name, enlargement):
         report = check_full_viability(enlargement, family)
+        identities = True
         rows = []
         for price_name, search in report.results:
             if search.feasible:
@@ -269,42 +276,38 @@ def _run_viability(ctx: CheckContext):
                     v.separating is not None for v in search.violations)
                 rows.append({"price": price_name, "feasible": False,
                              "violations": witnesses})
-        economic = economic and report.viable
-        per_enlargement[name] = {"viable": report.viable, "results": rows}
+        return identities, {"viable": report.viable, "results": rows}
+
+    identities, details = _each_enlargement(ctx, body)
+    economic = all(block["viable"] for block in details["enlargements"].values())
     ok = identities if ctx.mode == "fuzz" else (economic and identities)
-    return ok, {"family_size": len(family), "enlargements": per_enlargement}
+    return ok, {"family_size": len(family), **details}
 
 
 def _run_kernel(ctx: CheckContext):
-    try:
-        rebuilt = ctx.reconstructed()
-    except NoRepresentation as exc:
-        return False, {"reason": str(exc)}
-    ok = True
-    per_enlargement = {}
-    for name, enlargement in ctx.enlargements():
+    rebuilt = ctx.reconstructed
+
+    def body(name, enlargement):
+        ok = True
         rows = []
         for witness in rebuilt.witnesses:
             certificate = covariance_kernel(enlargement, rebuilt,
                                             witness.time, witness.atom)
             good = certificate.holds and certificate.kernel_matches
             ok = ok and good
-            rows.append({
-                "time": witness.time,
-                "atom": witness.atom,
-                "kernel_dim": len(certificate.kernel_basis),
-                "holds": good,
-            })
-        per_enlargement[name] = rows
-    return ok, {"enlargements": per_enlargement}
+            rows.append({"time": witness.time, "atom": witness.atom,
+                         "kernel_dim": len(certificate.kernel_basis),
+                         "holds": good})
+        return ok, rows
+
+    return _each_enlargement(ctx, body)
 
 
 def _run_consistency(ctx: CheckContext):
-    mu = ctx.measure()
-    counter = _jump_counter(ctx.basis())
-    ok = True
-    per_enlargement = {}
-    for name, enlargement in ctx.enlargements():
+    mu = ctx.measure
+    counter = _jump_counter(ctx)
+
+    def body(name, enlargement):
         count_ok, witness = check_compensator_abs_continuity(counter,
                                                              enlargement)
         extra = random_increasing(ctx.tree,
@@ -316,15 +319,14 @@ def _run_consistency(ctx: CheckContext):
             rng = rng_for(ctx.seed, "consistency", name, str(j))
             g = random_jump_function(mu, ctx.tree, rng)
             star_ok = star_ok and g_star_consistency(g, mu, enlargement)
-        good = count_ok and extra_ok and star_ok
-        ok = ok and good
-        per_enlargement[name] = {
+        return count_ok and extra_ok and star_ok, {
             "counter_scan": count_ok,
             "random_scan": extra_ok,
             "star": star_ok,
             "witness": witness or extra_witness,
         }
-    return ok, {"enlargements": per_enlargement}
+
+    return _each_enlargement(ctx, body)
 
 
 @dataclass(frozen=True)
@@ -414,20 +416,27 @@ CHECKS = {
 }
 
 
+def _lookup(name: str) -> CheckDef:
+    if name not in CHECKS:
+        raise UnknownCheck(
+            f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    return CHECKS[name]
+
+
 def _validate_checks(scenario: Scenario, names):
-    for name in names:
-        if name not in CHECKS:
-            raise UnknownCheck(
-                f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+    checks = [_lookup(name) for name in names]
     if names and scenario.basis is None:
         raise ParseError("checks need a basis process; set \"basis\"")
-    for name in names:
-        if CHECKS[name].needs_enlargement and not scenario.enlargements:
+    for name, check in zip(names, checks):
+        if check.needs_enlargement and not scenario.enlargements:
             raise ParseError(f"check {name!r} needs an enlargement")
 
 
 def run_check(ctx: CheckContext, name: str) -> dict:
-    ok, details = CHECKS[name].runner(ctx)
+    try:
+        ok, details = CHECKS[name].runner(ctx)
+    except NoRepresentation as exc:
+        ok, details = False, {"reason": str(exc)}
     return {"name": name, "status": "pass" if ok else "fail",
             "details": _json_safe(details)}
 
@@ -555,9 +564,7 @@ def fuzz_campaign(seed_start, count, checks=None, horizon=None,
     """Run the check registry over seeded random scenarios."""
     names = tuple(checks) if checks else tuple(CHECKS)
     for name in names:
-        if name not in CHECKS:
-            raise UnknownCheck(
-                f"unknown check {name!r}; known: {', '.join(CHECKS)}")
+        _lookup(name)
     params = {
         "seed_start": seed_start,
         "count": count,
@@ -603,25 +610,14 @@ def scenario_hash_of_params(params) -> str:
 
 
 def check_mrp_report(path) -> tuple[dict, int]:
-    """Focused rank report with multiplicity and constraint tables."""
+    """Focused rank report: the mrp check's details, its verdict as mrp."""
     scenario = load(path)
     if scenario.basis is None:
         raise ParseError("scenario has no basis process")
-    w = scenario.basis_process()
-    report = check_mrp(w)
-    fields = {
-        "scenario_hash": scenario_hash(scenario),
-        "mrp": report.holds,
-        "dim": report.dim,
-        "ranks": _json_safe({nid: list(pair)
-                             for nid, pair in sorted(report.ranks.items())}),
-        "failing_atom": report.failing_atom,
-        "counterexample": _json_safe(report.counterexample),
-        "multiplicity": _multiplicity_table(scenario.tree),
-    }
-    if report.holds:
-        fields["constraint"] = jump_constraint(w).as_table()
-    return _report("check-mrp", report.holds, **fields)
+    ok, details = _run_mrp(CheckContext(scenario, scenario.seed, mode="run"))
+    details["mrp"] = details.pop("holds")
+    return _report("check-mrp", ok, scenario_hash=scenario_hash(scenario),
+                   **_json_safe(details))
 
 
 def viability_report(path) -> tuple[dict, int]:
@@ -630,42 +626,24 @@ def viability_report(path) -> tuple[dict, int]:
     if not scenario.enlargements:
         raise ParseError("scenario has no enlargement")
     family = _viability_family(scenario)
-    per_enlargement = {}
-    viable = True
-    for name, enlargement in sorted(scenario.enlargements.items()):
+
+    def body(name, enlargement):
         report = check_full_viability(enlargement, family)
-        viable = viable and report.viable
-        rows = []
-        for price_name, search in report.results:
-            audits = [{
-                "time": audit.time,
-                "atom": audit.atom,
-                "subatoms": list(audit.subatoms),
-                "weights": audit.weights,
-                "price_moves": audit.price_moves,
-                "status": audit.status,
-                "floor": audit.floor,
-                "solution": audit.solution,
-                "separating": audit.separating,
-            } for audit in search.audit]
-            rows.append({
-                "price": price_name,
-                "feasible": search.feasible,
-                "violations": [a.atom for a in search.violations],
-                "audit": audits,
-            })
-        per_enlargement[name] = {"viable": report.viable, "results": rows}
-    return _report("viability", viable,
-                   scenario_hash=scenario_hash(scenario),
-                   family_size=len(family),
-                   enlargements=_json_safe(per_enlargement))
+        return report.viable, {"viable": report.viable, "results": [{
+            "price": price_name,
+            "feasible": search.feasible,
+            "violations": [a.atom for a in search.violations],
+            "audit": search.audit,
+        } for price_name, search in report.results]}
+
+    viable, details = _each_enlargement(
+        CheckContext(scenario, scenario.seed, mode="run"), body)
+    return _report("viability", viable, scenario_hash=scenario_hash(scenario),
+                   family_size=len(family), **_json_safe(details))
 
 
 def explain(name: str) -> str:
-    if name not in CHECKS:
-        raise UnknownCheck(
-            f"unknown check {name!r}; known: {', '.join(CHECKS)}")
-    return CHECKS[name].explain
+    return _lookup(name).explain
 
 
 # rendering

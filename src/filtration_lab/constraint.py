@@ -61,21 +61,20 @@ class ConstraintSystem:
 
     slots maps (t, conditioning atom label) to an n-tuple of location
     vectors; empty slots hold None so that n stays uniform across atoms.
+    Every slot is gauged by l1_gauge, which gauges lists once per slot.
     """
 
-    def __init__(self, filtration, dim, n, slots, gauges=None):
+    def __init__(self, filtration, dim, n, slots):
         self.filtration = filtration
         self.dim = dim
         self.n = n
         self.slots = dict(slots)
-        self.gauges = tuple(gauges) if gauges else tuple([l1_gauge] * n)
-        if len(self.gauges) != n:
-            raise DimensionMismatch(f"{len(self.gauges)} gauges for {n} slots")
+        self.gauges = (l1_gauge,) * n
         for key, values in self.slots.items():
             if len(values) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
-            for k, value in enumerate(values):
-                if value is not None and self.gauges[k](value) == 0:
+            for value in values:
+                if value is not None and l1_gauge(value) == 0:
                     raise ConstraintMismatch(
                         f"gauge vanishes on the slot value {value} at {key}")
         self._martingales: dict[JumpMeasure, Process] = {}

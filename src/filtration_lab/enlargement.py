@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .calculus import (
     Process,
@@ -26,7 +27,7 @@ from .errors import (
     NotIncreasing,
     NotStrictlyPositive,
 )
-from .linalg import dot, gram_schmidt, invert, mat_mul, null_space, transpose
+from .linalg import dot, mat_mul, null_space
 from .rationals import format_rational, to_fraction
 from .representation import representation_coefficient
 from .tree import as_filtration, conditional_law, conditional_mean
@@ -349,13 +350,14 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
             p = list(wit.probs)
             if all(c == 0 for c in p):
                 raise DegeneratePartition(f"no mass below atom {node.id}")
-            units = [[ONE if j == h else ZERO for j in range(width)]
-                     for h in range(width)]
-            frame = gram_schmidt([p, *units])
-            epsilons = frame[1:]
-            if len(epsilons) != basis.d:
-                raise DegeneratePartition(
-                    f"frame at atom {node.id} has {len(epsilons)} directions")
+            # Gram-Schmidt of (p, e_0, ..., e_d) in closed form: e_h leaves
+            # e_h - (p_h / T_h)(0, ..., 0, p_h, ..., p_d) with T_h = sum_{j>=h}
+            # p_j^2, which is zero at the last charged class
+            last = max(h for h in range(width) if p[h])
+            tails = list(accumulate(v * v for v in reversed(p)))[::-1]
+            coeffs = [p[h] / tails[h] if p[h] else ZERO for h in range(width)]
+            epsilons = [[ZERO] * h + [ONE - c * p[h]] + [-c * v for v in p[h + 1:]]
+                        for h, c in enumerate(coeffs) if h != last]
             frame_row.append(epsilons)
             sub_records = []
             for sub in filtration.atoms_within(t - 1, node.leaves()):
@@ -485,23 +487,18 @@ def covariance_kernel(enlargement_like, basis, time: int,
         all(dot(row, vec) == 0 for row in c) for vec in claimed)
     kernel_matches = in_kernel and len(kernel) == len(claimed)
 
-    # sum-zero frame on the charged classes
-    b_cols = []
-    lead = charged[0]
-    for h in charged[1:]:
-        col = [ZERO] * width
-        col[lead] = ONE
-        col[h] = -ONE
-        b_cols.append(col)
-    if b_cols:
-        b = transpose(b_cols)
-        core = mat_mul(mat_mul(transpose(b), c), b)
-        core_inv = invert(core)
-        j = mat_mul(mat_mul(b, core_inv), transpose(b))
-    else:
-        j = [[ZERO] * width for _ in range(width)]
-
-    jc = mat_mul(j, c)
+    # on the charged classes J = 4^t P diag(1/p) P and J C = P, where P
+    # centres the charged classes; both vanish elsewhere
+    share = Fraction(1, len(charged))
+    inv = {h: 1 / p[h] for h in charged}
+    total = sum(inv.values())
+    j = [[ZERO] * width for _ in range(width)]
+    jc = [[ZERO] * width for _ in range(width)]
+    for g in charged:
+        for h in charged:
+            j[g][h] = 4 ** time * ((inv[g] if g == h else ZERO)
+                                   - share * (inv[g] + inv[h] - share * total))
+            jc[g][h] = (ONE if g == h else ZERO) - share
     x2 = basis.process
     node = tree.nodes[atom_label]
     sub_checks = []

@@ -18,6 +18,11 @@ The final section keeps, verbatim, the per-leaf conditional-mean kernel
 identity-keyed Shared memo that atom-indexed process rows replaced; the
 functions above call them, and test_atom_kernel holds the partition kernel
 to them.
+
+The closing section keeps, verbatim, covariance_kernel as it was before
+the closed-form pseudo-inverse: J from a sum-zero frame B and the inverse
+of B^T C B, and J C as a matrix product. test_integral_reference holds the
+library's certificates to it.
 """
 
 from __future__ import annotations
@@ -39,9 +44,11 @@ from filtration_lab.enlargement import (
     AtomAudit,
     Deflator,
     DeflatorSearch,
+    KernelCertificate,
     MultiplierSolution,
     SlotWitness,
     SubAtomRecord,
+    _increment_moments,
     _multiplier_identity,
     _one_period_deflator,
     _require_positive,
@@ -54,7 +61,14 @@ from filtration_lab.errors import (
     NotPredictable,
     PartitionNotMeasurable,
 )
-from filtration_lab.linalg import dot, gram_schmidt
+from filtration_lab.linalg import (
+    dot,
+    gram_schmidt,
+    invert,
+    mat_mul,
+    null_space,
+    transpose,
+)
 from filtration_lab.rationals import to_fraction
 from filtration_lab.representation import (
     ReconstructedBasis,
@@ -803,3 +817,80 @@ def conditional_mean(tree: FilteredTree, atom: Atom, row, key=None):
     for (k, _), entry in _masses(tree, atom, lambda i: (key(i), id(row[i]))).items():
         by_key.setdefault(k, []).append(entry)
     return {k: _weigh(row, entries, atom.prob) for k, entries in by_key.items()}
+
+
+# --- the covariance kernel before the closed-form pseudo-inverse ------------
+
+def covariance_kernel(enlargement_like, basis, time: int,
+                      atom_label: str) -> KernelCertificate:
+    """Kernel of the per-atom covariance step and its reflexive certificate.
+
+    The step matrix is (1/4^t)(diag(p) - p pT); its kernel is spanned by the
+    all-ones vector on the charged classes together with the units of the
+    empty classes. J inverts the step on the charged sum-zero directions, and
+    every larger-flow atom's own covariance step M satisfies M = M J C.
+    """
+    filtration = as_filtration(enlargement_like)
+    tree = basis.process.tree
+    wit = next((w for w in basis.witnesses
+                if w.time == time and w.atom == atom_label), None)
+    if wit is None:
+        raise DegeneratePartition(
+            f"no slot at time {time}, atom {atom_label}")
+    width = basis.d + 1
+    p = list(wit.probs)
+    scale = Fraction(1, 4 ** time)
+    c = [[scale * ((p[g] if g == h else ZERO) - p[g] * p[h])
+          for h in range(width)] for g in range(width)]
+
+    charged = [h for h in range(width) if p[h] > 0]
+    if not charged:
+        raise DegeneratePartition(f"no mass below atom {atom_label}")
+    claimed = []
+    ones = [ONE if h in charged else ZERO for h in range(width)]
+    claimed.append(tuple(ones))
+    for h in range(width):
+        if p[h] == 0:
+            claimed.append(tuple(ONE if g == h else ZERO for g in range(width)))
+    kernel = null_space(c)
+    in_kernel = all(
+        all(dot(row, vec) == 0 for row in c) for vec in claimed)
+    kernel_matches = in_kernel and len(kernel) == len(claimed)
+
+    # sum-zero frame on the charged classes
+    b_cols = []
+    lead = charged[0]
+    for h in charged[1:]:
+        col = [ZERO] * width
+        col[lead] = ONE
+        col[h] = -ONE
+        b_cols.append(col)
+    if b_cols:
+        b = transpose(b_cols)
+        core = mat_mul(mat_mul(transpose(b), c), b)
+        core_inv = invert(core)
+        j = mat_mul(mat_mul(b, core_inv), transpose(b))
+    else:
+        j = [[ZERO] * width for _ in range(width)]
+
+    jc = mat_mul(j, c)
+    x2 = basis.process
+    node = tree.nodes[atom_label]
+    sub_checks = []
+    holds = kernel_matches
+    for sub in filtration.atoms_within(time - 1, node.leaves()):
+        _, m = _increment_moments(x2, time, sub)
+        back = mat_mul(m, jc)
+        ok = back == m
+        sub_checks.append((sub.label, ok))
+        holds = holds and ok
+
+    return KernelCertificate(
+        time=time, atom=atom_label,
+        matrix=tuple(tuple(row) for row in c),
+        kernel_basis=tuple(tuple(v) for v in kernel),
+        claimed_basis=tuple(claimed),
+        kernel_matches=kernel_matches,
+        j=tuple(tuple(row) for row in j),
+        sub_checks=tuple(sub_checks),
+        holds=holds)

@@ -1,0 +1,41 @@
+"""One derivation per run: the checks share the context's jump measure and
+constraint system instead of building their own."""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+from filtration_lab import calculus, constraint
+from filtration_lab.cli import CHECKS, main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "fixtures"
+
+
+def count_calls(monkeypatch, original):
+    """Route every package module's binding of original through a counter."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if (name.startswith("filtration_lab.")
+                and getattr(module, original.__name__, None) is original):
+            monkeypatch.setattr(module, original.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["ter1_ga.json", "ter1_gb.json"])
+def test_run_derives_measure_and_constraint_at_most_twice(
+        fixture, monkeypatch, capsys):
+    measures = count_calls(monkeypatch, calculus.jump_measure)
+    systems = count_calls(monkeypatch, constraint.detect_fpcc)
+    code = main(["run", str(FIXTURES / fixture), "--checks", ",".join(CHECKS),
+                 "--format", "json"])
+    capsys.readouterr()
+    assert code in (0, 1)
+    # one for the context, one for the mrp check's jump_constraint
+    assert len(measures) <= 2
+    assert len(systems) <= 2

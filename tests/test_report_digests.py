@@ -19,14 +19,17 @@ from filtration_lab.cli import main
 
 HERE = Path(__file__).resolve().parent
 FIXTURES = HERE.parent / "src" / "filtration_lab" / "fixtures"
+SHORT = HERE / "data" / "ter1_short_basis.json"
 DIGESTS = HERE / "report_digests.json"
 
 COMMANDS = {
     "run bin1": ["run", str(FIXTURES / "bin1.json"), "--format", "json"],
     "run ter1_ga": ["run", str(FIXTURES / "ter1_ga.json"), "--format", "json"],
     "run ter1_gb": ["run", str(FIXTURES / "ter1_gb.json"), "--format", "json"],
+    "run ter1_short": ["run", str(SHORT), "--format", "json"],
     "check-mrp bin1": ["check-mrp", str(FIXTURES / "bin1.json"),
                        "--format", "json"],
+    "check-mrp ter1_short": ["check-mrp", str(SHORT), "--format", "json"],
     "viability ter1_ga": ["viability", str(FIXTURES / "ter1_ga.json"),
                           "--format", "json"],
     "viability ter1_gb": ["viability", str(FIXTURES / "ter1_gb.json"),
