@@ -6,15 +6,20 @@ wall-clock content unless --timing is passed. Exit codes: 0 all checks pass,
 1 a check failed, 2 bad input.
 
 Every subcommand goes through one pipeline. A `CheckContext` derives what
-the checks share from one scenario, each object once: the basis's jump
-measure, its constraint system with the slot martingales, and the
-reconstructed family. A check runner maps the context to (ok, details);
-`run_check` turns a basis without the representation property into a
-failed row with its reason. The five checks under an enlargement are each a
-body (name, enlargement) -> (good, row), which `_each_enlargement` runs over
-the enlargements in name order. The focused reports reuse the runners:
-check-mrp is the mrp check's details, and the viability audit rows come
-through `_each_enlargement` too.
+the checks share from one scenario, each object once: the basis's rank
+report, its jump measure, its constraint system with the slot martingales,
+and the reconstructed family. A check runner maps the context to (ok,
+details); `run_check` turns a basis without the representation property
+into a failed row with its reason. The five checks under an enlargement are
+each a body (name, enlargement) -> (good, row), which `_each_enlargement`
+runs over the enlargements in name order. The focused reports reuse the
+runners: check-mrp is the mrp check's details, and the viability audit rows
+come through `_each_enlargement` too.
+
+A fuzz failure is shrunk on the scenario's JSON document, keeping each
+edit (drop an enlargement, the viability family or a spare process, cut the
+horizon) that the parser accepts and the check still fails on. The
+reproducer is that document, so `run repro-<seed>.json` replays it.
 """
 
 from __future__ import annotations
@@ -63,14 +68,15 @@ from .fuzz import (
     undersized_basis,
     widest_branching,
 )
-from .representation import (
-    check_mrp,
-    conditional_multiplicity,
-    jump_constraint,
-    reconstruct_accessible,
+from .representation import check_mrp, menu_bound, reconstruct_accessible
+from .scenario import (
+    Scenario,
+    canonical_json,
+    load,
+    parse_scenario,
+    scenario_hash,
+    scenario_to_doc,
 )
-from .scenario import Scenario, canonical_json, load, save, scenario_hash
-from .tree import Enlargement, FilteredTree
 
 
 class CheckContext:
@@ -84,6 +90,10 @@ class CheckContext:
 
     def basis(self) -> Process:
         return self.scenario.basis_process()
+
+    @cached_property
+    def mrp(self):
+        return check_mrp(self.basis())
 
     @cached_property
     def measure(self):
@@ -102,6 +112,8 @@ class CheckContext:
 
     @cached_property
     def reconstructed(self):
+        # a raised NoRepresentation is not cached: fail on the cached report
+        self.mrp.require()
         return reconstruct_accessible(self.basis())
 
 
@@ -143,21 +155,19 @@ def _jump_counter(ctx: CheckContext) -> Process:
 # check runners: each returns (ok, details)
 
 def _run_mrp(ctx: CheckContext):
-    w = ctx.basis()
-    tree = ctx.tree
-    report = check_mrp(w)
+    report = ctx.mrp
     details = {
         "holds": report.holds,
         "dim": report.dim,
         "ranks": {nid: list(pair) for nid, pair in sorted(report.ranks.items())},
         "failing_atom": report.failing_atom,
         "counterexample": report.counterexample,
-        "multiplicity": {
-            f"{t}:{node.id}": conditional_multiplicity(tree, t, node.id)[0]
-            for t in range(1, tree.horizon + 1) for node in tree.nodes_at[t - 1]},
+        # successor classes: the child count m of the rank test
+        "multiplicity": {f"{ctx.tree.nodes[nid].time + 1}:{nid}": m
+                         for nid, (m, _) in report.ranks.items()},
     }
     if report.holds:
-        details["constraint"] = jump_constraint(w).as_table()
+        details["constraint"] = menu_bound(ctx.constraint, report.dim).as_table()
     return report.holds, details
 
 
@@ -475,85 +485,68 @@ def _adversarial_probe(scenario: Scenario, seed: int):
     }
 
 
-def _truncate_scenario(scenario: Scenario, horizon: int):
-    """Shrink to a smaller horizon when every partition cell survives."""
-    old = scenario.tree
-    specs = []
-    for t in range(horizon + 1):
-        for node in old.nodes_at[t]:
-            specs.append((node.id, node.time,
-                          node.parent.id if node.parent else None,
-                          node.branch_prob))
-    try:
-        tree = FilteredTree(horizon, specs)
-    except FiltrationLabError:
-        return None
+def _cut_horizon(doc: dict, horizon: int) -> dict:
+    """The scenario document at an earlier horizon: later nodes, times and
+    table entries dropped, each enlargement cell's leaves replaced by their
+    time-horizon ancestors. A cell that splits a new leaf then shares it
+    with another cell, which the parser rejects."""
+    top = {}  # each node's ancestor at the horizon; parents are listed first
+    for node in doc["nodes"]:
+        top[node["id"]] = (node["id"] if node["time"] <= horizon
+                           else top[node["parent"]])
+    nodes = [node for node in doc["nodes"] if node["time"] <= horizon]
+    kept = {node["id"] for node in nodes}
+    enlargements = {
+        name: {t: [list(dict.fromkeys(top[leaf] for leaf in cell)) for cell in cells]
+               for t, cells in parts.items() if int(t) <= horizon}
+        for name, parts in doc["enlargements"].items()}
+    processes = {
+        name: dict(entry, values={nid: value for nid, value
+                                  in entry["values"].items() if nid in kept})
+        for name, entry in doc["processes"].items()}
+    return dict(doc, horizon=horizon, nodes=nodes, enlargements=enlargements,
+                processes=processes)
 
-    new_leaves = old.base_filtration().parts[horizon]
-    enlargements = {}
-    for name, enlargement in scenario.enlargements.items():
-        parts = {}
-        for t in range(horizon + 1):
-            cells = []
-            for cell in enlargement.partitions[t]:
-                # the new leaves the cell meets, each of which it must hold
-                members = [new_leaves.atoms[k] for k in
-                           dict.fromkeys(new_leaves.block_of[i] for i in cell)]
-                if sum(len(node.leaves) for node in members) != len(cell):
-                    return None
-                cells.append([node.label for node in members])
-            parts[t] = cells
+
+def minimize_failure(scenario: Scenario, check_name: str, seed: int) -> dict:
+    """Greedy shrink of a failing fuzz scenario's document, keeping the
+    failure: drop enlargements down to one, the viability family, spare
+    processes, then cut the horizon. parse_scenario decides whether a
+    candidate is a scenario at all, and the check whether it still fails.
+    """
+
+    def still_fails(doc):
         try:
-            enlargements[name] = Enlargement(tree, parts, name=name)
-        except FiltrationLabError:
-            return None
-
-    processes = {}
-    for name, process in scenario.processes.items():
-        table = process.node_values()
-        kept = {nid: table[nid] for nid in tree.nodes}
-        processes[name] = Process.from_node_values(tree, kept)
-    return Scenario(tree=tree, enlargements=enlargements,
-                    processes=processes, checks=scenario.checks,
-                    seed=scenario.seed, basis=scenario.basis,
-                    viability_family=scenario.viability_family)
-
-
-def minimize_failure(scenario: Scenario, check_name: str, seed: int) -> Scenario:
-    """Greedy shrink of a failing scenario, keeping the failure."""
-
-    def still_fails(candidate):
-        try:
+            candidate = parse_scenario(doc)
             _validate_checks(candidate, (check_name,))
             ctx = CheckContext(candidate, seed, mode="fuzz")
             return run_check(ctx, check_name)["status"] != "pass"
         except FiltrationLabError:
             return False
 
-    current = dataclasses.replace(scenario, checks=(check_name,))
-    for name in sorted(current.enlargements):
-        if len(current.enlargements) == 1:
+    def without(doc, key, name):
+        return dict(doc, **{key: {k: v for k, v in doc[key].items() if k != name}})
+
+    current = dict(scenario_to_doc(scenario), checks=[check_name])
+    for name in sorted(current["enlargements"]):
+        if len(current["enlargements"]) == 1:
             break
-        smaller = dict(current.enlargements)
-        del smaller[name]
-        trial = dataclasses.replace(current, enlargements=smaller)
+        trial = without(current, "enlargements", name)
         if still_fails(trial):
             current = trial
-    if check_name != "viability" and current.viability_family:
-        trial = dataclasses.replace(current, viability_family=())
+    if check_name != "viability" and "viability_family" in current:
+        trial = {k: v for k, v in current.items() if k != "viability_family"}
         if still_fails(trial):
             current = trial
-    for name in sorted(current.processes):
-        if name == current.basis or name in current.viability_family:
+    for name in sorted(current["processes"]):
+        if name == current["basis"] or name in current.get("viability_family", ()):
             continue
-        smaller = dict(current.processes)
-        del smaller[name]
-        trial = dataclasses.replace(current, processes=smaller)
+        trial = without(current, "processes", name)
         if still_fails(trial):
             current = trial
-    for horizon in range(1, current.tree.horizon):
-        trial = _truncate_scenario(current, horizon)
-        if trial is not None and still_fails(trial):
+    for horizon in range(1, current["horizon"]):
+        trial = _cut_horizon(current, horizon)
+        if still_fails(trial):
             current = trial
             break
     return current
@@ -565,6 +558,8 @@ def fuzz_campaign(seed_start, count, checks=None, horizon=None,
     names = tuple(checks) if checks else tuple(CHECKS)
     for name in names:
         _lookup(name)
+    if count < 1:
+        raise ParseError(f"fuzz count must be at least 1, got {count}")
     params = {
         "seed_start": seed_start,
         "count": count,
@@ -596,17 +591,13 @@ def fuzz_campaign(seed_start, count, checks=None, horizon=None,
             if culprit is not None:
                 reduced = minimize_failure(scenario, culprit, seed)
                 path = os.path.join(repro_dir, f"repro-{seed}.json")
-                save(reduced, path)
+                _write(path, canonical_json(reduced) + "\n")
                 entry["reproducer"] = path
         results.append(entry)
-    return _report("fuzz", failures == 0, params=params,
-                   params_hash=scenario_hash_of_params(params),
-                   results=results, failures=failures)
-
-
-def scenario_hash_of_params(params) -> str:
     digest = hashlib.sha256(canonical_json(params).encode("utf-8"))
-    return digest.hexdigest()[:16]
+    return _report("fuzz", failures == 0, params=params,
+                   params_hash=digest.hexdigest()[:16],
+                   results=results, failures=failures)
 
 
 def check_mrp_report(path) -> tuple[dict, int]:
@@ -687,18 +678,21 @@ def render_table(report) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(report, args) -> None:
-    text = (canonical_json_indented(report) if args.format == "json"
-            else render_table(report))
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
+def _write(path, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ParseError(f"cannot write {path}: {exc}") from exc
+
+
+def emit(report, args) -> None:
+    text = (json.dumps(report, sort_keys=True, indent=2) + "\n"
+            if args.format == "json" else render_table(report))
+    if args.out:
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
-
-
-def canonical_json_indented(report) -> str:
-    return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
 def _split_checks(raw):
@@ -765,12 +759,12 @@ def main(argv=None) -> int:
         else:
             sys.stdout.write(explain(args.check) + "\n")
             return 0
+        if args.timing:
+            report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
+        emit(report, args)
     except FiltrationLabError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    if args.timing:
-        report["timing"] = {"seconds": round(time.monotonic() - started, 3)}
-    emit(report, args)
     return code
 
 

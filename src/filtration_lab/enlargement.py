@@ -502,7 +502,8 @@ def covariance_kernel(enlargement_like, basis, time: int,
     x2 = basis.process
     node = tree.nodes[atom_label]
     sub_checks = []
-    holds = kernel_matches
+    # the closed forms are claims too: the reported J must give J C = P
+    holds = kernel_matches and mat_mul(j, c) == jc
     for sub in filtration.atoms_within(time - 1, node.leaves()):
         _, m = _increment_moments(x2, time, sub)
         back = mat_mul(m, jc)

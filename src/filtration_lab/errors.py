@@ -126,7 +126,7 @@ class DegeneratePartition(FiltrationLabError):
 # cli / serialization
 
 class ParseError(FiltrationLabError):
-    """A scenario or process file is malformed."""
+    """Bad input: a malformed scenario, an unusable path or argument."""
 
 
 class UnknownCheck(FiltrationLabError):

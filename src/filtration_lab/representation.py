@@ -39,6 +39,13 @@ class MrpReport:
     failing_atom: str | None
     counterexample: tuple | None
 
+    def require(self) -> None:
+        """Raise NoRepresentation when the rank test failed."""
+        if not self.holds:
+            raise NoRepresentation(
+                "basis lacks the representation property",
+                atom=self.failing_atom, witness=self.counterexample)
+
 
 @dataclass(frozen=True)
 class PartitionWitness:
@@ -214,11 +221,7 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
     identically zero components on their slots.
     """
     tree = w.tree
-    report = check_mrp(w)
-    if not report.holds:
-        raise NoRepresentation(
-            "basis lacks the representation property",
-            atom=report.failing_atom, witness=report.counterexample)
+    check_mrp(w).require()
     d = w.dim
     base = tree.base_filtration()
     witnesses = []
@@ -275,16 +278,15 @@ def jump_constraint(w: Process) -> ConstraintSystem:
     Under the representation property every conditioning atom has at most
     d + 1 successors, so no menu can exceed d + 1 entries.
     """
-    report = check_mrp(w)
-    if not report.holds:
-        raise NoRepresentation(
-            "basis lacks the representation property",
-            atom=report.failing_atom, witness=report.counterexample)
-    cs = detect_fpcc(jump_measure(w))
-    bound = w.dim + 1
+    check_mrp(w).require()
+    return menu_bound(detect_fpcc(jump_measure(w)), w.dim)
+
+
+def menu_bound(cs: ConstraintSystem, d: int) -> ConstraintSystem:
+    """cs, or ConstraintMismatch when a menu has more than d + 1 entries."""
     for key, menu in cs.slots.items():
         filled = sum(1 for value in menu if value is not None)
-        if filled > bound:
+        if filled > d + 1:
             raise ConstraintMismatch(
-                f"menu at {key} has {filled} entries, bound {bound}")
+                f"menu at {key} has {filled} entries, bound {d + 1}")
     return cs

@@ -29,6 +29,7 @@ from .errors import (
     NotARefinement,
     NotAStoppingTime,
     NotMonotone,
+    ParseError,
     ProbabilitySumNotOne,
     TimeOutOfRange,
 )
@@ -560,7 +561,8 @@ def random_tree(seed: int, horizon: int = 2, max_branching: int = 3,
     probabilities with small denominators, ids spelling the path from the root."""
     if horizon < 1:
         raise TimeOutOfRange("random_tree needs horizon >= 1")
-    max_branching = max(1, min(int(max_branching), 8))
+    if not 1 <= max_branching <= 8:  # child ids are the letters a..h
+        raise ParseError(f"random_tree needs max_branching in 1..8, got {max_branching}")
     denominator_bound = max(2, int(denominator_bound))
     rng = random.Random(seed)
     specs = []

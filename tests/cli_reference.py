@@ -1,0 +1,104 @@
+"""The fuzz shrinker as the command line tool had it.
+
+Test-only reference: `_truncate_scenario` and `minimize_failure` below are
+verbatim copies of the shrinker that edited Scenario objects, rebuilding a
+FilteredTree from node specs, mapping every enlargement cell onto the new
+leaves with its own survival test and slicing each process's node table.
+The library now shrinks the scenario's JSON document and lets
+parse_scenario judge each candidate; test_shrinker holds its reproducers
+to the ones these functions give, byte for byte.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+
+from filtration_lab.calculus import Process
+from filtration_lab.cli import CheckContext, _validate_checks, run_check
+from filtration_lab.errors import FiltrationLabError
+from filtration_lab.scenario import Scenario
+from filtration_lab.tree import Enlargement, FilteredTree
+
+
+def _truncate_scenario(scenario: Scenario, horizon: int):
+    """Shrink to a smaller horizon when every partition cell survives."""
+    old = scenario.tree
+    specs = []
+    for t in range(horizon + 1):
+        for node in old.nodes_at[t]:
+            specs.append((node.id, node.time,
+                          node.parent.id if node.parent else None,
+                          node.branch_prob))
+    try:
+        tree = FilteredTree(horizon, specs)
+    except FiltrationLabError:
+        return None
+
+    new_leaves = old.base_filtration().parts[horizon]
+    enlargements = {}
+    for name, enlargement in scenario.enlargements.items():
+        parts = {}
+        for t in range(horizon + 1):
+            cells = []
+            for cell in enlargement.partitions[t]:
+                # the new leaves the cell meets, each of which it must hold
+                members = [new_leaves.atoms[k] for k in
+                           dict.fromkeys(new_leaves.block_of[i] for i in cell)]
+                if sum(len(node.leaves) for node in members) != len(cell):
+                    return None
+                cells.append([node.label for node in members])
+            parts[t] = cells
+        try:
+            enlargements[name] = Enlargement(tree, parts, name=name)
+        except FiltrationLabError:
+            return None
+
+    processes = {}
+    for name, process in scenario.processes.items():
+        table = process.node_values()
+        kept = {nid: table[nid] for nid in tree.nodes}
+        processes[name] = Process.from_node_values(tree, kept)
+    return Scenario(tree=tree, enlargements=enlargements,
+                    processes=processes, checks=scenario.checks,
+                    seed=scenario.seed, basis=scenario.basis,
+                    viability_family=scenario.viability_family)
+
+
+def minimize_failure(scenario: Scenario, check_name: str, seed: int) -> Scenario:
+    """Greedy shrink of a failing scenario, keeping the failure."""
+
+    def still_fails(candidate):
+        try:
+            _validate_checks(candidate, (check_name,))
+            ctx = CheckContext(candidate, seed, mode="fuzz")
+            return run_check(ctx, check_name)["status"] != "pass"
+        except FiltrationLabError:
+            return False
+
+    current = dataclasses.replace(scenario, checks=(check_name,))
+    for name in sorted(current.enlargements):
+        if len(current.enlargements) == 1:
+            break
+        smaller = dict(current.enlargements)
+        del smaller[name]
+        trial = dataclasses.replace(current, enlargements=smaller)
+        if still_fails(trial):
+            current = trial
+    if check_name != "viability" and current.viability_family:
+        trial = dataclasses.replace(current, viability_family=())
+        if still_fails(trial):
+            current = trial
+    for name in sorted(current.processes):
+        if name == current.basis or name in current.viability_family:
+            continue
+        smaller = dict(current.processes)
+        del smaller[name]
+        trial = dataclasses.replace(current, processes=smaller)
+        if still_fails(trial):
+            current = trial
+    for horizon in range(1, current.tree.horizon):
+        trial = _truncate_scenario(current, horizon)
+        if trial is not None and still_fails(trial):
+            current = trial
+            break
+    return current

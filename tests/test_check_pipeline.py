@@ -1,15 +1,16 @@
-"""One derivation per run: the checks share the context's jump measure and
-constraint system instead of building their own."""
+"""One derivation per run: the checks share the context's rank report, jump
+measure and constraint system instead of building their own."""
 
 import sys
 from pathlib import Path
 
 import pytest
 
-from filtration_lab import calculus, constraint
+from filtration_lab import calculus, constraint, representation
 from filtration_lab.cli import CHECKS, main
 
 FIXTURES = Path(__file__).resolve().parent.parent / "src" / "filtration_lab" / "fixtures"
+SHORT_BASIS = Path(__file__).resolve().parent / "data" / "ter1_short_basis.json"
 
 
 def count_calls(monkeypatch, original):
@@ -28,14 +29,23 @@ def count_calls(monkeypatch, original):
 
 
 @pytest.mark.parametrize("fixture", ["ter1_ga.json", "ter1_gb.json"])
-def test_run_derives_measure_and_constraint_at_most_twice(
-        fixture, monkeypatch, capsys):
+def test_run_derives_measure_and_constraint_once(fixture, monkeypatch, capsys):
     measures = count_calls(monkeypatch, calculus.jump_measure)
     systems = count_calls(monkeypatch, constraint.detect_fpcc)
     code = main(["run", str(FIXTURES / fixture), "--checks", ",".join(CHECKS),
                  "--format", "json"])
     capsys.readouterr()
     assert code in (0, 1)
-    # one for the context, one for the mrp check's jump_constraint
-    assert len(measures) <= 2
-    assert len(systems) <= 2
+    assert len(measures) == 1
+    assert len(systems) == 1
+
+
+def test_basis_without_representation_is_ranked_once(monkeypatch, capsys):
+    ranks = count_calls(monkeypatch, representation.check_mrp)
+    rebuilds = count_calls(monkeypatch, representation.reconstruct_accessible)
+    code = main(["run", str(SHORT_BASIS), "--format", "json"])
+    capsys.readouterr()
+    assert code == 1
+    # reconstruct, multiplier and kernel fail on the context's report
+    assert len(ranks) == 1
+    assert rebuilds == []

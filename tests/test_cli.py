@@ -1,6 +1,7 @@
 """Command line entry points: exit codes, report shapes, determinism."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import tempfile
@@ -11,6 +12,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from filtration_lab.cli import CHECKS, main
+from filtration_lab.fuzz import random_scenario
+from filtration_lab.scenario import dumps, load, scenario_hash
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "filtration_lab" / "fixtures"
 BIN1 = str(FIXTURES / "bin1.json")
@@ -153,6 +156,15 @@ class TestRun:
         assert code == 0
         assert "drift" in out and "pass" in out
 
+    def test_out_into_missing_directory_is_usage_error(self, capsys,
+                                                        tmp_path):
+        target = tmp_path / "missing" / "r.json"
+        code, out, err = run_cli(capsys, "run", TER1_GB, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+        assert "Traceback" not in err
+
 
 class TestDeterminism:
     def test_run_reports_byte_identical(self, capsys, tmp_path):
@@ -204,6 +216,66 @@ class TestFuzz:
         assert code == 0
         assert report["params"]["horizon"] == 1
         assert report["params"]["max_branching"] == 2
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--count", "-3"), "fuzz count must be at least 1, got -3"),
+        (("--count", "0"), "fuzz count must be at least 1, got 0"),
+        (("--branching", "100"),
+         "random_tree needs max_branching in 1..8, got 100"),
+        (("--branching", "-4"),
+         "random_tree needs max_branching in 1..8, got -4"),
+    ], ids=["negative-count", "zero-count", "wide", "negative-branching"])
+    def test_out_of_range_knobs_are_usage_errors(self, capsys, tmp_path,
+                                                 flags, message):
+        code, out, err = run_cli(capsys, "fuzz", *flags,
+                                 "--repro-dir", str(tmp_path))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+
+def _force_failure(monkeypatch, name):
+    """Make check `name` fail on every scenario."""
+    monkeypatch.setitem(CHECKS, name, dataclasses.replace(
+        CHECKS[name], runner=lambda ctx: (False, {})))
+
+
+class TestShrink:
+    # seed 13 draws a horizon-3 tree whose enlargement cuts back to horizon 1
+    SEED = 13
+
+    def test_reproducer_replays_the_failure(self, capsys, monkeypatch,
+                                            tmp_path):
+        _force_failure(monkeypatch, "kernel")
+        code, report, _ = run_json(
+            capsys, "fuzz", "--count", "1", "--seed", str(self.SEED),
+            "--checks", "kernel", "--repro-dir", str(tmp_path))
+        assert code == 1
+        (entry,) = report["results"]
+        assert entry["failing"] == ["kernel"]
+        path = entry["reproducer"]
+        assert path == str(tmp_path / f"repro-{self.SEED}.json")
+        reduced = load(path)
+        assert random_scenario(self.SEED).tree.horizon == 3
+        assert reduced.tree.horizon == 1
+        assert reduced.checks == ("kernel",)
+        assert Path(path).read_text(encoding="utf-8") == dumps(reduced) + "\n"
+        code, replay, _ = run_json(capsys, "run", path, "--checks", "kernel")
+        assert code == 1
+        assert replay["scenario_hash"] == scenario_hash(reduced)
+
+    def test_unwritable_repro_dir_is_usage_error(self, capsys, monkeypatch,
+                                                 tmp_path):
+        _force_failure(monkeypatch, "kernel")
+        missing = tmp_path / "missing"
+        code, out, err = run_cli(
+            capsys, "fuzz", "--count", "1", "--seed", str(self.SEED),
+            "--checks", "kernel", "--repro-dir", str(missing))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(
+            f"error: cannot write {missing / f'repro-{self.SEED}.json'}")
+        assert "Traceback" not in err
 
 
 class TestCheckMrp:
