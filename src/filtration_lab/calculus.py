@@ -12,14 +12,17 @@ when it refines the others, and computes each result cell once per block.
 Each jump function memoizes its star integral per (measure, filtration), and
 each measure its compensators per filtration.
 
-Library code builds its processes through three trusted constructors that
+Library code builds its processes through four trusted constructors that
 skip the validation outside input gets: _make takes partitions and cells it
-made itself, _predictable one value per conditioning atom, and _accumulate a
-running value X_t = step(X_{t-1}, ...) along each path. Every path-cumulative
-process (the integrals, brackets and compensators here, and the class
-martingales, reconstructed family, multiplier N, deflators and exponentials
+made itself, _predictable one value per conditioning atom, _accumulate a
+running value X_t = step(X_{t-1}, ...) along each path, and
+_compensated_classes weighted class indicators minus their conditional
+probabilities. Every path-cumulative process (the integrals, brackets and
+compensators here, and the multiplier N, deflators and exponentials
 elsewhere) goes through _accumulate, so only this module decides how such a
-process is laid out.
+process is laid out. _compensated_classes runs on it and builds the three
+class families: the reconstructed successor-class family, the accessible
+class martingales Y and the slot martingales.
 
 Every conditional mean here (martingale tests, Doob martingales, the
 compensators, predictable brackets, the projection onto a jump measure) goes
@@ -133,6 +136,36 @@ class Process:
             parts.append(part)
             cells.append(row)
         return cls._make(tree, parts, cells, len(start))
+
+    @classmethod
+    def _compensated_classes(cls, filtration: Filtration, dim: int, classes_at):
+        """Trusted build of weighted class indicators minus their conditional
+        probabilities, null at 0. classes_at(t), called in time order, gives
+        (part, kind, weights): part refines the time-(t-1) partition, kind[k]
+        is block k's class in range(dim) or None, and weights[i] the dim slot
+        weights of the i-th time-(t-1) atom, or None where the family stays
+        put. Class c moves component j by w_j (1{c = j} - P(class j | atom));
+        blocks of one class under one atom share the step."""
+        def rows_at(t):
+            part, kind, weights = classes_at(t)
+            row = [None] * len(part.atoms)
+            for atom, w in zip(filtration.parts[t - 1].atoms, weights):
+                law = {} if w is None else conditional_law(atom, part)
+                probs = [ZERO] * dim
+                for k, p in law.items():
+                    if kind[k] is not None:
+                        probs[kind[k]] += p
+                steps = {c: tuple(wj * ((1 if j == c else 0) - pj)
+                                  for j, (wj, pj) in enumerate(zip(w, probs)))
+                         for c in {kind[k] for k in law}}
+                for k in law:
+                    row[k] = steps[kind[k]]
+            return ((part, row),)
+
+        return cls._accumulate(
+            filtration.tree, tuple([ZERO] * dim),
+            lambda prev, move: prev if move is None else tuple(map(add, prev, move)),
+            rows_at)
 
     def _map(self, dim, fn, *others):
         """Trusted build holding fn(*cells) on each block of the meet of this

@@ -7,8 +7,9 @@ wall-clock content unless --timing is passed. Exit codes: 0 all checks pass,
 
 Every subcommand goes through one pipeline. A `CheckContext` derives what
 the checks share from one scenario, each object once: the basis's rank
-report, its jump measure, its constraint system with the slot martingales,
-and the reconstructed family. A check runner maps the context to (ok,
+report, its jump measure, its constraint system, which keeps the slot
+martingales it builds from successor masses (not from star integrals), and
+the reconstructed family. A check runner maps the context to (ok,
 details); `run_check` turns a basis without the representation property
 into a failed row with its reason. The five checks under an enlargement are
 each a body (name, enlargement) -> (good, row), which `_each_enlargement`
@@ -104,13 +105,6 @@ class CheckContext:
         return detect_fpcc(self.measure)
 
     @cached_property
-    def slot_martingales(self) -> Process:
-        """The basis's jumps split per slot: the constraint system keeps
-        them, so star-to-dot finds them built."""
-        mu, cs = self.measure, self.constraint
-        return constraint_martingales(mu, mu.compensator(cs.filtration), cs)
-
-    @cached_property
     def reconstructed(self):
         # a raised NoRepresentation is not cached: fail on the cached report
         self.mrp.require()
@@ -172,10 +166,10 @@ def _run_mrp(ctx: CheckContext):
 
 
 def _run_reconstruct(ctx: CheckContext):
-    rebuilt = ctx.reconstructed
-    combined = Process.stack([rebuilt.process, ctx.slot_martingales])
+    rebuilt, mu, cs = ctx.reconstructed, ctx.measure, ctx.constraint
+    combined = Process.stack([rebuilt.process, constraint_martingales(mu, cs)])
     joint = check_mrp(combined)
-    disjoint = slot_events_disjoint(ctx.measure, ctx.constraint)
+    disjoint = slot_events_disjoint(mu, cs)
     bound = max_abs_increment(rebuilt.process)
     ok = joint.holds and disjoint and bound <= 1
     return ok, {

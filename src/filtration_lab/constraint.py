@@ -7,6 +7,11 @@ integrals against finitely many compensated indicator martingales. The three
 constructions here index the slots differently: per-atom value menus,
 partition classes at accessible times, and abstract spanning directions.
 
+Both indicator families, the slot martingales and the class martingales Y,
+are built by Process._compensated_classes from the successor masses of each
+conditioning atom, not from star integrals through the compensator table, so
+the star side a certificate compares them with comes by another route.
+
 What a conversion needs apart from the jump function g is built once: a
 constraint system keeps its slot martingales per measure, and a measure keeps
 each accessible set-up (validated slots, class locations, the class
@@ -19,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .calculus import (
     JumpFunction,
@@ -41,7 +45,7 @@ from .errors import (
 )
 from .linalg import right_inverse, solve
 from .rationals import format_rational, to_fraction
-from .tree import StoppingTime, as_filtration, conditional_law
+from .tree import StoppingTime, as_filtration
 
 ZERO = Fraction(0)
 
@@ -73,25 +77,39 @@ class ConstraintSystem:
         for key, values in self.slots.items():
             if len(values) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
-            for value in values:
+            for k, value in enumerate(values):
                 if value is not None and l1_gauge(value) == 0:
                     raise ConstraintMismatch(
                         f"gauge vanishes on the slot value {value} at {key}")
+                if value is not None and value in values[:k]:
+                    raise ConstraintMismatch(
+                        f"menu at {key} lists the location {value} twice")
         self._martingales: dict[JumpMeasure, Process] = {}
 
     def slot_values(self, t, label):
         return self.slots.get((t, label), tuple([None] * self.n))
 
+    def slot_weights(self, t, label):
+        """gauge_k(alpha_k) per slot at (t, label), 0 on empty slots."""
+        return tuple(ZERO if value is None else gauge(value)
+                     for gauge, value in zip(self.gauges, self.slot_values(t, label)))
+
+    def slot_of(self, t, label, value):
+        """The menu index of a location, or ConstraintMismatch."""
+        menu = self.slot_values(t, label)
+        if value not in menu:
+            raise ConstraintMismatch(f"location {value} at time {t}, atom {label} "
+                                     "is outside the constraint menu")
+        return menu.index(value)
+
     def integrand(self, coefficient) -> Process:
         """Predictable H with H_k = coefficient(t, atom, alpha_k) /
         gauge_k(alpha_k) on nonempty slots and 0 elsewhere."""
         def at(t, atom):
-            vec = []
-            for k, value in enumerate(self.slot_values(t, atom.label)):
-                scale = ZERO if value is None else self.gauges[k](value)
-                vec.append(ZERO if scale == 0
-                           else to_fraction(coefficient(t, atom, value) / scale))
-            return tuple(vec)
+            return tuple(ZERO if value is None
+                         else to_fraction(coefficient(t, atom, value) / w)
+                         for value, w in zip(self.slot_values(t, atom.label),
+                                             self.slot_weights(t, atom.label)))
 
         return Process._predictable(self.filtration, self.n, at)
 
@@ -124,40 +142,31 @@ def detect_fpcc(mu: JumpMeasure, filtration_like=None) -> ConstraintSystem:
     return ConstraintSystem(filtration, mu.dim, n, slots)
 
 
-def _slot_indicator_table(mu, nu, cs, k):
-    """u_k = gauge_k(x) on {x = alpha_k}, zero on the other charged points."""
-    entries = {}
-    gauge = cs.gauges[k]
-    for (t, label), dist in nu.entries.items():
-        menu = cs.slot_values(t, label)
-        for value in dist:
-            if value not in menu:
-                raise ConstraintMismatch(
-                    f"location {value} at time {t}, atom {label} "
-                    "is outside the constraint menu")
-            entries[(t, label, value)] = gauge(value) if value == menu[k] else ZERO
-    return JumpFunction(cs.filtration, entries)
-
-
-def constraint_martingales(mu: JumpMeasure, nu, cs: ConstraintSystem) -> Process:
+def constraint_martingales(mu: JumpMeasure, cs: ConstraintSystem) -> Process:
     """The n compensated slot-indicator martingales, stacked.
 
-    Built once per measure; the constraint system keeps the result.
+    Slot k moves by gauge_k(alpha_k) (1{jump = alpha_k} - P(jump = alpha_k |
+    atom)), P read from the successor masses, not from the compensator table
+    the star side of star_to_dot uses. Built once per measure; the constraint
+    system keeps the result.
     """
-    if nu.measure is not mu:
-        raise ConstraintMismatch("compensator belongs to a different measure")
-    if nu.filtration is not cs.filtration:
-        raise ConstraintMismatch(
-            "constraint system and compensator use different filtrations")
+    tree, filtration = mu.tree, cs.filtration
+    if filtration.tree is not tree:
+        raise ConstraintMismatch("measure and constraint system on different trees")
     if mu not in cs._martingales:
-        if cs.n == 0:
-            x = Process.zero(mu.tree, dim=0)
-        else:
-            x = Process.stack([
-                star_integral(_slot_indicator_table(mu, nu, cs, k), mu,
-                              cs.filtration)
-                for k in range(cs.n)])
-        cs._martingales[mu] = x
+        def classes_at(t):
+            atoms = filtration.parts[t - 1]
+            part = tree.meet(atoms, tree.base_filtration().parts[t])
+            kind = []  # the menu index of each block's jump
+            for block, k in zip(part.atoms, part.index_in(atoms)):
+                jump = mu.jump_at(t, block.leaves[0])
+                kind.append(None if jump is None
+                            else cs.slot_of(t, atoms.atoms[k].label, jump))
+            return part, kind, [cs.slot_weights(t, atom.label)
+                                if (t, atom.label) in cs.slots else None
+                                for atom in atoms.atoms]
+
+        cs._martingales[mu] = Process._compensated_classes(filtration, cs.n, classes_at)
     return cs._martingales[mu]
 
 
@@ -177,8 +186,7 @@ def star_to_dot(g: JumpFunction, mu: JumpMeasure, cs: ConstraintSystem):
     and 0 elsewhere; the certificate compares both sides at every node.
     """
     filtration = cs.filtration
-    nu = mu.compensator(filtration)
-    x = constraint_martingales(mu, nu, cs)
+    x = constraint_martingales(mu, cs)
     h = cs.integrand(lambda t, atom, value: g.value(t, atom.leaves[0], value))
 
     star = star_integral(g, mu, filtration)
@@ -204,15 +212,9 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
     nu = mu.compensator(filtration)
     entries = {}
     for (t, label), dist in nu.entries.items():
-        atom = filtration.atom_labelled(t - 1, label)
-        menu = cs.slot_values(t, label)
-        hv = h.at(t, atom.leaves[0])
+        hv = h.at(t, filtration.atom_labelled(t - 1, label).leaves[0])
         for value in dist:
-            if value not in menu:
-                raise ConstraintMismatch(
-                    f"location {value} at time {t}, atom {label} "
-                    "is outside the constraint menu")
-            k = menu.index(value)
+            k = cs.slot_of(t, label, value)
             entries[(t, label, value)] = hv[k] * cs.gauges[k](value)
     return JumpFunction(filtration, entries)
 
@@ -405,24 +407,23 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
     # within an occupied atom each class is a union of time-t atoms, so the
     # class masses come from the parent-to-child index
     cells = [{}]
-    moves = [None]  # moves[t]: each time-t atom's step of Y, None off the graphs
+    classes_at = [None]  # per t: each time-t atom's class, the slot weights
     for t in range(1, tree.horizon + 1):
         cells_t = {}
         children = filtration.parts[t]
-        row = [None] * len(children.atoms)
+        kind = [None] * len(children.atoms)
+        weights = []  # None off the slot graphs
         for atom in filtration.atoms(t - 1):
             idx = occupied.get((t, atom.leaves[0]))
+            weights.append(None if idx is None else (rows[idx][2],) * count)
             if idx is None:
                 continue
-            _, classes, weight = rows[idx]
-            law = conditional_law(atom, children)
-            kind = {k: class_of[idx][children.atoms[k].leaves[0]] for k in law}
-            values = [set() for _ in classes]
-            probs = [ZERO] * len(classes)
-            for k, p in law.items():
-                if kind[k] is not None:
-                    values[kind[k]].add(mu.jump_at(t, children.atoms[k].leaves[0]))
-                    probs[kind[k]] += p
+            values = [set() for _ in range(count)]
+            for k in children.inside(atom):
+                leaf = children.atoms[k].leaves[0]
+                kind[k] = c = class_of[idx][leaf]
+                if c is not None:
+                    values[c].add(mu.jump_at(t, leaf))
             for k, found in enumerate(values):
                 if len(found) > 1:
                     raise ConstraintMismatch(
@@ -430,23 +431,16 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                         f"{atom.label} at time {t}")
             cells_t[atom.label] = (
                 tuple(found.pop() if found else None for found in values),
-                weight)
-            # weighted class indicator minus its conditional mean
-            step = {c: tuple(weight * ((1 if j == c else 0) - p)
-                             for j, p in enumerate(probs)) for c in kind.values()}
-            for k in law:
-                row[k] = step[kind[k]]
+                rows[idx][2])
         cells.append(cells_t)
-        moves.append((children, row))
+        classes_at.append((children, kind, weights))
 
     none = (ZERO,)
     inverse = [(1 / weight,) for _, _, weight in rows]
     return _AccessiblePlan(
         cells=tuple(cells),
-        martingales=Process._accumulate(
-            tree, tuple([ZERO] * count),
-            lambda prev, move: prev if move is None else tuple(map(add, prev, move)),
-            lambda t: (moves[t],)),
+        martingales=Process._compensated_classes(filtration, count,
+                                                 classes_at.__getitem__),
         scale=Process._predictable(
             tree.base_filtration(), 1,
             lambda t, atom: inverse[occupied[(t, atom.leaves[0])]]

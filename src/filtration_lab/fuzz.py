@@ -36,11 +36,11 @@ def widest_branching(tree: FilteredTree) -> int:
                for node in tree.nodes_at[t])
 
 
-def _centered_rows(rng, probs, d, bound=3):
+def _centered_rows(rng, probs, d):
     """d random rows over the children, centered to conditional mean zero."""
     rows = []
     for _ in range(d):
-        draw = [Fraction(rng.randint(-bound, bound)) for _ in probs]
+        draw = [Fraction(rng.randint(-3, 3)) for _ in probs]
         mean = sum((q * v for q, v in zip(probs, draw)), start=ZERO)
         rows.append([v - mean for v in draw])
     return rows
@@ -126,48 +126,45 @@ def random_enlargement(tree: FilteredTree, rng, name="G"):
     return enlarge(tree, partitions, name=name)
 
 
-def random_martingale(tree: FilteredTree, rng, dim=1, bound=4) -> Process:
+def random_martingale(tree: FilteredTree, rng, dim=1) -> Process:
     """Martingale closed by a random rational payoff."""
-    terminal = [tuple(Fraction(rng.randint(-bound, bound), rng.randint(1, 3))
+    terminal = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(dim))
                 for _ in range(tree.n_leaves)]
     return Process.doob(tree, terminal)
 
 
-def random_positive_martingale(tree: FilteredTree, rng, bound=6) -> Process:
+def random_positive_martingale(tree: FilteredTree, rng) -> Process:
     """Strictly positive martingale normalized to start at 1."""
-    terminal = [Fraction(rng.randint(1, bound), rng.randint(1, bound))
+    terminal = [Fraction(rng.randint(1, 6), rng.randint(1, 6))
                 for _ in range(tree.n_leaves)]
     x = Process.doob(tree, terminal)
     return x.scale(1 / x.initial()[0])
 
 
-def random_jump_function(mu: JumpMeasure, filtration_like, rng,
-                         bound=5) -> JumpFunction:
+def random_jump_function(mu: JumpMeasure, filtration_like, rng) -> JumpFunction:
     """Random rational table on every point the measure charges."""
     return JumpFunction.from_callable(
         mu, filtration_like,
-        lambda t, value: Fraction(rng.randint(-bound, bound),
-                                  rng.randint(1, 3)))
+        lambda t, value: Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
 
 
-def random_representable(w: Process, rng, bound=3) -> Process:
+def random_representable(w: Process, rng) -> Process:
     """Scalar martingale given as a random predictable integral against w."""
     # draws in time order, then node order: the base atoms are the nodes
     integrand = Process._predictable(
         w.tree.base_filtration(), w.dim,
-        lambda t, atom: tuple(Fraction(rng.randint(-bound, bound))
-                              for _ in range(w.dim)))
+        lambda t, atom: tuple(Fraction(rng.randint(-3, 3)) for _ in range(w.dim)))
     return dot_integral(integrand, w)
 
 
-def random_increasing(tree: FilteredTree, rng, bound=3) -> Process:
+def random_increasing(tree: FilteredTree, rng) -> Process:
     """Adapted nondecreasing scalar process with many flat increments."""
     node_values = {tree.root.id: ZERO}
     for t in range(1, tree.horizon + 1):
         for node in tree.nodes_at[t]:
             if rng.random() < Fraction(1, 2):
-                step = Fraction(rng.randint(1, bound), rng.randint(1, 2))
+                step = Fraction(rng.randint(1, 3), rng.randint(1, 2))
             else:
                 step = ZERO
             node_values[node.id] = node_values[node.parent.id] + step

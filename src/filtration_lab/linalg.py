@@ -51,12 +51,6 @@ def dot(u, v) -> Fraction:
     return Fraction(_int_dot(un, vn), ud * vd)
 
 
-def mat_vec(matrix, vec) -> list[Fraction]:
-    vn, vd = _over_common(vec)
-    return [Fraction(_int_dot(rn, vn), rd * vd)
-            for rn, rd in map(_over_common, matrix)]
-
-
 def mat_mul(a, b) -> list[list[Fraction]]:
     cols = [_over_common(col) for col in zip(*b)]
     return [[Fraction(_int_dot(rn, cn), rd * cd) for cn, cd in cols]
@@ -101,12 +95,6 @@ def _eliminate(matrix):
     return rows, pivots, det
 
 
-def rref(matrix):
-    """Reduced row echelon form. Returns (rows, pivot_columns)."""
-    rows, pivots, det = _eliminate(matrix)
-    return [[Fraction(x, det) for x in row] for row in rows], pivots
-
-
 def rank(matrix) -> int:
     return len(_eliminate(matrix)[1])
 
@@ -144,11 +132,6 @@ def null_space(matrix):
             vec[c] = -row[f]
         basis.append([Fraction(n) for n in _primitive(vec)])
     return basis
-
-
-def canonical_int_vector(vec) -> list[Fraction]:
-    """Scale a rational vector to coprime integers with positive leading entry."""
-    return [Fraction(n) for n in _primitive(_over_common(vec)[0])]
 
 
 def invert(matrix):

@@ -30,10 +30,3 @@ def to_fraction(value) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize as "p/q", or plain "p" for integers."""
     return str(value)
-
-
-def to_vector(values, dim: int | None = None) -> tuple[Fraction, ...]:
-    vec = tuple(to_fraction(v) for v in values)
-    if dim is not None and len(vec) != dim:
-        raise ParseError(f"expected a vector of length {dim}, got {len(vec)}")
-    return vec

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
 
 from .calculus import Process, jump_measure
 from .constraint import ConstraintSystem, constraint_martingales, detect_fpcc
@@ -124,10 +123,6 @@ def _solve_at(w: Process, t: int, atom, rhs, what: str):
     return tuple(h)
 
 
-def _ordered_children(node):
-    return sorted(node.children, key=lambda c: (-c.branch_prob, c.id))
-
-
 def conditional_multiplicity(tree: FilteredTree, t: int, atom_label: str,
                              d: int | None = None):
     """Successor-class count of one atom, with its ordered witness.
@@ -140,29 +135,19 @@ def conditional_multiplicity(tree: FilteredTree, t: int, atom_label: str,
     node = tree.nodes.get(atom_label)
     if node is None or node.time != t - 1:
         raise DanglingNode(f"no atom {atom_label!r} at time {t - 1}")
-    children = _ordered_children(node)
+    children = sorted(node.children, key=lambda c: (-c.branch_prob, c.id))
     count = len(children)
     width = count if d is None else d + 1
     if width < count:
         raise DimensionMismatch(
             f"{count} successor classes do not fit in {width} slots")
-    subatoms = []
-    leaves = []
-    probs = []
-    for k in range(width):
-        if k < count:
-            child = children[k]
-            subatoms.append(child.id)
-            leaves.append(tuple(range(child.leaf_lo, child.leaf_hi)))
-            probs.append(child.branch_prob)
-        else:
-            subatoms.append(None)
-            leaves.append(())
-            probs.append(ZERO)
-    witness = PartitionWitness(time=t, atom=atom_label,
-                               subatoms=tuple(subatoms), leaves=tuple(leaves),
-                               probs=tuple(probs))
-    return count, witness
+    pad = width - count
+    return count, PartitionWitness(
+        time=t, atom=atom_label,
+        subatoms=tuple(child.id for child in children) + (None,) * pad,
+        leaves=tuple(tuple(range(child.leaf_lo, child.leaf_hi))
+                     for child in children) + ((),) * pad,
+        probs=tuple(child.branch_prob for child in children) + (ZERO,) * pad)
 
 
 def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
@@ -225,21 +210,17 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
     d = w.dim
     base = tree.base_filtration()
     witnesses = []
-    width = d + 1
-    moves = [None]  # moves[t]: the jump of the family on each time-t node
-    for t in range(1, tree.horizon + 1):
-        steps = {}
+
+    def classes_at(t):
+        rank_of = {}  # each time-t node's successor rank under its parent
         for node in tree.nodes_at[t - 1]:
             count, witness = conditional_multiplicity(tree, t, node.id, d=d)
             witnesses.append(witness)
-            weight = Fraction(1, 2 ** t)
-            for k, child in enumerate(witness.subatoms[:count]):
-                steps[child] = tuple(weight * ((1 if h == k else 0) - witness.probs[h])
-                                     for h in range(width))
-        moves.append((base.parts[t], [steps[node.id] for node in tree.nodes_at[t]]))
-    process = Process._accumulate(
-        tree, tuple([ZERO] * width),
-        lambda prev, step: tuple(map(add, prev, step)), lambda t: (moves[t],))
+            rank_of.update(zip(witness.subatoms[:count], range(count)))
+        return (base.parts[t], [rank_of[node.id] for node in tree.nodes_at[t]],
+                [(Fraction(1, 2 ** t),) * (d + 1)] * len(tree.nodes_at[t - 1]))
+
+    process = Process._compensated_classes(base, d + 1, classes_at)
     return ReconstructedBasis(process=process, witnesses=tuple(witnesses), d=d)
 
 
@@ -250,9 +231,7 @@ def orthogonalize(m: Process) -> Process:
     through translate_integrand.
     """
     mu = jump_measure(m)
-    cs = detect_fpcc(mu)
-    nu = mu.compensator(cs.filtration)
-    return constraint_martingales(mu, nu, cs)
+    return constraint_martingales(mu, detect_fpcc(mu))
 
 
 def translate_integrand(h: Process, m: Process) -> Process:

@@ -555,15 +555,13 @@ class StoppingTime:
         return tuple(i for i, v in enumerate(self.values) if v == t)
 
 
-def random_tree(seed: int, horizon: int = 2, max_branching: int = 3,
-                denominator_bound: int = 8) -> FilteredTree:
+def random_tree(seed: int, horizon: int = 2, max_branching: int = 3) -> FilteredTree:
     """Deterministic random tree: branching in 1..max_branching, branch
     probabilities with small denominators, ids spelling the path from the root."""
     if horizon < 1:
         raise TimeOutOfRange("random_tree needs horizon >= 1")
     if not 1 <= max_branching <= 8:  # child ids are the letters a..h
         raise ParseError(f"random_tree needs max_branching in 1..8, got {max_branching}")
-    denominator_bound = max(2, int(denominator_bound))
     rng = random.Random(seed)
     specs = []
     # depth first, drawing each node's branching as it is first visited
@@ -575,7 +573,7 @@ def random_tree(seed: int, horizon: int = 2, max_branching: int = 3,
         if time == horizon:
             continue
         n_children = rng.randint(1, max_branching)
-        weights = [rng.randint(1, denominator_bound) for _ in range(n_children)]
+        weights = [rng.randint(1, 8) for _ in range(n_children)]
         total = sum(weights)
         stack.extend(reversed([
             (node_id + "abcdefgh"[k], time + 1, node_id, Fraction(weights[k], total))

@@ -37,7 +37,6 @@ from filtration_lab.constraint import (
     ConversionCertificate,
     _AccessiblePlan,
     _normalize_slots,
-    _slot_indicator_table,
 )
 from filtration_lab.enlargement import (
     OPTIMAL,
@@ -153,6 +152,21 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
                 row[i] = (data[t - 1][i][0] + step,)
         data.append(row)
     return Process(tree, data, dim=1)
+
+
+def _slot_indicator_table(mu, nu, cs, k):
+    """u_k = gauge_k(x) on {x = alpha_k}, zero on the other charged points."""
+    entries = {}
+    gauge = cs.gauges[k]
+    for (t, label), dist in nu.entries.items():
+        menu = cs.slot_values(t, label)
+        for value in dist:
+            if value not in menu:
+                raise ConstraintMismatch(
+                    f"location {value} at time {t}, atom {label} "
+                    "is outside the constraint menu")
+            entries[(t, label, value)] = gauge(value) if value == menu[k] else ZERO
+    return JumpFunction(cs.filtration, entries)
 
 
 def constraint_martingales(mu: JumpMeasure, nu, cs: ConstraintSystem) -> Process:

@@ -89,8 +89,7 @@ def test_criterion_01_star_to_dot_identity(corpus):
     for seed, tree, w, _ in corpus:
         mu = jump_measure(w)
         cs = detect_fpcc(mu)
-        nu = mu.compensator(cs.filtration)
-        xs = constraint_martingales(mu, nu, cs)
+        xs = constraint_martingales(mu, cs)
         for j in range(5):
             g = random_jump_function(mu, tree, rng_for(seed, "c1", j))
             h, certificate = star_to_dot(g, mu, cs)

@@ -15,6 +15,7 @@ from filtration_lab import (
 )
 from filtration_lab.constraint import (
     AccessibleSlot,
+    ConstraintSystem,
     accessible_star_to_dot,
     constraint_martingales,
     detect_fpcc,
@@ -74,9 +75,8 @@ class TestDetectFpcc:
 class TestConstraintMartingales:
     def test_bin1_increments(self, w_bin, bin1):
         mu = jump_measure(w_bin)
-        nu = mu.compensator(bin1.base_filtration())
         cs = detect_fpcc(mu)
-        x = constraint_martingales(mu, nu, cs)
+        x = constraint_martingales(mu, cs)
         # slot for location +1 is index 1; increment 1{u} - 1/2
         assert x.increment(1, 0) == (F(-1, 2), F(1, 2))
         assert x.increment(1, 1) == (F(1, 2), F(-1, 2))
@@ -87,11 +87,10 @@ class TestConstraintMartingales:
             "r": [0], "u": [0], "d": [0],
             "uu": [1], "ud": [-1], "du": [1], "dm": [2], "dd": [-3]}, dim=1)
         mu = jump_measure(x)
-        nu = mu.compensator(two_step.base_filtration())
         cs = detect_fpcc(mu)
         assert cs.n == 3
         assert cs.slots[(2, "u")][2] is None
-        xs = constraint_martingales(mu, nu, cs)
+        xs = constraint_martingales(mu, cs)
         # third slot is empty above u: its component stays put there
         assert xs.at(2, 0)[2] == xs.at(1, 0)[2]
         assert xs.at(2, 1)[2] == xs.at(1, 1)[2]
@@ -101,30 +100,35 @@ class TestConstraintMartingales:
         cs = detect_fpcc(mu)
         assert slot_events_disjoint(mu, cs)
 
-    def test_compensated_components_comove(self, w_bin, bin1):
+    def test_compensated_components_comove(self, w_bin):
         # the raw slot events are disjoint, but compensating couples the
         # components through their predictable parts on a shared atom
         mu = jump_measure(w_bin)
-        nu = mu.compensator(bin1.base_filtration())
-        x = constraint_martingales(mu, nu, detect_fpcc(mu))
+        x = constraint_martingales(mu, detect_fpcc(mu))
         cross = bracket(x.component(0), x.component(1))
         assert cross.at(1, 0) == (F(-1, 4),)
         assert not jump_supports_disjoint(x)
 
-    def test_constraint_mismatch_detected(self, w_bin, w_ter, bin1):
+    def test_constraint_mismatch_detected(self, w_bin, w_ter):
+        # the measure lives on bin1, the system on ter1
         mu_bin = jump_measure(w_bin)
-        nu_bin = mu_bin.compensator(bin1.base_filtration())
         cs_ter = detect_fpcc(jump_measure(w_ter))
-        with pytest.raises(ConstraintMismatch):
-            constraint_martingales(mu_bin, nu_bin, cs_ter)
+        with pytest.raises(ConstraintMismatch, match="different trees"):
+            constraint_martingales(mu_bin, cs_ter)
+
+    def test_menu_listing_a_location_twice_rejected(self, w_bin):
+        # both slots would claim the location, expand_integrand only the first
+        cs = detect_fpcc(jump_measure(w_bin))
+        doubled = {key: menu + menu[:1] for key, menu in cs.slots.items()}
+        with pytest.raises(ConstraintMismatch, match="twice"):
+            ConstraintSystem(cs.filtration, cs.dim, cs.n + 1, doubled)
 
 
 class TestStarToDot:
     def test_idempotence_on_slot_indicator(self, w_ter, ter1):
         mu = jump_measure(w_ter)
         cs = detect_fpcc(mu)
-        nu = mu.compensator(cs.filtration)
-        xs = constraint_martingales(mu, nu, cs)
+        xs = constraint_martingales(mu, cs)
         alpha = cs.slots[(1, "r")][1]
         gauge = cs.gauges[1]
         g = JumpFunction.from_callable(
@@ -145,13 +149,12 @@ class TestStarToDot:
     def test_ter1_quadratic_both_sides(self, w_ter, ter1):
         mu = jump_measure(w_ter)
         cs = detect_fpcc(mu)
-        nu = mu.compensator(cs.filtration)
         g = JumpFunction.from_callable(mu, ter1, lambda t, v: v[0] ** 2)
         h, certificate = star_to_dot(g, mu, cs)
         assert certificate.holds
         # oracle: evaluate both sides independently
         star = star_integral(g, mu, ter1)
-        dot = dot_integral(h, constraint_martingales(mu, nu, cs))
+        dot = dot_integral(h, constraint_martingales(mu, cs))
         assert star == dot
 
     def test_reexpansion_closes_the_loop(self):
@@ -161,14 +164,26 @@ class TestStarToDot:
             w = random_basis(tree, rng)
             mu = jump_measure(w)
             cs = detect_fpcc(mu)
-            nu = mu.compensator(cs.filtration)
-            xs = constraint_martingales(mu, nu, cs)
+            xs = constraint_martingales(mu, cs)
             g = JumpFunction.from_callable(
                 mu, tree, lambda t, v: v[0] - 2 * v[-1] ** 2 + 1)
             h, certificate = star_to_dot(g, mu, cs)
             assert certificate.holds
             back = expand_integrand(h, mu, cs)
             assert star_integral(back, mu, tree) == dot_integral(h, xs)
+
+    def test_wrong_compensator_breaks_both_certificates(self, w_bin, bin1):
+        # the slot martingales read the successor masses, not the table, so
+        # a star side compensated by a wrong nu no longer matches them
+        mu = jump_measure(w_bin)
+        g = JumpFunction.from_callable(mu, bin1, lambda t, v: v[0] + 3)
+        mu.compensator(bin1).entries[(1, "r")] = {(F(-1),): F(3, 4),
+                                                  (F(1),): F(1, 4)}
+        cs = detect_fpcc(mu)
+        h, certificate = star_to_dot(g, mu, cs)
+        assert not certificate.holds
+        back = expand_integrand(h, mu, cs)
+        assert star_integral(back, mu, bin1) != certificate.dot_side
 
 
 class TestAccessibleStarToDot:

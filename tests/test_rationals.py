@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from filtration_lab.errors import ParseError
-from filtration_lab.rationals import format_rational, to_fraction, to_vector
+from filtration_lab.rationals import format_rational, to_fraction
 
 
 def test_accepts_ints_strings_fractions():
@@ -33,9 +33,3 @@ def test_rejects_garbage_strings():
 def test_format_round_trip():
     for text in ["0", "1", "-3/4", "22/7"]:
         assert format_rational(to_fraction(text)) == text
-
-
-def test_to_vector_checks_dimension():
-    assert to_vector(["1/2", 1], dim=2) == (Fraction(1, 2), Fraction(1))
-    with pytest.raises(ParseError):
-        to_vector(["1/2"], dim=2)
