@@ -1,39 +1,49 @@
-"""Discrete stochastic calculus on event trees, in exact rationals.
+"""Discrete stochastic calculus on event trees, in exact rationals held as ints.
 
-A process stores each time slice against a leaf partition, one d-vector per
-block: one per time-t node when base-adapted, one per atom when built for an
-enlarged flow, one per leaf for outside input. Adaptedness to a filtration is
-a partition test, with a per-block compare only where the slice's partition
-is finer. Base-adapted processes serialize as tables on tree nodes. All
-increments at time 0 are null by convention.
+A process stores each time slice as (partition, den, nums): one positive int
+denominator and, per block of a leaf partition, one tuple of d int
+numerators over it. The partition has one block per time-t node when the
+process is base-adapted, one per atom when built for an enlarged flow, one
+per leaf for outside input. Every slice is reduced, with gcd(den, every
+numerator) = 1, so cells of one slice compare as int tuples and cells of
+two slices by cross-multiplication. Every value a caller sees (at,
+increment, delta, row, cells, values, node_values) is a Fraction built from
+that form. Adaptedness to a filtration is a partition test, with a
+per-block compare only where the slice's partition is finer. Base-adapted
+processes serialize as tables on tree nodes. All increments at time 0 are
+null by convention.
 
 An operation on several slices works on their meet, which is one of them
-when it refines the others, and computes each result cell once per block.
-Each jump function memoizes its star integral per (measure, filtration), and
-each measure its compensators per filtration.
+when it refines the others, brings them to the lcm of their denominators
+and computes each result cell once per block. Each jump function memoizes
+its star integral per (measure, filtration), and each measure its
+compensators per filtration; each measure interns its jump locations as
+small ints, on which the star integral looks up the function's values.
 
 Library code builds its processes through four trusted constructors that
-skip the validation outside input gets: _make takes partitions and cells it
-made itself, _predictable one value per conditioning atom, _accumulate a
-running value X_t = step(X_{t-1}, ...) along each path, and
-_compensated_classes weighted class indicators minus their conditional
-probabilities. Every path-cumulative process (the integrals, brackets and
-compensators here, and the multiplier N, deflators and exponentials
-elsewhere) goes through _accumulate, so only this module decides how such a
-process is laid out. _compensated_classes runs on it and builds the three
-class families: the reconstructed successor-class family, the accessible
-class martingales Y and the slot martingales.
+skip the validation outside input gets: _make takes partitions and int
+slices it made itself, _predictable one value per conditioning atom,
+_accumulate a running sum (or product) X_t = X_{t-1} + I_t of increment
+slices along each path, and _compensated_classes weighted class indicators
+minus their conditional probabilities. Every path-cumulative process (the
+integrals, brackets and compensators here, and the multiplier N, deflators
+and exponentials elsewhere) goes through _accumulate, so only this module
+decides how such a process is laid out. _compensated_classes runs on it and
+builds the three class families: the reconstructed successor-class family,
+the accessible class martingales Y and the slot martingales.
 
 Every conditional mean here (martingale tests, Doob martingales, the
 compensators, predictable brackets, the projection onto a jump measure) goes
-through the one kernel in tree.py.
+through the one kernel in tree.py, which sums int masses times int
+numerators; the callers reduce once per output cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, eq, sub
+from math import lcm
+from operator import add, mul, sub
 
 from .errors import (
     DimensionMismatch,
@@ -41,10 +51,17 @@ from .errors import (
     NotAMartingale,
     NotPredictable,
 )
-from .rationals import to_fraction
+from .rationals import (
+    as_fractions,
+    gathered,
+    over_common_denominator,
+    reduced,
+    to_fraction,
+)
 from .tree import (
     FilteredTree,
     Filtration,
+    _weigh,
     as_filtration,
     conditional_law,
     conditional_mean,
@@ -53,13 +70,41 @@ from .tree import (
 ZERO = Fraction(0)
 
 
-def _cellwise_row(tree, fn, rows):
-    """fn(*cells) on each block of the meet of rows, (partition, cells) pairs,
-    as such a pair."""
+def _lifted(tree, rows):
+    """The meet of rows' partitions, each row (partition, den, cells), and
+    every row's cells read on the meet's blocks."""
     part = rows[0][0]
-    for other, _ in rows[1:]:
-        part = tree.meet(part, other)
-    return part, tuple(map(fn, *(part.lift(other, cells) for other, cells in rows)))
+    for row in rows[1:]:
+        part = tree.meet(part, row[0])
+    return part, [part.lift(row[0], row[2]) for row in rows]
+
+
+def _sum(tree, a, b, sign=1):
+    """The slice a + sign * b on the meet of two slices, over the lcm of
+    their denominators; not reduced."""
+    part, (u, v) = _lifted(tree, (a, b))
+    den = lcm(a[1], b[1])
+    ka, kb = den // a[1], sign * (den // b[1])
+    if ka == 1 and kb in (1, -1):
+        op = add if kb == 1 else sub
+        return part, den, tuple(tuple(map(op, p, q)) for p, q in zip(u, v))
+    return part, den, tuple(tuple(x * ka + y * kb for x, y in zip(p, q))
+                            for p, q in zip(u, v))
+
+
+def _products(tree, a, b, product):
+    """product(cell of a, cell of b), int tuples, on each block of the meet
+    of two slices; its denominator is the product of theirs."""
+    part, (u, v) = _lifted(tree, (a, b))
+    return part, a[1] * b[1], tuple(map(product, u, v))
+
+
+def _dot(u, v):
+    return (sum(map(mul, u, v)),)
+
+
+def _times(u, v):
+    return tuple(map(mul, u, v))
 
 
 def _coerce(rows, dim):
@@ -76,9 +121,10 @@ def _coerce(rows, dim):
 
 class Process:
     """Adapted process with exact rational values, immutable after build:
-    cells[t] holds one tuple of dim Fractions per block of parts[t]."""
+    at time t, nums[t] holds one tuple of dim int numerators per block of
+    parts[t], all over the one positive denominator dens[t]."""
 
-    __slots__ = ("tree", "dim", "parts", "cells", "_values")
+    __slots__ = ("tree", "dim", "parts", "dens", "nums", "_values")
 
     def __init__(self, tree: FilteredTree, values, dim: int | None = None):
         """Outside input: one row per time 0..horizon, one vector per leaf."""
@@ -87,55 +133,65 @@ class Process:
             raise DimensionMismatch(f"expected {tree.horizon + 1} time rows of "
                                     f"{tree.n_leaves} leaf cells")
         cells, self.dim = _coerce(values, dim)
-        self.tree, self.cells, self._values = tree, tuple(cells), None
+        self.tree, self._values = tree, None
         self.parts = (tree.base_filtration().parts[-1],) * len(cells)
+        self.dens, self.nums = zip(*map(over_common_denominator, cells))
 
     @classmethod
-    def _make(cls, tree, parts, cells, dim):
-        """Trusted build from one partition per time and, per time, one cell
-        per block: a tuple of dim Fractions."""
+    def _make(cls, tree, slices, dim):
+        """Trusted build from one reduced slice (partition, den, nums) per
+        time, made by the library itself."""
         self = cls.__new__(cls)
-        self.tree, self.parts, self.cells, self.dim = tree, tuple(parts), tuple(cells), dim
-        self._values = None
+        self.tree, self.dim, self._values = tree, dim, None
+        self.parts, self.dens, self.nums = map(tuple, zip(*slices))
         return self
+
+    @classmethod
+    def _from_cells(cls, tree, parts, rows, dim):
+        """Trusted build from one partition per time and, per time, one
+        tuple of dim rationals per block."""
+        return cls._make(tree, [(part, *over_common_denominator(row))
+                                for part, row in zip(parts, rows)], dim)
 
     @classmethod
     def _from_rows(cls, tree, rows, dim):
         """Trusted build from leaf-indexed rows, one cell per (time, leaf)."""
         leaves = tree.base_filtration().parts[-1]
-        return cls._make(tree, [leaves] * len(rows), map(tuple, rows), dim)
+        return cls._from_cells(tree, [leaves] * len(rows), rows, dim)
 
     @classmethod
     def _predictable(cls, filtration: Filtration, dim: int, value_of):
         """Trusted build of the process null at 0 holding value_of(t, atom),
-        a tuple of dim Fractions, on each time-(t-1) atom for t >= 1."""
+        a tuple of dim rationals, on each time-(t-1) atom for t >= 1."""
         tree = filtration.tree
         parts = filtration.parts
-        return cls._make(
+        return cls._from_cells(
             tree, (tree.base_filtration().parts[0],) + parts[:-1],
-            [(tuple([ZERO] * dim),)] + [
+            [((0,) * dim,)] + [
                 [value_of(t, atom) for atom in parts[t - 1].atoms]
                 for t in range(1, tree.horizon + 1)],
             dim)
 
     @classmethod
-    def _accumulate(cls, tree, start, step, rows_at):
-        """Trusted build of the running process with X_0 = start and
-        X_t = step(X_{t-1}, *cells) for t >= 1, where rows_at(t) gives the
-        input rows as (partition, cells) pairs.
+    def _accumulate(cls, tree, start, increments_at, product=False):
+        """Trusted build of the running process with X_0 = start, a tuple of
+        ints, and X_t = X_{t-1} + I_t for t >= 1, or X_{t-1} * I_t
+        componentwise with product, where increments_at(t) gives the slice
+        I_t as (partition, den, nums), not necessarily reduced.
 
-        rows_at is called once per time, in time order. The time-t slice
-        lives on the meet of the time-(t-1) slice's partition and the
-        inputs', and step runs once per block of it.
+        increments_at is called once per time, in time order. The time-t
+        slice lives on the meet of the time-(t-1) slice's partition and
+        I_t's.
         """
-        parts = [tree.base_filtration().parts[0]]
-        cells = [(start,)]
+        slices = [(tree.base_filtration().parts[0], 1, (start,))]
         for t in range(1, tree.horizon + 1):
-            part, row = _cellwise_row(tree, step,
-                                      ((parts[-1], cells[-1]), *rows_at(t)))
-            parts.append(part)
-            cells.append(row)
-        return cls._make(tree, parts, cells, len(start))
+            step = increments_at(t)
+            if product:
+                part, den, nums = _products(tree, slices[-1], step, _times)
+            else:
+                part, den, nums = _sum(tree, slices[-1], step)
+            slices.append((part, *reduced(den, nums)))
+        return cls._make(tree, slices, len(start))
 
     @classmethod
     def _compensated_classes(cls, filtration: Filtration, dim: int, classes_at):
@@ -146,41 +202,45 @@ class Process:
         weights of the i-th time-(t-1) atom, or None where the family stays
         put. Class c moves component j by w_j (1{c = j} - P(class j | atom));
         blocks of one class under one atom share the step."""
-        def rows_at(t):
+        still = (1, (0,) * dim)
+
+        def increments_at(t):
             part, kind, weights = classes_at(t)
-            row = [None] * len(part.atoms)
+            row = [still] * len(part.atoms)
             for atom, w in zip(filtration.parts[t - 1].atoms, weights):
-                law = {} if w is None else conditional_law(atom, part)
-                probs = [ZERO] * dim
-                for k, p in law.items():
+                if w is None:
+                    continue
+                pieces = part.pieces(atom)
+                masses = [0] * dim  # of each class inside the atom
+                for k, m in pieces:
                     if kind[k] is not None:
-                        probs[kind[k]] += p
-                steps = {c: tuple(wj * ((1 if j == c else 0) - pj)
-                                  for j, (wj, pj) in enumerate(zip(w, probs)))
-                         for c in {kind[k] for k in law}}
-                for k in law:
+                        masses[kind[k]] += m
+                wden, (wnum,) = over_common_denominator([w])
+                total = atom.mass
+                den = wden * total
+                steps = {c: (den, tuple(wj * ((total if j == c else 0) - mj)
+                                        for j, (wj, mj) in enumerate(zip(wnum, masses))))
+                         for c in {kind[k] for k, _ in pieces}}
+                for k, _ in pieces:
                     row[k] = steps[kind[k]]
-            return ((part, row),)
+            return (part, *gathered(row))
 
-        return cls._accumulate(
-            filtration.tree, tuple([ZERO] * dim),
-            lambda prev, move: prev if move is None else tuple(map(add, prev, move)),
-            rows_at)
+        return cls._accumulate(filtration.tree, (0,) * dim, increments_at)
 
-    def _map(self, dim, fn, *others):
-        """Trusted build holding fn(*cells) on each block of the meet of this
-        process's and the others' slices, at every time."""
-        rows = [_cellwise_row(self.tree, fn, [p.row(t) for p in (self, *others)])
-                for t in range(self.tree.horizon + 1)]
-        return Process._make(self.tree, *zip(*rows), dim)
+    def _map(self, dim, slice_of):
+        """Trusted build holding slice_of(t), a slice not necessarily
+        reduced, at every time."""
+        return Process._make(self.tree, [
+            (part, *reduced(den, nums)) for part, den, nums in
+            map(slice_of, range(self.tree.horizon + 1))], dim)
 
     # construction helpers
 
     @classmethod
     def zero(cls, tree, dim=1):
-        vec = tuple([Fraction(0)] * dim)
-        parts = tree.base_filtration().parts
-        return cls._make(tree, parts, [(vec,) * len(p.atoms) for p in parts], dim)
+        vec = (0,) * dim
+        return cls._make(tree, [(p, 1, (vec,) * len(p.atoms))
+                                for p in tree.base_filtration().parts], dim)
 
     @classmethod
     def from_node_values(cls, tree, node_values, dim=None):
@@ -192,7 +252,7 @@ class Process:
         cells, found = _coerce([[v if isinstance(v, (list, tuple)) else (v,)
                                  for v in (node_values[node.id] for node in nodes)]
                                 for nodes in tree.nodes_at], dim)
-        return cls._make(tree, tree.base_filtration().parts, cells, found)
+        return cls._from_cells(tree, tree.base_filtration().parts, cells, found)
 
     @classmethod
     def doob(cls, tree, terminal, filtration=None):
@@ -207,9 +267,15 @@ class Process:
         if len(dims) != 1:
             raise DimensionMismatch("ragged terminal vectors")
         leaves = tree.base_filtration().parts[-1]
-        return cls._make(tree, filtration.parts, [
-            [conditional_mean(atom, leaves, vecs) for atom in part.atoms]
-            for part in filtration.parts], dims.pop())
+        den, nums = over_common_denominator(vecs)
+        slices = []
+        for part in filtration.parts:
+            means = []
+            for atom in part.atoms:
+                sums, weight = _weigh(atom, leaves, nums)
+                means.append((den * weight, sums))
+            slices.append((part, *gathered(means)))
+        return cls._make(tree, slices, dims.pop())
 
     @classmethod
     def stack(cls, processes):
@@ -220,14 +286,50 @@ class Process:
         for p in processes:
             if p.tree is not tree:
                 raise DimensionMismatch("stack across different trees")
-        return processes[0]._map(sum(p.dim for p in processes),
-                                 lambda *vecs: sum(vecs, ()), *processes[1:])
 
-    # access
+        def stacked(t):
+            rows = [p._row(t) for p in processes]
+            part, lifted = _lifted(tree, rows)
+            den = lcm(*(row[1] for row in rows))
+            scaled = [cells if row[1] == den else
+                      [tuple(n * (den // row[1]) for n in cell) for cell in cells]
+                      for row, cells in zip(rows, lifted)]
+            return part, den, tuple(sum(cells, ()) for cells in zip(*scaled))
+
+        return processes[0]._map(sum(p.dim for p in processes), stacked)
+
+    # access: int slices inside the library, Fractions outside
+
+    def _row(self, t):
+        """The time-t slice as (partition, den, nums)."""
+        return self.parts[t], self.dens[t], self.nums[t]
+
+    def _delta(self, t, atom=None):
+        """Delta X_t for t >= 1 as a slice on the meet of the time-t and
+        time-(t-1) partitions, not reduced; with an atom, its nums are a
+        dict holding only the blocks meeting the atom."""
+        if atom is None:
+            return _sum(self.tree, self._row(t), self._row(t - 1), -1)
+        (now, now_den, now_nums), (before, before_den, before_nums) = \
+            self._row(t), self._row(t - 1)
+        part = self.tree.meet(now, before)
+        i, j = part.index_in(now), part.index_in(before)
+        den = lcm(now_den, before_den)
+        a, b = den // now_den, den // before_den
+        return part, den, {k: tuple(x * a - y * b for x, y in
+                                    zip(now_nums[i[k]], before_nums[j[k]]))
+                           for k, _ in part.pieces(atom)}
 
     def row(self, t):
-        """The time-t slice as (partition, cells)."""
-        return self.parts[t], self.cells[t]
+        """The time-t slice as (partition, cells), one tuple of Fractions
+        per block."""
+        den = self.dens[t]
+        return self.parts[t], tuple(as_fractions(den, num) for num in self.nums[t])
+
+    @property
+    def cells(self):
+        """Per time, one tuple of Fractions per block of parts[t]."""
+        return tuple(self.row(t)[1] for t in range(len(self.parts)))
 
     @property
     def values(self):
@@ -238,28 +340,31 @@ class Process:
         return self._values
 
     def at(self, t, leaf):
-        return self.cells[t][self.parts[t].block_of[leaf]]
+        return as_fractions(self.dens[t], self.nums[t][self.parts[t].block_of[leaf]])
 
     def increment(self, t, leaf):
         """Delta X_t on the path through the given leaf; null at t = 0."""
         if t == 0:
             return tuple([ZERO] * self.dim)
-        return tuple(map(sub, self.at(t, leaf), self.at(t - 1, leaf)))
+        now, before = self.dens[t], self.dens[t - 1]
+        den = lcm(now, before)
+        a, b = den // now, den // before
+        return as_fractions(den, [x * a - y * b for x, y in zip(
+            self.nums[t][self.parts[t].block_of[leaf]],
+            self.nums[t - 1][self.parts[t - 1].block_of[leaf]])])
 
     def delta(self, t, atom=None):
         """Delta X_t for t >= 1 as (partition, {block: increment}) on the
         meet of the time-t and time-(t-1) partitions; with an atom, only
         for the blocks meeting it."""
-        now, before = self.row(t), self.row(t - 1)
-        part = self.tree.meet(now[0], before[0])
-        i, j = part.index_in(now[0]), part.index_in(before[0])
-        blocks = (range(len(part.atoms)) if atom is None
-                  else [k for k, _ in part.pieces(atom)])
-        return part, {k: tuple(map(sub, now[1][i[k]], before[1][j[k]]))
-                      for k in blocks}
+        part, den, nums = self._delta(t, atom)
+        if atom is None:
+            nums = dict(enumerate(nums))
+        return part, {k: as_fractions(den, num) for k, num in nums.items()}
 
     def component(self, i):
-        return self._map(1, lambda vec: (vec[i],))
+        return self._map(1, lambda t: (self.parts[t], self.dens[t],
+                                       tuple((cell[i],) for cell in self.nums[t])))
 
     def components(self):
         return [self.component(i) for i in range(self.dim)]
@@ -268,28 +373,38 @@ class Process:
         return self.at(0, 0)
 
     def minus_initial(self):
-        start = Process._make(self.tree, self.parts[:1] * len(self.parts),
-                              self.cells[:1] * len(self.cells), self.dim)
-        return self - start
+        return self - Process._make(self.tree, [self._row(0)] * len(self.parts),
+                                    self.dim)
 
     # arithmetic
 
-    def _zip(self, other, op):
+    def _check_shape(self, other):
         if not isinstance(other, Process):
             raise TypeError("expected a Process")
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
-        return self._map(self.dim, lambda u, v: tuple(map(op, u, v)), other)
 
     def __add__(self, other):
-        return self._zip(other, add)
+        self._check_shape(other)
+        return self._map(self.dim, lambda t: _sum(self.tree, self._row(t),
+                                                  other._row(t)))
 
     def __sub__(self, other):
-        return self._zip(other, sub)
+        self._check_shape(other)
+        return self._map(self.dim, lambda t: _sum(self.tree, self._row(t),
+                                                  other._row(t), -1))
+
+    def _times(self, other):
+        """The componentwise pathwise product."""
+        self._check_shape(other)
+        return self._map(self.dim, lambda t: _products(
+            self.tree, self._row(t), other._row(t), _times))
 
     def scale(self, factor):
-        factor = to_fraction(factor)
-        return self._map(self.dim, lambda vec: tuple(factor * c for c in vec))
+        num, den = to_fraction(factor).as_integer_ratio()
+        return self._map(self.dim, lambda t: (
+            self.parts[t], self.dens[t] * den,
+            tuple(tuple(num * c for c in cell) for cell in self.nums[t])))
 
     def __eq__(self, other):
         return (isinstance(other, Process) and other.tree is self.tree
@@ -300,16 +415,21 @@ class Process:
     def first_divergence(self, other):
         """Earliest (t, leaf) where the two processes differ, or None.
 
-        Each block of the meet of the two slices is compared once; blocks
-        are in first-leaf order, so the first differing one holds the
-        earliest leaf.
+        Each block of the meet of the two slices is compared once, by
+        cross-multiplication; blocks are in first-leaf order, so the first
+        differing one holds the earliest leaf.
         """
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
         for t in range(self.tree.horizon + 1):
-            part, same = _cellwise_row(self.tree, eq, (self.row(t), other.row(t)))
-            if not all(same):
-                return (t, part.atoms[same.index(False)].leaves[0])
+            mine, theirs = self._row(t), other._row(t)
+            if mine == theirs:
+                continue
+            part, (u, v) = _lifted(self.tree, (mine, theirs))
+            a, b = theirs[1], mine[1]
+            for k, (p, q) in enumerate(zip(u, v)):
+                if p != q if a == b else any(x * a != y * b for x, y in zip(p, q)):
+                    return (t, part.atoms[k].leaves[0])
         return None
 
     # measurability
@@ -322,7 +442,7 @@ class Process:
             return True
         seen = {}
         return all(seen.setdefault(k, cell) == cell for k, cell in
-                   zip(meet.index_in(part), meet.lift(mine, self.cells[t])))
+                   zip(meet.index_in(part), meet.lift(mine, self.nums[t])))
 
     def is_adapted(self, filtration_like) -> bool:
         parts = as_filtration(filtration_like).parts
@@ -340,9 +460,13 @@ class Process:
             return False
         # adapted, so X_{t-1} is constant on each time-(t-1) atom
         for t in range(1, self.tree.horizon + 1):
+            part, den, nums = self._row(t)
+            before, bden, bnums = self._row(t - 1)
             for atom in filtration.parts[t - 1].atoms:
-                if (conditional_mean(atom, *self.row(t))
-                        != self.at(t - 1, atom.leaves[0])):
+                sums, weight = _weigh(atom, part, nums)
+                scale = den * weight
+                prev = bnums[before.block_of[atom.leaves[0]]]
+                if any(s * bden != p * scale for s, p in zip(sums, prev)):
                     return False
         return True
 
@@ -369,13 +493,26 @@ class Decomposition:
     drift_part: Process
 
 
-def _compensate(filtration: Filtration, dim: int, step) -> Process:
-    """Null at 0, moved on each time-(t-1) atom by the vector step(t, atom)."""
+def _compensate(filtration: Filtration, dim: int, moves_at) -> Process:
+    """Null at 0, moved on the i-th time-(t-1) atom by moves_at(t)[i], a
+    vector of int numerators as (den, num)."""
     parts = filtration.parts
-    return Process._accumulate(
-        filtration.tree, tuple([ZERO] * dim),
-        lambda prev, move: tuple(map(add, prev, move)),
-        lambda t: ((parts[t - 1], [step(t, atom) for atom in parts[t - 1].atoms]),))
+    return Process._accumulate(filtration.tree, (0,) * dim,
+                               lambda t: (parts[t - 1], *gathered(moves_at(t))))
+
+
+def _compensated_means(filtration: Filtration, dim: int, slice_at) -> Process:
+    """Null at 0, moved on each time-(t-1) atom by the conditional mean of
+    the slice slice_at(t), called once per time in time order."""
+    def means(t):
+        part, den, nums = slice_at(t)
+        moves = []
+        for atom in filtration.parts[t - 1].atoms:
+            sums, weight = _weigh(atom, part, nums)
+            moves.append((den * weight, sums))
+        return moves
+
+    return _compensate(filtration, dim, means)
 
 
 def dual_predictable_projection(a: Process, filtration_like) -> Process:
@@ -383,12 +520,8 @@ def dual_predictable_projection(a: Process, filtration_like) -> Process:
 
     The result is predictable for the given filtration by construction.
     """
-    def mean_increment(t, atom):
-        # E[A_t | atom] - E[A_{t-1} | atom], which needs no adaptedness
-        return tuple(map(sub, conditional_mean(atom, *a.row(t)),
-                         conditional_mean(atom, *a.row(t - 1))))
-
-    return _compensate(as_filtration(filtration_like), a.dim, mean_increment)
+    # E[A_t - A_{t-1} | atom], which needs no adaptedness
+    return _compensated_means(as_filtration(filtration_like), a.dim, a._delta)
 
 
 def decompose(x: Process, filtration_like) -> Decomposition:
@@ -400,22 +533,30 @@ def decompose(x: Process, filtration_like) -> Decomposition:
     return Decomposition(martingale_part=martingale, drift_part=drift)
 
 
+def _check_pair(x: Process, y: Process):
+    if x.tree is not y.tree:
+        raise DimensionMismatch("bracket across different trees")
+    if x.dim != y.dim:
+        raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
+
+
 def bracket(x: Process, y: Process) -> Process:
     """Pathwise covariation sum of Delta X . Delta Y; scalar output.
 
     Inputs must share their dimension; components pair up, so two scalars give
     the ordinary bracket.
     """
-    if x.tree is not y.tree:
-        raise DimensionMismatch("bracket across different trees")
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
+    _check_pair(x, y)
     return Process._accumulate(
-        x.tree, (ZERO,),
-        lambda acc, xc, xp, yc, yp: (acc[0] + sum(
-            ((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
-            start=ZERO),),
-        lambda t: (x.row(t), x.row(t - 1), y.row(t), y.row(t - 1)))
+        x.tree, (0,), lambda t: _products(x.tree, x._delta(t), y._delta(t), _dot))
+
+
+def _predictable_products(x: Process, y: Process, filtration, dim, product):
+    """The compensator of the running sum of product(Delta X, Delta Y), a
+    vector of dim ints per block, computed from conditional products."""
+    return _compensated_means(
+        filtration, dim,
+        lambda t: _products(x.tree, x._delta(t), y._delta(t), product))
 
 
 def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
@@ -424,20 +565,8 @@ def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
     Agrees exactly with dual_predictable_projection(bracket(X, Y)).
     """
     filtration = as_filtration(filtration_like)
-    if x.tree is not y.tree:
-        raise DimensionMismatch("bracket across different trees")
-    if x.dim != y.dim:
-        raise DimensionMismatch(f"bracket dims {x.dim} and {y.dim}")
-    def product(xc, xp, yc, yp):
-        return (sum(((a - b) * (c - d) for a, b, c, d in zip(xc, xp, yc, yp)),
-                    start=ZERO),)
-
-    products = [None] + [
-        _cellwise_row(x.tree, product,
-                      (x.row(t), x.row(t - 1), y.row(t), y.row(t - 1)))
-        for t in range(1, x.tree.horizon + 1)]
-    return _compensate(filtration, 1,
-                       lambda t, atom: conditional_mean(atom, *products[t]))
+    _check_pair(x, y)
+    return _predictable_products(x, y, filtration, 1, _dot)
 
 
 def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
@@ -453,17 +582,15 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
     return Process._accumulate(
-        x.tree, (ZERO,),
-        lambda acc, hv, xc, xp: (acc[0] + sum(
-            (a * (b - c) for a, b, c in zip(hv, xc, xp)), start=ZERO),),
-        lambda t: (h.row(t), x.row(t), x.row(t - 1)))
+        x.tree, (0,), lambda t: _products(x.tree, h._row(t), x._delta(t), _dot))
 
 
 class JumpMeasure:
     """Integer-valued random measure of a base-adapted process's jumps.
 
     Support: the time-t nodes (t >= 1) where the increment is a nonzero
-    vector; the location there is that increment.
+    vector; the location there is that increment. Each location is interned
+    as a small int, in first-seen order.
     """
 
     def __init__(self, tree: FilteredTree, dim: int, support: dict):
@@ -474,8 +601,15 @@ class JumpMeasure:
         for node_id in sorted(self.support):
             node = tree.nodes[node_id]
             self._by_time.setdefault(node.time, []).append(node)
+        self._location_ids: dict[tuple, int] = {}
+        self._jump_ids = {node_id: self._location_id(value)
+                          for node_id, value in self.support.items()}
         self._compensators: dict[Filtration, CompensatorTable] = {}
         self._derived: dict = {}
+
+    def _location_id(self, value) -> int:
+        """The small int of a location vector, interned on first sight."""
+        return self._location_ids.setdefault(value, len(self._location_ids))
 
     def nodes_at(self, t):
         return self._by_time.get(t, [])
@@ -510,10 +644,11 @@ def jump_measure(x: Process) -> JumpMeasure:
         raise NotPredictable("jump measure needs a base-adapted process")
     support = {}
     for t in range(1, x.tree.horizon + 1):
+        part, den, nums = x._delta(t)
         for node in x.tree.nodes_at[t]:
-            inc = x.increment(t, node.leaf_lo)
-            if any(c != 0 for c in inc):
-                support[node.id] = inc
+            inc = nums[part.block_of[node.leaf_lo]]
+            if any(inc):
+                support[node.id] = as_fractions(den, inc)
     return JumpMeasure(x.tree, x.dim, support)
 
 
@@ -521,7 +656,10 @@ class CompensatorTable:
     """Conditional jump distribution per (time, conditioning atom).
 
     nu({t} x {v} | atom) adds the conditional probabilities of the time-t
-    support nodes with location v, seen from the atom at t-1.
+    support nodes with location v, seen from the atom at t-1. entries holds
+    them as Fractions keyed by location vector; the star integral reads
+    them, on first use, as int numerators over one denominator per atom,
+    keyed by interned location.
     """
 
     def __init__(self, measure: JumpMeasure, filtration: Filtration):
@@ -529,19 +667,33 @@ class CompensatorTable:
         self.filtration = filtration
         tree = measure.tree
         self.entries: dict[tuple[int, str], dict[tuple, Fraction]] = {}
+        self._ints = None
+        locations = list(measure._location_ids)
         for t in range(1, tree.horizon + 1):
             if not measure.nodes_at(t):
                 continue
             nodes = tree.base_filtration().parts[t]
             for atom in filtration.atoms(t - 1):
-                law = conditional_law(atom, nodes)
-                dist: dict[tuple, Fraction] = {}
-                for k in sorted(law, key=lambda k: nodes.atoms[k].label):
-                    value = measure.support.get(nodes.atoms[k].label)
-                    if value is not None:
-                        dist[value] = dist.get(value, ZERO) + law[k]
-                if dist:
-                    self.entries[(t, atom.label)] = dist
+                masses: dict[int, int] = {}  # per interned location
+                for k, m in sorted(nodes.pieces(atom),
+                                   key=lambda piece: nodes.atoms[piece[0]].label):
+                    loc = measure._jump_ids.get(nodes.atoms[k].label)
+                    if loc is not None:
+                        masses[loc] = masses.get(loc, 0) + m
+                if masses:
+                    self.entries[(t, atom.label)] = {
+                        locations[loc]: Fraction(m, atom.mass)
+                        for loc, m in masses.items()}
+
+    def _int_form(self):
+        """{(t, atom label): (den, ((location id, numerator), ...))}."""
+        if self._ints is None:
+            intern = self.measure._location_id
+            self._ints = {}
+            for key, dist in self.entries.items():
+                den, (nums,) = over_common_denominator([tuple(dist.values())])
+                self._ints[key] = (den, tuple(zip(map(intern, dist), nums)))
+        return self._ints
 
     def charged(self, t, atom_label):
         dist = self.entries.get((t, atom_label), {})
@@ -562,7 +714,9 @@ class JumpFunction:
     Anchored to a filtration: the atom argument is the filtration's atom at
     t-1, which is how the function stays predictable in its first slot. A
     table anchored to the base filtration can be integrated under any
-    enlargement unchanged.
+    enlargement unchanged. entries holds the values as Fractions keyed by
+    location vector; the star integral reads them, once per measure, as int
+    numerators over one denominator per time, keyed by interned location.
     """
 
     def __init__(self, filtration: Filtration, entries: dict):
@@ -571,6 +725,7 @@ class JumpFunction:
         for (t, label, value), g in entries.items():
             self.entries[(t, label, tuple(value))] = to_fraction(g)
         self._star_integrals: dict[tuple[JumpMeasure, Filtration], Process] = {}
+        self._int_forms: dict[JumpMeasure, dict] = {}
 
     @classmethod
     def from_callable(cls, mu: JumpMeasure, filtration_like, fn):
@@ -601,6 +756,19 @@ class JumpFunction:
                 f"no entry at time {t}, atom {atom.label}, location {location}")
         return self.entries[key]
 
+    def _int_form(self, mu: JumpMeasure):
+        """Per time t: (den, {(atom label, location id): numerator})."""
+        if mu not in self._int_forms:
+            by_time: dict[int, list] = {}
+            for (t, label, value), g in self.entries.items():
+                by_time.setdefault(t, []).append(((label, mu._location_id(value)), g))
+            forms = {}
+            for t, items in by_time.items():
+                den, (nums,) = over_common_denominator([[g for _, g in items]])
+                forms[t] = (den, dict(zip([key for key, _ in items], nums)))
+            self._int_forms[mu] = forms
+        return self._int_forms[mu]
+
 
 def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
     """Compensated jump-measure integral of a predictable function.
@@ -618,27 +786,39 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
 
 def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
     tree = mu.tree
-    table = mu.compensator(filtration)
+    table = mu.compensator(filtration)._int_form()
+    values = g._int_form(mu)
+    jumps = mu._jump_ids
+    locations = list(mu._location_ids)
 
-    def rows_at(t):
-        comps = []  # compensated mean of g on each time-(t-1) atom
-        for atom in filtration.atoms(t - 1):
-            g_atom = g.filtration.conditioning_atom_of(t, atom.leaves[0])
-            dist = table.entries.get((t, atom.label), {})
-            comps.append(sum(
-                (p * g.value_on(t, g_atom, value) for value, p in dist.items()),
-                start=ZERO))
+    def lookup(t, gnum, label, loc):
+        v = gnum.get((label, loc))
+        if v is None:
+            raise IncompleteFunctionTable(
+                f"no entry at time {t}, atom {label}, location {locations[loc]}")
+        return v
+
+    def increments_at(t):
+        gden, gnum = values.get(t, (1, {}))
+        atoms = filtration.parts[t - 1]
+        comps = []  # per time-(t-1) atom: the mean of g, as (den, numerator)
+        for atom in atoms.atoms:
+            label = g.filtration.conditioning_atom_of(t, atom.leaves[0]).label
+            den, dist = table.get((t, atom.label), (1, ()))
+            comps.append((den, sum(p * lookup(t, gnum, label, loc) for loc, p in dist)))
         g_part = g.filtration.parts[t - 1]
-        return ((filtration.parts[t - 1], comps), (g_part, g_part.atoms),
-                (tree.base_filtration().parts[t], tree.nodes_at[t]))
+        nodes = tree.base_filtration().parts[t]
+        part, (comp_of, g_atom_of, node_of) = _lifted(tree, (
+            (atoms, None, comps), (g_part, None, g_part.atoms),
+            (nodes, None, nodes.atoms)))
+        cells = []
+        for (den, total), g_atom, node in zip(comp_of, g_atom_of, node_of):
+            loc = jumps.get(node.label)
+            gain = 0 if loc is None else lookup(t, gnum, g_atom.label, loc)
+            cells.append((den * gden, (gain * den - total,)))
+        return (part, *gathered(cells))
 
-    def step(acc, comp, g_atom, node):
-        # the time-t node fixes t
-        jump = mu.support.get(node.id)
-        gain = ZERO if jump is None else g.value_on(node.time, g_atom, jump)
-        return (acc[0] + (gain - comp),)
-
-    return Process._accumulate(tree, (ZERO,), step, rows_at)
+    return Process._accumulate(tree, (0,), increments_at)
 
 
 def project_onto_jump_measure(y: Process, mu: JumpMeasure,
@@ -657,24 +837,27 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     y.require_martingale(filtration, what="projected process")
     table = mu.compensator(filtration)
     base = y.tree.base_filtration()
-    increments = [None] + [y.delta(t) for t in range(1, y.tree.horizon + 1)]
+    increments = [None] + [y._delta(t) for t in range(1, y.tree.horizon + 1)]
     entries = {}
     for (t, label), dist in table.entries.items():
         atom = filtration.atom_labelled(t - 1, label)
         # E[Delta Y; jump = v | atom] per location v; dist[v] = P(jump = v | atom)
-        num: dict[tuple, Fraction] = dict.fromkeys(dist, ZERO)
+        num: dict[tuple, int] = dict.fromkeys(dist, 0)
         nodes = base.parts[t]
         cut = y.tree.meet(nodes, atom.partition)  # atoms cut by time-t nodes
         node_of = cut.index_in(nodes)
+        part, den, nums = increments[t]
         for k in cut.inside(atom):
             location = mu.support.get(nodes.atoms[node_of[k]].label)
             if location is not None:
-                piece = cut.atoms[k]
-                (mean,) = conditional_mean(piece, *increments[t])
-                num[location] += piece.prob / atom.prob * mean
+                # the piece's mass times its mean increment, over den
+                (total,), weight = _weigh(cut.atoms[k], part, nums)
+                num[location] += (total * cut.atoms[k].mass if weight == 1
+                                  else total)
+        scale = den * atom.mass
         mass = sum(dist.values(), start=ZERO)
-        hat = sum(num.values(), start=ZERO)
+        hat = Fraction(sum(num.values()), scale)
         correction = ZERO if mass == 1 else hat / (1 - mass)
         for v in dist:
-            entries[(t, label, v)] = num[v] / dist[v] + correction
+            entries[(t, label, v)] = Fraction(num[v], scale) / dist[v] + correction
     return JumpFunction(filtration, entries)

@@ -69,7 +69,7 @@ from .fuzz import (
     undersized_basis,
     widest_branching,
 )
-from .representation import check_mrp, menu_bound, reconstruct_accessible
+from .representation import _reconstruct, check_mrp, menu_bound
 from .scenario import (
     Scenario,
     canonical_json,
@@ -106,9 +106,10 @@ class CheckContext:
 
     @cached_property
     def reconstructed(self):
-        # a raised NoRepresentation is not cached: fail on the cached report
+        # a raised NoRepresentation is not cached: fail on the cached report,
+        # and build on it without ranking the basis again
         self.mrp.require()
-        return reconstruct_accessible(self.basis())
+        return _reconstruct(self.basis())
 
 
 def _each_enlargement(ctx: CheckContext, body):

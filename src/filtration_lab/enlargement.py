@@ -12,9 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
+from operator import mul
 
 from .calculus import (
     Process,
+    _lifted,
+    _predictable_products,
     dot_integral,
     dual_predictable_projection,
     predictable_bracket,
@@ -28,9 +32,15 @@ from .errors import (
     NotStrictlyPositive,
 )
 from .linalg import dot, mat_mul, null_space
-from .rationals import format_rational, to_fraction
+from .rationals import (
+    as_fractions,
+    format_rational,
+    gathered,
+    over_common_denominator,
+    to_fraction,
+)
 from .representation import representation_coefficient
-from .tree import as_filtration, conditional_law, conditional_mean
+from .tree import _weigh, as_filtration, conditional_law
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -60,11 +70,15 @@ def doleans_exponential(a, x: Process) -> Process:
     """Pathwise product of (1 + a * delta X), started at 1."""
     if x.dim != 1:
         raise DimensionMismatch("exponentials take scalar processes")
-    a = to_fraction(a)
-    return Process._accumulate(
-        x.tree, (ONE,),
-        lambda acc, now, before: (acc[0] * (1 + a * (now[0] - before[0])),),
-        lambda t: (x.row(t), x.row(t - 1)))
+    num, den = to_fraction(a).as_integer_ratio()
+
+    def factors(t):
+        # 1 + a * Delta X over den * (Delta X's denominator)
+        part, step, incs = x._delta(t)
+        scale = den * step
+        return part, scale, tuple((scale + num * c,) for (c,) in incs)
+
+    return Process._accumulate(x.tree, (1,), factors, product=True)
 
 
 @dataclass(frozen=True)
@@ -98,7 +112,7 @@ class DeflatorSearch:
 
 
 def _require_positive(s: Process, what: str):
-    if any(c <= 0 for cells in s.cells for vec in cells for c in vec):
+    if any(c <= 0 for nums in s.nums for cell in nums for c in cell):
         raise NotStrictlyPositive(f"{what} must stay strictly positive")
 
 
@@ -148,12 +162,16 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     factors = {}
     for t in range(1, tree.horizon + 1):
         children = filtration.parts[t]
+        (now, now_den, now_nums), (before, before_den, before_nums) = \
+            s._row(t), s._row(t - 1)
+        den = lcm(now_den, before_den)
         for atom in filtration.atoms(t - 1):
             law = conditional_law(atom, children)  # the atoms inside it at t
             subs = [children.atoms[k] for k in law]
             q = list(law.values())
-            s_prev = s.at(t - 1, atom.leaves[0])[0]
-            moves = [s.at(t, sub.leaves[0])[0] - s_prev for sub in subs]
+            s_prev = before_nums[before.block_of[atom.leaves[0]]][0] * (den // before_den)
+            moves = [Fraction(now_nums[now.block_of[sub.leaves[0]]][0] * (den // now_den)
+                              - s_prev, den) for sub in subs]
             status, floor, ys = _one_period_deflator(q, moves)
 
             ok = status == OPTIMAL and floor > 0
@@ -183,9 +201,10 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
                               violations=tuple(violations), audit=tuple(audit))
 
     product = Process._accumulate(
-        tree, (ONE,), lambda acc, y: (acc[0] * y,),
-        lambda t: ((filtration.parts[t],
-                    [factors[(t, atom.label)] for atom in filtration.atoms(t)]),))
+        tree, (1,),
+        lambda t: (filtration.parts[t], *over_common_denominator(
+            [(factors[(t, atom.label)],) for atom in filtration.atoms(t)])),
+        product=True)
     deflator = Deflator(process=product, target=s)
     return DeflatorSearch(feasible=True, deflator=deflator,
                           violations=(), audit=tuple(audit))
@@ -215,8 +234,12 @@ def check_full_viability(enlargement_like, family) -> ViabilityReport:
 
 
 def max_abs_increment(x: Process) -> Fraction:
-    return max((abs(c) for t in range(1, x.tree.horizon + 1)
-                for inc in x.delta(t)[1].values() for c in inc), default=ZERO)
+    best = ZERO
+    for t in range(1, x.tree.horizon + 1):
+        _, den, incs = x._delta(t)
+        best = max(best, Fraction(max((abs(c) for inc in incs for c in inc),
+                                      default=0), den))
+    return best
 
 
 def default_viability_family(w: Process):
@@ -247,13 +270,13 @@ def verify_fbd(x: Process, deflator: Deflator, enlargement_like) -> bool:
     filtration = as_filtration(enlargement_like)
     y = deflator.process
     _require_positive(y, "deflator")
-    if any(v[0] != 1 for v in y.cells[0]):
+    if any(cell[0] != y.dens[0] for cell in y.nums[0]):
         raise NotADeflator("deflator must start at 1")
     if not y.is_martingale(filtration):
         raise NotADeflator("deflator is not a martingale for the larger flow")
     if y.dim != 1 or deflator.target.dim != 1:
         raise DimensionMismatch("pathwise products take scalar processes")
-    priced = y._zip(deflator.target, lambda a, b: a * b)
+    priced = y._times(deflator.target)
     if not priced.is_martingale(filtration):
         raise NotADeflator("deflated price is not a martingale")
 
@@ -278,7 +301,7 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
     filtration = as_filtration(enlargement_like)
     tree = a.tree
     for t in range(1, tree.horizon + 1):
-        if any(inc[0] < 0 for inc in a.delta(t)[1].values()):
+        if any(inc[0] < 0 for inc in a._delta(t)[2]):
             raise NotIncreasing(f"decrement at time {t}")
     base = tree.base_filtration()
     fine = dual_predictable_projection(a, filtration)
@@ -378,15 +401,18 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 time=t, atom=node.id, p=tuple(p),
                 epsilons=tuple(tuple(e) for e in epsilons),
                 sub_records=tuple(sub_records)))
-        frames.append((base.parts[t - 1], frame_row))
+        frames.append((base.parts[t - 1], None,
+                       [over_common_denominator(eps) for eps in frame_row]))
 
-    def n_step(acc, epsilons, now, before):
-        inc = [a - b for a, b in zip(now, before)]
-        return tuple(a + dot(eps, inc) for a, eps in zip(acc, epsilons))
+    def n_increments(t):
+        # the node's frame dotted with Delta X2
+        delta = x2._delta(t)
+        part, (frame_of, incs) = _lifted(tree, (frames[t], delta))
+        return (part, *gathered([
+            (den * delta[1], tuple(sum(map(mul, eps, inc)) for eps in epsilons))
+            for (den, epsilons), inc in zip(frame_of, incs)]))
 
-    # N moves by the node's frame dotted with Delta X2
-    n = Process._accumulate(tree, tuple([ZERO] * basis.d), n_step,
-                            lambda t: (frames[t], x2.row(t), x2.row(t - 1)))
+    n = Process._accumulate(tree, (0,) * basis.d, n_increments)
     phi = Process._predictable(filtration, basis.d,
                                lambda t, sub: phis[(t, sub.label)])
 
@@ -404,9 +430,12 @@ def _multiplier_identity(phi, n, x, filtration) -> bool:
 
 
 def _phi_bracket(phi, n, x, filtration) -> Process:
-    base = x.tree.base_filtration()
-    brackets = Process.stack([predictable_bracket(n.component(j), x, base)
-                              for j in range(n.dim)])
+    """phi . [N, X]^p under filtration, with the d base-flow brackets
+    [N_j, X]^p of a scalar X built in one pass: one conditional mean of
+    width d per atom."""
+    brackets = _predictable_products(
+        n, x, x.tree.base_filtration(), n.dim,
+        lambda dn, dx: tuple(c * dx[0] for c in dn))
     return dot_integral(phi, brackets, filtration)
 
 
@@ -438,17 +467,18 @@ class KernelCertificate:
 
 def _increment_moments(x: Process, t: int, atom):
     """Mean vector and covariance matrix of Delta X_t given the atom."""
-    part, incs = x.delta(t, atom)
-    mean = conditional_mean(atom, part, incs)
-
-    def centred_outer(inc):
-        d = [a - m for a, m in zip(inc, mean)]
-        return tuple(u * v for u in d for v in d)
-
-    flat = conditional_mean(atom, part,
-                            {k: centred_outer(inc) for k, inc in incs.items()})
-    width = len(mean)
-    return mean, [list(flat[g * width:(g + 1) * width]) for g in range(width)]
+    part, den, incs = x._delta(t, atom)
+    sums, weight = _weigh(atom, part, incs)  # the mean is sums / scale
+    scale = den * weight
+    outer = {}
+    for k, inc in incs.items():
+        d = [n * weight - m for n, m in zip(inc, sums)]  # over scale
+        outer[k] = tuple(u * v for u in d for v in d)
+    flat, weight = _weigh(atom, part, outer)
+    flat = as_fractions(scale * scale * weight, flat)
+    width = len(sums)
+    return (as_fractions(scale, sums),
+            [list(flat[g * width:(g + 1) * width]) for g in range(width)])
 
 
 def covariance_kernel(enlargement_like, basis, time: int,

@@ -1,12 +1,16 @@
-"""Exact rational coercion and serialization helpers.
+"""Exact rational coercion, serialization, and the integer form of values.
 
-All arithmetic in the library runs on fractions.Fraction. Floats are refused
-at every boundary so rounding can never leak in silently.
+Values are held as int numerators over one positive int denominator: a
+process slice holds one tuple of numerators per block over one denominator,
+and atom masses are ints over the tree's leaf denominator. Every value a
+caller sees is a fractions.Fraction, built from that form at the boundary.
+Floats are refused at every boundary so rounding can never leak in silently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import ParseError
 
@@ -30,3 +34,44 @@ def to_fraction(value) -> Fraction:
 def format_rational(value: Fraction) -> str:
     """Serialize as "p/q", or plain "p" for integers."""
     return str(value)
+
+
+def over_common_denominator(cells):
+    """Tuples of Fractions, all of one length, as (den, nums): den the lcm
+    of their denominators, nums one tuple of numerators over it per cell.
+    The result is reduced: no prime divides den and every numerator."""
+    ratios = [c.as_integer_ratio() for cell in cells for c in cell]
+    den = lcm(*[d for _, d in ratios])
+    width = len(cells[0]) if cells else 0
+    if not width:
+        return den, ((),) * len(cells)
+    flat = iter([n * (den // d) for n, d in ratios])
+    return den, tuple(zip(*[flat] * width))
+
+
+def reduced(den, nums):
+    """(den, nums) divided by the gcd of den and every numerator."""
+    g = den
+    for cell in nums:
+        g = gcd(g, *cell)
+        if g == 1:
+            return den, nums
+    return den // g, tuple(tuple(n // g for n in cell) for cell in nums)
+
+
+def gathered(cells):
+    """(den, num) cells, each one vector, over one denominator: each cell
+    reduced on its own, then all brought to the lcm of their denominators."""
+    out = []
+    for den, num in cells:
+        g = gcd(den, *num)
+        out.append((den // g, num) if g == 1 else
+                   (den // g, tuple(n // g for n in num)))
+    den = lcm(*(d for d, _ in out))
+    return den, tuple(num if d == den else tuple(n * (den // d) for n in num)
+                      for d, num in out)
+
+
+def as_fractions(den, num) -> tuple:
+    """One vector of numerators over den as a tuple of Fractions."""
+    return tuple(Fraction(n, den) for n in num)

@@ -62,8 +62,8 @@ class PartitionWitness:
 
 
 def _increment_matrix(w: Process, t: int, children):
-    return [[w.increment(t, child.leaf_lo)[j] for child in children]
-            for j in range(w.dim)]
+    return [list(row) for row in
+            zip(*(w.increment(t, child.leaf_lo) for child in children))]
 
 
 def check_mrp(w: Process) -> MrpReport:
@@ -205,8 +205,13 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
     -(1/2^t) p_h elsewhere under the same atom; empty padding classes give
     identically zero components on their slots.
     """
-    tree = w.tree
     check_mrp(w).require()
+    return _reconstruct(w)
+
+
+def _reconstruct(w: Process) -> ReconstructedBasis:
+    """reconstruct_accessible for a basis whose rank report has passed."""
+    tree = w.tree
     d = w.dim
     base = tree.base_filtration()
     witnesses = []

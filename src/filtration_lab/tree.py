@@ -8,8 +8,14 @@ refine the leaf partitions per time without touching the tree itself.
 Each time of a filtration is a Partition of the leaves; processes store one
 cell per block. The tree memoizes the meet of two partitions, and each
 partition its blocks inside each block of a coarser one, which between a
-filtration's consecutive times is the parent-to-child atom index. The one
-conditional-mean kernel weighs those blocks by their masses.
+filtration's consecutive times is the parent-to-child atom index.
+
+Masses are ints: every leaf probability is an int numerator over one
+tree-wide leaf denominator D, and every atom carries its mass over D beside
+its probability. The one conditional-mean kernel, _weigh, sums the products
+of those int masses with int numerators, and the callers reduce once per
+output cell; conditional_mean and conditional_law are its Fraction front
+ends.
 
 Conventions used throughout the library: F_{t-} means F_{t-1} for t >= 1 and
 F_0 for t = 0; a process is predictable at t when it is F_{t-1}-measurable;
@@ -22,6 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from .errors import (
     DanglingNode,
@@ -33,7 +41,7 @@ from .errors import (
     ProbabilitySumNotOne,
     TimeOutOfRange,
 )
-from .rationals import to_fraction
+from .rationals import as_fractions, over_common_denominator, to_fraction
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -41,7 +49,7 @@ ZERO = Fraction(0)
 
 class Node:
     __slots__ = ("id", "time", "parent", "branch_prob", "children", "prob",
-                 "leaf_lo", "leaf_hi")
+                 "mass", "leaf_lo", "leaf_hi")
 
     def __init__(self, node_id, time, parent, branch_prob):
         self.id = node_id
@@ -50,6 +58,7 @@ class Node:
         self.branch_prob = branch_prob
         self.children = []
         self.prob = None
+        self.mass = None
         self.leaf_lo = None
         self.leaf_hi = None
 
@@ -62,11 +71,13 @@ class Node:
 
 @dataclass(frozen=True, slots=True)
 class Atom:
-    """One cell of a leaf partition, with its unconditional probability,
+    """One cell of a leaf partition, with its unconditional probability and
+    that probability's int numerator over the tree's leaf denominator,
     placed by index in the partition that made it."""
     label: str
     leaves: tuple[int, ...]
     prob: Fraction
+    mass: int = field(default=0, compare=False, repr=False)
     partition: Partition | None = field(default=None, compare=False, repr=False)
     index: int = field(default=0, compare=False, repr=False)
 
@@ -78,10 +89,10 @@ class Partition:
     __slots__ = ("tree", "atoms", "block_of", "_index", "_inside")
 
     def __init__(self, tree, blocks):
-        """blocks: (label, leaves, prob) per block, in first-leaf order."""
+        """blocks: (label, leaves, prob, mass) per block, in first-leaf order."""
         self.tree = tree
-        self.atoms = tuple(Atom(label, leaves, prob, self, k)
-                           for k, (label, leaves, prob) in enumerate(blocks))
+        self.atoms = tuple(Atom(label, leaves, prob, mass, self, k)
+                           for k, (label, leaves, prob, mass) in enumerate(blocks))
         self.block_of = block_of = [0] * tree.n_leaves
         for atom in self.atoms:
             for leaf in atom.leaves:
@@ -121,11 +132,11 @@ class Partition:
         return hit[atom.index]
 
     def pieces(self, atom):
-        """(block, mass of its intersection with atom) for every block
+        """(block, int mass of its intersection with atom) for every block
         meeting atom, in first-leaf order."""
         meet = self.tree.meet(self, atom.partition)
         index = meet.index_in(self)
-        return [(index[k], meet.atoms[k].prob) for k in meet.inside(atom)]
+        return [(index[k], meet.atoms[k].mass) for k in meet.inside(atom)]
 
 
 class FilteredTree:
@@ -182,10 +193,13 @@ class FilteredTree:
             if node.time == horizon and node.children:
                 raise TimeOutOfRange(f"node {node.id!r} at the horizon has children")
             if node.children:
-                total = sum((c.branch_prob for c in node.children), start=ZERO)
-                if total != 1:
+                ratios = [c.branch_prob.as_integer_ratio() for c in node.children]
+                den = lcm(*[d for _, d in ratios])
+                total = sum([n * (den // d) for n, d in ratios])
+                if total != den:
                     raise ProbabilitySumNotOne(
-                        f"children of {node.id!r} have probabilities summing to {total}")
+                        f"children of {node.id!r} have probabilities summing to "
+                        f"{Fraction(total, den)}")
 
         preorder = self._preorder()
         if len(order) != len(preorder):
@@ -196,6 +210,7 @@ class FilteredTree:
         self.leaf_ids = [leaf.id for leaf in self.leaves]
         self._leaf_index = {leaf_id: i for i, leaf_id in enumerate(self.leaf_ids)}
         self.leaf_probs = [leaf.prob for leaf in self.leaves]
+        self.leaf_mass = [leaf.mass for leaf in self.leaves]
         self.nodes_at: list[list[Node]] = [[] for _ in range(horizon + 1)]
         for node in preorder:
             self.nodes_at[node.time].append(node)
@@ -214,7 +229,8 @@ class FilteredTree:
 
     def _assign_leaf_ranges(self, preorder):
         """Number the leaves depth first, so every node's leaves are the
-        range between its first and last child's."""
+        range between its first and last child's, and give every node its
+        mass over the leaf denominator, the lcm of the leaves'."""
         self.root.prob = ONE
         for node in preorder:
             for child in node.children:
@@ -223,10 +239,15 @@ class FilteredTree:
                 node.leaf_lo = len(self.leaves)
                 self.leaves.append(node)
                 node.leaf_hi = len(self.leaves)
+        ratios = [leaf.prob.as_integer_ratio() for leaf in self.leaves]
+        self.leaf_den = den = lcm(*[d for _, d in ratios])
+        for leaf, (n, d) in zip(self.leaves, ratios):
+            leaf.mass = n * (den // d)
         for node in reversed(preorder):
             if node.children:
                 node.leaf_lo = node.children[0].leaf_lo
                 node.leaf_hi = node.children[-1].leaf_hi
+                node.mass = sum([child.mass for child in node.children])
 
     @property
     def n_leaves(self) -> int:
@@ -247,7 +268,7 @@ class FilteredTree:
     def base_filtration(self) -> "Filtration":
         if self._base_filtration is None:
             self._base_filtration = Filtration(self, [
-                [(n.id, n.leaves(), n.prob) for n in self.nodes_at[t]]
+                [(n.id, n.leaves(), n.prob, n.mass) for n in self.nodes_at[t]]
                 for t in range(self.horizon + 1)])
         return self._base_filtration
 
@@ -345,10 +366,15 @@ def _meet_cells(first, second):
 
 
 def _blocks(tree: FilteredTree, cells):
-    """(label, leaves, mass) for each cell, its mass from leaf probabilities."""
-    probs = tree.leaf_probs
-    return [(_atom_label(tree, cell), cell,
-             sum((probs[i] for i in cell), start=ZERO)) for cell in cells]
+    """(label, leaves, prob, mass) for each cell, its mass the sum of its
+    leaves' int masses."""
+    masses = tree.leaf_mass
+    out = []
+    for cell in cells:
+        mass = sum(masses[i] for i in cell)
+        out.append((_atom_label(tree, cell), cell,
+                    Fraction(mass, tree.leaf_den), mass))
+    return out
 
 
 class Enlargement:
@@ -464,19 +490,31 @@ def as_filtration(obj) -> Filtration:
 def conditional_law(atom: Atom, part: Partition) -> dict:
     """P(block of part | atom): {block index: probability} over the blocks
     of part meeting the atom, in first-leaf order."""
-    return {k: mass / atom.prob for k, mass in part.pieces(atom)}
+    return {k: Fraction(mass, atom.mass) for k, mass in part.pieces(atom)}
+
+
+def _weigh(atom: Atom, part: Partition, nums):
+    """The kernel: E[X | atom] as (sums, weight) for X holding nums[k],
+    int numerators over some denominator den, on block k of part; nums need
+    only hold the blocks meeting the atom. The mean is sums / (den *
+    weight): each block meeting the atom is weighed once, by the int mass
+    of the intersection, and weight is the atom's mass, or 1 when one block
+    holds the whole atom."""
+    pieces = part.pieces(atom)
+    if len(pieces) == 1:
+        return nums[pieces[0][0]], 1
+    masses = [m for _, m in pieces]
+    return (tuple(sum(map(mul, masses, col))
+                  for col in zip(*[nums[k] for k, _ in pieces])), atom.mass)
 
 
 def conditional_mean(atom: Atom, part: Partition, cells):
     """E[X | atom] for X holding cells[k], a tuple of rationals, on block k
-    of part; cells need only hold the blocks meeting the atom. Each block
-    meeting the atom is weighed once, by the mass of the intersection."""
-    pieces = part.pieces(atom)
-    if len(pieces) == 1:
-        return cells[pieces[0][0]]
-    width = len(cells[pieces[0][0]])
-    return tuple(sum((mass * cells[k][i] for k, mass in pieces), start=ZERO) / atom.prob
-                 for i in range(width))
+    of part; cells need only hold the blocks meeting the atom."""
+    blocks = [k for k, _ in part.pieces(atom)]
+    den, nums = over_common_denominator([cells[k] for k in blocks])
+    sums, weight = _weigh(atom, part, dict(zip(blocks, nums)))
+    return as_fractions(den * weight, sums)
 
 
 def conditional_expectation_leafwise(x, t, filtration_like):
@@ -487,9 +525,13 @@ def conditional_expectation_leafwise(x, t, filtration_like):
     if len(row) != tree.n_leaves:
         raise TimeOutOfRange(
             f"expected {tree.n_leaves} leaf values, got {len(row)}")
+    den, nums = over_common_denominator(row)
     leaves = tree.base_filtration().parts[-1]
     part = filtration.partition(t)
-    means = [conditional_mean(atom, leaves, row)[0] for atom in part.atoms]
+    means = []
+    for atom in part.atoms:
+        (total,), weight = _weigh(atom, leaves, nums)
+        means.append(Fraction(total, den * weight))
     return [means[k] for k in part.block_of]
 
 

@@ -1,6 +1,8 @@
 """One derivation per run: the checks share the context's rank report, jump
-measure and constraint system instead of building their own."""
+measure and constraint system instead of building their own, and the
+reconstructed family is built on the context's rank report."""
 
+import json
 import sys
 from pathlib import Path
 
@@ -49,3 +51,16 @@ def test_basis_without_representation_is_ranked_once(monkeypatch, capsys):
     # reconstruct, multiplier and kernel fail on the context's report
     assert len(ranks) == 1
     assert rebuilds == []
+
+
+def test_passing_basis_is_ranked_once(monkeypatch, capsys):
+    ranks = count_calls(monkeypatch, representation.check_mrp)
+    code = main(["run", str(FIXTURES / "ter1_ga.json"), "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert {row["name"]: row["status"] for row in report["checks"]}["mrp"] == "pass"
+    # the context's report on the basis, and the reconstruct check's report
+    # on the basis stacked with the slot martingales; the reconstructed
+    # family is built on the first
+    assert len(ranks) == 2
+    assert ranks[0][0] is not ranks[1][0]

@@ -51,6 +51,7 @@ from filtration_lab.fuzz import (
     random_scenario,
     rng_for,
 )
+from filtration_lab.rationals import over_common_denominator
 from filtration_lab.representation import ReconstructedBasis
 
 F = Fraction
@@ -391,7 +392,8 @@ def test_deflator_product_over_biased_steps(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_compensator_walk_matches_reference(seed):
     """_compensate with moves drawn per atom, and drawn from a small pool of
-    shared tuples, under every flow."""
+    shared tuples, under every flow; it takes each move as int numerators
+    over a denominator."""
     scenario = random_scenario(seed)
     tree = scenario.tree
     rng = rng_for(seed, "accumulate", "compensate")
@@ -409,7 +411,12 @@ def test_compensator_walk_matches_reference(seed):
             for pooled in (False, True):
                 def step(t, atom, pooled=pooled):
                     return moves[(t, atom.label, pooled)]
-                assert same_process(_compensate(filtration, dim, step),
+
+                def moves_at(t, step=step):
+                    cells = [over_common_denominator([step(t, atom)])
+                             for atom in filtration.atoms(t - 1)]
+                    return [(den, num) for den, (num,) in cells]
+                assert same_process(_compensate(filtration, dim, moves_at),
                                     ref._compensate(filtration, dim, step))
 
 
