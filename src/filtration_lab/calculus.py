@@ -58,14 +58,7 @@ from .rationals import (
     reduced,
     to_fraction,
 )
-from .tree import (
-    FilteredTree,
-    Filtration,
-    _weigh,
-    as_filtration,
-    conditional_law,
-    conditional_mean,
-)
+from .tree import FilteredTree, Filtration, _weigh, as_filtration
 
 ZERO = Fraction(0)
 
@@ -87,9 +80,9 @@ def _sum(tree, a, b, sign=1):
     ka, kb = den // a[1], sign * (den // b[1])
     if ka == 1 and kb in (1, -1):
         op = add if kb == 1 else sub
-        return part, den, tuple(tuple(map(op, p, q)) for p, q in zip(u, v))
-    return part, den, tuple(tuple(x * ka + y * kb for x, y in zip(p, q))
-                            for p, q in zip(u, v))
+        return part, den, tuple([tuple(map(op, p, q)) for p, q in zip(u, v)])
+    return part, den, tuple([tuple([x * ka + y * kb for x, y in zip(p, q)])
+                             for p, q in zip(u, v)])
 
 
 def _products(tree, a, b, product):

@@ -74,16 +74,20 @@ class ConstraintSystem:
         self.n = n
         self.slots = dict(slots)
         self.gauges = (l1_gauge,) * n
+        self._weights = {}  # slot_weights per slot row
         for key, values in self.slots.items():
             if len(values) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
+            weights = []
             for k, value in enumerate(values):
-                if value is not None and l1_gauge(value) == 0:
+                weights.append(ZERO if value is None else self.gauges[k](value))
+                if value is not None and weights[-1] == 0:
                     raise ConstraintMismatch(
                         f"gauge vanishes on the slot value {value} at {key}")
                 if value is not None and value in values[:k]:
                     raise ConstraintMismatch(
                         f"menu at {key} lists the location {value} twice")
+            self._weights[key] = tuple(weights)
         self._martingales: dict[JumpMeasure, Process] = {}
 
     def slot_values(self, t, label):
@@ -91,8 +95,7 @@ class ConstraintSystem:
 
     def slot_weights(self, t, label):
         """gauge_k(alpha_k) per slot at (t, label), 0 on empty slots."""
-        return tuple(ZERO if value is None else gauge(value)
-                     for gauge, value in zip(self.gauges, self.slot_values(t, label)))
+        return self._weights.get((t, label), (ZERO,) * self.n)
 
     def slot_of(self, t, label, value):
         """The menu index of a location, or ConstraintMismatch."""
@@ -213,9 +216,10 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
     entries = {}
     for (t, label), dist in nu.entries.items():
         hv = h.at(t, filtration.atom_labelled(t - 1, label).leaves[0])
+        weights = cs.slot_weights(t, label)  # gauge_k of the k-th location
         for value in dist:
             k = cs.slot_of(t, label, value)
-            entries[(t, label, value)] = hv[k] * cs.gauges[k](value)
+            entries[(t, label, value)] = hv[k] * weights[k]
     return JumpFunction(filtration, entries)
 
 

@@ -381,18 +381,29 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
             coeffs = [p[h] / tails[h] if p[h] else ZERO for h in range(width)]
             epsilons = [[ZERO] * h + [ONE - c * p[h]] + [-c * v for v in p[h + 1:]]
                         for h, c in enumerate(coeffs) if h != last]
-            frame_row.append(epsilons)
+            frame = eps_den, eps_nums = over_common_denominator(epsilons)
+            frame_row.append(frame)
+            norms = [sum(map(mul, e, e)) for e in eps_nums]  # over eps_den^2
+            # with p_h = a_h / b_h and p_bar_h = m_h / M, the target
+            # (1/2^t)(p_bar_h / p_h - 1) is (m_h b_h - M a_h) / (2^t M a_h),
+            # held over 2^t M L with L the lcm of the charged a_h
+            ratios = [c.as_integer_ratio() for c in p]
+            lead = lcm(*[a for a, _ in ratios if a])
             sub_records = []
             for sub in filtration.atoms_within(t - 1, node.leaves()):
                 # class h is the time-t node wit.subatoms[h]; padding is empty
-                law = {nodes.atoms[k].label: p for k, p in
-                       conditional_law(sub, nodes).items()}
-                p_bar = [law.get(label, ZERO) for label in wit.subatoms]
-                rho = [ZERO if p[h] == 0
-                       else Fraction(1, 2 ** t) * (p_bar[h] / p[h] - 1)
-                       for h in range(width)]
-                sigma = [dot(rho, eps) / dot(eps, eps) for eps in epsilons]
-                phi_vec = tuple(Fraction(4 ** t) * c for c in sigma)
+                masses = {nodes.atoms[k].label: m for k, m in nodes.pieces(sub)}
+                total = sub.mass
+                p_bar = [Fraction(masses[label], total) if label in masses else ZERO
+                         for label in wit.subatoms]
+                rho = [(masses.get(label, 0) * b - total * a) * (lead // a) if a else 0
+                       for (a, b), label in zip(ratios, wit.subatoms)]
+                rho_den = 2 ** t * total * lead
+                # <rho, eps> / <eps, eps> per frame vector
+                coords = [(sum(map(mul, rho, e)) * eps_den, rho_den * norm)
+                          for e, norm in zip(eps_nums, norms)]
+                sigma = [Fraction(num, den) for num, den in coords]
+                phi_vec = tuple(Fraction(4 ** t * num, den) for num, den in coords)
                 sub_records.append(SubAtomRecord(
                     label=sub.label, p_bar=tuple(p_bar),
                     sigma=tuple(sigma), phi=phi_vec))
@@ -401,8 +412,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 time=t, atom=node.id, p=tuple(p),
                 epsilons=tuple(tuple(e) for e in epsilons),
                 sub_records=tuple(sub_records)))
-        frames.append((base.parts[t - 1], None,
-                       [over_common_denominator(eps) for eps in frame_row]))
+        frames.append((base.parts[t - 1], None, frame_row))
 
     def n_increments(t):
         # the node's frame dotted with Delta X2
@@ -467,6 +477,14 @@ class KernelCertificate:
 
 def _increment_moments(x: Process, t: int, atom):
     """Mean vector and covariance matrix of Delta X_t given the atom."""
+    mean_den, mean, cov_den, cov = _moment_sums(x, t, atom)
+    return (as_fractions(mean_den, mean),
+            [list(as_fractions(cov_den, row)) for row in cov])
+
+
+def _moment_sums(x: Process, t: int, atom):
+    """_increment_moments as int numerators: (mean den, mean, covariance
+    den, covariance rows)."""
     part, den, incs = x._delta(t, atom)
     sums, weight = _weigh(atom, part, incs)  # the mean is sums / scale
     scale = den * weight
@@ -475,10 +493,9 @@ def _increment_moments(x: Process, t: int, atom):
         d = [n * weight - m for n, m in zip(inc, sums)]  # over scale
         outer[k] = tuple(u * v for u in d for v in d)
     flat, weight = _weigh(atom, part, outer)
-    flat = as_fractions(scale * scale * weight, flat)
     width = len(sums)
-    return (as_fractions(scale, sums),
-            [list(flat[g * width:(g + 1) * width]) for g in range(width)])
+    return (scale, sums, scale * scale * weight,
+            [flat[g * width:(g + 1) * width] for g in range(width)])
 
 
 def covariance_kernel(enlargement_like, basis, time: int,
@@ -534,10 +551,13 @@ def covariance_kernel(enlargement_like, basis, time: int,
     sub_checks = []
     # the closed forms are claims too: the reported J must give J C = P
     holds = kernel_matches and mat_mul(j, c) == jc
+    jc_den, jc_nums = over_common_denominator(jc)
+    columns = list(zip(*jc_nums))
     for sub in filtration.atoms_within(time - 1, node.leaves()):
-        _, m = _increment_moments(x2, time, sub)
-        back = mat_mul(m, jc)
-        ok = back == m
+        # M = M J C on numerators, where M's own denominator cancels
+        m = _moment_sums(x2, time, sub)[3]
+        ok = all(sum(map(mul, row, col)) == jc_den * v
+                 for row in m for col, v in zip(columns, row))
         sub_checks.append((sub.label, ok))
         holds = holds and ok
 

@@ -56,22 +56,25 @@ def reduced(den, nums):
         g = gcd(g, *cell)
         if g == 1:
             return den, nums
-    return den // g, tuple(tuple(n // g for n in cell) for cell in nums)
+    return den // g, tuple([tuple([n // g for n in cell]) for cell in nums])
 
 
 def gathered(cells):
     """(den, num) cells, each one vector, over one denominator: each cell
     reduced on its own, then all brought to the lcm of their denominators."""
-    out = []
+    dens, nums = [], []
     for den, num in cells:
         g = gcd(den, *num)
-        out.append((den // g, num) if g == 1 else
-                   (den // g, tuple(n // g for n in num)))
-    den = lcm(*(d for d, _ in out))
-    return den, tuple(num if d == den else tuple(n * (den // d) for n in num)
-                      for d, num in out)
+        if g != 1:
+            den //= g
+            num = tuple([n // g for n in num])
+        dens.append(den)
+        nums.append(num)
+    den = lcm(*dens)
+    return den, tuple([num if d == den else tuple([n * (den // d) for n in num])
+                       for d, num in zip(dens, nums)])
 
 
 def as_fractions(den, num) -> tuple:
     """One vector of numerators over den as a tuple of Fractions."""
-    return tuple(Fraction(n, den) for n in num)
+    return tuple([Fraction(n, den) for n in num])

@@ -44,7 +44,6 @@ from .errors import (
 from .rationals import as_fractions, over_common_denominator, to_fraction
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class Node:
@@ -86,7 +85,7 @@ class Partition:
     """A leaf partition: its blocks as atoms in first-leaf order, and the
     block index of every leaf."""
 
-    __slots__ = ("tree", "atoms", "block_of", "_index", "_inside")
+    __slots__ = ("tree", "atoms", "block_of", "_index", "_inside", "_pieces")
 
     def __init__(self, tree, blocks):
         """blocks: (label, leaves, prob, mass) per block, in first-leaf order."""
@@ -99,6 +98,7 @@ class Partition:
                 block_of[leaf] = atom.index
         self._index = {}
         self._inside = {}
+        self._pieces = {}
 
     def index_in(self, coarse):
         """Block of coarse holding each block of this partition, which must
@@ -133,10 +133,16 @@ class Partition:
 
     def pieces(self, atom):
         """(block, int mass of its intersection with atom) for every block
-        meeting atom, in first-leaf order."""
-        meet = self.tree.meet(self, atom.partition)
-        index = meet.index_in(self)
-        return [(index[k], meet.atoms[k].mass) for k in meet.inside(atom)]
+        meeting atom, in first-leaf order; memoized per atom's partition."""
+        coarse = atom.partition
+        hit = self._pieces.get(coarse)
+        if hit is None:
+            meet = self.tree.meet(self, coarse)
+            index = meet.index_in(self)
+            hit = self._pieces[coarse] = tuple(
+                tuple((index[k], meet.atoms[k].mass) for k in meet.inside(a))
+                for a in coarse.atoms)
+        return hit[atom.index]
 
 
 class FilteredTree:
