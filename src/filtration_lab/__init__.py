@@ -2,8 +2,10 @@
 
 Trees carry filtrations as refining leaf partitions; processes, jump
 measures, constraint systems, representation bases, and enlargement
-diagnostics all work in Fraction arithmetic end to end, so every identity
-in the library is checked exactly or not at all.
+diagnostics all work in exact rational arithmetic, so every identity in the
+library is checked exactly or not at all. Process values are held as int
+numerators over one denominator per time slice; every value a caller sees
+is a Fraction.
 """
 
 from types import ModuleType as _Module

@@ -162,16 +162,17 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     factors = {}
     for t in range(1, tree.horizon + 1):
         children = filtration.parts[t]
-        (now, now_den, now_nums), (before, before_den, before_nums) = \
-            s._row(t), s._row(t - 1)
-        den = lcm(now_den, before_den)
+        now, now_den, now_nums = s._row(t)
+        before, before_den, before_nums = s._row(t - 1)
+        den = lcm(now_den, before_den)  # the moves' denominator
+        up, back = den // now_den, den // before_den
         for atom in filtration.atoms(t - 1):
             law = conditional_law(atom, children)  # the atoms inside it at t
             subs = [children.atoms[k] for k in law]
             q = list(law.values())
-            s_prev = before_nums[before.block_of[atom.leaves[0]]][0] * (den // before_den)
-            moves = [Fraction(now_nums[now.block_of[sub.leaves[0]]][0] * (den // now_den)
-                              - s_prev, den) for sub in subs]
+            s_prev = before_nums[before.block_of[atom.leaves[0]]][0] * back
+            moves = [Fraction(now_nums[now.block_of[sub.leaves[0]]][0] * up - s_prev, den)
+                     for sub in subs]
             status, floor, ys = _one_period_deflator(q, moves)
 
             ok = status == OPTIMAL and floor > 0
