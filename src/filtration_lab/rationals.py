@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import ParseError
+from .errors import DimensionMismatch, ParseError
 
 
 def to_fraction(value) -> Fraction:
@@ -43,6 +43,8 @@ def over_common_denominator(cells):
     ratios = [c.as_integer_ratio() for cell in cells for c in cell]
     den = lcm(*[d for _, d in ratios])
     width = len(cells[0]) if cells else 0
+    if any(len(cell) != width for cell in cells):
+        raise DimensionMismatch("ragged value vectors")
     if not width:
         return den, ((),) * len(cells)
     flat = iter([n * (den // d) for n, d in ratios])
