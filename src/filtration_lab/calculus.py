@@ -96,7 +96,7 @@ def _dot(u, v):
     return (sum(map(mul, u, v)),)
 
 
-def _times(u, v):
+def _elementwise(u, v):
     return tuple(map(mul, u, v))
 
 
@@ -180,7 +180,7 @@ class Process:
         for t in range(1, tree.horizon + 1):
             step = increments_at(t)
             if product:
-                part, den, nums = _products(tree, slices[-1], step, _times)
+                part, den, nums = _products(tree, slices[-1], step, _elementwise)
             else:
                 part, den, nums = _sum(tree, slices[-1], step)
             slices.append((part, *reduced(den, nums)))
@@ -391,7 +391,7 @@ class Process:
         """The componentwise pathwise product."""
         self._check_shape(other)
         return self._map(self.dim, lambda t: _products(
-            self.tree, self._row(t), other._row(t), _times))
+            self.tree, self._row(t), other._row(t), _elementwise))
 
     def scale(self, factor):
         num, den = to_fraction(factor).as_integer_ratio()
