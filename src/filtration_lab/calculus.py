@@ -782,13 +782,13 @@ def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
     table = mu.compensator(filtration)._int_form()
     values = g._int_form(mu)
     jumps = mu._jump_ids
-    locations = list(mu._location_ids)
 
     def lookup(t, gnum, label, loc):
         v = gnum.get((label, loc))
         if v is None:
+            location = list(mu._location_ids)[loc]
             raise IncompleteFunctionTable(
-                f"no entry at time {t}, atom {label}, location {locations[loc]}")
+                f"no entry at time {t}, atom {label}, location {location}")
         return v
 
     def increments_at(t):
