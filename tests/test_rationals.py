@@ -1,11 +1,19 @@
-"""Boundary parsing: exact rationals in, exact rationals out."""
+"""Boundary parsing: exact rationals in, exact rationals out, and the int
+form values are held in between."""
 
 from fractions import Fraction
 
 import pytest
 
-from filtration_lab.errors import ParseError
-from filtration_lab.rationals import format_rational, to_fraction
+from filtration_lab.errors import DimensionMismatch, ParseError
+from filtration_lab.rationals import (
+    as_fractions,
+    format_rational,
+    gathered,
+    over_common_denominator,
+    reduced,
+    to_fraction,
+)
 
 
 def test_accepts_ints_strings_fractions():
@@ -33,3 +41,18 @@ def test_rejects_garbage_strings():
 def test_format_round_trip():
     for text in ["0", "1", "-3/4", "22/7"]:
         assert format_rational(to_fraction(text)) == text
+
+
+def test_cells_over_one_reduced_denominator():
+    cells = [(Fraction(1, 2), Fraction(-1, 3)), (Fraction(5), Fraction(0))]
+    den, nums = over_common_denominator(cells)
+    assert (den, nums) == (6, ((3, -2), (30, 0)))
+    assert [as_fractions(den, num) for num in nums] == cells
+    assert reduced(12, ((6, -4), (60, 0))) == (den, nums)
+    # each cell reduced on its own, then all over the lcm
+    assert gathered([(4, (2,)), (9, (3, 6))]) == (6, ((3,), (2, 4)))
+
+
+def test_ragged_cells_are_rejected():
+    with pytest.raises(DimensionMismatch):
+        over_common_denominator([(Fraction(1),), (Fraction(1), Fraction(2)), ()])
