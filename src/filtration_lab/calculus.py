@@ -7,11 +7,12 @@ process is base-adapted, one per atom when built for an enlarged flow, one
 per leaf for outside input. Every slice is reduced, with gcd(den, every
 numerator) = 1, so cells of one slice compare as int tuples and cells of
 two slices by cross-multiplication. Every value a caller sees (at,
-increment, delta, row, cells, values, node_values) is a Fraction built from
-that form. Adaptedness to a filtration is a partition test, with a
-per-block compare only where the slice's partition is finer. Base-adapted
-processes serialize as tables on tree nodes. All increments at time 0 are
-null by convention.
+increment, row, cells, values, node_values) is a Fraction built from that
+form. Each increment slice Delta X_t is computed once per process and time,
+by _delta, and every increment reader goes through it. Adaptedness to a
+filtration is a partition test, with a per-block compare only where the
+slice's partition is finer. Base-adapted processes serialize as tables on
+tree nodes. All increments at time 0 are null by convention.
 
 An operation on several slices works on their meet, which is one of them
 when it refines the others, brings them to the lcm of their denominators
@@ -115,9 +116,10 @@ def _coerce(rows, dim):
 class Process:
     """Adapted process with exact rational values, immutable after build:
     at time t, nums[t] holds one tuple of dim int numerators per block of
-    parts[t], all over the one positive denominator dens[t]."""
+    parts[t], all over the one positive denominator dens[t]. Its increment
+    slices are computed once per time, on first use."""
 
-    __slots__ = ("tree", "dim", "parts", "dens", "nums", "_values")
+    __slots__ = ("tree", "dim", "parts", "dens", "nums", "_values", "_deltas")
 
     def __init__(self, tree: FilteredTree, values, dim: int | None = None):
         """Outside input: one row per time 0..horizon, one vector per leaf."""
@@ -126,7 +128,7 @@ class Process:
             raise DimensionMismatch(f"expected {tree.horizon + 1} time rows of "
                                     f"{tree.n_leaves} leaf cells")
         cells, self.dim = _coerce(values, dim)
-        self.tree, self._values = tree, None
+        self.tree, self._values, self._deltas = tree, None, {}
         self.parts = (tree.base_filtration().parts[-1],) * len(cells)
         self.dens, self.nums = zip(*map(over_common_denominator, cells))
 
@@ -135,7 +137,7 @@ class Process:
         """Trusted build from one reduced slice (partition, den, nums) per
         time, made by the library itself."""
         self = cls.__new__(cls)
-        self.tree, self.dim, self._values = tree, dim, None
+        self.tree, self.dim, self._values, self._deltas = tree, dim, None, {}
         self.parts, self.dens, self.nums = map(tuple, zip(*slices))
         return self
 
@@ -297,21 +299,15 @@ class Process:
         """The time-t slice as (partition, den, nums)."""
         return self.parts[t], self.dens[t], self.nums[t]
 
-    def _delta(self, t, atom=None):
+    def _delta(self, t):
         """Delta X_t for t >= 1 as a slice on the meet of the time-t and
-        time-(t-1) partitions, not reduced; with an atom, its nums are a
-        dict holding only the blocks meeting the atom."""
-        if atom is None:
-            return _sum(self.tree, self._row(t), self._row(t - 1), -1)
-        (now, now_den, now_nums), (before, before_den, before_nums) = \
-            self._row(t), self._row(t - 1)
-        part = self.tree.meet(now, before)
-        i, j = part.index_in(now), part.index_in(before)
-        den = lcm(now_den, before_den)
-        a, b = den // now_den, den // before_den
-        return part, den, {k: tuple(x * a - y * b for x, y in
-                                    zip(now_nums[i[k]], before_nums[j[k]]))
-                           for k, _ in part.pieces(atom)}
+        time-(t-1) partitions, over the lcm of their denominators and not
+        reduced; computed on first use and kept."""
+        hit = self._deltas.get(t)
+        if hit is None:
+            hit = self._deltas[t] = _sum(self.tree, self._row(t),
+                                         self._row(t - 1), -1)
+        return hit
 
     def row(self, t):
         """The time-t slice as (partition, cells), one tuple of Fractions
@@ -339,21 +335,8 @@ class Process:
         """Delta X_t on the path through the given leaf; null at t = 0."""
         if t == 0:
             return tuple([ZERO] * self.dim)
-        now, before = self.dens[t], self.dens[t - 1]
-        den = lcm(now, before)
-        a, b = den // now, den // before
-        return as_fractions(den, [x * a - y * b for x, y in zip(
-            self.nums[t][self.parts[t].block_of[leaf]],
-            self.nums[t - 1][self.parts[t - 1].block_of[leaf]])])
-
-    def delta(self, t, atom=None):
-        """Delta X_t for t >= 1 as (partition, {block: increment}) on the
-        meet of the time-t and time-(t-1) partitions; with an atom, only
-        for the blocks meeting it."""
-        part, den, nums = self._delta(t, atom)
-        if atom is None:
-            nums = dict(enumerate(nums))
-        return part, {k: as_fractions(den, num) for k, num in nums.items()}
+        part, den, nums = self._delta(t)
+        return as_fractions(den, nums[part.block_of[leaf]])
 
     def component(self, i):
         return self._map(1, lambda t: (self.parts[t], self.dens[t],
@@ -451,15 +434,12 @@ class Process:
         filtration = as_filtration(filtration_like)
         if not self.is_adapted(filtration):
             return False
-        # adapted, so X_{t-1} is constant on each time-(t-1) atom
+        # adapted, so X_{t-1} is constant on each time-(t-1) atom and
+        # E[X_t | atom] = X_{t-1} there iff E[Delta X_t | atom] = 0
         for t in range(1, self.tree.horizon + 1):
-            part, den, nums = self._row(t)
-            before, bden, bnums = self._row(t - 1)
+            part, _, nums = self._delta(t)
             for atom in filtration.parts[t - 1].atoms:
-                sums, weight = _weigh(atom, part, nums)
-                scale = den * weight
-                prev = bnums[before.block_of[atom.leaves[0]]]
-                if any(s * bden != p * scale for s, p in zip(sums, prev)):
+                if any(_weigh(atom, part, nums)[0]):
                     return False
         return True
 
@@ -738,11 +718,9 @@ class JumpFunction:
         return cls.from_callable(mu, filtration_like, lambda t, value: value[i])
 
     def value(self, t, leaf, location) -> Fraction:
-        return self.value_on(t, self.filtration.conditioning_atom_of(t, leaf),
-                             location)
-
-    def value_on(self, t, atom, location) -> Fraction:
-        """g at time t on a time-(t-1) atom of the anchoring filtration."""
+        """g at time t on the path through the leaf, read on its time-(t-1)
+        atom of the anchoring filtration."""
+        atom = self.filtration.conditioning_atom_of(t, leaf)
         key = (t, atom.label, tuple(location))
         if key not in self.entries:
             raise IncompleteFunctionTable(
@@ -830,7 +808,6 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     y.require_martingale(filtration, what="projected process")
     table = mu.compensator(filtration)
     base = y.tree.base_filtration()
-    increments = [None] + [y._delta(t) for t in range(1, y.tree.horizon + 1)]
     entries = {}
     for (t, label), dist in table.entries.items():
         atom = filtration.atom_labelled(t - 1, label)
@@ -839,7 +816,7 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
         nodes = base.parts[t]
         cut = y.tree.meet(nodes, atom.partition)  # atoms cut by time-t nodes
         node_of = cut.index_in(nodes)
-        part, den, nums = increments[t]
+        part, den, nums = y._delta(t)
         for k in cut.inside(atom):
             location = mu.support.get(nodes.atoms[node_of[k]].label)
             if location is not None:

@@ -162,16 +162,13 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     factors = {}
     for t in range(1, tree.horizon + 1):
         children = filtration.parts[t]
-        now, now_den, now_nums = s._row(t)
-        before, before_den, before_nums = s._row(t - 1)
-        den = lcm(now_den, before_den)  # the moves' denominator
-        up, back = den // now_den, den // before_den
+        # S is base-adapted, so Delta S_t is constant on each sub: its move
+        part, den, incs = s._delta(t)
         for atom in filtration.atoms(t - 1):
             law = conditional_law(atom, children)  # the atoms inside it at t
             subs = [children.atoms[k] for k in law]
             q = list(law.values())
-            s_prev = before_nums[before.block_of[atom.leaves[0]]][0] * back
-            moves = [Fraction(now_nums[now.block_of[sub.leaves[0]]][0] * up - s_prev, den)
+            moves = [Fraction(incs[part.block_of[sub.leaves[0]]][0], den)
                      for sub in subs]
             status, floor, ys = _one_period_deflator(q, moves)
 
@@ -486,12 +483,12 @@ def _increment_moments(x: Process, t: int, atom):
 def _moment_sums(x: Process, t: int, atom):
     """_increment_moments as int numerators: (mean den, mean, covariance
     den, covariance rows)."""
-    part, den, incs = x._delta(t, atom)
+    part, den, incs = x._delta(t)
     sums, weight = _weigh(atom, part, incs)  # the mean is sums / scale
     scale = den * weight
-    outer = {}
-    for k, inc in incs.items():
-        d = [n * weight - m for n, m in zip(inc, sums)]  # over scale
+    outer = {}  # the blocks meeting the atom
+    for k, _ in part.pieces(atom):
+        d = [n * weight - m for n, m in zip(incs[k], sums)]  # over scale
         outer[k] = tuple(u * v for u in d for v in d)
     flat, weight = _weigh(atom, part, outer)
     width = len(sums)

@@ -558,9 +558,10 @@ def _time_value(v) -> int:
 class StoppingTime:
     """Leaf-indexed time with horizon+1 standing for infinity.
 
-    The defining measurability, {tau <= t} a union of F_t-atoms, is checked on
-    construction. On these trees every stopping time is accessible; whether it
-    is predictable ({tau = t} already known at t-1) is a separate query.
+    The defining measurability, {tau = t} a union of time-t nodes, is checked
+    on construction. On these trees every stopping time is accessible;
+    whether it is predictable ({tau = t} already known at t-1) is a separate
+    query.
     """
 
     def __init__(self, tree: FilteredTree, values):
@@ -574,29 +575,37 @@ class StoppingTime:
             if not 0 <= v <= self.infinity:
                 raise NotAStoppingTime(f"value {v} outside 0..{self.infinity}")
         self.values = vals
-        base = tree.base_filtration()
-        for t in range(tree.horizon + 1):
-            for atom in base.atoms(t):
-                if len({vals[i] <= t for i in atom.leaves}) > 1:
-                    raise NotAStoppingTime(
-                        f"{{tau <= {t}}} cuts through atom {atom.label}")
+        cut = self._cut_node(0)
+        if cut is not None:
+            raise NotAStoppingTime(
+                f"{{tau = {cut[0]}}} cuts through node {cut[1].id}")
 
     @classmethod
     def constant(cls, tree, t):
         return cls(tree, [t] * tree.n_leaves)
 
+    def _cut_node(self, lag):
+        """The first (t, node) where {tau = t} cuts through node, the
+        time-(t - lag) node of a leaf with tau = t <= horizon (the root when
+        t - lag < 0), or None. One walk over the leaves: a node that holds
+        tau = t throughout is skipped whole."""
+        tree, vals = self.tree, self.values
+        leaf = 0
+        while leaf < tree.n_leaves:
+            t = vals[leaf]
+            if t > tree.horizon:
+                leaf += 1
+                continue
+            node = tree.node_at(max(t - lag, 0), leaf)
+            if any(v != t for v in vals[node.leaf_lo:node.leaf_hi]):
+                return t, node
+            leaf = node.leaf_hi
+        return None
+
     def is_predictable(self) -> bool:
         """True when {tau = t} is F_{t-1}-measurable for every t >= 1 and
         {tau = 0} is trivial."""
-        base = self.tree.base_filtration()
-        zero_set = {i for i, v in enumerate(self.values) if v == 0}
-        if zero_set and len(zero_set) != self.tree.n_leaves:
-            return False
-        for t in range(1, self.tree.horizon + 1):
-            for atom in base.atoms(t - 1):
-                if len({self.values[i] == t for i in atom.leaves}) > 1:
-                    return False
-        return True
+        return self._cut_node(1) is None
 
     def graph_at(self, t: int):
         """Leaves with tau exactly t."""

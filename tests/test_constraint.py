@@ -100,6 +100,16 @@ class TestConstraintMartingales:
         cs = detect_fpcc(mu)
         assert slot_events_disjoint(mu, cs)
 
+    def test_slot_events_disjoint_fails_off_menu(self, w_ter):
+        # a hand-built menu leaving out the charged location of node c; a
+        # system detect_fpcc builds lists every one, so the CLI never sees this
+        mu = jump_measure(w_ter)
+        cs = detect_fpcc(mu)
+        short = {key: tuple(None if v == mu.location("c") else v for v in menu)
+                 for key, menu in cs.slots.items()}
+        assert not slot_events_disjoint(
+            mu, ConstraintSystem(cs.filtration, cs.dim, cs.n, short))
+
     def test_compensated_components_comove(self, w_bin):
         # the raw slot events are disjoint, but compensating couples the
         # components through their predictable parts on a shared atom

@@ -2,11 +2,12 @@
 
 Each process slice holds int numerators over one denominator. On the fuzz
 corpus, the slice-wise arithmetic (+, -, scale, component, stack,
-minus_initial, the pathwise product), the martingale and measurability
-tests, process comparison and the batched phi . [N, X]^p of the multiplier
-identity must give exactly what a leaf-by-leaf walk in Fraction arithmetic
-gives, on adapted, leaf-stored and enlarged inputs. Every slice the library
-stores must have a positive denominator and be reduced.
+minus_initial, the pathwise product, the increments), the martingale and
+measurability tests, process comparison and the batched phi . [N, X]^p of
+the multiplier identity must give exactly what a leaf-by-leaf walk in
+Fraction arithmetic gives, on adapted, leaf-stored and enlarged inputs.
+Every slice the library stores must have a positive denominator and be
+reduced.
 """
 
 from fractions import Fraction
@@ -165,6 +166,11 @@ def test_slice_arithmetic_matches_fraction_walk(seed):
             assert same(x.component(k), leafwise(x, lambda t, i: (x.values[t][i][k],)))
         assert same(x.minus_initial(), leafwise(x, lambda t, i: (
             a - b for a, b in zip(x.values[t][i], x.values[0][i]))))
+        assert leafwise(x, x.increment) == leafwise(x, lambda t, i: (
+            a - b for a, b in zip(x.values[t][i], x.values[t - 1][i])) if t
+            else (ZERO,) * x.dim)
+        assert all(x._delta(t) is x._delta(t)
+                   for t in range(1, x.tree.horizon + 1))
         for y in inputs:
             if y.dim != x.dim:
                 with pytest.raises(DimensionMismatch):

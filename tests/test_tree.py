@@ -1,5 +1,6 @@
 """Event trees, filtrations, conditional expectations, enlargements."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -206,7 +207,7 @@ class TestStoppingTime:
 
     def test_non_measurable_rejected(self, two_step):
         # {tau <= 1} = {uu} is not a union of time-1 atoms
-        with pytest.raises(NotAStoppingTime):
+        with pytest.raises(NotAStoppingTime, match="cuts through node u$"):
             StoppingTime(two_step, [1, 2, 2, 2, 2])
 
     def test_infinity_sentinel(self, bin1):
@@ -223,3 +224,55 @@ class TestStoppingTime:
 
     def test_integral_fraction_accepted(self, bin1):
         assert StoppingTime(bin1, [F(2, 2), 1]).values == (1, 1)
+
+    def test_node_walk_matches_atom_loops(self):
+        # the atom-by-atom loops the node walk replaced, as the reference
+        def ref_is_stopping_time(tree, vals):
+            return all(len({vals[i] <= t for i in atom.leaves}) == 1
+                       for t in range(tree.horizon + 1)
+                       for atom in tree.base_filtration().atoms(t))
+
+        def ref_is_predictable(tree, vals):
+            zero_set = {i for i, v in enumerate(vals) if v == 0}
+            if zero_set and len(zero_set) != tree.n_leaves:
+                return False
+            return all(len({vals[i] == t for i in atom.leaves}) == 1
+                       for t in range(1, tree.horizon + 1)
+                       for atom in tree.base_filtration().atoms(t - 1))
+
+        def stopped(tree, rng, lag):
+            # stop below a node drawn top down, at its time plus lag: with
+            # lag 1 the stop is known one step ahead, so tau is predictable
+            vals = [tree.horizon + 1] * tree.n_leaves
+            stack = [tree.root]
+            while stack:
+                node = stack.pop()
+                if rng.random() < 0.3:
+                    for i in node.leaves():
+                        vals[i] = node.time + lag
+                else:
+                    stack.extend(node.children)
+            return vals
+
+        outcomes = set()
+        for seed in range(50):
+            tree = random_tree(seed, horizon=3, max_branching=3)
+            rng = random.Random(seed)
+            top = tree.horizon + 1
+            cases = [stopped(tree, rng, 0), stopped(tree, rng, 1),
+                     [rng.randint(0, top)] * tree.n_leaves,
+                     [rng.randint(0, top) for _ in range(tree.n_leaves)]]
+            for vals in cases[:3]:  # each also with one leaf moved
+                moved = list(vals)
+                moved[rng.randrange(tree.n_leaves)] = rng.randint(0, top)
+                cases.append(moved)
+            for vals in cases:
+                if not ref_is_stopping_time(tree, vals):
+                    with pytest.raises(NotAStoppingTime, match="cuts through node"):
+                        StoppingTime(tree, vals)
+                    outcomes.add(None)
+                    continue
+                predictable = StoppingTime(tree, vals).is_predictable()
+                assert predictable == ref_is_predictable(tree, vals)
+                outcomes.add(predictable)
+        assert outcomes == {None, False, True}
