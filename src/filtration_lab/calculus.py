@@ -117,9 +117,11 @@ class Process:
     """Adapted process with exact rational values, immutable after build:
     at time t, nums[t] holds one tuple of dim int numerators per block of
     parts[t], all over the one positive denominator dens[t]. Its increment
-    slices are computed once per time, on first use."""
+    slices are computed once per time, on first use, and so are the
+    per-node reductions that solve against it (representation._solver_at)."""
 
-    __slots__ = ("tree", "dim", "parts", "dens", "nums", "_values", "_deltas")
+    __slots__ = ("tree", "dim", "parts", "dens", "nums", "_values", "_deltas",
+                 "_solvers")
 
     def __init__(self, tree: FilteredTree, values, dim: int | None = None):
         """Outside input: one row per time 0..horizon, one vector per leaf."""
@@ -128,7 +130,7 @@ class Process:
             raise DimensionMismatch(f"expected {tree.horizon + 1} time rows of "
                                     f"{tree.n_leaves} leaf cells")
         cells, self.dim = _coerce(values, dim)
-        self.tree, self._values, self._deltas = tree, None, {}
+        self.tree, self._values, self._deltas, self._solvers = tree, None, {}, None
         self.parts = (tree.base_filtration().parts[-1],) * len(cells)
         self.dens, self.nums = zip(*map(over_common_denominator, cells))
 
@@ -137,7 +139,8 @@ class Process:
         """Trusted build from one reduced slice (partition, den, nums) per
         time, made by the library itself."""
         self = cls.__new__(cls)
-        self.tree, self.dim, self._values, self._deltas = tree, dim, None, {}
+        self.tree, self.dim, self._values = tree, dim, None
+        self._deltas, self._solvers = {}, None
         self.parts, self.dens, self.nums = map(tuple, zip(*slices))
         return self
 

@@ -299,8 +299,8 @@ def _normalize_slots(tree, slots):
     for slot in slots:
         tau = slot.tau
         if not isinstance(tau, StoppingTime):
-            tau = StoppingTime.constant(tree, tau)
-        if not tau.is_predictable():
+            tau = StoppingTime.constant(tree, tau)  # predictable as it stands
+        elif not tau.is_predictable():
             raise NotPredictable("accessible slots need predictable times")
         weight = to_fraction(slot.weight)
         if weight == 0:

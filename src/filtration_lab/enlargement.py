@@ -5,11 +5,18 @@ Every martingale for the base flow becomes, under a refining flow, a
 martingale plus a predictable drift; everything here either computes that
 drift, represents it through a fixed pair (N, phi), or tests whether
 strictly positive prices survive the extra information.
+
+The representation side comes from the base flow alone, so the multiplier
+and kernel checks build it once per ReconstructedBasis and keep it there:
+the multiplier's frames, N and the base-flow brackets [N, X2_h]^p, and each
+witness's covariance frame C, J and kernel, on int numerators. Per
+enlargement only what the larger flow changes runs: p_bar, phi and the
+drift identities, and the sub-atom M = M J C tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
@@ -31,7 +38,7 @@ from .errors import (
     NotIncreasing,
     NotStrictlyPositive,
 )
-from .linalg import dot, mat_mul, null_space
+from .linalg import null_space
 from .rationals import (
     as_fractions,
     format_rational,
@@ -351,42 +358,18 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     (scaled by 4^t for the non-unit covariance normalization) define phi,
     while the frame itself integrates the reconstructed family into N. The
     defining identity is verified exactly for every component before
-    returning.
+    returning. The frames, N and the brackets [N, X2_h]^p come from the
+    basis alone and are built once per basis.
     """
     filtration = as_filtration(enlargement_like)
-    tree = basis.process.tree
-    width = basis.d + 1
-    by_slot = {(wit.time, wit.atom): wit for wit in basis.witnesses}
-
-    x2 = basis.process
-    base = tree.base_filtration()
+    slots, n, components, brackets = basis.derived(
+        "multiplier", lambda: _multiplier_frame(basis))
+    base = basis.process.tree.base_filtration()
     slot_records = []
-    frames = [None]  # frames[t]: the frame of each time-(t-1) node
     phis = {}
-    for t in range(1, tree.horizon + 1):
-        frame_row = []
+    for t, row in enumerate(slots, 1):
         nodes = base.parts[t]
-        for node in tree.nodes_at[t - 1]:
-            wit = by_slot[(t, node.id)]
-            p = list(wit.probs)
-            if all(c == 0 for c in p):
-                raise DegeneratePartition(f"no mass below atom {node.id}")
-            # Gram-Schmidt of (p, e_0, ..., e_d) in closed form: e_h leaves
-            # e_h - (p_h / T_h)(0, ..., 0, p_h, ..., p_d) with T_h = sum_{j>=h}
-            # p_j^2, which is zero at the last charged class
-            last = max(h for h in range(width) if p[h])
-            tails = list(accumulate(v * v for v in reversed(p)))[::-1]
-            coeffs = [p[h] / tails[h] if p[h] else ZERO for h in range(width)]
-            epsilons = [[ZERO] * h + [ONE - c * p[h]] + [-c * v for v in p[h + 1:]]
-                        for h, c in enumerate(coeffs) if h != last]
-            frame = eps_den, eps_nums = over_common_denominator(epsilons)
-            frame_row.append(frame)
-            norms = [sum(map(mul, e, e)) for e in eps_nums]  # over eps_den^2
-            # with p_h = a_h / b_h and p_bar_h = m_h / M, the target
-            # (1/2^t)(p_bar_h / p_h - 1) is (m_h b_h - M a_h) / (2^t M a_h),
-            # held over 2^t M L with L the lcm of the charged a_h
-            ratios = [c.as_integer_ratio() for c in p]
-            lead = lcm(*[a for a, _ in ratios if a])
+        for node, wit, epsilons, eps_den, eps_nums, norms, ratios, lead in row:
             sub_records = []
             for sub in filtration.atoms_within(t - 1, node.leaves()):
                 # class h is the time-t node wit.subatoms[h]; padding is empty
@@ -407,9 +390,56 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                     sigma=tuple(sigma), phi=phi_vec))
                 phis[(t, sub.label)] = phi_vec
             slot_records.append(SlotWitness(
-                time=t, atom=node.id, p=tuple(p),
-                epsilons=tuple(tuple(e) for e in epsilons),
+                time=t, atom=node.id, p=wit.probs, epsilons=epsilons,
                 sub_records=tuple(sub_records)))
+
+    phi = Process._predictable(filtration, basis.d,
+                               lambda t, sub: phis[(t, sub.label)])
+    holds = all(dual_predictable_projection(x, filtration)
+                == dot_integral(phi, bracket, filtration)
+                for x, bracket in zip(components, brackets))
+    return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
+                              holds=holds, basis=basis)
+
+
+def _multiplier_frame(basis):
+    """The basis side of solve_drift_multiplier: per time t, per time-(t-1)
+    node, (node, witness, frame as Fractions, frame as (den, nums), squared
+    norms over den^2, p as int ratios, lcm of the charged numerators); then
+    N, the components X2_h and their base-flow brackets [N, X2_h]^p."""
+    x2 = basis.process
+    tree = x2.tree
+    width = basis.d + 1
+    base = tree.base_filtration()
+    slots = []
+    frames = [None]  # frames[t]: the frame of each time-(t-1) node
+    for t in range(1, tree.horizon + 1):
+        row, frame_row = [], []
+        for node in tree.nodes_at[t - 1]:
+            wit = basis.witness(t, node.id)
+            p = wit.probs
+            if all(c == 0 for c in p):
+                raise DegeneratePartition(f"no mass below atom {node.id}")
+            # Gram-Schmidt of (p, e_0, ..., e_d) in closed form: e_h leaves
+            # e_h - (p_h / T_h)(0, ..., 0, p_h, ..., p_d) with T_h = sum_{j>=h}
+            # p_j^2, which is zero at the last charged class
+            last = max(h for h in range(width) if p[h])
+            tails = list(accumulate(v * v for v in reversed(p)))[::-1]
+            coeffs = [p[h] / tails[h] if p[h] else ZERO for h in range(width)]
+            epsilons = tuple(
+                (ZERO,) * h + (ONE - c * p[h],) + tuple(-c * v for v in p[h + 1:])
+                for h, c in enumerate(coeffs) if h != last)
+            frame = eps_den, eps_nums = over_common_denominator(epsilons)
+            frame_row.append(frame)
+            norms = [sum(map(mul, e, e)) for e in eps_nums]  # over eps_den^2
+            # with p_h = a_h / b_h and p_bar_h = m_h / M, the target
+            # (1/2^t)(p_bar_h / p_h - 1) is (m_h b_h - M a_h) / (2^t M a_h),
+            # held over 2^t M L with L the lcm of the charged a_h
+            ratios = [c.as_integer_ratio() for c in p]
+            lead = lcm(*[a for a, _ in ratios if a])
+            row.append((node, wit, epsilons, eps_den, eps_nums, norms,
+                        ratios, lead))
+        slots.append(row)
         frames.append((base.parts[t - 1], None, frame_row))
 
     def n_increments(t):
@@ -421,14 +451,8 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
             for (den, epsilons), inc in zip(frame_of, incs)]))
 
     n = Process._accumulate(tree, (0,) * basis.d, n_increments)
-    phi = Process._predictable(filtration, basis.d,
-                               lambda t, sub: phis[(t, sub.label)])
-
-    holds = all(
-        _multiplier_identity(phi, n, x2.component(h), filtration)
-        for h in range(width))
-    return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
-                              holds=holds, basis=basis)
+    components = x2.components()
+    return slots, n, components, tuple(_n_brackets(n, x) for x in components)
 
 
 def _multiplier_identity(phi, n, x, filtration) -> bool:
@@ -438,13 +462,15 @@ def _multiplier_identity(phi, n, x, filtration) -> bool:
 
 
 def _phi_bracket(phi, n, x, filtration) -> Process:
-    """phi . [N, X]^p under filtration, with the d base-flow brackets
-    [N_j, X]^p of a scalar X built in one pass: one conditional mean of
-    width d per atom."""
-    brackets = _predictable_products(
-        n, x, x.tree.base_filtration(), n.dim,
-        lambda dn, dx: tuple(c * dx[0] for c in dn))
-    return dot_integral(phi, brackets, filtration)
+    """phi . [N, X]^p under filtration."""
+    return dot_integral(phi, _n_brackets(n, x), filtration)
+
+
+def _n_brackets(n, x) -> Process:
+    """The d base-flow brackets [N_j, X]^p of a scalar X, built in one pass:
+    one conditional mean of width d per atom."""
+    return _predictable_products(n, x, x.tree.base_filtration(), n.dim,
+                                 lambda dn, dx: tuple(c * dx[0] for c in dn))
 
 
 def verify_drift_multiplier(solution: MultiplierSolution, x: Process,
@@ -504,70 +530,78 @@ def covariance_kernel(enlargement_like, basis, time: int,
     all-ones vector on the charged classes together with the units of the
     empty classes. J inverts the step on the charged sum-zero directions, and
     every larger-flow atom's own covariance step M satisfies M = M J C.
+    Everything but the M = M J C tests comes from the witness alone and is
+    built once per (basis, witness).
     """
     filtration = as_filtration(enlargement_like)
-    tree = basis.process.tree
-    wit = next((w for w in basis.witnesses
-                if w.time == time and w.atom == atom_label), None)
-    if wit is None:
-        raise DegeneratePartition(
-            f"no slot at time {time}, atom {atom_label}")
-    width = basis.d + 1
-    p = list(wit.probs)
-    scale = Fraction(1, 4 ** time)
-    c = [[scale * ((p[g] if g == h else ZERO) - p[g] * p[h])
-          for h in range(width)] for g in range(width)]
-
-    charged = [h for h in range(width) if p[h] > 0]
-    if not charged:
-        raise DegeneratePartition(f"no mass below atom {atom_label}")
-    claimed = []
-    ones = [ONE if h in charged else ZERO for h in range(width)]
-    claimed.append(tuple(ones))
-    for h in range(width):
-        if p[h] == 0:
-            claimed.append(tuple(ONE if g == h else ZERO for g in range(width)))
-    kernel = null_space(c)
-    in_kernel = all(
-        all(dot(row, vec) == 0 for row in c) for vec in claimed)
-    kernel_matches = in_kernel and len(kernel) == len(claimed)
-
-    # on the charged classes J = 4^t P diag(1/p) P and J C = P, where P
-    # centres the charged classes; both vanish elsewhere
-    share = Fraction(1, len(charged))
-    inv = {h: 1 / p[h] for h in charged}
-    total = sum(inv.values())
-    j = [[ZERO] * width for _ in range(width)]
-    jc = [[ZERO] * width for _ in range(width)]
-    for g in charged:
-        for h in charged:
-            j[g][h] = 4 ** time * ((inv[g] if g == h else ZERO)
-                                   - share * (inv[g] + inv[h] - share * total))
-            jc[g][h] = (ONE if g == h else ZERO) - share
+    wit = basis.witness(time, atom_label)
+    frame, p_den, p_columns = basis.derived(
+        ("kernel", time, atom_label), lambda: _kernel_frame(wit, basis.d + 1))
     x2 = basis.process
-    node = tree.nodes[atom_label]
+    node = x2.tree.nodes[atom_label]
     sub_checks = []
-    # the closed forms are claims too: the reported J must give J C = P
-    holds = kernel_matches and mat_mul(j, c) == jc
-    jc_den, jc_nums = over_common_denominator(jc)
-    columns = list(zip(*jc_nums))
+    holds = frame.holds
     for sub in filtration.atoms_within(time - 1, node.leaves()):
-        # M = M J C on numerators, where M's own denominator cancels
+        # M = M J C, with J C = P, on numerators: M's denominator cancels
         m = _moment_sums(x2, time, sub)[3]
-        ok = all(sum(map(mul, row, col)) == jc_den * v
-                 for row in m for col, v in zip(columns, row))
+        ok = all(sum(map(mul, row, col)) == p_den * v
+                 for row in m for col, v in zip(p_columns, row))
         sub_checks.append((sub.label, ok))
         holds = holds and ok
+    return replace(frame, sub_checks=tuple(sub_checks), holds=holds)
 
-    return KernelCertificate(
-        time=time, atom=atom_label,
-        matrix=tuple(tuple(row) for row in c),
+
+def _kernel_frame(wit, width):
+    """The witness side of covariance_kernel, on int numerators: the
+    certificate without sub-atom checks, holding when the kernel matches and
+    J C = P, and P, which centres the charged classes, as (den, columns).
+
+    With p = a / L, C is (L diag(a) - a aT) / (4^t L^2). On the k charged
+    classes J = 4^t P diag(1/p) P is 4^t L (k^2 diag(u) - k(u_g + u_h) + U)
+    / (Q k^2), where Q is the lcm of the charged a_h, u_h = Q / a_h and U is
+    the sum of the u_h; P is (k I - 1) / k. All three vanish elsewhere.
+    """
+    time = wit.time
+    ratios = [c.as_integer_ratio() for c in wit.probs]
+    big = lcm(*[b for _, b in ratios])
+    a = [n * (big // b) for n, b in ratios]
+    c = [[(big * a[g] if g == h else 0) - a[g] * a[h] for h in range(width)]
+         for g in range(width)]
+    c_den = 4 ** time * big * big
+    charged = [h for h in range(width) if a[h] > 0]
+    if not charged:
+        raise DegeneratePartition(f"no mass below atom {wit.atom}")
+    claimed = [[int(h in charged) for h in range(width)]] + [
+        [int(g == h) for g in range(width)] for h in range(width) if not a[h]]
+    kernel = null_space(c)
+    in_kernel = all(sum(map(mul, row, vec)) == 0 for row in c for vec in claimed)
+    kernel_matches = in_kernel and len(kernel) == len(claimed)
+
+    k = len(charged)
+    lead = lcm(*[a[h] for h in charged])
+    u = {h: lead // a[h] for h in charged}
+    total = sum(u.values())
+    j = [[0] * width for _ in range(width)]
+    centre = [[0] * width for _ in range(width)]  # P over k
+    for g in charged:
+        for h in charged:
+            j[g][h] = (k * k * u[g] if g == h else 0) - k * (u[g] + u[h]) + total
+            centre[g][h] = k * (g == h) - 1
+    # the closed forms are claims too: the reported J must give J C = P,
+    # whose numerators over Q k^2 L are Q k L times P's over k
+    jc_holds = all(sum(j[g][i] * c[i][h] for i in range(width))
+                   == lead * k * big * centre[g][h]
+                   for g in range(width) for h in range(width))
+    j_scale, j_den = 4 ** time * big, lead * k * k
+    certificate = KernelCertificate(
+        time=time, atom=wit.atom,
+        matrix=tuple(tuple(Fraction(v, c_den) for v in row) for row in c),
         kernel_basis=tuple(tuple(v) for v in kernel),
-        claimed_basis=tuple(claimed),
+        claimed_basis=tuple(tuple(map(Fraction, vec)) for vec in claimed),
         kernel_matches=kernel_matches,
-        j=tuple(tuple(row) for row in j),
-        sub_checks=tuple(sub_checks),
-        holds=holds)
+        j=tuple(tuple(Fraction(j_scale * v, j_den) for v in row) for row in j),
+        sub_checks=(), holds=kernel_matches and jc_holds)
+    return certificate, k, tuple(zip(*centre))
 
 
 def g_star_consistency(g, mu, enlargement_like) -> bool:

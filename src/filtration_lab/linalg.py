@@ -142,6 +142,20 @@ def invert(matrix):
     return right_inverse(matrix)
 
 
+def _eliminate_with_identity(matrix):
+    """_eliminate on [A | I] for an n x d matrix A.
+
+    Over det, each reduced row's identity block is the row operation that
+    made it. So for any b, a row with pivot column c < d gives x_c of the
+    least-index solution of A x = b as <block, b> / det, and a row whose
+    pivot falls in the identity block has a null A part: A x = b is
+    consistent exactly when <block, b> = 0 on every such row.
+    """
+    n = len(matrix)
+    return _eliminate([list(row) + [int(i == h) for h in range(n)]
+                       for i, row in enumerate(matrix)])
+
+
 def right_inverse(matrix):
     """K with A K = I for an n x d matrix A of full row rank, else None.
 
@@ -151,9 +165,7 @@ def right_inverse(matrix):
     """
     n = len(matrix)
     d = len(matrix[0]) if matrix else 0
-    reduced, pivots, det = _eliminate(
-        [list(row) + [int(i == h) for h in range(n)]
-         for i, row in enumerate(matrix)])
+    reduced, pivots, det = _eliminate_with_identity(matrix)
     if pivots and pivots[-1] >= d:
         return None
     k = [[ZERO] * n for _ in range(d)]

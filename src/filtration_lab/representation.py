@@ -10,20 +10,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 
 from .calculus import Process, jump_measure
 from .constraint import ConstraintSystem, constraint_martingales, detect_fpcc
 from .errors import (
     ConstraintMismatch,
     DanglingNode,
+    DegeneratePartition,
     DimensionMismatch,
     NoRepresentation,
     NotMeasurable,
     NotPredictable,
     TimeOutOfRange,
 )
-from .linalg import null_space, rank, solve
-from .rationals import to_fraction
+from .linalg import _eliminate_with_identity, null_space, rank
+from .rationals import as_fractions, over_common_denominator, to_fraction
 from .tree import FilteredTree, StoppingTime, conditional_mean
 
 ZERO = Fraction(0)
@@ -105,21 +108,44 @@ def representation_coefficient(x: Process, w: Process) -> Process:
     x.require_martingale(tree, what="target")
 
     def coefficient(t, atom):
-        children = tree.nodes[atom.label].children
-        rhs = [x.increment(t, child.leaf_lo)[0] for child in children]
-        return _solve_at(w, t, atom, rhs, "target increment")
+        part, den, incs = x._delta(t)
+        rhs = [incs[part.block_of[child.leaf_lo]][0]
+               for child in tree.nodes[atom.label].children]
+        return _solve_at(w, t, atom, den, rhs, "target increment")
 
     return Process._predictable(tree.base_filtration(), w.dim, coefficient)
 
 
-def _solve_at(w: Process, t: int, atom, rhs, what: str):
-    """Least-index h with <h, Delta W_t> = rhs on the children of a base
-    atom, in child order."""
-    children = w.tree.nodes[atom.label].children
-    h = solve([list(w.increment(t, child.leaf_lo)) for child in children], rhs)
-    if h is None:
-        raise NoRepresentation(f"{what} outside the basis span",
-                               time=t, atom=atom.label, witness=tuple(rhs))
+def _solver_at(w: Process, t: int, node):
+    """[Delta W_t on the node's children | I], reduced once per (w, t, node)
+    and kept on w: (Delta W_t's denominator, (column, identity block) of each
+    row pivoting in the Delta W block, the identity blocks of the other
+    rows, det)."""
+    if w._solvers is None:
+        w._solvers = {}
+    key = (t, node.id)
+    hit = w._solvers.get(key)
+    if hit is None:
+        part, den, incs = w._delta(t)
+        reduced, pivots, det = _eliminate_with_identity(
+            [incs[part.block_of[child.leaf_lo]] for child in node.children])
+        solved = [(c, row[w.dim:]) for row, c in zip(reduced, pivots)
+                  if c < w.dim]
+        checks = [row[w.dim:] for row, c in zip(reduced, pivots) if c >= w.dim]
+        hit = w._solvers[key] = den, solved, checks, det
+    return hit
+
+
+def _solve_at(w: Process, t: int, atom, den, rhs, what: str):
+    """Least-index h with <h, Delta W_t> = rhs / den on the children of a
+    base atom, in child order; rhs holds int numerators."""
+    scale, solved, checks, det = _solver_at(w, t, w.tree.nodes[atom.label])
+    if any(sum(map(mul, block, rhs)) for block in checks):
+        raise NoRepresentation(f"{what} outside the basis span", time=t,
+                               atom=atom.label, witness=as_fractions(den, rhs))
+    h = [ZERO] * w.dim
+    for c, block in solved:
+        h[c] = Fraction(scale * sum(map(mul, block, rhs)), det * den)
     return tuple(h)
 
 
@@ -184,18 +210,49 @@ def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
             return zero
         (mean,) = conditional_mean(atom, leaves, payoff)
         children = tree.nodes[atom.label].children
-        rhs = [values[child.leaf_lo] - mean for child in children]
-        return _solve_at(w, t, atom, rhs, "centered payoff")
+        den, (rhs,) = over_common_denominator(
+            [tuple(values[child.leaf_lo] - mean for child in children)])
+        return _solve_at(w, t, atom, den, rhs, "centered payoff")
 
     return Process._predictable(tree.base_filtration(), w.dim, coefficient)
 
 
 @dataclass(frozen=True)
 class ReconstructedBasis:
-    """The (d+1)-dimensional successor-indicator family with its witnesses."""
+    """The (d+1)-dimensional successor-indicator family with its witnesses.
+
+    What the enlargement checks derive from the basis alone is built once
+    per basis, on first use, and kept on it: the (time, atom) index of the
+    witnesses, each witness's covariance frame for the kernel check, and the
+    drift multiplier's orthogonal frames, N and the base-flow brackets
+    [N, X2_h]^p. Those memos die with the basis.
+    """
     process: Process
     witnesses: tuple
     d: int
+
+    @cached_property
+    def _by_slot(self):
+        return {(wit.time, wit.atom): wit for wit in self.witnesses}
+
+    @cached_property
+    def _derived(self):
+        return {}
+
+    def witness(self, time: int, atom_label: str) -> PartitionWitness:
+        """The witness of the time-(time-1) atom's successor classes."""
+        wit = self._by_slot.get((time, atom_label))
+        if wit is None:
+            raise DegeneratePartition(
+                f"no slot at time {time}, atom {atom_label}")
+        return wit
+
+    def derived(self, key, build):
+        """build(), computed once per key for this basis; the key names
+        what is built from the basis alone."""
+        if key not in self._derived:
+            self._derived[key] = build()
+        return self._derived[key]
 
 
 def reconstruct_accessible(w: Process) -> ReconstructedBasis:

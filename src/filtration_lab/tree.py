@@ -571,10 +571,7 @@ class StoppingTime:
         if len(vals) != tree.n_leaves:
             raise NotAStoppingTime(
                 f"expected {tree.n_leaves} leaf values, got {len(vals)}")
-        for v in vals:
-            if not 0 <= v <= self.infinity:
-                raise NotAStoppingTime(f"value {v} outside 0..{self.infinity}")
-        self.values = vals
+        self.values = tuple(map(self._in_range, vals))
         cut = self._cut_node(0)
         if cut is not None:
             raise NotAStoppingTime(
@@ -582,7 +579,18 @@ class StoppingTime:
 
     @classmethod
     def constant(cls, tree, t):
-        return cls(tree, [t] * tree.n_leaves)
+        """t on every leaf. A constant time cuts no node and is predictable,
+        so only t itself is checked."""
+        self = cls.__new__(cls)
+        self.tree = tree
+        self.infinity = tree.horizon + 1
+        self.values = (self._in_range(_time_value(t)),) * tree.n_leaves
+        return self
+
+    def _in_range(self, v):
+        if not 0 <= v <= self.infinity:
+            raise NotAStoppingTime(f"value {v} outside 0..{self.infinity}")
+        return v
 
     def _cut_node(self, lag):
         """The first (t, node) where {tau = t} cuts through node, the

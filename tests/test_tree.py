@@ -222,6 +222,25 @@ class TestStoppingTime:
         with pytest.raises(NotAStoppingTime):
             StoppingTime.constant(bin1, value)
 
+    def test_constant_matches_validated_constructor(self):
+        # constant skips the leaf walks; it must accept and reject exactly
+        # what the walking constructor does, with the same message
+        def outcome(build):
+            try:
+                tau = build()
+            except NotAStoppingTime as exc:
+                return "error", str(exc)
+            return tau.values, tau.infinity, tau.is_predictable()
+
+        for seed in range(50):
+            tree = random_tree(seed, horizon=1 + seed % 3)
+            top = tree.horizon + 1
+            for t in [*range(top + 1), -1, top + 1, 1.5]:
+                new = outcome(lambda: StoppingTime.constant(tree, t))
+                old = outcome(lambda: StoppingTime(tree, [t] * tree.n_leaves))
+                assert new == old
+                assert (new[0] == "error") == (t not in range(top + 1))
+
     def test_integral_fraction_accepted(self, bin1):
         assert StoppingTime(bin1, [F(2, 2), 1]).values == (1, 1)
 
