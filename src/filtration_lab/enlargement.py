@@ -362,7 +362,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     basis alone and are built once per basis.
     """
     filtration = as_filtration(enlargement_like)
-    slots, n, components, brackets = basis.derived(
+    slots, n, components, brackets = basis._derived(
         "multiplier", lambda: _multiplier_frame(basis))
     base = basis.process.tree.base_filtration()
     slot_records = []
@@ -416,7 +416,7 @@ def _multiplier_frame(basis):
     for t in range(1, tree.horizon + 1):
         row, frame_row = [], []
         for node in tree.nodes_at[t - 1]:
-            wit = basis.witness(t, node.id)
+            wit = basis._witness(t, node.id)
             p = wit.probs
             if all(c == 0 for c in p):
                 raise DegeneratePartition(f"no mass below atom {node.id}")
@@ -534,8 +534,8 @@ def covariance_kernel(enlargement_like, basis, time: int,
     built once per (basis, witness).
     """
     filtration = as_filtration(enlargement_like)
-    wit = basis.witness(time, atom_label)
-    frame, p_den, p_columns = basis.derived(
+    wit = basis._witness(time, atom_label)
+    frame, p_den, p_columns = basis._derived(
         ("kernel", time, atom_label), lambda: _kernel_frame(wit, basis.d + 1))
     x2 = basis.process
     node = x2.tree.nodes[atom_label]

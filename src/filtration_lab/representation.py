@@ -236,10 +236,10 @@ class ReconstructedBasis:
         return {(wit.time, wit.atom): wit for wit in self.witnesses}
 
     @cached_property
-    def _derived(self):
+    def _memos(self):
         return {}
 
-    def witness(self, time: int, atom_label: str) -> PartitionWitness:
+    def _witness(self, time: int, atom_label: str) -> PartitionWitness:
         """The witness of the time-(time-1) atom's successor classes."""
         wit = self._by_slot.get((time, atom_label))
         if wit is None:
@@ -247,12 +247,12 @@ class ReconstructedBasis:
                 f"no slot at time {time}, atom {atom_label}")
         return wit
 
-    def derived(self, key, build):
+    def _derived(self, key, build):
         """build(), computed once per key for this basis; the key names
         what is built from the basis alone."""
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
+        if key not in self._memos:
+            self._memos[key] = build()
+        return self._memos[key]
 
 
 def reconstruct_accessible(w: Process) -> ReconstructedBasis:

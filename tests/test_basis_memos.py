@@ -173,7 +173,7 @@ def test_memos_die_with_the_basis():
         assert enlargement.verify_drift_multiplier(solution, x, g)
         for wit in rebuilt.witnesses:
             covariance_kernel(g, rebuilt, wit.time, wit.atom)
-    assert rebuilt._derived
+    assert rebuilt._memos
     ref = weakref.ref(rebuilt)
     del rebuilt, solution
     gc.collect()
