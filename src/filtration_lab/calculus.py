@@ -16,10 +16,10 @@ tree nodes. All increments at time 0 are null by convention.
 
 An operation on several slices works on their meet, which is one of them
 when it refines the others, brings them to the lcm of their denominators
-and computes each result cell once per block. Each jump function memoizes
-its star integral per (measure, filtration), and each measure its
-compensators per filtration; each measure interns its jump locations as
-small ints, on which the star integral looks up the function's values.
+and computes each result cell once per block. Compensators and jump
+functions are stored once, on ints keyed by the tree's location ids, and
+read as Fractions on request; each jump function memoizes its star integral
+per (measure, filtration), and each measure its compensators per filtration.
 
 Library code builds its processes through four trusted constructors that
 skip the validation outside input gets: _make takes partitions and int
@@ -565,8 +565,8 @@ class JumpMeasure:
     """Integer-valued random measure of a base-adapted process's jumps.
 
     Support: the time-t nodes (t >= 1) where the increment is a nonzero
-    vector; the location there is that increment. Each location is interned
-    as a small int, in first-seen order.
+    vector; the location there is that increment, known by its id in the
+    tree's location pool.
     """
 
     def __init__(self, tree: FilteredTree, dim: int, support: dict):
@@ -577,15 +577,10 @@ class JumpMeasure:
         for node_id in sorted(self.support):
             node = tree.nodes[node_id]
             self._by_time.setdefault(node.time, []).append(node)
-        self._location_ids: dict[tuple, int] = {}
-        self._jump_ids = {node_id: self._location_id(value)
+        self._jump_ids = {node_id: tree.location_id(value)
                           for node_id, value in self.support.items()}
         self._compensators: dict[Filtration, CompensatorTable] = {}
         self._derived: dict = {}
-
-    def _location_id(self, value) -> int:
-        """The small int of a location vector, interned on first sight."""
-        return self._location_ids.setdefault(value, len(self._location_ids))
 
     def nodes_at(self, t):
         return self._by_time.get(t, [])
@@ -629,54 +624,48 @@ def jump_measure(x: Process) -> JumpMeasure:
 
 
 class CompensatorTable:
-    """Conditional jump distribution per (time, conditioning atom).
+    """Conditional jump law per (time, conditioning atom).
 
-    nu({t} x {v} | atom) adds the conditional probabilities of the time-t
-    support nodes with location v, seen from the atom at t-1. entries holds
-    them as Fractions keyed by location vector; the star integral reads
-    them, on first use, as int numerators over one denominator per atom,
-    keyed by interned location.
+    laws[(t, atom label)] is (atom mass, ((location id, mass), ...)), the
+    int masses inside the atom at t-1 of the time-t support nodes added per
+    location, in node-label order: nu({t} x {v} | atom) is v's mass over the
+    atom's. entries, charged and prob read it as Fractions.
     """
 
     def __init__(self, measure: JumpMeasure, filtration: Filtration):
         self.measure = measure
         self.filtration = filtration
         tree = measure.tree
-        self.entries: dict[tuple[int, str], dict[tuple, Fraction]] = {}
-        self._ints = None
-        locations = list(measure._location_ids)
+        self.laws: dict[tuple[int, str], tuple[int, tuple]] = {}
         for t in range(1, tree.horizon + 1):
             if not measure.nodes_at(t):
                 continue
             nodes = tree.base_filtration().parts[t]
             for atom in filtration.atoms(t - 1):
-                masses: dict[int, int] = {}  # per interned location
+                masses: dict[int, int] = {}  # per location id
                 for k, m in sorted(nodes.pieces(atom),
                                    key=lambda piece: nodes.atoms[piece[0]].label):
                     loc = measure._jump_ids.get(nodes.atoms[k].label)
                     if loc is not None:
                         masses[loc] = masses.get(loc, 0) + m
                 if masses:
-                    self.entries[(t, atom.label)] = {
-                        locations[loc]: Fraction(m, atom.mass)
-                        for loc, m in masses.items()}
+                    self.laws[(t, atom.label)] = (atom.mass, tuple(masses.items()))
 
-    def _int_form(self):
-        """{(t, atom label): (den, ((location id, numerator), ...))}."""
-        if self._ints is None:
-            intern = self.measure._location_id
-            self._ints = {}
-            for key, dist in self.entries.items():
-                den, (nums,) = over_common_denominator([tuple(dist.values())])
-                self._ints[key] = (den, tuple(zip(map(intern, dist), nums)))
-        return self._ints
+    @property
+    def entries(self) -> dict[tuple[int, str], dict[tuple, Fraction]]:
+        """{(t, atom label): {location vector: probability}}, in law order."""
+        locations = self.measure.tree.locations
+        return {key: {locations[loc]: Fraction(m, mass) for loc, m in law}
+                for key, (mass, law) in self.laws.items()}
 
     def charged(self, t, atom_label):
-        dist = self.entries.get((t, atom_label), {})
-        return sorted(dist)
+        _, law = self.laws.get((t, atom_label), (1, ()))
+        return sorted(self.measure.tree.locations[loc] for loc, _ in law)
 
     def prob(self, t, atom_label, value) -> Fraction:
-        return self.entries.get((t, atom_label), {}).get(tuple(value), ZERO)
+        mass, law = self.laws.get((t, atom_label), (1, ()))
+        loc = self.measure.tree.location_id(tuple(value))
+        return Fraction(dict(law).get(loc, 0), mass)
 
 
 def compensate_measure(mu: JumpMeasure, filtration_like) -> CompensatorTable:
@@ -690,58 +679,73 @@ class JumpFunction:
     Anchored to a filtration: the atom argument is the filtration's atom at
     t-1, which is how the function stays predictable in its first slot. A
     table anchored to the base filtration can be integrated under any
-    enlargement unchanged. entries holds the values as Fractions keyed by
-    location vector; the star integral reads them, once per measure, as int
-    numerators over one denominator per time, keyed by interned location.
+    enlargement unchanged. Per time t it holds (den, {(atom label, location
+    id): numerator}); entries and value read it as Fractions.
     """
 
     def __init__(self, filtration: Filtration, entries: dict):
-        self.filtration = filtration
-        self.entries = {}
-        for (t, label, value), g in entries.items():
-            self.entries[(t, label, tuple(value))] = to_fraction(g)
+        """entries: {(t, atom label, location vector): value}."""
+        intern = filtration.tree.location_id
+        self._fill(filtration, [((t, label, intern(tuple(value))), to_fraction(g))
+                                for (t, label, value), g in entries.items()])
+
+    @classmethod
+    def _from_ids(cls, filtration: Filtration, items):
+        """Trusted build from ((t, atom label, location id), Fraction) pairs."""
+        self = cls.__new__(cls)
+        self._fill(filtration, items)
+        return self
+
+    def _fill(self, filtration, items):
+        by_time: dict[int, dict] = {}
+        for (t, label, loc), g in items:
+            by_time.setdefault(t, {})[(label, loc)] = g
+        self.filtration, self._tables = filtration, {}
+        for t, values in by_time.items():
+            den, (nums,) = over_common_denominator([tuple(values.values())])
+            self._tables[t] = (den, dict(zip(values, nums)))
         self._star_integrals: dict[tuple[JumpMeasure, Filtration], Process] = {}
-        self._int_forms: dict[JumpMeasure, dict] = {}
 
     @classmethod
     def from_callable(cls, mu: JumpMeasure, filtration_like, fn):
         """Tabulate fn(t, location) on every point charged by mu or its
         compensator under the given filtration."""
         filtration = as_filtration(filtration_like)
-        table = mu.compensator(filtration)
-        entries = {}
-        for (t, label), dist in table.entries.items():
-            for value in dist:
-                entries[(t, label, value)] = to_fraction(fn(t, value))
-        return cls(filtration, entries)
+        locations = mu.tree.locations
+        return cls._from_ids(filtration, [
+            ((t, label, loc), to_fraction(fn(t, locations[loc])))
+            for (t, label), (_, law) in mu.compensator(filtration).laws.items()
+            for loc, _ in law])
 
     @classmethod
     def component(cls, mu: JumpMeasure, filtration_like, i: int):
         """The coordinate function x -> x_i as a table."""
         return cls.from_callable(mu, filtration_like, lambda t, value: value[i])
 
+    @property
+    def entries(self) -> dict[tuple[int, str, tuple], Fraction]:
+        """{(t, atom label, location vector): value}."""
+        locations = self.filtration.tree.locations
+        return {(t, label, locations[loc]): Fraction(num, den)
+                for t, (den, nums) in self._tables.items()
+                for (label, loc), num in nums.items()}
+
+    def _numerator(self, t, label, loc) -> int:
+        """g at (t, atom label, location id), over the time-t denominator."""
+        num = self._tables.get(t, (1, {}))[1].get((label, loc))
+        if num is None:
+            location = self.filtration.tree.locations[loc]
+            raise IncompleteFunctionTable(
+                f"no entry at time {t}, atom {label}, location {location}")
+        return num
+
     def value(self, t, leaf, location) -> Fraction:
         """g at time t on the path through the leaf, read on its time-(t-1)
         atom of the anchoring filtration."""
-        atom = self.filtration.conditioning_atom_of(t, leaf)
-        key = (t, atom.label, tuple(location))
-        if key not in self.entries:
-            raise IncompleteFunctionTable(
-                f"no entry at time {t}, atom {atom.label}, location {location}")
-        return self.entries[key]
-
-    def _int_form(self, mu: JumpMeasure):
-        """Per time t: (den, {(atom label, location id): numerator})."""
-        if mu not in self._int_forms:
-            by_time: dict[int, list] = {}
-            for (t, label, value), g in self.entries.items():
-                by_time.setdefault(t, []).append(((label, mu._location_id(value)), g))
-            forms = {}
-            for t, items in by_time.items():
-                den, (nums,) = over_common_denominator([[g for _, g in items]])
-                forms[t] = (den, dict(zip([key for key, _ in items], nums)))
-            self._int_forms[mu] = forms
-        return self._int_forms[mu]
+        label = self.filtration.conditioning_atom_of(t, leaf).label
+        num = self._numerator(t, label,
+                              self.filtration.tree.location_id(tuple(location)))
+        return Fraction(num, self._tables[t][0])
 
 
 def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
@@ -752,34 +756,22 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
     integration filtration. Computed once per (g, measure, filtration).
     """
     filtration = as_filtration(filtration_like)
-    key = (mu, filtration)
-    if key not in g._star_integrals:
-        g._star_integrals[key] = _star_integral(g, mu, filtration)
-    return g._star_integrals[key]
-
-
-def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
     tree = mu.tree
-    table = mu.compensator(filtration)._int_form()
-    values = g._int_form(mu)
-    jumps = mu._jump_ids
-
-    def lookup(t, gnum, label, loc):
-        v = gnum.get((label, loc))
-        if v is None:
-            location = list(mu._location_ids)[loc]
-            raise IncompleteFunctionTable(
-                f"no entry at time {t}, atom {label}, location {location}")
-        return v
+    if g.filtration.tree is not tree:
+        raise DimensionMismatch("jump function and measure on different trees")
+    key = (mu, filtration)
+    if key in g._star_integrals:
+        return g._star_integrals[key]
+    laws, jumps, at = mu.compensator(filtration).laws, mu._jump_ids, g._numerator
 
     def increments_at(t):
-        gden, gnum = values.get(t, (1, {}))
+        gden = g._tables.get(t, (1,))[0]
         atoms = filtration.parts[t - 1]
         comps = []  # per time-(t-1) atom: the mean of g, as (den, numerator)
         for atom in atoms.atoms:
             label = g.filtration.conditioning_atom_of(t, atom.leaves[0]).label
-            den, dist = table.get((t, atom.label), (1, ()))
-            comps.append((den, sum(p * lookup(t, gnum, label, loc) for loc, p in dist)))
+            mass, law = laws.get((t, atom.label), (1, ()))
+            comps.append((mass, sum(m * at(t, label, loc) for loc, m in law)))
         g_part = g.filtration.parts[t - 1]
         nodes = tree.base_filtration().parts[t]
         part, (comp_of, g_atom_of, node_of) = _lifted(tree, (
@@ -788,11 +780,12 @@ def _star_integral(g: JumpFunction, mu: JumpMeasure, filtration: Filtration):
         cells = []
         for (den, total), g_atom, node in zip(comp_of, g_atom_of, node_of):
             loc = jumps.get(node.label)
-            gain = 0 if loc is None else lookup(t, gnum, g_atom.label, loc)
+            gain = 0 if loc is None else at(t, g_atom.label, loc)
             cells.append((den * gden, (gain * den - total,)))
         return (part, *gathered(cells))
 
-    return Process._accumulate(tree, (0,), increments_at)
+    g._star_integrals[key] = Process._accumulate(tree, (0,), increments_at)
+    return g._star_integrals[key]
 
 
 def project_onto_jump_measure(y: Process, mu: JumpMeasure,
@@ -809,28 +802,25 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     if y.dim != 1:
         raise DimensionMismatch("projection expects a scalar martingale")
     y.require_martingale(filtration, what="projected process")
-    table = mu.compensator(filtration)
     base = y.tree.base_filtration()
-    entries = {}
-    for (t, label), dist in table.entries.items():
+    items = []
+    for (t, label), (_, law) in mu.compensator(filtration).laws.items():
         atom = filtration.atom_labelled(t - 1, label)
-        # E[Delta Y; jump = v | atom] per location v; dist[v] = P(jump = v | atom)
-        num: dict[tuple, int] = dict.fromkeys(dist, 0)
+        # num[v] / (den * atom mass) is E[Delta Y; jump = v | atom]
+        num = dict.fromkeys([loc for loc, _ in law], 0)
         nodes = base.parts[t]
         cut = y.tree.meet(nodes, atom.partition)  # atoms cut by time-t nodes
         node_of = cut.index_in(nodes)
         part, den, nums = y._delta(t)
         for k in cut.inside(atom):
-            location = mu.support.get(nodes.atoms[node_of[k]].label)
-            if location is not None:
+            loc = mu._jump_ids.get(nodes.atoms[node_of[k]].label)
+            if loc is not None:
                 # the piece's mass times its mean increment, over den
                 (total,), weight = _weigh(cut.atoms[k], part, nums)
-                num[location] += (total * cut.atoms[k].mass if weight == 1
-                                  else total)
-        scale = den * atom.mass
-        mass = sum(dist.values(), start=ZERO)
-        hat = Fraction(sum(num.values()), scale)
-        correction = ZERO if mass == 1 else hat / (1 - mass)
-        for v in dist:
-            entries[(t, label, v)] = Fraction(num[v], scale) / dist[v] + correction
-    return JumpFunction(filtration, entries)
+                num[loc] += (total * cut.atoms[k].mass if weight == 1
+                             else total)
+        rest = atom.mass - sum(m for _, m in law)  # of the non-jumping paths
+        correction = 0 if rest == 0 else Fraction(sum(num.values()), den * rest)
+        items += [((t, label, loc), Fraction(num[loc], den * m) + correction)
+                  for loc, m in law]
+    return JumpFunction._from_ids(filtration, items)

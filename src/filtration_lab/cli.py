@@ -137,14 +137,9 @@ def _json_safe(value):
 
 def _jump_counter(ctx: CheckContext) -> Process:
     """Cumulative count of the driver's jump nodes along each path."""
-    tree = ctx.tree
-    support = ctx.measure.support
-    values = {tree.root.id: Fraction(0)}
-    for t in range(1, tree.horizon + 1):
-        for node in tree.nodes_at[t]:
-            step = 1 if node.id in support else 0
-            values[node.id] = values[node.parent.id] + step
-    return Process.from_node_values(tree, values, dim=1)
+    nodes, support = ctx.tree.base_filtration().parts, ctx.measure.support
+    return Process._accumulate(ctx.tree, (0,), lambda t: (nodes[t], 1, tuple(
+        [(int(atom.label in support),) for atom in nodes[t].atoms])))
 
 
 # check runners: each returns (ok, details)

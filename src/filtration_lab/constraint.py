@@ -138,7 +138,7 @@ def detect_fpcc(mu: JumpMeasure, filtration_like=None) -> ConstraintSystem:
     """
     filtration = as_filtration(filtration_like or mu.tree)
     nu = mu.compensator(filtration)
-    menus = {key: tuple(sorted(dist)) for key, dist in nu.entries.items()}
+    menus = {key: tuple(nu.charged(*key)) for key in nu.laws}
     n = max((len(m) for m in menus.values()), default=0)
     slots = {key: menu + tuple([None] * (n - len(menu)))
              for key, menu in menus.items()}
@@ -212,15 +212,15 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
         raise DimensionMismatch(f"integrand dim {h.dim}, constraint count {cs.n}")
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
-    nu = mu.compensator(filtration)
-    entries = {}
-    for (t, label), dist in nu.entries.items():
+    locations = mu.tree.locations
+    items = []
+    for (t, label), (_, law) in mu.compensator(filtration).laws.items():
         hv = h.at(t, filtration.atom_labelled(t - 1, label).leaves[0])
         weights = cs.slot_weights(t, label)  # gauge_k of the k-th location
-        for value in dist:
-            k = cs.slot_of(t, label, value)
-            entries[(t, label, value)] = hv[k] * weights[k]
-    return JumpFunction(filtration, entries)
+        for loc, _ in law:
+            k = cs.slot_of(t, label, locations[loc])
+            items.append(((t, label, loc), hv[k] * weights[k]))
+    return JumpFunction._from_ids(filtration, items)
 
 
 def jump_supports_disjoint(x: Process) -> bool:

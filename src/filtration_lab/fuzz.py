@@ -99,18 +99,15 @@ def random_enlargement(tree: FilteredTree, rng, name="G"):
     """
     base = tree.base_filtration()
     partitions = {}
-    previous = None
+    prev_of = dict.fromkeys(range(tree.n_leaves), 0)  # leaf -> previous cell
     for t in range(tree.horizon + 1):
         cells = []
         for atom in base.atoms(t):
-            atom_leaves = set(atom.leaves)
-            if previous is None:
-                pieces = [sorted(atom_leaves)]
-            else:
-                pieces = [sorted(atom_leaves & set(prev)) for prev in previous]
-            for piece in pieces:
-                if not piece:
-                    continue
+            # the atom's leaves grouped by previous cell, in cell order
+            groups: dict[int, list] = {}
+            for leaf in atom.leaves:
+                groups.setdefault(prev_of[leaf], []).append(leaf)
+            for piece in map(groups.__getitem__, sorted(groups)):
                 if len(piece) > 1 and rng.random() < Fraction(3, 5):
                     k = rng.randint(2, min(len(piece), 3))
                     order = piece[:]
@@ -122,7 +119,7 @@ def random_enlargement(tree: FilteredTree, rng, name="G"):
                 else:
                     cells.append(tuple(piece))
         partitions[t] = [list(cell) for cell in cells]
-        previous = cells
+        prev_of = {leaf: k for k, cell in enumerate(cells) for leaf in cell}
     return enlarge(tree, partitions, name=name)
 
 

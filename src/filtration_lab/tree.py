@@ -17,6 +17,10 @@ of those int masses with int numerators, and the callers reduce once per
 output cell; conditional_mean and conditional_law are its Fraction front
 ends.
 
+Each tree interns the jump locations its measures and jump functions name as
+small ints, so a location vector has one id per tree; the pool holds only
+the vectors, never a process or a flow.
+
 Conventions used throughout the library: F_{t-} means F_{t-1} for t >= 1 and
 F_0 for t = 0; a process is predictable at t when it is F_{t-1}-measurable;
 increments at time 0 are null; stopping times use horizon+1 as the infinity
@@ -222,6 +226,7 @@ class FilteredTree:
             self.nodes_at[node.time].append(node)
         self._base_filtration = None
         self._meets = {}
+        self.locations, self._location_ids = [], {}  # the location pool
 
     def _preorder(self):
         """Nodes reachable from the root, depth first, children in order."""
@@ -270,6 +275,14 @@ class FilteredTree:
     def leaf_index(self, leaf_id: str) -> int | None:
         """Position of the leaf with the given id, or None."""
         return self._leaf_index.get(leaf_id)
+
+    def location_id(self, value: tuple) -> int:
+        """The id of a jump location vector, interned on first sight;
+        locations[id] gives the vector back."""
+        hit = self._location_ids.setdefault(value, len(self.locations))
+        if hit == len(self.locations):
+            self.locations.append(value)
+        return hit
 
     def base_filtration(self) -> "Filtration":
         if self._base_filtration is None:

@@ -244,6 +244,15 @@ class TestStarIntegral:
         with pytest.raises(IncompleteFunctionTable):
             star_integral(g, mu, bin1)
 
+    def test_function_from_another_tree_is_refused(self):
+        # location ids are per tree, so a twin tree's table cannot be read
+        tree, twin = (random_tree(2, horizon=2, max_branching=3) for _ in "ab")
+        x = random_martingale(tree, rng_for(2, "twin"))
+        mu = jump_measure(x)
+        g = JumpFunction.component(jump_measure(Process(twin, x.values)), twin, 0)
+        with pytest.raises(DimensionMismatch):
+            star_integral(g, mu, tree)
+
     def test_always_martingale(self):
         for seed in range(5):
             tree = random_tree(seed, horizon=2, max_branching=3)

@@ -187,8 +187,11 @@ class TestStarToDot:
         # a star side compensated by a wrong nu no longer matches them
         mu = jump_measure(w_bin)
         g = JumpFunction.from_callable(mu, bin1, lambda t, v: v[0] + 3)
-        mu.compensator(bin1).entries[(1, "r")] = {(F(-1),): F(3, 4),
-                                                  (F(1),): F(1, 4)}
+        # the stored law at (1, "r"): 3/4 on -1 and 1/4 on +1, as masses over 4
+        table = mu.compensator(bin1)
+        table.laws[(1, "r")] = (4, ((bin1.location_id((F(-1),)), 3),
+                                    (bin1.location_id((F(1),)), 1)))
+        assert table.entries[(1, "r")] == {(F(-1),): F(3, 4), (F(1),): F(1, 4)}
         cs = detect_fpcc(mu)
         h, certificate = star_to_dot(g, mu, cs)
         assert not certificate.holds

@@ -2,6 +2,8 @@
 
 from fractions import Fraction as F
 
+import pytest
+
 from filtration_lab.calculus import decompose
 from filtration_lab.fuzz import (
     random_basis,
@@ -16,7 +18,7 @@ from filtration_lab.fuzz import (
     widest_branching,
 )
 from filtration_lab.representation import check_mrp, representation_coefficient
-from filtration_lab.tree import random_tree
+from filtration_lab.tree import build_tree, enlarge, random_tree
 
 
 class TestRng:
@@ -111,3 +113,76 @@ class TestEnlargementScenario:
         for name in one.processes:
             assert one.processes[name].node_values() == \
                 two.processes[name].node_values()
+
+
+def scan_enlargement(tree, rng, name="G"):
+    """random_enlargement as it was: each base atom intersected with every
+    previous cell, empty intersections skipped."""
+    base = tree.base_filtration()
+    partitions = {}
+    previous = None
+    for t in range(tree.horizon + 1):
+        cells = []
+        for atom in base.atoms(t):
+            atom_leaves = set(atom.leaves)
+            if previous is None:
+                pieces = [sorted(atom_leaves)]
+            else:
+                pieces = [sorted(atom_leaves & set(prev)) for prev in previous]
+            for piece in pieces:
+                if not piece:
+                    continue
+                if len(piece) > 1 and rng.random() < F(3, 5):
+                    k = rng.randint(2, min(len(piece), 3))
+                    order = piece[:]
+                    rng.shuffle(order)
+                    buckets = [[] for _ in range(k)]
+                    for j, leaf in enumerate(order):
+                        buckets[j % k].append(leaf)
+                    cells.extend(tuple(sorted(b)) for b in buckets)
+                else:
+                    cells.append(tuple(piece))
+        partitions[t] = [list(cell) for cell in cells]
+        previous = cells
+    return enlarge(tree, partitions, name=name)
+
+
+def full_tree(branching, horizon):
+    """Full b-ary tree, the shape of the benchmark's file workloads."""
+    nodes = [{"id": "r", "time": 0, "parent": None, "prob": None}]
+    frontier = ["r"]
+    for t in range(1, horizon + 1):
+        frontier = [parent + "abcde"[k] for parent in frontier
+                    for k in range(branching)]
+        nodes += [{"id": child, "time": t, "parent": child[:-1],
+                   "prob": str(F(1, branching))} for child in frontier]
+    return build_tree({"horizon": horizon, "nodes": nodes})
+
+
+def same_draws(tree, *labels):
+    """The indexed generator and the scan give one flow and leave the
+    stream at the same point."""
+    new_rng, old_rng = rng_for(*labels), rng_for(*labels)
+    new = random_enlargement(tree, new_rng)
+    old = scan_enlargement(tree, old_rng)
+    return (new.to_spec() == old.to_spec()
+            and new_rng.random() == old_rng.random())
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_enlargement_matches_previous_cell_scan(seed):
+    """Fuzz trees (random_scenario's shapes and wider random trees) on the
+    streams random_scenario draws its flows from."""
+    for tree in (random_scenario(seed).tree,
+                 random_tree(seed, horizon=3, max_branching=4)):
+        for name in ("G0", "G1"):
+            assert same_draws(tree, seed, "enlargement", name)
+
+
+@pytest.mark.parametrize("shape", [(2, 7), (5, 3), (2, 2), (5, 2)])
+def test_enlargement_matches_scan_on_full_trees(shape):
+    """The deep-binary and wide-shallow shapes, full and quick, on the fixed
+    G0 stream the benchmark draws from and on a few others."""
+    tree = full_tree(*shape)
+    for seed in range(4):
+        assert same_draws(tree, seed, "enlargement", "G0")

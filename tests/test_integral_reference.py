@@ -8,7 +8,9 @@ inputs whose leaves hold equal but distinct tuples, on repeated calls that
 hit a memo, and when one measure serves several slot lists or constraint
 systems. The same holds for every running sum or product that now goes
 through Process._accumulate, checked against its hand-written loop, and the
-reconstructed family and the multiplier's N keep one cell per node.
+reconstructed family and the multiplier's N keep one cell per node. Jump
+tables, stored on the tree's location ids, read back the entries they were
+given in order, and a missing entry raises one message on every path.
 """
 
 from fractions import Fraction
@@ -41,10 +43,15 @@ from filtration_lab.constraint import (
     accessible_star_to_dot,
     constraint_martingales,
     detect_fpcc,
+    expand_integrand,
     star_to_dot,
     value_slots_from_measure,
 )
-from filtration_lab.errors import DimensionMismatch, FiltrationLabError
+from filtration_lab.errors import (
+    DimensionMismatch,
+    FiltrationLabError,
+    IncompleteFunctionTable,
+)
 from filtration_lab.fuzz import (
     random_jump_function,
     random_representable,
@@ -161,6 +168,81 @@ def test_compensator_order_matches_reference(seed):
         expected = ref.compensator_entries(mu, filtration)
         assert ([(key, list(dist.items())) for key, dist in got.items()]
                 == [(key, list(dist.items())) for key, dist in expected.items()])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_jump_tables_read_back_as_given(seed):
+    """Both measures of one tree share one id per location vector. The
+    from_callable and expand_integrand tables list the values their inputs
+    give on the compensator's points, in its order; a table rebuilt from
+    those entries reads back the same, and every one integrates to the
+    reference process under either measure."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    w = scenario.basis_process()
+    mu, mu_loose = jump_measure(w), jump_measure(unshared(w))
+    assert mu._jump_ids == mu_loose._jump_ids
+    assert all(tree.locations[mu._jump_ids[node_id]] == value
+               for node_id, value in mu.support.items())
+    assert len(tree.locations) == len(set(mu.support.values()))
+    for j, filtration in enumerate(flows(scenario)):
+        points = [(t, label, value) for (t, label), dist
+                  in mu.compensator(filtration).entries.items() for value in dist]
+        rng = rng_for(seed, "tables", str(j))
+        drawn = {point: F(rng.randint(-5, 5), rng.randint(1, 3))
+                 for point in points}
+        by_time_and_value = {(t, value): drawn[(t, label, value)]
+                             for t, label, value in points}
+        called = {(t, label, value): by_time_and_value[(t, value)]
+                  for t, label, value in points}
+        cs = detect_fpcc(mu, filtration)
+        h = random_predictable(tree, filtration, cs.n, rng)
+        expanded = {}
+        for t, label, value in points:
+            k = cs.slot_of(t, label, value)
+            leaf = filtration.atom_labelled(t - 1, label).leaves[0]
+            expanded[(t, label, value)] = (h.at(t, leaf)[k]
+                                           * cs.slot_weights(t, label)[k])
+        tables = [
+            (JumpFunction.from_callable(
+                mu, filtration, lambda t, v: by_time_and_value[(t, v)]), called),
+            (expand_integrand(h, mu, cs), expanded),
+            (JumpFunction(filtration, drawn), drawn)]
+        for table, given in tables:
+            assert list(table.entries.items()) == list(given.items())
+            again = JumpFunction(filtration, table.entries)
+            assert list(again.entries.items()) == list(given.items())
+            expected = ref.star_integral(table, mu, filtration)
+            assert same_process(star_integral(table, mu, filtration), expected)
+            assert same_process(star_integral(again, mu_loose, filtration),
+                                expected)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_missing_entry_raises_one_message(seed):
+    """A table missing one charged entry: value and the star integral,
+    under every flow, raise IncompleteFunctionTable with one message."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    mu = jump_measure(scenario.basis_process())
+    rng = rng_for(seed, "missing")
+    entries = random_jump_function(mu, tree, rng).entries
+    if not entries:
+        pytest.skip("basis without jumps")
+    t, label, location = key = rng.choice(list(entries))
+    del entries[key]
+    holey = JumpFunction(tree.base_filtration(), entries)
+    leaf = tree.base_filtration().atom_labelled(t - 1, label).leaves[0]
+    messages = set()
+    for where in (location, list(location)):
+        with pytest.raises(IncompleteFunctionTable) as raised:
+            holey.value(t, leaf, where)
+        messages.add(str(raised.value))
+    for filtration in flows(scenario):
+        with pytest.raises(IncompleteFunctionTable) as raised:
+            star_integral(holey, mu, filtration)
+        messages.add(str(raised.value))
+    assert messages == {f"no entry at time {t}, atom {label}, location {location}"}
 
 
 @pytest.mark.parametrize("seed", [0, 3, 7, 11])
