@@ -152,12 +152,6 @@ class Process:
                                 for part, row in zip(parts, rows)], dim)
 
     @classmethod
-    def _from_rows(cls, tree, rows, dim):
-        """Trusted build from leaf-indexed rows, one cell per (time, leaf)."""
-        leaves = tree.base_filtration().parts[-1]
-        return cls._from_cells(tree, [leaves] * len(rows), rows, dim)
-
-    @classmethod
     def _predictable(cls, filtration: Filtration, dim: int, value_of):
         """Trusted build of the process null at 0 holding value_of(t, atom),
         a tuple of dim rationals, on each time-(t-1) atom for t >= 1."""
@@ -812,13 +806,12 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
         cut = y.tree.meet(nodes, atom.partition)  # atoms cut by time-t nodes
         node_of = cut.index_in(nodes)
         part, den, nums = y._delta(t)
-        for k in cut.inside(atom):
+        for k, mass in cut.pieces(atom):
             loc = mu._jump_ids.get(nodes.atoms[node_of[k]].label)
             if loc is not None:
                 # the piece's mass times its mean increment, over den
                 (total,), weight = _weigh(cut.atoms[k], part, nums)
-                num[loc] += (total * cut.atoms[k].mass if weight == 1
-                             else total)
+                num[loc] += total * mass if weight == 1 else total
         rest = atom.mass - sum(m for _, m in law)  # of the non-jumping paths
         correction = 0 if rest == 0 else Fraction(sum(num.values()), den * rest)
         items += [((t, label, loc), Fraction(num[loc], den * m) + correction)

@@ -44,7 +44,7 @@ from .errors import (
     VanishingWeight,
 )
 from .linalg import right_inverse, solve
-from .rationals import format_rational, to_fraction
+from .rationals import to_fraction
 from .tree import StoppingTime, as_filtration
 
 ZERO = Fraction(0)
@@ -65,7 +65,7 @@ class ConstraintSystem:
 
     slots maps (t, conditioning atom label) to an n-tuple of location
     vectors; empty slots hold None so that n stays uniform across atoms.
-    Every slot is gauged by l1_gauge, which gauges lists once per slot.
+    Every slot is gauged by l1_gauge.
     """
 
     def __init__(self, filtration, dim, n, slots):
@@ -73,14 +73,13 @@ class ConstraintSystem:
         self.dim = dim
         self.n = n
         self.slots = dict(slots)
-        self.gauges = (l1_gauge,) * n
         self._weights = {}  # slot_weights per slot row
         for key, values in self.slots.items():
             if len(values) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
             weights = []
             for k, value in enumerate(values):
-                weights.append(ZERO if value is None else self.gauges[k](value))
+                weights.append(ZERO if value is None else l1_gauge(value))
                 if value is not None and weights[-1] == 0:
                     raise ConstraintMismatch(
                         f"gauge vanishes on the slot value {value} at {key}")
@@ -124,7 +123,7 @@ class ConstraintSystem:
             rows.append({
                 "time": t,
                 "atom": label,
-                "values": [None if v is None else [format_rational(c) for c in v]
+                "values": [None if v is None else [str(c) for c in v]
                            for v in values],
             })
         return {"n": self.n, "dim": self.dim, "slots": rows}
@@ -283,6 +282,8 @@ class AccessibleConversion:
 
 
 def _leaf_index(tree, item):
+    if isinstance(item, bool):
+        raise PartitionNotMeasurable(f"leaf {item!r} is neither an index nor an id")
     if isinstance(item, int):
         if not 0 <= item < tree.n_leaves:
             raise PartitionNotMeasurable(f"leaf index {item} out of range")
@@ -423,7 +424,7 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
             if idx is None:
                 continue
             values = [set() for _ in range(count)]
-            for k in children.inside(atom):
+            for k, _ in children.pieces(atom):
                 leaf = children.atoms[k].leaves[0]
                 kind[k] = c = class_of[idx][leaf]
                 if c is not None:
@@ -469,7 +470,7 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
         for atom in filtration.atoms(t - 1):
             # the atom's children, by the location of their time-t node
             groups: dict[tuple, set] = {}
-            for child in map(children.atoms.__getitem__, children.inside(atom)):
+            for child in [children.atoms[k] for k, _ in children.pieces(atom)]:
                 groups.setdefault(mu.jump_at(t, child.leaves[0]), set()).update(child.leaves)
             quiet |= groups.pop(None, set())
             for rank, value in enumerate(sorted(groups)):

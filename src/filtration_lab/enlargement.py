@@ -40,13 +40,11 @@ from .errors import (
 )
 from .linalg import null_space
 from .rationals import (
-    as_fractions,
-    format_rational,
     gathered,
     over_common_denominator,
     to_fraction,
 )
-from .representation import representation_coefficient
+from .representation import _require_representable
 from .tree import _weigh, as_filtration, conditional_law
 
 ZERO = Fraction(0)
@@ -261,7 +259,7 @@ def default_viability_family(w: Process):
             continue
         for a in (Fraction(1, 2) / bound, Fraction(-1, 2) / bound,
                   Fraction(3, 4) / bound, Fraction(-3, 4) / bound):
-            family.append((f"exp[{k}]*{format_rational(a)}",
+            family.append((f"exp[{k}]*{a}",
                            doleans_exponential(a, component)))
     return family
 
@@ -312,10 +310,11 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
     fine = dual_predictable_projection(a, filtration)
     coarse = dual_predictable_projection(a, base)
     for t in range(1, tree.horizon + 1):
+        subs = filtration.parts[t - 1]
         for atom in base.atoms(t - 1):
             if coarse.increment(t, atom.leaves[0])[0] != 0:
                 continue
-            for sub in filtration.atoms_within(t - 1, atom.leaves):
+            for sub in [subs.atoms[k] for k, _ in subs.pieces(atom)]:
                 if fine.increment(t, sub.leaves[0])[0] != 0:
                     return False, (t, atom.label, sub.label)
     return True, None
@@ -368,10 +367,10 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     slot_records = []
     phis = {}
     for t, row in enumerate(slots, 1):
-        nodes = base.parts[t]
+        nodes, subs = base.parts[t], filtration.parts[t - 1]
         for node, wit, epsilons, eps_den, eps_nums, norms, ratios, lead in row:
             sub_records = []
-            for sub in filtration.atoms_within(t - 1, node.leaves()):
+            for sub in [subs.atoms[k] for k, _ in subs.pieces(node)]:
                 # class h is the time-t node wit.subatoms[h]; padding is empty
                 masses = {nodes.atoms[k].label: m for k, m in nodes.pieces(sub)}
                 total = sub.mass
@@ -390,13 +389,12 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                     sigma=tuple(sigma), phi=phi_vec))
                 phis[(t, sub.label)] = phi_vec
             slot_records.append(SlotWitness(
-                time=t, atom=node.id, p=wit.probs, epsilons=epsilons,
+                time=t, atom=node.label, p=wit.probs, epsilons=epsilons,
                 sub_records=tuple(sub_records)))
 
     phi = Process._predictable(filtration, basis.d,
                                lambda t, sub: phis[(t, sub.label)])
-    holds = all(dual_predictable_projection(x, filtration)
-                == dot_integral(phi, bracket, filtration)
+    holds = all(_multiplier_identity(phi, bracket, x, filtration)
                 for x, bracket in zip(components, brackets))
     return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
                               holds=holds, basis=basis)
@@ -404,9 +402,10 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
 
 def _multiplier_frame(basis):
     """The basis side of solve_drift_multiplier: per time t, per time-(t-1)
-    node, (node, witness, frame as Fractions, frame as (den, nums), squared
-    norms over den^2, p as int ratios, lcm of the charged numerators); then
-    N, the components X2_h and their base-flow brackets [N, X2_h]^p."""
+    node, (its base atom, witness, frame as Fractions, frame as (den,
+    nums), squared norms over den^2, p as int ratios, lcm of the charged
+    numerators); then N, the components X2_h and their base-flow brackets
+    [N, X2_h]^p."""
     x2 = basis.process
     tree = x2.tree
     width = basis.d + 1
@@ -415,11 +414,11 @@ def _multiplier_frame(basis):
     frames = [None]  # frames[t]: the frame of each time-(t-1) node
     for t in range(1, tree.horizon + 1):
         row, frame_row = [], []
-        for node in tree.nodes_at[t - 1]:
-            wit = basis._witness(t, node.id)
+        for node in base.parts[t - 1].atoms:
+            wit = basis._witness(t, node.label)
             p = wit.probs
             if all(c == 0 for c in p):
-                raise DegeneratePartition(f"no mass below atom {node.id}")
+                raise DegeneratePartition(f"no mass below atom {node.label}")
             # Gram-Schmidt of (p, e_0, ..., e_d) in closed form: e_h leaves
             # e_h - (p_h / T_h)(0, ..., 0, p_h, ..., p_d) with T_h = sum_{j>=h}
             # p_j^2, which is zero at the last charged class
@@ -455,15 +454,10 @@ def _multiplier_frame(basis):
     return slots, n, components, tuple(_n_brackets(n, x) for x in components)
 
 
-def _multiplier_identity(phi, n, x, filtration) -> bool:
-    drift = dual_predictable_projection(x, filtration)
-    rhs = _phi_bracket(phi, n, x, filtration)
-    return drift == rhs
-
-
-def _phi_bracket(phi, n, x, filtration) -> Process:
-    """phi . [N, X]^p under filtration."""
-    return dot_integral(phi, _n_brackets(n, x), filtration)
+def _multiplier_identity(phi, brackets, x, filtration) -> bool:
+    """The drift of X under filtration is phi . brackets, [N, X]^p."""
+    return (dual_predictable_projection(x, filtration)
+            == dot_integral(phi, brackets, filtration))
 
 
 def _n_brackets(n, x) -> Process:
@@ -481,8 +475,8 @@ def verify_drift_multiplier(solution: MultiplierSolution, x: Process,
     non-representable input fails loudly at the representation step rather
     than muddying the identity check.
     """
-    representation_coefficient(x, solution.basis.process)
-    return _multiplier_identity(solution.phi, solution.n, x,
+    _require_representable(x, solution.basis.process)
+    return _multiplier_identity(solution.phi, _n_brackets(solution.n, x), x,
                                 as_filtration(enlargement_like))
 
 
@@ -499,16 +493,9 @@ class KernelCertificate:
     holds: bool
 
 
-def _increment_moments(x: Process, t: int, atom):
-    """Mean vector and covariance matrix of Delta X_t given the atom."""
-    mean_den, mean, cov_den, cov = _moment_sums(x, t, atom)
-    return (as_fractions(mean_den, mean),
-            [list(as_fractions(cov_den, row)) for row in cov])
-
-
 def _moment_sums(x: Process, t: int, atom):
-    """_increment_moments as int numerators: (mean den, mean, covariance
-    den, covariance rows)."""
+    """Mean vector and covariance matrix of Delta X_t given the atom, as
+    int numerators: (mean den, mean, covariance den, covariance rows)."""
     part, den, incs = x._delta(t)
     sums, weight = _weigh(atom, part, incs)  # the mean is sums / scale
     scale = den * weight
@@ -538,10 +525,11 @@ def covariance_kernel(enlargement_like, basis, time: int,
     frame, p_den, p_columns = basis._derived(
         ("kernel", time, atom_label), lambda: _kernel_frame(wit, basis.d + 1))
     x2 = basis.process
-    node = x2.tree.nodes[atom_label]
+    parent = x2.tree.base_filtration().atom_labelled(time - 1, atom_label)
+    subs = filtration.parts[time - 1]
     sub_checks = []
     holds = frame.holds
-    for sub in filtration.atoms_within(time - 1, node.leaves()):
+    for sub in [subs.atoms[k] for k, _ in subs.pieces(parent)]:
         # M = M J C, with J C = P, on numerators: M's denominator cancels
         m = _moment_sums(x2, time, sub)[3]
         ok = all(sum(map(mul, row, col)) == p_den * v

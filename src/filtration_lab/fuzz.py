@@ -157,15 +157,14 @@ def random_representable(w: Process, rng) -> Process:
 
 def random_increasing(tree: FilteredTree, rng) -> Process:
     """Adapted nondecreasing scalar process with many flat increments."""
-    node_values = {tree.root.id: ZERO}
-    for t in range(1, tree.horizon + 1):
-        for node in tree.nodes_at[t]:
-            if rng.random() < Fraction(1, 2):
-                step = Fraction(rng.randint(1, 3), rng.randint(1, 2))
-            else:
-                step = ZERO
-            node_values[node.id] = node_values[node.parent.id] + step
-    return Process.from_node_values(tree, node_values, dim=1)
+    def step():  # 0, or a / b with b <= 2, as a numerator over 2
+        if rng.random() < Fraction(1, 2):
+            return (rng.randint(1, 3) * (2 // rng.randint(1, 2)),)
+        return (0,)
+
+    nodes = tree.base_filtration().parts  # drawn in time, then node order
+    return Process._accumulate(tree, (0,), lambda t: (
+        nodes[t], 2, tuple([step() for _ in nodes[t].atoms])))
 
 
 def random_scenario(seed: int, horizon=None, max_branching=None,

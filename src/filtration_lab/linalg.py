@@ -1,9 +1,9 @@
 """Exact linear algebra on rational matrices.
 
-Inside, every row and column is held as integer numerators over one common
-denominator: products sum integer products and divide once per entry, and
-row reduction is fraction-free (Bareiss, Math. Comp. 22, 1968), dividing by
-the final pivot only when it returns. Every result entry is a Fraction.
+Inside, every row is held as integer numerators over one common
+denominator, and row reduction is fraction-free (Bareiss, Math. Comp. 22,
+1968), dividing by the final pivot only when it returns. Every result entry
+is a Fraction.
 
 Row reduction uses least-index pivoting, so solutions and null-space bases
 are canonical: free variables always sit at the rightmost columns available
@@ -16,10 +16,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-Vector = tuple[Fraction, ...]
-
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 def _over_common(vec) -> tuple[list[int], int]:
@@ -43,26 +40,6 @@ def _primitive(ints) -> list[int]:
     if next(n for n in ints if n) < 0:
         common = -common
     return [n // common for n in ints]
-
-
-def dot(u, v) -> Fraction:
-    un, ud = _over_common(u)
-    vn, vd = _over_common(v)
-    return Fraction(_int_dot(un, vn), ud * vd)
-
-
-def mat_mul(a, b) -> list[list[Fraction]]:
-    cols = [_over_common(col) for col in zip(*b)]
-    return [[Fraction(_int_dot(rn, cn), rd * cd) for cn, cd in cols]
-            for rn, rd in map(_over_common, a)]
-
-
-def transpose(matrix) -> list[list[Fraction]]:
-    return [list(col) for col in zip(*matrix)]
-
-
-def identity(n) -> list[list[Fraction]]:
-    return [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
 
 
 def _eliminate(matrix):
@@ -132,14 +109,6 @@ def null_space(matrix):
             vec[c] = -row[f]
         basis.append([Fraction(n) for n in _primitive(vec)])
     return basis
-
-
-def invert(matrix):
-    """Exact inverse, or None when singular."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("inverse needs a square matrix")
-    return right_inverse(matrix)
 
 
 def _eliminate_with_identity(matrix):

@@ -1,4 +1,4 @@
-"""Exact rational coercion, serialization, and the integer form of values.
+"""Exact rational coercion and the integer form of values.
 
 Values are held as int numerators over one positive int denominator: a
 process slice holds one tuple of numerators per block over one denominator,
@@ -29,11 +29,6 @@ def to_fraction(value) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
     raise ParseError(f"not a rational: {value!r} (floats are not accepted)")
-
-
-def format_rational(value: Fraction) -> str:
-    """Serialize as "p/q", or plain "p" for integers."""
-    return str(value)
 
 
 def over_common_denominator(cells):

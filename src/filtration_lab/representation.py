@@ -99,6 +99,22 @@ def check_mrp(w: Process) -> MrpReport:
 
 def representation_coefficient(x: Process, w: Process) -> Process:
     """Predictable H with (H . W) = X - X_0, least-index per atom."""
+    _require_representable(x, w)
+    nodes = w.tree.nodes
+    return Process._predictable(
+        w.tree.base_filtration(), w.dim,
+        lambda t, atom: _solve_at(w, t, *_target_at(x, t, nodes[atom.label])))
+
+
+def _target_at(x: Process, t: int, node):
+    """(node, den, Delta X_t numerators on the node's children)."""
+    part, den, incs = x._delta(t)
+    return node, den, [incs[part.block_of[c.leaf_lo]][0] for c in node.children]
+
+
+def _require_representable(x: Process, w: Process):
+    """representation_coefficient's checks, in its order, without solving:
+    shapes, martingales, then each node's span test."""
     if x.dim != 1:
         raise DimensionMismatch("representation targets are scalar processes")
     tree = w.tree
@@ -106,14 +122,9 @@ def representation_coefficient(x: Process, w: Process) -> Process:
         raise DimensionMismatch("target and basis on different trees")
     w.require_martingale(tree, what="basis")
     x.require_martingale(tree, what="target")
-
-    def coefficient(t, atom):
-        part, den, incs = x._delta(t)
-        rhs = [incs[part.block_of[child.leaf_lo]][0]
-               for child in tree.nodes[atom.label].children]
-        return _solve_at(w, t, atom, den, rhs, "target increment")
-
-    return Process._predictable(tree.base_filtration(), w.dim, coefficient)
+    for t in range(1, tree.horizon + 1):
+        for node in tree.nodes_at[t - 1]:
+            _span_test(w, t, *_target_at(x, t, node), "target increment")
 
 
 def _solver_at(w: Process, t: int, node):
@@ -136,13 +147,18 @@ def _solver_at(w: Process, t: int, node):
     return hit
 
 
-def _solve_at(w: Process, t: int, atom, den, rhs, what: str):
-    """Least-index h with <h, Delta W_t> = rhs / den on the children of a
-    base atom, in child order; rhs holds int numerators."""
-    scale, solved, checks, det = _solver_at(w, t, w.tree.nodes[atom.label])
-    if any(sum(map(mul, block, rhs)) for block in checks):
+def _span_test(w: Process, t: int, node, den, rhs, what: str):
+    """NoRepresentation unless rhs / den on the node's children is in the
+    span of Delta W_t there, that is, every null row annihilates rhs."""
+    if any(sum(map(mul, block, rhs)) for block in _solver_at(w, t, node)[2]):
         raise NoRepresentation(f"{what} outside the basis span", time=t,
-                               atom=atom.label, witness=as_fractions(den, rhs))
+                               atom=node.id, witness=as_fractions(den, rhs))
+
+
+def _solve_at(w: Process, t: int, node, den, rhs):
+    """Least-index h with <h, Delta W_t> = rhs / den on the node's
+    children, for rhs that passed _span_test."""
+    scale, solved, _, det = _solver_at(w, t, node)
     h = [ZERO] * w.dim
     for c, block in solved:
         h[c] = Fraction(scale * sum(map(mul, block, rhs)), det * den)
@@ -209,10 +225,11 @@ def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
         if r.values[atom.leaves[0]] != t:
             return zero
         (mean,) = conditional_mean(atom, leaves, payoff)
-        children = tree.nodes[atom.label].children
+        node = tree.nodes[atom.label]
         den, (rhs,) = over_common_denominator(
-            [tuple(values[child.leaf_lo] - mean for child in children)])
-        return _solve_at(w, t, atom, den, rhs, "centered payoff")
+            [tuple(values[child.leaf_lo] - mean for child in node.children)])
+        _span_test(w, t, node, den, rhs, "centered payoff")
+        return _solve_at(w, t, node, den, rhs)
 
     return Process._predictable(tree.base_filtration(), w.dim, coefficient)
 

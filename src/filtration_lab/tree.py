@@ -7,8 +7,8 @@ refine the leaf partitions per time without touching the tree itself.
 
 Each time of a filtration is a Partition of the leaves; processes store one
 cell per block. The tree memoizes the meet of two partitions, and each
-partition its blocks inside each block of a coarser one, which between a
-filtration's consecutive times is the parent-to-child atom index.
+partition the one atom index, Partition.pieces, per other partition;
+between a filtration's consecutive times it is the parent-to-child index.
 
 Masses are ints: every leaf probability is an int numerator over one
 tree-wide leaf denominator D, and every atom carries its mass over D beside
@@ -89,7 +89,7 @@ class Partition:
     """A leaf partition: its blocks as atoms in first-leaf order, and the
     block index of every leaf."""
 
-    __slots__ = ("tree", "atoms", "block_of", "_index", "_inside", "_pieces")
+    __slots__ = ("tree", "atoms", "block_of", "_index", "_pieces")
 
     def __init__(self, tree, blocks):
         """blocks: (label, leaves, prob, mass) per block, in first-leaf order."""
@@ -101,7 +101,6 @@ class Partition:
             for leaf in atom.leaves:
                 block_of[leaf] = atom.index
         self._index = {}
-        self._inside = {}
         self._pieces = {}
 
     def index_in(self, coarse):
@@ -121,31 +120,19 @@ class Partition:
         index = self.index_in(coarse)
         return cells if isinstance(index, range) else [cells[k] for k in index]
 
-    def inside(self, atom):
-        """Blocks inside atom, an atom of a partition this one refines; for
-        consecutive times of a filtration, the parent-to-child index."""
-        coarse = atom.partition
-        if len(coarse.atoms) == len(self.atoms):
-            return (atom.index,)
-        hit = self._inside.get(coarse)
-        if hit is None:
-            hit = [[] for _ in coarse.atoms]
-            for k, j in enumerate(self.index_in(coarse)):
-                hit[j].append(k)
-            hit = self._inside[coarse] = tuple(map(tuple, hit))
-        return hit[atom.index]
-
     def pieces(self, atom):
-        """(block, int mass of its intersection with atom) for every block
-        meeting atom, in first-leaf order; memoized per atom's partition."""
+        """The atom index: (block, int mass of its intersection with atom)
+        for every block meeting atom, in first-leaf order, grouped from the
+        blocks of the meet of the two partitions; memoized per atom's."""
         coarse = atom.partition
         hit = self._pieces.get(coarse)
         if hit is None:
             meet = self.tree.meet(self, coarse)
-            index = meet.index_in(self)
-            hit = self._pieces[coarse] = tuple(
-                tuple((index[k], meet.atoms[k].mass) for k in meet.inside(a))
-                for a in coarse.atoms)
+            hit = [[] for _ in coarse.atoms]
+            for k, j, piece in zip(meet.index_in(self), meet.index_in(coarse),
+                                   meet.atoms):
+                hit[j].append((k, piece.mass))
+            hit = self._pieces[coarse] = tuple(map(tuple, hit))
         return hit[atom.index]
 
 
@@ -268,10 +255,6 @@ class FilteredTree:
         """Time-t ancestor of the given leaf."""
         return self.nodes_at[t][self.base_filtration().parts[t].block_of[leaf]]
 
-    def nodes_by_leaf(self, t: int) -> tuple[Node, ...]:
-        """Time-t ancestor of every leaf, in leaf order."""
-        return tuple(self.node_at(t, leaf) for leaf in range(self.n_leaves))
-
     def leaf_index(self, leaf_id: str) -> int | None:
         """Position of the leaf with the given id, or None."""
         return self._leaf_index.get(leaf_id)
@@ -345,16 +328,6 @@ class Filtration:
     def atom_labelled(self, t: int, label: str) -> Atom:
         """The time-t atom with the given label."""
         return self._labelled[(t, label)]
-
-    def atoms_within(self, t: int, leaves) -> tuple[Atom, ...]:
-        """Distinct time-t atoms holding the given leaves, in first-leaf order.
-
-        When the time-t partition refines the cell the leaves make up, these
-        are exactly the time-t atoms inside that cell, in atoms(t) order.
-        """
-        part = self.partition(t)
-        return tuple(part.atoms[k]
-                     for k in dict.fromkeys(part.block_of[leaf] for leaf in leaves))
 
     def conditioning_atom_of(self, t: int, leaf: int) -> Atom:
         part = self.partition(t - 1 if t >= 1 else 0)

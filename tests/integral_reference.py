@@ -37,6 +37,7 @@ from filtration_lab.constraint import (
     ConversionCertificate,
     _AccessiblePlan,
     _normalize_slots,
+    l1_gauge,
 )
 from filtration_lab.enlargement import (
     OPTIMAL,
@@ -47,8 +48,9 @@ from filtration_lab.enlargement import (
     MultiplierSolution,
     SlotWitness,
     SubAtomRecord,
-    _increment_moments,
+    _moment_sums,
     _multiplier_identity,
+    _n_brackets,
     _one_period_deflator,
     _require_positive,
 )
@@ -60,24 +62,26 @@ from filtration_lab.errors import (
     NotPredictable,
     PartitionNotMeasurable,
 )
-from filtration_lab.linalg import (
-    dot,
-    gram_schmidt,
-    invert,
-    mat_mul,
-    null_space,
-    transpose,
-)
-from filtration_lab.rationals import to_fraction
+from filtration_lab.linalg import gram_schmidt, null_space
+from filtration_lab.rationals import as_fractions, to_fraction
 from filtration_lab.representation import (
     ReconstructedBasis,
     check_mrp,
     conditional_multiplicity,
 )
 from filtration_lab.tree import Atom, FilteredTree, as_filtration
+from linalg_reference import dot, invert, mat_mul, transpose
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def _atoms_within(filtration, t, leaves):
+    """Distinct time-t atoms holding the given leaves, in first-leaf order:
+    the reference's own leaf scan, apart from the atom index it checks."""
+    part = filtration.partition(t)
+    return tuple(part.atoms[k]
+                 for k in dict.fromkeys(part.block_of[leaf] for leaf in leaves))
 
 
 def bracket(x: Process, y: Process) -> Process:
@@ -157,7 +161,7 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
 def _slot_indicator_table(mu, nu, cs, k):
     """u_k = gauge_k(x) on {x = alpha_k}, zero on the other charged points."""
     entries = {}
-    gauge = cs.gauges[k]
+    gauge = l1_gauge
     for (t, label), dist in nu.entries.items():
         menu = cs.slot_values(t, label)
         for value in dist:
@@ -206,7 +210,7 @@ def star_to_dot(g: JumpFunction, mu: JumpMeasure, cs: ConstraintSystem):
                 if value is None:
                     vec.append(ZERO)
                     continue
-                scale = cs.gauges[k](value)
+                scale = l1_gauge(value)
                 vec.append(ZERO if scale == 0
                            else g.value(t, atom.leaves[0], value) / scale)
             vec = tuple(vec)
@@ -395,7 +399,7 @@ def _compensate(filtration: Filtration, dim: int, step) -> Process:
             for i, vec in zip(atom.leaves, moved):
                 row[i] = vec
         data.append(row)
-    return Process._from_rows(tree, data, dim)
+    return Process(tree, data, dim)
 
 
 def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
@@ -489,8 +493,8 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                            for leaf in range(tree.n_leaves)])
     return _AccessiblePlan(
         cells=tuple(cells),
-        martingales=Process._from_rows(tree, y_data, count),
-        scale=Process._from_rows(tree, scale_data, 1))
+        martingales=Process(tree, y_data, count),
+        scale=Process(tree, scale_data, 1))
 
 
 def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
@@ -573,7 +577,7 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
                         for h in range(width))
                     row[i] = tuple(a + b for a, b in zip(prev, step))
         data.append(row)
-    process = Process._from_rows(tree, data, width)
+    process = Process(tree, data, width)
     return ReconstructedBasis(process=process, witnesses=tuple(witnesses), d=d)
 
 
@@ -614,8 +618,8 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                     f"frame at atom {node.id} has {len(epsilons)} directions")
             frames[(t, node.id)] = epsilons
             sub_records = []
-            node_of = tree.nodes_by_leaf(t).__getitem__
-            for sub in filtration.atoms_within(t - 1, node.leaves()):
+            node_of = [tree.node_at(t, i) for i in range(tree.n_leaves)].__getitem__
+            for sub in _atoms_within(filtration, t - 1, node.leaves()):
                 # class h is the time-t node wit.subatoms[h]; padding is empty
                 law = {child.id: p for child, p in
                        conditional_law(tree, sub, node_of).items()}
@@ -640,12 +644,13 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                                  zip(n_data[t - 1][i], steps))
         n_data.append(n_row)
 
-    n = Process._from_rows(tree, n_data, basis.d)
+    n = Process(tree, n_data, basis.d)
     phi = Process._predictable(filtration, basis.d,
                                lambda t, sub: phis[(t, sub.label)])
 
     holds = all(
-        _multiplier_identity(phi, n, x2.component(h), filtration)
+        _multiplier_identity(phi, _n_brackets(n, x2.component(h)),
+                             x2.component(h), filtration)
         for h in range(width))
     return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
                               holds=holds, basis=basis)
@@ -673,7 +678,7 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     factors = {}
     for t in range(1, tree.horizon + 1):
         for atom in filtration.atoms(t - 1):
-            subs = filtration.atoms_within(t, atom.leaves)
+            subs = _atoms_within(filtration, t, atom.leaves)
             q = [sub.prob / atom.prob for sub in subs]
             s_prev = s.values[t - 1][atom.leaves[0]][0]
             moves = [s.values[t][sub.leaves[0]][0] - s_prev for sub in subs]
@@ -713,7 +718,7 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
             for i in atom.leaves:
                 row[i] = (data[t - 1][i][0] * y,)
         data.append(row)
-    deflator = Deflator(process=Process._from_rows(tree, data, 1), target=s)
+    deflator = Deflator(process=Process(tree, data, 1), target=s)
     return DeflatorSearch(feasible=True, deflator=deflator,
                           violations=(), audit=tuple(audit))
 
@@ -892,8 +897,9 @@ def covariance_kernel(enlargement_like, basis, time: int,
     node = tree.nodes[atom_label]
     sub_checks = []
     holds = kernel_matches
-    for sub in filtration.atoms_within(time - 1, node.leaves()):
-        _, m = _increment_moments(x2, time, sub)
+    for sub in _atoms_within(filtration, time - 1, node.leaves()):
+        *_, cov_den, cov = _moment_sums(x2, time, sub)
+        m = [list(as_fractions(cov_den, row)) for row in cov]
         back = mat_mul(m, jc)
         ok = back == m
         sub_checks.append((sub.label, ok))

@@ -59,7 +59,7 @@ from filtration_lab.fuzz import (
     undersized_basis,
     widest_branching,
 )
-from filtration_lab.linalg import invert, null_space, rank
+from filtration_lab.linalg import null_space, rank, right_inverse
 from filtration_lab.tree import random_tree
 
 CORPUS_SIZE = 100
@@ -134,7 +134,7 @@ def test_criterion_02_accessible_conversions(corpus):
         while True:
             mix = [[F(rng.randrange(-3, 4)) for _ in range(n - 1)]
                    for _ in range(n - 1)]
-            if invert(mix) is not None:
+            if right_inverse(mix) is not None:
                 break
         gamma = [[sum(base[k][j] * mix[j][i2] for j in range(n - 1))
                   for i2 in range(n - 1)] for k in range(n)]

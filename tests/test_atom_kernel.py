@@ -64,7 +64,7 @@ def partial_means(atom, nodes, part, cells):
     node_of = cut.index_in(nodes)
     return [(node_of[k], tuple(cut.atoms[k].prob / atom.prob * c for c in
                                conditional_mean(cut.atoms[k], part, cells)))
-            for k in cut.inside(atom)]
+            for k in dict.fromkeys(cut.block_of[leaf] for leaf in atom.leaves)]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

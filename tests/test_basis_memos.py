@@ -6,6 +6,7 @@ with the per-call paths they replaced, and die with their basis."""
 import dataclasses
 import gc
 import weakref
+from fractions import Fraction as F
 
 import pytest
 
@@ -161,6 +162,24 @@ def test_outside_the_span_raises_as_the_walk_does():
         assert new == error_fields(walk_coefficient, x, w)
         found += new is not None
     assert found >= 10
+
+
+def test_multiplier_check_raises_as_the_coefficient_does(two_step):
+    """verify_drift_multiplier runs only the span test, and an x outside a
+    hand-built basis's span fails it with the coefficient's error."""
+    w = Process.from_node_values(two_step, {
+        "r": 0, "u": 1, "d": -1, "uu": 2, "ud": 0, "du": 0, "dm": -1, "dd": -2})
+    x = Process.from_node_values(two_step, {
+        "r": 0, "u": 0, "d": 0, "uu": 0, "ud": 0, "du": 1, "dm": -1, "dd": 0})
+    zero = Process.zero(two_step, 1)
+    solution = enlargement.MultiplierSolution(
+        n=zero, phi=zero, slots=(), holds=True,
+        basis=representation.ReconstructedBasis(process=w, witnesses=(), d=1))
+    new = error_fields(enlargement.verify_drift_multiplier, solution, x,
+                       two_step)
+    assert new[1:] == (2, "d", (F(1), F(-1), F(0)))
+    assert new == error_fields(representation_coefficient, x, w)
+    assert new == error_fields(walk_coefficient, x, w)
 
 
 def test_memos_die_with_the_basis():

@@ -21,6 +21,7 @@ from filtration_lab.constraint import (
     detect_fpcc,
     expand_integrand,
     jump_supports_disjoint,
+    l1_gauge,
     slot_events_disjoint,
     solve_accessible_K,
     solve_inaccessible_K,
@@ -140,7 +141,7 @@ class TestStarToDot:
         cs = detect_fpcc(mu)
         xs = constraint_martingales(mu, cs)
         alpha = cs.slots[(1, "r")][1]
-        gauge = cs.gauges[1]
+        gauge = l1_gauge
         g = JumpFunction.from_callable(
             mu, ter1, lambda t, v: gauge(v) if v == alpha else 0)
         h, certificate = star_to_dot(g, mu, cs)
@@ -225,6 +226,17 @@ class TestAccessibleStarToDot:
         mu = jump_measure(w_ter)
         slots = [AccessibleSlot(tau=1, classes=(["a"], ["b"], ["zz"]))]
         with pytest.raises(PartitionNotMeasurable):
+            accessible_star_to_dot(
+                JumpFunction.from_callable(mu, w_ter.tree, lambda t, v: 1),
+                mu, slots)
+
+    @pytest.mark.parametrize("classes", [(["a"], [True], ["c"]),
+                                         ([False], ["b"], ["c"])])
+    def test_bool_leaf_rejected(self, w_ter, classes):
+        # True and False are ints, but not leaf indices (b and a here)
+        mu = jump_measure(w_ter)
+        slots = [AccessibleSlot(tau=1, classes=classes)]
+        with pytest.raises(PartitionNotMeasurable, match="neither"):
             accessible_star_to_dot(
                 JumpFunction.from_callable(mu, w_ter.tree, lambda t, v: 1),
                 mu, slots)

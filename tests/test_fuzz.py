@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from filtration_lab.calculus import decompose
+from filtration_lab.calculus import Process, decompose
 from filtration_lab.fuzz import (
     random_basis,
     random_enlargement,
@@ -186,3 +186,32 @@ def test_enlargement_matches_scan_on_full_trees(shape):
     tree = full_tree(*shape)
     for seed in range(4):
         assert same_draws(tree, seed, "enlargement", "G0")
+
+
+def fraction_increasing(tree, rng):
+    """random_increasing as it was: a Fraction node table, each time-t node
+    its parent's value plus a step drawn in node order."""
+    node_values = {tree.root.id: F(0)}
+    for t in range(1, tree.horizon + 1):
+        for node in tree.nodes_at[t]:
+            if rng.random() < F(1, 2):
+                step = F(rng.randint(1, 3), rng.randint(1, 2))
+            else:
+                step = F(0)
+            node_values[node.id] = node_values[node.parent.id] + step
+    return Process.from_node_values(tree, node_values, dim=1)
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_increasing_matches_fraction_builder(seed):
+    """Same values and the stream left at the same point, on the fuzz trees
+    and on the consistency check's streams."""
+    for tree in (random_scenario(seed).tree,
+                 random_tree(seed, horizon=3, max_branching=4)):
+        for labels in ((seed, "consistency", "G0"), (seed, "a")):
+            new_rng, old_rng = rng_for(*labels), rng_for(*labels)
+            new = random_increasing(tree, new_rng)
+            old = fraction_increasing(tree, old_rng)
+            assert new.node_values() == old.node_values()
+            assert new == old
+            assert new_rng.random() == old_rng.random()

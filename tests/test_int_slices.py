@@ -28,7 +28,7 @@ from filtration_lab import (
     solve_drift_multiplier,
     star_integral,
 )
-from filtration_lab.enlargement import _phi_bracket, doleans_exponential
+from filtration_lab.enlargement import _n_brackets, doleans_exponential
 from filtration_lab.errors import DimensionMismatch, NoRepresentation
 from filtration_lab.fuzz import (
     random_enlargement,
@@ -236,7 +236,9 @@ def test_batched_phi_bracket_matches_fraction_walk(seed):
         solution = solve_drift_multiplier(filtration, rebuilt)
         assert solution.holds
         for x in xs:
-            assert same(_phi_bracket(solution.phi, solution.n, x, filtration),
+            batched = dot_integral(solution.phi, _n_brackets(solution.n, x),
+                                   filtration)
+            assert same(batched,
                         ref_phi_bracket(solution.phi, solution.n, x, filtration))
 
 

@@ -38,7 +38,7 @@ from filtration_lab.constraint import (
     _plan_accessible,
     value_slots_from_measure,
 )
-from filtration_lab.enlargement import _increment_moments
+from filtration_lab.enlargement import _moment_sums
 from filtration_lab.errors import (
     DimensionMismatch,
     FiltrationLabError,
@@ -51,9 +51,9 @@ from filtration_lab.errors import (
 )
 from filtration_lab.fuzz import random_increasing, random_scenario, rng_for
 from filtration_lab.linalg import solve
-from filtration_lab.rationals import to_fraction
+from filtration_lab.rationals import as_fractions, to_fraction
 from filtration_lab.tree import as_filtration, conditional_expectation_leafwise
-from integral_reference import Shared
+from integral_reference import Shared, _atoms_within
 
 F = Fraction
 ZERO = Fraction(0)
@@ -256,7 +256,7 @@ def old_class_probs(tree, atom, classes):
 
 def old_deflator_weights(filtration, t, atom):
     """find_deflator's q."""
-    subs = filtration.atoms_within(t, atom.leaves)
+    subs = _atoms_within(filtration, t, atom.leaves)
     q = [sub.prob / atom.prob for sub in subs]
     return q
 
@@ -580,16 +580,18 @@ def test_multiplier_and_covariance_moments(seed):
         solution = solve_drift_multiplier(filtration, rebuilt)
         for slot in solution.slots:
             wit = by_slot[(slot.time, slot.atom)]
-            subs = filtration.atoms_within(slot.time - 1,
-                                           tree.nodes[slot.atom].leaves())
+            subs = _atoms_within(filtration, slot.time - 1,
+                                 tree.nodes[slot.atom].leaves())
             assert [list(r.p_bar) for r in slot.sub_records] == \
                 [old_p_bar(tree, wit, sub, width) for sub in subs]
             for sub in subs:
                 for x in xs:
-                    mean, m = _increment_moments(x, slot.time, sub)
+                    mean_den, mean, cov_den, cov = _moment_sums(
+                        x, slot.time, sub)
+                    m = [list(as_fractions(cov_den, row)) for row in cov]
                     old_mean, old_m = old_increment_moments(
                         tree, x, slot.time, sub, width)
-                    assert list(mean) == old_mean
+                    assert list(as_fractions(mean_den, mean)) == old_mean
                     assert m == old_m
 
 

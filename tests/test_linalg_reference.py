@@ -23,8 +23,7 @@ from filtration_lab.fuzz import random_scenario
 
 F = Fraction
 SEEDS = range(50)
-PUBLIC = ("dot", "mat_mul", "rank", "solve", "null_space", "invert",
-          "right_inverse", "gram_schmidt")
+PUBLIC = ("rank", "solve", "null_space", "right_inverse", "gram_schmidt")
 
 
 def outcome(fn, *args):
@@ -52,22 +51,14 @@ def agree(name, *args):
 
 def battery(matrix):
     """Every public function, on the matrix and on inputs formed from it."""
-    ncols = len(matrix[0]) if matrix else 0
-    for name in ("rank", "null_space", "invert", "right_inverse", "gram_schmidt"):
+    for name in ("rank", "null_space", "right_inverse", "gram_schmidt"):
         agree(name, matrix)
     transposed = ref.transpose(matrix)
-    agree("mat_mul", matrix, transposed)
-    agree("mat_mul", transposed, matrix)
     agree("gram_schmidt", transposed)
     agree("right_inverse", transposed)
     agree("null_space", transposed)
-    ramp = [F(j + 1, 2) for j in range(ncols)]
     agree("solve", matrix, [sum(row, start=F(0)) for row in matrix])
     agree("solve", matrix, [F(int(i == 0)) for i in range(len(matrix))])
-    for row in matrix:
-        agree("dot", row, row)
-        agree("dot", row, ramp)
-        agree("dot", row, ramp[1:])
 
 
 # --- Hypothesis matrices ---------------------------------------------------
@@ -111,11 +102,9 @@ def test_hypothesis_matrices_match_reference(matrix):
 @settings(max_examples=100, deadline=None)
 @given(matrices(), matrices())
 def test_products_of_two_matrices_match_reference(a, b):
-    agree("mat_mul", a, b)
+    # the second matrix's first row is a right-hand side of any length
     if b:
         agree("solve", a, b[0])
-        if a:
-            agree("dot", a[0], b[0])
 
 
 @pytest.mark.parametrize("matrix", [

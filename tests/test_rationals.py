@@ -8,7 +8,6 @@ import pytest
 from filtration_lab.errors import DimensionMismatch, ParseError
 from filtration_lab.rationals import (
     as_fractions,
-    format_rational,
     gathered,
     over_common_denominator,
     reduced,
@@ -36,11 +35,6 @@ def test_rejects_garbage_strings():
         to_fraction("1/0")
     with pytest.raises(ParseError):
         to_fraction("one half")
-
-
-def test_format_round_trip():
-    for text in ["0", "1", "-3/4", "22/7"]:
-        assert format_rational(to_fraction(text)) == text
 
 
 def test_cells_over_one_reduced_denominator():

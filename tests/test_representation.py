@@ -11,7 +11,7 @@ from filtration_lab import (
     dot_integral,
     jump_measure,
 )
-from filtration_lab.constraint import slot_events_disjoint
+from filtration_lab.constraint import l1_gauge, slot_events_disjoint
 from filtration_lab.errors import (
     ConstraintMismatch,
     NoRepresentation,
@@ -198,7 +198,7 @@ class TestOrthogonalize:
         xo = orthogonalize(m)
         k = 1
         alpha = cs.slots[(1, "r")][k]
-        gauge_value = cs.gauges[k](alpha)
+        gauge_value = l1_gauge(alpha)
         # integrand picking slot k: dot against X recovers component k
         hk = Process.from_node_values(
             ter1,

@@ -145,6 +145,8 @@ class TestEnlarge:
 
 
 class TestAtomsWithin:
+    """Partition.pieces, the one atom index, against a subset scan."""
+
     def test_matches_subset_scan(self):
         for seed in range(30):
             scenario = random_scenario(seed)
@@ -156,13 +158,10 @@ class TestAtomsWithin:
                     for coarse in (tree.base_filtration(), fine):
                         for atom in coarse.atoms(t - 1):
                             inside = set(atom.leaves)
-                            scan = tuple(sub for sub in fine.atoms(t)
+                            scan = tuple((sub.index, sub.mass)
+                                         for sub in fine.atoms(t)
                                          if set(sub.leaves) <= inside)
-                            assert fine.atoms_within(t, atom.leaves) == scan
-
-    def test_time_out_of_range(self, bin1):
-        with pytest.raises(TimeOutOfRange):
-            bin1.base_filtration().atoms_within(2, [0])
+                            assert fine.parts[t].pieces(atom) == scan
 
 
 class TestRandomTree:
