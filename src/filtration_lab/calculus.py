@@ -23,7 +23,7 @@ per (measure, filtration), and each measure its compensators per filtration.
 
 Library code builds its processes through four trusted constructors that
 skip the validation outside input gets: _make takes partitions and int
-slices it made itself, _predictable one value per conditioning atom,
+slices it made itself, _predictable one int vector per conditioning atom,
 _accumulate a running sum (or product) X_t = X_{t-1} + I_t of increment
 slices along each path, and _compensated_classes weighted class indicators
 minus their conditional probabilities. Every path-cumulative process (the
@@ -56,6 +56,7 @@ from .rationals import (
     as_fractions,
     gathered,
     over_common_denominator,
+    over_lcm,
     reduced,
     to_fraction,
 )
@@ -145,24 +146,15 @@ class Process:
         return self
 
     @classmethod
-    def _from_cells(cls, tree, parts, rows, dim):
-        """Trusted build from one partition per time and, per time, one
-        tuple of dim rationals per block."""
-        return cls._make(tree, [(part, *over_common_denominator(row))
-                                for part, row in zip(parts, rows)], dim)
-
-    @classmethod
-    def _predictable(cls, filtration: Filtration, dim: int, value_of):
-        """Trusted build of the process null at 0 holding value_of(t, atom),
-        a tuple of dim rationals, on each time-(t-1) atom for t >= 1."""
+    def _predictable(cls, filtration: Filtration, dim: int, cell_of):
+        """Trusted build of the process null at 0 holding cell_of(t, atom),
+        one vector of dim int numerators as (den, nums) with den > 0, on
+        each time-(t-1) atom for t >= 1; called in time, then atom order."""
         tree = filtration.tree
         parts = filtration.parts
-        return cls._from_cells(
-            tree, (tree.base_filtration().parts[0],) + parts[:-1],
-            [((0,) * dim,)] + [
-                [value_of(t, atom) for atom in parts[t - 1].atoms]
-                for t in range(1, tree.horizon + 1)],
-            dim)
+        return cls._make(tree, [(tree.base_filtration().parts[0], 1, ((0,) * dim,))] + [
+            (parts[t - 1], *gathered([cell_of(t, atom) for atom in parts[t - 1].atoms]))
+            for t in range(1, tree.horizon + 1)], dim)
 
     @classmethod
     def _accumulate(cls, tree, start, increments_at, product=False):
@@ -192,8 +184,9 @@ class Process:
         (part, kind, weights): part refines the time-(t-1) partition, kind[k]
         is block k's class in range(dim) or None, and weights[i] the dim slot
         weights of the i-th time-(t-1) atom, or None where the family stays
-        put. Class c moves component j by w_j (1{c = j} - P(class j | atom));
-        blocks of one class under one atom share the step."""
+        put, as int numerators (den, nums). Class c moves component j by
+        w_j (1{c = j} - P(class j | atom)); blocks of one class under one atom
+        share the step."""
         still = (1, (0,) * dim)
 
         def increments_at(t):
@@ -207,7 +200,7 @@ class Process:
                 for k, m in pieces:
                     if kind[k] is not None:
                         masses[kind[k]] += m
-                wden, (wnum,) = over_common_denominator([w])
+                wden, wnum = w
                 total = atom.mass
                 den = wden * total
                 steps = {c: (den, tuple(wj * ((total if j == c else 0) - mj)
@@ -244,7 +237,8 @@ class Process:
         cells, found = _coerce([[v if isinstance(v, (list, tuple)) else (v,)
                                  for v in (node_values[node.id] for node in nodes)]
                                 for nodes in tree.nodes_at], dim)
-        return cls._from_cells(tree, tree.base_filtration().parts, cells, found)
+        return cls._make(tree, [(part, *over_common_denominator(row)) for part, row
+                                in zip(tree.base_filtration().parts, cells)], found)
 
     @classmethod
     def doob(cls, tree, terminal, filtration=None):
@@ -680,23 +674,26 @@ class JumpFunction:
     def __init__(self, filtration: Filtration, entries: dict):
         """entries: {(t, atom label, location vector): value}."""
         intern = filtration.tree.location_id
-        self._fill(filtration, [((t, label, intern(tuple(value))), to_fraction(g))
-                                for (t, label, value), g in entries.items()])
+        self._fill(filtration, [
+            ((t, label, intern(tuple(value))), to_fraction(g).as_integer_ratio())
+            for (t, label, value), g in entries.items()])
 
     @classmethod
-    def _from_ids(cls, filtration: Filtration, items):
-        """Trusted build from ((t, atom label, location id), Fraction) pairs."""
+    def _from_ratios(cls, filtration: Filtration, items):
+        """Trusted build from ((t, atom label, location id), (num, den))
+        pairs, each den positive."""
         self = cls.__new__(cls)
         self._fill(filtration, items)
         return self
 
     def _fill(self, filtration, items):
         by_time: dict[int, dict] = {}
-        for (t, label, loc), g in items:
-            by_time.setdefault(t, {})[(label, loc)] = g
+        for (t, label, loc), ratio in items:
+            by_time.setdefault(t, {})[(label, loc)] = ratio
         self.filtration, self._tables = filtration, {}
         for t, values in by_time.items():
-            den, (nums,) = over_common_denominator([tuple(values.values())])
+            den, nums = over_lcm(list(values.values()))
+            den, (nums,) = reduced(den, (nums,))
             self._tables[t] = (den, dict(zip(values, nums)))
         self._star_integrals: dict[tuple[JumpMeasure, Filtration], Process] = {}
 
@@ -706,8 +703,8 @@ class JumpFunction:
         compensator under the given filtration."""
         filtration = as_filtration(filtration_like)
         locations = mu.tree.locations
-        return cls._from_ids(filtration, [
-            ((t, label, loc), to_fraction(fn(t, locations[loc])))
+        return cls._from_ratios(filtration, [
+            ((t, label, loc), to_fraction(fn(t, locations[loc])).as_integer_ratio())
             for (t, label), (_, law) in mu.compensator(filtration).laws.items()
             for loc, _ in law])
 
@@ -733,13 +730,18 @@ class JumpFunction:
                 f"no entry at time {t}, atom {label}, location {location}")
         return num
 
+    def _ratio(self, t, leaf, loc) -> tuple[int, int]:
+        """g at time t on the path through the leaf, at a location id, as
+        (numerator, den): read on the leaf's time-(t-1) atom of the
+        anchoring filtration."""
+        label = self.filtration.conditioning_atom_of(t, leaf).label
+        return self._numerator(t, label, loc), self._tables[t][0]
+
     def value(self, t, leaf, location) -> Fraction:
         """g at time t on the path through the leaf, read on its time-(t-1)
         atom of the anchoring filtration."""
-        label = self.filtration.conditioning_atom_of(t, leaf).label
-        num = self._numerator(t, label,
-                              self.filtration.tree.location_id(tuple(location)))
-        return Fraction(num, self._tables[t][0])
+        return Fraction(*self._ratio(
+            t, leaf, self.filtration.tree.location_id(tuple(location))))
 
 
 def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
@@ -814,6 +816,7 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
                 num[loc] += total * mass if weight == 1 else total
         rest = atom.mass - sum(m for _, m in law)  # of the non-jumping paths
         correction = 0 if rest == 0 else Fraction(sum(num.values()), den * rest)
-        items += [((t, label, loc), Fraction(num[loc], den * m) + correction)
+        items += [((t, label, loc),
+                   (Fraction(num[loc], den * m) + correction).as_integer_ratio())
                   for loc, m in law]
-    return JumpFunction._from_ids(filtration, items)
+    return JumpFunction._from_ratios(filtration, items)

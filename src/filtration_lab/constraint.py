@@ -18,6 +18,9 @@ each accessible set-up (validated slots, class locations, the class
 martingales Y and the scale G) per filtration and normalized slot content.
 The star side comes from star_integral's own memo on g, so star_to_dot and
 accessible_star_to_dot share it; the processes share vectors across leaves.
+Menus and class locations are held as the tree's location ids, so the
+integrands read g's int table by id and are built on ints, as is the table
+expand_integrand rebuilds.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from .errors import (
     VanishingWeight,
 )
 from .linalg import right_inverse, solve
-from .rationals import to_fraction
+from .rationals import over_lcm, to_fraction
 from .tree import StoppingTime, as_filtration
 
 ZERO = Fraction(0)
@@ -56,8 +59,8 @@ def l1_gauge(x) -> Fraction:
     Bounded, vanishes only at 0, and |gauge(x)| <= (|x| and 1) with constant
     1, which keeps every constraint martingale increment in [-2, 2].
     """
-    total = sum((abs(c) for c in x), start=ZERO)
-    return total if total < 1 else Fraction(1)
+    den, nums = over_lcm([c.as_integer_ratio() for c in x])
+    return Fraction(min(sum(map(abs, nums)), den), den)
 
 
 class ConstraintSystem:
@@ -65,36 +68,61 @@ class ConstraintSystem:
 
     slots maps (t, conditioning atom label) to an n-tuple of location
     vectors; empty slots hold None so that n stays uniform across atoms.
-    Every slot is gauged by l1_gauge.
+    Every slot is gauged by l1_gauge. Each menu is also kept as the tree's
+    location ids and its gauges as int ratios (num, den), (0, 1) on empty
+    slots.
     """
 
     def __init__(self, filtration, dim, n, slots):
-        self.filtration = filtration
-        self.dim = dim
-        self.n = n
-        self.slots = dict(slots)
-        self._weights = {}  # slot_weights per slot row
-        for key, values in self.slots.items():
+        intern = filtration.tree.location_id
+        self._fill(filtration, dim, n, {
+            key: (values, [None if value is None else intern(tuple(value))
+                           for value in values])
+            for key, values in slots.items()})
+
+    @classmethod
+    def _from_ids(cls, filtration, dim, n, menus):
+        """Build from menus of the tree's location ids, None on empty
+        slots, without hashing a location vector."""
+        locations = filtration.tree.locations
+        self = cls.__new__(cls)
+        self._fill(filtration, dim, n, {
+            key: (tuple(None if loc is None else locations[loc] for loc in ids), ids)
+            for key, ids in menus.items()})
+        return self
+
+    def _fill(self, filtration, dim, n, rows):
+        """rows: {(t, label): (location vectors, their ids)}."""
+        self.filtration, self.dim, self.n = filtration, dim, n
+        self.slots = {}
+        self._menus = {}  # per slot row: (location ids, gauges as int ratios)
+        for key, (values, ids) in rows.items():
             if len(values) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
-            weights = []
-            for k, value in enumerate(values):
-                weights.append(ZERO if value is None else l1_gauge(value))
-                if value is not None and weights[-1] == 0:
+            gauges = []
+            for k, (value, loc) in enumerate(zip(values, ids)):
+                gauge = ZERO if value is None else l1_gauge(value)
+                if value is not None and gauge == 0:
                     raise ConstraintMismatch(
                         f"gauge vanishes on the slot value {value} at {key}")
-                if value is not None and value in values[:k]:
+                if loc is not None and loc in ids[:k]:
                     raise ConstraintMismatch(
                         f"menu at {key} lists the location {value} twice")
-            self._weights[key] = tuple(weights)
+                gauges.append(gauge.as_integer_ratio())
+            self.slots[key] = values
+            self._menus[key] = (tuple(ids), tuple(gauges))
         self._martingales: dict[JumpMeasure, Process] = {}
+
+    def _menu(self, t, label):
+        """(location ids, gauges as int ratios) of the menu at (t, label)."""
+        return self._menus.get((t, label)) or ((None,) * self.n, ((0, 1),) * self.n)
 
     def slot_values(self, t, label):
         return self.slots.get((t, label), tuple([None] * self.n))
 
     def slot_weights(self, t, label):
         """gauge_k(alpha_k) per slot at (t, label), 0 on empty slots."""
-        return self._weights.get((t, label), (ZERO,) * self.n)
+        return tuple(Fraction(*gauge) for gauge in self._menu(t, label)[1])
 
     def slot_of(self, t, label, value):
         """The menu index of a location, or ConstraintMismatch."""
@@ -105,13 +133,18 @@ class ConstraintSystem:
         return menu.index(value)
 
     def integrand(self, coefficient) -> Process:
-        """Predictable H with H_k = coefficient(t, atom, alpha_k) /
-        gauge_k(alpha_k) on nonempty slots and 0 elsewhere."""
+        """Predictable H with H_k = coefficient(t, atom, id of alpha_k) /
+        gauge_k(alpha_k) on nonempty slots and 0 elsewhere; coefficient
+        gives an int ratio (num, den) with den > 0."""
         def at(t, atom):
-            return tuple(ZERO if value is None
-                         else to_fraction(coefficient(t, atom, value) / w)
-                         for value, w in zip(self.slot_values(t, atom.label),
-                                             self.slot_weights(t, atom.label)))
+            ratios = []
+            for loc, (gn, gd) in zip(*self._menu(t, atom.label)):
+                if loc is None:
+                    ratios.append((0, 1))
+                else:
+                    num, den = coefficient(t, atom, loc)
+                    ratios.append((num * gd, den * gn))
+            return over_lcm(ratios)
 
         return Process._predictable(self.filtration, self.n, at)
 
@@ -136,12 +169,12 @@ def detect_fpcc(mu: JumpMeasure, filtration_like=None) -> ConstraintSystem:
     count over atoms and shorter menus keep trailing empty slots.
     """
     filtration = as_filtration(filtration_like or mu.tree)
-    nu = mu.compensator(filtration)
-    menus = {key: tuple(nu.charged(*key)) for key in nu.laws}
+    locations = mu.tree.locations
+    menus = {key: sorted([loc for loc, _ in law], key=locations.__getitem__)
+             for key, (_, law) in mu.compensator(filtration).laws.items()}
     n = max((len(m) for m in menus.values()), default=0)
-    slots = {key: menu + tuple([None] * (n - len(menu)))
-             for key, menu in menus.items()}
-    return ConstraintSystem(filtration, mu.dim, n, slots)
+    return ConstraintSystem._from_ids(filtration, mu.dim, n, {
+        key: tuple(menu) + (None,) * (n - len(menu)) for key, menu in menus.items()})
 
 
 def constraint_martingales(mu: JumpMeasure, cs: ConstraintSystem) -> Process:
@@ -164,8 +197,8 @@ def constraint_martingales(mu: JumpMeasure, cs: ConstraintSystem) -> Process:
                 jump = mu.jump_at(t, block.leaves[0])
                 kind.append(None if jump is None
                             else cs.slot_of(t, atoms.atoms[k].label, jump))
-            return part, kind, [cs.slot_weights(t, atom.label)
-                                if (t, atom.label) in cs.slots else None
+            return part, kind, [over_lcm(cs._menus[(t, atom.label)][1])
+                                if (t, atom.label) in cs._menus else None
                                 for atom in atoms.atoms]
 
         cs._martingales[mu] = Process._compensated_classes(filtration, cs.n, classes_at)
@@ -189,7 +222,7 @@ def star_to_dot(g: JumpFunction, mu: JumpMeasure, cs: ConstraintSystem):
     """
     filtration = cs.filtration
     x = constraint_martingales(mu, cs)
-    h = cs.integrand(lambda t, atom, value: g.value(t, atom.leaves[0], value))
+    h = cs.integrand(lambda t, atom, loc: g._ratio(t, atom.leaves[0], loc))
 
     star = star_integral(g, mu, filtration)
     dot = dot_integral(h, x, filtration)
@@ -211,15 +244,24 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
         raise DimensionMismatch(f"integrand dim {h.dim}, constraint count {cs.n}")
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
+    if mu.tree is not filtration.tree:
+        raise ConstraintMismatch("measure and constraint system on different trees")
     locations = mu.tree.locations
     items = []
     for (t, label), (_, law) in mu.compensator(filtration).laws.items():
-        hv = h.at(t, filtration.atom_labelled(t - 1, label).leaves[0])
-        weights = cs.slot_weights(t, label)  # gauge_k of the k-th location
+        # H at the atom, from h's int slice
+        leaf = filtration.atom_labelled(t - 1, label).leaves[0]
+        cell = h.nums[t][h.parts[t].block_of[leaf]]
+        ids, gauges = cs._menu(t, label)
         for loc, _ in law:
-            k = cs.slot_of(t, label, locations[loc])
-            items.append(((t, label, loc), hv[k] * weights[k]))
-    return JumpFunction._from_ids(filtration, items)
+            if loc not in ids:
+                raise ConstraintMismatch(
+                    f"location {locations[loc]} at time {t}, atom {label} "
+                    "is outside the constraint menu")
+            k = ids.index(loc)
+            gn, gd = gauges[k]
+            items.append(((t, label, loc), (cell[k] * gn, h.dens[t] * gd)))
+    return JumpFunction._from_ratios(filtration, items)
 
 
 def jump_supports_disjoint(x: Process) -> bool:
@@ -333,17 +375,25 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
     plan = mu.derived(("accessible", filtration, content),
                       lambda: _plan_accessible(mu, filtration, rows, count))
 
-    off_graph = ((None,) * count, 1)  # no class jumps, unit weight
+    off_graph = ((None,) * count, (1, 1))  # no class jumps, unit weight
 
     def h_at(t, atom):
-        locations, _ = plan.cells[t].get(atom.label, off_graph)
-        return tuple(ZERO if loc is None else g.value(t, atom.leaves[0], loc)
-                     for loc in locations)
+        ids, _ = plan.cells[t].get(atom.label, off_graph)
+        return g._tables.get(t, (1,))[0], tuple([
+            0 if loc is None else g._ratio(t, atom.leaves[0], loc)[0]
+            for loc in ids])
 
     h = Process._predictable(filtration, count, h_at)
-    gh = Process._predictable(filtration, count, lambda t, atom: tuple(
-        v / plan.cells[t].get(atom.label, off_graph)[1]
-        for v in h.at(t, atom.leaves[0])))
+
+    def gh_at(t, atom):
+        # h's cell over its denominator times the slot weight, kept positive
+        _, (wn, wd) = plan.cells[t].get(atom.label, off_graph)
+        if wn < 0:
+            wn, wd = -wn, -wd
+        return h.dens[t] * wn, tuple([
+            n * wd for n in h.nums[t][h.parts[t].block_of[atom.leaves[0]]]])
+
+    gh = Process._predictable(filtration, count, gh_at)
 
     star = star_integral(g, mu, filtration)
     dot = dot_integral(gh, plan.martingales, filtration)
@@ -359,8 +409,8 @@ class _AccessiblePlan:
     """The g-independent side of an accessible conversion.
 
     cells[t] maps the label of each conditioning atom on a slot graph at t
-    to its class locations (None where the class does not jump) and the
-    slot weight.
+    to its class locations, as the tree's location ids (None where the
+    class does not jump), and the slot weight as an int ratio (num, den).
     """
     cells: tuple
     martingales: Process
@@ -420,28 +470,32 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
         weights = []  # None off the slot graphs
         for atom in filtration.atoms(t - 1):
             idx = occupied.get((t, atom.leaves[0]))
-            weights.append(None if idx is None else (rows[idx][2],) * count)
             if idx is None:
+                weights.append(None)
                 continue
+            num, den = ratio = rows[idx][2].as_integer_ratio()
+            weights.append((den, (num,) * count))
             values = [set() for _ in range(count)]
             for k, _ in children.pieces(atom):
                 leaf = children.atoms[k].leaves[0]
                 kind[k] = c = class_of[idx][leaf]
                 if c is not None:
-                    values[c].add(mu.jump_at(t, leaf))
+                    values[c].add(mu._jump_ids.get(tree.node_at(t, leaf).id))
             for k, found in enumerate(values):
                 if len(found) > 1:
                     raise ConstraintMismatch(
                         f"class {k} mixes jump locations on atom "
                         f"{atom.label} at time {t}")
             cells_t[atom.label] = (
-                tuple(found.pop() if found else None for found in values),
-                rows[idx][2])
+                tuple(found.pop() if found else None for found in values), ratio)
         cells.append(cells_t)
         classes_at.append((children, kind, weights))
 
-    none = (ZERO,)
-    inverse = [(1 / weight,) for _, _, weight in rows]
+    none = (1, (0,))
+    inverse = []  # 1 / weight per slot, over a positive denominator
+    for _, _, weight in rows:
+        num, den = weight.as_integer_ratio()
+        inverse.append((num, (den,)) if num > 0 else (-num, (-den,)))
     return _AccessiblePlan(
         cells=tuple(cells),
         martingales=Process._compensated_classes(filtration, count,

@@ -42,6 +42,7 @@ from .linalg import null_space
 from .rationals import (
     gathered,
     over_common_denominator,
+    over_lcm,
     to_fraction,
 )
 from .representation import _require_representable
@@ -284,12 +285,19 @@ def verify_fbd(x: Process, deflator: Deflator, enlargement_like) -> bool:
         raise NotADeflator("deflated price is not a martingale")
 
     drift = drift_operator(x, filtration).drift
-    # Y is adapted to the larger flow, so Y_{t-1} is constant on its atoms
-    integrand = Process._predictable(
-        filtration, 1, lambda t, atom: (-1 / y.at(t - 1, atom.leaves[0])[0],))
     bracket_p = predictable_bracket(y, x, filtration)
-    rhs = dot_integral(integrand, bracket_p, filtration)
+    rhs = dot_integral(_fbd_integrand(y, filtration), bracket_p, filtration)
     return drift == rhs
+
+
+def _fbd_integrand(y: Process, filtration) -> Process:
+    """-1 / Y_{t-1} on each time-(t-1) atom, for a positive Y adapted to
+    the flow, so that Y_{t-1} is constant on its atoms."""
+    def cell(t, atom):
+        (num,) = y.nums[t - 1][y.parts[t - 1].block_of[atom.leaves[0]]]
+        return num, (-y.dens[t - 1],)
+
+    return Process._predictable(filtration, 1, cell)
 
 
 def check_compensator_abs_continuity(a: Process, enlargement_like):
@@ -387,7 +395,8 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 sub_records.append(SubAtomRecord(
                     label=sub.label, p_bar=tuple(p_bar),
                     sigma=tuple(sigma), phi=phi_vec))
-                phis[(t, sub.label)] = phi_vec
+                phis[(t, sub.label)] = over_lcm(
+                    [(4 ** t * num, den) for num, den in coords])
             slot_records.append(SlotWitness(
                 time=t, atom=node.label, p=wit.probs, epsilons=epsilons,
                 sub_records=tuple(sub_records)))

@@ -151,7 +151,7 @@ def random_representable(w: Process, rng) -> Process:
     # draws in time order, then node order: the base atoms are the nodes
     integrand = Process._predictable(
         w.tree.base_filtration(), w.dim,
-        lambda t, atom: tuple(Fraction(rng.randint(-3, 3)) for _ in range(w.dim)))
+        lambda t, atom: (1, tuple([rng.randint(-3, 3) for _ in range(w.dim)])))
     return dot_integral(integrand, w)
 
 

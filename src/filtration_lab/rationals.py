@@ -35,15 +35,21 @@ def over_common_denominator(cells):
     """Tuples of Fractions, all of one length, as (den, nums): den the lcm
     of their denominators, nums one tuple of numerators over it per cell.
     The result is reduced: no prime divides den and every numerator."""
-    ratios = [c.as_integer_ratio() for cell in cells for c in cell]
-    den = lcm(*[d for _, d in ratios])
     width = len(cells[0]) if cells else 0
     if any(len(cell) != width for cell in cells):
         raise DimensionMismatch("ragged value vectors")
+    den, flat = over_lcm([c.as_integer_ratio() for cell in cells for c in cell])
     if not width:
         return den, ((),) * len(cells)
-    flat = iter([n * (den // d) for n, d in ratios])
+    flat = iter(flat)
     return den, tuple(zip(*[flat] * width))
+
+
+def over_lcm(ratios):
+    """One vector of int ratios (num, den), each den positive, as (den,
+    nums) over the lcm of the dens; reduced when every ratio is."""
+    den = lcm(*[d for _, d in ratios])
+    return den, tuple([n * (den // d) for n, d in ratios])
 
 
 def reduced(den, nums):

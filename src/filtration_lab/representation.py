@@ -27,7 +27,7 @@ from .errors import (
 )
 from .linalg import _eliminate_with_identity, null_space, rank
 from .rationals import as_fractions, over_common_denominator, to_fraction
-from .tree import FilteredTree, StoppingTime, conditional_mean
+from .tree import FilteredTree, StoppingTime, _weigh
 
 ZERO = Fraction(0)
 
@@ -157,12 +157,14 @@ def _span_test(w: Process, t: int, node, den, rhs, what: str):
 
 def _solve_at(w: Process, t: int, node, den, rhs):
     """Least-index h with <h, Delta W_t> = rhs / den on the node's
-    children, for rhs that passed _span_test."""
+    children, for rhs that passed _span_test, as int numerators (den', nums)
+    over den' = |det| * den."""
     scale, solved, _, det = _solver_at(w, t, node)
-    h = [ZERO] * w.dim
+    sign = 1 if det > 0 else -1
+    h = [0] * w.dim
     for c, block in solved:
-        h[c] = Fraction(scale * sum(map(mul, block, rhs)), det * den)
-    return tuple(h)
+        h[c] = sign * scale * sum(map(mul, block, rhs))
+    return abs(det) * den, tuple(h)
 
 
 def conditional_multiplicity(tree: FilteredTree, t: int, atom_label: str,
@@ -217,19 +219,19 @@ def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
                 raise NotMeasurable(
                     f"payoff not settled at time {t} on atom {node.id}")
 
-    payoff = [(v,) for v in values]
+    vden, vnums = over_common_denominator([(v,) for v in values])
     leaves = tree.base_filtration().parts[-1]
-    zero = tuple([ZERO] * w.dim)
+    zero = (1, (0,) * w.dim)
 
     def coefficient(t, atom):
         if r.values[atom.leaves[0]] != t:
             return zero
-        (mean,) = conditional_mean(atom, leaves, payoff)
+        # the payoff on each child minus its mean total / (vden * weight)
+        (total,), weight = _weigh(atom, leaves, vnums)
         node = tree.nodes[atom.label]
-        den, (rhs,) = over_common_denominator(
-            [tuple(values[child.leaf_lo] - mean for child in node.children)])
-        _span_test(w, t, node, den, rhs, "centered payoff")
-        return _solve_at(w, t, node, den, rhs)
+        rhs = [vnums[child.leaf_lo][0] * weight - total for child in node.children]
+        _span_test(w, t, node, vden * weight, rhs, "centered payoff")
+        return _solve_at(w, t, node, vden * weight, rhs)
 
     return Process._predictable(tree.base_filtration(), w.dim, coefficient)
 
@@ -297,7 +299,7 @@ def _reconstruct(w: Process) -> ReconstructedBasis:
             witnesses.append(witness)
             rank_of.update(zip(witness.subatoms[:count], range(count)))
         return (base.parts[t], [rank_of[node.id] for node in tree.nodes_at[t]],
-                [(Fraction(1, 2 ** t),) * (d + 1)] * len(tree.nodes_at[t - 1]))
+                [(2 ** t, (1,) * (d + 1))] * len(tree.nodes_at[t - 1]))
 
     process = Process._compensated_classes(base, d + 1, classes_at)
     return ReconstructedBasis(process=process, witnesses=tuple(witnesses), d=d)
@@ -326,8 +328,15 @@ def translate_integrand(h: Process, m: Process) -> Process:
         raise DimensionMismatch(f"integrand dim {h.dim}, process dim {m.dim}")
     if not h.is_predictable(cs.filtration):
         raise NotPredictable("integrand is not predictable")
-    return cs.integrand(lambda t, atom, value: sum(
-        (a * b for a, b in zip(h.at(t, atom.leaves[0]), value)), start=ZERO))
+    locations = m.tree.locations
+
+    def coefficient(t, atom, loc):
+        # <h, alpha> from h's int slice and the location over its own lcm
+        cell = h.nums[t][h.parts[t].block_of[atom.leaves[0]]]
+        den, (alpha,) = over_common_denominator([locations[loc]])
+        return sum(map(mul, cell, alpha)), h.dens[t] * den
+
+    return cs.integrand(coefficient)
 
 
 def jump_constraint(w: Process) -> ConstraintSystem:

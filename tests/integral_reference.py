@@ -63,7 +63,11 @@ from filtration_lab.errors import (
     PartitionNotMeasurable,
 )
 from filtration_lab.linalg import gram_schmidt, null_space
-from filtration_lab.rationals import as_fractions, to_fraction
+from filtration_lab.rationals import (
+    as_fractions,
+    over_common_denominator,
+    to_fraction,
+)
 from filtration_lab.representation import (
     ReconstructedBasis,
     check_mrp,
@@ -82,6 +86,20 @@ def _atoms_within(filtration, t, leaves):
     part = filtration.partition(t)
     return tuple(part.atoms[k]
                  for k in dict.fromkeys(part.block_of[leaf] for leaf in leaves))
+
+
+def predictable(filtration, dim, value_of) -> Process:
+    """Process._predictable as it was: null at 0, holding value_of(t,
+    atom), a tuple of dim rationals, on each time-(t-1) atom for t >= 1,
+    each time's tuples brought over one denominator by
+    over_common_denominator."""
+    tree = filtration.tree
+    parts = filtration.parts
+    rows = [((0,) * dim,)] + [[value_of(t, atom) for atom in parts[t - 1].atoms]
+                              for t in range(1, tree.horizon + 1)]
+    return Process._make(tree, [
+        (part, *over_common_denominator(row)) for part, row
+        in zip((tree.base_filtration().parts[0],) + parts[:-1], rows)], dim)
 
 
 def bracket(x: Process, y: Process) -> Process:
@@ -645,8 +663,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
         n_data.append(n_row)
 
     n = Process(tree, n_data, basis.d)
-    phi = Process._predictable(filtration, basis.d,
-                               lambda t, sub: phis[(t, sub.label)])
+    phi = predictable(filtration, basis.d, lambda t, sub: phis[(t, sub.label)])
 
     holds = all(
         _multiplier_identity(phi, _n_brackets(n, x2.component(h)),

@@ -8,6 +8,7 @@ import gc
 import weakref
 from fractions import Fraction as F
 
+import integral_reference as ref
 import pytest
 
 from filtration_lab import (
@@ -55,7 +56,7 @@ def walk_coefficient(x, w):
                                    time=t, atom=atom.label, witness=tuple(rhs))
         return tuple(h)
 
-    return Process._predictable(tree.base_filtration(), w.dim, coefficient)
+    return ref.predictable(tree.base_filtration(), w.dim, coefficient)
 
 
 def error_fields(fn, *args):

@@ -126,6 +126,10 @@ class TestConstraintMartingales:
         cs_ter = detect_fpcc(jump_measure(w_ter))
         with pytest.raises(ConstraintMismatch, match="different trees"):
             constraint_martingales(mu_bin, cs_ter)
+        # location ids are per tree, so expansion refuses the pair too
+        h = Process.zero(cs_ter.filtration.tree, cs_ter.n)
+        with pytest.raises(ConstraintMismatch, match="different trees"):
+            expand_integrand(h, mu_bin, cs_ter)
 
     def test_menu_listing_a_location_twice_rejected(self, w_bin):
         # both slots would claim the location, expand_integrand only the first

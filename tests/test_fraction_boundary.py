@@ -1,0 +1,108 @@
+"""Predictable integrands are built on ints, with no Fraction per slot.
+
+Fraction construction is counted through a patched Fraction.__new__ on the
+deep-binary benchmark shape (a full binary tree of horizon 7, driver of
+dimension 1). The star-to-dot integrand for a drawn g, the h and gh of
+accessible_star_to_dot and expand_integrand must build none, and neither
+may any other Process._predictable build: those of a full run of the
+checks, the representation coefficients and translate_integrand.
+"""
+
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import filtration_lab
+from filtration_lab import (
+    Process,
+    StoppingTime,
+    jump_measure,
+    representation_coefficient,
+    single_jump_coefficient,
+    translate_integrand,
+)
+from filtration_lab.cli import CHECKS, CheckContext, run_check
+from filtration_lab.constraint import (
+    accessible_star_to_dot,
+    detect_fpcc,
+    expand_integrand,
+    star_to_dot,
+    value_slots_from_measure,
+)
+from filtration_lab.fuzz import random_jump_function, random_representable, rng_for
+from filtration_lab.scenario import load
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def deep_binary(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import shaped_scenario
+    return shaped_scenario(0, 2, 7, 1, False)
+
+
+@pytest.fixture
+def counted(monkeypatch):
+    """counted["all"]: Fractions built so far; counted["predictable"]:
+    those built inside each Process._predictable call, in call order."""
+    counts = {"all": 0, "predictable": []}
+    new = Fraction.__new__
+    predictable = Process._predictable
+
+    def counting_new(cls, *args, **kwargs):
+        counts["all"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_predictable(filtration, dim, cell_of):
+        before = counts["all"]
+        built = predictable(filtration, dim, cell_of)
+        counts["predictable"].append(counts["all"] - before)
+        return built
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Process, "_predictable", staticmethod(counting_predictable))
+    Fraction(1, 3)
+    assert counts["all"] == 1  # the patch sees constructions
+    return counts
+
+
+def test_star_to_dot_integrands_build_no_fraction(deep_binary, counted):
+    mu = jump_measure(deep_binary.basis_process())
+    cs = detect_fpcc(mu)
+    slots = value_slots_from_measure(mu)
+    g = random_jump_function(mu, deep_binary.tree, rng_for(0, "star-to-dot", "0"))
+    accessible_star_to_dot(g, mu, slots)  # builds and keeps the plan
+
+    counted["predictable"].clear()
+    h, certificate = star_to_dot(g, mu, cs)
+    assert counted["predictable"] == [0]
+
+    conversion = accessible_star_to_dot(g, mu, slots)
+    assert counted["predictable"] == [0, 0, 0]  # + h and gh
+
+    before = counted["all"]
+    expanded = expand_integrand(h, mu, cs)
+    assert counted["all"] == before
+    assert certificate.holds and conversion.holds
+    assert expanded.entries  # the table is not empty
+
+
+def test_no_predictable_build_builds_a_fraction(deep_binary, counted):
+    """Every check of a run on the deep-binary shape and on the ter1_gb
+    fixture, whose price has a deflator so that verify_fbd runs, then the
+    representation coefficients and translate_integrand."""
+    fixture = load(Path(filtration_lab.__file__).parent / "fixtures" / "ter1_gb.json")
+    for scenario in (deep_binary, fixture):
+        ctx = CheckContext(scenario, 0, "run")
+        statuses = {name: run_check(ctx, name)["status"] for name in CHECKS}
+        assert statuses["star-to-dot"] == "pass"
+    assert statuses["viability"] == "pass"
+    w = deep_binary.basis_process()
+    tree = w.tree
+    h = representation_coefficient(random_representable(w, rng_for(0, "boundary")), w)
+    payoff = [leaf % 3 for leaf in range(tree.n_leaves)]
+    single_jump_coefficient(payoff, StoppingTime.constant(tree, tree.horizon), w)
+    translate_integrand(h, w)
+    assert len(counted["predictable"]) > 20 and not any(counted["predictable"])

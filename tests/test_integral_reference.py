@@ -11,6 +11,8 @@ through Process._accumulate, checked against its hand-written loop, and the
 reconstructed family and the multiplier's N keep one cell per node. Jump
 tables, stored on the tree's location ids, read back the entries they were
 given in order, and a missing entry raises one message on every path.
+Predictable processes built from int cells are slice for slice the ones
+the Fraction builder, kept as ref.predictable, gives.
 """
 
 from fractions import Fraction
@@ -31,6 +33,7 @@ from filtration_lab import (
     find_deflator,
     jump_measure,
     reconstruct_accessible,
+    single_jump_coefficient,
     solve_drift_multiplier,
     star_integral,
 )
@@ -47,10 +50,12 @@ from filtration_lab.constraint import (
     star_to_dot,
     value_slots_from_measure,
 )
+from filtration_lab.enlargement import _fbd_integrand
 from filtration_lab.errors import (
     DimensionMismatch,
     FiltrationLabError,
     IncompleteFunctionTable,
+    NoRepresentation,
 )
 from filtration_lab.fuzz import (
     random_jump_function,
@@ -58,6 +63,7 @@ from filtration_lab.fuzz import (
     random_scenario,
     rng_for,
 )
+from filtration_lab.linalg import solve
 from filtration_lab.rationals import over_common_denominator
 from filtration_lab.representation import ReconstructedBasis
 
@@ -504,9 +510,10 @@ def test_compensator_walk_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_class_martingales_match_reference(seed):
-    """_plan_accessible's Y, scale and class locations, or its error with the
-    same message, on the current and the old slot builder and on random
-    slots, for shared and unshared measures under every flow."""
+    """_plan_accessible's Y, scale, class locations and weights, or its
+    error with the same message, on the current and the old slot builder
+    and on random slots, for shared and unshared measures under every
+    flow."""
     scenario = random_scenario(seed)
     tree = scenario.tree
     w = scenario.basis_process()
@@ -525,7 +532,13 @@ def test_class_martingales_match_reference(seed):
                     continue
                 assert same_process(new.martingales, old.martingales)
                 assert same_process(new.scale, old.scale)
-                assert new.cells == tuple(
+                # the plan keeps location ids and weight ratios; read back
+                # as vectors and Fractions, every cell is the reference's
+                assert tuple(
+                    {label: (tuple(None if loc is None else tree.locations[loc]
+                                   for loc in ids), F(*ratio))
+                     for label, (ids, ratio) in cells.items()}
+                    for cells in new.cells) == tuple(
                     {atom.label: (locations, weight)
                      for atom, locations, weight in cells}
                     for cells in old.cells)
@@ -600,3 +613,65 @@ def test_kernel_certificates_match_reference(seed):
             new = covariance_kernel(filtration, rebuilt, wit.time, wit.atom)
             old = ref.covariance_kernel(filtration, rebuilt, wit.time, wit.atom)
             assert new == old
+
+
+# --- predictable processes from int cells -----------------------------------
+
+def same_slices(a: Process, b: Process) -> bool:
+    """Equal processes stored as the same reduced int slices."""
+    return (a.dim, a.parts, a.dens, a.nums) == (b.dim, b.parts, b.dens, b.nums)
+
+
+def fraction_single_jump(xi, r, w):
+    """single_jump_coefficient's values as Fraction tuples, built by the
+    Fraction builder: the payoff centered on each node of the graph of r,
+    solved by linalg.solve against Delta W on its children."""
+    tree = w.tree
+    values = [F(v) for v in xi]
+
+    def coefficient(t, atom):
+        if r.values[atom.leaves[0]] != t:
+            return (F(0),) * w.dim
+        node = tree.nodes[atom.label]
+        mean = sum(tree.leaf_probs[i] * values[i] for i in node.leaves()) / node.prob
+        h = solve([list(w.increment(t, child.leaf_lo)) for child in node.children],
+                  [values[child.leaf_lo] - mean for child in node.children])
+        if h is None:
+            raise NoRepresentation("centered payoff outside the basis span")
+        return tuple(h)
+
+    return ref.predictable(tree.base_filtration(), w.dim, coefficient)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_int_cells_match_fraction_builder(seed):
+    """single_jump_coefficient on random predictable times, and verify_fbd's
+    integrand -1 / Y_{t-1} for the price and each feasible deflator under
+    every flow, equal the Fraction builder's processes slice for slice."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    w = scenario.basis_process()
+    rng = rng_for(seed, "predictable", "single-jump")
+    for _ in range(3):
+        r = random_time(tree, rng)
+        # settled where r reaches: one value per node of its graph
+        xi = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(tree.n_leaves)]
+        for t in range(1, tree.horizon + 1):
+            for node in tree.nodes_at[t]:
+                if r.values[node.leaf_lo] == t:
+                    for leaf in node.leaves():
+                        xi[leaf] = xi[node.leaf_lo]
+        got = outcome(single_jump_coefficient, xi, r, w)
+        want = outcome(fraction_single_jump, xi, r, w)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert got == want and same_slices(got, want)
+    s = scenario.processes["S"]
+    for filtration in flows(scenario):
+        search = find_deflator(s, filtration)
+        for y in [s] + ([search.deflator.process] if search.feasible else []):
+            got = _fbd_integrand(y, filtration)
+            want = ref.predictable(filtration, 1, lambda t, atom, y=y: (
+                -1 / y.at(t - 1, atom.leaves[0])[0],))
+            assert got == want and same_slices(got, want)
