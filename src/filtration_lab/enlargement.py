@@ -396,7 +396,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                     label=sub.label, p_bar=tuple(p_bar),
                     sigma=tuple(sigma), phi=phi_vec))
                 phis[(t, sub.label)] = over_lcm(
-                    [(4 ** t * num, den) for num, den in coords])
+                    [c.as_integer_ratio() for c in phi_vec])
             slot_records.append(SlotWitness(
                 time=t, atom=node.label, p=wit.probs, epsilons=epsilons,
                 sub_records=tuple(sub_records)))
