@@ -19,6 +19,10 @@ identity-keyed Shared memo that atom-indexed process rows replaced; the
 functions above call them, and test_atom_kernel holds the partition kernel
 to them.
 
+predictable keeps Process._predictable's Fraction builder (a tuple of
+rationals per atom, brought over one denominator per time) from before the
+int cells; the differential tests hold every int-cell build to it.
+
 The closing section keeps, verbatim, covariance_kernel as it was before
 the closed-form pseudo-inverse: J from a sum-zero frame B and the inverse
 of B^T C B, and J C as a matrix product. test_integral_reference holds the
