@@ -8,10 +8,12 @@ strictly positive prices survive the extra information.
 
 The representation side comes from the base flow alone, so the multiplier
 and kernel checks build it once per ReconstructedBasis and keep it there:
-the multiplier's frames, N and the base-flow brackets [N, X2_h]^p, and each
-witness's covariance frame C, J and kernel, on int numerators. Per
-enlargement only what the larger flow changes runs: p_bar, phi and the
-drift identities, and the sub-atom M = M J C tests.
+the multiplier's frames, N and the base-flow brackets [N, X2_h]^p, kept as
+their conditional increments on each base node, and each witness's
+covariance frame C, J and kernel, on int numerators. Per enlargement only
+what the larger flow changes runs: p_bar, phi and the drift identities, and
+the sub-atom M = M J C tests. The drift identity is tested per conditioning
+atom on int numerators, every component in one pass, with no process built.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from operator import mul
 from .calculus import (
     Process,
     _lifted,
-    _predictable_products,
+    _products,
     dot_integral,
     dual_predictable_projection,
     predictable_bracket,
@@ -36,6 +38,7 @@ from .errors import (
     DimensionMismatch,
     NotADeflator,
     NotIncreasing,
+    NotPredictable,
     NotStrictlyPositive,
 )
 from .linalg import null_space
@@ -365,11 +368,12 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     (scaled by 4^t for the non-unit covariance normalization) define phi,
     while the frame itself integrates the reconstructed family into N. The
     defining identity is verified exactly for every component before
-    returning. The frames, N and the brackets [N, X2_h]^p come from the
-    basis alone and are built once per basis.
+    returning, for every component in one pass. The frames, N and the
+    base-flow brackets [N, X2_h]^p come from the basis alone and are built
+    once per basis.
     """
     filtration = as_filtration(enlargement_like)
-    slots, n, components, brackets = basis._derived(
+    slots, n, steps = basis._derived(
         "multiplier", lambda: _multiplier_frame(basis))
     base = basis.process.tree.base_filtration()
     slot_records = []
@@ -403,8 +407,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
 
     phi = Process._predictable(filtration, basis.d,
                                lambda t, sub: phis[(t, sub.label)])
-    holds = all(_multiplier_identity(phi, bracket, x, filtration)
-                for x, bracket in zip(components, brackets))
+    holds = _multiplier_holds(phi, steps, basis.process, filtration)
     return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
                               holds=holds, basis=basis)
 
@@ -413,8 +416,8 @@ def _multiplier_frame(basis):
     """The basis side of solve_drift_multiplier: per time t, per time-(t-1)
     node, (its base atom, witness, frame as Fractions, frame as (den,
     nums), squared norms over den^2, p as int ratios, lcm of the charged
-    numerators); then N, the components X2_h and their base-flow brackets
-    [N, X2_h]^p."""
+    numerators); then N and the steps of the base-flow brackets
+    [N, X2_h]^p of every component at once."""
     x2 = basis.process
     tree = x2.tree
     width = basis.d + 1
@@ -459,21 +462,55 @@ def _multiplier_frame(basis):
             for (den, epsilons), inc in zip(frame_of, incs)]))
 
     n = Process._accumulate(tree, (0,) * basis.d, n_increments)
-    components = x2.components()
-    return slots, n, components, tuple(_n_brackets(n, x) for x in components)
+    return slots, n, _bracket_steps(n, x2)
 
 
-def _multiplier_identity(phi, brackets, x, filtration) -> bool:
-    """The drift of X under filtration is phi . brackets, [N, X]^p."""
-    return (dual_predictable_projection(x, filtration)
-            == dot_integral(phi, brackets, filtration))
+def _bracket_steps(n, x):
+    """The increments of the base-flow brackets [N_j, X_h]^p: per t >= 1,
+    one cell (den, rows) per time-(t-1) node, rows[h] holding the
+    conditional sums of Delta N_j Delta X_h for every j, over den."""
+    tree = x.tree
+    d = n.dim
+    nodes = tree.base_filtration().parts
+    steps = [None]
+    for t in range(1, tree.horizon + 1):
+        part, den, nums = _products(
+            tree, n._delta(t), x._delta(t),
+            lambda dn, dx: tuple([c * v for v in dx for c in dn]))
+        cells = []
+        for node in nodes[t - 1].atoms:
+            sums, weight = _weigh(node, part, nums)
+            cells.append((den * weight, [sums[h:h + d]
+                                         for h in range(0, len(sums), d)]))
+        steps.append(cells)
+    return steps
 
 
-def _n_brackets(n, x) -> Process:
-    """The d base-flow brackets [N_j, X]^p of a scalar X, built in one pass:
-    one conditional mean of width d per atom."""
-    return _predictable_products(n, x, x.tree.base_filtration(), n.dim,
-                                 lambda dn, dx: tuple(c * dx[0] for c in dn))
+def _multiplier_holds(phi, steps, x, filtration) -> bool:
+    """The drift of X under the flow is phi . [N, X]^p, with steps the
+    bracket increments from _bracket_steps(N, X).
+
+    Both sides are null at 0 and constant on each time-(t-1) atom a of the
+    flow, which lies in one base node b since the flow refines the base.
+    So the identity holds iff E[Delta X_t | a] = phi_t(a) . E[Delta N_t
+    Delta X_t | b] for every t, a and component of X: one conditional mean
+    per atom and one cross-multiplied compare per component.
+    """
+    tree = x.tree
+    nodes = tree.base_filtration().parts
+    for t in range(1, tree.horizon + 1):
+        part, den, incs = x._delta(t)
+        subs = filtration.parts[t - 1]
+        phi_of, phi_den, phi_nums = phi.parts[t].block_of, phi.dens[t], phi.nums[t]
+        for sub, k in zip(subs.atoms, subs.index_in(nodes[t - 1])):
+            sums, weight = _weigh(sub, part, incs)  # the drift, over den * weight
+            coeffs = phi_nums[phi_of[sub.leaves[0]]]
+            step_den, rows = steps[t][k]
+            left, right = phi_den * step_den, den * weight
+            if any(s * left != right * sum(map(mul, coeffs, row))
+                   for s, row in zip(sums, rows)):
+                return False
+    return True
 
 
 def verify_drift_multiplier(solution: MultiplierSolution, x: Process,
@@ -482,11 +519,18 @@ def verify_drift_multiplier(solution: MultiplierSolution, x: Process,
 
     The input is first represented against the solution's basis, so a
     non-representable input fails loudly at the representation step rather
-    than muddying the identity check.
+    than muddying the identity check. The basis is tested as a martingale
+    once per basis.
     """
-    _require_representable(x, solution.basis.process)
-    return _multiplier_identity(solution.phi, _n_brackets(solution.n, x), x,
-                                as_filtration(enlargement_like))
+    basis = solution.basis
+    _require_representable(x, basis.process, basis)
+    filtration = as_filtration(enlargement_like)
+    phi, n = solution.phi, solution.n
+    if phi.dim != n.dim:
+        raise DimensionMismatch(f"integrand dim {phi.dim}, integrator dim {n.dim}")
+    if not phi.is_predictable(filtration):
+        raise NotPredictable("integrand is not predictable for this filtration")
+    return _multiplier_holds(phi, _bracket_steps(n, x), x, filtration)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from .calculus import JumpFunction, JumpMeasure, Process, dot_integral
 from .errors import DegeneratePartition, DimensionMismatch
 from .linalg import rank
 from .scenario import Scenario
-from .tree import FilteredTree, enlarge, random_tree
+from .tree import FilteredTree, as_filtration, enlarge, random_tree
 
 ZERO = Fraction(0)
 
@@ -140,10 +140,13 @@ def random_positive_martingale(tree: FilteredTree, rng) -> Process:
 
 
 def random_jump_function(mu: JumpMeasure, filtration_like, rng) -> JumpFunction:
-    """Random rational table on every point the measure charges."""
-    return JumpFunction.from_callable(
-        mu, filtration_like,
-        lambda t, value: Fraction(rng.randint(-5, 5), rng.randint(1, 3)))
+    """Random rational table on every point the measure charges under the
+    given filtration, one (num, den) draw per point in compensator order."""
+    filtration = as_filtration(filtration_like)
+    return JumpFunction._from_ratios(filtration, [
+        ((t, label, loc), (rng.randint(-5, 5), rng.randint(1, 3)))
+        for (t, label), (_, law) in mu.compensator(filtration).laws.items()
+        for loc, _ in law])
 
 
 def random_representable(w: Process, rng) -> Process:

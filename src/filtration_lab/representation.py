@@ -112,15 +112,20 @@ def _target_at(x: Process, t: int, node):
     return node, den, [incs[part.block_of[c.leaf_lo]][0] for c in node.children]
 
 
-def _require_representable(x: Process, w: Process):
+def _require_representable(x: Process, w: Process, basis=None):
     """representation_coefficient's checks, in its order, without solving:
-    shapes, martingales, then each node's span test."""
+    shapes, martingales, then each node's span test. With basis, a
+    ReconstructedBasis of w, w's martingale test runs once per basis."""
     if x.dim != 1:
         raise DimensionMismatch("representation targets are scalar processes")
     tree = w.tree
     if x.tree is not tree:
         raise DimensionMismatch("target and basis on different trees")
-    w.require_martingale(tree, what="basis")
+    if basis is None:
+        w.require_martingale(tree, what="basis")
+    else:
+        basis._derived("martingale",
+                       lambda: w.require_martingale(tree, what="basis"))
     x.require_martingale(tree, what="target")
     for t in range(1, tree.horizon + 1):
         for node in tree.nodes_at[t - 1]:
@@ -242,9 +247,10 @@ class ReconstructedBasis:
 
     What the enlargement checks derive from the basis alone is built once
     per basis, on first use, and kept on it: the (time, atom) index of the
-    witnesses, each witness's covariance frame for the kernel check, and the
+    witnesses, each witness's covariance frame for the kernel check, the
     drift multiplier's orthogonal frames, N and the base-flow brackets
-    [N, X2_h]^p. Those memos die with the basis.
+    [N, X2_h]^p (their conditional increments on each base node), and the
+    basis's martingale test. Those memos die with the basis.
     """
     process: Process
     witnesses: tuple

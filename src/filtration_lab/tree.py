@@ -14,8 +14,7 @@ Masses are ints: every leaf probability is an int numerator over one
 tree-wide leaf denominator D, and every atom carries its mass over D beside
 its probability. The one conditional-mean kernel, _weigh, sums the products
 of those int masses with int numerators, and the callers reduce once per
-output cell; conditional_mean and conditional_law are its Fraction front
-ends.
+output cell; conditional_law is its Fraction front end.
 
 Each tree interns the jump locations its measures and jump functions name as
 small ints, so a location vector has one id per tree; the pool holds only
@@ -45,7 +44,7 @@ from .errors import (
     ProbabilitySumNotOne,
     TimeOutOfRange,
 )
-from .rationals import as_fractions, over_common_denominator, to_fraction
+from .rationals import over_common_denominator, to_fraction
 
 ONE = Fraction(1)
 
@@ -498,15 +497,6 @@ def _weigh(atom: Atom, part: Partition, nums):
     masses = [m for _, m in pieces]
     return (tuple(sum(map(mul, masses, col))
                   for col in zip(*[nums[k] for k, _ in pieces])), atom.mass)
-
-
-def conditional_mean(atom: Atom, part: Partition, cells):
-    """E[X | atom] for X holding cells[k], a tuple of rationals, on block k
-    of part; cells need only hold the blocks meeting the atom."""
-    blocks = [k for k, _ in part.pieces(atom)]
-    den, nums = over_common_denominator([cells[k] for k in blocks])
-    sums, weight = _weigh(atom, part, dict(zip(blocks, nums)))
-    return as_fractions(den * weight, sums)
 
 
 def conditional_expectation_leafwise(x, t, filtration_like):

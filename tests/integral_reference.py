@@ -23,6 +23,11 @@ predictable keeps Process._predictable's Fraction builder (a tuple of
 rationals per atom, brought over one denominator per time) from before the
 int cells; the differential tests hold every int-cell build to it.
 
+multiplier_identity and n_brackets keep the multiplier identity as the
+library tested it before the per-atom test: the drift and phi . [N, X]^p
+built as whole processes and compared; test_multiplier_identity holds the
+per-atom test to it.
+
 The closing section keeps, verbatim, covariance_kernel as it was before
 the closed-form pseudo-inverse: J from a sum-zero frame B and the inverse
 of B^T C B, and J C as a matrix product. test_integral_reference holds the
@@ -33,7 +38,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from filtration_lab.calculus import JumpFunction, JumpMeasure, Process
+from filtration_lab.calculus import (
+    JumpFunction,
+    JumpMeasure,
+    Process,
+    _predictable_products,
+    dual_predictable_projection,
+)
 from filtration_lab.constraint import (
     AccessibleConversion,
     AccessibleSlot,
@@ -53,8 +64,6 @@ from filtration_lab.enlargement import (
     SlotWitness,
     SubAtomRecord,
     _moment_sums,
-    _multiplier_identity,
-    _n_brackets,
     _one_period_deflator,
     _require_positive,
 )
@@ -603,6 +612,21 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
     return ReconstructedBasis(process=process, witnesses=tuple(witnesses), d=d)
 
 
+def n_brackets(n, x) -> Process:
+    """The d base-flow brackets [N_j, X]^p of a scalar X as one process,
+    as the library built them for the Process-level identity."""
+    return _predictable_products(n, x, x.tree.base_filtration(), n.dim,
+                                 lambda dn, dx: tuple(c * dx[0] for c in dn))
+
+
+def multiplier_identity(phi, brackets, x, filtration) -> bool:
+    """The drift of a scalar X under filtration is phi . brackets, [N, X]^p,
+    compared as whole processes: the Process-level route the per-atom test
+    replaced, integrating with this module's per-leaf dot_integral."""
+    return (dual_predictable_projection(x, filtration)
+            == dot_integral(phi, brackets, filtration))
+
+
 def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     """Common pair (N, phi) expressing every drift through base brackets.
 
@@ -670,8 +694,8 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     phi = predictable(filtration, basis.d, lambda t, sub: phis[(t, sub.label)])
 
     holds = all(
-        _multiplier_identity(phi, _n_brackets(n, x2.component(h)),
-                             x2.component(h), filtration)
+        multiplier_identity(phi, n_brackets(n, x2.component(h)),
+                            x2.component(h), filtration)
         for h in range(width))
     return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
                               holds=holds, basis=basis)

@@ -18,10 +18,22 @@ import pytest
 
 from filtration_lab import Process, drift_operator, dual_predictable_projection
 from filtration_lab.fuzz import random_enlargement, random_scenario, rng_for
-from filtration_lab.tree import conditional_law, conditional_mean
+from filtration_lab.rationals import as_fractions, over_common_denominator
+from filtration_lab.tree import _weigh, conditional_law
 
 F = Fraction
 SEEDS = range(50)
+
+
+def conditional_mean(atom, part, cells):
+    """E[X | atom] for X holding cells[k], a tuple of rationals, on block k
+    of part; cells need only hold the blocks meeting the atom. The kernel's
+    Fraction front end, kept here since only this test reads means that
+    way."""
+    blocks = [k for k, _ in part.pieces(atom)]
+    den, nums = over_common_denominator([cells[k] for k in blocks])
+    sums, weight = _weigh(atom, part, dict(zip(blocks, nums)))
+    return as_fractions(den * weight, sums)
 
 
 def flows(scenario):

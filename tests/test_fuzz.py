@@ -4,11 +4,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from filtration_lab.calculus import Process, decompose
+from filtration_lab.calculus import JumpFunction, Process, decompose, jump_measure
 from filtration_lab.fuzz import (
     random_basis,
     random_enlargement,
     random_increasing,
+    random_jump_function,
     random_martingale,
     random_positive_martingale,
     random_representable,
@@ -214,4 +215,33 @@ def test_increasing_matches_fraction_builder(seed):
             old = fraction_increasing(tree, old_rng)
             assert new.node_values() == old.node_values()
             assert new == old
+            assert new_rng.random() == old_rng.random()
+
+
+def fraction_jump_function(mu, filtration, rng):
+    """random_jump_function as it was: one Fraction drawn per charged point,
+    tabulated through JumpFunction.from_callable."""
+    return JumpFunction.from_callable(
+        mu, filtration,
+        lambda t, value: F(rng.randint(-5, 5), rng.randint(1, 3)))
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_jump_function_matches_fraction_draws(seed):
+    """Equal tables, in equal order, and the stream left at the same point,
+    under the base flow and every enlargement, on the star-to-dot and
+    consistency streams."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    mu = jump_measure(scenario.basis_process())
+    for flow in (tree, *scenario.enlargements.values()):
+        for labels in ((seed, "star-to-dot", "0"), (seed, "consistency", "G0", "2")):
+            new_rng, old_rng = rng_for(*labels), rng_for(*labels)
+            new = random_jump_function(mu, flow, new_rng)
+            old = fraction_jump_function(mu, flow, old_rng)
+            assert new.filtration is old.filtration
+            assert [(t, table[0], list(table[1].items()))
+                    for t, table in new._tables.items()] == \
+                [(t, table[0], list(table[1].items()))
+                 for t, table in old._tables.items()]
             assert new_rng.random() == old_rng.random()

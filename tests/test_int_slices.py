@@ -28,7 +28,8 @@ from filtration_lab import (
     solve_drift_multiplier,
     star_integral,
 )
-from filtration_lab.enlargement import _n_brackets, doleans_exponential
+from filtration_lab.calculus import _predictable_products
+from filtration_lab.enlargement import doleans_exponential
 from filtration_lab.errors import DimensionMismatch, NoRepresentation
 from filtration_lab.fuzz import (
     random_enlargement,
@@ -112,6 +113,13 @@ def ref_phi_bracket(phi, n, x, filtration):
 
 
 # --- inputs ------------------------------------------------------------------
+
+def n_brackets(n, x):
+    """The d base-flow brackets [N_j, X]^p of a scalar X, batched into one
+    process: one conditional mean of width d per node."""
+    return _predictable_products(n, x, x.tree.base_filtration(), n.dim,
+                                 lambda dn, dx: tuple(c * dx[0] for c in dn))
+
 
 def same(x: Process, rows) -> bool:
     return [list(row) for row in x.values] == [list(row) for row in rows]
@@ -236,7 +244,7 @@ def test_batched_phi_bracket_matches_fraction_walk(seed):
         solution = solve_drift_multiplier(filtration, rebuilt)
         assert solution.holds
         for x in xs:
-            batched = dot_integral(solution.phi, _n_brackets(solution.n, x),
+            batched = dot_integral(solution.phi, n_brackets(solution.n, x),
                                    filtration)
             assert same(batched,
                         ref_phi_bracket(solution.phi, solution.n, x, filtration))
