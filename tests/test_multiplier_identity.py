@@ -6,8 +6,9 @@ _bracket_steps. integral_reference keeps the old route, which builds the
 drift and the integral as whole processes and compares them, one scalar
 component at a time. On the fuzz corpus, under the base flow, every
 enlargement and one extra enlargement, both routes must give the same
-verdict on the stacked basis, each of its components, representable draws
-and outside input, and on three faults: phi scaled by 2, phi moved at one
+verdict on the stacked basis, each of its components, representable draws,
+outside input and a stacked input broken in its last component only, and
+on three faults: phi scaled by 2, phi moved at one
 (time, atom), and steps built from a wrong N. Every fault must read False.
 
 verify_drift_multiplier builds no process for the identity and tests its
@@ -103,12 +104,16 @@ def test_per_atom_identity_matches_whole_processes(seed):
     scalars = x2.components() + [
         random_representable(w, rng), random_representable(x2, rng),
         wild(tree, 1, rng)]
+    # a stacked input whose last component alone breaks the identity
+    mixed = Process.stack([x2.component(0), scalars[-1]])
     for filtration in flows(scenario):
         solution = solve_drift_multiplier(filtration, rebuilt)
         phi, n = solution.phi, solution.n
         assert solution.holds
         assert per_atom(phi, n, x2, filtration)
         assert whole_process(phi, n, x2, filtration)
+        assert per_atom(phi, n, mixed, filtration) == \
+            whole_process(phi, n, mixed, filtration)
         for x in scalars:
             assert per_atom(phi, n, x, filtration) == \
                 ref.multiplier_identity(phi, ref.n_brackets(n, x), x, filtration)
