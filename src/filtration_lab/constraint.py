@@ -18,9 +18,9 @@ each accessible set-up (validated slots, class locations, the class
 martingales Y and the scale G) per filtration and normalized slot content.
 The star side comes from star_integral's own memo on g, so star_to_dot and
 accessible_star_to_dot share it; the processes share vectors across leaves.
-Menus and class locations are held as the tree's location ids, so the
-integrands read g's int table by id and are built on ints, as is the table
-expand_integrand rebuilds.
+Menus and class locations are held as the tree's location ids, and every
+computation here reads them by id, on ints; a slot's location vector is
+derived from its id for the callers that read it.
 """
 
 from __future__ import annotations
@@ -59,63 +59,73 @@ def l1_gauge(x) -> Fraction:
     Bounded, vanishes only at 0, and |gauge(x)| <= (|x| and 1) with constant
     1, which keeps every constraint martingale increment in [-2, 2].
     """
+    return Fraction(*_gauge(x))
+
+
+def _gauge(x):
+    """l1_gauge(x) as an int ratio (num, den), not reduced."""
     den, nums = over_lcm([c.as_integer_ratio() for c in x])
-    return Fraction(min(sum(map(abs, nums)), den), den)
+    return min(sum(map(abs, nums)), den), den
 
 
 class ConstraintSystem:
     """Per-atom menus of jump locations with a uniform slot count.
 
-    slots maps (t, conditioning atom label) to an n-tuple of location
-    vectors; empty slots hold None so that n stays uniform across atoms.
-    Every slot is gauged by l1_gauge. Each menu is also kept as the tree's
-    location ids and its gauges as int ratios (num, den), (0, 1) on empty
-    slots.
+    Menus are held as the tree's location ids, None on empty slots so that
+    n stays uniform across atoms, with each slot's l1_gauge as an int ratio
+    (num, den), (0, 1) on empty slots. slots maps (t, conditioning atom
+    label) to the n-tuple of location vectors those ids name.
     """
 
     def __init__(self, filtration, dim, n, slots):
         intern = filtration.tree.location_id
         self._fill(filtration, dim, n, {
-            key: (values, [None if value is None else intern(tuple(value))
-                           for value in values])
+            key: tuple(None if value is None else intern(tuple(value))
+                       for value in values)
             for key, values in slots.items()})
 
     @classmethod
     def _from_ids(cls, filtration, dim, n, menus):
         """Build from menus of the tree's location ids, None on empty
         slots, without hashing a location vector."""
-        locations = filtration.tree.locations
         self = cls.__new__(cls)
-        self._fill(filtration, dim, n, {
-            key: (tuple(None if loc is None else locations[loc] for loc in ids), ids)
-            for key, ids in menus.items()})
+        self._fill(filtration, dim, n, menus)
         return self
 
-    def _fill(self, filtration, dim, n, rows):
-        """rows: {(t, label): (location vectors, their ids)}."""
+    def _fill(self, filtration, dim, n, menus):
+        """menus: {(t, label): location ids, None on empty slots}."""
+        locations = filtration.tree.locations
         self.filtration, self.dim, self.n = filtration, dim, n
         self.slots = {}
         self._menus = {}  # per slot row: (location ids, gauges as int ratios)
-        for key, (values, ids) in rows.items():
-            if len(values) != n:
+        for key, ids in menus.items():
+            if len(ids) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
-            gauges = []
-            for k, (value, loc) in enumerate(zip(values, ids)):
-                gauge = ZERO if value is None else l1_gauge(value)
-                if value is not None and gauge == 0:
+            values = tuple(None if loc is None else locations[loc] for loc in ids)
+            gauges = tuple((0, 1) if v is None else _gauge(v) for v in values)
+            for k, (value, loc, (num, _)) in enumerate(zip(values, ids, gauges)):
+                if loc is not None and num == 0:
                     raise ConstraintMismatch(
                         f"gauge vanishes on the slot value {value} at {key}")
                 if loc is not None and loc in ids[:k]:
                     raise ConstraintMismatch(
                         f"menu at {key} lists the location {value} twice")
-                gauges.append(gauge.as_integer_ratio())
             self.slots[key] = values
-            self._menus[key] = (tuple(ids), tuple(gauges))
+            self._menus[key] = (tuple(ids), gauges)
         self._martingales: dict[JumpMeasure, Process] = {}
 
     def _menu(self, t, label):
         """(location ids, gauges as int ratios) of the menu at (t, label)."""
         return self._menus.get((t, label)) or ((None,) * self.n, ((0, 1),) * self.n)
+
+    def _slot(self, t, label, loc):
+        """The menu index of location id loc at (t, label), or ConstraintMismatch."""
+        ids = self._menu(t, label)[0]
+        if loc not in ids:
+            raise ConstraintMismatch(
+                f"location {self.filtration.tree.locations[loc]} at time {t}, "
+                f"atom {label} is outside the constraint menu")
+        return ids.index(loc)
 
     def slot_values(self, t, label):
         return self.slots.get((t, label), tuple([None] * self.n))
@@ -126,11 +136,7 @@ class ConstraintSystem:
 
     def slot_of(self, t, label, value):
         """The menu index of a location, or ConstraintMismatch."""
-        menu = self.slot_values(t, label)
-        if value not in menu:
-            raise ConstraintMismatch(f"location {value} at time {t}, atom {label} "
-                                     "is outside the constraint menu")
-        return menu.index(value)
+        return self._slot(t, label, self.filtration.tree.location_id(tuple(value)))
 
     def integrand(self, coefficient) -> Process:
         """Predictable H with H_k = coefficient(t, atom, id of alpha_k) /
@@ -194,9 +200,9 @@ def constraint_martingales(mu: JumpMeasure, cs: ConstraintSystem) -> Process:
             part = tree.meet(atoms, tree.base_filtration().parts[t])
             kind = []  # the menu index of each block's jump
             for block, k in zip(part.atoms, part.index_in(atoms)):
-                jump = mu.jump_at(t, block.leaves[0])
-                kind.append(None if jump is None
-                            else cs.slot_of(t, atoms.atoms[k].label, jump))
+                loc = mu._jump_ids.get(tree.node_at(t, block.leaves[0]).id)
+                kind.append(None if loc is None
+                            else cs._slot(t, atoms.atoms[k].label, loc))
             return part, kind, [over_lcm(cs._menus[(t, atom.label)][1])
                                 if (t, atom.label) in cs._menus else None
                                 for atom in atoms.atoms]
@@ -246,19 +252,14 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
         raise NotPredictable("integrand is not predictable for this filtration")
     if mu.tree is not filtration.tree:
         raise ConstraintMismatch("measure and constraint system on different trees")
-    locations = mu.tree.locations
     items = []
     for (t, label), (_, law) in mu.compensator(filtration).laws.items():
         # H at the atom, from h's int slice
         leaf = filtration.atom_labelled(t - 1, label).leaves[0]
         cell = h.nums[t][h.parts[t].block_of[leaf]]
-        ids, gauges = cs._menu(t, label)
+        gauges = cs._menu(t, label)[1]
         for loc, _ in law:
-            if loc not in ids:
-                raise ConstraintMismatch(
-                    f"location {locations[loc]} at time {t}, atom {label} "
-                    "is outside the constraint menu")
-            k = ids.index(loc)
+            k = cs._slot(t, label, loc)
             gn, gd = gauges[k]
             items.append(((t, label, loc), (cell[k] * gn, h.dens[t] * gd)))
     return JumpFunction._from_ratios(filtration, items)
@@ -272,10 +273,9 @@ def jump_supports_disjoint(x: Process) -> bool:
     """
     tree = x.tree
     for t in range(1, tree.horizon + 1):
+        part, _, incs = x._delta(t)
         for node in tree.nodes_at[t]:
-            inc = x.increment(t, node.leaf_lo)
-            jumping = sum(1 for c in inc if c != 0)
-            if jumping > 1:
+            if sum(1 for c in incs[part.block_of[node.leaf_lo]] if c) > 1:
                 return False
     return True
 
@@ -289,11 +289,12 @@ def slot_events_disjoint(mu: JumpMeasure, cs: ConstraintSystem) -> bool:
     predictable parts, as any two compensated indicators on one atom must.
     """
     tree = mu.tree
-    for node_id, value in mu.support.items():
+    if cs.filtration.tree is not tree:
+        raise ConstraintMismatch("measure and constraint system on different trees")
+    for node_id, loc in mu._jump_ids.items():
         node = tree.nodes[node_id]
         atom = cs.filtration.conditioning_atom_of(node.time, node.leaf_lo)
-        menu = cs.slot_values(node.time, atom.label)
-        if sum(1 for v in menu if v == value) != 1:
+        if cs._menu(node.time, atom.label)[0].count(loc) != 1:
             return False
     return True
 
@@ -522,13 +523,14 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
         ranked, quiet = {}, set()  # rank of a location on its atom -> leaves
         children = filtration.parts[t]
         for atom in filtration.atoms(t - 1):
-            # the atom's children, by the location of their time-t node
-            groups: dict[tuple, set] = {}
+            # the atom's children, by the location id of their time-t node
+            groups: dict[int, set] = {}
             for child in [children.atoms[k] for k, _ in children.pieces(atom)]:
-                groups.setdefault(mu.jump_at(t, child.leaves[0]), set()).update(child.leaves)
+                loc = mu._jump_ids.get(tree.node_at(t, child.leaves[0]).id)
+                groups.setdefault(loc, set()).update(child.leaves)
             quiet |= groups.pop(None, set())
-            for rank, value in enumerate(sorted(groups)):
-                ranked.setdefault(rank, set()).update(groups[value])
+            for rank, loc in enumerate(sorted(groups, key=tree.locations.__getitem__)):
+                ranked.setdefault(rank, set()).update(groups[loc])
         classes = [frozenset(ranked[k]) for k in range(len(ranked))]
         classes.append(frozenset(quiet))
         weight = 1 if weights is None else weights[pos]

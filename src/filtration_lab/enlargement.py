@@ -308,7 +308,8 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
 
     Returns (True, None) or (False, (time, base atom, larger atom)); with
     every branch probability positive the scan cannot fail, and running it
-    keeps that claim honest.
+    keeps that claim honest. Each compensator increment is the mean of
+    Delta A_t's int slice on a base or larger atom; none is built.
     """
     if a.dim != 1:
         raise DimensionMismatch("compensator scan takes scalar processes")
@@ -318,15 +319,14 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
         if any(inc[0] < 0 for inc in a._delta(t)[2]):
             raise NotIncreasing(f"decrement at time {t}")
     base = tree.base_filtration()
-    fine = dual_predictable_projection(a, filtration)
-    coarse = dual_predictable_projection(a, base)
     for t in range(1, tree.horizon + 1):
+        part, _, incs = a._delta(t)
         subs = filtration.parts[t - 1]
         for atom in base.atoms(t - 1):
-            if coarse.increment(t, atom.leaves[0])[0] != 0:
+            if _weigh(atom, part, incs)[0][0]:
                 continue
             for sub in [subs.atoms[k] for k, _ in subs.pieces(atom)]:
-                if fine.increment(t, sub.leaves[0])[0] != 0:
+                if _weigh(sub, part, incs)[0][0]:
                     return False, (t, atom.label, sub.label)
     return True, None
 

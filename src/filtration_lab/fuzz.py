@@ -123,14 +123,6 @@ def random_enlargement(tree: FilteredTree, rng, name="G"):
     return enlarge(tree, partitions, name=name)
 
 
-def random_martingale(tree: FilteredTree, rng, dim=1) -> Process:
-    """Martingale closed by a random rational payoff."""
-    terminal = [tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                      for _ in range(dim))
-                for _ in range(tree.n_leaves)]
-    return Process.doob(tree, terminal)
-
-
 def random_positive_martingale(tree: FilteredTree, rng) -> Process:
     """Strictly positive martingale normalized to start at 1."""
     terminal = [Fraction(rng.randint(1, 6), rng.randint(1, 6))

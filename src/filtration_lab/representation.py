@@ -4,6 +4,7 @@ reconstruction of a representation family from partition data.
 At a node with m successors the mean-zero functions on those successors form
 an (m-1)-dimensional space; a d-dimensional martingale represents every
 martingale exactly when its increment vectors span that space at every node.
+The rank test and the solves read the increments' int numerators.
 """
 
 from __future__ import annotations
@@ -64,17 +65,12 @@ class PartitionWitness:
     probs: tuple
 
 
-def _increment_matrix(w: Process, t: int, children):
-    return [list(row) for row in
-            zip(*(w.increment(t, child.leaf_lo) for child in children))]
-
-
 def check_mrp(w: Process) -> MrpReport:
     """Rank test: increments must span each node's mean-zero space.
 
-    The first failing node also yields an unrepresentable mean-zero vector,
-    found in the null space of the increments stacked with the branch
-    probabilities and scaled to coprime integers.
+    Ranks Delta W_t's int numerators on each node's children. The first
+    failing node also yields an unrepresentable mean-zero vector: the null
+    space of those rows stacked with the children's masses, as coprime ints.
     """
     tree = w.tree
     w.require_martingale(tree, what="candidate basis")
@@ -82,16 +78,17 @@ def check_mrp(w: Process) -> MrpReport:
     failing = None
     counterexample = None
     for t in range(1, tree.horizon + 1):
+        part, _, incs = w._delta(t)
         for node in tree.nodes_at[t - 1]:
             children = node.children
             m = len(children)
-            matrix = _increment_matrix(w, t, children)
+            matrix = list(zip(
+                *[incs[part.block_of[child.leaf_lo]] for child in children]))
             r = rank(matrix) if matrix else 0
             ranks[node.id] = (m, r)
             if r < m - 1 and failing is None:
                 failing = node.id
-                probs = [child.branch_prob for child in children]
-                basis = null_space(matrix + [probs])
+                basis = null_space(matrix + [[child.mass for child in children]])
                 counterexample = tuple(basis[0])
     return MrpReport(holds=failing is None, dim=w.dim, ranks=ranks,
                      failing_atom=failing, counterexample=counterexample)
@@ -357,8 +354,8 @@ def jump_constraint(w: Process) -> ConstraintSystem:
 
 def menu_bound(cs: ConstraintSystem, d: int) -> ConstraintSystem:
     """cs, or ConstraintMismatch when a menu has more than d + 1 entries."""
-    for key, menu in cs.slots.items():
-        filled = sum(1 for value in menu if value is not None)
+    for key, (ids, _) in cs._menus.items():
+        filled = sum(1 for loc in ids if loc is not None)
         if filled > d + 1:
             raise ConstraintMismatch(
                 f"menu at {key} has {filled} entries, bound {d + 1}")

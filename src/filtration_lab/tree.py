@@ -300,10 +300,18 @@ class FilteredTree:
 def build_tree(spec) -> FilteredTree:
     """Build and validate a tree from {"horizon": T, "nodes": [...]}, where each
     node entry carries id, time, parent (null for the root) and prob."""
-    horizon = int(spec["horizon"])
-    node_specs = [(str(n["id"]), int(n["time"]), n.get("parent"), n.get("prob"))
+    horizon = _whole(spec["horizon"], "horizon")
+    node_specs = [(str(n["id"]), _whole(n["time"], f"time of node {n['id']!r}"),
+                   n.get("parent"), n.get("prob"))
                   for n in spec["nodes"]]
     return FilteredTree(horizon, node_specs)
+
+
+def _whole(value, what) -> int:
+    """An int, or a string holding one: a bool or a float is refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ParseError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class Filtration:

@@ -8,6 +8,7 @@ are exact; a single counterexample fails the criterion.
 from fractions import Fraction as F
 
 import pytest
+from draws import random_martingale
 
 from filtration_lab import (
     JumpFunction,
@@ -53,7 +54,6 @@ from filtration_lab.fuzz import (
     random_enlargement,
     random_increasing,
     random_jump_function,
-    random_martingale,
     random_representable,
     rng_for,
     undersized_basis,

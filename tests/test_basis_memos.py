@@ -10,6 +10,7 @@ from fractions import Fraction as F
 
 import integral_reference as ref
 import pytest
+from draws import random_martingale
 
 from filtration_lab import (
     Process,
@@ -22,7 +23,6 @@ from filtration_lab import (
 from filtration_lab import enlargement, representation
 from filtration_lab.errors import DegeneratePartition, NoRepresentation
 from filtration_lab.fuzz import (
-    random_martingale,
     random_representable,
     random_scenario,
     rng_for,

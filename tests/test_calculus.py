@@ -3,6 +3,7 @@
 from fractions import Fraction
 
 import pytest
+from draws import random_martingale
 
 from filtration_lab import (
     JumpFunction,
@@ -23,7 +24,7 @@ from filtration_lab.errors import (
     IncompleteFunctionTable,
     NotPredictable,
 )
-from filtration_lab.fuzz import random_martingale, rng_for
+from filtration_lab.fuzz import rng_for
 
 F = Fraction
 

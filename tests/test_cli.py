@@ -95,6 +95,22 @@ class TestRun:
         assert "not a rational: 0.5" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("where, value", [
+        ("horizon", 1.9), ("horizon", True), ("time", 1.6)])
+    def test_non_integer_time_is_usage_error(self, capsys, tmp_path, where, value):
+        doc = json.loads(Path(BIN1).read_text(encoding="utf-8"))
+        if where == "horizon":
+            doc["horizon"] = value
+        else:
+            doc["nodes"][1]["time"] = value
+        path = tmp_path / "times.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path))
+        assert code == 2
+        assert out == ""
+        assert f"must be an integer, got {value!r}" in err
+        assert "Traceback" not in err
+
     def test_zero_dimensional_process_is_usage_error(self, capsys, tmp_path):
         doc = json.loads(Path(TER1_GA).read_text(encoding="utf-8"))
         for entry in doc["processes"].values():

@@ -1,4 +1,4 @@
-"""Predictable integrands are built on ints, with no Fraction per slot.
+"""Computations run on ints and location ids, with no Fraction inside.
 
 Fraction construction is counted through a patched Fraction.__new__ on the
 deep-binary benchmark shape (a full binary tree of horizon 7, driver of
@@ -6,6 +6,12 @@ dimension 1). The star-to-dot integrand for a drawn g, the h and gh of
 accessible_star_to_dot and expand_integrand must build none, and neither
 may any other Process._predictable build: those of a full run of the
 checks, the representation coefficients and translate_integrand.
+
+On that shape and on fuzz seed 30 (three-way branching, two flows), with
+Fraction.__hash__ and Fraction.__eq__ patched too, the rank test, the
+compensator scan and the constraint-menu reads must build and hash no
+Fraction, and the slot martingales and the slot-event test must compare
+none.
 """
 
 from fractions import Fraction
@@ -17,20 +23,32 @@ import filtration_lab
 from filtration_lab import (
     Process,
     StoppingTime,
+    check_compensator_abs_continuity,
+    check_mrp,
     jump_measure,
     representation_coefficient,
     single_jump_coefficient,
     translate_integrand,
 )
-from filtration_lab.cli import CHECKS, CheckContext, run_check
+from filtration_lab.cli import CHECKS, CheckContext, _jump_counter, run_check
 from filtration_lab.constraint import (
     accessible_star_to_dot,
+    constraint_martingales,
     detect_fpcc,
     expand_integrand,
+    jump_supports_disjoint,
+    slot_events_disjoint,
     star_to_dot,
     value_slots_from_measure,
 )
-from filtration_lab.fuzz import random_jump_function, random_representable, rng_for
+from filtration_lab.fuzz import (
+    random_increasing,
+    random_jump_function,
+    random_representable,
+    random_scenario,
+    rng_for,
+)
+from filtration_lab.representation import menu_bound
 from filtration_lab.scenario import load
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -106,3 +124,71 @@ def test_no_predictable_build_builds_a_fraction(deep_binary, counted):
     single_jump_coefficient(payoff, StoppingTime.constant(tree, tree.horizon), w)
     translate_integrand(h, w)
     assert len(counted["predictable"]) > 20 and not any(counted["predictable"])
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Running counts of Fraction constructions, hashes and == calls."""
+    counts = dict.fromkeys(("new", "hash", "eq"), 0)
+    new, hash_, eq = Fraction.__new__, Fraction.__hash__, Fraction.__eq__
+
+    def counting_new(cls, *args, **kwargs):
+        counts["new"] += 1
+        return new(cls, *args, **kwargs)
+
+    def counting_hash(self):
+        counts["hash"] += 1
+        return hash_(self)
+
+    def counting_eq(self, other):
+        counts["eq"] += 1
+        return eq(self, other)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    monkeypatch.setattr(Fraction, "__eq__", counting_eq)
+    third = Fraction(1, 3)
+    assert hash(third) and third == Fraction(2, 6)
+    assert all(counts.values())  # the patches see each operation
+    return counts
+
+
+@pytest.mark.parametrize("shape", ["deep-binary", "seed-30"])
+def test_rank_scan_and_menus_use_no_fraction(shape, request, fraction_ops):
+    """Each call is counted on its second run: the first builds the
+    partition meets the tree keeps, whose atoms carry a Fraction
+    probability. The slot martingales are counted on a fresh constraint
+    system, since each system keeps its own."""
+    scenario = (request.getfixturevalue("deep_binary") if shape == "deep-binary"
+                else random_scenario(30))
+    ctx = CheckContext(scenario, 0, "run")
+    tree, w, mu, cs = ctx.tree, ctx.basis(), ctx.measure, ctx.constraint
+    flows = [flow for _, flow in sorted(scenario.enlargements.items())]
+    scanned = [_jump_counter(ctx)] + [
+        random_increasing(tree, rng_for(0, "consistency", name))
+        for name in sorted(scenario.enlargements)]
+    slot_martingales = constraint_martingales(mu, cs)
+    calls = {
+        "check_mrp": (check_mrp, w),
+        **{f"scan {k} under {j}": (check_compensator_abs_continuity, a, flow)
+           for k, a in enumerate(scanned) for j, flow in enumerate(flows)},
+        "slot_events_disjoint": (slot_events_disjoint, mu, cs),
+        "menu_bound": (menu_bound, cs, w.dim),
+        "value_slots_from_measure": (value_slots_from_measure, mu),
+        "jump_supports_disjoint": (jump_supports_disjoint, slot_martingales),
+    }
+    for fn, *args in calls.values():
+        fn(*args)
+    fresh = detect_fpcc(mu)
+    calls["constraint_martingales"] = (constraint_martingales, mu, fresh)
+
+    used = {}
+    for name, (fn, *args) in calls.items():
+        before = dict(fraction_ops)
+        fn(*args)
+        used[name] = {op: fraction_ops[op] - before[op] for op in before}
+    assert fresh._martingales  # built under the count, not read back
+    assert {name: (ops["new"], ops["hash"]) for name, ops in used.items()} == {
+        name: (0, 0) for name in calls}
+    assert used["constraint_martingales"]["eq"] == 0
+    assert used["slot_events_disjoint"]["eq"] == 0

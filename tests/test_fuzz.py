@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from draws import random_martingale
 
 from filtration_lab.calculus import JumpFunction, Process, decompose, jump_measure
 from filtration_lab.fuzz import (
@@ -10,7 +11,6 @@ from filtration_lab.fuzz import (
     random_enlargement,
     random_increasing,
     random_jump_function,
-    random_martingale,
     random_positive_martingale,
     random_representable,
     random_scenario,

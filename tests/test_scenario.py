@@ -107,6 +107,19 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_scenario(doc)
 
+    @pytest.mark.parametrize("field, value", [
+        ("horizon", 1.9), ("horizon", True), ("horizon", 1.0), ("time", 1.6),
+        ("time", True)])
+    def test_non_integer_times_rejected(self, field, value):
+        # int() would truncate 1.9 and 1.6 and read True as 1
+        doc = ter1_doc()
+        if field == "horizon":
+            doc["horizon"] = value
+        else:
+            doc["nodes"][1]["time"] = value
+        with pytest.raises(ParseError, match=f"{field}.* must be an integer"):
+            parse_scenario(doc)
+
     def test_bool_seed_rejected(self):
         doc = ter1_doc()
         doc["seed"] = True
