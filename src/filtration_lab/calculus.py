@@ -16,10 +16,11 @@ tree nodes. All increments at time 0 are null by convention.
 
 An operation on several slices works on their meet, which is one of them
 when it refines the others, brings them to the lcm of their denominators
-and computes each result cell once per block. Compensators and jump
-functions are stored once, on ints keyed by the tree's location ids, and
-read as Fractions on request; each jump function memoizes its star integral
-per (measure, filtration), and each measure its compensators per filtration.
+and computes each result cell once per block. Jump measures, compensators
+and jump functions are stored once, on ints keyed by the tree's location
+ids, and read as Fractions on request; each jump function memoizes its star
+integral per (measure, filtration), each measure its compensators per
+filtration.
 
 Library code builds its processes through four trusted constructors that
 skip the validation outside input gets: _make takes partitions and int
@@ -553,33 +554,36 @@ class JumpMeasure:
     """Integer-valued random measure of a base-adapted process's jumps.
 
     Support: the time-t nodes (t >= 1) where the increment is a nonzero
-    vector; the location there is that increment, known by its id in the
-    tree's location pool.
+    vector. The measure is built from and holds only {support node id:
+    location id}, that increment's id in the tree's location pool.
     """
 
-    def __init__(self, tree: FilteredTree, dim: int, support: dict):
+    def __init__(self, tree: FilteredTree, dim: int, jump_ids: dict):
         self.tree = tree
         self.dim = dim
-        self.support = dict(support)
+        self._jump_ids = dict(jump_ids)
         self._by_time: dict[int, list] = {}
-        for node_id in sorted(self.support):
+        for node_id in sorted(self._jump_ids):
             node = tree.nodes[node_id]
             self._by_time.setdefault(node.time, []).append(node)
-        self._jump_ids = {node_id: tree.location_id(value)
-                          for node_id, value in self.support.items()}
         self._compensators: dict[Filtration, CompensatorTable] = {}
         self._derived: dict = {}
+
+    @property
+    def support(self) -> dict:
+        """{support node id: location vector}, read from the pool."""
+        return {nid: self.tree.locations[loc] for nid, loc in self._jump_ids.items()}
 
     def nodes_at(self, t):
         return self._by_time.get(t, [])
 
     def location(self, node_id):
-        return self.support[node_id]
+        return self.tree.locations[self._jump_ids[node_id]]
 
     def jump_at(self, t, leaf):
         """Location if (t, leaf) sits under a support node, else None."""
-        node = self.tree.node_at(t, leaf)
-        return self.support.get(node.id)
+        loc = self._jump_ids.get(self.tree.node_at(t, leaf).id)
+        return None if loc is None else self.tree.locations[loc]
 
     def compensator(self, filtration_like) -> "CompensatorTable":
         filtration = as_filtration(filtration_like)
@@ -599,16 +603,17 @@ class JumpMeasure:
 
 
 def jump_measure(x: Process) -> JumpMeasure:
+    """x's jumps, each nonzero Delta X_t cell pooled by its int cell."""
     if not x.is_adapted(x.tree):
         raise NotPredictable("jump measure needs a base-adapted process")
-    support = {}
-    for t in range(1, x.tree.horizon + 1):
+    tree, jump_ids = x.tree, {}
+    for t in range(1, tree.horizon + 1):
         part, den, nums = x._delta(t)
-        for node in x.tree.nodes_at[t]:
+        for node in tree.nodes_at[t]:
             inc = nums[part.block_of[node.leaf_lo]]
             if any(inc):
-                support[node.id] = as_fractions(den, inc)
-    return JumpMeasure(x.tree, x.dim, support)
+                jump_ids[node.id] = tree._intern(den, inc)
+    return JumpMeasure(tree, x.dim, jump_ids)
 
 
 class CompensatorTable:
@@ -652,7 +657,7 @@ class CompensatorTable:
 
     def prob(self, t, atom_label, value) -> Fraction:
         mass, law = self.laws.get((t, atom_label), (1, ()))
-        loc = self.measure.tree.location_id(tuple(value))
+        loc = self.measure.tree.location_id(value)
         return Fraction(dict(law).get(loc, 0), mass)
 
 
@@ -675,7 +680,7 @@ class JumpFunction:
         """entries: {(t, atom label, location vector): value}."""
         intern = filtration.tree.location_id
         self._fill(filtration, [
-            ((t, label, intern(tuple(value))), to_fraction(g).as_integer_ratio())
+            ((t, label, intern(value)), to_fraction(g).as_integer_ratio())
             for (t, label, value), g in entries.items()])
 
     @classmethod
@@ -741,7 +746,7 @@ class JumpFunction:
         """g at time t on the path through the leaf, read on its time-(t-1)
         atom of the anchoring filtration."""
         return Fraction(*self._ratio(
-            t, leaf, self.filtration.tree.location_id(tuple(location))))
+            t, leaf, self.filtration.tree.location_id(location)))
 
 
 def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:

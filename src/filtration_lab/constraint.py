@@ -19,8 +19,8 @@ martingales Y and the scale G) per filtration and normalized slot content.
 The star side comes from star_integral's own memo on g, so star_to_dot and
 accessible_star_to_dot share it; the processes share vectors across leaves.
 Menus and class locations are held as the tree's location ids, and every
-computation here reads them by id, on ints; a slot's location vector is
-derived from its id for the callers that read it.
+computation here reads them by id, on ints, each gauge from the location's
+pooled int cell; a slot's location vector is read from the pool by id.
 """
 
 from __future__ import annotations
@@ -59,12 +59,12 @@ def l1_gauge(x) -> Fraction:
     Bounded, vanishes only at 0, and |gauge(x)| <= (|x| and 1) with constant
     1, which keeps every constraint martingale increment in [-2, 2].
     """
-    return Fraction(*_gauge(x))
+    den, nums = over_lcm([to_fraction(c).as_integer_ratio() for c in x])
+    return Fraction(*_gauge(den, nums))
 
 
-def _gauge(x):
-    """l1_gauge(x) as an int ratio (num, den), not reduced."""
-    den, nums = over_lcm([c.as_integer_ratio() for c in x])
+def _gauge(den, nums):
+    """The gauge of the location cell (den, nums) as (num, den), unreduced."""
     return min(sum(map(abs, nums)), den), den
 
 
@@ -73,14 +73,14 @@ class ConstraintSystem:
 
     Menus are held as the tree's location ids, None on empty slots so that
     n stays uniform across atoms, with each slot's l1_gauge as an int ratio
-    (num, den), (0, 1) on empty slots. slots maps (t, conditioning atom
-    label) to the n-tuple of location vectors those ids name.
+    (num, den) from the pooled int cell, (0, 1) on empty slots. slots maps
+    (t, conditioning atom label) to the n-tuple of vectors those ids name.
     """
 
     def __init__(self, filtration, dim, n, slots):
         intern = filtration.tree.location_id
         self._fill(filtration, dim, n, {
-            key: tuple(None if value is None else intern(tuple(value))
+            key: tuple(None if value is None else intern(value)
                        for value in values)
             for key, values in slots.items()})
 
@@ -94,15 +94,16 @@ class ConstraintSystem:
 
     def _fill(self, filtration, dim, n, menus):
         """menus: {(t, label): location ids, None on empty slots}."""
-        locations = filtration.tree.locations
+        tree = filtration.tree
         self.filtration, self.dim, self.n = filtration, dim, n
         self.slots = {}
         self._menus = {}  # per slot row: (location ids, gauges as int ratios)
         for key, ids in menus.items():
             if len(ids) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
-            values = tuple(None if loc is None else locations[loc] for loc in ids)
-            gauges = tuple((0, 1) if v is None else _gauge(v) for v in values)
+            values = tuple(None if loc is None else tree.locations[loc] for loc in ids)
+            gauges = tuple((0, 1) if loc is None else _gauge(*tree.location_cells[loc])
+                           for loc in ids)
             for k, (value, loc, (num, _)) in enumerate(zip(values, ids, gauges)):
                 if loc is not None and num == 0:
                     raise ConstraintMismatch(
@@ -136,7 +137,7 @@ class ConstraintSystem:
 
     def slot_of(self, t, label, value):
         """The menu index of a location, or ConstraintMismatch."""
-        return self._slot(t, label, self.filtration.tree.location_id(tuple(value)))
+        return self._slot(t, label, self.filtration.tree.location_id(value))
 
     def integrand(self, coefficient) -> Process:
         """Predictable H with H_k = coefficient(t, atom, id of alpha_k) /
@@ -449,7 +450,7 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                         f"class splits an atom at time {t}")
 
     # every support node must sit on a slot graph, inside one class
-    for node_id in mu.support:
+    for node_id in mu._jump_ids:
         node = tree.nodes[node_id]
         leaf = node.leaf_lo
         idx = occupied.get((node.time, leaf))
@@ -507,8 +508,7 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
             if (t, atom.leaves[0]) in occupied else none))
 
 
-def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
-                             weights=None):
+def value_slots_from_measure(mu: JumpMeasure, filtration_like=None):
     """Build accessible slots from a measure: one slot per support time.
 
     Classes group each conditioning atom's successors by jump location (lex
@@ -517,9 +517,9 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
     """
     tree = mu.tree
     filtration = as_filtration(filtration_like or tree)
-    times = sorted({tree.nodes[nid].time for nid in mu.support})
+    times = sorted({tree.nodes[nid].time for nid in mu._jump_ids})
     slots = []
-    for pos, t in enumerate(times):
+    for t in times:
         ranked, quiet = {}, set()  # rank of a location on its atom -> leaves
         children = filtration.parts[t]
         for atom in filtration.atoms(t - 1):
@@ -533,8 +533,7 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
                 ranked.setdefault(rank, set()).update(groups[loc])
         classes = [frozenset(ranked[k]) for k in range(len(ranked))]
         classes.append(frozenset(quiet))
-        weight = 1 if weights is None else weights[pos]
-        slots.append(AccessibleSlot(tau=t, classes=tuple(classes), weight=weight))
+        slots.append(AccessibleSlot(tau=t, classes=tuple(classes)))
     return slots
 
 

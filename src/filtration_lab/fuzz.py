@@ -108,7 +108,7 @@ def random_enlargement(tree: FilteredTree, rng, name="G"):
             for leaf in atom.leaves:
                 groups.setdefault(prev_of[leaf], []).append(leaf)
             for piece in map(groups.__getitem__, sorted(groups)):
-                if len(piece) > 1 and rng.random() < Fraction(3, 5):
+                if len(piece) > 1 and rng.random() <= 0.6:  # < 3/5 exactly
                     k = rng.randint(2, min(len(piece), 3))
                     order = piece[:]
                     rng.shuffle(order)
@@ -153,7 +153,7 @@ def random_representable(w: Process, rng) -> Process:
 def random_increasing(tree: FilteredTree, rng) -> Process:
     """Adapted nondecreasing scalar process with many flat increments."""
     def step():  # 0, or a / b with b <= 2, as a numerator over 2
-        if rng.random() < Fraction(1, 2):
+        if rng.random() < 0.5:
             return (rng.randint(1, 3) * (2 // rng.randint(1, 2)),)
         return (0,)
 

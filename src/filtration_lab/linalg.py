@@ -13,17 +13,12 @@ and particular solutions set them to zero.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 
+from .rationals import over_lcm
+
 ZERO = Fraction(0)
-
-
-def _over_common(vec) -> tuple[list[int], int]:
-    """Integer numerators of a rational vector over its least common denominator."""
-    ratios = [x.as_integer_ratio() for x in vec]
-    den = lcm(*[d for _, d in ratios])
-    return [n * (den // d) for n, d in ratios], den
 
 
 def _int_dot(u, v) -> int:
@@ -50,7 +45,7 @@ def _eliminate(matrix):
     in its pivot column. Every division by the previous pivot is exact:
     by Sylvester's identity each entry is a minor of the scaled matrix.
     """
-    rows = [_over_common(r)[0] for r in matrix]
+    rows = [over_lcm([x.as_integer_ratio() for x in r])[1] for r in matrix]
     det = 1
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
@@ -151,7 +146,7 @@ def gram_schmidt(vectors):
     basis = []
     directions = []  # each kept residual as coprime integers, with its norm
     for vec in vectors:
-        residual, den = _over_common(vec)
+        den, residual = over_lcm([x.as_integer_ratio() for x in vec])
         for b, norm in directions:
             coeff = _int_dot(residual, b)
             residual = [norm * r - coeff * x for r, x in zip(residual, b)]

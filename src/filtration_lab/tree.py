@@ -17,8 +17,8 @@ of those int masses with int numerators, and the callers reduce once per
 output cell; conditional_law is its Fraction front end.
 
 Each tree interns the jump locations its measures and jump functions name as
-small ints, so a location vector has one id per tree; the pool holds only
-the vectors, never a process or a flow.
+small ints, keyed by each location's reduced int cell (den, nums), and builds
+the location's Fraction vector once, beside its cell; it holds no process.
 
 Conventions used throughout the library: F_{t-} means F_{t-1} for t >= 1 and
 F_0 for t = 0; a process is predictable at t when it is F_{t-1}-measurable;
@@ -44,7 +44,7 @@ from .errors import (
     ProbabilitySumNotOne,
     TimeOutOfRange,
 )
-from .rationals import over_common_denominator, to_fraction
+from .rationals import over_common_denominator, over_lcm, reduced, to_fraction
 
 ONE = Fraction(1)
 
@@ -212,7 +212,7 @@ class FilteredTree:
             self.nodes_at[node.time].append(node)
         self._base_filtration = None
         self._meets = {}
-        self.locations, self._location_ids = [], {}  # the location pool
+        self.location_cells, self.locations, self._location_ids = [], [], {}  # pool
 
     def _preorder(self):
         """Nodes reachable from the root, depth first, children in order."""
@@ -258,12 +258,22 @@ class FilteredTree:
         """Position of the leaf with the given id, or None."""
         return self._leaf_index.get(leaf_id)
 
-    def location_id(self, value: tuple) -> int:
-        """The id of a jump location vector, interned on first sight;
-        locations[id] gives the vector back."""
-        hit = self._location_ids.setdefault(value, len(self.locations))
+    def location_id(self, value) -> int:
+        """The id of a jump location vector, each entry coerced with
+        to_fraction, interned on first sight; locations[id] gives the
+        vector back as Fractions."""
+        return self._intern(*over_lcm([to_fraction(c).as_integer_ratio()
+                                       for c in value]))
+
+    def _intern(self, den, nums) -> int:
+        """The id of the location nums / den, den > 0, interned on first
+        sight by its cell over the least den that clears it, gcd 1."""
+        den, (nums,) = reduced(den, (nums,))
+        cell = den, nums
+        hit = self._location_ids.setdefault(cell, len(self.locations))
         if hit == len(self.locations):
-            self.locations.append(value)
+            self.location_cells.append(cell)
+            self.locations.append(tuple([Fraction(n, den) for n in nums]))
         return hit
 
     def base_filtration(self) -> "Filtration":

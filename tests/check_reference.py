@@ -1,12 +1,15 @@
-"""The rank test and the compensator scan on Fractions, as the library had them.
+"""The rank test, the compensator scan and the location pool on Fractions,
+as the library had them.
 
 Test-only reference. check_mrp ranked each node's increments read through
 Process.increment, one Fraction per (component, child), and took the
 counterexample from the null space of those rows stacked with the branch
 probabilities. compensator_scan built both compensators as processes, for
 the base flow and for the larger one, and compared their increments. The
-library now works on Delta W's and Delta A's int slices; test_check_reference
-holds it to these functions on the fuzz corpus.
+tree's location pool was keyed by Fraction vectors (interned_ids), and each
+menu gauge was taken from the vector (gauge). The library now works on
+Delta W's and Delta A's int slices and pools each location by its int
+cell; test_check_reference holds it to these functions on the fuzz corpus.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 from filtration_lab.calculus import Process, dual_predictable_projection
 from filtration_lab.errors import DimensionMismatch, NotIncreasing
 from filtration_lab.linalg import null_space, rank
+from filtration_lab.rationals import over_lcm
 from filtration_lab.representation import MrpReport
 from filtration_lab.tree import as_filtration
 
@@ -68,3 +72,17 @@ def compensator_scan(a: Process, enlargement_like):
                 if fine.increment(t, sub.leaves[0])[0] != 0:
                     return False, (t, atom.label, sub.label)
     return True, None
+
+
+def interned_ids(pool, vectors):
+    """The id of each vector in a pool keyed by Fraction vectors, holding
+    pool's vectors first and interning the new ones in order."""
+    ids = {vector: k for k, vector in enumerate(pool)}
+    return [ids.setdefault(vector, len(ids)) for vector in vectors]
+
+
+def gauge(vector):
+    """The slot gauge of a Fraction location vector, as the int ratio (num,
+    den) over the lcm of its denominators."""
+    den, nums = over_lcm([c.as_integer_ratio() for c in vector])
+    return min(sum(map(abs, nums)), den), den

@@ -528,8 +528,7 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
         scale=Process(tree, scale_data, 1))
 
 
-def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
-                             weights=None):
+def value_slots_from_measure(mu: JumpMeasure, filtration_like=None):
     """Build accessible slots from a measure: one slot per support time.
 
     Classes group each conditioning atom's successors by jump location (lex
@@ -540,7 +539,7 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
     filtration = as_filtration(filtration_like or tree)
     times = sorted({tree.nodes[nid].time for nid in mu.support})
     slots = []
-    for pos, t in enumerate(times):
+    for t in times:
         per_atom = []
         for atom in filtration.atoms(t - 1):
             groups: dict[tuple, list] = {}
@@ -571,8 +570,7 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None,
         for _, still in per_atom:
             quiet.update(still)
         classes.append(frozenset(quiet))
-        weight = 1 if weights is None else weights[pos]
-        slots.append(AccessibleSlot(tau=t, classes=tuple(classes), weight=weight))
+        slots.append(AccessibleSlot(tau=t, classes=tuple(classes)))
     return slots
 
 

@@ -7,7 +7,8 @@ scenario's driver, a wider draw, the driver stacked on itself, the
 reconstructed family and every undersized_basis probe), and the same
 verdict and witness for the scan on the jump counter and on
 random_increasing draws under every flow, raising the same errors in the
-same order.
+same order. For every basis, the measure's support, location ids and menu
+gauges under every flow must be those of the Fraction vectors.
 """
 
 from fractions import Fraction
@@ -15,8 +16,14 @@ from fractions import Fraction
 import check_reference as ref
 import pytest
 
-from filtration_lab import Process, check_compensator_abs_continuity, check_mrp
+from filtration_lab import (
+    Process,
+    check_compensator_abs_continuity,
+    check_mrp,
+    jump_measure,
+)
 from filtration_lab.cli import CheckContext, _jump_counter
+from filtration_lab.constraint import ConstraintSystem, detect_fpcc
 from filtration_lab.errors import DegeneratePartition
 from filtration_lab.fuzz import (
     random_basis,
@@ -106,6 +113,37 @@ def test_refusals_match_in_order(seed):
         for flow in (tree, "not a flow"):
             assert (outcome(check_compensator_abs_continuity, a, flow)
                     == outcome(ref.compensator_scan, a, flow))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_pooled_locations_match_the_fraction_route(seed):
+    """The support is the nonzero increment vectors in node order; its ids
+    are those a Fraction-keyed pool gives, and location_id gives them too;
+    every menu gauge, of detect_fpcc's systems and of systems built from
+    their reversed vectors, is the one taken from the vector."""
+    scenario = random_scenario(seed)
+    tree = scenario.tree
+    flows = [tree, *(e for _, e in sorted(scenario.enlargements.items()))]
+    for w in bases(scenario, seed):
+        pool = list(tree.locations)
+        mu = jump_measure(w)
+        jumps = {node.id: w.increment(t, node.leaf_lo)
+                 for t in range(1, tree.horizon + 1) for node in tree.nodes_at[t]
+                 if any(w.increment(t, node.leaf_lo))}
+        assert list(mu.support.items()) == list(jumps.items())
+        assert list(mu._jump_ids.values()) == ref.interned_ids(pool, jumps.values())
+        assert [tree.location_id(v) for v in jumps.values()] == \
+            list(mu._jump_ids.values())
+        for flow in flows:
+            found = detect_fpcc(mu, flow)
+            reversed_cs = ConstraintSystem(
+                found.filtration, found.dim, found.n,
+                {key: tuple(reversed(menu)) for key, menu in found.slots.items()})
+            for cs in (found, reversed_cs):
+                for key, values in cs.slots.items():
+                    assert cs._menus[key][1] == tuple(
+                        (0, 1) if v is None else ref.gauge(v) for v in values)
+        assert tree.locations[:len(pool)] == pool
 
 
 def test_corpus_reaches_every_branch():

@@ -32,6 +32,7 @@ from filtration_lab.errors import (
     ConstraintMismatch,
     NotAStoppingTime,
     NotOrthogonal,
+    ParseError,
     PartitionNotMeasurable,
     ProbabilitySumNotOne,
     RankDeficient,
@@ -137,6 +138,32 @@ class TestConstraintMartingales:
         doubled = {key: menu + menu[:1] for key, menu in cs.slots.items()}
         with pytest.raises(ConstraintMismatch, match="twice"):
             ConstraintSystem(cs.filtration, cs.dim, cs.n + 1, doubled)
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+@pytest.mark.parametrize("boundary", [
+    "constraint system", "jump function entry", "jump function value",
+    "compensator prob", "slot_of", "l1_gauge"])
+def test_location_boundaries_refuse_floats_and_bools(bin1, w_bin, boundary, bad):
+    """Every way a location vector enters refuses a float or bool entry
+    with ParseError, and the tree's location pool stays as it was."""
+    mu = jump_measure(w_bin)
+    base = bin1.base_filtration()
+    g = JumpFunction.from_callable(mu, bin1, lambda t, v: v[0])
+    cs = detect_fpcc(mu)
+    enter = {
+        "constraint system": lambda v: ConstraintSystem(base, 1, 1, {(1, "r"): [v]}),
+        "jump function entry": lambda v: JumpFunction(base, {(1, "r", v): 1}),
+        "jump function value": lambda v: g.value(1, 0, v),
+        "compensator prob": lambda v: mu.compensator(bin1).prob(1, "r", v),
+        "slot_of": lambda v: cs.slot_of(1, "r", v),
+        "l1_gauge": l1_gauge,
+    }[boundary]
+    pool = (list(bin1.locations), list(bin1.location_cells))
+    with pytest.raises(ParseError, match="not a rational"):
+        enter((bad,))
+    assert (bin1.locations, bin1.location_cells) == pool
+    assert enter((F(1),)) is not None  # the same call takes a rational
 
 
 class TestStarToDot:

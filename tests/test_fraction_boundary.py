@@ -11,7 +11,8 @@ On that shape and on fuzz seed 30 (three-way branching, two flows), with
 Fraction.__hash__ and Fraction.__eq__ patched too, the rank test, the
 compensator scan and the constraint-menu reads must build and hash no
 Fraction, and the slot martingales and the slot-event test must compare
-none.
+none. There jump_measure and detect_fpcc must hash no Fraction, and build
+only the dim entries of each location the tree pools for the first time.
 """
 
 from fractions import Fraction
@@ -192,3 +193,17 @@ def test_rank_scan_and_menus_use_no_fraction(shape, request, fraction_ops):
         name: (0, 0) for name in calls}
     assert used["constraint_martingales"]["eq"] == 0
     assert used["slot_events_disjoint"]["eq"] == 0
+
+
+@pytest.mark.parametrize("shape", ["deep-binary", "seed-30"])
+def test_measure_and_menus_pool_int_cells(shape, request, fraction_ops):
+    scenario = (request.getfixturevalue("deep_binary") if shape == "deep-binary"
+                else random_scenario(30))
+    w = scenario.basis_process()
+    tree = w.tree
+    before, pooled = dict(fraction_ops), len(tree.locations)
+    cs = detect_fpcc(jump_measure(w))
+    fresh = len(tree.locations) - pooled
+    assert fresh and cs.n  # locations were pooled and listed in menus
+    assert fraction_ops["hash"] == before["hash"]
+    assert fraction_ops["new"] - before["new"] <= w.dim * fresh

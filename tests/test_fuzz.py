@@ -1,5 +1,6 @@
 """Seeded generators: determinism and the contracts the campaigns rely on."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -148,6 +149,12 @@ def scan_enlargement(tree, rng, name="G"):
     return enlarge(tree, partitions, name=name)
 
 
+def test_split_threshold_is_three_fifths():
+    """rng.random() <= 0.6 accepts exactly the draws below 3/5: the float
+    0.6 is the largest double below it."""
+    assert F(0.6) < F(3, 5) < F(math.nextafter(0.6, 1))
+
+
 def full_tree(branching, horizon):
     """Full b-ary tree, the shape of the benchmark's file workloads."""
     nodes = [{"id": "r", "time": 0, "parent": None, "prob": None}]
@@ -170,10 +177,11 @@ def same_draws(tree, *labels):
             and new_rng.random() == old_rng.random())
 
 
-@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("seed", range(200))
 def test_enlargement_matches_previous_cell_scan(seed):
     """Fuzz trees (random_scenario's shapes and wider random trees) on the
-    streams random_scenario draws its flows from."""
+    streams random_scenario draws its flows from. The scan splits when
+    rng.random() < Fraction(3, 5), the generator when it is <= 0.6."""
     for tree in (random_scenario(seed).tree,
                  random_tree(seed, horizon=3, max_branching=4)):
         for name in ("G0", "G1"):
@@ -203,10 +211,11 @@ def fraction_increasing(tree, rng):
     return Process.from_node_values(tree, node_values, dim=1)
 
 
-@pytest.mark.parametrize("seed", range(50))
+@pytest.mark.parametrize("seed", range(200))
 def test_increasing_matches_fraction_builder(seed):
     """Same values and the stream left at the same point, on the fuzz trees
-    and on the consistency check's streams."""
+    and on the consistency check's streams; the builder steps when
+    rng.random() < Fraction(1, 2), the generator when it is < 0.5."""
     for tree in (random_scenario(seed).tree,
                  random_tree(seed, horizon=3, max_branching=4)):
         for labels in ((seed, "consistency", "G0"), (seed, "a")):

@@ -15,6 +15,7 @@ Predictable processes built from int cells are slice for slice the ones
 the Fraction builder, kept as ref.predictable, gives.
 """
 
+import dataclasses
 from fractions import Fraction
 
 import integral_reference as ref
@@ -317,7 +318,7 @@ def test_slot_lists_differing_only_in_weight(ter1, w_ter):
     mu = jump_measure(w_ter)
     g = JumpFunction.component(mu, ter1, 0)
     plain = value_slots_from_measure(mu)
-    heavy = value_slots_from_measure(mu, weights=[F(5, 2)])
+    heavy = [dataclasses.replace(slot, weight=F(5, 2)) for slot in plain]
     assert [s.classes for s in plain] == [s.classes for s in heavy]
     light_new = accessible_star_to_dot(g, mu, plain)
     heavy_new = accessible_star_to_dot(g, mu, heavy)
