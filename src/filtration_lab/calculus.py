@@ -54,6 +54,7 @@ from .errors import (
     NotPredictable,
 )
 from .rationals import (
+    as_cell,
     as_fractions,
     gathered,
     over_common_denominator,
@@ -678,10 +679,12 @@ class JumpFunction:
 
     def __init__(self, filtration: Filtration, entries: dict):
         """entries: {(t, atom label, location vector): value}."""
-        intern = filtration.tree.location_id
-        self._fill(filtration, [
-            ((t, label, intern(value)), to_fraction(g).as_integer_ratio())
-            for (t, label, value), g in entries.items()])
+        # every entry is coerced before any location is pooled
+        cells = [(t, label, as_cell(value), to_fraction(g).as_integer_ratio())
+                 for (t, label, value), g in entries.items()]
+        intern = filtration.tree._intern
+        self._fill(filtration, [((t, label, intern(*cell)), ratio)
+                                for t, label, cell, ratio in cells])
 
     @classmethod
     def _from_ratios(cls, filtration: Filtration, items):

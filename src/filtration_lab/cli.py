@@ -235,9 +235,11 @@ def _run_multiplier(ctx: CheckContext):
             rng = rng_for(ctx.seed, "multiplier", name, str(j))
             x = random_representable(ctx.basis(), rng)
             good = good and verify_drift_multiplier(solution, x, enlargement)
-        phi = {f"{slot.time}:{slot.atom}": {
-            record.label: list(record.phi) for record in slot.sub_records}
-            for slot in solution.slots}
+        nodes, subs = ctx.tree.base_filtration().parts, enlargement.filtration().parts
+        phi = {f"{t}:{node.label}": {
+            sub.label: list(solution.phi.at(t, sub.leaves[0]))
+            for sub in [subs[t - 1].atoms[k] for k, _ in subs[t - 1].pieces(node)]}
+            for t in range(1, ctx.tree.horizon + 1) for node in nodes[t - 1].atoms}
         return good, {"holds": solution.holds, "verified_samples": 3,
                       "phi": phi}
 

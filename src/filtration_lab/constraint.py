@@ -47,7 +47,7 @@ from .errors import (
     VanishingWeight,
 )
 from .linalg import right_inverse, solve
-from .rationals import over_lcm, to_fraction
+from .rationals import as_cell, over_lcm, to_fraction
 from .tree import StoppingTime, as_filtration
 
 ZERO = Fraction(0)
@@ -59,8 +59,7 @@ def l1_gauge(x) -> Fraction:
     Bounded, vanishes only at 0, and |gauge(x)| <= (|x| and 1) with constant
     1, which keeps every constraint martingale increment in [-2, 2].
     """
-    den, nums = over_lcm([to_fraction(c).as_integer_ratio() for c in x])
-    return Fraction(*_gauge(den, nums))
+    return Fraction(*_gauge(*as_cell(x)))
 
 
 def _gauge(den, nums):
@@ -78,11 +77,13 @@ class ConstraintSystem:
     """
 
     def __init__(self, filtration, dim, n, slots):
-        intern = filtration.tree.location_id
+        # every entry is coerced before any location is pooled
+        cells = {key: [None if value is None else as_cell(value) for value in values]
+                 for key, values in slots.items()}
+        intern = filtration.tree._intern
         self._fill(filtration, dim, n, {
-            key: tuple(None if value is None else intern(value)
-                       for value in values)
-            for key, values in slots.items()})
+            key: tuple(None if cell is None else intern(*cell) for cell in row)
+            for key, row in cells.items()})
 
     @classmethod
     def _from_ids(cls, filtration, dim, n, menus):

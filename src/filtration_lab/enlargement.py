@@ -11,8 +11,9 @@ and kernel checks build it once per ReconstructedBasis and keep it there:
 the multiplier's frames, N and the base-flow brackets [N, X2_h]^p, kept as
 their conditional increments on each base node, and each witness's
 covariance frame C, J and kernel, on int numerators. Per enlargement only
-what the larger flow changes runs: p_bar, phi and the drift identities, and
-the sub-atom M = M J C tests. The drift identity is tested per conditioning
+what the larger flow changes runs: phi, one int cell per larger-flow atom
+built from its class masses and the frame, the drift identities, and the
+sub-atom M = M J C tests. The drift identity is tested per conditioning
 atom on int numerators, every component in one pass, with no process built.
 """
 
@@ -332,29 +333,9 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
 
 
 @dataclass(frozen=True)
-class SlotWitness:
-    """Per conditioning atom: branch probabilities, the orthogonal frame,
-    and each larger-flow atom's reweighted coordinates."""
-    time: int
-    atom: str
-    p: tuple
-    epsilons: tuple
-    sub_records: tuple
-
-
-@dataclass(frozen=True)
-class SubAtomRecord:
-    label: str
-    p_bar: tuple
-    sigma: tuple
-    phi: tuple
-
-
-@dataclass(frozen=True)
 class MultiplierSolution:
     n: Process
     phi: Process
-    slots: tuple
     holds: bool
     basis: object
 
@@ -364,59 +345,45 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
 
     Per conditioning atom, the successor-class probabilities p give an
     orthogonal frame of the hyperplane against p; the larger flow reweights
-    p to p_bar, and the coordinates of (1/2^t)(p_bar/p - 1) in the frame
-    (scaled by 4^t for the non-unit covariance normalization) define phi,
-    while the frame itself integrates the reconstructed family into N. The
-    defining identity is verified exactly for every component before
-    returning, for every component in one pass. The frames, N and the
-    base-flow brackets [N, X2_h]^p come from the basis alone and are built
-    once per basis.
+    p to p_bar, and the coordinates of rho = (1/2^t)(p_bar/p - 1) in the
+    frame (scaled by 4^t for the non-unit covariance normalization) define
+    phi, built as one int cell per larger-flow atom, while the frame itself
+    integrates the reconstructed family into N. The defining identity is
+    verified exactly before returning, for every component in one pass. The
+    frames, N and the base-flow brackets [N, X2_h]^p come from the basis
+    alone and are built once per basis.
     """
     filtration = as_filtration(enlargement_like)
     slots, n, steps = basis._derived(
         "multiplier", lambda: _multiplier_frame(basis))
     base = basis.process.tree.base_filtration()
-    slot_records = []
     phis = {}
     for t, row in enumerate(slots, 1):
         nodes, subs = base.parts[t], filtration.parts[t - 1]
-        for node, wit, epsilons, eps_den, eps_nums, norms, ratios, lead in row:
-            sub_records = []
+        for node, classes, eps_den, eps_nums, norms, ratios, lead in row:
             for sub in [subs.atoms[k] for k, _ in subs.pieces(node)]:
-                # class h is the time-t node wit.subatoms[h]; padding is empty
+                # class h is the time-t node classes[h]; padding is empty
                 masses = {nodes.atoms[k].label: m for k, m in nodes.pieces(sub)}
                 total = sub.mass
-                p_bar = [Fraction(masses[label], total) if label in masses else ZERO
-                         for label in wit.subatoms]
                 rho = [(masses.get(label, 0) * b - total * a) * (lead // a) if a else 0
-                       for (a, b), label in zip(ratios, wit.subatoms)]
+                       for (a, b), label in zip(ratios, classes)]
                 rho_den = 2 ** t * total * lead
-                # <rho, eps> / <eps, eps> per frame vector
-                coords = [(sum(map(mul, rho, e)) * eps_den, rho_den * norm)
-                          for e, norm in zip(eps_nums, norms)]
-                sigma = [Fraction(num, den) for num, den in coords]
-                phi_vec = tuple(Fraction(4 ** t * num, den) for num, den in coords)
-                sub_records.append(SubAtomRecord(
-                    label=sub.label, p_bar=tuple(p_bar),
-                    sigma=tuple(sigma), phi=phi_vec))
-                phis[(t, sub.label)] = over_lcm(
-                    [c.as_integer_ratio() for c in phi_vec])
-            slot_records.append(SlotWitness(
-                time=t, atom=node.label, p=wit.probs, epsilons=epsilons,
-                sub_records=tuple(sub_records)))
+                # 4^t <rho, eps> / <eps, eps> per frame vector
+                phis[(t, sub.label)] = over_lcm([
+                    (4 ** t * sum(map(mul, rho, e)) * eps_den, rho_den * norm)
+                    for e, norm in zip(eps_nums, norms)])
 
     phi = Process._predictable(filtration, basis.d,
                                lambda t, sub: phis[(t, sub.label)])
     holds = _multiplier_holds(phi, steps, basis.process, filtration)
-    return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
-                              holds=holds, basis=basis)
+    return MultiplierSolution(n=n, phi=phi, holds=holds, basis=basis)
 
 
 def _multiplier_frame(basis):
     """The basis side of solve_drift_multiplier: per time t, per time-(t-1)
-    node, (its base atom, witness, frame as Fractions, frame as (den,
-    nums), squared norms over den^2, p as int ratios, lcm of the charged
-    numerators); then N and the steps of the base-flow brackets
+    node, (its base atom, the labels of its successor classes, frame as
+    (den, nums), squared norms over den^2, p as int ratios, lcm of the
+    charged numerators); then N and the steps of the base-flow brackets
     [N, X2_h]^p of every component at once."""
     x2 = basis.process
     tree = x2.tree
@@ -437,10 +404,9 @@ def _multiplier_frame(basis):
             last = max(h for h in range(width) if p[h])
             tails = list(accumulate(v * v for v in reversed(p)))[::-1]
             coeffs = [p[h] / tails[h] if p[h] else ZERO for h in range(width)]
-            epsilons = tuple(
+            frame = eps_den, eps_nums = over_common_denominator([
                 (ZERO,) * h + (ONE - c * p[h],) + tuple(-c * v for v in p[h + 1:])
-                for h, c in enumerate(coeffs) if h != last)
-            frame = eps_den, eps_nums = over_common_denominator(epsilons)
+                for h, c in enumerate(coeffs) if h != last])
             frame_row.append(frame)
             norms = [sum(map(mul, e, e)) for e in eps_nums]  # over eps_den^2
             # with p_h = a_h / b_h and p_bar_h = m_h / M, the target
@@ -448,7 +414,7 @@ def _multiplier_frame(basis):
             # held over 2^t M L with L the lcm of the charged a_h
             ratios = [c.as_integer_ratio() for c in p]
             lead = lcm(*[a for a, _ in ratios if a])
-            row.append((node, wit, epsilons, eps_den, eps_nums, norms,
+            row.append((node, wit.subatoms, eps_den, eps_nums, norms,
                         ratios, lead))
         slots.append(row)
         frames.append((base.parts[t - 1], None, frame_row))

@@ -45,6 +45,12 @@ def over_common_denominator(cells):
     return den, tuple(zip(*[flat] * width))
 
 
+def as_cell(vector):
+    """One vector of outside values, each coerced with to_fraction, as
+    (den, nums) over the lcm of their denominators, reduced."""
+    return over_lcm([to_fraction(c).as_integer_ratio() for c in vector])
+
+
 def over_lcm(ratios):
     """One vector of int ratios (num, den), each den positive, as (den,
     nums) over the lcm of the dens; reduced when every ratio is."""

@@ -44,7 +44,7 @@ from .errors import (
     ProbabilitySumNotOne,
     TimeOutOfRange,
 )
-from .rationals import over_common_denominator, over_lcm, reduced, to_fraction
+from .rationals import as_cell, over_common_denominator, reduced, to_fraction
 
 ONE = Fraction(1)
 
@@ -262,8 +262,7 @@ class FilteredTree:
         """The id of a jump location vector, each entry coerced with
         to_fraction, interned on first sight; locations[id] gives the
         vector back as Fractions."""
-        return self._intern(*over_lcm([to_fraction(c).as_integer_ratio()
-                                       for c in value]))
+        return self._intern(*as_cell(value))
 
     def _intern(self, den, nums) -> int:
         """The id of the location nums / den, den > 0, interned on first

@@ -61,8 +61,6 @@ from filtration_lab.enlargement import (
     DeflatorSearch,
     KernelCertificate,
     MultiplierSolution,
-    SlotWitness,
-    SubAtomRecord,
     _moment_sums,
     _one_period_deflator,
     _require_positive,
@@ -643,7 +641,6 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
 
     x2 = basis.process
     frames = {}
-    slot_records = []
     n_data = [[tuple([ZERO] * basis.d)] * tree.n_leaves]
     phis = {}
     for t in range(1, tree.horizon + 1):
@@ -661,7 +658,6 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                 raise DegeneratePartition(
                     f"frame at atom {node.id} has {len(epsilons)} directions")
             frames[(t, node.id)] = epsilons
-            sub_records = []
             node_of = [tree.node_at(t, i) for i in range(tree.n_leaves)].__getitem__
             for sub in _atoms_within(filtration, t - 1, node.leaves()):
                 # class h is the time-t node wit.subatoms[h]; padding is empty
@@ -672,15 +668,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                        else Fraction(1, 2 ** t) * (p_bar[h] / p[h] - 1)
                        for h in range(width)]
                 sigma = [dot(rho, eps) / dot(eps, eps) for eps in epsilons]
-                phi_vec = tuple(Fraction(4 ** t) * c for c in sigma)
-                sub_records.append(SubAtomRecord(
-                    label=sub.label, p_bar=tuple(p_bar),
-                    sigma=tuple(sigma), phi=phi_vec))
-                phis[(t, sub.label)] = phi_vec
-            slot_records.append(SlotWitness(
-                time=t, atom=node.id, p=tuple(p),
-                epsilons=tuple(tuple(e) for e in epsilons),
-                sub_records=tuple(sub_records)))
+                phis[(t, sub.label)] = tuple(Fraction(4 ** t) * c for c in sigma)
             for i in node.leaves():
                 inc = x2.increment(t, i)
                 steps = tuple(dot(eps, inc) for eps in epsilons)
@@ -695,8 +683,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
         multiplier_identity(phi, n_brackets(n, x2.component(h)),
                             x2.component(h), filtration)
         for h in range(width))
-    return MultiplierSolution(n=n, phi=phi, slots=tuple(slot_records),
-                              holds=holds, basis=basis)
+    return MultiplierSolution(n=n, phi=phi, holds=holds, basis=basis)
 
 
 def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:

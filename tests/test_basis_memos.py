@@ -79,8 +79,8 @@ def test_basis_side_is_shared_across_flows():
         for g, solution in zip(flows, solutions):
             # a fresh basis rebuilds every memo; the answers must agree
             fresh = solve_drift_multiplier(g, dataclasses.replace(rebuilt))
-            assert (solution.slots, solution.holds) == (fresh.slots, fresh.holds)
             assert solution.n == fresh.n and solution.phi == fresh.phi
+            assert solution.holds == fresh.holds
         for wit in rebuilt.witnesses:
             first, second = (covariance_kernel(g, rebuilt, wit.time, wit.atom)
                              for g in flows)
@@ -174,7 +174,7 @@ def test_multiplier_check_raises_as_the_coefficient_does(two_step):
         "r": 0, "u": 0, "d": 0, "uu": 0, "ud": 0, "du": 1, "dm": -1, "dd": 0})
     zero = Process.zero(two_step, 1)
     solution = enlargement.MultiplierSolution(
-        n=zero, phi=zero, slots=(), holds=True,
+        n=zero, phi=zero, holds=True,
         basis=representation.ReconstructedBasis(process=w, witnesses=(), d=1))
     new = error_fields(enlargement.verify_drift_multiplier, solution, x,
                        two_step)

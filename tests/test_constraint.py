@@ -142,8 +142,9 @@ class TestConstraintMartingales:
 
 @pytest.mark.parametrize("bad", [0.5, True])
 @pytest.mark.parametrize("boundary", [
-    "constraint system", "jump function entry", "jump function value",
-    "compensator prob", "slot_of", "l1_gauge"])
+    "constraint system", "constraint system, second entry",
+    "jump function entry", "jump function value after its location",
+    "jump function value", "compensator prob", "slot_of", "l1_gauge"])
 def test_location_boundaries_refuse_floats_and_bools(bin1, w_bin, boundary, bad):
     """Every way a location vector enters refuses a float or bool entry
     with ParseError, and the tree's location pool stays as it was."""
@@ -153,7 +154,11 @@ def test_location_boundaries_refuse_floats_and_bools(bin1, w_bin, boundary, bad)
     cs = detect_fpcc(mu)
     enter = {
         "constraint system": lambda v: ConstraintSystem(base, 1, 1, {(1, "r"): [v]}),
+        "constraint system, second entry": lambda v: ConstraintSystem(
+            base, 1, 2, {(1, "r"): [(F(3),), v]}),
         "jump function entry": lambda v: JumpFunction(base, {(1, "r", v): 1}),
+        "jump function value after its location": lambda v: JumpFunction(
+            base, {(1, "r", (F(7),)): v[0]}),
         "jump function value": lambda v: g.value(1, 0, v),
         "compensator prob": lambda v: mu.compensator(bin1).prob(1, "r", v),
         "slot_of": lambda v: cs.slot_of(1, "r", v),

@@ -12,7 +12,9 @@ Fraction.__hash__ and Fraction.__eq__ patched too, the rank test, the
 compensator scan and the constraint-menu reads must build and hash no
 Fraction, and the slot martingales and the slot-event test must compare
 none. There jump_measure and detect_fpcc must hash no Fraction, and build
-only the dim entries of each location the tree pools for the first time.
+only the dim entries of each location the tree pools for the first time,
+and a second solve_drift_multiplier on the same flow and basis must build
+no Fraction.
 """
 
 from fractions import Fraction
@@ -29,6 +31,7 @@ from filtration_lab import (
     jump_measure,
     representation_coefficient,
     single_jump_coefficient,
+    solve_drift_multiplier,
     translate_integrand,
 )
 from filtration_lab.cli import CHECKS, CheckContext, _jump_counter, run_check
@@ -207,3 +210,19 @@ def test_measure_and_menus_pool_int_cells(shape, request, fraction_ops):
     assert fresh and cs.n  # locations were pooled and listed in menus
     assert fraction_ops["hash"] == before["hash"]
     assert fraction_ops["new"] - before["new"] <= w.dim * fresh
+
+
+@pytest.mark.parametrize("shape", ["deep-binary", "seed-30"])
+def test_repeated_multiplier_solve_builds_no_fraction(shape, request, counted):
+    """The first solve builds the basis side and the partition meets the
+    tree keeps; the second reads them and builds phi from int cells."""
+    scenario = (request.getfixturevalue("deep_binary") if shape == "deep-binary"
+                else random_scenario(30))
+    rebuilt = CheckContext(scenario, 0, "run").reconstructed
+    built = {}
+    for name, flow in sorted(scenario.enlargements.items()):
+        solve_drift_multiplier(flow, rebuilt)
+        before = counted["all"]
+        solve_drift_multiplier(flow, rebuilt)
+        built[name] = counted["all"] - before
+    assert built and built == dict.fromkeys(built, 0)

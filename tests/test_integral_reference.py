@@ -577,7 +577,7 @@ def test_family_and_multiplier_match_reference(seed):
                 continue
             assert same_process(new.n, old.n)
             assert same_process(new.phi, old.phi)
-            assert (new.slots, new.holds) == (old.slots, old.holds)
+            assert new.holds == old.holds
 
 
 def one_cell_per_node(x: Process) -> bool:

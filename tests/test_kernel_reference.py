@@ -11,7 +11,9 @@ comparison and the old subset scans of enlargement validation. On the fuzz
 corpus, under the base flow and every enlargement, the library must return
 exactly what they return: on the scenarios' own processes, on copies whose
 every cell is its own tuple, and on processes that are not adapted to any
-flow, with or without shared cells.
+flow, with or without shared cells. The library no longer keeps p_bar, so
+the old p_bar is held to phi and the Gram-Schmidt frame instead:
+p_bar_h / p_h = 1 + 2^-t sum_i phi_i eps_ih on every charged class h.
 """
 
 from fractions import Fraction
@@ -50,7 +52,7 @@ from filtration_lab.errors import (
     TimeOutOfRange,
 )
 from filtration_lab.fuzz import random_increasing, random_scenario, rng_for
-from filtration_lab.linalg import solve
+from filtration_lab.linalg import gram_schmidt, solve
 from filtration_lab.rationals import as_fractions, to_fraction
 from filtration_lab.tree import as_filtration, conditional_expectation_leafwise
 from integral_reference import Shared, _atoms_within
@@ -578,21 +580,28 @@ def test_multiplier_and_covariance_moments(seed):
           wild(tree, width, rng), wild(tree, width, rng, pool=3)]
     for filtration in flows(scenario):
         solution = solve_drift_multiplier(filtration, rebuilt)
-        for slot in solution.slots:
-            wit = by_slot[(slot.time, slot.atom)]
-            subs = _atoms_within(filtration, slot.time - 1,
-                                 tree.nodes[slot.atom].leaves())
-            assert [list(r.p_bar) for r in slot.sub_records] == \
-                [old_p_bar(tree, wit, sub, width) for sub in subs]
-            for sub in subs:
-                for x in xs:
-                    mean_den, mean, cov_den, cov = _moment_sums(
-                        x, slot.time, sub)
-                    m = [list(as_fractions(cov_den, row)) for row in cov]
-                    old_mean, old_m = old_increment_moments(
-                        tree, x, slot.time, sub, width)
-                    assert list(as_fractions(mean_den, mean)) == old_mean
-                    assert m == old_m
+        for t in range(1, tree.horizon + 1):
+            for node in tree.nodes_at[t - 1]:
+                wit = by_slot[(t, node.id)]
+                p = wit.probs
+                units = [[F(int(j == h)) for j in range(width)] for h in range(width)]
+                epsilons = gram_schmidt([p, *units])[1:]
+                for sub in _atoms_within(filtration, t - 1, node.leaves()):
+                    # from masses alone: p_bar_h / p_h = 1 + 2^-t sum_i
+                    # phi_i eps_ih on every charged class h
+                    phi = solution.phi.at(t, sub.leaves[0])
+                    p_bar = old_p_bar(tree, wit, sub, width)
+                    for h in range(width):
+                        if p[h]:
+                            assert p_bar[h] / p[h] == 1 + F(1, 2 ** t) * sum(
+                                c * eps[h] for c, eps in zip(phi, epsilons))
+                    for x in xs:
+                        mean_den, mean, cov_den, cov = _moment_sums(x, t, sub)
+                        m = [list(as_fractions(cov_den, row)) for row in cov]
+                        old_mean, old_m = old_increment_moments(
+                            tree, x, t, sub, width)
+                        assert list(as_fractions(mean_den, mean)) == old_mean
+                        assert m == old_m
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -233,8 +233,8 @@ def test_target_and_basis_still_raise(two_step):
 
     def hand_built(process):
         basis = ReconstructedBasis(process=process, witnesses=(), d=1)
-        return basis, MultiplierSolution(n=zero, phi=zero, slots=(),
-                                         holds=True, basis=basis)
+        return basis, MultiplierSolution(n=zero, phi=zero, holds=True,
+                                         basis=basis)
 
     # a non-martingale basis raises on every call: a failed test is not kept
     basis, solution = hand_built(w + drifting(two_step))
