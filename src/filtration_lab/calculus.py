@@ -18,9 +18,12 @@ An operation on several slices works on their meet, which is one of them
 when it refines the others, brings them to the lcm of their denominators
 and computes each result cell once per block. Jump measures, compensators
 and jump functions are stored once, on ints keyed by the tree's location
-ids, and read as Fractions on request; each jump function memoizes its star
-integral per (measure, filtration), each measure its compensators per
-filtration.
+ids, and read as Fractions on request. A jump measure is its jump index,
+JumpMeasure.locs: per time, one location id or None per time-t node.
+Readers that take jumps per conditioning atom go through _jump_cut, on the
+meet of the flow's time-(t-1) atoms with the time-t nodes. Each jump
+function memoizes its star integral per (measure, filtration), each measure
+its compensators per filtration.
 
 Library code builds its processes through four trusted constructors that
 skip the validation outside input gets: _make takes partitions and int
@@ -555,35 +558,35 @@ class JumpMeasure:
     """Integer-valued random measure of a base-adapted process's jumps.
 
     Support: the time-t nodes (t >= 1) where the increment is a nonzero
-    vector. The measure is built from and holds only {support node id:
-    location id}, that increment's id in the tree's location pool.
+    vector. The measure holds only locs, the one jump index: per time t, per
+    time-t node in node order, the increment's id in the tree's location
+    pool, or None off the support. Readers go through locs or _jump_cut.
     """
 
-    def __init__(self, tree: FilteredTree, dim: int, jump_ids: dict):
-        self.tree = tree
-        self.dim = dim
-        self._jump_ids = dict(jump_ids)
-        self._by_time: dict[int, list] = {}
-        for node_id in sorted(self._jump_ids):
-            node = tree.nodes[node_id]
-            self._by_time.setdefault(node.time, []).append(node)
+    def __init__(self, tree: FilteredTree, dim: int, locs):
+        self.tree, self.dim, self.locs = tree, dim, tuple(locs)
         self._compensators: dict[Filtration, CompensatorTable] = {}
         self._derived: dict = {}
 
     @property
     def support(self) -> dict:
-        """{support node id: location vector}, read from the pool."""
-        return {nid: self.tree.locations[loc] for nid, loc in self._jump_ids.items()}
+        """{support node id: location vector} in time, then node order."""
+        return {node.id: self.tree.locations[loc] for nodes, locs
+                in zip(self.tree.nodes_at, self.locs)
+                for node, loc in zip(nodes, locs) if loc is not None}
 
     def nodes_at(self, t):
-        return self._by_time.get(t, [])
+        """The time-t support nodes in node-label order."""
+        return sorted([node for node, loc in zip(self.tree.nodes_at[t], self.locs[t])
+                       if loc is not None], key=lambda node: node.id)
 
     def location(self, node_id):
-        return self.tree.locations[self._jump_ids[node_id]]
+        node = self.tree.nodes[node_id]
+        return self.jump_at(node.time, node.leaf_lo)
 
     def jump_at(self, t, leaf):
         """Location if (t, leaf) sits under a support node, else None."""
-        loc = self._jump_ids.get(self.tree.node_at(t, leaf).id)
+        loc = self.locs[t][self.tree.base_filtration().parts[t].block_of[leaf]]
         return None if loc is None else self.tree.locations[loc]
 
     def compensator(self, filtration_like) -> "CompensatorTable":
@@ -607,14 +610,20 @@ def jump_measure(x: Process) -> JumpMeasure:
     """x's jumps, each nonzero Delta X_t cell pooled by its int cell."""
     if not x.is_adapted(x.tree):
         raise NotPredictable("jump measure needs a base-adapted process")
-    tree, jump_ids = x.tree, {}
+    tree, locs = x.tree, [(None,)]
     for t in range(1, tree.horizon + 1):
         part, den, nums = x._delta(t)
-        for node in tree.nodes_at[t]:
-            inc = nums[part.block_of[node.leaf_lo]]
-            if any(inc):
-                jump_ids[node.id] = tree._intern(den, inc)
-    return JumpMeasure(tree, x.dim, jump_ids)
+        incs = [nums[part.block_of[node.leaf_lo]] for node in tree.nodes_at[t]]
+        locs.append(tuple([tree._intern(den, c) if any(c) else None for c in incs]))
+    return JumpMeasure(tree, x.dim, locs)
+
+
+def _jump_cut(mu: JumpMeasure, filtration: Filtration, t):
+    """The meet of the flow's time-(t-1) atoms with the time-t nodes, and
+    per block of it the atom's index and the node's location id."""
+    atoms, nodes = filtration.parts[t - 1], mu.tree.base_filtration().parts[t]
+    cut = mu.tree.meet(atoms, nodes)
+    return cut, cut.index_in(atoms), cut.lift(nodes, mu.locs[t])
 
 
 class CompensatorTable:
@@ -629,19 +638,15 @@ class CompensatorTable:
     def __init__(self, measure: JumpMeasure, filtration: Filtration):
         self.measure = measure
         self.filtration = filtration
-        tree = measure.tree
         self.laws: dict[tuple[int, str], tuple[int, tuple]] = {}
-        for t in range(1, tree.horizon + 1):
-            if not measure.nodes_at(t):
-                continue
-            nodes = tree.base_filtration().parts[t]
+        for t in range(1, measure.tree.horizon + 1):
+            nodes, locs = measure.tree.base_filtration().parts[t], measure.locs[t]
             for atom in filtration.atoms(t - 1):
                 masses: dict[int, int] = {}  # per location id
                 for k, m in sorted(nodes.pieces(atom),
                                    key=lambda piece: nodes.atoms[piece[0]].label):
-                    loc = measure._jump_ids.get(nodes.atoms[k].label)
-                    if loc is not None:
-                        masses[loc] = masses.get(loc, 0) + m
+                    if locs[k] is not None:
+                        masses[locs[k]] = masses.get(locs[k], 0) + m
                 if masses:
                     self.laws[(t, atom.label)] = (atom.mass, tuple(masses.items()))
 
@@ -757,7 +762,8 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
 
     Increment at t: g(t, jump) when the path jumps, minus the conditional
     mean of that quantity given the atom at t-1. Always a martingale for the
-    integration filtration. Computed once per (g, measure, filtration).
+    integration filtration, which must refine g's anchoring one (else
+    NotPredictable). Computed once per (g, measure, filtration).
     """
     filtration = as_filtration(filtration_like)
     tree = mu.tree
@@ -766,27 +772,26 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
     key = (mu, filtration)
     if key in g._star_integrals:
         return g._star_integrals[key]
-    laws, jumps, at = mu.compensator(filtration).laws, mu._jump_ids, g._numerator
+    if any(len(tree.meet(mine, anchor).atoms) != len(mine.atoms)
+           for mine, anchor in zip(filtration.parts[:-1], g.filtration.parts)):
+        raise NotPredictable("the integration flow does not refine g's flow")
+    laws, at = mu.compensator(filtration).laws, g._numerator
 
     def increments_at(t):
         gden = g._tables.get(t, (1,))[0]
-        atoms = filtration.parts[t - 1]
+        atoms, anchors = filtration.parts[t - 1], g.filtration.parts[t - 1]
+        labels = [anchors.atoms[j].label for j in atoms.index_in(anchors)]
         comps = []  # per time-(t-1) atom: the mean of g, as (den, numerator)
-        for atom in atoms.atoms:
-            label = g.filtration.conditioning_atom_of(t, atom.leaves[0]).label
+        for atom, label in zip(atoms.atoms, labels):
             mass, law = laws.get((t, atom.label), (1, ()))
             comps.append((mass, sum(m * at(t, label, loc) for loc, m in law)))
-        g_part = g.filtration.parts[t - 1]
-        nodes = tree.base_filtration().parts[t]
-        part, (comp_of, g_atom_of, node_of) = _lifted(tree, (
-            (atoms, None, comps), (g_part, None, g_part.atoms),
-            (nodes, None, nodes.atoms)))
+        cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
         cells = []
-        for (den, total), g_atom, node in zip(comp_of, g_atom_of, node_of):
-            loc = jumps.get(node.label)
-            gain = 0 if loc is None else at(t, g_atom.label, loc)
+        for k, loc in zip(atom_of, loc_of):
+            den, total = comps[k]
+            gain = 0 if loc is None else at(t, labels[k], loc)
             cells.append((den * gden, (gain * den - total,)))
-        return (part, *gathered(cells))
+        return (cut, *gathered(cells))
 
     g._star_integrals[key] = Process._accumulate(tree, (0,), increments_at)
     return g._star_integrals[key]
@@ -806,25 +811,25 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     if y.dim != 1:
         raise DimensionMismatch("projection expects a scalar martingale")
     y.require_martingale(filtration, what="projected process")
-    base = y.tree.base_filtration()
-    items = []
-    for (t, label), (_, law) in mu.compensator(filtration).laws.items():
-        atom = filtration.atom_labelled(t - 1, label)
-        # num[v] / (den * atom mass) is E[Delta Y; jump = v | atom]
-        num = dict.fromkeys([loc for loc, _ in law], 0)
-        nodes = base.parts[t]
-        cut = y.tree.meet(nodes, atom.partition)  # atoms cut by time-t nodes
-        node_of = cut.index_in(nodes)
-        part, den, nums = y._delta(t)
-        for k, mass in cut.pieces(atom):
-            loc = mu._jump_ids.get(nodes.atoms[node_of[k]].label)
+    laws = mu.compensator(filtration).laws
+    # num[t, atom index, v] / (dens[t] * atom mass) is E[Delta Y; jump = v | atom]
+    num, dens = {}, {}
+    for t in sorted({t for t, _ in laws}):
+        cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
+        part, dens[t], nums = y._delta(t)
+        for block, i, loc in zip(cut.atoms, atom_of, loc_of):
             if loc is not None:
-                # the piece's mass times its mean increment, over den
-                (total,), weight = _weigh(cut.atoms[k], part, nums)
-                num[loc] += total * mass if weight == 1 else total
-        rest = atom.mass - sum(m for _, m in law)  # of the non-jumping paths
-        correction = 0 if rest == 0 else Fraction(sum(num.values()), den * rest)
+                # the block's mass times its mean increment, over den
+                (total,), weight = _weigh(block, part, nums)
+                num[t, i, loc] = num.get((t, i, loc), 0) + (
+                    total * block.mass if weight == 1 else total)
+    items = []
+    for (t, label), (mass, law) in laws.items():
+        i = filtration.atom_labelled(t - 1, label).index
+        sums = [num[t, i, loc] for loc, _ in law]
+        rest = mass - sum(m for _, m in law)  # of the non-jumping paths
+        correction = 0 if rest == 0 else Fraction(sum(sums), dens[t] * rest)
         items += [((t, label, loc),
-                   (Fraction(num[loc], den * m) + correction).as_integer_ratio())
-                  for loc, m in law]
+                   (Fraction(s, dens[t] * m) + correction).as_integer_ratio())
+                  for (loc, m), s in zip(law, sums)]
     return JumpFunction._from_ratios(filtration, items)

@@ -137,9 +137,9 @@ def _json_safe(value):
 
 def _jump_counter(ctx: CheckContext) -> Process:
     """Cumulative count of the driver's jump nodes along each path."""
-    nodes, jumps = ctx.tree.base_filtration().parts, ctx.measure._jump_ids
+    nodes, locs = ctx.tree.base_filtration().parts, ctx.measure.locs
     return Process._accumulate(ctx.tree, (0,), lambda t: (nodes[t], 1, tuple(
-        [(int(atom.label in jumps),) for atom in nodes[t].atoms])))
+        [(int(loc is not None),) for loc in locs[t]])))
 
 
 # check runners: each returns (ok, details)

@@ -32,6 +32,7 @@ from .calculus import (
     JumpFunction,
     JumpMeasure,
     Process,
+    _jump_cut,
     dot_integral,
     star_integral,
 )
@@ -47,7 +48,7 @@ from .errors import (
     VanishingWeight,
 )
 from .linalg import right_inverse, solve
-from .rationals import as_cell, over_lcm, to_fraction
+from .rationals import as_cell, as_fractions, over_lcm, to_fraction
 from .tree import StoppingTime, as_filtration
 
 ZERO = Fraction(0)
@@ -77,9 +78,21 @@ class ConstraintSystem:
     """
 
     def __init__(self, filtration, dim, n, slots):
-        # every entry is coerced before any location is pooled
+        filtration = as_filtration(filtration)
+        # every entry is coerced, then every row tested, before any location
+        # is pooled; a cell is reduced, so equal vectors have equal cells
         cells = {key: [None if value is None else as_cell(value) for value in values]
                  for key, values in slots.items()}
+        for key, row in cells.items():
+            if len(row) != n:
+                raise ConstraintMismatch(f"slot row at {key} has wrong length")
+            for k, cell in enumerate(row):
+                if cell is not None and not any(cell[1]):
+                    raise ConstraintMismatch(f"gauge vanishes on the slot value "
+                                             f"{as_fractions(*cell)} at {key}")
+                if cell is not None and cell in row[:k]:
+                    raise ConstraintMismatch(f"menu at {key} lists the location "
+                                             f"{as_fractions(*cell)} twice")
         intern = filtration.tree._intern
         self._fill(filtration, dim, n, {
             key: tuple(None if cell is None else intern(*cell) for cell in row)
@@ -94,26 +107,17 @@ class ConstraintSystem:
         return self
 
     def _fill(self, filtration, dim, n, menus):
-        """menus: {(t, label): location ids, None on empty slots}."""
+        """menus: {(t, label): n ids of distinct nonzero locations, or None}."""
         tree = filtration.tree
         self.filtration, self.dim, self.n = filtration, dim, n
         self.slots = {}
         self._menus = {}  # per slot row: (location ids, gauges as int ratios)
         for key, ids in menus.items():
-            if len(ids) != n:
-                raise ConstraintMismatch(f"slot row at {key} has wrong length")
-            values = tuple(None if loc is None else tree.locations[loc] for loc in ids)
-            gauges = tuple((0, 1) if loc is None else _gauge(*tree.location_cells[loc])
-                           for loc in ids)
-            for k, (value, loc, (num, _)) in enumerate(zip(values, ids, gauges)):
-                if loc is not None and num == 0:
-                    raise ConstraintMismatch(
-                        f"gauge vanishes on the slot value {value} at {key}")
-                if loc is not None and loc in ids[:k]:
-                    raise ConstraintMismatch(
-                        f"menu at {key} lists the location {value} twice")
-            self.slots[key] = values
-            self._menus[key] = (tuple(ids), gauges)
+            self.slots[key] = tuple(None if loc is None else tree.locations[loc]
+                                    for loc in ids)
+            self._menus[key] = (tuple(ids), tuple(
+                (0, 1) if loc is None else _gauge(*tree.location_cells[loc])
+                for loc in ids))
         self._martingales: dict[JumpMeasure, Process] = {}
 
     def _menu(self, t, label):
@@ -198,16 +202,13 @@ def constraint_martingales(mu: JumpMeasure, cs: ConstraintSystem) -> Process:
         raise ConstraintMismatch("measure and constraint system on different trees")
     if mu not in cs._martingales:
         def classes_at(t):
-            atoms = filtration.parts[t - 1]
-            part = tree.meet(atoms, tree.base_filtration().parts[t])
-            kind = []  # the menu index of each block's jump
-            for block, k in zip(part.atoms, part.index_in(atoms)):
-                loc = mu._jump_ids.get(tree.node_at(t, block.leaves[0]).id)
-                kind.append(None if loc is None
-                            else cs._slot(t, atoms.atoms[k].label, loc))
-            return part, kind, [over_lcm(cs._menus[(t, atom.label)][1])
-                                if (t, atom.label) in cs._menus else None
-                                for atom in atoms.atoms]
+            atoms = filtration.parts[t - 1].atoms
+            cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
+            kind = [None if loc is None else cs._slot(t, atoms[i].label, loc)
+                    for i, loc in zip(atom_of, loc_of)]  # each block's menu index
+            return cut, kind, [over_lcm(cs._menus[(t, atom.label)][1])
+                               if (t, atom.label) in cs._menus else None
+                               for atom in atoms]
 
         cs._martingales[mu] = Process._compensated_classes(filtration, cs.n, classes_at)
     return cs._martingales[mu]
@@ -290,13 +291,14 @@ def slot_events_disjoint(mu: JumpMeasure, cs: ConstraintSystem) -> bool:
     The compensated processes themselves still co-move through their
     predictable parts, as any two compensated indicators on one atom must.
     """
-    tree = mu.tree
-    if cs.filtration.tree is not tree:
+    filtration = cs.filtration
+    if filtration.tree is not mu.tree:
         raise ConstraintMismatch("measure and constraint system on different trees")
-    for node_id, loc in mu._jump_ids.items():
-        node = tree.nodes[node_id]
-        atom = cs.filtration.conditioning_atom_of(node.time, node.leaf_lo)
-        if cs._menu(node.time, atom.label)[0].count(loc) != 1:
+    for t in range(1, mu.tree.horizon + 1):
+        atoms = filtration.parts[t - 1].atoms
+        _, atom_of, loc_of = _jump_cut(mu, filtration, t)
+        if any(loc is not None and cs._menu(t, atoms[i].label)[0].count(loc) != 1
+               for i, loc in zip(atom_of, loc_of)):
             return False
     return True
 
@@ -451,16 +453,15 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                         f"class splits an atom at time {t}")
 
     # every support node must sit on a slot graph, inside one class
-    for node_id in mu._jump_ids:
-        node = tree.nodes[node_id]
-        leaf = node.leaf_lo
-        idx = occupied.get((node.time, leaf))
-        if idx is None:
-            raise ConstraintMismatch(
-                f"support node {node_id} lies on no accessible time")
-        if class_of[idx][leaf] is None:
-            raise ConstraintMismatch(
-                f"support node {node_id} is outside every partition class")
+    for t, locs in enumerate(mu.locs):
+        for node in [n for n, loc in zip(tree.nodes_at[t], locs) if loc is not None]:
+            idx = occupied.get((t, node.leaf_lo))
+            if idx is None:
+                raise ConstraintMismatch(
+                    f"support node {node.id} lies on no accessible time")
+            if class_of[idx][node.leaf_lo] is None:
+                raise ConstraintMismatch(
+                    f"support node {node.id} is outside every partition class")
 
     # within an occupied atom each class is a union of time-t atoms, so the
     # class masses come from the parent-to-child index
@@ -468,7 +469,7 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
     classes_at = [None]  # per t: each time-t atom's class, the slot weights
     for t in range(1, tree.horizon + 1):
         cells_t = {}
-        children = filtration.parts[t]
+        children, node_of = filtration.parts[t], tree.base_filtration().parts[t].block_of
         kind = [None] * len(children.atoms)
         weights = []  # None off the slot graphs
         for atom in filtration.atoms(t - 1):
@@ -483,7 +484,7 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                 leaf = children.atoms[k].leaves[0]
                 kind[k] = c = class_of[idx][leaf]
                 if c is not None:
-                    values[c].add(mu._jump_ids.get(tree.node_at(t, leaf).id))
+                    values[c].add(mu.locs[t][node_of[leaf]])
             for k, found in enumerate(values):
                 if len(found) > 1:
                     raise ConstraintMismatch(
@@ -518,16 +519,15 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None):
     """
     tree = mu.tree
     filtration = as_filtration(filtration_like or tree)
-    times = sorted({tree.nodes[nid].time for nid in mu._jump_ids})
     slots = []
-    for t in times:
+    for t in [t for t, locs in enumerate(mu.locs) if locs.count(None) < len(locs)]:
         ranked, quiet = {}, set()  # rank of a location on its atom -> leaves
-        children = filtration.parts[t]
+        children, node_of = filtration.parts[t], tree.base_filtration().parts[t].block_of
         for atom in filtration.atoms(t - 1):
             # the atom's children, by the location id of their time-t node
             groups: dict[int, set] = {}
             for child in [children.atoms[k] for k, _ in children.pieces(atom)]:
-                loc = mu._jump_ids.get(tree.node_at(t, child.leaves[0]).id)
+                loc = mu.locs[t][node_of[child.leaves[0]]]
                 groups.setdefault(loc, set()).update(child.leaves)
             quiet |= groups.pop(None, set())
             for rank, loc in enumerate(sorted(groups, key=tree.locations.__getitem__)):

@@ -10,16 +10,31 @@ tree's location pool was keyed by Fraction vectors (interned_ids), and each
 menu gauge was taken from the vector (gauge). The library now works on
 Delta W's and Delta A's int slices and pools each location by its int
 cell; test_check_reference holds it to these functions on the fuzz corpus.
+
+The jump measure was a {support node id: location id} dict (jump_ids), and
+each reader walked it on its own: the compensator laws per atom's node
+pieces, the slot martingales, the star integral over the meet of three
+partitions, the projection per atom's cut, the value slots and the jump
+counter through each block's time-t node. The library reads one location
+id per time-t node (JumpMeasure.locs); test_jump_index holds it to these.
 """
 
 from __future__ import annotations
 
-from filtration_lab.calculus import Process, dual_predictable_projection
+from fractions import Fraction
+
+from filtration_lab.calculus import (
+    JumpFunction,
+    Process,
+    _lifted,
+    dual_predictable_projection,
+)
+from filtration_lab.constraint import AccessibleSlot
 from filtration_lab.errors import DimensionMismatch, NotIncreasing
 from filtration_lab.linalg import null_space, rank
-from filtration_lab.rationals import over_lcm
+from filtration_lab.rationals import gathered, over_lcm
 from filtration_lab.representation import MrpReport
-from filtration_lab.tree import as_filtration
+from filtration_lab.tree import _weigh, as_filtration
 
 
 def _increment_matrix(w: Process, t: int, children):
@@ -86,3 +101,137 @@ def gauge(vector):
     den) over the lcm of its denominators."""
     den, nums = over_lcm([c.as_integer_ratio() for c in vector])
     return min(sum(map(abs, nums)), den), den
+
+
+# --- the jump measure as a {support node id: location id} dict --------------
+
+def jump_ids(x: Process) -> dict:
+    """jump_measure's walk: each support node's location id, in time, then
+    node order, interned in that order."""
+    tree, jumps = x.tree, {}
+    for t in range(1, tree.horizon + 1):
+        part, den, nums = x._delta(t)
+        for node in tree.nodes_at[t]:
+            inc = nums[part.block_of[node.leaf_lo]]
+            if any(inc):
+                jumps[node.id] = tree._intern(den, inc)
+    return jumps
+
+
+def laws(tree, jumps, filtration) -> dict:
+    """CompensatorTable.laws: per atom, the masses of its node pieces added
+    per location id, in node-label order."""
+    out = {}
+    for t in range(1, tree.horizon + 1):
+        nodes = tree.base_filtration().parts[t]
+        for atom in filtration.atoms(t - 1):
+            masses = {}
+            for k, m in sorted(nodes.pieces(atom),
+                               key=lambda piece: nodes.atoms[piece[0]].label):
+                loc = jumps.get(nodes.atoms[k].label)
+                if loc is not None:
+                    masses[loc] = masses.get(loc, 0) + m
+            if masses:
+                out[(t, atom.label)] = (atom.mass, tuple(masses.items()))
+    return out
+
+
+def constraint_martingales(tree, jumps, cs) -> Process:
+    """The slot martingales, each block's jump read at its time-t node."""
+    filtration = cs.filtration
+
+    def classes_at(t):
+        atoms = filtration.parts[t - 1]
+        part = tree.meet(atoms, tree.base_filtration().parts[t])
+        kind = []
+        for block, k in zip(part.atoms, part.index_in(atoms)):
+            loc = jumps.get(tree.node_at(t, block.leaves[0]).id)
+            kind.append(None if loc is None
+                        else cs._slot(t, atoms.atoms[k].label, loc))
+        return part, kind, [over_lcm(cs._menus[(t, atom.label)][1])
+                            if (t, atom.label) in cs._menus else None
+                            for atom in atoms.atoms]
+
+    return Process._compensated_classes(filtration, cs.n, classes_at)
+
+
+def star_integral(g: JumpFunction, tree, jumps, filtration) -> Process:
+    """star_integral over the meet of the conditioning atoms, g's atoms and
+    the time-t nodes, g's atom found per conditioning atom's first leaf."""
+    table, at = laws(tree, jumps, filtration), g._numerator
+
+    def increments_at(t):
+        gden = g._tables.get(t, (1,))[0]
+        atoms = filtration.parts[t - 1]
+        comps = []
+        for atom in atoms.atoms:
+            label = g.filtration.conditioning_atom_of(t, atom.leaves[0]).label
+            mass, law = table.get((t, atom.label), (1, ()))
+            comps.append((mass, sum(m * at(t, label, loc) for loc, m in law)))
+        g_part = g.filtration.parts[t - 1]
+        nodes = tree.base_filtration().parts[t]
+        part, (comp_of, g_atom_of, node_of) = _lifted(tree, (
+            (atoms, None, comps), (g_part, None, g_part.atoms),
+            (nodes, None, nodes.atoms)))
+        cells = []
+        for (den, total), g_atom, node in zip(comp_of, g_atom_of, node_of):
+            loc = jumps.get(node.label)
+            gain = 0 if loc is None else at(t, g_atom.label, loc)
+            cells.append((den * gden, (gain * den - total,)))
+        return (part, *gathered(cells))
+
+    return Process._accumulate(tree, (0,), increments_at)
+
+
+def project_onto_jump_measure(y: Process, jumps, filtration) -> JumpFunction:
+    """The projection, each conditioning atom cut by the time-t nodes on
+    its own."""
+    tree = y.tree
+    y.require_martingale(filtration, what="projected process")
+    base = tree.base_filtration()
+    items = []
+    for (t, label), (_, law) in laws(tree, jumps, filtration).items():
+        atom = filtration.atom_labelled(t - 1, label)
+        num = dict.fromkeys([loc for loc, _ in law], 0)
+        nodes = base.parts[t]
+        cut = tree.meet(nodes, atom.partition)
+        node_of = cut.index_in(nodes)
+        part, den, nums = y._delta(t)
+        for k, mass in cut.pieces(atom):
+            loc = jumps.get(nodes.atoms[node_of[k]].label)
+            if loc is not None:
+                (total,), weight = _weigh(cut.atoms[k], part, nums)
+                num[loc] += total * mass if weight == 1 else total
+        rest = atom.mass - sum(m for _, m in law)
+        correction = 0 if rest == 0 else Fraction(sum(num.values()), den * rest)
+        items += [((t, label, loc),
+                   (Fraction(num[loc], den * m) + correction).as_integer_ratio())
+                  for loc, m in law]
+    return JumpFunction._from_ratios(filtration, items)
+
+
+def value_slots_from_measure(tree, jumps, filtration) -> list:
+    """The value slots, each child's jump read at its time-t node."""
+    slots = []
+    for t in sorted({tree.nodes[nid].time for nid in jumps}):
+        ranked, quiet = {}, set()
+        children = filtration.parts[t]
+        for atom in filtration.atoms(t - 1):
+            groups = {}
+            for child in [children.atoms[k] for k, _ in children.pieces(atom)]:
+                loc = jumps.get(tree.node_at(t, child.leaves[0]).id)
+                groups.setdefault(loc, set()).update(child.leaves)
+            quiet |= groups.pop(None, set())
+            for rank, loc in enumerate(sorted(groups, key=tree.locations.__getitem__)):
+                ranked.setdefault(rank, set()).update(groups[loc])
+        classes = [frozenset(ranked[k]) for k in range(len(ranked))]
+        classes.append(frozenset(quiet))
+        slots.append(AccessibleSlot(tau=t, classes=tuple(classes)))
+    return slots
+
+
+def jump_counter(tree, jumps) -> Process:
+    """cli._jump_counter: one count per support node, by node label."""
+    nodes = tree.base_filtration().parts
+    return Process._accumulate(tree, (0,), lambda t: (nodes[t], 1, tuple(
+        [(int(atom.label in jumps),) for atom in nodes[t].atoms])))

@@ -131,9 +131,9 @@ def test_pooled_locations_match_the_fraction_route(seed):
                  for t in range(1, tree.horizon + 1) for node in tree.nodes_at[t]
                  if any(w.increment(t, node.leaf_lo))}
         assert list(mu.support.items()) == list(jumps.items())
-        assert list(mu._jump_ids.values()) == ref.interned_ids(pool, jumps.values())
-        assert [tree.location_id(v) for v in jumps.values()] == \
-            list(mu._jump_ids.values())
+        ids = [loc for locs in mu.locs for loc in locs if loc is not None]
+        assert ids == ref.interned_ids(pool, jumps.values())
+        assert [tree.location_id(v) for v in jumps.values()] == ids
         for flow in flows:
             found = detect_fpcc(mu, flow)
             reversed_cs = ConstraintSystem(

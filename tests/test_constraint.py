@@ -171,6 +171,30 @@ def test_location_boundaries_refuse_floats_and_bools(bin1, w_bin, boundary, bad)
     assert enter((F(1),)) is not None  # the same call takes a rational
 
 
+@pytest.mark.parametrize("n, row, match", [
+    (1, [(F(0),)], "gauge vanishes"),
+    (2, [(F(5),), ("10/2",)], "twice"),
+    (2, [(F(7),)], "wrong length"),
+])
+def test_refused_menu_pools_nothing(bin1, n, row, match):
+    """A ConstraintMismatch refusal tests the int cells before any location
+    is pooled, so the tree's pool keeps its length."""
+    pooled = len(bin1.locations)
+    with pytest.raises(ConstraintMismatch, match=match):
+        ConstraintSystem(bin1.base_filtration(), 1, n, {(1, "r"): row})
+    assert len(bin1.locations) == pooled
+
+
+def test_constraint_system_takes_a_tree_or_an_enlargement(w_ter, ter1, ga):
+    """Viewed through as_filtration, as every other entry point views it."""
+    cs = detect_fpcc(jump_measure(w_ter))
+    from_tree = ConstraintSystem(ter1, cs.dim, cs.n, cs.slots)
+    assert from_tree.filtration is ter1.base_filtration()
+    assert from_tree._menus == cs._menus
+    on_ga = detect_fpcc(jump_measure(w_ter), ga)
+    assert ConstraintSystem(ga, on_ga.dim, on_ga.n, on_ga.slots)._menus == on_ga._menus
+
+
 class TestStarToDot:
     def test_idempotence_on_slot_indicator(self, w_ter, ter1):
         mu = jump_measure(w_ter)

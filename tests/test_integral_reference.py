@@ -188,9 +188,10 @@ def test_jump_tables_read_back_as_given(seed):
     tree = scenario.tree
     w = scenario.basis_process()
     mu, mu_loose = jump_measure(w), jump_measure(unshared(w))
-    assert mu._jump_ids == mu_loose._jump_ids
-    assert all(tree.locations[mu._jump_ids[node_id]] == value
-               for node_id, value in mu.support.items())
+    assert mu.locs == mu_loose.locs
+    assert all(tree.locations[loc] == mu.support[node.id]
+               for nodes, locs in zip(tree.nodes_at, mu.locs)
+               for node, loc in zip(nodes, locs) if loc is not None)
     assert len(tree.locations) == len(set(mu.support.values()))
     for j, filtration in enumerate(flows(scenario)):
         points = [(t, label, value) for (t, label), dist
