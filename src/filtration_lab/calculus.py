@@ -738,23 +738,39 @@ class JumpFunction:
         """g at (t, atom label, location id), over the time-t denominator."""
         num = self._tables.get(t, (1, {}))[1].get((label, loc))
         if num is None:
-            location = self.filtration.tree.locations[loc]
-            raise IncompleteFunctionTable(
-                f"no entry at time {t}, atom {label}, location {location}")
+            raise self._missing(t, label, loc)
         return num
 
-    def _ratio(self, t, leaf, loc) -> tuple[int, int]:
-        """g at time t on the path through the leaf, at a location id, as
-        (numerator, den): read on the leaf's time-(t-1) atom of the
-        anchoring filtration."""
-        label = self.filtration.conditioning_atom_of(t, leaf).label
-        return self._numerator(t, label, loc), self._tables[t][0]
+    def _missing(self, t, label, loc) -> IncompleteFunctionTable:
+        """The refusal of a read at (t, atom label, location id) that the
+        table does not hold."""
+        location = self.filtration.tree.locations[loc]
+        return IncompleteFunctionTable(
+            f"no entry at time {t}, atom {label}, location {location}")
 
     def value(self, t, leaf, location) -> Fraction:
         """g at time t on the path through the leaf, read on its time-(t-1)
         atom of the anchoring filtration."""
-        return Fraction(*self._ratio(
-            t, leaf, self.filtration.tree.location_id(location)))
+        loc = self.filtration.tree.location_id(location)
+        label = self.filtration.conditioning_atom_of(t, leaf).label
+        return Fraction(self._numerator(t, label, loc), self._tables[t][0])
+
+
+def _anchored(g: JumpFunction, filtration: Filtration) -> list:
+    """Per time t >= 1, g's time-t table as (den, {(atom label, location
+    id): numerator}) and, per time-(t-1) atom of the flow, the label of g's
+    anchoring atom holding it, resolved once per time through index_in.
+    The flow must refine g's at every time before the horizon, else
+    NotPredictable."""
+    tree, anchors = filtration.tree, g.filtration.parts
+    reads = [None]
+    for t, mine in enumerate(filtration.parts[:-1], 1):
+        anchor = anchors[t - 1]
+        if len(tree.meet(mine, anchor).atoms) != len(mine.atoms):
+            raise NotPredictable("the integration flow does not refine g's flow")
+        reads.append((*g._tables.get(t, (1, {})),
+                      [anchor.atoms[j].label for j in mine.index_in(anchor)]))
+    return reads
 
 
 def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
@@ -763,7 +779,10 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
     Increment at t: g(t, jump) when the path jumps, minus the conditional
     mean of that quantity given the atom at t-1. Always a martingale for the
     integration filtration, which must refine g's anchoring one (else
-    NotPredictable). Computed once per (g, measure, filtration).
+    NotPredictable). Each conditioning atom's mean is one int dot of g's
+    time-t table, read at the anchor atom's label, with the atom's
+    compensator law; each jumping block's gain reads the same table entry.
+    Computed once per (g, measure, filtration).
     """
     filtration = as_filtration(filtration_like)
     tree = mu.tree
@@ -772,24 +791,23 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
     key = (mu, filtration)
     if key in g._star_integrals:
         return g._star_integrals[key]
-    if any(len(tree.meet(mine, anchor).atoms) != len(mine.atoms)
-           for mine, anchor in zip(filtration.parts[:-1], g.filtration.parts)):
-        raise NotPredictable("the integration flow does not refine g's flow")
-    laws, at = mu.compensator(filtration).laws, g._numerator
+    reads, laws = _anchored(g, filtration), mu.compensator(filtration).laws
 
     def increments_at(t):
-        gden = g._tables.get(t, (1,))[0]
-        atoms, anchors = filtration.parts[t - 1], g.filtration.parts[t - 1]
-        labels = [anchors.atoms[j].label for j in atoms.index_in(anchors)]
+        gden, table, labels = reads[t]
         comps = []  # per time-(t-1) atom: the mean of g, as (den, numerator)
-        for atom, label in zip(atoms.atoms, labels):
-            mass, law = laws.get((t, atom.label), (1, ()))
-            comps.append((mass, sum(m * at(t, label, loc) for loc, m in law)))
+        try:
+            for atom, label in zip(filtration.parts[t - 1].atoms, labels):
+                mass, law = laws.get((t, atom.label), (1, ()))
+                comps.append((mass, sum([m * table[label, loc] for loc, m in law])))
+        except KeyError as miss:
+            raise g._missing(t, *miss.args[0]) from None
         cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
         cells = []
         for k, loc in zip(atom_of, loc_of):
             den, total = comps[k]
-            gain = 0 if loc is None else at(t, labels[k], loc)
+            # a block's location is in its atom's law, which the loop read
+            gain = 0 if loc is None else table[labels[k], loc]
             cells.append((den * gden, (gain * den - total,)))
         return (cut, *gathered(cells))
 

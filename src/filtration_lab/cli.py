@@ -39,7 +39,7 @@ from functools import cached_property
 from . import __version__
 from .calculus import Process, jump_measure, star_integral
 from .constraint import (
-    accessible_star_to_dot,
+    _accessible_converter,
     constraint_martingales,
     detect_fpcc,
     expand_integrand,
@@ -180,7 +180,8 @@ def _run_reconstruct(ctx: CheckContext):
 def _run_star_to_dot(ctx: CheckContext):
     mu, cs = ctx.measure, ctx.constraint
     base = ctx.tree.base_filtration()
-    slots = value_slots_from_measure(mu)
+    # the slots are normalized and their plan built once, for all samples
+    convert_accessible = _accessible_converter(mu, value_slots_from_measure(mu), base)
     samples = []
     ok = True
     for j in range(5):
@@ -189,7 +190,7 @@ def _run_star_to_dot(ctx: CheckContext):
         h, certificate = star_to_dot(g, mu, cs)
         back = star_integral(expand_integrand(h, mu, cs), mu, base)
         round_trip = back == certificate.dot_side
-        accessible = accessible_star_to_dot(g, mu, slots)
+        accessible = convert_accessible(g)
         good = certificate.holds and round_trip and accessible.holds
         ok = ok and good
         samples.append({

@@ -32,6 +32,7 @@ from .calculus import (
     JumpFunction,
     JumpMeasure,
     Process,
+    _anchored,
     _jump_cut,
     dot_integral,
     star_integral,
@@ -83,14 +84,24 @@ class ConstraintSystem:
         # is pooled; a cell is reduced, so equal vectors have equal cells
         cells = {key: [None if value is None else as_cell(value) for value in values]
                  for key, values in slots.items()}
+        atoms = {(t, atom.label) for t, part in enumerate(filtration.parts[:-1], 1)
+                 for atom in part.atoms}
         for key, row in cells.items():
+            if key not in atoms:
+                raise ConstraintMismatch(
+                    f"slot key {key} names no conditioning atom of the flow")
             if len(row) != n:
                 raise ConstraintMismatch(f"slot row at {key} has wrong length")
             for k, cell in enumerate(row):
-                if cell is not None and not any(cell[1]):
+                if cell is None:
+                    continue
+                if len(cell[1]) != dim:
+                    raise DimensionMismatch(f"slot value {as_fractions(*cell)} at "
+                                            f"{key} has dim {len(cell[1])}, not {dim}")
+                if not any(cell[1]):
                     raise ConstraintMismatch(f"gauge vanishes on the slot value "
                                              f"{as_fractions(*cell)} at {key}")
-                if cell is not None and cell in row[:k]:
+                if cell in row[:k]:
                     raise ConstraintMismatch(f"menu at {key} lists the location "
                                              f"{as_fractions(*cell)} twice")
         intern = filtration.tree._intern
@@ -227,13 +238,22 @@ def star_to_dot(g: JumpFunction, mu: JumpMeasure, cs: ConstraintSystem):
     """Rewrite g * (mu - nu) as an integrand against the slot martingales.
 
     H_k at (t, atom) is g(t, alpha_k) / gauge_k(alpha_k) on nonempty slots
-    and 0 elsewhere; the certificate compares both sides at every node.
+    and 0 elsewhere, g read in its time-t table at the anchor atom's label;
+    the certificate compares both sides at every node.
     """
     filtration = cs.filtration
     x = constraint_martingales(mu, cs)
-    h = cs.integrand(lambda t, atom, loc: g._ratio(t, atom.leaves[0], loc))
-
     star = star_integral(g, mu, filtration)
+    reads = _anchored(g, filtration)
+
+    def coefficient(t, atom, loc):
+        den, table, labels = reads[t]
+        try:
+            return table[labels[atom.index], loc], den
+        except KeyError:
+            raise g._missing(t, labels[atom.index], loc) from None
+
+    h = cs.integrand(coefficient)
     dot = dot_integral(h, x, filtration)
     divergence = star.first_divergence(dot)
     certificate = ConversionCertificate(
@@ -370,43 +390,57 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
     location; the class martingales Y_k compensate the weighted class
     indicators, the scale G undoes the weights on each time's graph, and the
     integrand picks g at the class location wherever that location is
-    nonzero. The identity is verified node by node. Everything but the
-    integrand is built once per (measure, filtration, normalized slots).
+    nonzero, read in g's time-t table at the anchor atom's label. The
+    identity is verified node by node. Everything but the integrand is
+    built once per (measure, filtration, normalized slots); the star-to-dot
+    check normalizes its slots and reads that plan once per check.
     """
-    tree = mu.tree
-    filtration = as_filtration(filtration_like or tree)
-    rows, count = _normalize_slots(tree, slots)
+    filtration = as_filtration(filtration_like or mu.tree)
+    return _accessible_converter(mu, slots, filtration)(g)
+
+
+def _accessible_converter(mu: JumpMeasure, slots, filtration):
+    """The conversion g -> accessible_star_to_dot(g, mu, slots, filtration),
+    with the slots normalized and their plan built, or read from the
+    measure's memo, once."""
+    rows, count = _normalize_slots(mu.tree, slots)
     content = tuple((tau.values, classes, weight) for tau, classes, weight in rows)
     plan = mu.derived(("accessible", filtration, content),
                       lambda: _plan_accessible(mu, filtration, rows, count))
-
     off_graph = ((None,) * count, (1, 1))  # no class jumps, unit weight
 
-    def h_at(t, atom):
-        ids, _ = plan.cells[t].get(atom.label, off_graph)
-        return g._tables.get(t, (1,))[0], tuple([
-            0 if loc is None else g._ratio(t, atom.leaves[0], loc)[0]
-            for loc in ids])
+    def convert(g):
+        star = star_integral(g, mu, filtration)
+        reads = _anchored(g, filtration)
 
-    h = Process._predictable(filtration, count, h_at)
+        def h_at(t, atom):
+            den, table, labels = reads[t]
+            ids, _ = plan.cells[t].get(atom.label, off_graph)
+            try:
+                return den, tuple([0 if loc is None else table[labels[atom.index], loc]
+                                   for loc in ids])
+            except KeyError as miss:
+                raise g._missing(t, *miss.args[0]) from None
 
-    def gh_at(t, atom):
-        # h's cell over its denominator times the slot weight, kept positive
-        _, (wn, wd) = plan.cells[t].get(atom.label, off_graph)
-        if wn < 0:
-            wn, wd = -wn, -wd
-        return h.dens[t] * wn, tuple([
-            n * wd for n in h.nums[t][h.parts[t].block_of[atom.leaves[0]]]])
+        h = Process._predictable(filtration, count, h_at)
 
-    gh = Process._predictable(filtration, count, gh_at)
+        def gh_at(t, atom):
+            # h's cell over its denominator times the slot weight, kept positive
+            _, (wn, wd) = plan.cells[t].get(atom.label, off_graph)
+            if wn < 0:
+                wn, wd = -wn, -wd
+            return h.dens[t] * wn, tuple([
+                n * wd for n in h.nums[t][h.parts[t].block_of[atom.leaves[0]]]])
 
-    star = star_integral(g, mu, filtration)
-    dot = dot_integral(gh, plan.martingales, filtration)
-    divergence = star.first_divergence(dot)
-    return AccessibleConversion(
-        scale=plan.scale, integrand=h, martingales=plan.martingales,
-        star_side=star, dot_side=dot, holds=divergence is None,
-        divergence=divergence)
+        gh = Process._predictable(filtration, count, gh_at)
+        dot = dot_integral(gh, plan.martingales, filtration)
+        divergence = star.first_divergence(dot)
+        return AccessibleConversion(
+            scale=plan.scale, integrand=h, martingales=plan.martingales,
+            star_side=star, dot_side=dot, holds=divergence is None,
+            divergence=divergence)
+
+    return convert
 
 
 @dataclass(frozen=True)
@@ -443,14 +477,17 @@ def _plan_accessible(mu, filtration, rows, count) -> _AccessiblePlan:
                         "class contains a path its time never reaches")
                 index[leaf] = k
         class_of.append(index)
-        # each class, restricted to {tau = t}, must be a union of time-t atoms
-        for t in range(1, tree.horizon + 1):
-            for atom in filtration.atoms(t):
-                inside = {index[leaf] for leaf in atom.leaves
-                          if tau.values[leaf] == t}
-                if len(inside) > 1:
-                    raise PartitionNotMeasurable(
-                        f"class splits an atom at time {t}")
+        # each class, restricted to {tau = t}, must be a union of time-t
+        # atoms: each leaf is read once, at its own tau, against the class
+        # first seen on its time-tau atom
+        seen, split = {}, []
+        for leaf, t in enumerate(tau.values):
+            if 1 <= t <= tree.horizon:
+                atom = t, filtration.parts[t].block_of[leaf]
+                if seen.setdefault(atom, index[leaf]) != index[leaf]:
+                    split.append(t)
+        if split:
+            raise PartitionNotMeasurable(f"class splits an atom at time {min(split)}")
 
     # every support node must sit on a slot graph, inside one class
     for t, locs in enumerate(mu.locs):

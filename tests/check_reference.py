@@ -17,6 +17,11 @@ pieces, the slot martingales, the star integral over the meet of three
 partitions, the projection per atom's cut, the value slots and the jump
 counter through each block's time-t node. The library reads one location
 id per time-t node (JumpMeasure.locs); test_jump_index holds it to these.
+
+star_integral_by_entry is star_integral as it read g one entry at a time,
+through JumpFunction._numerator per (conditioning atom, charged location)
+and per jumping block. The library reads g's time-t table at each anchor
+label resolved once per time; test_anchor_reads holds it to this builder.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from fractions import Fraction
 
 from filtration_lab.calculus import (
     JumpFunction,
+    JumpMeasure,
     Process,
+    _jump_cut,
     _lifted,
     dual_predictable_projection,
 )
@@ -179,6 +186,31 @@ def star_integral(g: JumpFunction, tree, jumps, filtration) -> Process:
             gain = 0 if loc is None else at(t, g_atom.label, loc)
             cells.append((den * gden, (gain * den - total,)))
         return (part, *gathered(cells))
+
+    return Process._accumulate(tree, (0,), increments_at)
+
+
+def star_integral_by_entry(g: JumpFunction, mu: JumpMeasure, filtration) -> Process:
+    """star_integral on _jump_cut's blocks, g read through _numerator once
+    per (atom, charged location) and once per jumping block."""
+    tree = mu.tree
+    laws, at = mu.compensator(filtration).laws, g._numerator
+
+    def increments_at(t):
+        gden = g._tables.get(t, (1,))[0]
+        atoms, anchors = filtration.parts[t - 1], g.filtration.parts[t - 1]
+        labels = [anchors.atoms[j].label for j in atoms.index_in(anchors)]
+        comps = []  # per time-(t-1) atom: the mean of g, as (den, numerator)
+        for atom, label in zip(atoms.atoms, labels):
+            mass, law = laws.get((t, atom.label), (1, ()))
+            comps.append((mass, sum(m * at(t, label, loc) for loc, m in law)))
+        cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
+        cells = []
+        for k, loc in zip(atom_of, loc_of):
+            den, total = comps[k]
+            gain = 0 if loc is None else at(t, labels[k], loc)
+            cells.append((den * gden, (gain * den - total,)))
+        return (cut, *gathered(cells))
 
     return Process._accumulate(tree, (0,), increments_at)
 

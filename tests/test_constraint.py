@@ -7,7 +7,9 @@ import pytest
 from filtration_lab import (
     JumpFunction,
     Process,
+    StoppingTime,
     bracket,
+    build_tree,
     dot_integral,
     jump_measure,
     random_tree,
@@ -30,6 +32,7 @@ from filtration_lab.constraint import (
 )
 from filtration_lab.errors import (
     ConstraintMismatch,
+    DimensionMismatch,
     NotAStoppingTime,
     NotOrthogonal,
     ParseError,
@@ -182,6 +185,23 @@ def test_refused_menu_pools_nothing(bin1, n, row, match):
     pooled = len(bin1.locations)
     with pytest.raises(ConstraintMismatch, match=match):
         ConstraintSystem(bin1.base_filtration(), 1, n, {(1, "r"): row})
+    assert len(bin1.locations) == pooled
+
+
+@pytest.mark.parametrize("slots, error, match", [
+    ({(1, "r"): [(F(2),)], (9, "nowhere"): [(F(1),)]}, ConstraintMismatch,
+     r"\(9, 'nowhere'\) names no conditioning atom"),
+    ({(0, "r"): [(F(2),)]}, ConstraintMismatch, "names no conditioning atom"),
+    ({(1, "u"): [(F(2),)]}, ConstraintMismatch, "names no conditioning atom"),
+    ({(1, "r"): [(1, 2, 3)]}, DimensionMismatch, "has dim 3, not 1"),
+])
+def test_refused_keys_and_vectors_pool_nothing(bin1, slots, error, match):
+    """A key whose time is outside 1..horizon or whose label names no
+    time-(t-1) atom, and a vector whose length is not dim, are refused
+    before any location is pooled, the valid row beside them included."""
+    pooled = len(bin1.locations)
+    with pytest.raises(error, match=match):
+        ConstraintSystem(bin1, 1, 1, slots)
     assert len(bin1.locations) == pooled
 
 
@@ -344,6 +364,48 @@ class TestAccessibleStarToDot:
                 assert accessible_star_to_dot(g, mu, slots, filtration).holds
                 converted += 1
         assert converted == 72
+
+
+def full_binary(horizon):
+    """The full binary tree with branch probability 1/2, each node id
+    spelling its path from the root r."""
+    nodes, frontier = [{"id": "r", "time": 0, "parent": None, "prob": None}], ["r"]
+    for t in range(1, horizon + 1):
+        frontier = [parent + side for parent in frontier for side in "ab"]
+        nodes += [{"id": nid, "time": t, "parent": nid[:-1], "prob": "1/2"}
+                  for nid in frontier]
+    return build_tree({"horizon": horizon, "nodes": nodes})
+
+
+@pytest.fixture
+def split_twice():
+    """A measure on the full binary tree of horizon 4 and one slot whose
+    time is 3 on ra's leaves (0-7) and 2 on rb's (8-15), a predictable
+    time, with classes that split the time-3 atom raaa (leaves 0, 1) and,
+    at higher leaves, the time-2 atom rba (leaves 8-11)."""
+    tree = full_binary(4)
+    tau = StoppingTime(tree, [3] * 8 + [2] * 8)
+    assert tau.is_predictable()
+    mu = jump_measure(Process.zero(tree))
+    return mu, [AccessibleSlot(tau=tau, classes=([0, 8], [1, 9]))]
+
+
+def test_split_is_named_at_its_earliest_time(split_twice):
+    mu, slots = split_twice
+    g = JumpFunction(mu.tree.base_filtration(), {})
+    with pytest.raises(PartitionNotMeasurable, match="splits an atom at time 2$"):
+        accessible_star_to_dot(g, mu, slots)
+
+
+def test_refused_slots_raise_on_every_call(split_twice):
+    """No refusal is memoized: the same slot list raises again, and the
+    measure keeps no accessible set-up for it."""
+    mu, slots = split_twice
+    g = JumpFunction(mu.tree.base_filtration(), {})
+    for _ in range(2):
+        with pytest.raises(PartitionNotMeasurable, match="at time 2$"):
+            accessible_star_to_dot(g, mu, slots)
+    assert not mu._derived
 
 
 class TestSolveAccessibleK:
