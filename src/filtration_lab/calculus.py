@@ -663,7 +663,7 @@ class CompensatorTable:
 
     def prob(self, t, atom_label, value) -> Fraction:
         mass, law = self.laws.get((t, atom_label), (1, ()))
-        loc = self.measure.tree.location_id(value)
+        loc, _ = self.measure.tree._lookup(value)
         return Fraction(dict(law).get(loc, 0), mass)
 
 
@@ -741,18 +741,22 @@ class JumpFunction:
             raise self._missing(t, label, loc)
         return num
 
-    def _missing(self, t, label, loc) -> IncompleteFunctionTable:
+    def _missing(self, t, label, loc, location=None) -> IncompleteFunctionTable:
         """The refusal of a read at (t, atom label, location id) that the
-        table does not hold."""
-        location = self.filtration.tree.locations[loc]
+        table does not hold; location is the vector, read from the pool
+        when not given."""
+        if location is None:
+            location = self.filtration.tree.locations[loc]
         return IncompleteFunctionTable(
             f"no entry at time {t}, atom {label}, location {location}")
 
     def value(self, t, leaf, location) -> Fraction:
         """g at time t on the path through the leaf, read on its time-(t-1)
         atom of the anchoring filtration."""
-        loc = self.filtration.tree.location_id(location)
+        loc, vector = self.filtration.tree._lookup(location)
         label = self.filtration.conditioning_atom_of(t, leaf).label
+        if loc is None:
+            raise self._missing(t, label, loc, vector)
         return Fraction(self._numerator(t, label, loc), self._tables[t][0])
 
 

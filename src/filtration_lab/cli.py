@@ -123,7 +123,20 @@ def _each_enlargement(ctx: CheckContext, body):
     return ok, {"enlargements": rows}
 
 
+_LEAVES = frozenset([str, int, bool, type(None)])
+
+
 def _json_safe(value):
+    """A JSON-ready copy of value: Fractions as strings, dataclasses as
+    their fields, tuples as lists, dict keys as strings. Exact leaf and
+    container types are dispatched first: report details are mostly those."""
+    kind = type(value)
+    if kind in _LEAVES:
+        return value
+    if kind is dict:
+        return {str(k): _json_safe(v) for k, v in value.items()}
+    if kind is list or kind is tuple:
+        return [_json_safe(v) for v in value]
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, (list, tuple)):
@@ -604,6 +617,11 @@ def check_mrp_report(path) -> tuple[dict, int]:
                    **_json_safe(details))
 
 
+# the rendered fields of an enlargement.AtomAudit
+_AUDIT_KEYS = ("time", "atom", "subatoms", "weights", "price_moves", "status",
+              "floor", "solution", "separating")
+
+
 def viability_report(path) -> tuple[dict, int]:
     """Focused deflator search with the full per-atom audit."""
     scenario = load(path)
@@ -617,7 +635,8 @@ def viability_report(path) -> tuple[dict, int]:
             "price": price_name,
             "feasible": search.feasible,
             "violations": [a.atom for a in search.violations],
-            "audit": search.audit,
+            "audit": [{key: getattr(row, key) for key in _AUDIT_KEYS}
+                      for row in search.audit],
         } for price_name, search in report.results]}
 
     viable, details = _each_enlargement(

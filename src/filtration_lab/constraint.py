@@ -135,12 +135,16 @@ class ConstraintSystem:
         """(location ids, gauges as int ratios) of the menu at (t, label)."""
         return self._menus.get((t, label)) or ((None,) * self.n, ((0, 1),) * self.n)
 
-    def _slot(self, t, label, loc):
-        """The menu index of location id loc at (t, label), or ConstraintMismatch."""
+    def _slot(self, t, label, loc, location=None):
+        """The menu index of location id loc at (t, label), or
+        ConstraintMismatch; location is the vector, read from the pool when
+        not given, and loc is None when the pool does not hold it."""
         ids = self._menu(t, label)[0]
-        if loc not in ids:
+        if loc is None or loc not in ids:
+            if location is None:
+                location = self.filtration.tree.locations[loc]
             raise ConstraintMismatch(
-                f"location {self.filtration.tree.locations[loc]} at time {t}, "
+                f"location {location} at time {t}, "
                 f"atom {label} is outside the constraint menu")
         return ids.index(loc)
 
@@ -153,7 +157,7 @@ class ConstraintSystem:
 
     def slot_of(self, t, label, value):
         """The menu index of a location, or ConstraintMismatch."""
-        return self._slot(t, label, self.filtration.tree.location_id(value))
+        return self._slot(t, label, *self.filtration.tree._lookup(value))
 
     def integrand(self, coefficient) -> Process:
         """Predictable H with H_k = coefficient(t, atom, id of alpha_k) /

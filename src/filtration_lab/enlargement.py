@@ -15,6 +15,12 @@ what the larger flow changes runs: phi, one int cell per larger-flow atom
 built from its class masses and the frame, the drift identities, and the
 sub-atom M = M J C tests. The drift identity is tested per conditioning
 atom on int numerators, every component in one pass, with no process built.
+
+The deflator search solves each conditioning atom's one-period program in
+closed form on the successors' int masses and the numerators of the
+price's int increment slice; its y cells are ints, multiplied into the
+deflator without a Fraction, and each audit record builds its Fraction
+views (weights, moves, floor, solution) only when they are read.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
 from .calculus import (
@@ -50,7 +56,7 @@ from .rationals import (
     to_fraction,
 )
 from .representation import _require_representable
-from .tree import _weigh, as_filtration, conditional_law
+from .tree import _weigh, as_filtration
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,16 +107,39 @@ class Deflator:
 
 @dataclass(frozen=True)
 class AtomAudit:
-    """One conditioning atom's pricing system and its optimal reweighting."""
+    """One conditioning atom's pricing system and its optimal reweighting,
+    held on ints: the successors' int masses over the atom's mass, their
+    price moves as numerators over den, and the floor and every y_i as an
+    int cell (num, den), None when infeasible. weights, price_moves, floor
+    and solution are their Fraction views, built when read."""
     time: int
     atom: str
     subatoms: tuple
-    weights: tuple
-    price_moves: tuple
     status: str
-    floor: object
-    solution: tuple | None
     separating: object
+    mass: int
+    masses: tuple
+    den: int
+    moves: tuple
+    floor_cell: tuple | None
+    cells: tuple | None
+
+    @property
+    def weights(self) -> tuple:
+        return tuple([Fraction(w, self.mass) for w in self.masses])
+
+    @property
+    def price_moves(self) -> tuple:
+        return tuple([Fraction(n, self.den) for n in self.moves])
+
+    @property
+    def floor(self):
+        return None if self.floor_cell is None else Fraction(*self.floor_cell)
+
+    @property
+    def solution(self):
+        return None if self.cells is None else tuple(
+            [Fraction(*cell) for cell in self.cells])
 
 
 @dataclass(frozen=True)
@@ -126,28 +155,40 @@ def _require_positive(s: Process, what: str):
         raise NotStrictlyPositive(f"{what} must stay strictly positive")
 
 
-def _one_period_deflator(q, moves):
-    """Maximize the floor min y over y >= 0 with q.y = 1 and q.(y moves) = 0.
+def _one_period(mass, masses, moves):
+    """Maximize the floor min y over y >= 0 with q.y = 1 and q.(y v) = 0,
+    for q_i = masses[i] / mass and v_i = moves[i] over any one positive
+    denominator.
 
     This is the finite one-period FTAP (Harrison and Pliska 1981; Dalang,
-    Morton and Willinger 1990) in closed form. With mean move m = q.moves
-    and e the extreme move on the far side of zero from m, the optimum is
-    the floor f = e / (e - m) on every successor, plus the remaining mass
-    (1 - f) / q_k on the first successor k whose move is e. No such y
-    exists when every move lies strictly on m's side. Returns
-    (status, floor, y), with floor and y None when infeasible.
+    Morton and Willinger 1990) in closed form, on ints. With m = sum
+    masses[i] moves[i] and e the extreme move on the far side of zero from
+    m, the optimum is the floor e W / (e W - m), W = mass, on every
+    successor, plus the remaining mass (1 - floor) / q_k on the first
+    successor k whose move is e. No such y exists when every move lies
+    strictly on m's side. Returns (status, floor, y), the floor and each y_i
+    as a reduced int cell (num, den) with den > 0, both None when infeasible.
     """
-    m = sum((qi * v for qi, v in zip(q, moves)), start=ZERO)
-    if m == 0:
-        return OPTIMAL, ONE, (ONE,) * len(q)
+    m = sum(map(mul, masses, moves))
+    if not m:
+        return OPTIMAL, (1, 1), ((1, 1),) * len(moves)
     e = min(moves) if m > 0 else max(moves)
     if e * m > 0:
         return INFEASIBLE, None, None
-    floor = e / (e - m)
+    top, bottom = e * mass, e * mass - m  # bottom is nonzero, of m's other sign
+    if bottom < 0:
+        top, bottom = -top, -bottom
     k = moves.index(e)
-    y = [floor] * len(q)
-    y[k] += (1 - floor) / q[k]
+    w = masses[k]
+    floor = _cell(top, bottom)
+    y = [floor] * len(moves)
+    y[k] = _cell(top * w + (bottom - top) * mass, w * bottom)
     return OPTIMAL, floor, tuple(y)
+
+
+def _cell(num, den):
+    g = gcd(num, den)
+    return num // g, den // g
 
 
 def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
@@ -159,6 +200,11 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     positive (or the equalities admit no nonnegative solution); every
     failing atom is reported, with a sign vector separating the price moves
     from zero as the witness.
+
+    The program runs on ints: q_i is the sub's int mass from the atom
+    index over the atom's, and its move the numerator of Delta S_t's int
+    slice. Each y_i is an int cell, and the deflator is their running
+    product; the audit's Fraction views are built only when read.
     """
     if s.dim != 1:
         raise DimensionMismatch("deflator targets are scalar prices")
@@ -169,20 +215,21 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
 
     audit = []
     violations = []
-    factors = {}
+    rows = [None]  # rows[t]: each time-t atom's y cell
     for t in range(1, tree.horizon + 1):
         children = filtration.parts[t]
+        row = [None] * len(children.atoms)
         # S is base-adapted, so Delta S_t is constant on each sub: its move
         part, den, incs = s._delta(t)
+        block_of = part.block_of
         for atom in filtration.atoms(t - 1):
-            law = conditional_law(atom, children)  # the atoms inside it at t
-            subs = [children.atoms[k] for k in law]
-            q = list(law.values())
-            moves = [Fraction(incs[part.block_of[sub.leaves[0]]][0], den)
-                     for sub in subs]
-            status, floor, ys = _one_period_deflator(q, moves)
+            pieces = children.pieces(atom)  # the atoms inside it at t
+            subs = [children.atoms[k] for k, _ in pieces]
+            masses = tuple([w for _, w in pieces])
+            moves = tuple([incs[block_of[sub.leaves[0]]][0] for sub in subs])
+            status, floor, cells = _one_period(atom.mass, masses, moves)
 
-            ok = status == OPTIMAL and floor > 0
+            ok = status == OPTIMAL and floor[0] > 0
             separating = None
             if not ok:
                 # one-dimensional separation: the moves all lie weakly on
@@ -193,26 +240,27 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
                     separating = -1
             record = AtomAudit(
                 time=t, atom=atom.label,
-                subatoms=tuple(sub.label for sub in subs),
-                weights=tuple(q), price_moves=tuple(moves),
-                status=status, floor=floor,
-                solution=ys, separating=separating)
+                subatoms=tuple([sub.label for sub in subs]),
+                status=status, separating=separating, mass=atom.mass,
+                masses=masses, den=den, moves=moves, floor_cell=floor,
+                cells=cells)
             audit.append(record)
             if ok:
-                for sub, y in zip(subs, ys):
-                    factors[(t, sub.label)] = y
+                for (k, _), cell in zip(pieces, cells):
+                    row[k] = cell
             else:
                 violations.append(record)
+        rows.append(row)
 
     if violations:
         return DeflatorSearch(feasible=False, deflator=None,
                               violations=tuple(violations), audit=tuple(audit))
 
-    product = Process._accumulate(
-        tree, (1,),
-        lambda t: (filtration.parts[t], *over_common_denominator(
-            [(factors[(t, atom.label)],) for atom in filtration.atoms(t)])),
-        product=True)
+    def factors(t):
+        den, nums = over_lcm(rows[t])
+        return filtration.parts[t], den, tuple([(n,) for n in nums])
+
+    product = Process._accumulate(tree, (1,), factors, product=True)
     deflator = Deflator(process=product, target=s)
     return DeflatorSearch(feasible=True, deflator=deflator,
                           violations=(), audit=tuple(audit))

@@ -264,6 +264,16 @@ class FilteredTree:
         vector back as Fractions."""
         return self._intern(*as_cell(value))
 
+    def _lookup(self, value):
+        """(id, vector as Fractions) of a jump location vector, coerced as
+        location_id coerces it, its as_cell already reduced; the id is None
+        when the pool does not hold it. A lookup pools nothing."""
+        cell = den, nums = as_cell(value)
+        loc = self._location_ids.get(cell)
+        if loc is None:
+            return None, tuple([Fraction(n, den) for n in nums])
+        return loc, self.locations[loc]
+
     def _intern(self, den, nums) -> int:
         """The id of the location nums / den, den > 0, interned on first
         sight by its cell over the least den that clears it, gcd 1."""

@@ -7,11 +7,17 @@ leaves with its own survival test and slicing each process's node table.
 The library now shrinks the scenario's JSON document and lets
 parse_scenario judge each candidate; test_shrinker holds its reproducers
 to the ones these functions give, byte for byte.
+
+`json_safe` is the report walk as the tool had it before it dispatched on
+exact types: an isinstance chain and a dataclass test on every leaf.
+test_cli holds `cli._json_safe` to it on every check's details.
 """
 
 from __future__ import annotations
 
 import dataclasses
+
+from fractions import Fraction
 
 from filtration_lab.calculus import Process
 from filtration_lab.cli import CheckContext, _validate_checks, run_check
@@ -102,3 +108,15 @@ def minimize_failure(scenario: Scenario, check_name: str, seed: int) -> Scenario
             current = trial
             break
     return current
+
+
+def json_safe(value):
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, dict):
+        return {str(k): json_safe(v) for k, v in value.items()}
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return json_safe(dataclasses.asdict(value))
+    return value

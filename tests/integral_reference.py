@@ -28,6 +28,11 @@ library tested it before the per-atom test: the drift and phi . [N, X]^p
 built as whole processes and compared; test_multiplier_identity holds the
 per-atom test to it.
 
+find_deflator keeps the deflator search on Fractions, with the closed form
+_one_period_deflator and the AtomAudit record it filled, from before the
+search ran on int masses and move numerators; test_integral_reference
+holds the library's audit views and deflators to it.
+
 The closing section keeps, verbatim, covariance_kernel as it was before
 the closed-form pseudo-inverse: J from a sum-zero frame B and the inverse
 of B^T C B, and J C as a matrix product. test_integral_reference holds the
@@ -36,6 +41,7 @@ library's certificates to it.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 from filtration_lab.calculus import (
@@ -55,14 +61,13 @@ from filtration_lab.constraint import (
     l1_gauge,
 )
 from filtration_lab.enlargement import (
+    INFEASIBLE,
     OPTIMAL,
-    AtomAudit,
     Deflator,
     DeflatorSearch,
     KernelCertificate,
     MultiplierSolution,
     _moment_sums,
-    _one_period_deflator,
     _require_positive,
 )
 from filtration_lab.errors import (
@@ -684,6 +689,45 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
                             x2.component(h), filtration)
         for h in range(width))
     return MultiplierSolution(n=n, phi=phi, holds=holds, basis=basis)
+
+
+@dataclass(frozen=True)
+class AtomAudit:
+    """One conditioning atom's pricing system and its optimal reweighting,
+    as Fractions: the record find_deflator kept before its int cells."""
+    time: int
+    atom: str
+    subatoms: tuple
+    weights: tuple
+    price_moves: tuple
+    status: str
+    floor: object
+    solution: tuple | None
+    separating: object
+
+
+def _one_period_deflator(q, moves):
+    """Maximize the floor min y over y >= 0 with q.y = 1 and q.(y moves) = 0.
+
+    This is the finite one-period FTAP (Harrison and Pliska 1981; Dalang,
+    Morton and Willinger 1990) in closed form. With mean move m = q.moves
+    and e the extreme move on the far side of zero from m, the optimum is
+    the floor f = e / (e - m) on every successor, plus the remaining mass
+    (1 - f) / q_k on the first successor k whose move is e. No such y
+    exists when every move lies strictly on m's side. Returns
+    (status, floor, y), with floor and y None when infeasible.
+    """
+    m = sum((qi * v for qi, v in zip(q, moves)), start=ZERO)
+    if m == 0:
+        return OPTIMAL, ONE, (ONE,) * len(q)
+    e = min(moves) if m > 0 else max(moves)
+    if e * m > 0:
+        return INFEASIBLE, None, None
+    floor = e / (e - m)
+    k = moves.index(e)
+    y = [floor] * len(q)
+    y[k] += (1 - floor) / q[k]
+    return OPTIMAL, floor, tuple(y)
 
 
 def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:

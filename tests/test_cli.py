@@ -11,9 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filtration_lab.cli import CHECKS, main
+from filtration_lab.cli import CHECKS, CheckContext, _json_safe, main
+from filtration_lab.errors import NoRepresentation
 from filtration_lab.fuzz import random_scenario
 from filtration_lab.scenario import dumps, load, scenario_hash
+
+import cli_reference
 
 FIXTURES = Path(__file__).resolve().parents[1] / "src" / "filtration_lab" / "fixtures"
 BIN1 = str(FIXTURES / "bin1.json")
@@ -331,6 +334,33 @@ class TestViability:
         assert set(result["violations"]) == {"a", "b|c"}
         statuses = {row["atom"]: row["status"] for row in result["audit"]}
         assert statuses["a"] == "infeasible"
+
+
+    def test_audit_rows_hold_the_nine_record_fields(self, capsys):
+        for fixture in (TER1_GA, TER1_GB):
+            _, report, _ = run_json(capsys, "viability", fixture)
+            rows = [row for search in report["enlargements"].values()
+                    for result in search["results"] for row in result["audit"]]
+            assert rows and {tuple(sorted(row)) for row in rows} == {(
+                "atom", "floor", "price_moves", "separating", "solution",
+                "status", "subatoms", "time", "weights")}
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_report_walk_matches_reference(seed):
+    """Every check's details as the exact-type walk and the isinstance walk
+    make them JSON-ready, with the same JSON text."""
+    ctx = CheckContext(random_scenario(seed), seed, mode="fuzz")
+    for name, check in CHECKS.items():
+        if check.needs_enlargement and not ctx.scenario.enlargements:
+            continue
+        try:
+            _, details = check.runner(ctx)
+        except NoRepresentation:
+            continue
+        new, old = _json_safe(details), cli_reference.json_safe(details)
+        assert new == old
+        assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
 
 
 class TestExplain:

@@ -1,5 +1,6 @@
 """Constraint detection, star-to-dot rewrites, and the K solvers."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -33,6 +34,7 @@ from filtration_lab.constraint import (
 from filtration_lab.errors import (
     ConstraintMismatch,
     DimensionMismatch,
+    IncompleteFunctionTable,
     NotAStoppingTime,
     NotOrthogonal,
     ParseError,
@@ -172,6 +174,33 @@ def test_location_boundaries_refuse_floats_and_bools(bin1, w_bin, boundary, bad)
         enter((bad,))
     assert (bin1.locations, bin1.location_cells) == pool
     assert enter((F(1),)) is not None  # the same call takes a rational
+
+
+def test_compensator_prob_of_an_unseen_location_pools_nothing(bin1, w_bin):
+    law = jump_measure(w_bin).compensator(bin1)
+    size = len(bin1.locations)
+    assert law.prob(1, "r", ("198/2",)) == 0
+    assert law.prob(1, "r", (F(-1),)) == F(1, 2)  # a pooled location still reads
+    assert len(bin1.locations) == len(bin1.location_cells) == size
+
+
+def test_slot_of_an_unseen_location_pools_nothing(bin1, w_bin):
+    cs = detect_fpcc(jump_measure(w_bin))
+    size = len(bin1.locations)
+    with pytest.raises(ConstraintMismatch, match=re.escape(
+            "location (Fraction(49, 1),) at time 1, atom r is outside the "
+            "constraint menu")):
+        cs.slot_of(1, "r", ("98/2",))
+    assert len(bin1.locations) == len(bin1.location_cells) == size
+
+
+def test_jump_function_value_at_an_unseen_location_pools_nothing(bin1, w_bin):
+    g = JumpFunction.from_callable(jump_measure(w_bin), bin1, lambda t, v: v[0])
+    size = len(bin1.locations)
+    with pytest.raises(IncompleteFunctionTable, match=re.escape(
+            "no entry at time 1, atom r, location (Fraction(97, 1),)")):
+        g.value(1, 0, (F(97),))
+    assert len(bin1.locations) == len(bin1.location_cells) == size
 
 
 @pytest.mark.parametrize("n, row, match", [

@@ -13,11 +13,13 @@ from fractions import Fraction
 from lp_oracle import OPTIMAL, maximize
 
 from filtration_lab.enlargement import (
-    _one_period_deflator,
+    AtomAudit,
+    _one_period,
     default_viability_family,
     find_deflator,
 )
 from filtration_lab.fuzz import random_scenario
+from filtration_lab.rationals import over_lcm
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -47,6 +49,18 @@ def oracle(q, s_prev, s_next):
     if result.status != OPTIMAL:
         return result.status, None, None
     return result.status, result.value, tuple(result.x[:m])
+
+
+def closed_form(q, moves):
+    """(status, floor, solution) of the library's int closed form on q and
+    the moves, each brought over one denominator, read as an audit row."""
+    mass, masses = over_lcm([v.as_integer_ratio() for v in q])
+    den, nums = over_lcm([v.as_integer_ratio() for v in moves])
+    status, floor, cells = _one_period(mass, masses, nums)
+    row = AtomAudit(time=1, atom="r", subatoms=(), status=status,
+                    separating=None, mass=mass, masses=masses, den=den,
+                    moves=nums, floor_cell=floor, cells=cells)
+    return row.status, row.floor, row.solution
 
 
 def _audits(seed):
@@ -104,7 +118,7 @@ def test_random_atoms_with_ties_match_oracle():
     for _ in range(300):
         q, moves = _random_atom(rng)
         s_prev = Fraction(rng.randint(4, 9))
-        got = _one_period_deflator(q, moves)
+        got = closed_form(q, moves)
         assert got == oracle(q, s_prev, [s_prev + v for v in moves]), (q, moves)
         mean = sum((qi * v for qi, v in zip(q, moves)), start=ZERO)
         extreme = min(moves) if mean > 0 else max(moves)
@@ -116,7 +130,7 @@ def test_random_atoms_with_ties_match_oracle():
 def test_closed_form_solution_is_feasible():
     q = [Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)]
     moves = [Fraction(-1), Fraction(3), Fraction(-1)]
-    status, floor, y = _one_period_deflator(q, moves)
+    status, floor, y = closed_form(q, moves)
     assert status == OPTIMAL
     assert floor == Fraction(3, 4)
     # the slack goes to the first successor at the extreme move

@@ -15,6 +15,10 @@ none. There jump_measure and detect_fpcc must hash no Fraction, and build
 only the dim entries of each location the tree pools for the first time,
 and a second solve_drift_multiplier on the same flow and basis must build
 no Fraction.
+
+find_deflator under each enlargement of the deep-binary and wide-shallow
+shapes and of a feasible flow whose deflator moves at both steps, each
+flow built beforehand, and the viability check after it must build none.
 """
 
 from fractions import Fraction
@@ -26,15 +30,24 @@ import filtration_lab
 from filtration_lab import (
     Process,
     StoppingTime,
+    build_tree,
     check_compensator_abs_continuity,
     check_mrp,
+    enlarge,
+    find_deflator,
     jump_measure,
     representation_coefficient,
     single_jump_coefficient,
     solve_drift_multiplier,
     translate_integrand,
 )
-from filtration_lab.cli import CHECKS, CheckContext, _jump_counter, run_check
+from filtration_lab.cli import (
+    CHECKS,
+    CheckContext,
+    _jump_counter,
+    _viability_family,
+    run_check,
+)
 from filtration_lab.constraint import (
     accessible_star_to_dot,
     constraint_martingales,
@@ -53,7 +66,7 @@ from filtration_lab.fuzz import (
     rng_for,
 )
 from filtration_lab.representation import menu_bound
-from filtration_lab.scenario import load
+from filtration_lab.scenario import Scenario, load
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -226,3 +239,59 @@ def test_repeated_multiplier_solve_builds_no_fraction(shape, request, counted):
         solve_drift_multiplier(flow, rebuilt)
         built[name] = counted["all"] - before
     assert built and built == dict.fromkeys(built, 0)
+
+
+@pytest.fixture
+def wide_shallow(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    from workloads import shaped_scenario
+    return shaped_scenario(0, 5, 3, 4, True)
+
+
+def biased_steps():
+    """A feasible flow whose deflator moves at both steps: a 4-ary tree of
+    horizon 2 with price moves (1, -1, 2, -2) below every node, under a
+    flow that tells one step ahead whether the next move is in {first,
+    last} or {second, third}, halves of nonzero mean."""
+    nodes = [{"id": "r", "time": 0, "parent": None, "prob": None}]
+    values = {"r": [12]}
+    for parent in ("r", "r0", "r1", "r2", "r3"):
+        for k, move in enumerate((1, -1, 2, -2)):
+            nodes.append({"id": f"{parent}{k}", "time": len(parent),
+                          "parent": parent, "prob": "1/4"})
+            values[f"{parent}{k}"] = [values[parent][0] + move]
+    tree = build_tree({"horizon": 2, "nodes": nodes})
+    price = Process.from_node_values(tree, values, dim=1)
+
+    def halves(parents):
+        return [[leaf for leaf in tree.leaf_ids if leaf[:len(p) + 1] in
+                 (p + a, p + b)] for p in parents for a, b in ("03", "12")]
+    ahead = enlarge(tree, {0: halves(["r"]), 1: halves(["r0", "r1", "r2", "r3"])})
+    return Scenario(tree, enlargements={"G": ahead}, processes={"S": price},
+                    viability_family=("S",))
+
+
+@pytest.mark.parametrize("shape", ["deep-binary", "wide-shallow", "biased-steps"])
+def test_deflator_search_builds_no_fraction(shape, request, counted):
+    """find_deflator on every enlargement of the scenario, its flow built
+    beforehand, then the viability check, which on the biased steps also
+    verifies the deflator found."""
+    scenario = (biased_steps() if shape == "biased-steps"
+                else request.getfixturevalue(shape.replace("-", "_")))
+    ctx = CheckContext(scenario, 0, "run")
+    family = _viability_family(scenario)
+    flows = {name: enlargement.filtration()
+             for name, enlargement in sorted(scenario.enlargements.items())}
+    before = counted["all"]
+    searches = {name: [find_deflator(price, flow) for _, price in family]
+                for name, flow in flows.items()}
+    assert counted["all"] == before
+    outcome = run_check(ctx, "viability")
+    assert counted["all"] == before
+    feasible = [s.feasible for rows in searches.values() for s in rows]
+    if shape == "biased-steps":
+        assert feasible == [True] and outcome["status"] == "pass"
+        y = searches["G"][0].deflator.process
+        assert {y.dens[t] for t in (1, 2)} != {1}  # both steps move
+    else:
+        assert not any(feasible) and len(searches) == (2 if shape == "wide-shallow" else 1)
