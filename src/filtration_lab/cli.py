@@ -179,14 +179,17 @@ def _run_reconstruct(ctx: CheckContext):
     combined = Process.stack([rebuilt.process, constraint_martingales(mu, cs)])
     joint = check_mrp(combined)
     disjoint = slot_events_disjoint(mu, cs)
-    bound = max_abs_increment(rebuilt.process)
-    ok = joint.holds and disjoint and bound <= 1
+    x = rebuilt.process
+    # the bound the 1/2^t class weights promise, |Delta X_t| < 1/2^t, on ints
+    within = all(2 ** t * max(abs(c) for inc in x._delta(t)[2] for c in inc)
+                 < x._delta(t)[1] for t in range(1, x.tree.horizon + 1))
+    ok = joint.holds and disjoint and within
     return ok, {
         "d": rebuilt.d,
         "components": combined.dim,
         "joint_mrp": joint.holds,
         "events_disjoint": disjoint,
-        "class_increment_bound": bound,
+        "class_increment_bound": max_abs_increment(x),
     }
 
 
@@ -371,8 +374,8 @@ CHECKS = {
             "time, stacked with the compensated jump-location indicators "
             "of the basis. Passes when the stacked family has the "
             "representation property, each charged location matches "
-            "exactly one slot, and the class-indicator increments never "
-            "exceed 1 in absolute value.")),
+            "exactly one slot, and the class-indicator increments stay "
+            "strictly below 1/2^t in absolute value at every time t.")),
     "star-to-dot": CheckDef(
         runner=_run_star_to_dot, needs_enlargement=False,
         explain=(

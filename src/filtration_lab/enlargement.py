@@ -49,17 +49,11 @@ from .errors import (
     NotStrictlyPositive,
 )
 from .linalg import null_space
-from .rationals import (
-    gathered,
-    over_common_denominator,
-    over_lcm,
-    to_fraction,
-)
+from .rationals import gathered, over_lcm, to_fraction
 from .representation import _require_representable
 from .tree import _weigh, as_filtration
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -430,9 +424,9 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
 def _multiplier_frame(basis):
     """The basis side of solve_drift_multiplier: per time t, per time-(t-1)
     node, (its base atom, the labels of its successor classes, frame as
-    (den, nums), squared norms over den^2, p as int ratios, lcm of the
-    charged numerators); then N and the steps of the base-flow brackets
-    [N, X2_h]^p of every component at once."""
+    (den, nums), squared norms over den^2, p as the int ratios (m_h, M) of
+    the witness's masses, lcm of the charged m_h); then N and the steps of
+    the base-flow brackets [N, X2_h]^p of every component at once."""
     x2 = basis.process
     tree = x2.tree
     width = basis.d + 1
@@ -443,25 +437,26 @@ def _multiplier_frame(basis):
         row, frame_row = [], []
         for node in base.parts[t - 1].atoms:
             wit = basis._witness(t, node.label)
-            p = wit.probs
-            if all(c == 0 for c in p):
+            m = wit.masses
+            if not any(m):
                 raise DegeneratePartition(f"no mass below atom {node.label}")
-            # Gram-Schmidt of (p, e_0, ..., e_d) in closed form: e_h leaves
-            # e_h - (p_h / T_h)(0, ..., 0, p_h, ..., p_d) with T_h = sum_{j>=h}
-            # p_j^2, which is zero at the last charged class
-            last = max(h for h in range(width) if p[h])
-            tails = list(accumulate(v * v for v in reversed(p)))[::-1]
-            coeffs = [p[h] / tails[h] if p[h] else ZERO for h in range(width)]
-            frame = eps_den, eps_nums = over_common_denominator([
-                (ZERO,) * h + (ONE - c * p[h],) + tuple(-c * v for v in p[h + 1:])
-                for h, c in enumerate(coeffs) if h != last])
+            # Gram-Schmidt of (p, e_0, ..., e_d), p = m / M, in closed form: e_h
+            # leaves (0, ..., 0, S_{h+1}, -m_h m_{h+1}, ..., -m_h m_d) / S_h with
+            # S_h = sum_{j>=h} m_j^2, e_h where m_h = 0, none at the last charged
+            last = max(h for h in range(width) if m[h])
+            tails = list(accumulate(v * v for v in reversed(m)))[::-1] + [0]
+            frame = eps_den, eps_nums = gathered([
+                (tails[h], (0,) * h + (tails[h + 1],)
+                 + tuple(-m[h] * v for v in m[h + 1:])) if m[h]
+                else (1, tuple(int(g == h) for g in range(width)))
+                for h in range(width) if h != last])
             frame_row.append(frame)
             norms = [sum(map(mul, e, e)) for e in eps_nums]  # over eps_den^2
-            # with p_h = a_h / b_h and p_bar_h = m_h / M, the target
-            # (1/2^t)(p_bar_h / p_h - 1) is (m_h b_h - M a_h) / (2^t M a_h),
-            # held over 2^t M L with L the lcm of the charged a_h
-            ratios = [c.as_integer_ratio() for c in p]
-            lead = lcm(*[a for a, _ in ratios if a])
+            # with p_h = a_h / b_h = m_h / M and p_bar_h = m'_h / M', the target
+            # (1/2^t)(p_bar_h / p_h - 1) is (m'_h b_h - M' a_h) / (2^t M' a_h),
+            # held over 2^t M' L with L the lcm of the charged a_h
+            ratios = [(v, wit.mass) for v in m]
+            lead = lcm(*[v for v in m if v])
             row.append((node, wit.subatoms, eps_den, eps_nums, norms,
                         ratios, lead))
         slots.append(row)
@@ -611,15 +606,13 @@ def _kernel_frame(wit, width):
     certificate without sub-atom checks, holding when the kernel matches and
     J C = P, and P, which centres the charged classes, as (den, columns).
 
-    With p = a / L, C is (L diag(a) - a aT) / (4^t L^2). On the k charged
-    classes J = 4^t P diag(1/p) P is 4^t L (k^2 diag(u) - k(u_g + u_h) + U)
-    / (Q k^2), where Q is the lcm of the charged a_h, u_h = Q / a_h and U is
-    the sum of the u_h; P is (k I - 1) / k. All three vanish elsewhere.
+    With p = a / L, the witness's masses, C is (L diag(a) - a aT) / (4^t
+    L^2). On the k charged classes J = 4^t P diag(1/p) P is 4^t L (k^2
+    diag(u) - k(u_g + u_h) + U) / (Q k^2), where Q is the lcm of the charged
+    a_h, u_h = Q / a_h and U is the sum of the u_h; P is (k I - 1) / k. All
+    three vanish elsewhere.
     """
-    time = wit.time
-    ratios = [c.as_integer_ratio() for c in wit.probs]
-    big = lcm(*[b for _, b in ratios])
-    a = [n * (big // b) for n, b in ratios]
+    time, big, a = wit.time, wit.mass, wit.masses
     c = [[(big * a[g] if g == h else 0) - a[g] * a[h] for h in range(width)]
          for g in range(width)]
     c_den = 4 ** time * big * big

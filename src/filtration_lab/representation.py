@@ -4,7 +4,8 @@ reconstruction of a representation family from partition data.
 At a node with m successors the mean-zero functions on those successors form
 an (m-1)-dimensional space; a d-dimensional martingale represents every
 martingale exactly when its increment vectors span that space at every node.
-The rank test and the solves read the increments' int numerators.
+The rank test and the solves read the increments' int numerators, and the
+successor-class witnesses hold their classes' int masses.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from .linalg import _eliminate_with_identity, null_space, rank
 from .rationals import as_fractions, over_common_denominator, to_fraction
 from .tree import FilteredTree, StoppingTime, _weigh
 
-ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class MrpReport:
@@ -56,13 +55,20 @@ class PartitionWitness:
 
     time is the successor side: the classes are time-`time` atoms inside the
     atom at time-1. Classes are ordered by descending conditional
-    probability, ties by first leaf id; padding classes are empty.
+    probability, ties by first leaf id; padding classes are empty, of mass
+    0. Masses are ints over the leaf denominator; probs, the conditional
+    probabilities, is their Fraction view, built when read.
     """
     time: int
     atom: str
     subatoms: tuple
     leaves: tuple
-    probs: tuple
+    mass: int
+    masses: tuple
+
+    @property
+    def probs(self) -> tuple:
+        return tuple([Fraction(m, self.mass) for m in self.masses])
 
 
 def check_mrp(w: Process) -> MrpReport:
@@ -181,7 +187,8 @@ def conditional_multiplicity(tree: FilteredTree, t: int, atom_label: str,
     node = tree.nodes.get(atom_label)
     if node is None or node.time != t - 1:
         raise DanglingNode(f"no atom {atom_label!r} at time {t - 1}")
-    children = sorted(node.children, key=lambda c: (-c.branch_prob, c.id))
+    # siblings share the parent's mass, so this is (-branch_prob, id)
+    children = sorted(node.children, key=lambda c: (-c.mass, c.id))
     count = len(children)
     width = count if d is None else d + 1
     if width < count:
@@ -193,7 +200,8 @@ def conditional_multiplicity(tree: FilteredTree, t: int, atom_label: str,
         subatoms=tuple(child.id for child in children) + (None,) * pad,
         leaves=tuple(tuple(range(child.leaf_lo, child.leaf_hi))
                      for child in children) + ((),) * pad,
-        probs=tuple(child.branch_prob for child in children) + (ZERO,) * pad)
+        mass=node.mass,
+        masses=tuple(child.mass for child in children) + (0,) * pad)
 
 
 def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:

@@ -11,10 +11,10 @@ partition the one atom index, Partition.pieces, per other partition;
 between a filtration's consecutive times it is the parent-to-child index.
 
 Masses are ints: every leaf probability is an int numerator over one
-tree-wide leaf denominator D, and every atom carries its mass over D beside
-its probability. The one conditional-mean kernel, _weigh, sums the products
-of those int masses with int numerators, and the callers reduce once per
-output cell; conditional_law is its Fraction front end.
+tree-wide leaf denominator D, and every atom stores only its mass over D;
+its probability is a view built when read. The one conditional-mean
+kernel, _weigh, sums the products of those int masses with int numerators,
+and the callers reduce once per output cell.
 
 Each tree interns the jump locations its measures and jump functions name as
 small ints, keyed by each location's reduced int cell (den, nums), and builds
@@ -73,15 +73,18 @@ class Node:
 
 @dataclass(frozen=True, slots=True)
 class Atom:
-    """One cell of a leaf partition, with its unconditional probability and
-    that probability's int numerator over the tree's leaf denominator,
-    placed by index in the partition that made it."""
+    """One cell of a leaf partition, its mass over the tree's leaf
+    denominator, placed by index in the partition that made it; prob is the
+    mass's Fraction view, built when read."""
     label: str
     leaves: tuple[int, ...]
-    prob: Fraction
-    mass: int = field(default=0, compare=False, repr=False)
-    partition: Partition | None = field(default=None, compare=False, repr=False)
-    index: int = field(default=0, compare=False, repr=False)
+    mass: int = field(compare=False, repr=False)
+    partition: Partition = field(compare=False, repr=False)
+    index: int = field(compare=False, repr=False)
+
+    @property
+    def prob(self) -> Fraction:
+        return Fraction(self.mass, self.partition.tree.leaf_den)
 
 
 class Partition:
@@ -91,10 +94,10 @@ class Partition:
     __slots__ = ("tree", "atoms", "block_of", "_index", "_pieces")
 
     def __init__(self, tree, blocks):
-        """blocks: (label, leaves, prob, mass) per block, in first-leaf order."""
+        """blocks: (label, leaves, mass) per block, in first-leaf order."""
         self.tree = tree
-        self.atoms = tuple(Atom(label, leaves, prob, mass, self, k)
-                           for k, (label, leaves, prob, mass) in enumerate(blocks))
+        self.atoms = tuple(Atom(label, leaves, mass, self, k)
+                           for k, (label, leaves, mass) in enumerate(blocks))
         self.block_of = block_of = [0] * tree.n_leaves
         for atom in self.atoms:
             for leaf in atom.leaves:
@@ -288,7 +291,7 @@ class FilteredTree:
     def base_filtration(self) -> "Filtration":
         if self._base_filtration is None:
             self._base_filtration = Filtration(self, [
-                [(n.id, n.leaves(), n.prob, n.mass) for n in self.nodes_at[t]]
+                [(n.id, n.leaves(), n.mass) for n in self.nodes_at[t]]
                 for t in range(self.horizon + 1)])
         return self._base_filtration
 
@@ -384,15 +387,11 @@ def _meet_cells(first, second):
 
 
 def _blocks(tree: FilteredTree, cells):
-    """(label, leaves, prob, mass) for each cell, its mass the sum of its
-    leaves' int masses."""
+    """(label, leaves, mass) for each cell, its mass the sum of its leaves'
+    int masses."""
     masses = tree.leaf_mass
-    out = []
-    for cell in cells:
-        mass = sum(masses[i] for i in cell)
-        out.append((_atom_label(tree, cell), cell,
-                    Fraction(mass, tree.leaf_den), mass))
-    return out
+    return [(_atom_label(tree, cell), cell, sum(masses[i] for i in cell))
+            for cell in cells]
 
 
 class Enlargement:
@@ -503,12 +502,6 @@ def as_filtration(obj) -> Filtration:
     if isinstance(obj, Enlargement):
         return obj.filtration()
     raise TypeError(f"cannot view {obj!r} as a filtration")
-
-
-def conditional_law(atom: Atom, part: Partition) -> dict:
-    """P(block of part | atom): {block index: probability} over the blocks
-    of part meeting the atom, in first-leaf order."""
-    return {k: Fraction(mass, atom.mass) for k, mass in part.pieces(atom)}
 
 
 def _weigh(atom: Atom, part: Partition, nums):

@@ -22,11 +22,19 @@ star_integral_by_entry is star_integral as it read g one entry at a time,
 through JumpFunction._numerator per (conditioning atom, charged location)
 and per jumping block. The library reads g's time-t table at each anchor
 label resolved once per time; test_anchor_reads holds it to this builder.
+
+witness_classes is conditional_multiplicity's class order and Fraction
+probabilities as the witness held them, from the branch probabilities, and
+multiplier_frame is _multiplier_frame's Gram-Schmidt frame as it was built
+on those Fractions. The library orders the classes by int mass and builds
+the frame on the witness's masses; test_witness_masses holds it to these.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
+from math import lcm
 
 from filtration_lab.calculus import (
     JumpFunction,
@@ -39,7 +47,7 @@ from filtration_lab.calculus import (
 from filtration_lab.constraint import AccessibleSlot
 from filtration_lab.errors import DimensionMismatch, NotIncreasing
 from filtration_lab.linalg import null_space, rank
-from filtration_lab.rationals import gathered, over_lcm
+from filtration_lab.rationals import gathered, over_common_denominator, over_lcm
 from filtration_lab.representation import MrpReport
 from filtration_lab.tree import _weigh, as_filtration
 
@@ -267,3 +275,29 @@ def jump_counter(tree, jumps) -> Process:
     nodes = tree.base_filtration().parts
     return Process._accumulate(tree, (0,), lambda t: (nodes[t], 1, tuple(
         [(int(atom.label in jumps),) for atom in nodes[t].atoms])))
+
+
+def witness_classes(node, width):
+    """conditional_multiplicity's classes of a node as it ordered them, by
+    descending branch probability, ties by id: (ids, branch probabilities),
+    padded to width with None and 0."""
+    children = sorted(node.children, key=lambda c: (-c.branch_prob, c.id))
+    pad = width - len(children)
+    return (tuple(c.id for c in children) + (None,) * pad,
+            tuple(c.branch_prob for c in children) + (Fraction(0),) * pad)
+
+
+def multiplier_frame(p):
+    """_multiplier_frame's frame at one node as it was built on the class
+    probabilities p, Fractions: (den, nums) of the Gram-Schmidt frame of
+    (p, e_0, ..., e_d), p as reduced int ratios, and the lcm of their
+    charged numerators."""
+    width = len(p)
+    last = max(h for h in range(width) if p[h])
+    tails = list(accumulate(v * v for v in reversed(p)))[::-1]
+    coeffs = [p[h] / tails[h] if p[h] else Fraction(0) for h in range(width)]
+    eps_den, eps_nums = over_common_denominator([
+        (Fraction(0),) * h + (1 - c * p[h],) + tuple(-c * v for v in p[h + 1:])
+        for h, c in enumerate(coeffs) if h != last])
+    ratios = [c.as_integer_ratio() for c in p]
+    return eps_den, eps_nums, ratios, lcm(*[a for a, _ in ratios if a])

@@ -1,11 +1,11 @@
 """The partition kernel against the per-leaf kernel it replaced.
 
-integral_reference keeps, verbatim, the old conditional_law and
-conditional_mean, which group an atom's leaves by a key or by cell identity
-and sum leaf probabilities on every call. The new kernel weighs the blocks
-of the meet of a row's partition and the atom's by their masses. On the fuzz
-corpus, under the base flow, every enlargement and one extra enlargement,
-both must give exactly equal means, laws and partial means per time-t node,
+integral_reference keeps, verbatim, the old conditional_mean, which groups
+an atom's leaves by a key or by cell identity and sums leaf probabilities on
+every call. The new kernel weighs the blocks of the meet of a row's
+partition and the atom's by their masses. On the fuzz corpus, under the
+base flow, every enlargement and one extra enlargement, both must give
+exactly equal means and partial means per time-t node,
 on rows whose partition the conditioning flow refines and on rows whose
 partition it does not: base rows under an enlargement, enlarged rows under
 the base flow and under another enlargement, and per-leaf input.
@@ -19,7 +19,7 @@ import pytest
 from filtration_lab import Process, drift_operator, dual_predictable_projection
 from filtration_lab.fuzz import random_enlargement, random_scenario, rng_for
 from filtration_lab.rationals import as_fractions, over_common_denominator
-from filtration_lab.tree import _weigh, conditional_law
+from filtration_lab.tree import _weigh
 
 F = Fraction
 SEEDS = range(50)
@@ -90,7 +90,6 @@ def test_kernel_matches_per_leaf_reference(seed):
         for t in range(tree.horizon + 1):
             part, cells = x.row(t)
             leaf_row = x.values[t]
-            block = part.block_of.__getitem__
             for filtration in filtrations:
                 for s in range(t + 1):
                     cond = filtration.partition(s)
@@ -98,9 +97,6 @@ def test_kernel_matches_per_leaf_reference(seed):
                     for atom in cond.atoms:
                         assert (conditional_mean(atom, part, cells)
                                 == ref.conditional_mean(tree, atom, leaf_row))
-                        law = conditional_law(atom, part)
-                        old = ref.conditional_law(tree, atom, block)
-                        assert list(law.items()) == list(old.items())
                         if s == t - 1:  # as the projection conditions
                             assert partial_means(atom, nodes[t], part, cells) \
                                 == list(ref.conditional_mean(

@@ -11,8 +11,6 @@ same order. For every basis, the measure's support, location ids and menu
 gauges under every flow must be those of the Fraction vectors.
 """
 
-from fractions import Fraction
-
 import check_reference as ref
 import pytest
 
@@ -69,7 +67,7 @@ def trivial_flow(tree):
     whose compensator stays put can sit inside a larger atom that moves,
     which is how the scan's witness branch is reached."""
     everything = tuple(range(tree.n_leaves))
-    return Filtration(tree, [[("all", everything, Fraction(1), tree.leaf_den)]]
+    return Filtration(tree, [[("all", everything, tree.leaf_den)]]
                       * (tree.horizon + 1))
 
 

@@ -5,15 +5,18 @@ import dataclasses
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from filtration_lab.cli import CHECKS, CheckContext, _json_safe, main
+from filtration_lab.calculus import Process
+from filtration_lab.cli import CHECKS, CheckContext, _json_safe, main, run_check
 from filtration_lab.errors import NoRepresentation
 from filtration_lab.fuzz import random_scenario
+from filtration_lab.representation import _reconstruct
 from filtration_lab.scenario import dumps, load, scenario_hash
 
 import cli_reference
@@ -361,6 +364,40 @@ def test_report_walk_matches_reference(seed):
         new, old = _json_safe(details), cli_reference.json_safe(details)
         assert new == old
         assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+
+
+def unweighted(scenario):
+    """The reconstructed family of the scenario's basis with class weight 1
+    at every time, where the construction puts 1/2^t."""
+    w = scenario.basis_process()
+    tree, width = w.tree, w.dim + 1
+    base = tree.base_filtration()
+    rebuilt = _reconstruct(w)
+    rank_of = {sub: h for wit in rebuilt.witnesses
+               for h, sub in enumerate(wit.subatoms)}
+
+    def classes_at(t):
+        return (base.parts[t], [rank_of[node.id] for node in tree.nodes_at[t]],
+                [(1, (1,) * width)] * len(tree.nodes_at[t - 1]))
+
+    return dataclasses.replace(
+        rebuilt, process=Process._compensated_classes(base, width, classes_at))
+
+
+@pytest.mark.parametrize("fixture", [BIN1, TER1_GA, TER1_GB],
+                         ids=["bin1", "ter1_ga", "ter1_gb"])
+def test_reconstruct_check_holds_the_class_weights(fixture):
+    """The check passes the reconstructed family and fails one built without
+    the 1/2^t weights, which still has the representation property and
+    never jumps by more than 1."""
+    scenario = load(fixture)
+    assert run_check(CheckContext(scenario, 0, "run"), "reconstruct")["status"] == "pass"
+    ctx = CheckContext(scenario, 0, "run")
+    ctx.reconstructed = unweighted(scenario)
+    row = run_check(ctx, "reconstruct")
+    assert row["status"] == "fail"
+    assert row["details"]["joint_mrp"] and row["details"]["events_disjoint"]
+    assert Fraction(row["details"]["class_increment_bound"]) <= 1
 
 
 class TestExplain:

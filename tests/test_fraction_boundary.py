@@ -19,6 +19,12 @@ no Fraction.
 find_deflator under each enlargement of the deep-binary and wide-shallow
 shapes and of a feasible flow whose deflator moves at both steps, each
 flow built beforehand, and the viability check after it must build none.
+
+On deep-binary, Enlargement.filtration() must build none, and neither may
+the partition meets that the reconstruct, drift and multiplier checks make,
+the reconstructed family with its witnesses, or the multiplier frame; the
+kernel frame builds only the Fraction entries of the certificate it
+reports, which the basis keeps.
 """
 
 from fractions import Fraction
@@ -28,6 +34,7 @@ import pytest
 
 import filtration_lab
 from filtration_lab import (
+    FilteredTree,
     Process,
     StoppingTime,
     build_tree,
@@ -41,6 +48,7 @@ from filtration_lab import (
     solve_drift_multiplier,
     translate_integrand,
 )
+from filtration_lab import cli, enlargement
 from filtration_lab.cli import (
     CHECKS,
     CheckContext,
@@ -295,3 +303,43 @@ def test_deflator_search_builds_no_fraction(shape, request, counted):
         assert {y.dens[t] for t in (1, 2)} != {1}  # both steps move
     else:
         assert not any(feasible) and len(searches) == (2 if shape == "wide-shallow" else 1)
+
+
+def test_flows_witnesses_and_frames_build_no_fraction(deep_binary, counted,
+                                                      monkeypatch):
+    """Each call counted from inside, on a fresh context: the flow, then
+    the reconstruct, drift, multiplier and kernel checks in turn."""
+    inside, certificates = {}, []
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counting(*args):
+            before = counted["all"]
+            out = fn(*args)
+            inside[name] = inside.get(name, 0) + counted["all"] - before
+            if name == "_kernel_frame":
+                certificates.append(out[0])
+            return out
+        monkeypatch.setattr(owner, name, counting)
+
+    count(FilteredTree, "meet")
+    count(cli, "_reconstruct")
+    count(enlargement, "_multiplier_frame")
+    count(enlargement, "_kernel_frame")
+    ctx = CheckContext(deep_binary, 0, "run")
+    before = counted["all"]
+    (flow,) = [e.filtration() for e in deep_binary.enlargements.values()]
+    assert counted["all"] == before and len(flow.atoms(deep_binary.tree.horizon)) > 1
+    meets = len(ctx.tree._meets)
+    statuses = [run_check(ctx, name)["status"]
+                for name in ("reconstruct", "drift", "multiplier", "kernel")]
+    assert statuses == ["pass"] * 4
+    assert len(ctx.tree._meets) > meets  # the checks met new partitions
+    entries = sum(len(row) for certificate in certificates
+                  for rows in (certificate.matrix, certificate.j,
+                               certificate.claimed_basis, certificate.kernel_basis)
+                  for row in rows)
+    assert certificates and inside == {
+        "meet": 0, "_reconstruct": 0, "_multiplier_frame": 0,
+        "_kernel_frame": entries}
