@@ -65,7 +65,7 @@ from .rationals import (
     reduced,
     to_fraction,
 )
-from .tree import FilteredTree, Filtration, _weigh, as_filtration
+from .tree import FilteredTree, Filtration, _means, _weigh, as_filtration
 
 ZERO = Fraction(0)
 
@@ -259,14 +259,8 @@ class Process:
             raise DimensionMismatch("ragged terminal vectors")
         leaves = tree.base_filtration().parts[-1]
         den, nums = over_common_denominator(vecs)
-        slices = []
-        for part in filtration.parts:
-            means = []
-            for atom in part.atoms:
-                sums, weight = _weigh(atom, leaves, nums)
-                means.append((den * weight, sums))
-            slices.append((part, *gathered(means)))
-        return cls._make(tree, slices, dims.pop())
+        return cls._make(tree, [(part, *gathered(_means(part.atoms, leaves, den, nums)))
+                                for part in filtration.parts], dims.pop())
 
     @classmethod
     def stack(cls, processes):
@@ -473,15 +467,9 @@ def _compensate(filtration: Filtration, dim: int, moves_at) -> Process:
 def _compensated_means(filtration: Filtration, dim: int, slice_at) -> Process:
     """Null at 0, moved on each time-(t-1) atom by the conditional mean of
     the slice slice_at(t), called once per time in time order."""
-    def means(t):
-        part, den, nums = slice_at(t)
-        moves = []
-        for atom in filtration.parts[t - 1].atoms:
-            sums, weight = _weigh(atom, part, nums)
-            moves.append((den * weight, sums))
-        return moves
-
-    return _compensate(filtration, dim, means)
+    parts = filtration.parts
+    return _compensate(filtration, dim,
+                       lambda t: _means(parts[t - 1].atoms, *slice_at(t)))
 
 
 def dual_predictable_projection(a: Process, filtration_like) -> Process:
@@ -566,7 +554,6 @@ class JumpMeasure:
     def __init__(self, tree: FilteredTree, dim: int, locs):
         self.tree, self.dim, self.locs = tree, dim, tuple(locs)
         self._compensators: dict[Filtration, CompensatorTable] = {}
-        self._derived: dict = {}
 
     @property
     def support(self) -> dict:
@@ -594,16 +581,6 @@ class JumpMeasure:
         if filtration not in self._compensators:
             self._compensators[filtration] = CompensatorTable(self, filtration)
         return self._compensators[filtration]
-
-    def derived(self, key, build):
-        """build(), computed once per key for this measure.
-
-        For objects that depend on the measure and on the key alone; the key
-        holds objects or content, never ids, so an entry cannot go stale.
-        """
-        if key not in self._derived:
-            self._derived[key] = build()
-        return self._derived[key]
 
 
 def jump_measure(x: Process) -> JumpMeasure:

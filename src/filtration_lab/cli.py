@@ -26,7 +26,6 @@ reproducer is that document, so `run repro-<seed>.json` replays it.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import os
@@ -127,9 +126,9 @@ _LEAVES = frozenset([str, int, bool, type(None)])
 
 
 def _json_safe(value):
-    """A JSON-ready copy of value: Fractions as strings, dataclasses as
-    their fields, tuples as lists, dict keys as strings. Exact leaf and
-    container types are dispatched first: report details are mostly those."""
+    """A JSON-ready copy of value: Fractions as strings, tuples as lists,
+    dict keys as strings. Report details hold nothing but Fractions and the
+    exact leaf and container types, so nothing else is dispatched."""
     kind = type(value)
     if kind in _LEAVES:
         return value
@@ -139,12 +138,6 @@ def _json_safe(value):
         return [_json_safe(v) for v in value]
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return _json_safe(dataclasses.asdict(value))
     return value
 
 

@@ -13,11 +13,12 @@ conditioning atom, not from star integrals through the compensator table, so
 the star side a certificate compares them with comes by another route.
 
 What a conversion needs apart from the jump function g is built once: a
-constraint system keeps its slot martingales per measure, and a measure keeps
-each accessible set-up (validated slots, class locations, the class
-martingales Y and the scale G) per filtration and normalized slot content.
-The star side comes from star_integral's own memo on g, so star_to_dot and
-accessible_star_to_dot share it; the processes share vectors across leaves.
+constraint system keeps its slot martingales per measure, and an accessible
+converter builds its set-up (validated slots, class locations, the class
+martingales Y and the scale G) once, for every g it converts; a measure
+keeps none. The star side comes from star_integral's own memo on g, so
+star_to_dot and accessible_star_to_dot share it; the processes share
+vectors across leaves.
 Menus and class locations are held as the tree's location ids, and every
 computation here reads them by id, on ints, each gauge from the location's
 pooled int cell; a slot's location vector is read from the pool by id.
@@ -395,9 +396,8 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
     indicators, the scale G undoes the weights on each time's graph, and the
     integrand picks g at the class location wherever that location is
     nonzero, read in g's time-t table at the anchor atom's label. The
-    identity is verified node by node. Everything but the integrand is
-    built once per (measure, filtration, normalized slots); the star-to-dot
-    check normalizes its slots and reads that plan once per check.
+    identity is verified node by node. Each call builds its own plan; the
+    star-to-dot check builds one per check, through _accessible_converter.
     """
     filtration = as_filtration(filtration_like or mu.tree)
     return _accessible_converter(mu, slots, filtration)(g)
@@ -405,12 +405,9 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
 
 def _accessible_converter(mu: JumpMeasure, slots, filtration):
     """The conversion g -> accessible_star_to_dot(g, mu, slots, filtration),
-    with the slots normalized and their plan built, or read from the
-    measure's memo, once."""
+    with the slots normalized and their plan built once, here."""
     rows, count = _normalize_slots(mu.tree, slots)
-    content = tuple((tau.values, classes, weight) for tau, classes, weight in rows)
-    plan = mu.derived(("accessible", filtration, content),
-                      lambda: _plan_accessible(mu, filtration, rows, count))
+    plan = _plan_accessible(mu, filtration, rows, count)
     off_graph = ((None,) * count, (1, 1))  # no class jumps, unit weight
 
     def convert(g):

@@ -51,7 +51,7 @@ from .errors import (
 from .linalg import null_space
 from .rationals import gathered, over_lcm, to_fraction
 from .representation import _require_representable
-from .tree import _weigh, as_filtration
+from .tree import _means, _weigh, as_filtration
 
 ZERO = Fraction(0)
 
@@ -483,15 +483,10 @@ def _bracket_steps(n, x):
     nodes = tree.base_filtration().parts
     steps = [None]
     for t in range(1, tree.horizon + 1):
-        part, den, nums = _products(
-            tree, n._delta(t), x._delta(t),
-            lambda dn, dx: tuple([c * v for v in dx for c in dn]))
-        cells = []
-        for node in nodes[t - 1].atoms:
-            sums, weight = _weigh(node, part, nums)
-            cells.append((den * weight, [sums[h:h + d]
-                                         for h in range(0, len(sums), d)]))
-        steps.append(cells)
+        sliced = _products(tree, n._delta(t), x._delta(t),
+                           lambda dn, dx: tuple([c * v for v in dx for c in dn]))
+        steps.append([(scale, [sums[h:h + d] for h in range(0, len(sums), d)])
+                      for scale, sums in _means(nodes[t - 1].atoms, *sliced)])
     return steps
 
 

@@ -28,10 +28,9 @@ def _int_dot(u, v) -> int:
 
 
 def _primitive(ints) -> list[int]:
-    """Divide out the gcd; the first nonzero entry comes out positive."""
+    """Divide out the gcd of a nonzero vector; the first nonzero entry comes
+    out positive."""
     common = gcd(*ints)
-    if common == 0:
-        return list(ints)
     if next(n for n in ints if n) < 0:
         common = -common
     return [n // common for n in ints]

@@ -339,6 +339,28 @@ class TestViability:
         assert statuses["a"] == "infeasible"
 
 
+    def test_default_grid_through_run(self, capsys, tmp_path):
+        """Without a viability family, run searches the default grid on the
+        basis: GB prices the first component fairly and is refuted on the
+        second, each refusal witnessed by a separating sign."""
+        doc = json.loads(Path(TER1_GB).read_text(encoding="utf-8"))
+        del doc["viability_family"]
+        path = tmp_path / "gb_default_grid.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, report, _ = run_json(capsys, "run", str(path), "--checks", "viability")
+        assert code == 1
+        (check,) = report["checks"]
+        assert check["details"]["family_size"] == 8
+        gb = check["details"]["enlargements"]["GB"]
+        assert gb["viable"] is False
+        infeasible = [r for r in gb["results"] if not r["feasible"]]
+        assert [r["price"] for r in infeasible] == [
+            "exp[1]*1/4", "exp[1]*-1/4", "exp[1]*3/8", "exp[1]*-3/8"]
+        for result in infeasible:
+            assert len(result["violations"]) == 2
+            assert all(v["separating"] in (1, -1) for v in result["violations"])
+        assert all(r["identity"] for r in gb["results"] if r["feasible"])
+
     def test_audit_rows_hold_the_nine_record_fields(self, capsys):
         for fixture in (TER1_GA, TER1_GB):
             _, report, _ = run_json(capsys, "viability", fixture)
@@ -484,3 +506,86 @@ class TestMutatedScenarios:
                     contextlib.redirect_stderr(io.StringIO()):
                 code = main(["run", str(path)])
         assert code in (0, 1, 2)
+
+
+def _node(node_id, time, parent, prob):
+    return lambda doc: doc["nodes"].append(
+        {"id": node_id, "time": time, "parent": parent, "prob": prob})
+
+
+def _set(value, *keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+    return edit
+
+
+def _drop(*keys):
+    def edit(doc):
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+    return edit
+
+
+# (command, edits to ter1_gb or a fixture path, message on stderr)
+_REFUSALS = {
+    "horizon-below-zero": ("run", [_set(-1, "horizon")],
+                           "horizon must be >= 0, got -1"),
+    "duplicate-id": ("run", [_node("a", 1, "r", "1/3")], "duplicate node id 'a'"),
+    # a child of a horizon node is past the horizon
+    "past-the-horizon": ("run", [_node("d", 2, "a", "1")], "node 'd' has time 2"),
+    "parentless-at-time-1": ("run", [_node("d", 1, None, None)],
+                             "node 'd' has no parent but time 1"),
+    # every node hangs under a parent one time earlier, so all reach the root
+    "time-0-under-the-root": ("run", [_node("d", 0, "r", "1")],
+                              "node 'd' at time 0 under parent at time 0"),
+    "two-roots": ("run", [_node("r2", 0, None, None)],
+                  "expected exactly one root, found 2"),
+    "childless-non-terminal": ("run", [_set(2, "horizon")],
+                               "non-terminal node 'a' has no children"),
+    "declared-dim": ("run", [_set(3, "processes", "W", "dim")],
+                     "declared dim 3, values have dim 2"),
+    "missing-node-value": ("run", [_drop("processes", "W", "values", "c")],
+                           "no value for nodes ['c']"),
+    "empty-cell": ("run", [_set([["a", "b", "c"], []], "enlargements", "GB", "0")],
+                   "empty cell in enlargement at time 0"),
+    "leaf-index-99": ("run", [_set([[99], ["b"], ["c"]], "enlargements", "GB", "1")],
+                      "leaf index 99 out of range"),
+    "non-leaf-id": ("run", [_set([["r"]], "enlargements", "GB", "1")],
+                    "node 'r' is not a leaf"),
+    "check-needs-enlargement": (["run", BIN1, "--checks", "drift"], None,
+                                "check 'drift' needs an enlargement"),
+    "run-without-basis": ("run", [_drop("basis")],
+                          'checks need a basis process; set "basis"'),
+    "check-mrp-without-basis": ("check-mrp", [_drop("basis")],
+                                "scenario has no basis process"),
+    "viability-without-enlargement": (["viability", BIN1], None,
+                                      "scenario has no enlargement"),
+    "viability-without-family-or-basis": (
+        "viability", [_drop("basis"), _drop("viability_family")],
+        "scenario needs a viability family or a basis process"),
+    "fuzz-horizon-0": (["fuzz", "--horizon", "0", "--count", "1"], None,
+                       "random_tree needs horizon >= 1"),
+}
+
+
+@pytest.mark.parametrize("command, edits, message", list(_REFUSALS.values()),
+                         ids=list(_REFUSALS))
+def test_refusal_exits_2_with_its_message(capsys, tmp_path, command, edits, message):
+    """Each refusal of bad input exits 2 with its own message and no
+    traceback, through the command line."""
+    if edits is None:
+        argv = command
+    else:
+        doc = json.loads(Path(TER1_GB).read_text(encoding="utf-8"))
+        for edit in edits:
+            edit(doc)
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        argv = [command, str(path)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"

@@ -21,6 +21,7 @@ from filtration_lab.enlargement import (
 )
 from filtration_lab.calculus import JumpFunction, jump_measure
 from filtration_lab.errors import (
+    DimensionMismatch,
     NotADeflator,
     NotAMartingale,
     NotIncreasing,
@@ -195,6 +196,32 @@ class TestVerifyFbd:
             search.deflator, process=search.deflator.process.scale(2))
         with pytest.raises(NotADeflator):
             verify_fbd(w_bin, doubled, bin1)
+
+    @pytest.mark.parametrize("wrong, error, message", [
+        ("doubled", NotADeflator, "deflator must start at 1"),
+        ("not-a-martingale", NotADeflator,
+         "deflator is not a martingale for the larger flow"),
+        ("two-dimensional-target", DimensionMismatch,
+         "pathwise products take scalar processes"),
+        ("unfair-target", NotADeflator, "deflated price is not a martingale"),
+    ])
+    def test_each_refusal_is_named(self, ter1, s_ter, w_ter, gb, wrong, error,
+                                   message):
+        search = find_deflator(s_ter, gb)
+        assert search.feasible
+        y = search.deflator.process
+        lifted = Process.from_node_values(  # mean 5/4 on the GB atom {a, b}
+            ter1, {"r": [1], "a": [2], "b": [F(1, 2)], "c": [1]}, dim=1)
+        deflator = {
+            "doubled": dataclasses.replace(search.deflator, process=y.scale(2)),
+            "not-a-martingale": dataclasses.replace(search.deflator,
+                                                    process=lifted),
+            "two-dimensional-target": dataclasses.replace(search.deflator,
+                                                          target=w_ter),
+            "unfair-target": dataclasses.replace(search.deflator, target=lifted),
+        }[wrong]
+        with pytest.raises(error, match=f"^{message}$"):
+            verify_fbd(s_ter, deflator, gb)
 
 
 class TestCompensatorAbsContinuity:

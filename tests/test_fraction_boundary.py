@@ -116,14 +116,14 @@ def test_star_to_dot_integrands_build_no_fraction(deep_binary, counted):
     cs = detect_fpcc(mu)
     slots = value_slots_from_measure(mu)
     g = random_jump_function(mu, deep_binary.tree, rng_for(0, "star-to-dot", "0"))
-    accessible_star_to_dot(g, mu, slots)  # builds and keeps the plan
+    accessible_star_to_dot(g, mu, slots)
 
     counted["predictable"].clear()
     h, certificate = star_to_dot(g, mu, cs)
     assert counted["predictable"] == [0]
 
     conversion = accessible_star_to_dot(g, mu, slots)
-    assert counted["predictable"] == [0, 0, 0]  # + h and gh
+    assert counted["predictable"] == [0, 0, 0, 0]  # + the plan's scale, h and gh
 
     before = counted["all"]
     expanded = expand_integrand(h, mu, cs)

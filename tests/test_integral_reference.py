@@ -298,7 +298,6 @@ def test_memo_hits_equal_fresh_computation(seed):
     again_dot = star_to_dot(g, mu, cs)
     again_acc = accessible_star_to_dot(g, mu, value_slots_from_measure(mu))
     assert star_integral(g, mu, scenario.tree) is first_star
-    assert again_acc.martingales is first_acc.martingales
 
     # fresh objects everywhere: a new measure, jump function and system
     fresh_mu = jump_measure(unshared(w))
@@ -323,7 +322,7 @@ def test_slot_lists_differing_only_in_weight(ter1, w_ter):
     assert [s.classes for s in plain] == [s.classes for s in heavy]
     light_new = accessible_star_to_dot(g, mu, plain)
     heavy_new = accessible_star_to_dot(g, mu, heavy)
-    # same weights given another way must hit the first entry's content
+    # the same weights given another way give the same conversion
     ones = [AccessibleSlot(tau=s.tau, classes=s.classes, weight="1")
             for s in plain]
     assert accessible_star_to_dot(g, mu, ones) == light_new
@@ -332,6 +331,31 @@ def test_slot_lists_differing_only_in_weight(ter1, w_ter):
     assert heavy_new.martingales != light_new.martingales
     assert heavy_new.scale != light_new.scale
     assert heavy_new.holds and light_new.holds
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_negative_slot_weights_match_reference(seed, monkeypatch):
+    """A negative slot weight flips its sign into the integrand's numerators,
+    keeping every denominator handed to Process._predictable positive; the
+    conversion still holds."""
+    predictable = Process._predictable
+
+    def positive_dens(filtration, dim, cell_of):
+        def cell(t, atom):
+            den, nums = cell_of(t, atom)
+            assert den > 0
+            return den, nums
+        return predictable(filtration, dim, cell)
+
+    monkeypatch.setattr(Process, "_predictable", staticmethod(positive_dens))
+    scenario = random_scenario(seed)
+    mu = jump_measure(scenario.basis_process())
+    g = random_jump_function(mu, scenario.tree, rng_for(seed, "negative-weights"))
+    slots = [dataclasses.replace(slot, weight=F(-3, 2))
+             for slot in value_slots_from_measure(mu)]
+    conversion = accessible_star_to_dot(g, mu, slots)
+    assert conversion.holds
+    assert conversion == ref.accessible_star_to_dot(g, mu, slots)
 
 
 def test_two_constraint_systems_on_one_measure(ter1, w_ter):
