@@ -124,12 +124,14 @@ class ConstraintSystem:
         self.filtration, self.dim, self.n = filtration, dim, n
         self.slots = {}
         self._menus = {}  # per slot row: (location ids, gauges as int ratios)
+        self._index = {}  # per slot row: {location id: menu index}
         for key, ids in menus.items():
             self.slots[key] = tuple(None if loc is None else tree.locations[loc]
                                     for loc in ids)
             self._menus[key] = (tuple(ids), tuple(
                 (0, 1) if loc is None else _gauge(*tree.location_cells[loc])
                 for loc in ids))
+            self._index[key] = {loc: k for k, loc in enumerate(ids) if loc is not None}
         self._martingales: dict[JumpMeasure, Process] = {}
 
     def _menu(self, t, label):
@@ -140,14 +142,14 @@ class ConstraintSystem:
         """The menu index of location id loc at (t, label), or
         ConstraintMismatch; location is the vector, read from the pool when
         not given, and loc is None when the pool does not hold it."""
-        ids = self._menu(t, label)[0]
-        if loc is None or loc not in ids:
+        k = self._index.get((t, label), {}).get(loc)
+        if k is None:
             if location is None:
                 location = self.filtration.tree.locations[loc]
             raise ConstraintMismatch(
                 f"location {location} at time {t}, "
                 f"atom {label} is outside the constraint menu")
-        return ids.index(loc)
+        return k
 
     def slot_values(self, t, label):
         return self.slots.get((t, label), tuple([None] * self.n))
@@ -280,16 +282,21 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
         raise NotPredictable("integrand is not predictable for this filtration")
     if mu.tree is not filtration.tree:
         raise ConstraintMismatch("measure and constraint system on different trees")
-    items = []
-    for (t, label), (_, law) in mu.compensator(filtration).laws.items():
-        # H at the atom, from h's int slice
-        leaf = filtration.atom_labelled(t - 1, label).leaves[0]
-        cell = h.nums[t][h.parts[t].block_of[leaf]]
-        gauges = cs._menu(t, label)[1]
-        for loc, _ in law:
-            k = cs._slot(t, label, loc)
-            gn, gd = gauges[k]
-            items.append(((t, label, loc), (cell[k] * gn, h.dens[t] * gd)))
+    laws, items = mu.compensator(filtration).laws, []
+    for t in range(1, filtration.tree.horizon + 1):
+        for atom in filtration.parts[t - 1].atoms:
+            law = laws.get((t, atom.label))
+            if law is None:
+                continue
+            # H at the atom, from h's int slice, and the menu read once
+            cell = h.nums[t][h.parts[t].block_of[atom.leaves[0]]]
+            gauges = cs._menu(t, atom.label)[1]
+            index = cs._index.get((t, atom.label), {})
+            for loc, _ in law[1]:
+                # a location off the menu is refused by _slot
+                k = index[loc] if loc in index else cs._slot(t, atom.label, loc)
+                gn, gd = gauges[k]
+                items.append(((t, atom.label, loc), (cell[k] * gn, h.dens[t] * gd)))
     return JumpFunction._from_ratios(filtration, items)
 
 

@@ -651,7 +651,11 @@ def g_star_consistency(g, mu, enlargement_like) -> bool:
     """Star integral under the larger flow against the drift-corrected one.
 
     The base-anchored jump function integrates unchanged under the larger
-    flow; the result must equal the base star integral minus its drift.
+    flow; the result must equal the base star integral minus its drift. On
+    a larger-flow atom a at t-1 the two step by g - sum_x g(x) nu_t(a, x)
+    and g - sum_x g(x) P(Delta W_t = x | a), so this holds for every such g
+    exactly when _law_identity does; one g still runs the integral's
+    anchor reads under the larger flow.
     """
     filtration = as_filtration(enlargement_like)
     base = mu.tree.base_filtration()
@@ -659,3 +663,39 @@ def g_star_consistency(g, mu, enlargement_like) -> bool:
     coarse = star_integral(g, mu, base)
     corrected = drift_operator(coarse, filtration).g_martingale
     return fine_side == corrected
+
+
+def _law_identity(mu, enlargement_like):
+    """nu_t(a, .) = P(Delta W_t in . | a) at every t >= 1 and time-(t-1)
+    atom a of the larger flow.
+
+    Each compensator law is held to a walk over the atom's leaves that adds
+    every leaf's int mass to the location id of its time-t node, with no
+    partition index read: the charged locations must agree, and each
+    location's masses, cross-multiplied by the two atom masses (the law's
+    and the sum of the atom's leaf masses). Returns (True, None) or (False,
+    (t, atom label, location, law mass, walk mass)), the location's masses
+    inside the atom, 0 where a route does not charge it.
+    """
+    filtration = as_filtration(enlargement_like)
+    tree = mu.tree
+    nodes, leaf_mass = tree.base_filtration().parts, tree.leaf_mass
+    laws = mu.compensator(filtration).laws
+    for t in range(1, tree.horizon + 1):
+        locs, node_of = mu.locs[t], nodes[t].block_of
+        for atom in filtration.parts[t - 1].atoms:
+            walk, total = {}, 0  # per location id; the atom's mass
+            for leaf in atom.leaves:
+                m = leaf_mass[leaf]
+                total += m
+                loc = locs[node_of[leaf]]
+                if loc is not None:
+                    walk[loc] = walk.get(loc, 0) + m
+            mass, law = laws.get((t, atom.label), (total, ()))
+            law = dict(law)
+            for loc in [*law, *[loc for loc in walk if loc not in law]]:
+                ours, theirs = law.get(loc), walk.get(loc)
+                if ours is None or theirs is None or ours * total != theirs * mass:
+                    return False, (t, atom.label, tree.locations[loc],
+                                   ours or 0, theirs or 0)
+    return True, None

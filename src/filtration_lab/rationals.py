@@ -70,15 +70,18 @@ def reduced(den, nums):
 
 def gathered(cells):
     """(den, num) cells, each one vector, over one denominator: each cell
-    reduced on its own, then all brought to the lcm of their denominators."""
+    reduced on its own, then all brought to the lcm of their denominators.
+    Every den must be positive, else ValueError."""
     dens, nums = [], []
     for den, num in cells:
         g = gcd(den, *num)
-        if g != 1:
+        if g > 1:
             den //= g
             num = tuple([n // g for n in num])
         dens.append(den)
         nums.append(num)
+    if min(dens, default=1) <= 0:
+        raise ValueError(f"cell denominator {min(dens)} is not positive")
     den = lcm(*dens)
     return den, tuple([num if d == den else tuple([n * (den // d) for n in num])
                        for d, num in zip(dens, nums)])

@@ -28,6 +28,12 @@ probabilities as the witness held them, from the branch probabilities, and
 multiplier_frame is _multiplier_frame's Gram-Schmidt frame as it was built
 on those Fractions. The library orders the classes by int mass and builds
 the frame on the witness's masses; test_witness_masses holds it to these.
+
+three_sample_star is the consistency check's star clause as it was: three
+seeded base-anchored jump functions per flow, each held to
+g_star_consistency. The check now tests the law identity that clause
+samples, at every atom, and keeps only the first draw; test_law_identity
+holds it to this clause.
 """
 
 from __future__ import annotations
@@ -45,7 +51,9 @@ from filtration_lab.calculus import (
     dual_predictable_projection,
 )
 from filtration_lab.constraint import AccessibleSlot
+from filtration_lab.enlargement import g_star_consistency
 from filtration_lab.errors import DimensionMismatch, NotIncreasing
+from filtration_lab.fuzz import random_jump_function, rng_for
 from filtration_lab.linalg import null_space, rank
 from filtration_lab.rationals import gathered, over_common_denominator, over_lcm
 from filtration_lab.representation import MrpReport
@@ -301,3 +309,16 @@ def multiplier_frame(p):
         for h, c in enumerate(coeffs) if h != last])
     ratios = [c.as_integer_ratio() for c in p]
     return eps_den, eps_nums, ratios, lcm(*[a for a, _ in ratios if a])
+
+
+def three_sample_star(mu: JumpMeasure, seed, name, enlargement) -> bool:
+    """_run_consistency's star clause for the flow called name: three
+    base-anchored jump functions, draw j from rng_for(seed, "consistency",
+    name, str(j)), each integrated under the flow and held to the
+    drift-corrected base integral."""
+    star_ok = True
+    for j in range(3):
+        rng = rng_for(seed, "consistency", name, str(j))
+        g = random_jump_function(mu, mu.tree, rng)
+        star_ok = star_ok and g_star_consistency(g, mu, enlargement)
+    return star_ok

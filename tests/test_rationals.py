@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from filtration_lab import Process
 from filtration_lab.errors import DimensionMismatch, ParseError
 from filtration_lab.rationals import (
     as_fractions,
@@ -45,6 +46,23 @@ def test_cells_over_one_reduced_denominator():
     assert reduced(12, ((6, -4), (60, 0))) == (den, nums)
     # each cell reduced on its own, then all over the lcm
     assert gathered([(4, (2,)), (9, (3, 6))]) == (6, ((3,), (2, 4)))
+
+
+@pytest.mark.parametrize("cell", [(-4, (2,)), (0, (3,)), (0, (0,))])
+def test_gathered_refuses_a_non_positive_denominator(cell):
+    """Slices hold one positive denominator; a cell over a non-positive one
+    is refused wherever it sits among the cells."""
+    for cells in ([cell], [(4, (1,)), cell], [cell, (9, (3, 6))]):
+        with pytest.raises(ValueError, match="not positive"):
+            gathered(cells)
+
+
+def test_predictable_build_refuses_a_negative_denominator(bin1):
+    base = bin1.base_filtration()
+    assert Process._predictable(base, 1, lambda t, atom: (2, (1,))).at(1, 0) == (
+        Fraction(1, 2),)
+    with pytest.raises(ValueError, match="not positive"):
+        Process._predictable(base, 1, lambda t, atom: (-2, (-1,)))
 
 
 def test_ragged_cells_are_rejected():
