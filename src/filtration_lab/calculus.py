@@ -8,11 +8,14 @@ per leaf for outside input. Every slice is reduced, with gcd(den, every
 numerator) = 1, so cells of one slice compare as int tuples and cells of
 two slices by cross-multiplication. Every value a caller sees (at,
 increment, row, cells, values, node_values) is a Fraction built from that
-form. Each increment slice Delta X_t is computed once per process and time,
-by _delta, and every increment reader goes through it. Adaptedness to a
-filtration is a partition test, with a per-block compare only where the
-slice's partition is finer. Base-adapted processes serialize as tables on
-tree nodes. All increments at time 0 are null by convention.
+form. Each increment slice Delta X_t is held once per process and time, and
+every increment reader goes through _delta. A running sum built by
+_accumulate keeps the step it added, whose denominator is the step's, not
+the lcm of the two slices' it separates; any other process computes X_t -
+X_{t-1} on first use. Adaptedness to a filtration is a partition test, with
+a per-block compare only where the slice's partition is finer.
+Base-adapted processes serialize as tables on tree nodes. All increments at
+time 0 are null by convention.
 
 An operation on several slices works on their meet, which is one of them
 when it refines the others, brings them to the lcm of their denominators
@@ -29,8 +32,9 @@ Library code builds its processes through four trusted constructors that
 skip the validation outside input gets: _make takes partitions and int
 slices it made itself, _predictable one int vector per conditioning atom,
 _accumulate a running sum (or product) X_t = X_{t-1} + I_t of increment
-slices along each path, and _compensated_classes weighted class indicators
-minus their conditional probabilities. Every path-cumulative process (the
+slices along each path, keeping each I_t of a sum as its increment, and
+_compensated_classes weighted class indicators minus their conditional
+probabilities. Every path-cumulative process (the
 integrals, brackets and compensators here, and the multiplier N, deflators
 and exponentials elsewhere) goes through _accumulate, so only this module
 decides how such a process is laid out. _compensated_classes runs on it and
@@ -38,9 +42,10 @@ builds the three class families: the reconstructed successor-class family,
 the accessible class martingales Y and the slot martingales.
 
 Every conditional mean here (martingale tests, Doob martingales, the
-compensators, predictable brackets, the projection onto a jump measure) goes
-through the one kernel in tree.py, which sums int masses times int
-numerators; the callers reduce once per output cell.
+compensators, predictable brackets, the projection onto a jump measure) sums
+int masses times int numerators in tree.py: _means for every atom of one
+partition, reading its atom index once per slice, _weigh for a single atom;
+the callers reduce once per output cell.
 """
 
 from __future__ import annotations
@@ -170,17 +175,23 @@ class Process:
 
         increments_at is called once per time, in time order. The time-t
         slice lives on the meet of the time-(t-1) slice's partition and
-        I_t's.
+        I_t's. A running sum keeps each I_t, read on that meet and over its
+        own denominator, as its increment Delta X_t; a running product
+        keeps none.
         """
         slices = [(tree.base_filtration().parts[0], 1, (start,))]
+        deltas = {}
         for t in range(1, tree.horizon + 1):
             step = increments_at(t)
             if product:
                 part, den, nums = _products(tree, slices[-1], step, _elementwise)
             else:
                 part, den, nums = _sum(tree, slices[-1], step)
+                deltas[t] = part, step[1], part.lift(step[0], step[2])
             slices.append((part, *reduced(den, nums)))
-        return cls._make(tree, slices, len(start))
+        built = cls._make(tree, slices, len(start))
+        built._deltas = deltas
+        return built
 
     @classmethod
     def _compensated_classes(cls, filtration: Filtration, dim: int, classes_at):
@@ -291,8 +302,10 @@ class Process:
 
     def _delta(self, t):
         """Delta X_t for t >= 1 as a slice on the meet of the time-t and
-        time-(t-1) partitions, over the lcm of their denominators and not
-        reduced; computed on first use and kept."""
+        time-(t-1) partitions, not reduced. A running sum holds the step
+        _accumulate kept, over the step's own denominator; any other
+        process computes X_t - X_{t-1} on first use, over the lcm of the
+        two slices' denominators, and keeps it."""
         hit = self._deltas.get(t)
         if hit is None:
             hit = self._deltas[t] = _sum(self.tree, self._row(t),
@@ -427,10 +440,9 @@ class Process:
         # adapted, so X_{t-1} is constant on each time-(t-1) atom and
         # E[X_t | atom] = X_{t-1} there iff E[Delta X_t | atom] = 0
         for t in range(1, self.tree.horizon + 1):
-            part, _, nums = self._delta(t)
-            for atom in filtration.parts[t - 1].atoms:
-                if any(_weigh(atom, part, nums)[0]):
-                    return False
+            means = _means(filtration.parts[t - 1].atoms, *self._delta(t))
+            if any(any(sums) for _, sums in means):
+                return False
         return True
 
     def require_martingale(self, filtration_like, what="process"):

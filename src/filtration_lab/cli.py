@@ -69,6 +69,7 @@ from .fuzz import (
     undersized_basis,
     widest_branching,
 )
+from .rationals import ratio_text
 from .representation import _reconstruct, check_mrp, menu_bound
 from .scenario import (
     Scenario,
@@ -212,28 +213,56 @@ def _run_star_to_dot(ctx: CheckContext):
     return ok, {"n": cs.n, "samples": samples}
 
 
+def _drift_table(drift: Process, filtration) -> dict:
+    """The nonzero increments of a scalar drift, one per time-(t-1) atom,
+    keyed "t:atom label": each the text of its Fraction, read off the int
+    increment slice."""
+    table = {}
+    for t in range(1, filtration.tree.horizon + 1):
+        part, den, nums = drift._delta(t)
+        block_of = part.block_of
+        for atom in filtration.parts[t - 1].atoms:
+            (num,) = nums[block_of[atom.leaves[0]]]
+            if num:
+                table[f"{t}:{atom.label}"] = ratio_text(num, den)
+    return table
+
+
 def _run_drift(ctx: CheckContext):
-    w = ctx.basis()
+    components = ctx.basis().components()
 
     def body(name, enlargement):
         filtration = enlargement.filtration()
         ok = True
         rows = []
-        for i in range(w.dim):
-            result = drift_operator(w.component(i), enlargement)
+        for i, component in enumerate(components):
+            result = drift_operator(component, enlargement)
             good = (result.g_martingale.is_martingale(filtration)
                     and result.drift.is_predictable(filtration))
             ok = ok and good
-            table = {}
-            for t in range(1, ctx.tree.horizon + 1):
-                for atom in filtration.atoms(t - 1):
-                    inc = result.drift.increment(t, atom.leaves[0])[0]
-                    if inc != 0:
-                        table[f"{t}:{atom.label}"] = inc
-            rows.append({"component": i, "decomposed": good, "drift": table})
+            rows.append({"component": i, "decomposed": good,
+                         "drift": _drift_table(result.drift, filtration)})
         return ok, rows
 
     return _each_enlargement(ctx, body)
+
+
+def _phi_table(phi: Process, filtration) -> dict:
+    """phi on every time-(t-1) atom of the flow, grouped under the base
+    node holding it, keyed "t:node label": each vector the texts of its
+    Fractions, zeros kept, read off phi's int slices."""
+    nodes, subs = filtration.tree.base_filtration().parts, filtration.parts
+    table = {}
+    for t in range(1, filtration.tree.horizon + 1):
+        block_of, den, nums = phi.parts[t].block_of, phi.dens[t], phi.nums[t]
+        atoms = subs[t - 1].atoms
+        for node, pieces in zip(nodes[t - 1].atoms,
+                                subs[t - 1].pieces_table(nodes[t - 1])):
+            table[f"{t}:{node.label}"] = {
+                atoms[k].label: [ratio_text(num, den)
+                                 for num in nums[block_of[atoms[k].leaves[0]]]]
+                for k, _ in pieces}
+    return table
 
 
 def _run_multiplier(ctx: CheckContext):
@@ -246,13 +275,8 @@ def _run_multiplier(ctx: CheckContext):
             rng = rng_for(ctx.seed, "multiplier", name, str(j))
             x = random_representable(ctx.basis(), rng)
             good = good and verify_drift_multiplier(solution, x, enlargement)
-        nodes, subs = ctx.tree.base_filtration().parts, enlargement.filtration().parts
-        phi = {f"{t}:{node.label}": {
-            sub.label: list(solution.phi.at(t, sub.leaves[0]))
-            for sub in [subs[t - 1].atoms[k] for k, _ in subs[t - 1].pieces(node)]}
-            for t in range(1, ctx.tree.horizon + 1) for node in nodes[t - 1].atoms}
         return good, {"holds": solution.holds, "verified_samples": 3,
-                      "phi": phi}
+                      "phi": _phi_table(solution.phi, enlargement.filtration())}
 
     return _each_enlargement(ctx, body)
 

@@ -498,19 +498,20 @@ def _multiplier_holds(phi, steps, x, filtration) -> bool:
     flow, which lies in one base node b since the flow refines the base.
     So the identity holds iff E[Delta X_t | a] = phi_t(a) . E[Delta N_t
     Delta X_t | b] for every t, a and component of X: one conditional mean
-    per atom and one cross-multiplied compare per component.
+    per atom, from one _means pass per time, and one cross-multiplied
+    compare per component.
     """
     tree = x.tree
     nodes = tree.base_filtration().parts
     for t in range(1, tree.horizon + 1):
-        part, den, incs = x._delta(t)
         subs = filtration.parts[t - 1]
         phi_of, phi_den, phi_nums = phi.parts[t].block_of, phi.dens[t], phi.nums[t]
-        for sub, k in zip(subs.atoms, subs.index_in(nodes[t - 1])):
-            sums, weight = _weigh(sub, part, incs)  # the drift, over den * weight
+        drifts = _means(subs.atoms, *x._delta(t))  # (scale, sums) per atom
+        for sub, k, (right, sums) in zip(subs.atoms, subs.index_in(nodes[t - 1]),
+                                         drifts):
             coeffs = phi_nums[phi_of[sub.leaves[0]]]
             step_den, rows = steps[t][k]
-            left, right = phi_den * step_den, den * weight
+            left = phi_den * step_den
             if any(s * left != right * sum(map(mul, coeffs, row))
                    for s, row in zip(sums, rows)):
                 return False

@@ -90,3 +90,10 @@ def gathered(cells):
 def as_fractions(den, num) -> tuple:
     """One vector of numerators over den as a tuple of Fractions."""
     return tuple([Fraction(n, den) for n in num])
+
+
+def ratio_text(num, den) -> str:
+    """The text str(Fraction(num, den)) gives, for den > 0, from one gcd:
+    "n" when the ratio is whole, else "n/d" in lowest terms."""
+    g = gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"

@@ -12,10 +12,11 @@ between a filtration's consecutive times it is the parent-to-child index.
 
 Masses are ints: every leaf probability is an int numerator over one
 tree-wide leaf denominator D, and every atom stores only its mass over D;
-its probability is a view built when read. The one conditional-mean
-kernel, _weigh, sums the products of those int masses with int numerators,
-and _means lays its results out as one (scale, sums) cell per atom; the
-callers reduce once per output cell.
+its probability is a view built when read. A conditional mean sums the
+products of those int masses with int numerators: _weigh does it for one
+atom, and _means for every atom of one partition, reading that
+partition's atom index once per slice and laying the results out as one
+(scale, sums) cell per atom; the callers reduce once per output cell.
 
 Each tree interns the jump locations its measures and jump functions name as
 small ints, keyed by each location's reduced int cell (den, nums), and builds
@@ -125,9 +126,17 @@ class Partition:
 
     def pieces(self, atom):
         """The atom index: (block, int mass of its intersection with atom)
-        for every block meeting atom, in first-leaf order, grouped from the
-        blocks of the meet of the two partitions; memoized per atom's."""
-        coarse = atom.partition
+        for every block meeting atom, in first-leaf order; one lookup in
+        the table of atom's partition."""
+        hit = self._pieces.get(atom.partition)
+        if hit is None:
+            hit = self.pieces_table(atom.partition)
+        return hit[atom.index]
+
+    def pieces_table(self, coarse):
+        """The atom index of every block of coarse, by block index, grouped
+        from the blocks of the meet of the two partitions; memoized per
+        coarse."""
         hit = self._pieces.get(coarse)
         if hit is None:
             meet = self.tree.meet(self, coarse)
@@ -136,7 +145,7 @@ class Partition:
                                    meet.atoms):
                 hit[j].append((k, piece.mass))
             hit = self._pieces[coarse] = tuple(map(tuple, hit))
-        return hit[atom.index]
+        return hit
 
 
 class FilteredTree:
@@ -517,13 +526,21 @@ def _weigh(atom: Atom, part: Partition, nums):
 
 
 def _means(atoms, part: Partition, den, nums):
-    """The per-atom mean table of the slice (part, den, nums): one cell
-    (den * weight, sums) per atom, from _weigh, so each atom's mean is
-    sums / (den * weight)."""
+    """The per-atom mean table of the slice (part, den, nums) on atoms, all
+    of one partition: one cell (den * weight, sums) per atom, weighed as
+    _weigh weighs it, so each atom's mean is sums / (den * weight). The
+    atom index of the atoms' partition is read once, not once per atom."""
+    table = part.pieces_table(atoms[0].partition)
     cells = []
     for atom in atoms:
-        sums, weight = _weigh(atom, part, nums)
-        cells.append((den * weight, sums))
+        pieces = table[atom.index]
+        if len(pieces) == 1:
+            cells.append((den, nums[pieces[0][0]]))
+        else:
+            masses = [m for _, m in pieces]
+            cols = zip(*[nums[k] for k, _ in pieces])
+            cells.append((den * atom.mass,
+                          tuple([sum(map(mul, masses, col)) for col in cols])))
     return cells
 
 

@@ -34,6 +34,14 @@ seeded base-anchored jump functions per flow, each held to
 g_star_consistency. The check now tests the law identity that clause
 samples, at every atom, and keeps only the first draw; test_law_identity
 holds it to this clause.
+
+means_by_atom, is_martingale_by_atom, bracket_steps_by_atom and
+multiplier_holds_by_atom are the conditional means as the library took
+them one atom at a time, each through one Partition.pieces lookup and one
+_weigh call. tree._means now reads the atom index once per slice and loops
+over the atoms inline, and Process.is_martingale, _bracket_steps and
+_multiplier_holds take their sums from it; test_one_pass_means holds them
+to these.
 """
 
 from __future__ import annotations
@@ -41,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from filtration_lab.calculus import (
     JumpFunction,
@@ -48,6 +57,7 @@ from filtration_lab.calculus import (
     Process,
     _jump_cut,
     _lifted,
+    _products,
     dual_predictable_projection,
 )
 from filtration_lab.constraint import AccessibleSlot
@@ -322,3 +332,63 @@ def three_sample_star(mu: JumpMeasure, seed, name, enlargement) -> bool:
         g = random_jump_function(mu, mu.tree, rng)
         star_ok = star_ok and g_star_consistency(g, mu, enlargement)
     return star_ok
+
+
+# --- conditional means one atom at a time, through _weigh -------------------
+
+def means_by_atom(atoms, part, den, nums):
+    """tree._means as it was: one (den * weight, sums) cell per atom, each
+    from its own _weigh call."""
+    cells = []
+    for atom in atoms:
+        sums, weight = _weigh(atom, part, nums)
+        cells.append((den * weight, sums))
+    return cells
+
+
+def is_martingale_by_atom(x: Process, filtration_like) -> bool:
+    """Process.is_martingale as it was: every atom's mean increment
+    weighed on its own."""
+    filtration = as_filtration(filtration_like)
+    if not x.is_adapted(filtration):
+        return False
+    for t in range(1, x.tree.horizon + 1):
+        part, _, nums = x._delta(t)
+        for atom in filtration.parts[t - 1].atoms:
+            if any(_weigh(atom, part, nums)[0]):
+                return False
+    return True
+
+
+def bracket_steps_by_atom(n: Process, x: Process):
+    """enlargement._bracket_steps with its per-node sums from
+    means_by_atom."""
+    tree, d = x.tree, n.dim
+    nodes = tree.base_filtration().parts
+    steps = [None]
+    for t in range(1, tree.horizon + 1):
+        sliced = _products(tree, n._delta(t), x._delta(t),
+                           lambda dn, dx: tuple([c * v for v in dx for c in dn]))
+        steps.append([(scale, [sums[h:h + d] for h in range(0, len(sums), d)])
+                      for scale, sums in means_by_atom(nodes[t - 1].atoms, *sliced)])
+    return steps
+
+
+def multiplier_holds_by_atom(phi: Process, steps, x: Process, filtration) -> bool:
+    """enlargement._multiplier_holds as it was: the drift on each
+    conditioning atom from its own _weigh call."""
+    tree = x.tree
+    nodes = tree.base_filtration().parts
+    for t in range(1, tree.horizon + 1):
+        part, den, incs = x._delta(t)
+        subs = filtration.parts[t - 1]
+        phi_of, phi_den, phi_nums = phi.parts[t].block_of, phi.dens[t], phi.nums[t]
+        for sub, k in zip(subs.atoms, subs.index_in(nodes[t - 1])):
+            sums, weight = _weigh(sub, part, incs)  # the drift, over den * weight
+            coeffs = phi_nums[phi_of[sub.leaves[0]]]
+            step_den, rows = steps[t][k]
+            left, right = phi_den * step_den, den * weight
+            if any(s * left != right * sum(map(mul, coeffs, row))
+                   for s, row in zip(sums, rows)):
+                return False
+    return True

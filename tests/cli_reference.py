@@ -11,6 +11,12 @@ to the ones these functions give, byte for byte.
 `json_safe` is the report walk as the tool had it before it dispatched on
 exact types: an isinstance chain and a dataclass test on every leaf.
 test_cli holds `cli._json_safe` to it on every check's details.
+
+`drift_table` and `phi_table` are the drift and multiplier checks' report
+tables as the tool built them: one Fraction per entry, read through
+Process.increment or Process.at on each atom's first leaf, the phi atoms
+of each base node found through Partition.pieces. The checks now write each
+entry's text from the int slices; test_report_tables holds them to these.
 """
 
 from __future__ import annotations
@@ -120,3 +126,24 @@ def json_safe(value):
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return json_safe(dataclasses.asdict(value))
     return value
+
+
+def drift_table(drift: Process, filtration) -> dict:
+    """The drift check's table of nonzero drift increments, as Fractions."""
+    table = {}
+    for t in range(1, filtration.tree.horizon + 1):
+        for atom in filtration.atoms(t - 1):
+            inc = drift.increment(t, atom.leaves[0])[0]
+            if inc != 0:
+                table[f"{t}:{atom.label}"] = inc
+    return table
+
+
+def phi_table(phi: Process, filtration) -> dict:
+    """The multiplier check's phi table, as lists of Fractions."""
+    tree = filtration.tree
+    nodes, subs = tree.base_filtration().parts, filtration.parts
+    return {f"{t}:{node.label}": {
+        sub.label: list(phi.at(t, sub.leaves[0]))
+        for sub in [subs[t - 1].atoms[k] for k, _ in subs[t - 1].pieces(node)]}
+        for t in range(1, tree.horizon + 1) for node in nodes[t - 1].atoms}

@@ -24,7 +24,9 @@ On deep-binary, Enlargement.filtration() must build none, and neither may
 the partition meets that the reconstruct, drift and multiplier checks make,
 the reconstructed family with its witnesses, or the multiplier frame; the
 kernel frame builds only the Fraction entries of the certificate it
-reports, which the basis keeps.
+reports, which the basis keeps. In one pass of the eight checks there, the
+drift and multiplier checks, whose report tables are written from int
+cells, must build none.
 """
 
 from fractions import Fraction
@@ -343,3 +345,17 @@ def test_flows_witnesses_and_frames_build_no_fraction(deep_binary, counted,
     assert certificates and inside == {
         "meet": 0, "_reconstruct": 0, "_multiplier_frame": 0,
         "_kernel_frame": entries}
+
+
+def test_drift_and_multiplier_checks_build_no_fraction(deep_binary, counted):
+    """One pass of the eight checks in registry order on a fresh context,
+    each counted on its own, as CI's size figures count them."""
+    ctx = CheckContext(deep_binary, 0, "run")
+    built, statuses = {}, {}
+    for name in CHECKS:
+        before = counted["all"]
+        statuses[name] = run_check(ctx, name)["status"]
+        built[name] = counted["all"] - before
+    assert statuses["drift"] == statuses["multiplier"] == "pass"
+    assert built["drift"] == 0 and built["multiplier"] == 0
+    assert built["kernel"]  # the count sees the certificates the kernel reports
