@@ -50,11 +50,12 @@ def flows(ctx):
 
 def processes(ctx):
     """(name, process, expected) for the driver, its components, the
-    reconstructed family, the jump counter, the clock t
-    (adapted to every flow, never a martingale), and each component's drift and martingale part under every enlargement.
-    expected maps the index in flows(ctx) of a flow to the process's
-    verdict there: True, or NULL where it is a martingale exactly when it
-    is null (an increasing process, or one predictable for the flow)."""
+    reconstructed family, the jump counter, the clock t (adapted to every
+    flow, never a martingale), and each component's drift and martingale
+    part under every enlargement. expected maps the index in flows(ctx) of
+    a flow to the process's verdict there: True, or NULL where it is a
+    martingale exactly when it is null (an increasing process, or one
+    predictable for the flow)."""
     w = ctx.basis()
     base = {0: True}
     out = [("W", w, base), ("X2", ctx.reconstructed.process, base)] + [
@@ -74,19 +75,16 @@ def processes(ctx):
 @pytest.mark.parametrize("case", CASES, ids=str)
 def test_means_match_per_atom_route(case, monkeypatch):
     ctx = context(case, monkeypatch)
-    tree = ctx.tree
-    compared = 0
+    horizon = ctx.tree.horizon
     for _, x, _ in processes(ctx):
         for flow in flows(ctx):
-            for t in range(1, tree.horizon + 1):
+            for t in range(1, horizon + 1):
                 atoms = flow.parts[t - 1].atoms
                 assert _means(atoms, *x._delta(t)) == ref.means_by_atom(
                     atoms, *x._delta(t))
                 atoms = flow.parts[t].atoms
-                assert _means(atoms, *x._row(tree.horizon)) == ref.means_by_atom(
-                    atoms, *x._row(tree.horizon))
-                compared += 2
-    assert compared
+                assert _means(atoms, *x._row(horizon)) == ref.means_by_atom(
+                    atoms, *x._row(horizon))
 
 
 @pytest.mark.parametrize("case", CASES, ids=str)
