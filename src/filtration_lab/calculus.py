@@ -43,9 +43,9 @@ the accessible class martingales Y and the slot martingales.
 
 Every conditional mean here (martingale tests, Doob martingales, the
 compensators, predictable brackets, the projection onto a jump measure) sums
-int masses times int numerators in tree.py: _means for every atom of one
-partition, reading its atom index once per slice, _weigh for a single atom;
-the callers reduce once per output cell.
+int masses times int numerators in tree.py's one kernel, _means, which
+reads the atom index of the atoms it is given once per slice; the callers
+reduce once per output cell.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ from .rationals import (
     reduced,
     to_fraction,
 )
-from .tree import FilteredTree, Filtration, _means, _weigh, as_filtration
+from .tree import FilteredTree, Filtration, _means, as_filtration
 
 ZERO = Fraction(0)
 
@@ -828,12 +828,13 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     for t in sorted({t for t, _ in laws}):
         cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
         part, dens[t], nums = y._delta(t)
-        for block, i, loc in zip(cut.atoms, atom_of, loc_of):
+        means = _means(cut.atoms, part, dens[t], nums)  # (scale, sums) per block
+        for block, i, loc, (scale, (total,)) in zip(cut.atoms, atom_of, loc_of,
+                                                    means):
             if loc is not None:
                 # the block's mass times its mean increment, over den
-                (total,), weight = _weigh(block, part, nums)
                 num[t, i, loc] = num.get((t, i, loc), 0) + (
-                    total * block.mass if weight == 1 else total)
+                    total * block.mass if scale == dens[t] else total)
     items = []
     for (t, label), (mass, law) in laws.items():
         i = filtration.atom_labelled(t - 1, label).index

@@ -47,12 +47,12 @@ from .constraint import (
     value_slots_from_measure,
 )
 from .enlargement import (
+    _drift,
     _law_identity,
     check_compensator_abs_continuity,
     check_full_viability,
     covariance_kernel,
     default_viability_family,
-    drift_operator,
     g_star_consistency,
     max_abs_increment,
     solve_drift_multiplier,
@@ -230,13 +230,15 @@ def _drift_table(drift: Process, filtration) -> dict:
 
 def _run_drift(ctx: CheckContext):
     components = ctx.basis().components()
+    for component in components:  # once per check, not once per enlargement
+        component.require_martingale(ctx.tree, what="drift input")
 
     def body(name, enlargement):
         filtration = enlargement.filtration()
         ok = True
         rows = []
         for i, component in enumerate(components):
-            result = drift_operator(component, enlargement)
+            result = _drift(component, filtration)
             good = (result.g_martingale.is_martingale(filtration)
                     and result.drift.is_predictable(filtration))
             ok = ok and good

@@ -51,7 +51,7 @@ from .errors import (
 from .linalg import null_space
 from .rationals import gathered, over_lcm, to_fraction
 from .representation import _require_representable
-from .tree import _means, _weigh, as_filtration
+from .tree import _means, as_filtration
 
 ZERO = Fraction(0)
 
@@ -72,6 +72,11 @@ def drift_operator(x: Process, enlargement_like) -> DriftResult:
     martingale for the larger flow."""
     filtration = as_filtration(enlargement_like)
     x.require_martingale(x.tree, what="drift input")
+    return _drift(x, filtration)
+
+
+def _drift(x: Process, filtration) -> DriftResult:
+    """drift_operator on an input known to be a base-flow martingale."""
     drift = dual_predictable_projection(x, filtration)
     return DriftResult(drift=drift, g_martingale=x - drift)
 
@@ -361,15 +366,16 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
     for t in range(1, tree.horizon + 1):
         if any(inc[0] < 0 for inc in a._delta(t)[2]):
             raise NotIncreasing(f"decrement at time {t}")
-    base = tree.base_filtration()
+    nodes = tree.base_filtration().parts
     for t in range(1, tree.horizon + 1):
-        part, _, incs = a._delta(t)
-        subs = filtration.parts[t - 1]
-        for atom in base.atoms(t - 1):
-            if _weigh(atom, part, incs)[0][0]:
+        sliced, subs, atoms = a._delta(t), filtration.parts[t - 1], nodes[t - 1].atoms
+        inside = subs.pieces_table(nodes[t - 1])  # the larger atoms meeting each
+        for atom, (_, (mean,)) in zip(atoms, _means(atoms, *sliced)):
+            if mean:
                 continue
-            for sub in [subs.atoms[k] for k, _ in subs.pieces(atom)]:
-                if _weigh(sub, part, incs)[0][0]:
+            meeting = [subs.atoms[k] for k, _ in inside[atom.index]]
+            for sub, (_, (mean,)) in zip(meeting, _means(meeting, *sliced)):
+                if mean:
                     return False, (t, atom.label, sub.label)
     return True, None
 
@@ -555,15 +561,15 @@ def _moment_sums(x: Process, t: int, atom):
     """Mean vector and covariance matrix of Delta X_t given the atom, as
     int numerators: (mean den, mean, covariance den, covariance rows)."""
     part, den, incs = x._delta(t)
-    sums, weight = _weigh(atom, part, incs)  # the mean is sums / scale
-    scale = den * weight
+    ((scale, sums),) = _means([atom], part, den, incs)  # the mean is sums / scale
+    weight = scale // den
     outer = {}  # the blocks meeting the atom
     for k, _ in part.pieces(atom):
         d = [n * weight - m for n, m in zip(incs[k], sums)]  # over scale
         outer[k] = tuple(u * v for u in d for v in d)
-    flat, weight = _weigh(atom, part, outer)
+    ((cov_den, flat),) = _means([atom], part, scale * scale, outer)
     width = len(sums)
-    return (scale, sums, scale * scale * weight,
+    return (scale, sums, cov_den,
             [flat[g * width:(g + 1) * width] for g in range(width)])
 
 

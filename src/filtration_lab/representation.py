@@ -29,7 +29,7 @@ from .errors import (
 )
 from .linalg import _eliminate_with_identity, null_space, rank
 from .rationals import as_fractions, over_common_denominator, to_fraction
-from .tree import FilteredTree, StoppingTime, _weigh
+from .tree import FilteredTree, StoppingTime, _means
 
 
 @dataclass(frozen=True)
@@ -236,12 +236,13 @@ def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
     def coefficient(t, atom):
         if r.values[atom.leaves[0]] != t:
             return zero
-        # the payoff on each child minus its mean total / (vden * weight)
-        (total,), weight = _weigh(atom, leaves, vnums)
+        # the payoff on each child minus its mean total / scale
+        ((scale, (total,)),) = _means([atom], leaves, vden, vnums)
         node = tree.nodes[atom.label]
-        rhs = [vnums[child.leaf_lo][0] * weight - total for child in node.children]
-        _span_test(w, t, node, vden * weight, rhs, "centered payoff")
-        return _solve_at(w, t, node, vden * weight, rhs)
+        rhs = [vnums[child.leaf_lo][0] * (scale // vden) - total
+               for child in node.children]
+        _span_test(w, t, node, scale, rhs, "centered payoff")
+        return _solve_at(w, t, node, scale, rhs)
 
     return Process._predictable(tree.base_filtration(), w.dim, coefficient)
 

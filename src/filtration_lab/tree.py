@@ -13,10 +13,10 @@ between a filtration's consecutive times it is the parent-to-child index.
 Masses are ints: every leaf probability is an int numerator over one
 tree-wide leaf denominator D, and every atom stores only its mass over D;
 its probability is a view built when read. A conditional mean sums the
-products of those int masses with int numerators: _weigh does it for one
-atom, and _means for every atom of one partition, reading that
-partition's atom index once per slice and laying the results out as one
-(scale, sums) cell per atom; the callers reduce once per output cell.
+products of those int masses with int numerators, in one kernel: _means
+takes any atoms of one partition, reads that partition's atom index once
+per slice and lays the results out as one (scale, sums) cell per atom; the
+callers reduce once per output cell.
 
 Each tree interns the jump locations its measures and jump functions name as
 small ints, keyed by each location's reduced int cell (den, nums), and builds
@@ -510,26 +510,13 @@ def as_filtration(obj) -> Filtration:
     raise TypeError(f"cannot view {obj!r} as a filtration")
 
 
-def _weigh(atom: Atom, part: Partition, nums):
-    """The kernel: E[X | atom] as (sums, weight) for X holding nums[k],
-    int numerators over some denominator den, on block k of part; nums need
-    only hold the blocks meeting the atom. The mean is sums / (den *
-    weight): each block meeting the atom is weighed once, by the int mass
-    of the intersection, and weight is the atom's mass, or 1 when one block
-    holds the whole atom."""
-    pieces = part.pieces(atom)
-    if len(pieces) == 1:
-        return nums[pieces[0][0]], 1
-    masses = [m for _, m in pieces]
-    return (tuple(sum(map(mul, masses, col))
-                  for col in zip(*[nums[k] for k, _ in pieces])), atom.mass)
-
-
 def _means(atoms, part: Partition, den, nums):
-    """The per-atom mean table of the slice (part, den, nums) on atoms, all
-    of one partition: one cell (den * weight, sums) per atom, weighed as
-    _weigh weighs it, so each atom's mean is sums / (den * weight). The
-    atom index of the atoms' partition is read once, not once per atom."""
+    """The kernel: the mean table on atoms, all of one partition, of X
+    holding nums[k], int numerators over den, on block k of part; nums need
+    only hold the blocks meeting the atoms. One cell (den * weight, sums)
+    per atom, its mean sums / (den * weight): each block meeting the atom is
+    weighed by the int mass of the intersection, and weight is the atom's
+    mass, or 1 when one block holds it. The atom index is read once a call."""
     table = part.pieces_table(atoms[0].partition)
     cells = []
     for atom in atoms:

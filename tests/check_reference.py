@@ -38,10 +38,14 @@ holds it to this clause.
 means_by_atom, is_martingale_by_atom, bracket_steps_by_atom and
 multiplier_holds_by_atom are the conditional means as the library took
 them one atom at a time, each through one Partition.pieces lookup and one
-_weigh call. tree._means now reads the atom index once per slice and loops
+call of _weigh, the one-atom kernel tree.py held beside _means, kept here
+as it was. tree._means now reads the atom index once per slice and loops
 over the atoms inline, and Process.is_martingale, _bracket_steps and
 _multiplier_holds take their sums from it; test_one_pass_means holds them
-to these.
+to these. The library's projection onto a jump measure,
+check_compensator_abs_continuity, _moment_sums and
+single_jump_coefficient called _weigh too, and take their means from
+_means as well.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from filtration_lab.fuzz import random_jump_function, rng_for
 from filtration_lab.linalg import null_space, rank
 from filtration_lab.rationals import gathered, over_common_denominator, over_lcm
 from filtration_lab.representation import MrpReport
-from filtration_lab.tree import _weigh, as_filtration
+from filtration_lab.tree import as_filtration
 
 
 def _increment_matrix(w: Process, t: int, children):
@@ -335,6 +339,21 @@ def three_sample_star(mu: JumpMeasure, seed, name, enlargement) -> bool:
 
 
 # --- conditional means one atom at a time, through _weigh -------------------
+
+def _weigh(atom, part, nums):
+    """tree._weigh, the one-atom kernel: E[X | atom] as (sums, weight) for X
+    holding nums[k], int numerators over some denominator den, on block k
+    of part; nums need only hold the blocks meeting the atom. The mean is
+    sums / (den * weight): each block meeting the atom is weighed once, by
+    the int mass of the intersection, and weight is the atom's mass, or 1
+    when one block holds the whole atom."""
+    pieces = part.pieces(atom)
+    if len(pieces) == 1:
+        return nums[pieces[0][0]], 1
+    masses = [m for _, m in pieces]
+    return (tuple(sum(map(mul, masses, col))
+                  for col in zip(*[nums[k] for k, _ in pieces])), atom.mass)
+
 
 def means_by_atom(atoms, part, den, nums):
     """tree._means as it was: one (den * weight, sums) cell per atom, each

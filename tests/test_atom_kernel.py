@@ -2,13 +2,16 @@
 
 integral_reference keeps, verbatim, the old conditional_mean, which groups
 an atom's leaves by a key or by cell identity and sums leaf probabilities on
-every call. The new kernel weighs the blocks of the meet of a row's
-partition and the atom's by their masses. On the fuzz corpus, under the
-base flow, every enlargement and one extra enlargement, both must give
+every call. The kernel, tree._means, weighs the blocks of the meet of a
+row's partition and the atoms' by their masses. On the fuzz corpus, under
+the base flow, every enlargement and one extra enlargement, both must give
 exactly equal means and partial means per time-t node,
 on rows whose partition the conditioning flow refines and on rows whose
 partition it does not: base rows under an enlargement, enlarged rows under
-the base flow and under another enlargement, and per-leaf input.
+the base flow and under another enlargement, and per-leaf input. The
+kernel runs once per whole conditioning partition on the full row, and
+once per atom, and per atom's pieces, on a dict row holding only the
+blocks meeting them, as _moment_sums passes it.
 """
 
 from fractions import Fraction
@@ -19,21 +22,23 @@ import pytest
 from filtration_lab import Process, drift_operator, dual_predictable_projection
 from filtration_lab.fuzz import random_enlargement, random_scenario, rng_for
 from filtration_lab.rationals import as_fractions, over_common_denominator
-from filtration_lab.tree import _weigh
+from filtration_lab.tree import _means
 
 F = Fraction
 SEEDS = range(50)
 
 
-def conditional_mean(atom, part, cells):
-    """E[X | atom] for X holding cells[k], a tuple of rationals, on block k
-    of part; cells need only hold the blocks meeting the atom. The kernel's
-    Fraction front end, kept here since only this test reads means that
-    way."""
-    blocks = [k for k, _ in part.pieces(atom)]
+def conditional_means(atoms, part, cells):
+    """E[X | atom] per atom of atoms, all of one partition, for X holding
+    cells[k], a tuple of rationals, on block k of part, from one _means
+    call on a dict row holding only the blocks meeting the atoms. The
+    kernel's Fraction front end, kept here since only this test reads
+    means that way."""
+    table = part.pieces_table(atoms[0].partition)
+    blocks = list(dict.fromkeys(k for atom in atoms for k, _ in table[atom.index]))
     den, nums = over_common_denominator([cells[k] for k in blocks])
-    sums, weight = _weigh(atom, part, dict(zip(blocks, nums)))
-    return as_fractions(den * weight, sums)
+    return [as_fractions(scale, sums)
+            for scale, sums in _means(atoms, part, den, dict(zip(blocks, nums)))]
 
 
 def flows(scenario):
@@ -74,9 +79,10 @@ def partial_means(atom, nodes, part, cells):
     piece's conditional mass."""
     cut = atom.partition.tree.meet(nodes, atom.partition)
     node_of = cut.index_in(nodes)
-    return [(node_of[k], tuple(cut.atoms[k].prob / atom.prob * c for c in
-                               conditional_mean(cut.atoms[k], part, cells)))
-            for k in dict.fromkeys(cut.block_of[leaf] for leaf in atom.leaves)]
+    pieces = [cut.atoms[k] for k in
+              dict.fromkeys(cut.block_of[leaf] for leaf in atom.leaves)]
+    return [(node_of[piece.index], tuple(piece.prob / atom.prob * c for c in mean))
+            for piece, mean in zip(pieces, conditional_means(pieces, part, cells))]
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -94,9 +100,11 @@ def test_kernel_matches_per_leaf_reference(seed):
                 for s in range(t + 1):
                     cond = filtration.partition(s)
                     unrefined += tree.meet(part, cond) is not cond
-                    for atom in cond.atoms:
-                        assert (conditional_mean(atom, part, cells)
-                                == ref.conditional_mean(tree, atom, leaf_row))
+                    whole = _means(cond.atoms, part, *over_common_denominator(cells))
+                    for atom, (scale, sums) in zip(cond.atoms, whole):
+                        want = ref.conditional_mean(tree, atom, leaf_row)
+                        assert as_fractions(scale, sums) == want
+                        assert conditional_means([atom], part, cells) == [want]
                         if s == t - 1:  # as the projection conditions
                             assert partial_means(atom, nodes[t], part, cells) \
                                 == list(ref.conditional_mean(

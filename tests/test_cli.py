@@ -129,6 +129,16 @@ class TestRun:
         assert out == ""
         assert "process 'W' is zero-dimensional" in err
 
+    def test_non_martingale_basis_drift_is_usage_error(self, capsys, tmp_path):
+        doc = json.loads(Path(TER1_GB).read_text(encoding="utf-8"))
+        doc["processes"]["W"]["values"]["a"] = ["2", "1"]  # W0 has mean 1/3
+        path = tmp_path / "drifting_basis.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run_cli(capsys, "run", str(path), "--checks", "drift")
+        assert code == 2
+        assert out == ""
+        assert err == "error: drift input is not a martingale for this filtration\n"
+
     def test_long_chain_runs(self, capsys, tmp_path):
         # deeper than the interpreter's default recursion limit
         horizon = 1500
@@ -386,6 +396,28 @@ def test_report_walk_matches_reference(seed):
         new, old = _json_safe(details), cli_reference.json_safe(details)
         assert new == old
         assert json.dumps(new, sort_keys=True) == json.dumps(old, sort_keys=True)
+
+
+@pytest.mark.parametrize("seed", [1, 5, 7])
+def test_drift_check_tests_each_component_once(seed, monkeypatch):
+    """Under the base flow, each basis component is tested as a martingale
+    once per drift check, not once per enlargement; under each enlargement
+    only its martingale part is tested."""
+    ctx = CheckContext(random_scenario(seed), seed, "run")
+    w = ctx.basis()
+    flows = len(ctx.scenario.enlargements)
+    assert flows > 1 and w.dim > 1
+    tested = []
+    original = Process.is_martingale
+
+    def counted(self, filtration_like):
+        tested.append(filtration_like)
+        return original(self, filtration_like)
+
+    monkeypatch.setattr(Process, "is_martingale", counted)
+    assert run_check(ctx, "drift")["status"] == "pass"
+    assert sum(f is ctx.tree for f in tested) == w.dim
+    assert len(tested) == w.dim * (1 + flows)
 
 
 def unweighted(scenario):
