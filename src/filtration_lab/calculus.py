@@ -129,7 +129,8 @@ class Process:
     at time t, nums[t] holds one tuple of dim int numerators per block of
     parts[t], all over the one positive denominator dens[t]. Its increment
     slices are computed once per time, on first use, and so are the
-    per-node reductions that solve against it (representation._solver_at)."""
+    reductions that solve against it, one per distinct child-increment
+    matrix (representation._solver_at)."""
 
     __slots__ = ("tree", "dim", "parts", "dens", "nums", "_values", "_deltas",
                  "_solvers")

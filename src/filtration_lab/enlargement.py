@@ -9,12 +9,13 @@ strictly positive prices survive the extra information.
 The representation side comes from the base flow alone, so the multiplier
 and kernel checks build it once per ReconstructedBasis and keep it there:
 the multiplier's frames, N and the base-flow brackets [N, X2_h]^p, kept as
-their conditional increments on each base node, and each witness's
-covariance frame C, J and kernel, on int numerators. Per enlargement only
-what the larger flow changes runs: phi, one int cell per larger-flow atom
-built from its class masses and the frame, the drift identities, and the
-sub-atom M = M J C tests. The drift identity is tested per conditioning
-atom on int numerators, every component in one pass, with no process built.
+their conditional increments on each base node, and the covariance frame
+C, J and kernel of each time and one-step law, on int numerators, shared
+by every witness with that law. Per enlargement only what the larger flow
+changes runs: phi, one int cell per larger-flow atom built from its class
+masses and the frame, the drift identities, and the sub-atom M = M J C
+tests. The drift identity is tested per conditioning atom on int
+numerators, every component in one pass, with no process built.
 
 The deflator search solves each conditioning atom's one-period program in
 closed form on the successors' int masses and the numerators of the
@@ -25,7 +26,7 @@ views (weights, moves, floor, solution) only when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -581,13 +582,19 @@ def covariance_kernel(enlargement_like, basis, time: int,
     all-ones vector on the charged classes together with the units of the
     empty classes. J inverts the step on the charged sum-zero directions, and
     every larger-flow atom's own covariance step M satisfies M = M J C.
-    Everything but the M = M J C tests comes from the witness alone and is
-    built once per (basis, witness).
+    Everything but the M = M J C tests depends on the witness only through
+    its time and its one-step law, the masses p = a / L taken in lowest
+    terms, so it is built once per (basis, time, law) and shared by every
+    witness with that law.
     """
     filtration = as_filtration(enlargement_like)
     wit = basis._witness(time, atom_label)
+    big, a = wit.mass, wit.masses
+    g = gcd(big, *a)
+    law = (big // g, tuple([m // g for m in a]))
     frame, p_den, p_columns = basis._derived(
-        ("kernel", time, atom_label), lambda: _kernel_frame(wit, basis.d + 1))
+        ("kernel", time, law),
+        lambda: _kernel_frame(time, wit.atom, *law, basis.d + 1))
     x2 = basis.process
     parent = x2.tree.base_filtration().atom_labelled(time - 1, atom_label)
     subs = filtration.parts[time - 1]
@@ -600,27 +607,31 @@ def covariance_kernel(enlargement_like, basis, time: int,
                  for row in m for col, v in zip(p_columns, row))
         sub_checks.append((sub.label, ok))
         holds = holds and ok
-    return replace(frame, sub_checks=tuple(sub_checks), holds=holds)
+    return KernelCertificate(
+        time, wit.atom, frame.matrix, frame.kernel_basis, frame.claimed_basis,
+        frame.kernel_matches, frame.j, tuple(sub_checks), holds)
 
 
-def _kernel_frame(wit, width):
-    """The witness side of covariance_kernel, on int numerators: the
-    certificate without sub-atom checks, holding when the kernel matches and
-    J C = P, and P, which centres the charged classes, as (den, columns).
+def _kernel_frame(time, atom, big, a, width):
+    """The law side of covariance_kernel, on int numerators: the
+    certificate of the time-`time` law a / big without atom and sub-atom
+    checks, holding when the kernel matches and J C = P, and P, which
+    centres the charged classes, as (den, columns). atom names the witness
+    only in the error raised when no class is charged.
 
-    With p = a / L, the witness's masses, C is (L diag(a) - a aT) / (4^t
+    With p = a / L, the law's masses, C is (L diag(a) - a aT) / (4^t
     L^2). On the k charged classes J = 4^t P diag(1/p) P is 4^t L (k^2
     diag(u) - k(u_g + u_h) + U) / (Q k^2), where Q is the lcm of the charged
     a_h, u_h = Q / a_h and U is the sum of the u_h; P is (k I - 1) / k. All
-    three vanish elsewhere.
+    three vanish elsewhere, and as rationals none changes when a and L are
+    scaled together.
     """
-    time, big, a = wit.time, wit.mass, wit.masses
     c = [[(big * a[g] if g == h else 0) - a[g] * a[h] for h in range(width)]
          for g in range(width)]
     c_den = 4 ** time * big * big
     charged = [h for h in range(width) if a[h] > 0]
     if not charged:
-        raise DegeneratePartition(f"no mass below atom {wit.atom}")
+        raise DegeneratePartition(f"no mass below atom {atom}")
     claimed = [[int(h in charged) for h in range(width)]] + [
         [int(g == h) for g in range(width)] for h in range(width) if not a[h]]
     kernel = null_space(c)
@@ -644,7 +655,7 @@ def _kernel_frame(wit, width):
                    for g in range(width) for h in range(width))
     j_scale, j_den = 4 ** time * big, lead * k * k
     certificate = KernelCertificate(
-        time=time, atom=wit.atom,
+        time=time, atom=None,
         matrix=tuple(tuple(Fraction(v, c_den) for v in row) for row in c),
         kernel_basis=tuple(tuple(v) for v in kernel),
         claimed_basis=tuple(tuple(map(Fraction, vec)) for vec in claimed),

@@ -136,22 +136,27 @@ def _require_representable(x: Process, w: Process, basis=None):
 
 
 def _solver_at(w: Process, t: int, node):
-    """[Delta W_t on the node's children | I], reduced once per (w, t, node)
-    and kept on w: (Delta W_t's denominator, (column, identity block) of each
-    row pivoting in the Delta W block, the identity blocks of the other
-    rows, det)."""
+    """[Delta W_t on the node's children | I], reduced on the int rows and
+    kept on w, once per distinct matrix of rows: nodes whose children step
+    by the same numerators share one reduction. Per (t, node), kept too:
+    (Delta W_t's denominator, (column, identity block) of each row pivoting
+    in the Delta W block, the identity blocks of the other rows, det)."""
     if w._solvers is None:
-        w._solvers = {}
+        w._solvers = {}, {}  # by (t, node id); by int rows
+    by_node, by_rows = w._solvers
     key = (t, node.id)
-    hit = w._solvers.get(key)
+    hit = by_node.get(key)
     if hit is None:
         part, den, incs = w._delta(t)
-        reduced, pivots, det = _eliminate_with_identity(
-            [incs[part.block_of[child.leaf_lo]] for child in node.children])
-        solved = [(c, row[w.dim:]) for row, c in zip(reduced, pivots)
-                  if c < w.dim]
-        checks = [row[w.dim:] for row, c in zip(reduced, pivots) if c >= w.dim]
-        hit = w._solvers[key] = den, solved, checks, det
+        rows = tuple([incs[part.block_of[child.leaf_lo]] for child in node.children])
+        reduction = by_rows.get(rows)
+        if reduction is None:
+            reduced, pivots, det = _eliminate_with_identity(rows)
+            reduction = by_rows[rows] = (
+                [(c, row[w.dim:]) for row, c in zip(reduced, pivots) if c < w.dim],
+                [row[w.dim:] for row, c in zip(reduced, pivots) if c >= w.dim],
+                det)
+        hit = by_node[key] = (den, *reduction)
     return hit
 
 
@@ -253,10 +258,10 @@ class ReconstructedBasis:
 
     What the enlargement checks derive from the basis alone is built once
     per basis, on first use, and kept on it: the (time, atom) index of the
-    witnesses, each witness's covariance frame for the kernel check, the
-    drift multiplier's orthogonal frames, N and the base-flow brackets
-    [N, X2_h]^p (their conditional increments on each base node), and the
-    basis's martingale test. Those memos die with the basis.
+    witnesses, the kernel check's covariance frame of each time and one-step
+    law, the drift multiplier's orthogonal frames, N and the base-flow
+    brackets [N, X2_h]^p (their conditional increments on each base node),
+    and the basis's martingale test. Those memos die with the basis.
     """
     process: Process
     witnesses: tuple

@@ -1,7 +1,8 @@
 """What the enlargement checks derive from the reconstructed basis alone is
-built once per basis, and each per-node representation solve is reduced once
-per (process, t, node): the memos are shared where they should be, agree
-with the per-call paths they replaced, and die with their basis."""
+built once per basis, each kernel frame once per (time, one-step law), and
+each representation reduction once per (process, child-increment matrix):
+the memos are shared where they should be, agree with the per-call paths
+they replaced, and die with their basis."""
 
 import dataclasses
 import gc
@@ -121,9 +122,18 @@ def test_basis_side_work_runs_once(monkeypatch):
             assert enlargement.verify_drift_multiplier(solution, x, g)
         for wit in rebuilt.witnesses:
             covariance_kernel(g, rebuilt, wit.time, wit.atom)
-    inner = sum(len(tree.nodes_at[t]) for t in range(tree.horizon))
-    assert calls == {"frame": 1, "null_space": len(rebuilt.witnesses),
-                     "reduce": inner}
+    # one kernel frame per time and one-step law, the probabilities in
+    # lowest terms; one reduction per distinct child-increment matrix
+    laws = {(wit.time, wit.probs) for wit in rebuilt.witnesses}
+    x2 = rebuilt.process
+    matrices = set()
+    for t in range(1, tree.horizon + 1):
+        part, _, incs = x2._delta(t)
+        matrices.update(
+            tuple(incs[part.block_of[child.leaf_lo]] for child in node.children)
+            for node in tree.nodes_at[t - 1])
+    assert calls == {"frame": 1, "null_space": len(laws),
+                     "reduce": len(matrices)}
 
 
 def test_missing_slot_names_time_and_atom():
