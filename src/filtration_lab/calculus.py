@@ -26,7 +26,12 @@ JumpMeasure.locs: per time, one location id or None per time-t node.
 Readers that take jumps per conditioning atom go through _jump_cut, on the
 meet of the flow's time-(t-1) atoms with the time-t nodes. Each jump
 function memoizes its star integral per (measure, filtration), each measure
-its compensators per filtration.
+its compensators per filtration. Both integrals are linear in their
+integrand, so each has one body that runs a stack of them at once:
+_star_stack integrates m jump functions into one dim-m process and
+_dot_blocks integrates m blocks of an integrand against one integrator;
+star_integral and dot_integral are their width-1 calls, and
+Process._divergences compares two stacks component by component.
 
 Library code builds its processes through four trusted constructors that
 skip the validation outside input gets: _make takes partitions and int
@@ -388,19 +393,28 @@ class Process:
 
     def __eq__(self, other):
         return (isinstance(other, Process) and other.tree is self.tree
-                and other.dim == self.dim and self.first_divergence(other) is None)
+                and other.dim == self.dim and not any(self._divergences(other)))
 
     __hash__ = None
 
     def first_divergence(self, other):
-        """Earliest (t, leaf) where the two processes differ, or None.
+        """Earliest (t, leaf) where the two processes differ, or None: the
+        least of the per-component divergences."""
+        return min(filter(None, self._divergences(other)), default=None)
+
+    def _divergences(self, other):
+        """Per component, the earliest (t, leaf) where the two processes
+        differ in it, or None.
 
         Each block of the meet of the two slices is compared once, by
         cross-multiplication; blocks are in first-leaf order, so the first
-        differing one holds the earliest leaf.
+        block differing in a component holds its earliest leaf. The scan
+        stops once every component has differed.
         """
         if other.tree is not self.tree or other.dim != self.dim:
             raise DimensionMismatch("process shapes differ")
+        found = [None] * self.dim
+        left = range(self.dim)  # the components not yet seen to differ
         for t in range(self.tree.horizon + 1):
             mine, theirs = self._row(t), other._row(t)
             if mine == theirs:
@@ -408,9 +422,15 @@ class Process:
             part, (u, v) = _lifted(self.tree, (mine, theirs))
             a, b = theirs[1], mine[1]
             for k, (p, q) in enumerate(zip(u, v)):
-                if p != q if a == b else any(x * a != y * b for x, y in zip(p, q)):
-                    return (t, part.atoms[k].leaves[0])
-        return None
+                if p == q if a == b else all(x * a == y * b for x, y in zip(p, q)):
+                    continue
+                for s in left:
+                    if p[s] * a != q[s] * b:
+                        found[s] = (t, part.atoms[k].leaves[0])
+                left = [s for s in left if found[s] is None]
+                if not left:
+                    return found
+        return found
 
     # measurability
 
@@ -544,15 +564,26 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
 
     H must be predictable for the given filtration (default: the base).
     """
-    filtration = as_filtration(filtration_like or x.tree)
+    return _dot_blocks(h, x, as_filtration(filtration_like or x.tree), 1)
+
+
+def _dot_blocks(h: Process, x: Process, filtration: Filtration, width) -> Process:
+    """The block product: for H of dim width * n against X of dim n, the
+    dim-width process whose component s is the dot integral of H's block
+    H_{s n}, ..., H_{s n + n - 1}; width 1 is dot_integral. H must be
+    predictable for the filtration."""
     if h.tree is not x.tree:
         raise DimensionMismatch("integrand and integrator on different trees")
-    if h.dim != x.dim:
-        raise DimensionMismatch(f"integrand dim {h.dim}, integrator dim {x.dim}")
+    n = x.dim
+    if h.dim != width * n:
+        raise DimensionMismatch(f"integrand dim {h.dim}, integrator dim {n}")
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
+    product = _dot if width == 1 else (lambda u, v: tuple([
+        sum(map(mul, u[s * n:s * n + n], v)) for s in range(width)]))
     return Process._accumulate(
-        x.tree, (0,), lambda t: _products(x.tree, h._row(t), x._delta(t), _dot))
+        x.tree, (0,) * width,
+        lambda t: _products(x.tree, h._row(t), x._delta(t), product))
 
 
 class JumpMeasure:
@@ -750,21 +781,20 @@ class JumpFunction:
         return Fraction(self._numerator(t, label, loc), self._tables[t][0])
 
 
-def _anchored(g: JumpFunction, filtration: Filtration) -> list:
-    """Per time t >= 1, g's time-t table as (den, {(atom label, location
-    id): numerator}) and, per time-(t-1) atom of the flow, the label of g's
-    anchoring atom holding it, resolved once per time through index_in.
-    The flow must refine g's at every time before the horizon, else
-    NotPredictable."""
-    tree, anchors = filtration.tree, g.filtration.parts
-    reads = [None]
+def _anchored(anchoring: Filtration, filtration: Filtration) -> list:
+    """Per time t >= 1 and time-(t-1) atom of the flow, the label of the
+    anchoring flow's atom holding it, resolved once per time through
+    index_in: a jump function anchored on that flow is read in its time-t
+    table at these labels. The flow must refine the anchoring one at every
+    time before the horizon, else NotPredictable."""
+    tree, anchors = filtration.tree, anchoring.parts
+    labels = [None]
     for t, mine in enumerate(filtration.parts[:-1], 1):
         anchor = anchors[t - 1]
         if len(tree.meet(mine, anchor).atoms) != len(mine.atoms):
             raise NotPredictable("the integration flow does not refine g's flow")
-        reads.append((*g._tables.get(t, (1, {})),
-                      [anchor.atoms[j].label for j in mine.index_in(anchor)]))
-    return reads
+        labels.append([anchor.atoms[j].label for j in mine.index_in(anchor)])
+    return labels
 
 
 def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
@@ -773,40 +803,63 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
     Increment at t: g(t, jump) when the path jumps, minus the conditional
     mean of that quantity given the atom at t-1. Always a martingale for the
     integration filtration, which must refine g's anchoring one (else
-    NotPredictable). Each conditioning atom's mean is one int dot of g's
-    time-t table, read at the anchor atom's label, with the atom's
-    compensator law; each jumping block's gain reads the same table entry.
-    Computed once per (g, measure, filtration).
+    NotPredictable). The width-1 call of _star_stack, computed once per (g,
+    measure, filtration).
     """
-    filtration = as_filtration(filtration_like)
+    return _star_stack((g,), mu, as_filtration(filtration_like))
+
+
+def _star_stack(gs, mu: JumpMeasure, filtration: Filtration) -> Process:
+    """The star integrals of jump functions sharing one anchoring
+    filtration, stacked: component s is gs[s]'s, and a single function's
+    is memoized on it per (measure, filtration).
+
+    The integral is linear in g, so what does not depend on g is built once
+    for the stack: the anchor labels, each conditioning atom's compensator
+    law, the time-t cut and the running sum. Each atom's mean is one int
+    dot of a function's time-t table, read at the anchor atom's label, with
+    the atom's law; each jumping block's gain reads the same table entry.
+    Every block's step goes over big * den, big the lcm of the atoms'
+    masses and den of the tables' denominators, and the slice is reduced
+    once: a reduced slice is unique, so it is the one that reducing each
+    cell on its own and taking the lcm gives.
+    """
     tree = mu.tree
-    if g.filtration.tree is not tree:
-        raise DimensionMismatch("jump function and measure on different trees")
-    key = (mu, filtration)
-    if key in g._star_integrals:
-        return g._star_integrals[key]
-    reads, laws = _anchored(g, filtration), mu.compensator(filtration).laws
+    for g in gs:
+        if g.filtration.tree is not tree:
+            raise DimensionMismatch("jump function and measure on different trees")
+    key, memo = (mu, filtration), gs[0]._star_integrals if len(gs) == 1 else {}
+    if key in memo:
+        return memo[key]
+    anchor_labels = _anchored(gs[0].filtration, filtration)
+    laws = mu.compensator(filtration).laws
 
     def increments_at(t):
-        gden, table, labels = reads[t]
-        comps = []  # per time-(t-1) atom: the mean of g, as (den, numerator)
-        try:
-            for atom, label in zip(filtration.parts[t - 1].atoms, labels):
-                mass, law = laws.get((t, atom.label), (1, ()))
-                comps.append((mass, sum([m * table[label, loc] for loc, m in law])))
-        except KeyError as miss:
-            raise g._missing(t, *miss.args[0]) from None
+        labels = anchor_labels[t]
+        masses, atom_laws = zip(*[laws.get((t, atom.label), (1, ()))
+                                  for atom in filtration.parts[t - 1].atoms])
+        big = lcm(*masses)
         cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
-        cells = []
-        for k, loc in zip(atom_of, loc_of):
-            den, total = comps[k]
-            # a block's location is in its atom's law, which the loop read
-            gain = 0 if loc is None else table[labels[k], loc]
-            cells.append((den * gden, (gain * den - total,)))
-        return (cut, *gathered(cells))
+        gdens, columns = [], []  # per function: its table's den, each block's
+        for g in gs:             # numerator over big times that den
+            gden, table = g._tables.get(t, (1, {}))
+            try:  # per time-(t-1) atom: big times the mean of g
+                shifts = [sum([m * table[label, loc] for loc, m in law]) * (big // mass)
+                          for mass, law, label in zip(masses, atom_laws, labels)]
+            except KeyError as miss:
+                raise g._missing(t, *miss.args[0]) from None
+            # a block's location is in its atom's law, which the shifts read
+            gdens.append(gden)
+            columns.append([(0 if loc is None else table[labels[k], loc] * big) - shifts[k]
+                            for k, loc in zip(atom_of, loc_of)])
+        den = lcm(*gdens)
+        if gdens.count(den) < len(gdens):
+            columns = [column if d == den else [n * (den // d) for n in column]
+                       for d, column in zip(gdens, columns)]
+        return (cut, *reduced(big * den, tuple(zip(*columns))))
 
-    g._star_integrals[key] = Process._accumulate(tree, (0,), increments_at)
-    return g._star_integrals[key]
+    memo[key] = Process._accumulate(tree, (0,) * len(gs), increments_at)
+    return memo[key]
 
 
 def project_onto_jump_measure(y: Process, mu: JumpMeasure,

@@ -16,7 +16,14 @@ What a conversion needs apart from the jump function g is built once: a
 constraint system keeps its slot martingales per measure, and an accessible
 converter builds its set-up (validated slots, class locations, the class
 martingales Y and the scale G) once, for every g it converts; a measure
-keeps none. The star side comes from star_integral's own memo on g, so
+keeps none. Both conversions and the expansion are linear in g, so each
+runs one body over a stack of m jump functions sharing one anchoring flow:
+the star side is calculus._star_stack, whose component s is g_s's star
+integral, the integrand stacks the m integrands in blocks, the dot side is
+the block product of that integrand with the martingales, and each g's
+verdict is its own component's earliest divergence. The star-to-dot check
+converts its five samples as one stack. The public single-g forms are the
+width-1 calls, whose star side comes from star_integral's own memo on g, so
 star_to_dot and accessible_star_to_dot share it; the processes share
 vectors across leaves.
 Menus and class locations are held as the tree's location ids, and every
@@ -34,8 +41,9 @@ from .calculus import (
     JumpMeasure,
     Process,
     _anchored,
+    _dot_blocks,
     _jump_cut,
-    dot_integral,
+    _star_stack,
     star_integral,
 )
 from .errors import (
@@ -166,17 +174,22 @@ class ConstraintSystem:
         """Predictable H with H_k = coefficient(t, atom, id of alpha_k) /
         gauge_k(alpha_k) on nonempty slots and 0 elsewhere; coefficient
         gives an int ratio (num, den) with den > 0."""
-        def at(t, atom):
-            ratios = []
-            for loc, (gn, gd) in zip(*self._menu(t, atom.label)):
-                if loc is None:
-                    ratios.append((0, 1))
-                else:
-                    num, den = coefficient(t, atom, loc)
-                    ratios.append((num * gd, den * gn))
-            return over_lcm(ratios)
+        return self._integrand(1, lambda t, atom, loc: (coefficient(t, atom, loc),))
 
-        return Process._predictable(self.filtration, self.n, at)
+    def _integrand(self, width, coefficients) -> Process:
+        """integrand for a stack of width coefficient functions, the s-th in
+        components s n to s n + n - 1: coefficients(t, atom, loc) gives one
+        int ratio per function."""
+        empty = ((0, 1),) * width
+
+        def at(t, atom):
+            columns = []  # per slot: one ratio per function
+            for loc, (gn, gd) in zip(*self._menu(t, atom.label)):
+                columns.append(empty if loc is None else [
+                    (num * gd, den * gn) for num, den in coefficients(t, atom, loc)])
+            return over_lcm([column[s] for s in range(width) for column in columns])
+
+        return Process._predictable(self.filtration, width * self.n, at)
 
     def as_table(self):
         """JSON-ready per-atom slot listing."""
@@ -246,27 +259,44 @@ def star_to_dot(g: JumpFunction, mu: JumpMeasure, cs: ConstraintSystem):
 
     H_k at (t, atom) is g(t, alpha_k) / gauge_k(alpha_k) on nonempty slots
     and 0 elsewhere, g read in its time-t table at the anchor atom's label;
-    the certificate compares both sides at every node.
+    the certificate compares both sides at every node. The width-1 call of
+    _star_to_dot, whose star side is g's memoized star integral.
     """
-    filtration = cs.filtration
-    x = constraint_martingales(mu, cs)
-    star = star_integral(g, mu, filtration)
-    reads = _anchored(g, filtration)
-
-    def coefficient(t, atom, loc):
-        den, table, labels = reads[t]
-        try:
-            return table[labels[atom.index], loc], den
-        except KeyError:
-            raise g._missing(t, labels[atom.index], loc) from None
-
-    h = cs.integrand(coefficient)
-    dot = dot_integral(h, x, filtration)
-    divergence = star.first_divergence(dot)
+    h, star, dot, (divergence,) = _star_to_dot((g,), mu, cs)
     certificate = ConversionCertificate(
         holds=divergence is None, star_side=star, dot_side=dot,
         divergence=divergence)
     return h, certificate
+
+
+def _star_to_dot(gs, mu: JumpMeasure, cs: ConstraintSystem):
+    """star_to_dot for a stack of jump functions sharing one anchoring
+    filtration, in one pass: the stacked integrand, whose s-th block of n
+    components is gs[s]'s H, the stacked star and dot sides, and per
+    function the earliest divergence of its two sides, or None."""
+    filtration = cs.filtration
+    x = constraint_martingales(mu, cs)
+    star = _star_stack(gs, mu, filtration)
+    labels, tables = _anchored(gs[0].filtration, filtration), _tables(gs)
+
+    def coefficients(t, atom, loc):
+        label = labels[t][atom.index]
+        try:
+            return [(table[label, loc], den) for den, table in tables[t]]
+        except KeyError:  # the message names the point, not the function
+            raise gs[0]._missing(t, label, loc) from None
+
+    h = cs._integrand(len(gs), coefficients)
+    dot = _dot_blocks(h, x, filtration, len(gs))
+    return h, star, dot, star._divergences(dot)
+
+
+def _tables(gs) -> list:
+    """Per time t >= 1, each jump function's time-t table as (den, {(atom
+    label, location id): numerator})."""
+    horizon = gs[0].filtration.tree.horizon
+    return [None] + [[g._tables.get(t, (1, {})) for g in gs]
+                     for t in range(1, horizon + 1)]
 
 
 def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpFunction:
@@ -274,15 +304,23 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
 
     Star-integrating the result recovers the dot integral of h against the
     slot martingales, which closes the conversion in the other direction.
+    The width-1 call of _expanded.
     """
-    filtration = cs.filtration
-    if h.dim != cs.n:
-        raise DimensionMismatch(f"integrand dim {h.dim}, constraint count {cs.n}")
+    (g,) = _expanded(h, mu, cs, 1)
+    return g
+
+
+def _expanded(h: Process, mu: JumpMeasure, cs: ConstraintSystem, width) -> list:
+    """expand_integrand for a stacked integrand of dim width * n: one jump
+    function per block of n components, in order."""
+    filtration, n = cs.filtration, cs.n
+    if h.dim != width * n:
+        raise DimensionMismatch(f"integrand dim {h.dim}, constraint count {n}")
     if not h.is_predictable(filtration):
         raise NotPredictable("integrand is not predictable for this filtration")
     if mu.tree is not filtration.tree:
         raise ConstraintMismatch("measure and constraint system on different trees")
-    laws, items = mu.compensator(filtration).laws, []
+    laws, items = mu.compensator(filtration).laws, [[] for _ in range(width)]
     for t in range(1, filtration.tree.horizon + 1):
         for atom in filtration.parts[t - 1].atoms:
             law = laws.get((t, atom.label))
@@ -296,8 +334,10 @@ def expand_integrand(h: Process, mu: JumpMeasure, cs: ConstraintSystem) -> JumpF
                 # a location off the menu is refused by _slot
                 k = index[loc] if loc in index else cs._slot(t, atom.label, loc)
                 gn, gd = gauges[k]
-                items.append(((t, atom.label, loc), (cell[k] * gn, h.dens[t] * gd)))
-    return JumpFunction._from_ratios(filtration, items)
+                for s, listed in enumerate(items):
+                    listed.append(((t, atom.label, loc),
+                                   (cell[s * n + k] * gn, h.dens[t] * gd)))
+    return [JumpFunction._from_ratios(filtration, listed) for listed in items]
 
 
 def jump_supports_disjoint(x: Process) -> bool:
@@ -403,34 +443,44 @@ def accessible_star_to_dot(g: JumpFunction, mu: JumpMeasure, slots,
     indicators, the scale G undoes the weights on each time's graph, and the
     integrand picks g at the class location wherever that location is
     nonzero, read in g's time-t table at the anchor atom's label. The
-    identity is verified node by node. Each call builds its own plan; the
-    star-to-dot check builds one per check, through _accessible_converter.
+    identity is verified node by node. Each call builds its own plan and
+    converts g at width 1; the star-to-dot check builds one plan per check,
+    through _accessible_converter, and converts its samples as one stack.
     """
     filtration = as_filtration(filtration_like or mu.tree)
-    return _accessible_converter(mu, slots, filtration)(g)
+    convert = _accessible_converter(mu, slots, filtration)
+    star = star_integral(g, mu, filtration)
+    plan, h, dot, (divergence,) = convert((g,), star)
+    return AccessibleConversion(
+        scale=plan.scale, integrand=h, martingales=plan.martingales,
+        star_side=star, dot_side=dot, holds=divergence is None,
+        divergence=divergence)
 
 
 def _accessible_converter(mu: JumpMeasure, slots, filtration):
-    """The conversion g -> accessible_star_to_dot(g, mu, slots, filtration),
-    with the slots normalized and their plan built once, here."""
+    """The accessible conversion over the given slots, with the slots
+    normalized and their plan built once, here: convert(gs, star) takes
+    jump functions sharing one anchoring filtration and their stacked star
+    integral under the flow, and gives the plan, the stacked integrand h
+    (gs[s]'s in its s-th block of count components), the stacked dot side
+    and per function the earliest divergence of its two sides, or None."""
     rows, count = _normalize_slots(mu.tree, slots)
     plan = _plan_accessible(mu, filtration, rows, count)
     off_graph = ((None,) * count, (1, 1))  # no class jumps, unit weight
 
-    def convert(g):
-        star = star_integral(g, mu, filtration)
-        reads = _anchored(g, filtration)
+    def convert(gs, star):
+        labels, tables = _anchored(gs[0].filtration, filtration), _tables(gs)
 
         def h_at(t, atom):
-            den, table, labels = reads[t]
             ids, _ = plan.cells[t].get(atom.label, off_graph)
+            label = labels[t][atom.index]
             try:
-                return den, tuple([0 if loc is None else table[labels[atom.index], loc]
-                                   for loc in ids])
-            except KeyError as miss:
-                raise g._missing(t, *miss.args[0]) from None
+                return over_lcm([(0, 1) if loc is None else (table[label, loc], den)
+                                 for den, table in tables[t] for loc in ids])
+            except KeyError as miss:  # the message names the point only
+                raise gs[0]._missing(t, *miss.args[0]) from None
 
-        h = Process._predictable(filtration, count, h_at)
+        h = Process._predictable(filtration, len(gs) * count, h_at)
 
         def gh_at(t, atom):
             # h's cell over its denominator times the slot weight, kept positive
@@ -440,13 +490,9 @@ def _accessible_converter(mu: JumpMeasure, slots, filtration):
             return h.dens[t] * wn, tuple([
                 n * wd for n in h.nums[t][h.parts[t].block_of[atom.leaves[0]]]])
 
-        gh = Process._predictable(filtration, count, gh_at)
-        dot = dot_integral(gh, plan.martingales, filtration)
-        divergence = star.first_divergence(dot)
-        return AccessibleConversion(
-            scale=plan.scale, integrand=h, martingales=plan.martingales,
-            star_side=star, dot_side=dot, holds=divergence is None,
-            divergence=divergence)
+        gh = Process._predictable(filtration, len(gs) * count, gh_at)
+        dot = _dot_blocks(gh, plan.martingales, filtration, len(gs))
+        return plan, h, dot, star._divergences(dot)
 
     return convert
 

@@ -35,6 +35,14 @@ g_star_consistency. The check now tests the law identity that clause
 samples, at every atom, and keeps only the first draw; test_law_identity
 holds it to this clause.
 
+star_to_dot_samples is the star-to-dot check as it ran its five samples,
+one g at a time: each drawn from its own rng_for(seed, "star-to-dot", j)
+stream, converted by star_to_dot, expanded back and star-integrated, and
+converted over the value slots, each sample with its own star integral,
+slot-martingale integral and accessible integral. The check now runs every
+route once over the stack of the five and reads each sample off its own
+component; test_stacked_star_to_dot holds it to this loop.
+
 means_by_atom, is_martingale_by_atom, bracket_steps_by_atom and
 multiplier_holds_by_atom are the conditional means as the library took
 them one atom at a time, each through one Partition.pieces lookup and one
@@ -55,6 +63,7 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
+from filtration_lab import calculus, constraint
 from filtration_lab.calculus import (
     JumpFunction,
     JumpMeasure,
@@ -336,6 +345,37 @@ def three_sample_star(mu: JumpMeasure, seed, name, enlargement) -> bool:
         g = random_jump_function(mu, mu.tree, rng)
         star_ok = star_ok and g_star_consistency(g, mu, enlargement)
     return star_ok
+
+
+def star_to_dot_samples(ctx):
+    """cli._run_star_to_dot as it was, one sample at a time: (ok, details).
+    The check built its slot plan once and converted each g with it; here
+    accessible_star_to_dot builds the same plan per sample from the slot
+    list made once. The library's functions are called through their
+    modules, since this module defines its own star_integral and
+    value_slots_from_measure."""
+    mu, cs = ctx.measure, ctx.constraint
+    base = ctx.tree.base_filtration()
+    slots = constraint.value_slots_from_measure(mu)
+    samples = []
+    ok = True
+    for j in range(5):
+        rng = rng_for(ctx.seed, "star-to-dot", str(j))
+        g = random_jump_function(mu, ctx.tree, rng)
+        h, certificate = constraint.star_to_dot(g, mu, cs)
+        back = calculus.star_integral(constraint.expand_integrand(h, mu, cs),
+                                      mu, base)
+        round_trip = back == certificate.dot_side
+        accessible = constraint.accessible_star_to_dot(g, mu, slots, base)
+        good = certificate.holds and round_trip and accessible.holds
+        ok = ok and good
+        samples.append({
+            "sample": j,
+            "forward": certificate.holds,
+            "round_trip": round_trip,
+            "accessible": accessible.holds,
+        })
+    return ok, {"n": cs.n, "samples": samples}
 
 
 # --- conditional means one atom at a time, through _weigh -------------------

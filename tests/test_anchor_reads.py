@@ -54,10 +54,10 @@ def scaled(h: Process, scale: Process) -> Process:
 
 
 def assert_anchor_reads_match(scenario, seed, monkeypatch):
-    integrands = []  # each integrand constraint.dot_integral is given
-    dot_integral = constraint.dot_integral
-    monkeypatch.setattr(constraint, "dot_integral", lambda h, x, flow: (
-        integrands.append(h), dot_integral(h, x, flow))[1])
+    integrands = []  # each integrand constraint._dot_blocks is given
+    dot_blocks = constraint._dot_blocks
+    monkeypatch.setattr(constraint, "_dot_blocks", lambda h, x, flow, width: (
+        integrands.append(h), dot_blocks(h, x, flow, width))[1])
 
     mu = jump_measure(scenario.basis_process())
     base_g = random_jump_function(mu, scenario.tree, rng_for(seed, "anchor-reads"))
