@@ -9,12 +9,12 @@ strictly positive prices survive the extra information.
 The representation side comes from the base flow alone, so the multiplier
 and kernel checks build it once per ReconstructedBasis and keep it there:
 the multiplier's frames, N and the base-flow brackets [N, X2_h]^p, kept as
-their conditional increments on each base node, and the covariance frame
-C, J and kernel of each time and one-step law, on int numerators, shared
-by every witness with that law. Per enlargement only what the larger flow
-changes runs: phi, one int cell per larger-flow atom built from its class
-masses and the frame, the drift identities, and the sub-atom M = M J C
-tests. The drift identity is tested per conditioning atom on int
+their conditional increments on each base node, the covariance frame C, J
+and kernel of each time and one-step law, on int numerators, shared by
+every witness with that law, and the test that gives M = M J C on every
+larger-flow atom. Per enlargement only what the larger flow changes runs:
+phi, one int cell per larger-flow atom built from its class masses and the
+frame, and the drift identities, each tested per conditioning atom on int
 numerators, every component in one pass, with no process built.
 
 The deflator search solves each conditioning atom's one-period program in
@@ -26,7 +26,7 @@ views (weights, moves, floor, solution) only when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -554,24 +554,7 @@ class KernelCertificate:
     claimed_basis: tuple
     kernel_matches: bool
     j: tuple
-    sub_checks: tuple
     holds: bool
-
-
-def _moment_sums(x: Process, t: int, atom):
-    """Mean vector and covariance matrix of Delta X_t given the atom, as
-    int numerators: (mean den, mean, covariance den, covariance rows)."""
-    part, den, incs = x._delta(t)
-    ((scale, sums),) = _means([atom], part, den, incs)  # the mean is sums / scale
-    weight = scale // den
-    outer = {}  # the blocks meeting the atom
-    for k, _ in part.pieces(atom):
-        d = [n * weight - m for n, m in zip(incs[k], sums)]  # over scale
-        outer[k] = tuple(u * v for u in d for v in d)
-    ((cov_den, flat),) = _means([atom], part, scale * scale, outer)
-    width = len(sums)
-    return (scale, sums, cov_den,
-            [flat[g * width:(g + 1) * width] for g in range(width)])
 
 
 def covariance_kernel(enlargement_like, basis, time: int,
@@ -580,44 +563,49 @@ def covariance_kernel(enlargement_like, basis, time: int,
 
     The step matrix is (1/4^t)(diag(p) - p pT); its kernel is spanned by the
     all-ones vector on the charged classes together with the units of the
-    empty classes. J inverts the step on the charged sum-zero directions, and
-    every larger-flow atom's own covariance step M satisfies M = M J C.
-    Everything but the M = M J C tests depends on the witness only through
-    its time and its one-step law, the masses p = a / L taken in lowest
-    terms, so it is built once per (basis, time, law) and shared by every
-    witness with that law.
+    empty classes, and J C centres the charged classes. The certificate also
+    needs the basis's increments to centre them (_centred), which makes
+    every larger-flow atom's covariance step M satisfy M = M J C whatever
+    the flow, so the flow is only validated. The law side is built once per
+    (basis, time, one-step law p = a / L in lowest terms), the basis test
+    once per basis.
     """
-    filtration = as_filtration(enlargement_like)
+    as_filtration(enlargement_like)
     wit = basis._witness(time, atom_label)
     big, a = wit.mass, wit.masses
     g = gcd(big, *a)
     law = (big // g, tuple([m // g for m in a]))
-    frame, p_den, p_columns = basis._derived(
+    frame = basis._derived(
         ("kernel", time, law),
         lambda: _kernel_frame(time, wit.atom, *law, basis.d + 1))
+    centred = basis._derived(("centred",), lambda: _centred(basis))
+    return replace(frame, atom=wit.atom, holds=frame.holds and centred)
+
+
+def _centred(basis) -> bool:
+    """Every increment of the basis sums to 0 over the charged classes of
+    the witness above it and vanishes on its padding classes, as the
+    compensated successor indicators' do; each base time-(t-1) atom's
+    increment blocks are read through Partition.pieces."""
     x2 = basis.process
-    parent = x2.tree.base_filtration().atom_labelled(time - 1, atom_label)
-    subs = filtration.parts[time - 1]
-    sub_checks = []
-    holds = frame.holds
-    for sub in [subs.atoms[k] for k, _ in subs.pieces(parent)]:
-        # M = M J C, with J C = P, on numerators: M's denominator cancels
-        m = _moment_sums(x2, time, sub)[3]
-        ok = all(sum(map(mul, row, col)) == p_den * v
-                 for row in m for col, v in zip(p_columns, row))
-        sub_checks.append((sub.label, ok))
-        holds = holds and ok
-    return KernelCertificate(
-        time, wit.atom, frame.matrix, frame.kernel_basis, frame.claimed_basis,
-        frame.kernel_matches, frame.j, tuple(sub_checks), holds)
+    nodes = x2.tree.base_filtration().parts
+    for t in range(1, x2.tree.horizon + 1):
+        part, _, incs = x2._delta(t)
+        for node in nodes[t - 1].atoms:
+            masses = basis._witness(t, node.label).masses
+            for k, _ in part.pieces(node):
+                cell = incs[k]
+                if sum(cell) or any(c for c, m in zip(cell, masses) if not m):
+                    return False
+    return True
 
 
 def _kernel_frame(time, atom, big, a, width):
     """The law side of covariance_kernel, on int numerators: the
-    certificate of the time-`time` law a / big without atom and sub-atom
-    checks, holding when the kernel matches and J C = P, and P, which
-    centres the charged classes, as (den, columns). atom names the witness
-    only in the error raised when no class is charged.
+    certificate of the time-`time` law a / big without its atom, holding
+    when the kernel matches and J C = P, P centring the charged classes.
+    atom names the witness only in the error raised when no class is
+    charged.
 
     With p = a / L, the law's masses, C is (L diag(a) - a aT) / (4^t
     L^2). On the k charged classes J = 4^t P diag(1/p) P is 4^t L (k^2
@@ -654,15 +642,14 @@ def _kernel_frame(time, atom, big, a, width):
                    == lead * k * big * centre[g][h]
                    for g in range(width) for h in range(width))
     j_scale, j_den = 4 ** time * big, lead * k * k
-    certificate = KernelCertificate(
+    return KernelCertificate(
         time=time, atom=None,
         matrix=tuple(tuple(Fraction(v, c_den) for v in row) for row in c),
         kernel_basis=tuple(tuple(v) for v in kernel),
         claimed_basis=tuple(tuple(map(Fraction, vec)) for vec in claimed),
         kernel_matches=kernel_matches,
         j=tuple(tuple(Fraction(j_scale * v, j_den) for v in row) for row in j),
-        sub_checks=(), holds=kernel_matches and jc_holds)
-    return certificate, k, tuple(zip(*centre))
+        holds=kernel_matches and jc_holds)
 
 
 def g_star_consistency(g, mu, enlargement_like) -> bool:

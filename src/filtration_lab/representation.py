@@ -259,9 +259,10 @@ class ReconstructedBasis:
     What the enlargement checks derive from the basis alone is built once
     per basis, on first use, and kept on it: the (time, atom) index of the
     witnesses, the kernel check's covariance frame of each time and one-step
-    law, the drift multiplier's orthogonal frames, N and the base-flow
-    brackets [N, X2_h]^p (their conditional increments on each base node),
-    and the basis's martingale test. Those memos die with the basis.
+    law and its test that the increments centre the charged classes, the
+    drift multiplier's orthogonal frames, N and the base-flow brackets
+    [N, X2_h]^p (their conditional increments on each base node), and the
+    basis's martingale test. Those memos die with the basis.
     """
     process: Process
     witnesses: tuple

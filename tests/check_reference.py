@@ -51,9 +51,9 @@ as it was. tree._means now reads the atom index once per slice and loops
 over the atoms inline, and Process.is_martingale, _bracket_steps and
 _multiplier_holds take their sums from it; test_one_pass_means holds them
 to these. The library's projection onto a jump measure,
-check_compensator_abs_continuity, _moment_sums and
-single_jump_coefficient called _weigh too, and take their means from
-_means as well.
+check_compensator_abs_continuity and single_jump_coefficient called _weigh
+too, and take their means from _means as well; so did _moment_sums, which
+integral_reference now keeps with the kernel's per-sub-atom tests.
 """
 
 from __future__ import annotations

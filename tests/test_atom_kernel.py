@@ -11,7 +11,7 @@ partition it does not: base rows under an enlargement, enlarged rows under
 the base flow and under another enlargement, and per-leaf input. The
 kernel runs once per whole conditioning partition on the full row, and
 once per atom, and per atom's pieces, on a dict row holding only the
-blocks meeting them, as _moment_sums passes it.
+blocks meeting them, as integral_reference._moment_sums passes it.
 """
 
 from fractions import Fraction

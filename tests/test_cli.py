@@ -493,51 +493,82 @@ _mutations = st.one_of(
     st.tuples(st.just("cells"), _time_keys, _json_values),
     st.tuples(st.just("rekey"), st.sampled_from(["0", "1"]), _time_keys),
     st.tuples(st.just("value"), st.sampled_from(["W", "S"]),
-              st.sampled_from(["r", "a", "b", "c", "z"]), _json_values),
+              st.sampled_from(["r", "a", "b", "c", "u", "d", "z"]), _json_values),
     st.tuples(st.just("checks"), _json_values),
+    st.tuples(st.just("drop"), st.integers(0, 99)),
 )
 
 
+def _fields(value):
+    """(container, key) of every dict field and list item below value,
+    depth first."""
+    keys = (range(len(value)) if isinstance(value, list)
+            else list(value) if isinstance(value, dict) else ())
+    for key in keys:
+        yield value, key
+        yield from _fields(value[key])
+
+
 def _mutate(doc, mutation):
+    """Apply one mutation; one whose target an earlier deletion removed
+    does nothing. Cells go to the document's first enlargement, or to a
+    new one."""
     kind = mutation[0]
     if kind == "node":
         _, index, field, value = mutation
-        doc["nodes"][index][field] = value
-    elif kind == "cells":
-        _, key, value = mutation
-        doc["enlargements"]["GA"][key] = value
-    elif kind == "rekey":
-        _, old, new = mutation
-        cells = doc["enlargements"]["GA"].pop(old, None)
-        doc["enlargements"]["GA"][new] = cells
+        if doc.get("nodes"):
+            doc["nodes"][index % len(doc["nodes"])][field] = value
+    elif kind in ("cells", "rekey"):
+        flows = doc.setdefault("enlargements", {})
+        flow = flows.setdefault(next(iter(flows), "G"), {})
+        if kind == "cells":
+            _, key, value = mutation
+            flow[key] = value
+        else:
+            _, old, new = mutation
+            flow[new] = flow.pop(old, None)
     elif kind == "value":
         _, name, node, value = mutation
-        doc["processes"][name]["values"][node] = value
-    else:
+        process = doc.get("processes", {}).get(name, {})
+        if "values" in process:
+            process["values"][node] = value
+    elif kind == "checks":
         doc["checks"] = mutation[1]
+    else:
+        fields = list(_fields(doc))
+        if fields:
+            container, key = fields[mutation[1] % len(fields)]
+            del container[key]
 
 
 class TestMutatedScenarios:
-    """Whatever a scenario file holds, run exits 0, 1 or 2 and never raises."""
+    """Whatever a scenario file holds, run, check-mrp and viability exit 0,
+    1 or 2, never raise and write no traceback."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True)
+    @pytest.mark.parametrize("command", ["run", "check-mrp", "viability"])
+    @pytest.mark.parametrize("fixture", [BIN1, TER1_GA, TER1_GB],
+                             ids=["bin1", "ter1_ga", "ter1_gb"])
+    @settings(max_examples=60, deadline=None, derandomize=True)
     @given(st.lists(_mutations, min_size=1, max_size=3))
     @example([("cells", "0", [1, 2])])
     @example([("cells", "0", [[["a"]]])])
     @example([("cells", "0", [[{"x": 1}], ["b", "c"]])])
     @example([("cells", "x", [["a", "b", "c"]])])
     @example([("cells", "0", [[True], [False, 2]])])
-    def test_run_exit_code_contract(self, mutations):
-        doc = json.loads(Path(TER1_GA).read_text(encoding="utf-8"))
+    @example([("drop", 0)])
+    def test_run_exit_code_contract(self, fixture, command, mutations):
+        doc = json.loads(Path(fixture).read_text(encoding="utf-8"))
         for mutation in mutations:
             _mutate(doc, mutation)
+        err = io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "mutated.json"
             path.write_text(json.dumps(doc), encoding="utf-8")
             with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                code = main(["run", str(path)])
+                    contextlib.redirect_stderr(err):
+                code = main([command, str(path)])
         assert code in (0, 1, 2)
+        assert "Traceback" not in err.getvalue()
 
 
 def _node(node_id, time, parent, prob):

@@ -40,7 +40,6 @@ from filtration_lab.constraint import (
     _plan_accessible,
     value_slots_from_measure,
 )
-from filtration_lab.enlargement import _moment_sums
 from filtration_lab.errors import (
     DimensionMismatch,
     FiltrationLabError,
@@ -55,7 +54,7 @@ from filtration_lab.fuzz import random_increasing, random_scenario, rng_for
 from filtration_lab.linalg import gram_schmidt, solve
 from filtration_lab.rationals import as_fractions, to_fraction
 from filtration_lab.tree import as_filtration, conditional_expectation_leafwise
-from integral_reference import Shared, _atoms_within
+from integral_reference import Shared, _atoms_within, _moment_sums
 
 F = Fraction
 ZERO = Fraction(0)
