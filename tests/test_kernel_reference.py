@@ -14,6 +14,9 @@ every cell is its own tuple, and on processes that are not adapted to any
 flow, with or without shared cells. The library no longer keeps p_bar, so
 the old p_bar is held to phi and the Gram-Schmidt frame instead:
 p_bar_h / p_h = 1 + 2^-t sum_i phi_i eps_ih on every charged class h.
+The kernel check no longer takes sub-atom moments, so the old covariance
+step is held to integral_reference's _moment_sums, the reference the
+kernel certificates are compared with.
 """
 
 from fractions import Fraction
