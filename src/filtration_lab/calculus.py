@@ -24,13 +24,12 @@ and jump functions are stored once, on ints keyed by the tree's location
 ids, and read as Fractions on request. A jump measure is its jump index,
 JumpMeasure.locs: per time, one location id or None per time-t node.
 Readers that take jumps per conditioning atom go through _jump_cut, on the
-meet of the flow's time-(t-1) atoms with the time-t nodes. Each jump
-function memoizes its star integral per (measure, filtration), each measure
-its compensators per filtration. Both integrals are linear in their
-integrand, so each has one body that runs a stack of them at once:
-_star_stack integrates m jump functions into one dim-m process and
-_dot_blocks integrates m blocks of an integrand against one integrator;
-star_integral and dot_integral are their width-1 calls, and
+meet of the flow's time-(t-1) atoms with the time-t nodes. Each measure
+memoizes its compensators per filtration; no star integral is kept. Both
+integrals are linear in their integrand, so each has one body that runs a
+stack of them at once: _star_stack integrates m jump functions into one
+dim-m process and _dot_blocks integrates m blocks of an integrand against
+one integrator; star_integral and dot_integral are their width-1 calls, and
 Process._divergences compares two stacks component by component.
 
 Library code builds its processes through four trusted constructors that
@@ -75,7 +74,7 @@ from .rationals import (
     reduced,
     to_fraction,
 )
-from .tree import FilteredTree, Filtration, _means, as_filtration
+from .tree import FilteredTree, Filtration, _flow_on, _means, as_filtration
 
 ZERO = Fraction(0)
 
@@ -265,7 +264,7 @@ class Process:
     @classmethod
     def doob(cls, tree, terminal, filtration=None):
         """Martingale closed by a terminal payoff: X_t = E[xi | F_t]."""
-        filtration = as_filtration(filtration or tree)
+        filtration = _flow_on(tree, filtration or tree)
         vecs = [tuple(map(to_fraction, v if isinstance(v, (list, tuple)) else (v,)))
                 for v in terminal]
         if len(vecs) != tree.n_leaves:
@@ -445,17 +444,17 @@ class Process:
                    zip(meet.index_in(part), meet.lift(mine, self.nums[t])))
 
     def is_adapted(self, filtration_like) -> bool:
-        parts = as_filtration(filtration_like).parts
+        parts = _flow_on(self.tree, filtration_like).parts
         return all(self._measurable(t, part) for t, part in enumerate(parts))
 
     def is_predictable(self, filtration_like) -> bool:
         """Value at t known at t-1 (at 0: F_0-measurable)."""
-        parts = as_filtration(filtration_like).parts
+        parts = _flow_on(self.tree, filtration_like).parts
         return all(self._measurable(t, parts[max(t - 1, 0)])
                    for t in range(self.tree.horizon + 1))
 
     def is_martingale(self, filtration_like) -> bool:
-        filtration = as_filtration(filtration_like)
+        filtration = _flow_on(self.tree, filtration_like)
         if not self.is_adapted(filtration):
             return False
         # adapted, so X_{t-1} is constant on each time-(t-1) atom and
@@ -511,7 +510,7 @@ def dual_predictable_projection(a: Process, filtration_like) -> Process:
     The result is predictable for the given filtration by construction.
     """
     # E[A_t - A_{t-1} | atom], which needs no adaptedness
-    return _compensated_means(as_filtration(filtration_like), a.dim, a._delta)
+    return _compensated_means(_flow_on(a.tree, filtration_like), a.dim, a._delta)
 
 
 def decompose(x: Process, filtration_like) -> Decomposition:
@@ -554,7 +553,7 @@ def predictable_bracket(x: Process, y: Process, filtration_like) -> Process:
 
     Agrees exactly with dual_predictable_projection(bracket(X, Y)).
     """
-    filtration = as_filtration(filtration_like)
+    filtration = _flow_on(x.tree, filtration_like)
     _check_pair(x, y)
     return _predictable_products(x, y, filtration, 1, _dot)
 
@@ -564,7 +563,7 @@ def dot_integral(h: Process, x: Process, filtration_like=None) -> Process:
 
     H must be predictable for the given filtration (default: the base).
     """
-    return _dot_blocks(h, x, as_filtration(filtration_like or x.tree), 1)
+    return _dot_blocks(h, x, _flow_on(x.tree, filtration_like or x.tree), 1)
 
 
 def _dot_blocks(h: Process, x: Process, filtration: Filtration, width) -> Process:
@@ -621,7 +620,7 @@ class JumpMeasure:
         return None if loc is None else self.tree.locations[loc]
 
     def compensator(self, filtration_like) -> "CompensatorTable":
-        filtration = as_filtration(filtration_like)
+        filtration = _flow_on(self.tree, filtration_like)
         if filtration not in self._compensators:
             self._compensators[filtration] = CompensatorTable(self, filtration)
         return self._compensators[filtration]
@@ -729,7 +728,6 @@ class JumpFunction:
             den, nums = over_lcm(list(values.values()))
             den, (nums,) = reduced(den, (nums,))
             self._tables[t] = (den, dict(zip(values, nums)))
-        self._star_integrals: dict[tuple[JumpMeasure, Filtration], Process] = {}
 
     @classmethod
     def from_callable(cls, mu: JumpMeasure, filtration_like, fn):
@@ -803,16 +801,14 @@ def star_integral(g: JumpFunction, mu: JumpMeasure, filtration_like) -> Process:
     Increment at t: g(t, jump) when the path jumps, minus the conditional
     mean of that quantity given the atom at t-1. Always a martingale for the
     integration filtration, which must refine g's anchoring one (else
-    NotPredictable). The width-1 call of _star_stack, computed once per (g,
-    measure, filtration).
+    NotPredictable). The width-1 call of _star_stack.
     """
-    return _star_stack((g,), mu, as_filtration(filtration_like))
+    return _star_stack((g,), mu, _flow_on(mu.tree, filtration_like))
 
 
 def _star_stack(gs, mu: JumpMeasure, filtration: Filtration) -> Process:
     """The star integrals of jump functions sharing one anchoring
-    filtration, stacked: component s is gs[s]'s, and a single function's
-    is memoized on it per (measure, filtration).
+    filtration, stacked: component s is gs[s]'s; none is kept.
 
     The integral is linear in g, so what does not depend on g is built once
     for the stack: the anchor labels, each conditioning atom's compensator
@@ -828,9 +824,6 @@ def _star_stack(gs, mu: JumpMeasure, filtration: Filtration) -> Process:
     for g in gs:
         if g.filtration.tree is not tree:
             raise DimensionMismatch("jump function and measure on different trees")
-    key, memo = (mu, filtration), gs[0]._star_integrals if len(gs) == 1 else {}
-    if key in memo:
-        return memo[key]
     anchor_labels = _anchored(gs[0].filtration, filtration)
     laws = mu.compensator(filtration).laws
 
@@ -858,8 +851,7 @@ def _star_stack(gs, mu: JumpMeasure, filtration: Filtration) -> Process:
                        for d, column in zip(gdens, columns)]
         return (cut, *reduced(big * den, tuple(zip(*columns))))
 
-    memo[key] = Process._accumulate(tree, (0,) * len(gs), increments_at)
-    return memo[key]
+    return Process._accumulate(tree, (0,) * len(gs), increments_at)
 
 
 def project_onto_jump_measure(y: Process, mu: JumpMeasure,
@@ -872,27 +864,27 @@ def project_onto_jump_measure(y: Process, mu: JumpMeasure,
     reproduces the bracket; at full conditional jump mass the correction is
     zero on its own because Y is a martingale.
     """
-    filtration = as_filtration(filtration_like)
+    filtration = _flow_on(mu.tree, filtration_like)
     if y.dim != 1:
         raise DimensionMismatch("projection expects a scalar martingale")
     y.require_martingale(filtration, what="projected process")
     laws = mu.compensator(filtration).laws
-    # num[t, atom index, v] / (dens[t] * atom mass) is E[Delta Y; jump = v | atom]
+    # num[t, atom label, v] / (dens[t] * atom mass) is E[Delta Y; jump = v | atom]
     num, dens = {}, {}
     for t in sorted({t for t, _ in laws}):
         cut, atom_of, loc_of = _jump_cut(mu, filtration, t)
-        part, dens[t], nums = y._delta(t)
+        atoms, (part, dens[t], nums) = filtration.parts[t - 1].atoms, y._delta(t)
         means = _means(cut.atoms, part, dens[t], nums)  # (scale, sums) per block
         for block, i, loc, (scale, (total,)) in zip(cut.atoms, atom_of, loc_of,
                                                     means):
             if loc is not None:
                 # the block's mass times its mean increment, over den
-                num[t, i, loc] = num.get((t, i, loc), 0) + (
+                key = t, atoms[i].label, loc
+                num[key] = num.get(key, 0) + (
                     total * block.mass if scale == dens[t] else total)
     items = []
     for (t, label), (mass, law) in laws.items():
-        i = filtration.atom_labelled(t - 1, label).index
-        sums = [num[t, i, loc] for loc, _ in law]
+        sums = [num[t, label, loc] for loc, _ in law]
         rest = mass - sum(m for _, m in law)  # of the non-jumping paths
         correction = 0 if rest == 0 else Fraction(sum(sums), dens[t] * rest)
         items += [((t, label, loc),

@@ -23,8 +23,7 @@ integral, the integrand stacks the m integrands in blocks, the dot side is
 the block product of that integrand with the martingales, and each g's
 verdict is its own component's earliest divergence. The star-to-dot check
 converts its five samples as one stack. The public single-g forms are the
-width-1 calls, whose star side comes from star_integral's own memo on g, so
-star_to_dot and accessible_star_to_dot share it; the processes share
+width-1 calls, each building its own star side; the processes share
 vectors across leaves.
 Menus and class locations are held as the tree's location ids, and every
 computation here reads them by id, on ints, each gauge from the location's

@@ -52,7 +52,7 @@ from .errors import (
 from .linalg import null_space
 from .rationals import gathered, over_lcm, to_fraction
 from .representation import _require_representable
-from .tree import _means, as_filtration
+from .tree import _flow_on, _means, as_filtration
 
 ZERO = Fraction(0)
 
@@ -208,7 +208,7 @@ def find_deflator(s: Process, enlargement_like) -> DeflatorSearch:
     """
     if s.dim != 1:
         raise DimensionMismatch("deflator targets are scalar prices")
-    filtration = as_filtration(enlargement_like)
+    filtration = _flow_on(s.tree, enlargement_like)
     tree = s.tree
     _require_positive(s, "price")
     s.require_martingale(tree, what="price")
@@ -362,7 +362,7 @@ def check_compensator_abs_continuity(a: Process, enlargement_like):
     """
     if a.dim != 1:
         raise DimensionMismatch("compensator scan takes scalar processes")
-    filtration = as_filtration(enlargement_like)
+    filtration = _flow_on(a.tree, enlargement_like)
     tree = a.tree
     for t in range(1, tree.horizon + 1):
         if any(inc[0] < 0 for inc in a._delta(t)[2]):
@@ -402,7 +402,7 @@ def solve_drift_multiplier(enlargement_like, basis) -> MultiplierSolution:
     frames, N and the base-flow brackets [N, X2_h]^p come from the basis
     alone and are built once per basis.
     """
-    filtration = as_filtration(enlargement_like)
+    filtration = _flow_on(basis.process.tree, enlargement_like)
     slots, n, steps = basis._derived(
         "multiplier", lambda: _multiplier_frame(basis))
     base = basis.process.tree.base_filtration()
@@ -566,11 +566,11 @@ def covariance_kernel(enlargement_like, basis, time: int,
     empty classes, and J C centres the charged classes. The certificate also
     needs the basis's increments to centre them (_centred), which makes
     every larger-flow atom's covariance step M satisfy M = M J C whatever
-    the flow, so the flow is only validated. The law side is built once per
-    (basis, time, one-step law p = a / L in lowest terms), the basis test
-    once per basis.
+    the flow, so the flow is only checked to be on the basis's tree. The law
+    side is built once per (basis, time, one-step law p = a / L in lowest
+    terms), the basis test once per basis.
     """
-    as_filtration(enlargement_like)
+    _flow_on(basis.process.tree, enlargement_like)
     wit = basis._witness(time, atom_label)
     big, a = wit.mass, wit.masses
     g = gcd(big, *a)
@@ -682,8 +682,8 @@ def _law_identity(mu, enlargement_like):
     (t, atom label, location, law mass, walk mass)), the location's masses
     inside the atom, 0 where a route does not charge it.
     """
-    filtration = as_filtration(enlargement_like)
     tree = mu.tree
+    filtration = _flow_on(tree, enlargement_like)
     nodes, leaf_mass = tree.base_filtration().parts, tree.leaf_mass
     laws = mu.compensator(filtration).laws
     for t in range(1, tree.horizon + 1):

@@ -54,15 +54,15 @@ class PartitionWitness:
     """Ordered successor classes of one conditioning atom.
 
     time is the successor side: the classes are time-`time` atoms inside the
-    atom at time-1. Classes are ordered by descending conditional
-    probability, ties by first leaf id; padding classes are empty, of mass
-    0. Masses are ints over the leaf denominator; probs, the conditional
-    probabilities, is their Fraction view, built when read.
+    atom at time-1, named by node id in subatoms. Classes are ordered by
+    descending conditional probability, ties by first leaf id; padding
+    classes are empty, of id None and mass 0. Masses are ints over the leaf
+    denominator; probs, the conditional probabilities, is their Fraction
+    view, built when read.
     """
     time: int
     atom: str
     subatoms: tuple
-    leaves: tuple
     mass: int
     masses: tuple
 
@@ -203,8 +203,6 @@ def conditional_multiplicity(tree: FilteredTree, t: int, atom_label: str,
     return count, PartitionWitness(
         time=t, atom=atom_label,
         subatoms=tuple(child.id for child in children) + (None,) * pad,
-        leaves=tuple(tuple(range(child.leaf_lo, child.leaf_hi))
-                     for child in children) + ((),) * pad,
         mass=node.mass,
         masses=tuple(child.mass for child in children) + (0,) * pad)
 

@@ -38,6 +38,7 @@ from operator import mul
 
 from .errors import (
     DanglingNode,
+    DimensionMismatch,
     NonPositiveProbability,
     NotARefinement,
     NotAStoppingTime,
@@ -77,8 +78,8 @@ class Node:
 class Atom:
     """One cell of a leaf partition, its mass over the tree's leaf
     denominator, placed by index in the partition that made it; prob is the
-    mass's Fraction view, built when read."""
-    label: str
+    mass's Fraction view, built when read. A meet's atoms have label None."""
+    label: str | None
     leaves: tuple[int, ...]
     mass: int = field(compare=False, repr=False)
     partition: Partition = field(compare=False, repr=False)
@@ -213,7 +214,6 @@ class FilteredTree:
         self.leaves: list[Node] = []
         self._assign_leaf_ranges(preorder)
         self.leaf_ids = [leaf.id for leaf in self.leaves]
-        self._leaf_index = {leaf_id: i for i, leaf_id in enumerate(self.leaf_ids)}
         self.leaf_probs = [leaf.prob for leaf in self.leaves]
         self.leaf_mass = [leaf.mass for leaf in self.leaves]
         self.nodes_at: list[list[Node]] = [[] for _ in range(horizon + 1)]
@@ -264,8 +264,9 @@ class FilteredTree:
         return self.nodes_at[t][self.base_filtration().parts[t].block_of[leaf]]
 
     def leaf_index(self, leaf_id: str) -> int | None:
-        """Position of the leaf with the given id, or None."""
-        return self._leaf_index.get(leaf_id)
+        """The leaf's position, read off its node; None for any other id."""
+        node = self.nodes.get(leaf_id)
+        return None if node is None or node.children else node.leaf_lo
 
     def location_id(self, value) -> int:
         """The id of a jump location vector, each entry coerced with
@@ -303,14 +304,14 @@ class FilteredTree:
 
     def meet(self, a: Partition, b: Partition) -> Partition:
         """Coarsest common refinement of two of this tree's partitions,
-        memoized per pair: a or b itself when that one refines the other."""
+        memoized per pair: a or b when that one refines the other, else unlabelled."""
         if a is b:
             return a
         hit = self._meets.get((a, b)) or self._meets.get((b, a))
         if hit is None:
             cells = _meet_cells(a.block_of, b.block_of)
             hit = (a if len(cells) == len(a.atoms) else b if len(cells) == len(b.atoms)
-                   else Partition(self, _blocks(self, cells)))
+                   else Partition(self, _blocks(self, cells, labelled=False)))
             self._meets[(a, b)] = hit
         return hit
 
@@ -348,9 +349,6 @@ class Filtration:
     def __init__(self, tree: FilteredTree, partitions):
         self.tree = tree
         self.parts = tuple(Partition(tree, blocks) for blocks in partitions)
-        self._labelled = {(t, atom.label): atom
-                          for t, part in enumerate(self.parts)
-                          for atom in part.atoms}
 
     def partition(self, t: int) -> Partition:
         if not 0 <= t <= self.tree.horizon:
@@ -361,8 +359,12 @@ class Filtration:
         return self.partition(t).atoms
 
     def atom_labelled(self, t: int, label: str) -> Atom:
-        """The time-t atom with the given label."""
-        return self._labelled[(t, label)]
+        """The time-t atom with the given label, found by a scan of the
+        time-t partition; KeyError when it holds none."""
+        for atom in self.parts[t].atoms if 0 <= t < len(self.parts) else ():
+            if atom.label == label:
+                return atom
+        raise KeyError((t, label))
 
     def conditioning_atom_of(self, t: int, leaf: int) -> Atom:
         part = self.partition(t - 1 if t >= 1 else 0)
@@ -392,12 +394,12 @@ def _meet_cells(first, second):
     return [tuple(cell) for cell in cells.values()]
 
 
-def _blocks(tree: FilteredTree, cells):
+def _blocks(tree: FilteredTree, cells, labelled=True):
     """(label, leaves, mass) for each cell, its mass the sum of its leaves'
-    int masses."""
+    int masses; its label is None unless labelled."""
     masses = tree.leaf_mass
-    return [(_atom_label(tree, cell), cell, sum(masses[i] for i in cell))
-            for cell in cells]
+    return [(_atom_label(tree, cell) if labelled else None, cell,
+             sum(masses[i] for i in cell)) for cell in cells]
 
 
 class Enlargement:
@@ -508,6 +510,14 @@ def as_filtration(obj) -> Filtration:
     if isinstance(obj, Enlargement):
         return obj.filtration()
     raise TypeError(f"cannot view {obj!r} as a filtration")
+
+
+def _flow_on(tree: FilteredTree, obj) -> Filtration:
+    """obj as a filtration of tree, else DimensionMismatch."""
+    filtration = as_filtration(obj)
+    if filtration.tree is not tree:
+        raise DimensionMismatch("flow built on another tree")
+    return filtration
 
 
 def _means(atoms, part: Partition, den, nums):

@@ -109,6 +109,13 @@ def _atoms_within(filtration, t, leaves):
                  for k in dict.fromkeys(part.block_of[leaf] for leaf in leaves))
 
 
+def class_leaves(tree, witness):
+    """The leaves of each class of a successor-class witness, read off the
+    class's node through tree.nodes; () for a padding class."""
+    return tuple(() if node_id is None else tree.nodes[node_id].leaves()
+                 for node_id in witness.subatoms)
+
+
 def predictable(filtration, dim, value_of) -> Process:
     """Process._predictable as it was: null at 0, holding value_of(t,
     atom), a tuple of dim rationals, on each time-(t-1) atom for t >= 1,
@@ -606,7 +613,7 @@ def reconstruct_accessible(w: Process) -> ReconstructedBasis:
             count, witness = conditional_multiplicity(tree, t, node.id, d=d)
             witnesses.append(witness)
             weight = Fraction(1, 2 ** t)
-            for k, leaves in enumerate(witness.leaves):
+            for k, leaves in enumerate(class_leaves(tree, witness)):
                 for i in leaves:
                     prev = data[t - 1][i]
                     step = tuple(

@@ -297,7 +297,6 @@ def test_memo_hits_equal_fresh_computation(seed):
     first_acc = accessible_star_to_dot(g, mu, slots)
     again_dot = star_to_dot(g, mu, cs)
     again_acc = accessible_star_to_dot(g, mu, value_slots_from_measure(mu))
-    assert star_integral(g, mu, scenario.tree) is first_star
 
     # fresh objects everywhere: a new measure, jump function and system
     fresh_mu = jump_measure(unshared(w))

@@ -57,7 +57,7 @@ from filtration_lab.fuzz import random_increasing, random_scenario, rng_for
 from filtration_lab.linalg import gram_schmidt, solve
 from filtration_lab.rationals import as_fractions, to_fraction
 from filtration_lab.tree import as_filtration, conditional_expectation_leafwise
-from integral_reference import Shared, _atoms_within, _moment_sums
+from integral_reference import Shared, _atoms_within, _moment_sums, class_leaves
 
 F = Fraction
 ZERO = Fraction(0)
@@ -269,8 +269,9 @@ def old_p_bar(tree, wit, sub, width):
     """solve_drift_multiplier's p_bar."""
     sub_leaves = set(sub.leaves)
     p_bar = []
+    leaves = class_leaves(tree, wit)
     for h in range(width):
-        mass = sum((tree.leaf_probs[i] for i in wit.leaves[h]
+        mass = sum((tree.leaf_probs[i] for i in leaves[h]
                     if i in sub_leaves), start=ZERO)
         p_bar.append(mass / sub.prob)
     return p_bar

@@ -56,8 +56,6 @@ def test_witnesses_match_the_branch_probability_form(scenario):
             ids, probs = ref.witness_classes(node, width)
             assert count == len(node.children)
             assert wit.subatoms == ids
-            assert wit.leaves == tuple(
-                tree.nodes[i].leaves() if i else () for i in ids)
             assert wit.mass == node.mass
             assert wit.masses == tuple(p * node.mass for p in probs)
             assert all(type(m) is int for m in wit.masses)
