@@ -330,7 +330,7 @@ def _run_kernel(ctx: CheckContext):
                                             witness.time, witness.atom)
             ok = ok and certificate.holds
             rows.append({"time": witness.time, "atom": witness.atom,
-                         "kernel_dim": len(certificate.kernel_basis),
+                         "kernel_dim": len(certificate.kernel_ints),
                          "holds": certificate.holds})
         return ok, rows
 

@@ -10,8 +10,9 @@ The representation side comes from the base flow alone, so the multiplier
 and kernel checks build it once per ReconstructedBasis and keep it there:
 the multiplier's frames, N and the base-flow brackets [N, X2_h]^p, kept as
 their conditional increments on each base node, the covariance frame C, J
-and kernel of each time and one-step law, on int numerators, shared by
-every witness with that law, and the test that gives M = M J C on every
+and kernel of each time and one-step law, on ints with no Fraction built,
+shared by every witness with that law (each certificate builds its Fraction
+views only when they are read), and the test that gives M = M J C on every
 larger-flow atom. Per enlargement only what the larger flow changes runs:
 phi, one int cell per larger-flow atom built from its class masses and the
 frame, and the drift identities, each tested per conditioning atom on int
@@ -26,7 +27,7 @@ views (weights, moves, floor, solution) only when they are read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import gcd, lcm
@@ -49,7 +50,7 @@ from .errors import (
     NotPredictable,
     NotStrictlyPositive,
 )
-from .linalg import null_space
+from .linalg import _int_null_space
 from .rationals import gathered, over_lcm, to_fraction
 from .representation import _require_representable
 from .tree import _flow_on, _means, as_filtration
@@ -547,14 +548,37 @@ def verify_drift_multiplier(solution: MultiplierSolution, x: Process,
 
 @dataclass(frozen=True)
 class KernelCertificate:
+    """The covariance kernel certificate of one witness, held on ints: C
+    as (c_den, int rows), J as (j_scale, j_den, int rows), each entry
+    j_scale * v / j_den, the claimed kernel basis as 0/1 int rows and the
+    computed one as primitive int rows. matrix, j, claimed_basis and
+    kernel_basis are their Fraction views, built when read."""
     time: int
     atom: str
-    matrix: tuple
-    kernel_basis: tuple
-    claimed_basis: tuple
+    c_ints: tuple
+    j_ints: tuple
+    claimed_ints: tuple
+    kernel_ints: tuple
     kernel_matches: bool
-    j: tuple
     holds: bool
+
+    @property
+    def matrix(self) -> tuple:
+        den, rows = self.c_ints
+        return tuple(tuple(Fraction(v, den) for v in row) for row in rows)
+
+    @property
+    def j(self) -> tuple:
+        scale, den, rows = self.j_ints
+        return tuple(tuple(Fraction(scale * v, den) for v in row) for row in rows)
+
+    @property
+    def claimed_basis(self) -> tuple:
+        return tuple(tuple(map(Fraction, row)) for row in self.claimed_ints)
+
+    @property
+    def kernel_basis(self) -> tuple:
+        return tuple(tuple(map(Fraction, row)) for row in self.kernel_ints)
 
 
 def covariance_kernel(enlargement_like, basis, time: int,
@@ -568,7 +592,8 @@ def covariance_kernel(enlargement_like, basis, time: int,
     every larger-flow atom's covariance step M satisfy M = M J C whatever
     the flow, so the flow is only checked to be on the basis's tree. The law
     side is built once per (basis, time, one-step law p = a / L in lowest
-    terms), the basis test once per basis.
+    terms), the basis test once per basis, and each witness's certificate
+    shares the int fields of its law's frame.
     """
     _flow_on(basis.process.tree, enlargement_like)
     wit = basis._witness(time, atom_label)
@@ -579,7 +604,9 @@ def covariance_kernel(enlargement_like, basis, time: int,
         ("kernel", time, law),
         lambda: _kernel_frame(time, wit.atom, *law, basis.d + 1))
     centred = basis._derived(("centred",), lambda: _centred(basis))
-    return replace(frame, atom=wit.atom, holds=frame.holds and centred)
+    return KernelCertificate(time, wit.atom, frame.c_ints, frame.j_ints,
+                             frame.claimed_ints, frame.kernel_ints,
+                             frame.kernel_matches, frame.holds and centred)
 
 
 def _centred(basis) -> bool:
@@ -601,11 +628,11 @@ def _centred(basis) -> bool:
 
 
 def _kernel_frame(time, atom, big, a, width):
-    """The law side of covariance_kernel, on int numerators: the
-    certificate of the time-`time` law a / big without its atom, holding
-    when the kernel matches and J C = P, P centring the charged classes.
-    atom names the witness only in the error raised when no class is
-    charged.
+    """The law side of covariance_kernel, on ints, with no Fraction built:
+    the certificate of the time-`time` law a / big without its atom,
+    holding when the kernel matches and J C = P, P centring the charged
+    classes. atom names the witness only in the error raised when no class
+    is charged.
 
     With p = a / L, the law's masses, C is (L diag(a) - a aT) / (4^t
     L^2). On the k charged classes J = 4^t P diag(1/p) P is 4^t L (k^2
@@ -614,15 +641,14 @@ def _kernel_frame(time, atom, big, a, width):
     three vanish elsewhere, and as rationals none changes when a and L are
     scaled together.
     """
-    c = [[(big * a[g] if g == h else 0) - a[g] * a[h] for h in range(width)]
-         for g in range(width)]
-    c_den = 4 ** time * big * big
+    c = tuple([tuple([(big * a[g] if g == h else 0) - a[g] * a[h]
+                      for h in range(width)]) for g in range(width)])
     charged = [h for h in range(width) if a[h] > 0]
     if not charged:
         raise DegeneratePartition(f"no mass below atom {atom}")
-    claimed = [[int(h in charged) for h in range(width)]] + [
-        [int(g == h) for g in range(width)] for h in range(width) if not a[h]]
-    kernel = null_space(c)
+    claimed = (tuple([int(h in charged) for h in range(width)]),) + tuple(
+        tuple([int(g == h) for g in range(width)]) for h in range(width) if not a[h])
+    kernel = tuple(map(tuple, _int_null_space(c)))
     in_kernel = all(sum(map(mul, row, vec)) == 0 for row in c for vec in claimed)
     kernel_matches = in_kernel and len(kernel) == len(claimed)
 
@@ -641,15 +667,11 @@ def _kernel_frame(time, atom, big, a, width):
     jc_holds = all(sum(j[g][i] * c[i][h] for i in range(width))
                    == lead * k * big * centre[g][h]
                    for g in range(width) for h in range(width))
-    j_scale, j_den = 4 ** time * big, lead * k * k
     return KernelCertificate(
-        time=time, atom=None,
-        matrix=tuple(tuple(Fraction(v, c_den) for v in row) for row in c),
-        kernel_basis=tuple(tuple(v) for v in kernel),
-        claimed_basis=tuple(tuple(map(Fraction, vec)) for vec in claimed),
-        kernel_matches=kernel_matches,
-        j=tuple(tuple(Fraction(j_scale * v, j_den) for v in row) for row in j),
-        holds=kernel_matches and jc_holds)
+        time=time, atom=None, c_ints=(4 ** time * big * big, c),
+        j_ints=(4 ** time * big, lead * k * k, tuple(map(tuple, j))),
+        claimed_ints=claimed, kernel_ints=kernel,
+        kernel_matches=kernel_matches, holds=kernel_matches and jc_holds)
 
 
 def g_star_consistency(g, mu, enlargement_like) -> bool:

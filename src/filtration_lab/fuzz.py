@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import random
-from fractions import Fraction
+from operator import mul
 
 from .calculus import JumpFunction, JumpMeasure, Process, dot_integral
 from .errors import DegeneratePartition, DimensionMismatch
 from .linalg import rank
+from .rationals import gathered, over_lcm
 from .scenario import Scenario
-from .tree import FilteredTree, as_filtration, enlarge, random_tree
-
-ZERO = Fraction(0)
+from .tree import FilteredTree, _means, as_filtration, enlarge, random_tree
 
 
 def rng_for(seed, *labels) -> random.Random:
@@ -36,31 +35,37 @@ def widest_branching(tree: FilteredTree) -> int:
                for node in tree.nodes_at[t])
 
 
-def _centered_rows(rng, probs, d):
-    """d random rows over the children, centered to conditional mean zero."""
+def _centred_rows(rng, masses, d):
+    """d random rows over the children of masses m, centred to conditional
+    mean zero, as int numerators over the parent's mass M: the draws v
+    become M v_k - sum m v."""
+    total = sum(masses)
     rows = []
     for _ in range(d):
-        draw = [Fraction(rng.randint(-3, 3)) for _ in probs]
-        mean = sum((q * v for q, v in zip(probs, draw)), start=ZERO)
-        rows.append([v - mean for v in draw])
+        draw = [rng.randint(-3, 3) for _ in masses]
+        mean = sum(map(mul, masses, draw))
+        rows.append([total * v - mean for v in draw])
     return rows
 
 
 def _accumulate_basis(tree, rng, d, require_full_rank):
-    node_values = {tree.root.id: tuple([ZERO] * d)}
+    parts = tree.base_filtration().parts
+    slices = [(parts[0], 1, ((0,) * d,))]
     for t in range(1, tree.horizon + 1):
-        for parent in tree.nodes_at[t - 1]:
-            children = parent.children
-            probs = [child.branch_prob for child in children]
+        den, nums = slices[-1][1:]
+        cells = []  # one per time-t node, in node order
+        for parent, base in zip(tree.nodes_at[t - 1], nums):
+            masses = [child.mass for child in parent.children]
             while True:
-                rows = _centered_rows(rng, probs, d)
-                if not require_full_rank or rank(rows) == len(children) - 1:
+                rows = _centred_rows(rng, masses, d)
+                if not require_full_rank or rank(rows) == len(masses) - 1:
                     break
-            base = node_values[parent.id]
-            for k, child in enumerate(children):
-                node_values[child.id] = tuple(
-                    base[j] + rows[j][k] for j in range(d))
-    return Process.from_node_values(tree, node_values, dim=d)
+            total = parent.mass  # each child's value: base / den + step / total
+            cells.extend((den * total, tuple([b * total + den * row[k]
+                                              for b, row in zip(base, rows)]))
+                         for k in range(len(masses)))
+        slices.append((parts[t], *gathered(cells)))
+    return Process._make(tree, slices, d)
 
 
 def random_basis(tree: FilteredTree, rng, d=None) -> Process:
@@ -124,11 +129,16 @@ def random_enlargement(tree: FilteredTree, rng, name="G"):
 
 
 def random_positive_martingale(tree: FilteredTree, rng) -> Process:
-    """Strictly positive martingale normalized to start at 1."""
-    terminal = [Fraction(rng.randint(1, 6), rng.randint(1, 6))
-                for _ in range(tree.n_leaves)]
-    x = Process.doob(tree, terminal)
-    return x.scale(1 / x.initial()[0])
+    """Strictly positive martingale normalized to start at 1: the closure
+    of the drawn ratios xi over E[xi], held as ints over sum m xi."""
+    ratios = [(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(tree.n_leaves)]
+    den, nums = over_lcm(ratios)
+    mean = sum(map(mul, tree.leaf_mass, nums))  # E[xi] = mean / (den leaf_den)
+    terminal = [(n * tree.leaf_den,) for n in nums]
+    parts = tree.base_filtration().parts
+    return Process._make(tree, [
+        (part, *gathered(_means(part.atoms, parts[-1], mean, terminal)))
+        for part in parts], 1)
 
 
 def random_jump_function(mu: JumpMeasure, filtration_like, rng) -> JumpFunction:

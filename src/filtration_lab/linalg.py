@@ -3,7 +3,9 @@
 Inside, every row is held as integer numerators over one common
 denominator, and row reduction is fraction-free (Bareiss, Math. Comp. 22,
 1968), dividing by the final pivot only when it returns. Every result entry
-is a Fraction.
+of the public functions is a Fraction; the private _int_null_space takes
+int rows and returns the kernel as primitive int rows, with no Fraction
+built.
 
 Row reduction uses least-index pivoting, so solutions and null-space bases
 are canonical: free variables always sit at the rightmost columns available
@@ -36,15 +38,25 @@ def _primitive(ints) -> list[int]:
     return [n // common for n in ints]
 
 
+def _scaled(matrix):
+    """Each row of a rational matrix as int numerators over its own lcm."""
+    return [over_lcm([x.as_integer_ratio() for x in r])[1] for r in matrix]
+
+
 def _eliminate(matrix):
-    """Fraction-free Gauss-Jordan on the rows scaled to integers.
+    """_reduce on the rows of a rational matrix, each scaled to integers."""
+    return _reduce(_scaled(matrix))
+
+
+def _reduce(rows):
+    """Fraction-free Gauss-Jordan on a list of int rows, which it reorders
+    and replaces.
 
     Returns (rows, pivot_columns, det): the reduced row echelon form is
     rows / det, where det is the last pivot, so each pivot row carries det
     in its pivot column. Every division by the previous pivot is exact:
-    by Sylvester's identity each entry is a minor of the scaled matrix.
+    by Sylvester's identity each entry is a minor of the int matrix.
     """
-    rows = [over_lcm([x.as_integer_ratio() for x in r])[1] for r in matrix]
     det = 1
     pivots = []
     for c in range(len(rows[0]) if rows else 0):
@@ -89,11 +101,18 @@ def solve(matrix, rhs):
 
 
 def null_space(matrix):
-    """Canonical basis of the kernel, integer-normalized."""
-    if not matrix:
+    """Canonical basis of the kernel, integer-normalized: _int_null_space
+    of the rows scaled to integers, as Fractions."""
+    return [[Fraction(n) for n in vec] for vec in _int_null_space(_scaled(matrix))]
+
+
+def _int_null_space(rows):
+    """Canonical basis of the kernel of an int matrix, one primitive int
+    row per free column, each with its first nonzero entry positive."""
+    if not rows:
         return []
-    reduced, pivots, det = _eliminate(matrix)
-    ncols = len(matrix[0])
+    ncols = len(rows[0])
+    reduced, pivots, det = _reduce(list(rows))
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for f in free:
@@ -101,7 +120,7 @@ def null_space(matrix):
         vec[f] = det
         for row, c in zip(reduced, pivots):
             vec[c] = -row[f]
-        basis.append([Fraction(n) for n in _primitive(vec)])
+        basis.append(_primitive(vec))
     return basis
 
 

@@ -54,6 +54,14 @@ to these. The library's projection onto a jump measure,
 check_compensator_abs_continuity and single_jump_coefficient called _weigh
 too, and take their means from _means as well; so did _moment_sums, which
 integral_reference now keeps with the kernel's per-sub-atom tests.
+
+random_basis, undersized_basis and random_positive_martingale are the fuzz
+generators as they drew on Fractions: each node's draws centred on the
+branch probabilities and ranked as Fraction rows, the values accumulated
+per node and built through Process.from_node_values, and the price a Doob
+martingale of Fraction ratios scaled by its initial value. The library
+centres and normalises the same draws on int masses; test_fuzz holds it to
+these, slice for slice.
 """
 
 from __future__ import annotations
@@ -75,8 +83,12 @@ from filtration_lab.calculus import (
 )
 from filtration_lab.constraint import AccessibleSlot
 from filtration_lab.enlargement import g_star_consistency
-from filtration_lab.errors import DimensionMismatch, NotIncreasing
-from filtration_lab.fuzz import random_jump_function, rng_for
+from filtration_lab.errors import (
+    DegeneratePartition,
+    DimensionMismatch,
+    NotIncreasing,
+)
+from filtration_lab.fuzz import random_jump_function, rng_for, widest_branching
 from filtration_lab.linalg import null_space, rank
 from filtration_lab.rationals import gathered, over_common_denominator, over_lcm
 from filtration_lab.representation import MrpReport
@@ -451,3 +463,71 @@ def multiplier_holds_by_atom(phi: Process, steps, x: Process, filtration) -> boo
                    for s, row in zip(sums, rows)):
                 return False
     return True
+
+
+# --- the fuzz generators on Fractions ---------------------------------------
+
+ZERO = Fraction(0)
+
+
+def _centered_rows(rng, probs, d):
+    """d random rows over the children, centered to conditional mean zero."""
+    rows = []
+    for _ in range(d):
+        draw = [Fraction(rng.randint(-3, 3)) for _ in probs]
+        mean = sum((q * v for q, v in zip(probs, draw)), start=ZERO)
+        rows.append([v - mean for v in draw])
+    return rows
+
+
+def _accumulate_basis(tree, rng, d, require_full_rank):
+    node_values = {tree.root.id: tuple([ZERO] * d)}
+    for t in range(1, tree.horizon + 1):
+        for parent in tree.nodes_at[t - 1]:
+            children = parent.children
+            probs = [child.branch_prob for child in children]
+            while True:
+                rows = _centered_rows(rng, probs, d)
+                if not require_full_rank or rank(rows) == len(children) - 1:
+                    break
+            base = node_values[parent.id]
+            for k, child in enumerate(children):
+                node_values[child.id] = tuple(
+                    base[j] + rows[j][k] for j in range(d))
+    return Process.from_node_values(tree, node_values, dim=d)
+
+
+def random_basis(tree, rng, d=None) -> Process:
+    """Martingale driver with the representation property by construction.
+
+    Per node the centered child increments are redrawn until they span the
+    mean-zero hyperplane, so the rank test holds everywhere. d defaults to
+    the widest branching minus one and may not be smaller.
+    """
+    widest = widest_branching(tree)
+    if d is None:
+        d = max(1, widest - 1)
+    if d < widest - 1:
+        raise DimensionMismatch(
+            f"dimension {d} cannot span {widest}-fold branching")
+    return _accumulate_basis(tree, rng, d, require_full_rank=True)
+
+
+def undersized_basis(tree, rng) -> Process:
+    """Driver two dimensions short of the widest branching.
+
+    The rank test must then fail at every widest node: d rows can never
+    reach rank d + 1."""
+    widest = widest_branching(tree)
+    if widest < 3:
+        raise DegeneratePartition(
+            "undersized driver needs a node with at least 3 children")
+    return _accumulate_basis(tree, rng, widest - 2, require_full_rank=False)
+
+
+def random_positive_martingale(tree, rng) -> Process:
+    """Strictly positive martingale normalized to start at 1."""
+    terminal = [Fraction(rng.randint(1, 6), rng.randint(1, 6))
+                for _ in range(tree.n_leaves)]
+    x = Process.doob(tree, terminal)
+    return x.scale(1 / x.initial()[0])

@@ -71,7 +71,6 @@ from filtration_lab.enlargement import (
     OPTIMAL,
     Deflator,
     DeflatorSearch,
-    KernelCertificate,
     MultiplierSolution,
     _require_positive,
 )
@@ -940,6 +939,33 @@ def _moment_sums(x: Process, t: int, atom):
     width = len(sums)
     return (scale, sums, cov_den,
             [flat[g * width:(g + 1) * width] for g in range(width)])
+
+
+@dataclass(frozen=True)
+class KernelCertificate:
+    """The kernel certificate with Fraction fields, as covariance_kernel
+    built it before the certificate was held on ints."""
+    time: int
+    atom: str
+    matrix: tuple
+    kernel_basis: tuple
+    claimed_basis: tuple
+    kernel_matches: bool
+    j: tuple
+    holds: bool
+
+
+MATRIX_FIELDS = ("matrix", "kernel_basis", "claimed_basis", "j")
+
+
+def certificate_fields(certificate) -> tuple:
+    """Every field of a kernel certificate as read, views included, each
+    entry of a matrix field paired with its type: a library certificate
+    then equals the reference's field for field, Fraction for Fraction."""
+    return tuple(
+        tuple(tuple((type(v), v) for v in row) for row in getattr(certificate, name))
+        if name in MATRIX_FIELDS else getattr(certificate, name)
+        for name in ("time", "atom", *MATRIX_FIELDS, "kernel_matches", "holds"))
 
 
 def covariance_kernel(enlargement_like, basis, time: int,

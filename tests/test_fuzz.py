@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction as F
 
+import check_reference as ref
 import pytest
 from draws import random_martingale
 
@@ -254,3 +255,42 @@ def test_jump_function_matches_fraction_draws(seed):
                 [(t, table[0], list(table[1].items()))
                  for t, table in old._tables.items()]
             assert new_rng.random() == old_rng.random()
+
+
+def same_slices(new_rng, old_rng, new, old):
+    """The int generator and the Fraction one give one process, slice for
+    slice, and leave the stream at the same point."""
+    return ((new.dim, new.parts, new.dens, new.nums)
+            == (old.dim, old.parts, old.dens, old.nums)
+            and new_rng.random() == old_rng.random())
+
+
+def generators_agree(tree, seed, d=None):
+    """random_basis, undersized_basis where the tree is wide enough, and
+    random_positive_martingale against the Fraction routes."""
+    pairs = [(lambda rng: random_basis(tree, rng, d),
+              lambda rng: ref.random_basis(tree, rng, d), "basis"),
+             (lambda rng: random_positive_martingale(tree, rng),
+              lambda rng: ref.random_positive_martingale(tree, rng), "price")]
+    if widest_branching(tree) >= 3:
+        pairs.append((lambda rng: undersized_basis(tree, rng),
+                      lambda rng: ref.undersized_basis(tree, rng), "under"))
+    for new_of, old_of, label in pairs:
+        new_rng, old_rng = rng_for(seed, label), rng_for(seed, label)
+        if not same_slices(new_rng, old_rng, new_of(new_rng), old_of(old_rng)):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("seed", range(300))
+def test_generators_match_fraction_routes(seed):
+    """On random_scenario's tree, whose W and S are drawn from the basis
+    and price streams checked here."""
+    assert generators_agree(random_scenario(seed).tree, seed)
+
+
+@pytest.mark.parametrize("shape", [(2, 7, 1), (5, 3, 4), (2, 10, 1), (3, 5, 2)])
+def test_generators_match_fraction_routes_on_full_trees(shape):
+    """The benchmark's four full-tree shapes, with their driver dimension."""
+    branching, horizon, d = shape
+    assert generators_agree(full_tree(branching, horizon), 0, d)

@@ -648,7 +648,7 @@ def test_kernel_certificates_match_reference(seed):
         for wit in rebuilt.witnesses:
             new = covariance_kernel(filtration, rebuilt, wit.time, wit.atom)
             old = ref.covariance_kernel(filtration, rebuilt, wit.time, wit.atom)
-            assert new == old
+            assert ref.certificate_fields(new) == ref.certificate_fields(old)
 
 
 # --- predictable processes from int cells -----------------------------------

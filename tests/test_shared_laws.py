@@ -78,8 +78,8 @@ def test_kernel_certificates_match_the_per_witness_reference(scenario,
         for wit in rebuilt.witnesses:
             new = covariance_kernel(filtration, rebuilt, wit.time, wit.atom)
             assert new.atom == wit.atom
-            assert new == ref.covariance_kernel(filtration, rebuilt,
-                                                wit.time, wit.atom)
+            old = ref.covariance_kernel(filtration, rebuilt, wit.time, wit.atom)
+            assert ref.certificate_fields(new) == ref.certificate_fields(old)
     # one law per time, shared by every node at that time
     assert frames[0] == scenario.tree.horizon < len(rebuilt.witnesses)
 
