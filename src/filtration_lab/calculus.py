@@ -20,9 +20,10 @@ time 0 are null by convention.
 An operation on several slices works on their meet, which is one of them
 when it refines the others, brings them to the lcm of their denominators
 and computes each result cell once per block. Jump measures, compensators
-and jump functions are stored once, on ints keyed by the tree's location
-ids, and read as Fractions on request. A jump measure is its jump index,
-JumpMeasure.locs: per time, one location id or None per time-t node.
+and jump functions are stored once, on ints keyed by each jump location's
+reduced int cell (den, nums), and read as Fractions on request. A jump
+measure is its jump index, JumpMeasure.locs: per time, one location cell or
+None per time-t node.
 Readers that take jumps per conditioning atom go through _jump_cut, on the
 meet of the flow's time-(t-1) atoms with the time-t nodes. Each measure
 memoizes its compensators per filtration; no star integral is kept. Both
@@ -72,6 +73,7 @@ from .rationals import (
     over_common_denominator,
     over_lcm,
     reduced,
+    reduced_cell,
     to_fraction,
 )
 from .tree import FilteredTree, Filtration, _flow_on, _means, as_filtration
@@ -590,8 +592,8 @@ class JumpMeasure:
 
     Support: the time-t nodes (t >= 1) where the increment is a nonzero
     vector. The measure holds only locs, the one jump index: per time t, per
-    time-t node in node order, the increment's id in the tree's location
-    pool, or None off the support. Readers go through locs or _jump_cut.
+    time-t node in node order, the increment's reduced cell (den, nums), or
+    None off the support. Readers go through locs or _jump_cut.
     """
 
     def __init__(self, tree: FilteredTree, dim: int, locs):
@@ -601,7 +603,7 @@ class JumpMeasure:
     @property
     def support(self) -> dict:
         """{support node id: location vector} in time, then node order."""
-        return {node.id: self.tree.locations[loc] for nodes, locs
+        return {node.id: as_fractions(*loc) for nodes, locs
                 in zip(self.tree.nodes_at, self.locs)
                 for node, loc in zip(nodes, locs) if loc is not None}
 
@@ -617,7 +619,7 @@ class JumpMeasure:
     def jump_at(self, t, leaf):
         """Location if (t, leaf) sits under a support node, else None."""
         loc = self.locs[t][self.tree.base_filtration().parts[t].block_of[leaf]]
-        return None if loc is None else self.tree.locations[loc]
+        return None if loc is None else as_fractions(*loc)
 
     def compensator(self, filtration_like) -> "CompensatorTable":
         filtration = _flow_on(self.tree, filtration_like)
@@ -627,20 +629,28 @@ class JumpMeasure:
 
 
 def jump_measure(x: Process) -> JumpMeasure:
-    """x's jumps, each nonzero Delta X_t cell pooled by its int cell."""
+    """x's jumps, each nonzero Delta X_t cell held as its reduced cell, one
+    cell object per distinct location."""
     if not x.is_adapted(x.tree):
         raise NotPredictable("jump measure needs a base-adapted process")
-    tree, locs = x.tree, [(None,)]
+    tree, locs, seen = x.tree, [(None,)], {}
     for t in range(1, tree.horizon + 1):
         part, den, nums = x._delta(t)
-        incs = [nums[part.block_of[node.leaf_lo]] for node in tree.nodes_at[t]]
-        locs.append(tuple([tree._intern(den, c) if any(c) else None for c in incs]))
+        row = []
+        for node in tree.nodes_at[t]:
+            inc = nums[part.block_of[node.leaf_lo]]
+            if any(inc):
+                cell = reduced_cell(den, inc)
+                row.append(seen.setdefault(cell, cell))
+            else:
+                row.append(None)
+        locs.append(tuple(row))
     return JumpMeasure(tree, x.dim, locs)
 
 
 def _jump_cut(mu: JumpMeasure, filtration: Filtration, t):
     """The meet of the flow's time-(t-1) atoms with the time-t nodes, and
-    per block of it the atom's index and the node's location id."""
+    per block of it the atom's index and the node's location cell."""
     atoms, nodes = filtration.parts[t - 1], mu.tree.base_filtration().parts[t]
     cut = mu.tree.meet(atoms, nodes)
     return cut, cut.index_in(atoms), cut.lift(nodes, mu.locs[t])
@@ -649,7 +659,7 @@ def _jump_cut(mu: JumpMeasure, filtration: Filtration, t):
 class CompensatorTable:
     """Conditional jump law per (time, conditioning atom).
 
-    laws[(t, atom label)] is (atom mass, ((location id, mass), ...)), the
+    laws[(t, atom label)] is (atom mass, ((location cell, mass), ...)), the
     int masses inside the atom at t-1 of the time-t support nodes added per
     location, in node-label order: nu({t} x {v} | atom) is v's mass over the
     atom's. entries, charged and prob read it as Fractions.
@@ -662,7 +672,7 @@ class CompensatorTable:
         for t in range(1, measure.tree.horizon + 1):
             nodes, locs = measure.tree.base_filtration().parts[t], measure.locs[t]
             for atom in filtration.atoms(t - 1):
-                masses: dict[int, int] = {}  # per location id
+                masses: dict[tuple, int] = {}  # per location cell
                 for k, m in sorted(nodes.pieces(atom),
                                    key=lambda piece: nodes.atoms[piece[0]].label):
                     if locs[k] is not None:
@@ -673,18 +683,16 @@ class CompensatorTable:
     @property
     def entries(self) -> dict[tuple[int, str], dict[tuple, Fraction]]:
         """{(t, atom label): {location vector: probability}}, in law order."""
-        locations = self.measure.tree.locations
-        return {key: {locations[loc]: Fraction(m, mass) for loc, m in law}
+        return {key: {as_fractions(*loc): Fraction(m, mass) for loc, m in law}
                 for key, (mass, law) in self.laws.items()}
 
     def charged(self, t, atom_label):
         _, law = self.laws.get((t, atom_label), (1, ()))
-        return sorted(self.measure.tree.locations[loc] for loc, _ in law)
+        return sorted(as_fractions(*loc) for loc, _ in law)
 
     def prob(self, t, atom_label, value) -> Fraction:
         mass, law = self.laws.get((t, atom_label), (1, ()))
-        loc, _ = self.measure.tree._lookup(value)
-        return Fraction(dict(law).get(loc, 0), mass)
+        return Fraction(dict(law).get(as_cell(value), 0), mass)
 
 
 def compensate_measure(mu: JumpMeasure, filtration_like) -> CompensatorTable:
@@ -699,21 +707,18 @@ class JumpFunction:
     t-1, which is how the function stays predictable in its first slot. A
     table anchored to the base filtration can be integrated under any
     enlargement unchanged. Per time t it holds (den, {(atom label, location
-    id): numerator}); entries and value read it as Fractions.
+    cell): numerator}); entries and value read it as Fractions.
     """
 
     def __init__(self, filtration: Filtration, entries: dict):
         """entries: {(t, atom label, location vector): value}."""
-        # every entry is coerced before any location is pooled
-        cells = [(t, label, as_cell(value), to_fraction(g).as_integer_ratio())
-                 for (t, label, value), g in entries.items()]
-        intern = filtration.tree._intern
-        self._fill(filtration, [((t, label, intern(*cell)), ratio)
-                                for t, label, cell, ratio in cells])
+        self._fill(filtration, [
+            ((t, label, as_cell(value)), to_fraction(g).as_integer_ratio())
+            for (t, label, value), g in entries.items()])
 
     @classmethod
     def _from_ratios(cls, filtration: Filtration, items):
-        """Trusted build from ((t, atom label, location id), (num, den))
+        """Trusted build from ((t, atom label, location cell), (num, den))
         pairs, each den positive."""
         self = cls.__new__(cls)
         self._fill(filtration, items)
@@ -734,9 +739,8 @@ class JumpFunction:
         """Tabulate fn(t, location) on every point charged by mu or its
         compensator under the given filtration."""
         filtration = as_filtration(filtration_like)
-        locations = mu.tree.locations
         return cls._from_ratios(filtration, [
-            ((t, label, loc), to_fraction(fn(t, locations[loc])).as_integer_ratio())
+            ((t, label, loc), to_fraction(fn(t, as_fractions(*loc))).as_integer_ratio())
             for (t, label), (_, law) in mu.compensator(filtration).laws.items()
             for loc, _ in law])
 
@@ -748,34 +752,28 @@ class JumpFunction:
     @property
     def entries(self) -> dict[tuple[int, str, tuple], Fraction]:
         """{(t, atom label, location vector): value}."""
-        locations = self.filtration.tree.locations
-        return {(t, label, locations[loc]): Fraction(num, den)
+        return {(t, label, as_fractions(*loc)): Fraction(num, den)
                 for t, (den, nums) in self._tables.items()
                 for (label, loc), num in nums.items()}
 
     def _numerator(self, t, label, loc) -> int:
-        """g at (t, atom label, location id), over the time-t denominator."""
+        """g at (t, atom label, location cell), over the time-t denominator."""
         num = self._tables.get(t, (1, {}))[1].get((label, loc))
         if num is None:
             raise self._missing(t, label, loc)
         return num
 
-    def _missing(self, t, label, loc, location=None) -> IncompleteFunctionTable:
-        """The refusal of a read at (t, atom label, location id) that the
-        table does not hold; location is the vector, read from the pool
-        when not given."""
-        if location is None:
-            location = self.filtration.tree.locations[loc]
+    def _missing(self, t, label, loc) -> IncompleteFunctionTable:
+        """The refusal of a read at (t, atom label, location cell) that the
+        table does not hold."""
         return IncompleteFunctionTable(
-            f"no entry at time {t}, atom {label}, location {location}")
+            f"no entry at time {t}, atom {label}, location {as_fractions(*loc)}")
 
     def value(self, t, leaf, location) -> Fraction:
         """g at time t on the path through the leaf, read on its time-(t-1)
         atom of the anchoring filtration."""
-        loc, vector = self.filtration.tree._lookup(location)
+        loc = as_cell(location)
         label = self.filtration.conditioning_atom_of(t, leaf).label
-        if loc is None:
-            raise self._missing(t, label, loc, vector)
         return Fraction(self._numerator(t, label, loc), self._tables[t][0])
 
 

@@ -54,7 +54,6 @@ from .enlargement import (
     covariance_kernel,
     default_viability_family,
     g_star_consistency,
-    max_abs_increment,
     solve_drift_multiplier,
     verify_drift_multiplier,
     verify_fbd,
@@ -175,16 +174,22 @@ def _run_reconstruct(ctx: CheckContext):
     joint = check_mrp(combined)
     disjoint = slot_events_disjoint(mu, cs)
     x = rebuilt.process
-    # the bound the 1/2^t class weights promise, |Delta X_t| < 1/2^t, on ints
-    within = all(2 ** t * max(abs(c) for inc in x._delta(t)[2] for c in inc)
-                 < x._delta(t)[1] for t in range(1, x.tree.horizon + 1))
+    # the bound the 1/2^t class weights promise, |Delta X_t| < 1/2^t, and
+    # the largest |Delta X_t| entry as (num, den), in one scan on ints
+    within, num, den = True, 0, 1
+    for t in range(1, x.tree.horizon + 1):
+        _, d, incs = x._delta(t)
+        m = max(abs(c) for inc in incs for c in inc)
+        within = within and 2 ** t * m < d
+        if m * den > num * d:
+            num, den = m, d
     ok = joint.holds and disjoint and within
     return ok, {
         "d": rebuilt.d,
         "components": combined.dim,
         "joint_mrp": joint.holds,
         "events_disjoint": disjoint,
-        "class_increment_bound": max_abs_increment(x),
+        "class_increment_bound": ratio_text(num, den),
     }
 
 

@@ -25,15 +25,18 @@ verdict is its own component's earliest divergence. The star-to-dot check
 converts its five samples as one stack. The public single-g forms are the
 width-1 calls, each building its own star side; the processes share
 vectors across leaves.
-Menus and class locations are held as the tree's location ids, and every
-computation here reads them by id, on ints, each gauge from the location's
-pooled int cell; a slot's location vector is read from the pool by id.
+Menus and class locations are held as each location's reduced int cell
+(den, nums), and every computation here reads them on ints, each gauge from
+the cell; a menu lists its cells in the lexicographic order of their
+vectors, compared on ints over the lcm of the menu's denominators. A slot's
+location vector is a Fraction view built when read.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .calculus import (
     JumpFunction,
@@ -57,7 +60,7 @@ from .errors import (
     VanishingWeight,
 )
 from .linalg import right_inverse, solve
-from .rationals import as_cell, as_fractions, over_lcm, to_fraction
+from .rationals import as_cell, as_fractions, over_lcm, ratio_text, to_fraction
 from .tree import StoppingTime, as_filtration
 
 ZERO = Fraction(0)
@@ -77,19 +80,25 @@ def _gauge(den, nums):
     return min(sum(map(abs, nums)), den), den
 
 
+def _lex_sorted(cells):
+    """Distinct location cells in the lexicographic order of their vectors,
+    compared on ints over the lcm of their denominators."""
+    big = lcm(*[den for den, _ in cells])
+    return sorted(cells, key=lambda cell: [n * (big // cell[0]) for n in cell[1]])
+
+
 class ConstraintSystem:
     """Per-atom menus of jump locations with a uniform slot count.
 
-    Menus are held as the tree's location ids, None on empty slots so that
-    n stays uniform across atoms, with each slot's l1_gauge as an int ratio
-    (num, den) from the pooled int cell, (0, 1) on empty slots. slots maps
-    (t, conditioning atom label) to the n-tuple of vectors those ids name.
+    Menus are held as location cells, None on empty slots so that n stays
+    uniform across atoms, with each slot's l1_gauge as an int ratio (num,
+    den) from the cell, (0, 1) on empty slots. slots maps (t, conditioning
+    atom label) to the n-tuple of vectors those cells hold, built when read.
     """
 
     def __init__(self, filtration, dim, n, slots):
         filtration = as_filtration(filtration)
-        # every entry is coerced, then every row tested, before any location
-        # is pooled; a cell is reduced, so equal vectors have equal cells
+        # a cell is reduced, so equal vectors have equal cells
         cells = {key: [None if value is None else as_cell(value) for value in values]
                  for key, values in slots.items()}
         atoms = {(t, atom.label) for t, part in enumerate(filtration.parts[:-1], 1)
@@ -112,54 +121,50 @@ class ConstraintSystem:
                 if cell in row[:k]:
                     raise ConstraintMismatch(f"menu at {key} lists the location "
                                              f"{as_fractions(*cell)} twice")
-        intern = filtration.tree._intern
-        self._fill(filtration, dim, n, {
-            key: tuple(None if cell is None else intern(*cell) for cell in row)
-            for key, row in cells.items()})
+        self._fill(filtration, dim, n, cells)
 
     @classmethod
-    def _from_ids(cls, filtration, dim, n, menus):
-        """Build from menus of the tree's location ids, None on empty
-        slots, without hashing a location vector."""
+    def _from_cells(cls, filtration, dim, n, menus):
+        """Build from menus of reduced location cells, None on empty slots,
+        without a Fraction."""
         self = cls.__new__(cls)
         self._fill(filtration, dim, n, menus)
         return self
 
     def _fill(self, filtration, dim, n, menus):
-        """menus: {(t, label): n ids of distinct nonzero locations, or None}."""
-        tree = filtration.tree
+        """menus: {(t, label): n cells of distinct nonzero locations, or None}."""
         self.filtration, self.dim, self.n = filtration, dim, n
-        self.slots = {}
-        self._menus = {}  # per slot row: (location ids, gauges as int ratios)
-        self._index = {}  # per slot row: {location id: menu index}
-        for key, ids in menus.items():
-            self.slots[key] = tuple(None if loc is None else tree.locations[loc]
-                                    for loc in ids)
-            self._menus[key] = (tuple(ids), tuple(
-                (0, 1) if loc is None else _gauge(*tree.location_cells[loc])
-                for loc in ids))
-            self._index[key] = {loc: k for k, loc in enumerate(ids) if loc is not None}
+        self._menus = {}  # per slot row: (location cells, gauges as int ratios)
+        self._index = {}  # per slot row: {location cell: menu index}
+        for key, cells in menus.items():
+            self._menus[key] = (tuple(cells), tuple(
+                (0, 1) if cell is None else _gauge(*cell) for cell in cells))
+            self._index[key] = {cell: k for k, cell in enumerate(cells)
+                                if cell is not None}
         self._martingales: dict[JumpMeasure, Process] = {}
 
     def _menu(self, t, label):
-        """(location ids, gauges as int ratios) of the menu at (t, label)."""
+        """(location cells, gauges as int ratios) of the menu at (t, label)."""
         return self._menus.get((t, label)) or ((None,) * self.n, ((0, 1),) * self.n)
 
-    def _slot(self, t, label, loc, location=None):
-        """The menu index of location id loc at (t, label), or
-        ConstraintMismatch; location is the vector, read from the pool when
-        not given, and loc is None when the pool does not hold it."""
+    def _slot(self, t, label, loc):
+        """The menu index of location cell loc at (t, label), or
+        ConstraintMismatch."""
         k = self._index.get((t, label), {}).get(loc)
         if k is None:
-            if location is None:
-                location = self.filtration.tree.locations[loc]
             raise ConstraintMismatch(
-                f"location {location} at time {t}, "
+                f"location {as_fractions(*loc)} at time {t}, "
                 f"atom {label} is outside the constraint menu")
         return k
 
+    @property
+    def slots(self) -> dict:
+        """{(t, label): the n slot vectors, None on empty slots}."""
+        return {key: self.slot_values(*key) for key in self._menus}
+
     def slot_values(self, t, label):
-        return self.slots.get((t, label), tuple([None] * self.n))
+        return tuple([None if cell is None else as_fractions(*cell)
+                      for cell in self._menu(t, label)[0]])
 
     def slot_weights(self, t, label):
         """gauge_k(alpha_k) per slot at (t, label), 0 on empty slots."""
@@ -167,10 +172,10 @@ class ConstraintSystem:
 
     def slot_of(self, t, label, value):
         """The menu index of a location, or ConstraintMismatch."""
-        return self._slot(t, label, *self.filtration.tree._lookup(value))
+        return self._slot(t, label, as_cell(value))
 
     def integrand(self, coefficient) -> Process:
-        """Predictable H with H_k = coefficient(t, atom, id of alpha_k) /
+        """Predictable H with H_k = coefficient(t, atom, cell of alpha_k) /
         gauge_k(alpha_k) on nonempty slots and 0 elsewhere; coefficient
         gives an int ratio (num, den) with den > 0."""
         return self._integrand(1, lambda t, atom, loc: (coefficient(t, atom, loc),))
@@ -193,13 +198,14 @@ class ConstraintSystem:
     def as_table(self):
         """JSON-ready per-atom slot listing."""
         rows = []
-        for (t, label) in sorted(self.slots):
-            values = self.slots[(t, label)]
+        for (t, label) in sorted(self._menus):
+            cells = self._menus[(t, label)][0]
             rows.append({
                 "time": t,
                 "atom": label,
-                "values": [None if v is None else [str(c) for c in v]
-                           for v in values],
+                "values": [None if cell is None else
+                           [ratio_text(num, cell[0]) for num in cell[1]]
+                           for cell in cells],
             })
         return {"n": self.n, "dim": self.dim, "slots": rows}
 
@@ -211,11 +217,10 @@ def detect_fpcc(mu: JumpMeasure, filtration_like=None) -> ConstraintSystem:
     count over atoms and shorter menus keep trailing empty slots.
     """
     filtration = as_filtration(filtration_like or mu.tree)
-    locations = mu.tree.locations
-    menus = {key: sorted([loc for loc, _ in law], key=locations.__getitem__)
+    menus = {key: _lex_sorted([loc for loc, _ in law])
              for key, (_, law) in mu.compensator(filtration).laws.items()}
     n = max((len(m) for m in menus.values()), default=0)
-    return ConstraintSystem._from_ids(filtration, mu.dim, n, {
+    return ConstraintSystem._from_cells(filtration, mu.dim, n, {
         key: tuple(menu) + (None,) * (n - len(menu)) for key, menu in menus.items()})
 
 
@@ -292,7 +297,7 @@ def _star_to_dot(gs, mu: JumpMeasure, cs: ConstraintSystem):
 
 def _tables(gs) -> list:
     """Per time t >= 1, each jump function's time-t table as (den, {(atom
-    label, location id): numerator})."""
+    label, location cell): numerator})."""
     horizon = gs[0].filtration.tree.horizon
     return [None] + [[g._tables.get(t, (1, {})) for g in gs]
                      for t in range(1, horizon + 1)]
@@ -399,19 +404,6 @@ class AccessibleConversion:
     divergence: tuple | None
 
 
-def _leaf_index(tree, item):
-    if isinstance(item, bool):
-        raise PartitionNotMeasurable(f"leaf {item!r} is neither an index nor an id")
-    if isinstance(item, int):
-        if not 0 <= item < tree.n_leaves:
-            raise PartitionNotMeasurable(f"leaf index {item} out of range")
-        return item
-    index = tree.leaf_index(str(item))
-    if index is None:
-        raise PartitionNotMeasurable(f"unknown leaf id {item!r}")
-    return index
-
-
 def _normalize_slots(tree, slots):
     """Coerce taus, leaf sets and weights; pad class lists to a common count."""
     rows = []
@@ -424,7 +416,8 @@ def _normalize_slots(tree, slots):
         weight = to_fraction(slot.weight)
         if weight == 0:
             raise VanishingWeight("slot weight must be nonzero")
-        classes = tuple(frozenset(_leaf_index(tree, x) for x in cls)
+        classes = tuple(frozenset(tree._leaf_index(x, PartitionNotMeasurable)
+                                  for x in cls)
                         for cls in slot.classes)
         rows.append((tau, classes, weight))
     count = max((len(c) for _, c, _ in rows), default=0)
@@ -501,8 +494,8 @@ class _AccessiblePlan:
     """The g-independent side of an accessible conversion.
 
     cells[t] maps the label of each conditioning atom on a slot graph at t
-    to its class locations, as the tree's location ids (None where the
-    class does not jump), and the slot weight as an int ratio (num, den).
+    to its class locations, as location cells (None where the class does
+    not jump), and the slot weight as an int ratio (num, den).
     """
     cells: tuple
     martingales: Process
@@ -614,13 +607,13 @@ def value_slots_from_measure(mu: JumpMeasure, filtration_like=None):
         ranked, quiet = {}, set()  # rank of a location on its atom -> leaves
         children, node_of = filtration.parts[t], tree.base_filtration().parts[t].block_of
         for atom in filtration.atoms(t - 1):
-            # the atom's children, by the location id of their time-t node
-            groups: dict[int, set] = {}
+            # the atom's children, by the location cell of their time-t node
+            groups: dict[tuple, set] = {}
             for child in [children.atoms[k] for k, _ in children.pieces(atom)]:
                 loc = mu.locs[t][node_of[child.leaves[0]]]
                 groups.setdefault(loc, set()).update(child.leaves)
             quiet |= groups.pop(None, set())
-            for rank, loc in enumerate(sorted(groups, key=tree.locations.__getitem__)):
+            for rank, loc in enumerate(_lex_sorted(list(groups))):
                 ranked.setdefault(rank, set()).update(groups[loc])
         classes = [frozenset(ranked[k]) for k in range(len(ranked))]
         classes.append(frozenset(quiet))

@@ -51,11 +51,9 @@ from .errors import (
     NotStrictlyPositive,
 )
 from .linalg import _int_null_space
-from .rationals import gathered, over_lcm, to_fraction
+from .rationals import as_fractions, gathered, over_lcm, to_fraction
 from .representation import _require_representable
 from .tree import _flow_on, _means, as_filtration
-
-ZERO = Fraction(0)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -291,12 +289,14 @@ def check_full_viability(enlargement_like, family) -> ViabilityReport:
 
 
 def max_abs_increment(x: Process) -> Fraction:
-    best = ZERO
+    """The largest |Delta X_t| entry over t >= 1, compared on ints."""
+    num, den = 0, 1
     for t in range(1, x.tree.horizon + 1):
-        _, den, incs = x._delta(t)
-        best = max(best, Fraction(max((abs(c) for inc in incs for c in inc),
-                                      default=0), den))
-    return best
+        _, d, incs = x._delta(t)
+        m = max((abs(c) for inc in incs for c in inc), default=0)
+        if m * den > num * d:
+            num, den = m, d
+    return Fraction(num, den)
 
 
 def default_viability_family(w: Process):
@@ -697,7 +697,7 @@ def _law_identity(mu, enlargement_like):
     atom a of the larger flow.
 
     Each compensator law is held to a walk over the atom's leaves that adds
-    every leaf's int mass to the location id of its time-t node, with no
+    every leaf's int mass to the location cell of its time-t node, with no
     partition index read: the charged locations must agree, and each
     location's masses, cross-multiplied by the two atom masses (the law's
     and the sum of the atom's leaf masses). Returns (True, None) or (False,
@@ -711,7 +711,7 @@ def _law_identity(mu, enlargement_like):
     for t in range(1, tree.horizon + 1):
         locs, node_of = mu.locs[t], nodes[t].block_of
         for atom in filtration.parts[t - 1].atoms:
-            walk, total = {}, 0  # per location id; the atom's mass
+            walk, total = {}, 0  # per location cell; the atom's mass
             for leaf in atom.leaves:
                 m = leaf_mass[leaf]
                 total += m
@@ -723,6 +723,6 @@ def _law_identity(mu, enlargement_like):
             for loc in [*law, *[loc for loc in walk if loc not in law]]:
                 ours, theirs = law.get(loc), walk.get(loc)
                 if ours is None or theirs is None or ours * total != theirs * mass:
-                    return False, (t, atom.label, tree.locations[loc],
+                    return False, (t, atom.label, as_fractions(*loc),
                                    ours or 0, theirs or 0)
     return True, None

@@ -5,6 +5,10 @@ process slice holds one tuple of numerators per block over one denominator,
 and atom masses are ints over the tree's leaf denominator. Every value a
 caller sees is a fractions.Fraction, built from that form at the boundary.
 Floats are refused at every boundary so rounding can never leak in silently.
+
+A jump location is keyed by its reduced cell (den, nums): den > 0 and no
+prime divides den and every numerator, so equal vectors have equal cells.
+as_cell gives it for an outside vector and reduced_cell for an int one.
 """
 
 from __future__ import annotations
@@ -49,6 +53,12 @@ def as_cell(vector):
     """One vector of outside values, each coerced with to_fraction, as
     (den, nums) over the lcm of their denominators, reduced."""
     return over_lcm([to_fraction(c).as_integer_ratio() for c in vector])
+
+
+def reduced_cell(den, nums):
+    """One vector of numerators over den > 0 as its reduced cell (den, nums)."""
+    g = gcd(den, *nums)
+    return (den, nums) if g == 1 else (den // g, tuple([n // g for n in nums]))
 
 
 def over_lcm(ratios):

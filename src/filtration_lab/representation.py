@@ -344,12 +344,11 @@ def translate_integrand(h: Process, m: Process) -> Process:
         raise DimensionMismatch(f"integrand dim {h.dim}, process dim {m.dim}")
     if not h.is_predictable(cs.filtration):
         raise NotPredictable("integrand is not predictable")
-    cells = m.tree.location_cells
 
     def coefficient(t, atom, loc):
-        # <h, alpha> from h's int slice and the location's pooled cell
+        # <h, alpha> from h's int slice and the location's cell
         cell = h.nums[t][h.parts[t].block_of[atom.leaves[0]]]
-        den, alpha = cells[loc]
+        den, alpha = loc
         return sum(map(mul, cell, alpha)), h.dens[t] * den
 
     return cs.integrand(coefficient)

@@ -18,9 +18,10 @@ takes any atoms of one partition, reads that partition's atom index once
 per slice and lays the results out as one (scale, sums) cell per atom; the
 callers reduce once per output cell.
 
-Each tree interns the jump locations its measures and jump functions name as
-small ints, keyed by each location's reduced int cell (den, nums), and builds
-the location's Fraction vector once, beside its cell; it holds no process.
+A tree holds no process and no jump location: a location is keyed by its
+reduced int cell (den, nums), which rationals defines, wherever it is held.
+A leaf named by index or id is coerced by the one FilteredTree._leaf_index,
+which raises the error type its caller gives.
 
 Conventions used throughout the library: F_{t-} means F_{t-1} for t >= 1 and
 F_0 for t = 0; a process is predictable at t when it is F_{t-1}-measurable;
@@ -47,7 +48,7 @@ from .errors import (
     ProbabilitySumNotOne,
     TimeOutOfRange,
 )
-from .rationals import as_cell, over_common_denominator, reduced, to_fraction
+from .rationals import over_common_denominator, to_fraction
 
 ONE = Fraction(1)
 
@@ -221,7 +222,6 @@ class FilteredTree:
             self.nodes_at[node.time].append(node)
         self._base_filtration = None
         self._meets = {}
-        self.location_cells, self.locations, self._location_ids = [], [], {}  # pool
 
     def _preorder(self):
         """Nodes reachable from the root, depth first, children in order."""
@@ -268,32 +268,21 @@ class FilteredTree:
         node = self.nodes.get(leaf_id)
         return None if node is None or node.children else node.leaf_lo
 
-    def location_id(self, value) -> int:
-        """The id of a jump location vector, each entry coerced with
-        to_fraction, interned on first sight; locations[id] gives the
-        vector back as Fractions."""
-        return self._intern(*as_cell(value))
-
-    def _lookup(self, value):
-        """(id, vector as Fractions) of a jump location vector, coerced as
-        location_id coerces it, its as_cell already reduced; the id is None
-        when the pool does not hold it. A lookup pools nothing."""
-        cell = den, nums = as_cell(value)
-        loc = self._location_ids.get(cell)
-        if loc is None:
-            return None, tuple([Fraction(n, den) for n in nums])
-        return loc, self.locations[loc]
-
-    def _intern(self, den, nums) -> int:
-        """The id of the location nums / den, den > 0, interned on first
-        sight by its cell over the least den that clears it, gcd 1."""
-        den, (nums,) = reduced(den, (nums,))
-        cell = den, nums
-        hit = self._location_ids.setdefault(cell, len(self.locations))
-        if hit == len(self.locations):
-            self.location_cells.append(cell)
-            self.locations.append(tuple([Fraction(n, den) for n in nums]))
-        return hit
+    def _leaf_index(self, item, error) -> int:
+        """The index of a leaf named by its index or its id; any other item
+        raises error, the caller's exception type."""
+        if isinstance(item, bool) or not isinstance(item, (int, str)):
+            raise error(f"leaf {item!r} is neither a leaf index nor a leaf id")
+        if isinstance(item, int):
+            if not 0 <= item < self.n_leaves:
+                raise error(f"leaf index {item} out of range")
+            return item
+        node = self.nodes.get(item)
+        if node is None:
+            raise error(f"unknown leaf id {item!r}")
+        if node.children:
+            raise error(f"node {item!r} is not a leaf")
+        return node.leaf_lo
 
     def base_filtration(self) -> "Filtration":
         if self._base_filtration is None:
@@ -425,7 +414,8 @@ class Enlargement:
                 if not isinstance(cell, (list, tuple, set, frozenset)):
                     raise NotARefinement(
                         f"cell {cell!r} at time {t} is not a list of leaves")
-                idx = tuple(sorted(self._leaf_index(leaf) for leaf in cell))
+                idx = tuple(sorted(tree._leaf_index(leaf, NotARefinement)
+                                   for leaf in cell))
                 if not idx:
                     raise NotARefinement(f"empty cell in enlargement at time {t}")
                 cells.append(idx)
@@ -455,22 +445,6 @@ class Enlargement:
                 for leaf in cell:
                     prev_of[leaf] = k
         self._filtration = None
-
-    def _leaf_index(self, leaf) -> int:
-        if isinstance(leaf, bool) or not isinstance(leaf, (int, str)):
-            raise NotARefinement(
-                f"leaf {leaf!r} is neither a leaf index nor a leaf id")
-        if isinstance(leaf, int):
-            if not 0 <= leaf < self.tree.n_leaves:
-                raise NotARefinement(f"leaf index {leaf} out of range")
-            return leaf
-        try:
-            node = self.tree.nodes[leaf]
-        except KeyError:
-            raise NotARefinement(f"unknown leaf id {leaf!r}") from None
-        if node.time != self.tree.horizon:
-            raise NotARefinement(f"node {leaf!r} is not a leaf")
-        return node.leaf_lo
 
     @staticmethod
     def _check_partition(cells, n_leaves, t):

@@ -1,22 +1,23 @@
-"""The rank test, the compensator scan and the location pool on Fractions,
+"""The rank test, the compensator scan and the jump locations on Fractions,
 as the library had them.
 
 Test-only reference. check_mrp ranked each node's increments read through
 Process.increment, one Fraction per (component, child), and took the
 counterexample from the null space of those rows stacked with the branch
 probabilities. compensator_scan built both compensators as processes, for
-the base flow and for the larger one, and compared their increments. The
-tree's location pool was keyed by Fraction vectors (interned_ids), and each
-menu gauge was taken from the vector (gauge). The library now works on
-Delta W's and Delta A's int slices and pools each location by its int
-cell; test_check_reference holds it to these functions on the fuzz corpus.
+the base flow and for the larger one, and compared their increments. Each
+location was a Fraction vector, its cell the vector over the lcm of its
+denominators (cell), and each menu gauge was taken from the vector (gauge).
+The library now works on Delta W's and Delta A's int slices and keys each
+location by its reduced int cell; test_check_reference holds it to these
+functions on the fuzz corpus.
 
-The jump measure was a {support node id: location id} dict (jump_ids), and
+The jump measure was a {support node id: location cell} dict (jump_ids), and
 each reader walked it on its own: the compensator laws per atom's node
 pieces, the slot martingales, the star integral over the meet of three
 partitions, the projection per atom's cut, the value slots and the jump
 counter through each block's time-t node. The library reads one location
-id per time-t node (JumpMeasure.locs); test_jump_index holds it to these.
+cell per time-t node (JumpMeasure.locs); test_jump_index holds it to these.
 
 star_integral_by_entry is star_integral as it read g one entry at a time,
 through JumpFunction._numerator per (conditioning atom, charged location)
@@ -90,7 +91,13 @@ from filtration_lab.errors import (
 )
 from filtration_lab.fuzz import random_jump_function, rng_for, widest_branching
 from filtration_lab.linalg import null_space, rank
-from filtration_lab.rationals import gathered, over_common_denominator, over_lcm
+from filtration_lab.rationals import (
+    as_fractions,
+    gathered,
+    over_common_denominator,
+    over_lcm,
+    reduced_cell,
+)
 from filtration_lab.representation import MrpReport
 from filtration_lab.tree import as_filtration
 
@@ -147,11 +154,11 @@ def compensator_scan(a: Process, enlargement_like):
     return True, None
 
 
-def interned_ids(pool, vectors):
-    """The id of each vector in a pool keyed by Fraction vectors, holding
-    pool's vectors first and interning the new ones in order."""
-    ids = {vector: k for k, vector in enumerate(pool)}
-    return [ids.setdefault(vector, len(ids)) for vector in vectors]
+def cell(vector):
+    """The cell of a Fraction location vector: the lcm of its denominators
+    and its entries over it."""
+    den = lcm(*[c.denominator for c in vector])
+    return den, tuple([int(c * den) for c in vector])
 
 
 def gauge(vector):
@@ -161,24 +168,24 @@ def gauge(vector):
     return min(sum(map(abs, nums)), den), den
 
 
-# --- the jump measure as a {support node id: location id} dict --------------
+# --- the jump measure as a {support node id: location cell} dict ------------
 
 def jump_ids(x: Process) -> dict:
-    """jump_measure's walk: each support node's location id, in time, then
-    node order, interned in that order."""
+    """jump_measure's walk: each support node's reduced location cell, in
+    time, then node order."""
     tree, jumps = x.tree, {}
     for t in range(1, tree.horizon + 1):
         part, den, nums = x._delta(t)
         for node in tree.nodes_at[t]:
             inc = nums[part.block_of[node.leaf_lo]]
             if any(inc):
-                jumps[node.id] = tree._intern(den, inc)
+                jumps[node.id] = reduced_cell(den, inc)
     return jumps
 
 
 def laws(tree, jumps, filtration) -> dict:
     """CompensatorTable.laws: per atom, the masses of its node pieces added
-    per location id, in node-label order."""
+    per location cell, in node-label order."""
     out = {}
     for t in range(1, tree.horizon + 1):
         nodes = tree.base_filtration().parts[t]
@@ -305,7 +312,7 @@ def value_slots_from_measure(tree, jumps, filtration) -> list:
                 loc = jumps.get(tree.node_at(t, child.leaves[0]).id)
                 groups.setdefault(loc, set()).update(child.leaves)
             quiet |= groups.pop(None, set())
-            for rank, loc in enumerate(sorted(groups, key=tree.locations.__getitem__)):
+            for rank, loc in enumerate(sorted(groups, key=lambda c: as_fractions(*c))):
                 ranked.setdefault(rank, set()).update(groups[loc])
         classes = [frozenset(ranked[k]) for k in range(len(ranked))]
         classes.append(frozenset(quiet))

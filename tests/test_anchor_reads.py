@@ -15,7 +15,7 @@ under each enlargement, with g anchored on the base and on the flow:
   against Y, and the whole conversion, match the per-leaf references.
 
 One star-to-dot check on the deep-binary shape normalizes its slot list
-once, so constraint._leaf_index runs at most 896 times (4,480 when each of
+once, so FilteredTree._leaf_index runs at most 896 times (4,480 when each of
 the five samples normalized it), and reads g with no call to
 Filtration.conditioning_atom_of or JumpFunction._numerator (2,540 and 7,620
 before).
@@ -37,7 +37,7 @@ from filtration_lab.constraint import (
     value_slots_from_measure,
 )
 from filtration_lab.fuzz import random_jump_function, random_scenario, rng_for
-from filtration_lab.tree import Filtration
+from filtration_lab.tree import FilteredTree, Filtration
 
 
 def same_slices(a: Process, b: Process) -> bool:
@@ -108,9 +108,8 @@ def test_star_to_dot_check_reads_g_by_anchor_label(monkeypatch):
         return counted
 
     ctx = CheckContext(shaped(SHAPES[0], monkeypatch), 0, "run")
-    monkeypatch.setattr(constraint, "_leaf_index",
-                        counting("_leaf_index", constraint._leaf_index))
-    for cls, name in ((Filtration, "conditioning_atom_of"),
+    for cls, name in ((FilteredTree, "_leaf_index"),
+                      (Filtration, "conditioning_atom_of"),
                       (JumpFunction, "_numerator")):
         monkeypatch.setattr(cls, name, counting(name, getattr(cls, name)))
     assert run_check(ctx, "star-to-dot")["status"] == "pass"

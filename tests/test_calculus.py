@@ -246,7 +246,7 @@ class TestStarIntegral:
             star_integral(g, mu, bin1)
 
     def test_function_from_another_tree_is_refused(self):
-        # location ids are per tree, so a twin tree's table cannot be read
+        # a table is read on its own tree's atoms, so a twin tree's is refused
         tree, twin = (random_tree(2, horizon=2, max_branching=3) for _ in "ab")
         x = random_martingale(tree, rng_for(2, "twin"))
         mu = jump_measure(x)

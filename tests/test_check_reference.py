@@ -7,7 +7,7 @@ scenario's driver, a wider draw, the driver stacked on itself, the
 reconstructed family and every undersized_basis probe), and the same
 verdict and witness for the scan on the jump counter and on
 random_increasing draws under every flow, raising the same errors in the
-same order. For every basis, the measure's support, location ids and menu
+same order. For every basis, the measure's support, location cells and menu
 gauges under every flow must be those of the Fraction vectors.
 """
 
@@ -23,6 +23,7 @@ from filtration_lab import (
 from filtration_lab.cli import CheckContext, _jump_counter
 from filtration_lab.constraint import ConstraintSystem, detect_fpcc
 from filtration_lab.errors import DegeneratePartition
+from filtration_lab.rationals import as_cell
 from filtration_lab.fuzz import (
     random_basis,
     random_increasing,
@@ -115,25 +116,28 @@ def test_refusals_match_in_order(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_pooled_locations_match_the_fraction_route(seed):
-    """The support is the nonzero increment vectors in node order; its ids
-    are those a Fraction-keyed pool gives, and location_id gives them too;
-    every menu gauge, of detect_fpcc's systems and of systems built from
-    their reversed vectors, is the one taken from the vector."""
+    """The support is the nonzero increment vectors in node order; each
+    location cell is the reduced Fraction vector's, and as_cell gives it
+    too; detect_fpcc lists each menu in ascending vector order, and every
+    menu gauge, of its systems and of systems built from their reversed
+    vectors, is the one taken from the vector."""
     scenario = random_scenario(seed)
     tree = scenario.tree
     flows = [tree, *(e for _, e in sorted(scenario.enlargements.items()))]
     for w in bases(scenario, seed):
-        pool = list(tree.locations)
         mu = jump_measure(w)
         jumps = {node.id: w.increment(t, node.leaf_lo)
                  for t in range(1, tree.horizon + 1) for node in tree.nodes_at[t]
                  if any(w.increment(t, node.leaf_lo))}
         assert list(mu.support.items()) == list(jumps.items())
-        ids = [loc for locs in mu.locs for loc in locs if loc is not None]
-        assert ids == ref.interned_ids(pool, jumps.values())
-        assert [tree.location_id(v) for v in jumps.values()] == ids
+        cells = [loc for locs in mu.locs for loc in locs if loc is not None]
+        assert cells == [ref.cell(v) for v in jumps.values()]
+        assert [as_cell(v) for v in jumps.values()] == cells
         for flow in flows:
             found = detect_fpcc(mu, flow)
+            for values in found.slots.values():  # in the vectors' order
+                listed = [v for v in values if v is not None]
+                assert listed == sorted(listed)
             reversed_cs = ConstraintSystem(
                 found.filtration, found.dim, found.n,
                 {key: tuple(reversed(menu)) for key, menu in found.slots.items()})
@@ -141,7 +145,6 @@ def test_pooled_locations_match_the_fraction_route(seed):
                 for key, values in cs.slots.items():
                     assert cs._menus[key][1] == tuple(
                         (0, 1) if v is None else ref.gauge(v) for v in values)
-        assert tree.locations[:len(pool)] == pool
 
 
 def test_corpus_reaches_every_branch():

@@ -1,4 +1,4 @@
-"""Computations run on ints and location ids, with no Fraction inside.
+"""Computations run on ints and location cells, with no Fraction inside.
 
 Fraction construction is counted through a patched Fraction.__new__ on the
 deep-binary benchmark shape (a full binary tree of horizon 7, driver of
@@ -11,8 +11,7 @@ On that shape and on fuzz seed 30 (three-way branching, two flows), with
 Fraction.__hash__ and Fraction.__eq__ patched too, the rank test, the
 compensator scan and the constraint-menu reads must build and hash no
 Fraction, and the slot martingales and the slot-event test must compare
-none. There jump_measure and detect_fpcc must hash no Fraction, and build
-only the dim entries of each location the tree pools for the first time,
+none. There jump_measure and detect_fpcc must build and hash no Fraction,
 and a second solve_drift_multiplier on the same flow and basis must build
 no Fraction.
 
@@ -24,9 +23,9 @@ On deep-binary, Enlargement.filtration() must build none, and neither may
 the partition meets that the reconstruct, drift and multiplier checks make,
 the reconstructed family with its witnesses, the multiplier frame or the
 kernel frame, whose certificate is held on ints. In one pass of the eight
-checks there and on fuzz seed 30, the drift and multiplier checks, whose
-report tables are written from int cells, and the kernel check must build
-none.
+checks there and on fuzz seed 30, the mrp check, the drift and multiplier
+checks, whose report tables are written from int cells, and the kernel
+check must build none.
 """
 
 from fractions import Fraction
@@ -226,13 +225,11 @@ def test_measure_and_menus_pool_int_cells(shape, request, fraction_ops):
     scenario = (request.getfixturevalue("deep_binary") if shape == "deep-binary"
                 else random_scenario(30))
     w = scenario.basis_process()
-    tree = w.tree
-    before, pooled = dict(fraction_ops), len(tree.locations)
+    before = dict(fraction_ops)
     cs = detect_fpcc(jump_measure(w))
-    fresh = len(tree.locations) - pooled
-    assert fresh and cs.n  # locations were pooled and listed in menus
+    assert cs.n  # locations were listed in menus
     assert fraction_ops["hash"] == before["hash"]
-    assert fraction_ops["new"] - before["new"] <= w.dim * fresh
+    assert fraction_ops["new"] == before["new"]
 
 
 @pytest.mark.parametrize("shape", ["deep-binary", "seed-30"])
@@ -346,7 +343,8 @@ def test_flows_witnesses_and_frames_build_no_fraction(deep_binary, counted,
 def test_drift_and_multiplier_checks_build_no_fraction(deep_binary, counted):
     """One pass of the eight checks in registry order on a fresh context,
     each counted on its own, as CI's size figures count them, on
-    deep-binary and on fuzz seed 30; the kernel check builds none either."""
+    deep-binary and on fuzz seed 30; the mrp and kernel checks build none
+    either."""
     for scenario in (deep_binary, random_scenario(30)):
         ctx = CheckContext(scenario, 0, "run")
         built, statuses = {}, {}
@@ -356,5 +354,6 @@ def test_drift_and_multiplier_checks_build_no_fraction(deep_binary, counted):
             built[name] = counted["all"] - before
         assert statuses["drift"] == statuses["multiplier"] == "pass"
         assert statuses["kernel"] == "pass"
-        assert built["drift"] == built["multiplier"] == built["kernel"] == 0
-        assert built["mrp"]  # the count sees the Fractions other checks build
+        assert built["mrp"] == built["drift"] == built["multiplier"] == 0
+        assert built["kernel"] == 0
+        assert built["star-to-dot"]  # the count sees the Fractions other checks build

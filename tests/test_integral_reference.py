@@ -9,7 +9,7 @@ hit a memo, and when one measure serves several slot lists or constraint
 systems. The same holds for every running sum or product that now goes
 through Process._accumulate, checked against its hand-written loop, and the
 reconstructed family and the multiplier's N keep one cell per node. Jump
-tables, stored on the tree's location ids, read back the entries they were
+tables, stored on location cells, read back the entries they were
 given in order, and a missing entry raises one message on every path.
 Predictable processes built from int cells are slice for slice the ones
 the Fraction builder, kept as ref.predictable, gives.
@@ -65,7 +65,7 @@ from filtration_lab.fuzz import (
     rng_for,
 )
 from filtration_lab.linalg import solve
-from filtration_lab.rationals import over_common_denominator
+from filtration_lab.rationals import as_fractions, over_common_denominator
 from filtration_lab.representation import ReconstructedBasis
 
 F = Fraction
@@ -179,7 +179,7 @@ def test_compensator_order_matches_reference(seed):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_jump_tables_read_back_as_given(seed):
-    """Both measures of one tree share one id per location vector. The
+    """Both measures of one tree hold one cell per location vector. The
     from_callable and expand_integrand tables list the values their inputs
     give on the compensator's points, in its order; a table rebuilt from
     those entries reads back the same, and every one integrates to the
@@ -189,10 +189,11 @@ def test_jump_tables_read_back_as_given(seed):
     w = scenario.basis_process()
     mu, mu_loose = jump_measure(w), jump_measure(unshared(w))
     assert mu.locs == mu_loose.locs
-    assert all(tree.locations[loc] == mu.support[node.id]
+    assert all(as_fractions(*loc) == mu.support[node.id]
                for nodes, locs in zip(tree.nodes_at, mu.locs)
                for node, loc in zip(nodes, locs) if loc is not None)
-    assert len(tree.locations) == len(set(mu.support.values()))
+    assert (len({loc for locs in mu.locs for loc in locs if loc is not None})
+            == len(set(mu.support.values())))
     for j, filtration in enumerate(flows(scenario)):
         points = [(t, label, value) for (t, label), dist
                   in mu.compensator(filtration).entries.items() for value in dist]
@@ -568,10 +569,10 @@ def test_class_martingales_match_reference(seed):
                     continue
                 assert same_process(new.martingales, old.martingales)
                 assert same_process(new.scale, old.scale)
-                # the plan keeps location ids and weight ratios; read back
+                # the plan keeps location cells and weight ratios; read back
                 # as vectors and Fractions, every cell is the reference's
                 assert tuple(
-                    {label: (tuple(None if loc is None else tree.locations[loc]
+                    {label: (tuple(None if loc is None else as_fractions(*loc)
                                    for loc in ids), F(*ratio))
                      for label, (ids, ratio) in cells.items()}
                     for cells in new.cells) == tuple(

@@ -1,6 +1,6 @@
-"""The jump index against the {support node id: location id} walk.
+"""The jump index against the {support node id: location cell} walk.
 
-JumpMeasure.locs holds one location id, or None, per time-t node, and every
+JumpMeasure.locs holds one location cell, or None, per time-t node, and every
 jump reader goes through it or through calculus._jump_cut. check_reference
 keeps the dict the measure used to hold and each reader's own walk over it.
 On random_scenario seeds 0-49, the same scenarios with their nodes renamed
@@ -34,6 +34,7 @@ from filtration_lab.constraint import (
 )
 from filtration_lab.errors import NotPredictable
 from filtration_lab.fuzz import random_jump_function, random_scenario, rng_for
+from filtration_lab.rationals import as_fractions
 from filtration_lab.scenario import parse_scenario, scenario_to_doc
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -88,24 +89,26 @@ def doob(tree, filtration, rng):
 
 def complete_table(mu, filtration, rng) -> JumpFunction:
     """A random value at every time-(t-1) atom of the flow for every
-    location charged anywhere at t."""
+    location charged anywhere at t, the locations in the order the measure
+    first charges them."""
+    seen = {loc: k for k, loc in enumerate(dict.fromkeys(
+        loc for locs in mu.locs for loc in locs if loc is not None))}
     return JumpFunction._from_ratios(filtration, [
         ((t, atom.label, loc), (rng.randint(-5, 5), rng.randint(1, 3)))
         for t in range(1, mu.tree.horizon + 1)
         for atom in filtration.atoms(t - 1)
-        for loc in sorted({loc for loc in mu.locs[t] if loc is not None})])
+        for loc in sorted({loc for loc in mu.locs[t] if loc is not None},
+                          key=seen.__getitem__)])
 
 
 def assert_index_matches(scenario, seed):
     tree = scenario.tree
     w = scenario.basis_process()
     mu = jump_measure(w)
-    pooled = len(tree.locations)
     jumps = ref.jump_ids(w)
-    assert len(tree.locations) == pooled  # the walk interns nothing new
     assert mu.locs == tuple(tuple(jumps.get(node.id) for node in nodes)
                             for nodes in tree.nodes_at)
-    assert mu.support == {nid: tree.locations[loc] for nid, loc in jumps.items()}
+    assert mu.support == {nid: as_fractions(*loc) for nid, loc in jumps.items()}
     assert same_slices(_jump_counter(CheckContext(scenario, seed, "run")),
                        ref.jump_counter(tree, jumps))
 

@@ -26,6 +26,7 @@ import pytest
 from filtration_lab.cli import CheckContext, run_check
 from filtration_lab.enlargement import _law_identity, g_star_consistency
 from filtration_lab.fuzz import random_jump_function, random_scenario, rng_for
+from filtration_lab.rationals import as_fractions
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = range(50)
@@ -107,17 +108,16 @@ def test_base_laws_under_the_larger_flow_fail_both(case, monkeypatch):
         assert (witness is None) is identity
 
 
-def corrupt(law, how, pool_size):
-    """One law (atom mass, ((location id, mass), ...)) with one entry
-    changed, and the witness's (location id, law mass, walk mass)."""
+def corrupt(law, how, spare):
+    """One law (atom mass, ((location cell, mass), ...)) with one entry
+    changed, and the witness's (location cell, law mass, walk mass)."""
     mass, entries = law
     (loc, m), *rest = entries
     if how == "mass":
         return (mass, ((loc, m + 1), *rest)), (loc, m + 1, m)
     if how == "dropped":  # the walk still charges it
         return (mass, tuple(rest)), (loc, 0, m)
-    if how == "charged at 0":  # a pooled location the atom never reaches
-        spare = next(k for k in range(pool_size) if k not in dict(entries))
+    if how == "charged at 0":  # a location the atom never reaches
         return (mass, (*entries, (spare, 0))), (spare, 0, 0)
     # the atom's mass: every location's ratio moves, the first is named
     return (mass + 1, entries), (loc, m, m)
@@ -127,20 +127,21 @@ def corrupt(law, how, pool_size):
 def test_one_corrupted_law_is_the_witness(how, monkeypatch):
     ctx = context(("shape", SHAPES[0]), monkeypatch)
     (name, enlargement), = flows(ctx)
-    mu, tree = ctx.measure, ctx.tree
+    mu = ctx.measure
     table = mu.compensator(enlargement)
     # the first law with two charged locations
     key = next(key for key, (_, law) in table.laws.items() if len(law) > 1)
-    table.laws[key], (loc, ours, theirs) = corrupt(table.laws[key], how,
-                                                   len(tree.locations))
+    spare = (7, (1000,))  # a cell no node has
+    assert spare not in {loc for locs in mu.locs for loc in locs}
+    table.laws[key], (loc, ours, theirs) = corrupt(table.laws[key], how, spare)
     t, label = key
     assert _law_identity(mu, enlargement) == (
-        False, (t, label, tree.locations[loc], ours, theirs))
+        False, (t, label, as_fractions(*loc), ours, theirs))
     row = run_check(ctx, "consistency")
     assert row["status"] == "fail"
     assert row["details"]["enlargements"][name] == {
         "counter_scan": True, "random_scan": True, "star": False,
-        "witness": [t, label, [str(c) for c in tree.locations[loc]], ours, theirs]}
+        "witness": [t, label, [str(c) for c in as_fractions(*loc)], ours, theirs]}
 
 
 def test_identity_builds_no_fraction(monkeypatch):
