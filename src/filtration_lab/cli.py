@@ -49,20 +49,20 @@ from .constraint import (
 from .enlargement import (
     _drift,
     _law_identity,
+    _verify_multiplier_stack,
     check_compensator_abs_continuity,
     check_full_viability,
     covariance_kernel,
     default_viability_family,
     g_star_consistency,
     solve_drift_multiplier,
-    verify_drift_multiplier,
     verify_fbd,
 )
 from .errors import FiltrationLabError, NoRepresentation, ParseError, UnknownCheck
 from .fuzz import (
+    _random_representables,
     random_increasing,
     random_jump_function,
-    random_representable,
     random_scenario,
     rng_for,
     undersized_basis,
@@ -273,11 +273,12 @@ def _run_multiplier(ctx: CheckContext):
 
     def body(name, enlargement):
         solution = solve_drift_multiplier(enlargement, rebuilt)
-        good = solution.holds
-        for j in range(3):
-            rng = rng_for(ctx.seed, "multiplier", name, str(j))
-            x = random_representable(ctx.basis(), rng)
-            good = good and verify_drift_multiplier(solution, x, enlargement)
+        # the three samples are drawn only when the identity holds on the
+        # family, and verified as one stack, each sample on its own component
+        good = solution.holds and _verify_multiplier_stack(
+            solution, _random_representables(ctx.basis(), [
+                rng_for(ctx.seed, "multiplier", name, str(j)) for j in range(3)]),
+            enlargement)
         return good, {"holds": solution.holds, "verified_samples": 3,
                       "phi": _phi_table(solution.phi, enlargement.filtration())}
 

@@ -52,7 +52,7 @@ from .errors import (
 )
 from .linalg import _int_null_space
 from .rationals import as_fractions, gathered, over_lcm, to_fraction
-from .representation import _require_representable
+from .representation import _require_representable, _require_scalar
 from .tree import _flow_on, _means, as_filtration
 
 OPTIMAL = "optimal"
@@ -533,7 +533,20 @@ def verify_drift_multiplier(solution: MultiplierSolution, x: Process,
     The input is first represented against the solution's basis, so a
     non-representable input fails loudly at the representation step rather
     than muddying the identity check. The basis is tested as a martingale
-    once per basis.
+    once per basis. This is the width-1 call of _verify_multiplier_stack.
+    """
+    _require_scalar(x)
+    return _verify_multiplier_stack(solution, x, enlargement_like)
+
+
+def _verify_multiplier_stack(solution: MultiplierSolution, x: Process,
+                             enlargement_like) -> bool:
+    """verify_drift_multiplier for every component of x at once: True iff
+    the identity holds on each, every component verified exactly.
+
+    X is tested as a martingale once, each node's span test reads the
+    node's null rows once for every component, phi's predictability is
+    tested once, and one bracket pass and one identity pass cover the stack.
     """
     basis = solution.basis
     _require_representable(x, basis.process, basis)

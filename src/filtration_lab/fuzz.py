@@ -12,7 +12,7 @@ import hashlib
 import random
 from operator import mul
 
-from .calculus import JumpFunction, JumpMeasure, Process, dot_integral
+from .calculus import JumpFunction, JumpMeasure, Process, _dot_blocks
 from .errors import DegeneratePartition, DimensionMismatch
 from .linalg import rank
 from .rationals import gathered, over_lcm
@@ -152,12 +152,21 @@ def random_jump_function(mu: JumpMeasure, filtration_like, rng) -> JumpFunction:
 
 
 def random_representable(w: Process, rng) -> Process:
-    """Scalar martingale given as a random predictable integral against w."""
-    # draws in time order, then node order: the base atoms are the nodes
+    """Scalar martingale given as a random predictable integral against w;
+    the width-1 call of _random_representables."""
+    return _random_representables(w, [rng])
+
+
+def _random_representables(w: Process, rngs) -> Process:
+    """The stack of random_representable(w, rng) over rngs, one component
+    per rng, as one block integral: each rng draws its own integrand's
+    block in time order, then node order, as it would on its own."""
+    base = w.tree.base_filtration()  # its atoms are the nodes
     integrand = Process._predictable(
-        w.tree.base_filtration(), w.dim,
-        lambda t, atom: (1, tuple([rng.randint(-3, 3) for _ in range(w.dim)])))
-    return dot_integral(integrand, w)
+        base, len(rngs) * w.dim,
+        lambda t, atom: (1, tuple([rng.randint(-3, 3)
+                                   for rng in rngs for _ in range(w.dim)])))
+    return _dot_blocks(integrand, w, base, len(rngs))
 
 
 def random_increasing(tree: FilteredTree, rng) -> Process:

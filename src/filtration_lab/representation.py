@@ -102,25 +102,36 @@ def check_mrp(w: Process) -> MrpReport:
 
 def representation_coefficient(x: Process, w: Process) -> Process:
     """Predictable H with (H . W) = X - X_0, least-index per atom."""
+    _require_scalar(x)
     _require_representable(x, w)
     nodes = w.tree.nodes
-    return Process._predictable(
-        w.tree.base_filtration(), w.dim,
-        lambda t, atom: _solve_at(w, t, *_target_at(x, t, nodes[atom.label])))
+
+    def cell(t, atom):
+        node, den, (rhs,) = _targets_at(x, t, nodes[atom.label])
+        return _solve_at(w, t, node, den, rhs)
+
+    return Process._predictable(w.tree.base_filtration(), w.dim, cell)
 
 
-def _target_at(x: Process, t: int, node):
-    """(node, den, Delta X_t numerators on the node's children)."""
+def _targets_at(x: Process, t: int, node):
+    """(node, den, one rhs per component of x: its Delta X_t numerators on
+    the node's children)."""
     part, den, incs = x._delta(t)
-    return node, den, [incs[part.block_of[c.leaf_lo]][0] for c in node.children]
+    return node, den, list(zip(*[incs[part.block_of[c.leaf_lo]]
+                                 for c in node.children]))
+
+
+def _require_scalar(x: Process):
+    if x.dim != 1:
+        raise DimensionMismatch("representation targets are scalar processes")
 
 
 def _require_representable(x: Process, w: Process, basis=None):
-    """representation_coefficient's checks, in its order, without solving:
-    shapes, martingales, then each node's span test. With basis, a
-    ReconstructedBasis of w, w's martingale test runs once per basis."""
-    if x.dim != 1:
-        raise DimensionMismatch("representation targets are scalar processes")
+    """representation_coefficient's checks, in its order, without solving,
+    for every component of x at once: shapes, martingales, then each node's
+    span test, the node's null rows read once for all components. With
+    basis, a ReconstructedBasis of w, w's martingale test runs once per
+    basis."""
     tree = w.tree
     if x.tree is not tree:
         raise DimensionMismatch("target and basis on different trees")
@@ -132,7 +143,7 @@ def _require_representable(x: Process, w: Process, basis=None):
     x.require_martingale(tree, what="target")
     for t in range(1, tree.horizon + 1):
         for node in tree.nodes_at[t - 1]:
-            _span_test(w, t, *_target_at(x, t, node), "target increment")
+            _span_test(w, t, *_targets_at(x, t, node), "target increment")
 
 
 def _solver_at(w: Process, t: int, node):
@@ -160,12 +171,15 @@ def _solver_at(w: Process, t: int, node):
     return hit
 
 
-def _span_test(w: Process, t: int, node, den, rhs, what: str):
-    """NoRepresentation unless rhs / den on the node's children is in the
-    span of Delta W_t there, that is, every null row annihilates rhs."""
-    if any(sum(map(mul, block, rhs)) for block in _solver_at(w, t, node)[2]):
-        raise NoRepresentation(f"{what} outside the basis span", time=t,
-                               atom=node.id, witness=as_fractions(den, rhs))
+def _span_test(w: Process, t: int, node, den, rhss, what: str):
+    """NoRepresentation unless each rhs / den of rhss on the node's
+    children is in the span of Delta W_t there, that is, every null row
+    annihilates it; the null rows are read once for all of rhss."""
+    nulls = _solver_at(w, t, node)[2]
+    for rhs in rhss:
+        if any(sum(map(mul, block, rhs)) for block in nulls):
+            raise NoRepresentation(f"{what} outside the basis span", time=t,
+                                   atom=node.id, witness=as_fractions(den, rhs))
 
 
 def _solve_at(w: Process, t: int, node, den, rhs):
@@ -244,7 +258,7 @@ def single_jump_coefficient(xi, r: StoppingTime, w: Process) -> Process:
         node = tree.nodes[atom.label]
         rhs = [vnums[child.leaf_lo][0] * (scale // vden) - total
                for child in node.children]
-        _span_test(w, t, node, scale, rhs, "centered payoff")
+        _span_test(w, t, node, scale, [rhs], "centered payoff")
         return _solve_at(w, t, node, scale, rhs)
 
     return Process._predictable(tree.base_filtration(), w.dim, coefficient)

@@ -11,8 +11,9 @@ partition the one atom index, Partition.pieces, per other partition;
 between a filtration's consecutive times it is the parent-to-child index.
 
 Masses are ints: every leaf probability is an int numerator over one
-tree-wide leaf denominator D, and every atom stores only its mass over D;
-its probability is a view built when read. A conditional mean sums the
+tree-wide leaf denominator D, reduced once from the int products of the
+branch ratios on the leaves' paths, and every node and atom stores only its
+mass over D; Node.prob, Atom.prob and leaf_probs are views built when read. A conditional mean sums the
 products of those int masses with int numerators, in one kernel: _means
 takes any atoms of one partition, reads that partition's atom index once
 per slice and lays the results out as one (scale, sums) cell per atom; the
@@ -34,7 +35,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import mul
 
 from .errors import (
@@ -54,8 +56,8 @@ ONE = Fraction(1)
 
 
 class Node:
-    __slots__ = ("id", "time", "parent", "branch_prob", "children", "prob",
-                 "mass", "leaf_lo", "leaf_hi")
+    __slots__ = ("id", "time", "parent", "branch_prob", "children", "mass",
+                 "leaf_lo", "leaf_hi")
 
     def __init__(self, node_id, time, parent, branch_prob):
         self.id = node_id
@@ -63,10 +65,19 @@ class Node:
         self.parent = parent
         self.branch_prob = branch_prob
         self.children = []
-        self.prob = None
         self.mass = None
         self.leaf_lo = None
         self.leaf_hi = None
+
+    @property
+    def prob(self) -> Fraction:
+        """The product of the branch probabilities on the path from the
+        root, a view built when read."""
+        prob, node = ONE, self
+        while node.parent is not None:
+            prob *= node.branch_prob
+            node = node.parent
+        return prob
 
     def leaves(self):
         return tuple(range(self.leaf_lo, self.leaf_hi))
@@ -215,7 +226,6 @@ class FilteredTree:
         self.leaves: list[Node] = []
         self._assign_leaf_ranges(preorder)
         self.leaf_ids = [leaf.id for leaf in self.leaves]
-        self.leaf_probs = [leaf.prob for leaf in self.leaves]
         self.leaf_mass = [leaf.mass for leaf in self.leaves]
         self.nodes_at: list[list[Node]] = [[] for _ in range(horizon + 1)]
         for node in preorder:
@@ -236,24 +246,40 @@ class FilteredTree:
     def _assign_leaf_ranges(self, preorder):
         """Number the leaves depth first, so every node's leaves are the
         range between its first and last child's, and give every node its
-        mass over the leaf denominator, the lcm of the leaves'."""
-        self.root.prob = ONE
+        mass over the leaf denominator D, the lcm of the leaves' reduced
+        denominators. Each leaf's probability is first held as the int
+        products (num, den) of the branch ratios on its path, unreduced;
+        over L, the lcm of those dens, the leaves' numerators have some
+        common factor g with L, and D = L / g."""
+        paths = {self.root: (1, 1)}  # node: (path num, path den)
+        ratios = []
         for node in preorder:
+            num, den = paths.pop(node)
             for child in node.children:
-                child.prob = node.prob * child.branch_prob
+                n, d = child.branch_prob.as_integer_ratio()
+                paths[child] = num * n, den * d
             if not node.children:
                 node.leaf_lo = len(self.leaves)
                 self.leaves.append(node)
                 node.leaf_hi = len(self.leaves)
-        ratios = [leaf.prob.as_integer_ratio() for leaf in self.leaves]
-        self.leaf_den = den = lcm(*[d for _, d in ratios])
-        for leaf, (n, d) in zip(self.leaves, ratios):
-            leaf.mass = n * (den // d)
+                ratios.append((num, den))
+        whole = lcm(*[d for _, d in ratios])
+        nums = [n * (whole // d) for n, d in ratios]
+        g = gcd(whole, *nums)
+        self.leaf_den = whole // g
+        for leaf, n in zip(self.leaves, nums):
+            leaf.mass = n // g
         for node in reversed(preorder):
             if node.children:
                 node.leaf_lo = node.children[0].leaf_lo
                 node.leaf_hi = node.children[-1].leaf_hi
                 node.mass = sum([child.mass for child in node.children])
+
+    @cached_property
+    def leaf_probs(self) -> list:
+        """Each leaf's probability, its mass over the leaf denominator: a
+        Fraction view built when first read."""
+        return [Fraction(m, self.leaf_den) for m in self.leaf_mass]
 
     @property
     def n_leaves(self) -> int:
@@ -262,11 +288,6 @@ class FilteredTree:
     def node_at(self, t: int, leaf: int) -> Node:
         """Time-t ancestor of the given leaf."""
         return self.nodes_at[t][self.base_filtration().parts[t].block_of[leaf]]
-
-    def leaf_index(self, leaf_id: str) -> int | None:
-        """The leaf's position, read off its node; None for any other id."""
-        node = self.nodes.get(leaf_id)
-        return None if node is None or node.children else node.leaf_lo
 
     def _leaf_index(self, item, error) -> int:
         """The index of a leaf named by its index or its id; any other item
@@ -346,14 +367,6 @@ class Filtration:
 
     def atoms(self, t: int) -> tuple[Atom, ...]:
         return self.partition(t).atoms
-
-    def atom_labelled(self, t: int, label: str) -> Atom:
-        """The time-t atom with the given label, found by a scan of the
-        time-t partition; KeyError when it holds none."""
-        for atom in self.parts[t].atoms if 0 <= t < len(self.parts) else ():
-            if atom.label == label:
-                return atom
-        raise KeyError((t, label))
 
     def conditioning_atom_of(self, t: int, leaf: int) -> Atom:
         part = self.partition(t - 1 if t >= 1 else 0)

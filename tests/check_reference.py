@@ -44,6 +44,22 @@ slot-martingale integral and accessible integral. The check now runs every
 route once over the stack of the five and reads each sample off its own
 component; test_stacked_star_to_dot holds it to this loop.
 
+multiplier_samples is the multiplier check's sample clause as it ran,
+one sample at a time: each random_representable drawn from its own
+rng_for(seed, "multiplier", name, j) stream and held to
+verify_drift_multiplier on its own. The check now integrates the three
+draws as one stack and verifies it once, each sample on its own component;
+test_stacked_multiplier holds it to this loop.
+
+atom_labelled is Filtration.atom_labelled, the scan of a time's partition
+for the atom with a given label, which only the references called.
+
+node_probs and leaf_masses are the tree's probabilities as FilteredTree
+built them, a Fraction per node from its parent's, with the leaf
+denominator and masses taken from the leaves' Fractions. The tree now
+reduces the leaves' int path products once and builds its Fraction views
+when read; test_tree_masses holds it to these.
+
 means_by_atom, is_martingale_by_atom, bracket_steps_by_atom and
 multiplier_holds_by_atom are the conditional means as the library took
 them one atom at a time, each through one Partition.pieces lookup and one
@@ -83,13 +99,18 @@ from filtration_lab.calculus import (
     dual_predictable_projection,
 )
 from filtration_lab.constraint import AccessibleSlot
-from filtration_lab.enlargement import g_star_consistency
+from filtration_lab.enlargement import g_star_consistency, verify_drift_multiplier
 from filtration_lab.errors import (
     DegeneratePartition,
     DimensionMismatch,
     NotIncreasing,
 )
-from filtration_lab.fuzz import random_jump_function, rng_for, widest_branching
+from filtration_lab.fuzz import (
+    random_jump_function,
+    random_representable,
+    rng_for,
+    widest_branching,
+)
 from filtration_lab.linalg import null_space, rank
 from filtration_lab.rationals import (
     as_fractions,
@@ -273,6 +294,15 @@ def star_integral_by_entry(g: JumpFunction, mu: JumpMeasure, filtration) -> Proc
     return Process._accumulate(tree, (0,), increments_at)
 
 
+def atom_labelled(filtration, t, label):
+    """Filtration.atom_labelled: the time-t atom with the given label, found
+    by a scan of the time-t partition; KeyError when it holds none."""
+    for atom in filtration.parts[t].atoms if 0 <= t < len(filtration.parts) else ():
+        if atom.label == label:
+            return atom
+    raise KeyError((t, label))
+
+
 def project_onto_jump_measure(y: Process, jumps, filtration) -> JumpFunction:
     """The projection, each conditioning atom cut by the time-t nodes on
     its own."""
@@ -281,7 +311,7 @@ def project_onto_jump_measure(y: Process, jumps, filtration) -> JumpFunction:
     base = tree.base_filtration()
     items = []
     for (t, label), (_, law) in laws(tree, jumps, filtration).items():
-        atom = filtration.atom_labelled(t - 1, label)
+        atom = atom_labelled(filtration, t - 1, label)
         num = dict.fromkeys([loc for loc, _ in law], 0)
         nodes = base.parts[t]
         cut = tree.meet(nodes, atom.partition)
@@ -364,6 +394,17 @@ def three_sample_star(mu: JumpMeasure, seed, name, enlargement) -> bool:
         g = random_jump_function(mu, mu.tree, rng)
         star_ok = star_ok and g_star_consistency(g, mu, enlargement)
     return star_ok
+
+
+def multiplier_samples(solution, w: Process, seed, name, enlargement) -> list:
+    """_run_multiplier's samples for the flow called name as it verified
+    them, one at a time: draw j from rng_for(seed, "multiplier", name,
+    str(j)), a random_representable against w held to
+    verify_drift_multiplier; the verdict of each."""
+    return [verify_drift_multiplier(
+                solution, random_representable(w, rng_for(seed, "multiplier", name, str(j))),
+                enlargement)
+            for j in range(3)]
 
 
 def star_to_dot_samples(ctx):
@@ -470,6 +511,28 @@ def multiplier_holds_by_atom(phi: Process, steps, x: Process, filtration) -> boo
                    for s, row in zip(sums, rows)):
                 return False
     return True
+
+
+# --- the tree's probabilities on Fractions ----------------------------------
+
+def node_probs(tree) -> dict:
+    """Each node's probability as FilteredTree built it: the root's is 1,
+    a child's its parent's times its branch probability, by node id."""
+    probs = {tree.root.id: Fraction(1)}
+    for node in tree._preorder():
+        for child in node.children:
+            probs[child.id] = probs[node.id] * child.branch_prob
+    return probs
+
+
+def leaf_masses(tree):
+    """(leaf_den, leaf masses) as FilteredTree took them from node_probs:
+    the lcm of the leaves' reduced denominators, and each leaf's
+    probability over it."""
+    probs = node_probs(tree)
+    ratios = [probs[leaf.id].as_integer_ratio() for leaf in tree.leaves]
+    den = lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
 
 
 # --- the fuzz generators on Fractions ---------------------------------------

@@ -2,11 +2,15 @@
 
 Only a filtration's atoms carry labels: a meet that is neither of its two
 inputs has atoms labelled None, and one that is an input is that input.
-Filtration.atom_labelled finds a labelled atom by a scan of its time's
-partition, and FilteredTree.leaf_index reads a leaf's position off its node.
+Nothing in the library looks an atom up by label: check_reference's
+atom_labelled, which its reference callers use, finds one by a scan of its
+time's partition. A leaf id is coerced to its position by
+FilteredTree._leaf_index, which reads it off the leaf's node and raises its
+caller's error for any other id.
 """
 
 import pytest
+from check_reference import atom_labelled
 
 from filtration_lab.fuzz import random_scenario
 
@@ -39,19 +43,21 @@ def test_atom_labelled_finds_every_atom(seed):
     for filtration in flows:
         for t, part in enumerate(filtration.parts):
             for atom in part.atoms:
-                assert filtration.atom_labelled(t, atom.label) is atom
+                assert atom_labelled(filtration, t, atom.label) is atom
         for t, label in ((0, "nowhere"), (tree.horizon + 1, tree.leaf_ids[0]),
                          (-1, tree.leaf_ids[0])):
             with pytest.raises(KeyError):
-                filtration.atom_labelled(t, label)
+                atom_labelled(filtration, t, label)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_leaf_index_reads_the_leaf_nodes(seed):
     tree = random_scenario(seed).tree
     for i, leaf_id in enumerate(tree.leaf_ids):
-        assert tree.leaf_index(leaf_id) == i
+        assert tree._leaf_index(leaf_id, KeyError) == i
     for node in tree.nodes.values():
         if node.children:
-            assert tree.leaf_index(node.id) is None
-    assert tree.leaf_index("nowhere") is None
+            with pytest.raises(KeyError, match="is not a leaf"):
+                tree._leaf_index(node.id, KeyError)
+    with pytest.raises(KeyError, match="unknown leaf id"):
+        tree._leaf_index("nowhere", KeyError)

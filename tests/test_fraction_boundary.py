@@ -134,11 +134,13 @@ def test_star_to_dot_integrands_build_no_fraction(deep_binary, counted):
 
 
 def test_no_predictable_build_builds_a_fraction(deep_binary, counted):
-    """Every check of a run on the deep-binary shape and on the ter1_gb
-    fixture, whose price has a deflator so that verify_fbd runs, then the
-    representation coefficients and translate_integrand."""
-    fixture = load(Path(filtration_lab.__file__).parent / "fixtures" / "ter1_gb.json")
-    for scenario in (deep_binary, fixture):
+    """Every check of a run on the deep-binary shape and on the ter1_ga and
+    ter1_gb fixtures, the last one's price with a deflator so that
+    verify_fbd runs, then the representation coefficients and
+    translate_integrand."""
+    fixtures = Path(filtration_lab.__file__).parent / "fixtures"
+    for scenario in (deep_binary, load(fixtures / "ter1_ga.json"),
+                     load(fixtures / "ter1_gb.json")):
         ctx = CheckContext(scenario, 0, "run")
         statuses = {name: run_check(ctx, name)["status"] for name in CHECKS}
         assert statuses["star-to-dot"] == "pass"

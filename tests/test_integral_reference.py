@@ -20,6 +20,7 @@ from fractions import Fraction
 
 import integral_reference as ref
 import pytest
+from check_reference import atom_labelled
 
 from filtration_lab import (
     JumpFunction,
@@ -209,7 +210,7 @@ def test_jump_tables_read_back_as_given(seed):
         expanded = {}
         for t, label, value in points:
             k = cs.slot_of(t, label, value)
-            leaf = filtration.atom_labelled(t - 1, label).leaves[0]
+            leaf = atom_labelled(filtration, t - 1, label).leaves[0]
             expanded[(t, label, value)] = (h.at(t, leaf)[k]
                                            * cs.slot_weights(t, label)[k])
         tables = [
@@ -241,7 +242,7 @@ def test_missing_entry_raises_one_message(seed):
     t, label, location = key = rng.choice(list(entries))
     del entries[key]
     holey = JumpFunction(tree.base_filtration(), entries)
-    leaf = tree.base_filtration().atom_labelled(t - 1, label).leaves[0]
+    leaf = atom_labelled(tree.base_filtration(), t - 1, label).leaves[0]
     messages = set()
     for where in (location, list(location)):
         with pytest.raises(IncompleteFunctionTable) as raised:

@@ -57,6 +57,7 @@ from filtration_lab.fuzz import random_increasing, random_scenario, rng_for
 from filtration_lab.linalg import gram_schmidt, solve
 from filtration_lab.rationals import as_fractions, to_fraction
 from filtration_lab.tree import as_filtration, conditional_expectation_leafwise
+from check_reference import atom_labelled
 from integral_reference import Shared, _atoms_within, _moment_sums, class_leaves
 
 F = Fraction
@@ -208,7 +209,7 @@ def old_project_onto_jump_measure(y, mu, filtration_like):
     table = mu.compensator(filtration)
     entries = {}
     for (t, label), dist in table.entries.items():
-        atom = filtration.atom_labelled(t - 1, label)
+        atom = atom_labelled(filtration, t - 1, label)
         atom_leaves = set(atom.leaves)
         # numerator and denominator of the conditional mean per location
         num = {v: ZERO for v in dist}
