@@ -14,7 +14,9 @@ the three fixtures, under the solved phi and under phi doubled. A doubled
 phi fails a sample only where the sample has a drift, so on some flows it
 fails some of the three samples and not the others, which a component
 leaking into another would upset. A component outside the basis span
-still raises NoRepresentation, with the error the scalar check gives.
+still raises NoRepresentation, with the error the scalar check gives,
+while verify_drift_multiplier and representation_coefficient still refuse
+a target of more than one component.
 """
 
 import dataclasses
@@ -31,7 +33,7 @@ from filtration_lab.enlargement import (
     solve_drift_multiplier,
     verify_drift_multiplier,
 )
-from filtration_lab.errors import NoRepresentation
+from filtration_lab.errors import DimensionMismatch, NoRepresentation
 from filtration_lab.fuzz import (
     _random_representables,
     random_representable,
@@ -132,6 +134,11 @@ def test_component_outside_the_span_raises(two_step, bad_at):
         basis=representation.ReconstructedBasis(process=w, witnesses=(), d=1))
     parts = [w, w.scale(2), w.scale(-1)]
     parts[bad_at] = bad
+    # the public calls still take scalar targets only
+    for scalar_only in (lambda x: verify_drift_multiplier(solution, x, two_step),
+                        lambda x: representation.representation_coefficient(x, w)):
+        with pytest.raises(DimensionMismatch, match="targets are scalar processes"):
+            scalar_only(Process.stack(parts))
     with pytest.raises(NoRepresentation) as stacked:
         _verify_multiplier_stack(solution, Process.stack(parts), two_step)
     with pytest.raises(NoRepresentation) as scalar:
